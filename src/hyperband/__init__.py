@@ -111,6 +111,7 @@ from .spectral_curve import (
     toy_to_twisted,
 )
 from .covers_quivers import (
+    CoverPushforward,
     PushforwardReport,
     Quiver,
     QuiverArrow,
@@ -223,6 +224,7 @@ __all__ = [
     "cover_genus",
     "supercell",
     "induce",
+    "CoverPushforward",
     "PushforwardReport",
     "pushforward_check",
     "cover_to_json",

@@ -262,15 +262,17 @@ def cmd_cover_check(args) -> int:
     model = tight_binding.read_model(opts.require("model"))
     cover = covers_quivers.read_cover(opts.require("cover"))
     trials = int(opts.get("trials", 20))
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
     tol = float(opts.get("tol", 1e-9))
     seed = int(opts.get("seed", 0))
-    genus_cover = covers_quivers.cover_genus(cover)
+    table = covers_quivers.CoverPushforward(model, cover)
     rng = np.random.default_rng(seed)
     worst = None
-    for _ in range(max(1, trials)):
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=2 * genus_cover)
+    for _ in range(trials):
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=2 * table.genus_cover)
         chi = AbelianMomentum(np.exp(1j * phases))
-        report = covers_quivers.pushforward_check(model, cover, chi, tol=tol)
+        report = table.check(chi, tol)
         if worst is None or report.spectral_distance > worst.spectral_distance:
             worst = report
     verdict = "PASS" if worst.passed else "FAIL"

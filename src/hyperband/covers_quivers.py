@@ -14,6 +14,18 @@ Both produce the same Hamiltonian matrix in the same state ordering
 (cell index major, sheet index minor), so their spectra agree; see
 `pushforward_check`.
 
+All three read one per-cover table, `CoverPushforward(model, cover)`, built
+once: the Schreier data, the edge table the induced momenta are read from,
+the cover's genus and connectivity, the supercell on-site matrix, and per
+cover-group generator only its nonzero d x d hop blocks, keyed by sheet pair.
+A check at one character assembles the supercell H(chi) by adding those
+blocks into a (d, N, d, N) view of one matrix, so the 2 genus(cover) dense
+hop matrices of the supercell are never formed; only `supercell` itself,
+which returns them, builds them.  The check costs two (dN)^2 eigensolves and
+no per-cover work, so `cover-check` reuses the table across its characters
+and runs the genus-2, d = 4, N = 256 cyclic cover (1024 states, 20
+characters) in well under a minute.
+
 The rewriting pipeline: a BFS spanning forest fixes a Schreier transversal;
 each of the 2gN directed edges (sheet s, generator gamma) carries the Schreier
 element t_s gamma t_{s.gamma}^{-1} (trivial exactly on tree edges); the N
@@ -21,7 +33,10 @@ rewritten relators are abelianized over the non-tree edges and quotiented out
 with an exact integer Smith normal form.  The surviving free quotient has rank
 2 * genus(cover), and each edge class must be zero or +- a basis direction --
 a cover whose classes cannot be straightened this way (they exist!) gets an
-UnsupportedCoverError rather than a silently wrong supercell.
+UnsupportedCoverError rather than a silently wrong supercell.  The last test,
+that the directions form a unimodular basis, takes an exact determinant by
+sparse integer elimination (the direction matrix is nearly a signed
+permutation).
 
 A quiver presents one model's Hamiltonian as nodes (atoms = groups of cell
 states) and block arrows (label: which generator the hop crosses, or none for
@@ -40,13 +55,14 @@ import numpy as np
 from .errors import UnsupportedCoverError
 from .momenta import AbelianMomentum, NonabelianMomentum
 from .surface_group import Word, free_reduce, make_surface_group
-from .tight_binding import TightBindingModel, bloch_abelian, bloch_nonabelian
+from .tight_binding import BlochHamiltonian, TightBindingModel, bloch_nonabelian
 
 __all__ = [
     "UnbranchedCover",
     "cover_genus",
     "supercell",
     "induce",
+    "CoverPushforward",
     "PushforwardReport",
     "pushforward_check",
     "cover_to_json",
@@ -161,12 +177,6 @@ def cover_genus(cover: UnbranchedCover, base_genus: int = None) -> int:
 
 @dataclass(frozen=True)
 class _SchreierData:
-    cover: UnbranchedCover
-    transversal: tuple  # Word per sheet
-    tree_edges: frozenset  # (sheet0, gen) pairs
-    edge_order: tuple  # non-tree (sheet0, gen) in scan order
-    edge_index: dict  # (sheet0, gen) -> index into edge_order
-    classes: dict  # (sheet0, gen) -> tuple[int] in the free quotient (all edges)
     directions: tuple  # deduplicated sign-normalized nonzero classes, basis order
     edge_assignment: dict  # (sheet0, gen) -> (direction index, sign) or (None, 0)
     genus_cover: int
@@ -271,26 +281,58 @@ def _smith_right_transform(rows: list, width: int):
 
 
 def _int_det(matrix: list) -> int:
-    """Exact integer determinant (fraction-free Gaussian elimination)."""
-    m = [[int(v) for v in row] for row in matrix]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    """Exact integer determinant by sparse unimodular row elimination.
+
+    Rows are {column: value} dicts.  Column by column, the row holding the
+    smallest |entry| there reduces the other holders by integer multiples of
+    itself (Euclid) until one holder is left, which is retired as that
+    column's pivot row.  Adding a multiple of one row to another keeps the
+    determinant, so it is the product of the pivots times the sign of the
+    column -> pivot row permutation.  The hop-direction matrices this checks
+    are nearly signed permutations, so the work stays near the nonzero count.
+    """
+    n = len(matrix)
+    rows = [{j: int(v) for j, v in enumerate(row) if v} for row in matrix]
+    holders = [set() for _ in range(n)]  # column -> unretired rows nonzero there
+    for i, row in enumerate(rows):
+        for j in row:
+            holders[j].add(i)
+    det = 1
+    pivot_row = []
+    for c in range(n):
+        while len(holders[c]) > 1:
+            p = min(holders[c], key=lambda i: (abs(rows[i][c]), len(rows[i]), i))
+            prow = rows[p]
+            for i in holders[c] - {p}:
+                row = rows[i]
+                q = row[c] // prow[c]
+                for j, v in prow.items():
+                    w = row.get(j, 0) - q * v
+                    if w:
+                        if j not in row:
+                            holders[j].add(i)
+                        row[j] = w
+                    elif j in row:
+                        del row[j]
+                        holders[j].discard(i)
+        if not holders[c]:
+            return 0
+        (p,) = holders[c]
+        det *= rows[p][c]
+        pivot_row.append(p)
+        for j in rows[p]:
+            holders[j].discard(p)
+    seen = [False] * n
+    for start in range(n):
+        length = 0
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = pivot_row[k]
+            length += 1
+        if length and length % 2 == 0:
+            det = -det
+    return det
 
 
 def _schreier_data(cover: UnbranchedCover) -> _SchreierData:
@@ -340,14 +382,7 @@ def _schreier_data(cover: UnbranchedCover) -> _SchreierData:
         rows.append(row)
 
     if k == 0:
-        classes = {edge: () for edge in tree}
         return _SchreierData(
-            cover=cover,
-            transversal=transversal,
-            tree_edges=tree,
-            edge_order=(),
-            edge_index={},
-            classes=classes,
             directions=(),
             edge_assignment={edge: (None, 0) for edge in tree},
             genus_cover=cover_genus(cover),
@@ -381,11 +416,11 @@ def _schreier_data(cover: UnbranchedCover) -> _SchreierData:
                 return tuple(-x for x in c), -1
         return None, 0
 
-    directions = []
+    directions = {}  # class -> direction index, in first-seen order
     for edge in edge_order:
         base, sign = normalized(classes[edge])
         if sign != 0 and base not in directions:
-            directions.append(base)
+            directions[base] = len(directions)
     if len(directions) != free:
         raise UnsupportedCoverError(
             f"found {len(directions)} distinct hop directions but the free rank "
@@ -402,92 +437,52 @@ def _schreier_data(cover: UnbranchedCover) -> _SchreierData:
         if sign == 0:
             edge_assignment[edge] = (None, 0)
         else:
-            edge_assignment[edge] = (directions.index(base), sign)
+            edge_assignment[edge] = (directions[base], sign)
 
     return _SchreierData(
-        cover=cover,
-        transversal=transversal,
-        tree_edges=tree,
-        edge_order=tuple(edge_order),
-        edge_index=edge_index,
-        classes=classes,
         directions=tuple(directions),
         edge_assignment=edge_assignment,
         genus_cover=g_cover,
     )
 
 
-def supercell(model: TightBindingModel, cover: UnbranchedCover) -> TightBindingModel:
-    """The cover-group tight-binding model with N-fold cells.
+def _edge_table(cover: UnbranchedCover, data: _SchreierData) -> tuple:
+    """Per base generator: (target sheets, rho entry index, rho_inv entry index).
 
-    States are ordered (cell state) major, (sheet) minor, matching the
-    Kronecker convention of `bloch_nonabelian`.  Edges with trivial hop class
-    land in the on-site matrix; an edge of class +-(direction i) contributes
-    its hop block to supercell generator i+1 (forward or dagger side).
+    Indices point into [1, chi_1..chi_G, chi_1^-1..chi_G^-1], G = 2 genus(cover):
+    a trivial-class edge reads 1; an edge of class +d_i reads chi_i forward
+    and chi_i^-1 backward, one of class -d_i the other way round.
     """
-    if cover.genus != model.genus:
-        raise ValueError(f"genus mismatch: model {model.genus}, cover {cover.genus}")
-    data = _schreier_data(cover)
     n = cover.sheets
-    d = model.dim
-    big = d * n
-    onsite = np.kron(model.onsite, np.eye(n, dtype=complex))
-    n_new = 2 * data.genus_cover
-    new_hops = [np.zeros((big, big), dtype=complex) for _ in range(n_new)]
-
-    def basis_block(a: int, b: int) -> np.ndarray:
-        E = np.zeros((n, n), dtype=complex)
-        E[a, b] = 1.0
-        return E
-
-    for s in range(n):
-        for gen in range(1, 2 * model.genus + 1):
-            t = cover.forward(s, gen)
-            direction, sign = data.edge_assignment[(s, gen)]
-            J = model.hops[gen - 1]
-            if direction is None:
-                onsite = onsite + np.kron(J, basis_block(s, t))
-                onsite = onsite + np.kron(J.conj().T, basis_block(t, s))
-            elif sign > 0:
-                new_hops[direction] += np.kron(J, basis_block(s, t))
-            else:
-                new_hops[direction] += np.kron(J.conj().T, basis_block(t, s))
-    return TightBindingModel(make_surface_group(data.genus_cover), onsite, new_hops)
-
-
-def induce(chi: AbelianMomentum, cover: UnbranchedCover) -> NonabelianMomentum:
-    """Monomial momentum on the base group induced from a cover-group character.
-
-    rho(gamma)[s, s.gamma] is the character evaluated on the edge's Schreier
-    element, read through the same direction assignment the supercell uses
-    (class +-d_i means the i-th cover generator, so the two pushforward
-    routes sample identical character values edge by edge); inverses are
-    exact monomial transposes built from the character's stored reciprocals.
-    """
-    if not isinstance(chi, AbelianMomentum):
-        raise TypeError("induce expects an AbelianMomentum on the cover group")
-    data = _schreier_data(cover)
-    if chi.genus != data.genus_cover:
-        raise ValueError(
-            f"character has genus {chi.genus}, cover group has genus {data.genus_cover}"
-        )
-    n = cover.sheets
-    mats, invs = [], []
+    n_dirs = 2 * data.genus_cover
+    table = []
     for gen in range(1, 2 * cover.genus + 1):
-        rho = np.zeros((n, n), dtype=complex)
-        rho_inv = np.zeros((n, n), dtype=complex)
+        forward = np.zeros(n, dtype=int)
+        backward = np.zeros(n, dtype=int)
         for s in range(n):
-            t = cover.forward(s, gen)
             direction, sign = data.edge_assignment[(s, gen)]
-            if direction is None:
-                rho[s, t] = 1.0
-                rho_inv[t, s] = 1.0
-            elif sign > 0:
-                rho[s, t] = chi.chi[direction]
-                rho_inv[t, s] = chi.chi_inv[direction]
-            else:
-                rho[s, t] = chi.chi_inv[direction]
-                rho_inv[t, s] = chi.chi[direction]
+            if sign > 0:
+                forward[s], backward[s] = 1 + direction, 1 + n_dirs + direction
+            elif sign < 0:
+                forward[s], backward[s] = 1 + n_dirs + direction, 1 + direction
+        table.append((np.array(cover.perms[gen - 1]) - 1, forward, backward))
+    return tuple(table)
+
+
+def _induced(chi: AbelianMomentum, sheets: int, genus_cover: int, edges: tuple):
+    """The monomial momentum rho(gamma)[s, s.gamma] read from an edge table."""
+    if chi.genus != genus_cover:
+        raise ValueError(
+            f"character has genus {chi.genus}, cover group has genus {genus_cover}"
+        )
+    values = np.concatenate(([1.0], chi.chi, chi.chi_inv))
+    index = np.arange(sheets)
+    mats, invs = [], []
+    for targets, forward, backward in edges:
+        rho = np.zeros((sheets, sheets), dtype=complex)
+        rho[index, targets] = values[forward]
+        rho_inv = np.zeros((sheets, sheets), dtype=complex)
+        rho_inv[targets, index] = values[backward]
         mats.append(rho)
         invs.append(rho_inv)
     return NonabelianMomentum(tuple(mats), tuple(invs))
@@ -507,35 +502,178 @@ class PushforwardReport:
     passed: bool
 
 
+class CoverPushforward:
+    """Both pushforward routes for one (model, cover) pair, built once.
+
+    Construction does all the per-cover work: the Schreier data and the edge
+    table the induced momenta are read from, the cover's genus and
+    connectivity, the supercell on-site matrix, and for each cover-group
+    generator only the d x d hop blocks it places, keyed by sheet pair:
+    `hop_blocks[i]` is (rows, cols, A, B) with A[k] the generator's block
+    from cell states (., cols[k]) to (., rows[k]) and B[k] the same block of
+    its dagger.  States are ordered (cell state) major, (sheet) minor, the
+    Kronecker convention of `bloch_nonabelian`; an edge of trivial class lands
+    in the on-site matrix, one of class +-d_i in cover generator i+1 (forward
+    or dagger side).  A `check` then never forms a dense supercell hop matrix.
+    """
+
+    def __init__(self, model: TightBindingModel, cover: UnbranchedCover):
+        data = _schreier_data(cover)
+        if cover.genus != model.genus:
+            raise ValueError(f"genus mismatch: model {model.genus}, cover {cover.genus}")
+        n, d = cover.sheets, model.dim
+        self.model = model
+        self.sheets = n
+        self.genus_cover = data.genus_cover
+        self.connected = cover.transitive
+        self.edges = _edge_table(cover, data)
+
+        # A dense build adds every trivial-class edge's hop over the whole
+        # matrix, so entries off its block collect the signed zero J * 0,
+        # and eigensolvers branch on the sign of a zero.  Seeding the
+        # diagonal blocks with M * 1 and the others with M * 0, each summed
+        # with those zeros, then adding the blocks in edge order, gives the
+        # dense on-site matrix bit for bit.
+        zero = np.zeros((d, d), dtype=complex)
+        seeds = [model.onsite * (zero + 1.0), model.onsite * zero]
+        for gen in sorted({gen for (_, gen), (k, _) in data.edge_assignment.items() if k is None}):
+            for J in (model.hops[gen - 1], model.hops_dagger[gen - 1]):
+                seeds = [seed + J * zero for seed in seeds]
+        onsite = np.empty((d, n, d, n), dtype=complex)
+        onsite[...] = seeds[1][:, None, :, None]
+        onsite[:, np.arange(n), :, np.arange(n)] = seeds[0]
+        blocks = [{} for _ in range(2 * data.genus_cover)]
+        for s in range(n):
+            for gen in range(1, 2 * model.genus + 1):
+                t = cover.forward(s, gen)
+                direction, sign = data.edge_assignment[(s, gen)]
+                J, J_dagger = model.hops[gen - 1], model.hops_dagger[gen - 1]
+                if direction is None:
+                    onsite[:, s, :, t] += J
+                    onsite[:, t, :, s] += J_dagger
+                else:
+                    pair, hop = ((s, t), J) if sign > 0 else ((t, s), J_dagger)
+                    block = blocks[direction].setdefault(pair, np.zeros((d, d), dtype=complex))
+                    block += hop
+        onsite = onsite.reshape(d * n, d * n)
+        # symmetrized exactly as TightBindingModel does it
+        self.onsite = (onsite + onsite.conj().T) / 2.0
+        self.hop_blocks = tuple(_with_dagger(b, d) for b in blocks)
+
+    def induce(self, chi: AbelianMomentum) -> NonabelianMomentum:
+        """The induced monomial momentum, as `induce(chi, cover)`."""
+        if not isinstance(chi, AbelianMomentum):
+            raise TypeError("induce expects an AbelianMomentum on the cover group")
+        return _induced(chi, self.sheets, self.genus_cover, self.edges)
+
+    def supercell_hamiltonian(self, chi: AbelianMomentum) -> BlochHamiltonian:
+        """bloch_abelian(supercell(model, cover), chi), bit for bit.
+
+        Same accumulation order: on-site first, then one
+        chi_i A_i + chi_i^-1 B_i step per generator, added only on the
+        sheet pairs the generator touches.
+        """
+        if chi.genus != self.genus_cover:
+            raise ValueError(f"genus mismatch: supercell {self.genus_cover}, momentum {chi.genus}")
+        d, n = self.model.dim, self.sheets
+        # Off its blocks a dense step adds chi_i * 0 + chi_i^-1 * 0, a zero
+        # whose sign can turn a -0 entry into +0; adding their sum once, up
+        # front, leaves the same zeros as all the dense steps together.
+        zeros = np.zeros(chi.chi.shape, dtype=complex)
+        missed = chi.chi * zeros + chi.chi_inv * zeros.conj()
+        H = self.onsite + complex(
+            -0.0 if np.signbit(missed.real).all() else 0.0,
+            -0.0 if np.signbit(missed.imag).all() else 0.0,
+        )
+        view = H.reshape(d, n, d, n)
+        for i, (rows, cols, A, B) in enumerate(self.hop_blocks):
+            view[:, rows, :, cols] += chi.chi[i] * A + chi.chi_inv[i] * B
+        return BlochHamiltonian(H, chi, chi.unitary)
+
+    def check(self, chi: AbelianMomentum, tol: float = 1e-9) -> PushforwardReport:
+        """Compare supercell and induced-momentum spectra at one character."""
+        from .spectra import eigenvalues  # deferred: spectra imports nothing from here
+
+        h_induced = bloch_nonabelian(self.model, self.induce(chi))
+        h_supercell = self.supercell_hamiltonian(chi)
+        spec_a = eigenvalues(h_induced)
+        spec_b = eigenvalues(h_supercell)
+        distance = float(np.max(np.abs(spec_a - spec_b)))
+        radius = float(max(np.max(np.abs(spec_a)), np.max(np.abs(spec_b))))
+        matrix_distance = float(np.max(np.abs(h_induced.matrix - h_supercell.matrix)))
+        passed = distance <= tol * max(radius, 1e-12)
+        return PushforwardReport(
+            n_states=h_induced.matrix.shape[0],
+            connected=self.connected,
+            genus_cover=self.genus_cover,
+            matrix_distance=matrix_distance,
+            spectral_distance=distance,
+            spectral_radius=radius,
+            tolerance=tol,
+            passed=passed,
+        )
+
+
+def _with_dagger(blocks: dict, d: int) -> tuple:
+    """(rows, cols, A, B) over the sheet pairs a hop or its dagger touches.
+
+    A holds the hop's blocks (zero where only the dagger has one) and B the
+    dagger's, B[(s, t)] = A[(t, s)]^dagger, entry for entry what the dense
+    J.conj().T holds.
+    """
+    pairs = sorted(set(blocks) | {(t, s) for s, t in blocks})
+    position = {pair: k for k, pair in enumerate(pairs)}
+    zero = np.zeros((d, d), dtype=complex)
+    A = np.array([blocks.get(pair, zero) for pair in pairs])
+    B = A[[position[(t, s)] for s, t in pairs]].conj().transpose(0, 2, 1).copy()
+    rows = np.array([s for s, _ in pairs], dtype=int)
+    cols = np.array([t for _, t in pairs], dtype=int)
+    return rows, cols, A, B
+
+
+def supercell(model: TightBindingModel, cover: UnbranchedCover) -> TightBindingModel:
+    """The cover-group tight-binding model with N-fold cells.
+
+    Dense hop matrices placed from the blocks of `CoverPushforward`; see there
+    for the state ordering and which edge goes where.
+    """
+    table = CoverPushforward(model, cover)
+    d, n = model.dim, cover.sheets
+    hops = []
+    for rows, cols, A, _ in table.hop_blocks:
+        hop = np.zeros((d * n, d * n), dtype=complex)
+        hop.reshape(d, n, d, n)[:, rows, :, cols] += A
+        hops.append(hop)
+    return TightBindingModel(make_surface_group(table.genus_cover), table.onsite, hops)
+
+
+def induce(chi: AbelianMomentum, cover: UnbranchedCover) -> NonabelianMomentum:
+    """Monomial momentum on the base group induced from a cover-group character.
+
+    rho(gamma)[s, s.gamma] is the character evaluated on the edge's Schreier
+    element, read through the same direction assignment the supercell uses
+    (class +-d_i means the i-th cover generator, so the two pushforward
+    routes sample identical character values edge by edge); inverses are
+    exact monomial transposes built from the character's stored reciprocals.
+    """
+    if not isinstance(chi, AbelianMomentum):
+        raise TypeError("induce expects an AbelianMomentum on the cover group")
+    data = _schreier_data(cover)
+    return _induced(chi, cover.sheets, data.genus_cover, _edge_table(cover, data))
+
+
 def pushforward_check(
     model: TightBindingModel,
     cover: UnbranchedCover,
     chi: AbelianMomentum,
     tol: float = 1e-9,
 ) -> PushforwardReport:
-    """Compare supercell and induced-momentum spectra at one character."""
-    from .spectra import eigenvalues  # deferred: spectra imports nothing from here
+    """Compare supercell and induced-momentum spectra at one character.
 
-    induced = induce(chi, cover)
-    h_induced = bloch_nonabelian(model, induced)
-    big_model = supercell(model, cover)
-    h_supercell = bloch_abelian(big_model, chi)
-    spec_a = eigenvalues(h_induced)
-    spec_b = eigenvalues(h_supercell)
-    distance = float(np.max(np.abs(spec_a - spec_b)))
-    radius = float(max(np.max(np.abs(spec_a)), np.max(np.abs(spec_b))))
-    matrix_distance = float(np.max(np.abs(h_induced.matrix - h_supercell.matrix)))
-    passed = distance <= tol * max(radius, 1e-12)
-    return PushforwardReport(
-        n_states=h_induced.matrix.shape[0],
-        connected=cover.transitive,
-        genus_cover=cover_genus(cover),
-        matrix_distance=matrix_distance,
-        spectral_distance=distance,
-        spectral_radius=radius,
-        tolerance=tol,
-        passed=passed,
-    )
+    A one-off `CoverPushforward(model, cover).check(chi, tol)`; checking many
+    characters on one cover should build the table once and reuse it.
+    """
+    return CoverPushforward(model, cover).check(chi, tol)
 
 
 def cover_to_json(cover: UnbranchedCover) -> dict:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._serialize import complex_from_json, complex_to_json, matrix_from_json, matrix_to_json
-from .surface_group import SurfaceGroup, evaluate_word, make_surface_group
+from .surface_group import SurfaceGroup, make_surface_group
 
 __all__ = [
     "AbelianMomentum",
@@ -170,10 +170,19 @@ def _as_matrices(momentum):
 
 
 def relator_residual(momentum) -> float:
-    """Frobenius distance of the relator's image from the identity."""
-    mats = _as_matrices(momentum)
-    group = make_surface_group(len(mats) // 2)
-    image = evaluate_word(group.relator(), mats)
+    """Frobenius distance of the relator's image from the identity.
+
+    Inverse letters read the stored inverses (`rho_inv`, or `chi_inv` of a
+    character), the ones assembly uses, so no matrix is inverted again.
+    """
+    if isinstance(momentum, AbelianMomentum):
+        mats = _as_matrices(momentum)
+        invs = [np.array([[z]]) for z in momentum.chi_inv]
+    else:
+        mats, invs = momentum.rho, momentum.rho_inv
+    image = np.eye(mats[0].shape[0], dtype=complex)
+    for gen, exp in make_surface_group(len(mats) // 2).relator().letters:
+        image = image @ (mats[gen - 1] if exp == 1 else invs[gen - 1])
     return float(np.linalg.norm(image - np.eye(image.shape[0])))
 
 

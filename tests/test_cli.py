@@ -328,6 +328,26 @@ def test_cover_check_unsupported_cover(two_state_model, tmp_path, capsys):
     assert "directions" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_cover_check_rejects_fewer_than_one_trial(two_state_model, swap_cover, trials, capsys):
+    code = cli.main(
+        [
+            "cover-check",
+            "--model",
+            str(two_state_model),
+            "--cover",
+            str(swap_cover),
+            "--trials",
+            trials,
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "--trials" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # config handling
 # ---------------------------------------------------------------------------

@@ -179,3 +179,19 @@ def test_momentum_json_round_trip_nonabelian():
 def test_momentum_json_rejects_garbage():
     with pytest.raises((ValueError, KeyError)):
         momentum_from_json({"momentum": "sideways"})
+
+
+def test_relator_residual_reads_stored_inverses(monkeypatch):
+    from hyperband.covers_quivers import UnbranchedCover, induce
+    from hyperband.momenta import relator_residual
+
+    cover = UnbranchedCover(sheets=3, perms=((2, 3, 1), (1, 2, 3), (1, 2, 3), (1, 2, 3)))
+    chi = AbelianMomentum(np.exp(1j * np.linspace(0.3, 2.9, 8)))
+
+    def no_inverse(matrix):
+        raise AssertionError("relator_residual inverted a matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    rho = induce(chi, cover)  # the constructor checks the relator too
+    assert relator_residual(rho) < 1e-12
+    assert validate(rho).relator_residual < 1e-12
