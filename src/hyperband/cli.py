@@ -5,10 +5,10 @@ cover-check.  Exit codes: 0 success, 2 bad input (arguments, files, domain
 violations), 3 a numerical or structural check failed.  Every diagnostic goes
 to stderr; data goes to --out (or stdout).
 
-A JSON config file (--config) may supply any long option by its name, e.g.
-{"model": "cell.json", "grid": "16,16"}; explicit command-line flags win over
-the config, which wins over built-in defaults.  Outputs are deterministic:
-the same inputs, config, and seed produce byte-identical files.
+A JSON config file (--config) may supply any long option of the subcommand by
+its name, e.g. {"model": "cell.json", "grid": "16,16"}, and no other key;
+explicit flags win over the config, which wins over built-in defaults.  The
+same inputs, config, and seed produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -107,6 +107,10 @@ class _Options:
                 data = json.load(fh)
             if not isinstance(data, dict):
                 raise ValueError("config file must hold a JSON object")
+            known = sorted(set(self._args) - {"command", "func", "config"})
+            unknown = [key for key in data if key not in known]
+            if unknown:
+                raise ValueError(f"unknown config key {unknown[0]!r}; known: {', '.join(known)}")
             self._config = data
 
     def get(self, name: str, default=None):

@@ -76,7 +76,7 @@ class AbelianMomentum:
 
     @property
     def unitary(self) -> bool:
-        return bool(np.max(np.abs(np.abs(self.chi) - 1.0)) <= TOL_UNITARY)
+        return bool(_unitarity_residual(self) <= TOL_UNITARY)
 
     def group(self) -> SurfaceGroup:
         return make_surface_group(self.genus)
@@ -142,9 +142,7 @@ class NonabelianMomentum:
 
     @property
     def unitary(self) -> bool:
-        n = self.rank
-        res = max(np.linalg.norm(m @ m.conj().T - np.eye(n)) for m in self.rho)
-        return bool(res <= TOL_UNITARY)
+        return bool(_unitarity_residual(self) <= TOL_UNITARY)
 
     def group(self) -> SurfaceGroup:
         return make_surface_group(self.genus)

@@ -3,7 +3,8 @@
 Eigenvalues are always reported sorted lexicographically by (Re, Im).  Sweeps
 are embarrassingly parallel over grid points and are dispatched as one batched
 LAPACK call; identical inputs produce identical outputs (no threading
-nondeterminism is introduced here).
+nondeterminism is introduced here).  Band crossings and the branch points of
+`spectral_curve` share one single-linkage clusterer.
 
 The Bloch variety of a model is the polynomial det(H(chi) - E) viewed as a
 Laurent polynomial in the momentum entries chi_1..chi_2g and an ordinary
@@ -24,7 +25,7 @@ import numpy as np
 from ._serialize import complex_to_json
 from .errors import NumericalCheckFailure
 from .momenta import AbelianMomentum
-from .tight_binding import BlochHamiltonian, TightBindingModel
+from .tight_binding import BlochHamiltonian, TightBindingModel, _assemble
 
 __all__ = [
     "MomentumGrid",
@@ -47,22 +48,23 @@ class MomentumGrid:
     """An ordered list of abelian momenta arranged on a product grid."""
 
     chis: np.ndarray  # (P, 2g) complex
-    indices: np.ndarray  # (P, 2g) int, row-major order
     shape: tuple
     unitary: bool
 
     def __post_init__(self):
         chis = np.asarray(self.chis, dtype=complex)
-        indices = np.asarray(self.indices, dtype=int)
         if chis.ndim != 2 or chis.shape[0] == 0:
             raise ValueError("grid must contain at least one momentum")
         if np.any(chis == 0) or not np.all(np.isfinite(chis)):
             raise ValueError("grid momenta must be finite and nonzero")
         chis.setflags(write=False)
-        indices.setflags(write=False)
         object.__setattr__(self, "chis", chis)
-        object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
+
+    @property
+    def indices(self) -> np.ndarray:
+        """(P, 2g) int grid index of each momentum, row-major like `chis`."""
+        return np.indices(self.shape).reshape(len(self.shape), -1).T
 
     @property
     def n_points(self) -> int:
@@ -91,22 +93,19 @@ def _axis_counts(genus: int, counts) -> list:
 
 
 def _product_grid(axis_points: list) -> tuple:
-    """Row-major cartesian product; returns (chis (P, n), indices (P, n), shape)."""
+    """Row-major cartesian product; returns (chis (P, n), shape)."""
     shape = tuple(len(p) for p in axis_points)
     mesh = np.meshgrid(*axis_points, indexing="ij")
     chis = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    idx_axes = [np.arange(n) for n in shape]
-    imesh = np.meshgrid(*idx_axes, indexing="ij")
-    indices = np.stack([m.reshape(-1) for m in imesh], axis=-1)
-    return chis, indices, shape
+    return chis, shape
 
 
 def unitary_grid(genus: int, counts) -> MomentumGrid:
     """Uniform phase grid on the unitary torus: chi_i = exp(2 pi i j / n_i)."""
     counts = _axis_counts(genus, counts)
     axis_points = [np.exp(2j * np.pi * np.arange(n) / n) for n in counts]
-    chis, indices, shape = _product_grid(axis_points)
-    return MomentumGrid(chis, indices, shape, unitary=True)
+    chis, shape = _product_grid(axis_points)
+    return MomentumGrid(chis, shape, unitary=True)
 
 
 def complex_region_grid(genus: int, counts, log_modulus, n_moduli: int) -> MomentumGrid:
@@ -129,9 +128,9 @@ def complex_region_grid(genus: int, counts, log_modulus, n_moduli: int) -> Momen
     for n in counts:
         phases = np.exp(2j * np.pi * np.arange(n) / n)
         axis_points.append((moduli[:, None] * phases[None, :]).reshape(-1))
-    chis, indices, shape = _product_grid(axis_points)
+    chis, shape = _product_grid(axis_points)
     unitary = bool(np.max(np.abs(np.abs(chis) - 1.0)) <= 1e-12)
-    return MomentumGrid(chis, indices, shape, unitary=unitary)
+    return MomentumGrid(chis, shape, unitary=unitary)
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,6 @@ class BandStructure:
 
     grid: MomentumGrid
     bands: np.ndarray  # (P, N) complex, each row sorted by (Re, Im)
-    hermitian: bool
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -151,6 +149,10 @@ class BandStructure:
     @property
     def n_bands(self) -> int:
         return self.bands.shape[1]
+
+    @property
+    def hermitian(self) -> bool:
+        return self.grid.unitary
 
 
 def _sorted_eigenvalues(matrix: np.ndarray, hermitian: bool) -> np.ndarray:
@@ -175,47 +177,29 @@ def eigenvalues(ham) -> np.ndarray:
     return _sorted_eigenvalues(m, hermitian)
 
 
-def _assemble_stack(model: TightBindingModel, chis: np.ndarray) -> np.ndarray:
-    """Batched H(chi) for rows of `chis`; same accumulation order as bloch_abelian."""
-    chi_inv = 1.0 / chis
-    P = chis.shape[0]
-    H = np.broadcast_to(model.onsite, (P, model.dim, model.dim)).astype(complex)
-    H = H.copy()
-    for i in range(2 * model.genus):
-        H += (
-            chis[:, i, None, None] * model.hops[i]
-            + chi_inv[:, i, None, None] * model.hops_dagger[i]
-        )
-    return H
-
 def sweep(model: TightBindingModel, grid: MomentumGrid) -> BandStructure:
     """Spectra over all grid points (row-major), batched into one LAPACK call."""
     if grid.genus != model.genus:
         raise ValueError(f"genus mismatch: model {model.genus}, grid {grid.genus}")
-    stack = _assemble_stack(model, grid.chis)
+    stack = _assemble(model, grid.chis, 1.0 / grid.chis)
     try:
-        if grid.unitary:
-            vals = np.linalg.eigvalsh(stack)
-        else:
-            vals = np.linalg.eigvals(stack)
-    except np.linalg.LinAlgError:
+        bands = _sorted_eigenvalues(stack, grid.unitary)
+    except NumericalCheckFailure:
         # locate the failing grid point so the error is actionable
-        for p in range(stack.shape[0]):
+        for idx, matrix in zip(grid.indices, stack):
             try:
-                _sorted_eigenvalues(stack[p], grid.unitary)
+                _sorted_eigenvalues(matrix, grid.unitary)
             except NumericalCheckFailure as exc:
-                idx = tuple(grid.indices[p])
                 raise NumericalCheckFailure(
-                    f"eigensolver failed at grid index {idx}: {exc}"
+                    f"eigensolver failed at grid index {tuple(idx)}: {exc}"
                 ) from exc
         raise NumericalCheckFailure("batched eigensolver failed")
-    bands = np.sort(vals.astype(complex), axis=-1)
     meta = {
         "model_hash": model.content_hash,
         "grid_shape": list(grid.shape),
         "unitary": bool(grid.unitary),
     }
-    return BandStructure(grid, bands, hermitian=bool(grid.unitary), meta=meta)
+    return BandStructure(grid, bands, meta=meta)
 
 
 def spectral_radius(bands: BandStructure) -> float:
@@ -233,21 +217,15 @@ class DegeneracyGroup:
     band_indices: tuple
 
 
-def detect_crossings(bands: BandStructure, gap_tol: float = None) -> tuple:
-    """Single-linkage clusters of near-coincident eigenvalues at each grid point.
+def _single_linkage(rows, radius: float):
+    """Single-linkage clusters within each row: yields (row index, members).
 
-    Two eigenvalues join a cluster when some chain of pairwise distances
-    <= gap_tol connects them (union-find).  Default gap_tol is 1e-6 times the
-    spectral radius of the sweep.
+    Two entries join a cluster when some chain of pairwise distances
+    <= radius connects them (union-find, scalar `abs`).  A row's clusters come
+    in order of their first member, each member list ascending.
     """
-    if gap_tol is None:
-        radius = spectral_radius(bands)
-        gap_tol = 1e-6 * radius if radius > 0 else 1e-12
-    gap_tol = float(gap_tol)
-    out = []
-    n = bands.n_bands
-    for p in range(bands.bands.shape[0]):
-        row = bands.bands[p]
+    for p, row in enumerate(rows):
+        n = len(row)
         parent = list(range(n))
 
         def find(x):
@@ -258,7 +236,7 @@ def detect_crossings(bands: BandStructure, gap_tol: float = None) -> tuple:
 
         for i in range(n):
             for j in range(i + 1, n):
-                if abs(row[i] - row[j]) <= gap_tol:
+                if abs(row[i] - row[j]) <= radius:
                     ri, rj = find(i), find(j)
                     if ri != rj:
                         parent[ri] = rj
@@ -266,18 +244,29 @@ def detect_crossings(bands: BandStructure, gap_tol: float = None) -> tuple:
         for i in range(n):
             clusters.setdefault(find(i), []).append(i)
         for members in clusters.values():
-            if len(members) >= 2:
-                vals = row[members]
-                out.append(
-                    DegeneracyGroup(
-                        grid_index=tuple(int(v) for v in bands.grid.indices[p]),
-                        flat_index=p,
-                        eigenvalue=complex(np.mean(vals)),
-                        multiplicity=len(members),
-                        band_indices=tuple(members),
-                    )
-                )
-    return tuple(out)
+            yield p, members
+
+
+def detect_crossings(bands: BandStructure, gap_tol: float = None) -> tuple:
+    """Single-linkage clusters (`_single_linkage`) of >= 2 eigenvalues per grid point.
+
+    Default gap_tol is 1e-6 times the spectral radius of the sweep.
+    """
+    if gap_tol is None:
+        radius = spectral_radius(bands)
+        gap_tol = 1e-6 * radius if radius > 0 else 1e-12
+    indices = bands.grid.indices
+    return tuple(
+        DegeneracyGroup(
+            grid_index=tuple(int(v) for v in indices[p]),
+            flat_index=p,
+            eigenvalue=complex(np.mean(bands.bands[p, members])),
+            multiplicity=len(members),
+            band_indices=tuple(members),
+        )
+        for p, members in _single_linkage(bands.bands, float(gap_tol))
+        if len(members) >= 2
+    )
 
 
 @dataclass(frozen=True)
@@ -388,9 +377,10 @@ def bloch_variety(
     bound = d
     m = 2 * bound + 1
     axis = np.exp(2j * np.pi * np.arange(m) / m)
-    chis, _, shape = _product_grid([axis] * (2 * g))
-    stack = _assemble_stack(model, chis)
+    chis, shape = _product_grid([axis] * (2 * g))
+    stack = _assemble(model, chis, 1.0 / chis)
     try:
+        # unsorted: sorting would reorder the products in the char-poly coefficients
         lams = np.linalg.eigvals(stack)
     except np.linalg.LinAlgError as exc:
         raise NumericalCheckFailure(f"eigensolver failed on the sampling grid: {exc}") from exc
@@ -410,7 +400,8 @@ def bloch_variety(
         phase = rng.uniform(0.0, 2 * np.pi, size=2 * g)
         chi = mod * np.exp(1j * phase)
         E = (rng.normal() + 1j * rng.normal()) * max(lam_scale, 1.0)
-        H = _assemble_stack(model, chi[None, :])[0]
+        # one-row batch: the (2g,) form rounds differently at d = 1, moving holdout_residual
+        H = _assemble(model, chi[None, :], 1.0 / chi[None, :])[0]
         direct = complex(np.linalg.det(H - E * np.eye(d)))
         value, scale = variety.evaluate(chi, E, with_scale=True)
         rel = abs(value - direct) / max(scale, 1e-300)
@@ -434,7 +425,8 @@ def write_bands_csv(bands: BandStructure, fh) -> None:
     separator ','.
     """
     grid = bands.grid
-    n_axes = grid.indices.shape[1]
+    indices = grid.indices
+    n_axes = len(grid.shape)
     fh.write("# hyperband bands v1\n")
     fh.write(
         f"# model_hash={bands.meta.get('model_hash', '')} "
@@ -448,7 +440,7 @@ def write_bands_csv(bands: BandStructure, fh) -> None:
     cols = [f"i{k}" for k in range(n_axes)] + ["band", "re", "im"]
     fh.write(",".join(cols) + "\n")
     for p in range(grid.n_points):
-        prefix = ",".join(str(int(v)) for v in grid.indices[p])
+        prefix = ",".join(str(int(v)) for v in indices[p])
         for b in range(bands.n_bands):
             lam = bands.bands[p, b]
             # repr of the builtin float is the shortest round-tripping form

@@ -27,6 +27,7 @@ from numpy.polynomial import polynomial as npoly
 from ._serialize import complex_from_json, complex_to_json
 from .errors import EverywhereSingularError, NumericalCheckFailure
 from .higgs_toy import INFINITY, ToyModelPoint, higgs_matrices
+from .spectra import _single_linkage
 
 __all__ = [
     "Rank2TwistedHiggs",
@@ -217,28 +218,10 @@ def _roots_with_multiplicity(poly: np.ndarray, base_genus: int, zero_tol: float)
             roots[idx] = r - npoly.polyval(r, monic) / slope
     scale = max(1.0, float(np.max(np.abs(roots))) if roots.size else 1.0)
     radius = CLUSTER_RADIUS_REL * scale
-    n = roots.size
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    clusters: dict = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
-    merged = []
-    for members in clusters.values():
-        pts = roots[members]
-        merged.append((complex(np.mean(pts)), len(members)))
+    merged = [
+        (complex(np.mean(roots[members])), len(members))
+        for _, members in _single_linkage(roots[None], radius)
+    ]
     merged.sort(key=lambda t: (t[0].real, t[0].imag))
     return merged, inf_mult
 

@@ -13,11 +13,12 @@ and at a rank-n nonabelian momentum rho
 
 with Kronecker factors ordered (cell state) (x) (representation space).
 
-Floating-point contract: assembly accumulates one generator pair
-chi_i J_i + chi_i^{-1} J_i^dagger per addition step, and the reciprocals
-chi_i^{-1} are the ones stored on the momentum.  Together these make
-`adjoint_momentum` an exact involution on Hamiltonians: H(adjoint(chi)) equals
-H(chi)^dagger entry-for-entry in floating point, not merely up to rounding.
+Floating-point contract: one kernel, `_assemble`, builds every abelian H(chi)
+for `bloch_abelian`, `spectra.sweep` and `spectra.bloch_variety`.  It adds one
+generator pair chi_i J_i + chi_i^{-1} J_i^dagger per step, with the reciprocals
+it is given (in `bloch_abelian`, the ones stored on the momentum).  So
+`adjoint_momentum` is an exact involution on Hamiltonians: H(adjoint(chi))
+equals H(chi)^dagger entry-for-entry in floating point, not merely up to rounding.
 """
 
 from __future__ import annotations
@@ -96,9 +97,6 @@ class TightBindingModel:
     def genus(self) -> int:
         return self.group.genus
 
-    def canonical_json(self) -> dict:
-        return model_to_json(self)
-
     @property
     def content_hash(self) -> str:
         """First 16 hex digits of the sha256 of the canonical JSON text."""
@@ -132,11 +130,23 @@ def bloch_abelian(model: TightBindingModel, momentum: AbelianMomentum) -> BlochH
         raise TypeError("bloch_abelian expects an AbelianMomentum")
     if momentum.genus != model.genus:
         raise ValueError(f"genus mismatch: model {model.genus}, momentum {momentum.genus}")
-    chi, chi_inv = momentum.chi, momentum.chi_inv
-    H = np.array(model.onsite, dtype=complex)
-    for i in range(2 * model.genus):
-        H += chi[i] * model.hops[i] + chi_inv[i] * model.hops_dagger[i]
+    H = _assemble(model, momentum.chi, momentum.chi_inv)
     return BlochHamiltonian(H, momentum, momentum.unitary)
+
+
+def _assemble(model: TightBindingModel, chi: np.ndarray, chi_inv: np.ndarray) -> np.ndarray:
+    """H(chi), shape lead + (d, d), for chi and chi_inv of shape lead + (2g,).
+
+    At d = 1 a one-row (1, 2g) batch can round differently from a (2g,) momentum.
+    """
+    H = np.empty(chi.shape[:-1] + (model.dim, model.dim), dtype=complex)
+    H[...] = model.onsite
+    for i in range(2 * model.genus):
+        H += (
+            chi[..., i, None, None] * model.hops[i]
+            + chi_inv[..., i, None, None] * model.hops_dagger[i]
+        )
+    return H
 
 
 def bloch_nonabelian(model: TightBindingModel, momentum: NonabelianMomentum) -> BlochHamiltonian:

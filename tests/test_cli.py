@@ -1,12 +1,14 @@
 """End-to-end checks of the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import hyperband
 from hyperband import cli
 from hyperband.covers_quivers import UnbranchedCover, cover_to_json
 from hyperband.tight_binding import TightBindingModel, write_model
@@ -121,6 +123,18 @@ def test_bands_bad_grid(single_site_model, capsys):
     code = cli.main(["bands", "--model", str(single_site_model), "--grid", "a,b"])
     assert code == 2
     assert "grid" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_bands_overflowing_region_is_refused(tmp_path, capsys):
+    # |chi| = exp(709) times a hop of 3 overflows to inf: refused before the solve
+    path = tmp_path / "strong.json"
+    write_model(TightBindingModel(1, [[0.0]], [[[3.0]], [[3.0]]]), path)
+    code = cli.main(["bands", "--model", str(path), "--grid", "4,4", "--region=-709:709:2"])
+    assert code == 2
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and "non-finite" in errors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +409,21 @@ def test_config_must_be_object(single_site_model, tmp_path, capsys):
     assert code == 2
 
 
+def test_config_rejects_unknown_keys(single_site_model, tmp_path, capsys):
+    # a typo must not fall back to the default 8x8 grid
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"model": str(single_site_model), "gird": "64,64"}), encoding="utf-8"
+    )
+    out = tmp_path / "bands.csv"
+    code = cli.main(["bands", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'gird'" in err
+    assert all(name in err for name in ("grid", "model", "out", "region"))
+
+
 def test_no_subcommand_prints_help(capsys):
     assert cli.main([]) == 2
     assert "usage" in capsys.readouterr().err.lower()
@@ -406,10 +435,15 @@ def test_no_subcommand_prints_help(capsys):
 
 
 def test_module_entry_point(single_site_model):
+    # the child imports the same hyperband as this process, installed or not
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(hyperband.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hyperband", "euclidean", "--tau", "0,1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
