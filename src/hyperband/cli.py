@@ -14,6 +14,7 @@ same inputs, config, and seed produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -156,8 +157,6 @@ def cmd_bands(args) -> int:
         lo, hi, nm = _parse_region(region, "region")
         grid = spectra.complex_region_grid(model.genus, counts, (lo, hi), nm)
     bands = spectra.sweep(model, grid)
-    import io
-
     buf = io.StringIO()
     spectra.write_bands_csv(bands, buf)
     _write_text(buf.getvalue(), opts.get("out"))

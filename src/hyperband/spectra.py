@@ -1,10 +1,11 @@
 """Spectra over momentum grids, degeneracy detection, and Bloch varieties.
 
 Eigenvalues are always reported sorted lexicographically by (Re, Im).  Sweeps
-are embarrassingly parallel over grid points and are dispatched as one batched
-LAPACK call; identical inputs produce identical outputs (no threading
-nondeterminism is introduced here).  Band crossings and the branch points of
-`spectral_curve` share one single-linkage clusterer.
+are embarrassingly parallel over grid points and are solved in cache-sized
+batches; the output is independent of the batch size, and identical inputs
+produce identical outputs (no threading nondeterminism is introduced here).
+Band crossings and the branch points of `spectral_curve` share one
+single-linkage clusterer.
 
 The Bloch variety of a model is the polynomial det(H(chi) - E) viewed as a
 Laurent polynomial in the momentum entries chi_1..chi_2g and an ordinary
@@ -24,7 +25,7 @@ import numpy as np
 
 from ._serialize import complex_to_json
 from .errors import NumericalCheckFailure
-from .momenta import AbelianMomentum
+from .momenta import TOL_UNITARY, AbelianMomentum
 from .tight_binding import BlochHamiltonian, TightBindingModel, _assemble
 
 __all__ = [
@@ -129,7 +130,7 @@ def complex_region_grid(genus: int, counts, log_modulus, n_moduli: int) -> Momen
         phases = np.exp(2j * np.pi * np.arange(n) / n)
         axis_points.append((moduli[:, None] * phases[None, :]).reshape(-1))
     chis, shape = _product_grid(axis_points)
-    unitary = bool(np.max(np.abs(np.abs(chis) - 1.0)) <= 1e-12)
+    unitary = bool(np.max(np.abs(np.abs(chis) - 1.0)) <= TOL_UNITARY)
     return MomentumGrid(chis, shape, unitary=unitary)
 
 
@@ -177,23 +178,36 @@ def eigenvalues(ham) -> np.ndarray:
     return _sorted_eigenvalues(m, hermitian)
 
 
+#: bytes of Hamiltonian stack assembled and solved per batch in `sweep`
+_CHUNK_BYTES = 1 << 20
+
+
 def sweep(model: TightBindingModel, grid: MomentumGrid) -> BandStructure:
-    """Spectra over all grid points (row-major), batched into one LAPACK call."""
+    """Spectra over all grid points (row-major), solved in cache-sized batches.
+
+    Assembly is elementwise and LAPACK solves each matrix on its own, so the
+    bands do not depend on the batch size.
+    """
     if grid.genus != model.genus:
         raise ValueError(f"genus mismatch: model {model.genus}, grid {grid.genus}")
-    stack = _assemble(model, grid.chis, 1.0 / grid.chis)
-    try:
-        bands = _sorted_eigenvalues(stack, grid.unitary)
-    except NumericalCheckFailure:
-        # locate the failing grid point so the error is actionable
-        for idx, matrix in zip(grid.indices, stack):
-            try:
-                _sorted_eigenvalues(matrix, grid.unitary)
-            except NumericalCheckFailure as exc:
-                raise NumericalCheckFailure(
-                    f"eigensolver failed at grid index {tuple(idx)}: {exc}"
-                ) from exc
-        raise NumericalCheckFailure("batched eigensolver failed")
+    bands = np.empty((grid.n_points, model.dim), dtype=complex)
+    step = max(1, _CHUNK_BYTES // (16 * model.dim**2))
+    for start in range(0, grid.n_points, step):
+        chis = grid.chis[start : start + step]
+        stack = _assemble(model, chis, 1.0 / chis)
+        try:
+            bands[start : start + step] = _sorted_eigenvalues(stack, grid.unitary)
+        except NumericalCheckFailure:
+            # locate the failing grid point so the error is actionable
+            for p, matrix in enumerate(stack, start):
+                try:
+                    _sorted_eigenvalues(matrix, grid.unitary)
+                except NumericalCheckFailure as exc:
+                    raise NumericalCheckFailure(
+                        f"eigensolver failed at grid index "
+                        f"{np.unravel_index(p, grid.shape)}: {exc}"
+                    ) from exc
+            raise NumericalCheckFailure("batched eigensolver failed")
     meta = {
         "model_hash": model.content_hash,
         "grid_shape": list(grid.shape),
@@ -217,34 +231,57 @@ class DegeneracyGroup:
     band_indices: tuple
 
 
-def _single_linkage(rows, radius: float):
-    """Single-linkage clusters within each row: yields (row index, members).
+def _single_linkage(rows, radius: float) -> list:
+    """Single-linkage clusters of >= 2 entries within each row of a 2-D array.
 
     Two entries join a cluster when some chain of pairwise distances
-    <= radius connects them (union-find, scalar `abs`).  A row's clusters come
-    in order of their first member, each member list ascending.
+    <= radius connects them, each distance the scalar `abs(x - y)`.  Returns
+    (row index, members) pairs in row order, then in order of first member,
+    each member list ascending.  Candidate pairs come from each row sorted by
+    Re: |Re(x - y)| never exceeds abs(x - y), and once no row has entries k
+    apart in that order within the radius, no row has any further apart.
     """
-    for p, row in enumerate(rows):
-        n = len(row)
-        parent = list(range(n))
+    rows = np.asarray(rows)
+    n = rows.shape[1]
+    order = np.argsort(rows.real, axis=1)
+    re = rows.real[np.arange(len(rows))[:, None], order]
+    limit = radius * (1 + 1e-12)
+    parent = {}  # node -> parent, for nodes that are not roots
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def find(x):
+        while x in parent:
+            x = parent[x]
+        return x
 
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(row[i] - row[j]) <= radius:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[ri] = rj
-        clusters: dict = {}
-        for i in range(n):
-            clusters.setdefault(find(i), []).append(i)
-        for members in clusters.values():
-            yield p, members
+    for k in range(1, n):
+        p, i = np.nonzero(re[:, k:] - re[:, :-k] <= limit)
+        if p.size == 0:
+            break
+        a, b = order[p, i], order[p, i + k]
+        diffs = (rows[p, a] - rows[p, b]).tolist()
+        for x, y, diff in zip((p * n + a).tolist(), (p * n + b).tolist(), diffs):
+            if abs(diff) <= radius:
+                rx, ry = find(x), find(y)
+                if rx != ry:
+                    parent[rx] = ry
+    clusters: dict = {}
+    for x in sorted(set(parent) | set(parent.values())):
+        clusters.setdefault(find(x), []).append(x % n)
+    return [(root // n, members) for root, members in clusters.items()]
+
+
+def _cluster_means(rows: np.ndarray, clusters: list) -> list:
+    """complex(np.mean(rows[p, members])) per (p, members), batched by size."""
+    means = [None] * len(clusters)
+    by_size: dict = {}
+    for k, (_, members) in enumerate(clusters):
+        by_size.setdefault(len(members), []).append(k)
+    for m, ks in by_size.items():
+        p = np.array([clusters[k][0] for k in ks])
+        cols = np.array([clusters[k][1] for k in ks])
+        for k, mean in zip(ks, (np.add.reduce(rows[p[:, None], cols], axis=1) / m).tolist()):
+            means[k] = mean
+    return means
 
 
 def detect_crossings(bands: BandStructure, gap_tol: float = None) -> tuple:
@@ -255,17 +292,19 @@ def detect_crossings(bands: BandStructure, gap_tol: float = None) -> tuple:
     if gap_tol is None:
         radius = spectral_radius(bands)
         gap_tol = 1e-6 * radius if radius > 0 else 1e-12
-    indices = bands.grid.indices
+    clusters = _single_linkage(bands.bands, float(gap_tol))
+    indices = bands.grid.indices[[p for p, _ in clusters]].tolist()
     return tuple(
         DegeneracyGroup(
-            grid_index=tuple(int(v) for v in indices[p]),
+            grid_index=tuple(index),
             flat_index=p,
-            eigenvalue=complex(np.mean(bands.bands[p, members])),
+            eigenvalue=mean,
             multiplicity=len(members),
             band_indices=tuple(members),
         )
-        for p, members in _single_linkage(bands.bands, float(gap_tol))
-        if len(members) >= 2
+        for (p, members), index, mean in zip(
+            clusters, indices, _cluster_means(bands.bands, clusters)
+        )
     )
 
 
@@ -425,8 +464,6 @@ def write_bands_csv(bands: BandStructure, fh) -> None:
     separator ','.
     """
     grid = bands.grid
-    indices = grid.indices
-    n_axes = len(grid.shape)
     fh.write("# hyperband bands v1\n")
     fh.write(
         f"# model_hash={bands.meta.get('model_hash', '')} "
@@ -437,11 +474,16 @@ def write_bands_csv(bands: BandStructure, fh) -> None:
         "# rows: grid points in row-major order, bands sorted by (Re, Im); "
         "columns: grid indices, band, eigenvalue\n"
     )
-    cols = [f"i{k}" for k in range(n_axes)] + ["band", "re", "im"]
+    cols = [f"i{k}" for k in range(len(grid.shape))] + ["band", "re", "im"]
     fh.write(",".join(cols) + "\n")
-    for p in range(grid.n_points):
-        prefix = ",".join(str(int(v)) for v in indices[p])
-        for b in range(bands.n_bands):
-            lam = bands.bands[p, b]
-            # repr of the builtin float is the shortest round-tripping form
-            fh.write(f"{prefix},{b},{float(lam.real)!r},{float(lam.imag)!r}\n")
+    prefixes = [""]
+    for n in grid.shape:
+        prefixes = [f"{head}{i}," for head in prefixes for i in range(n)]
+    # one template per grid point; {k!r} of the builtin float is the shortest
+    # round-tripping form
+    row = "".join(
+        f"{{0}}{b},{{{2 * b + 1}!r}},{{{2 * b + 2}!r}}\n" for b in range(bands.n_bands)
+    )
+    parts = np.ascontiguousarray(bands.bands).view(np.float64).reshape(grid.n_points, -1)
+    for prefix, values in zip(prefixes, parts.tolist()):
+        fh.write(row.format(prefix, *values))

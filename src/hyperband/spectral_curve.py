@@ -27,7 +27,7 @@ from numpy.polynomial import polynomial as npoly
 from ._serialize import complex_from_json, complex_to_json
 from .errors import EverywhereSingularError, NumericalCheckFailure
 from .higgs_toy import INFINITY, ToyModelPoint, higgs_matrices
-from .spectra import _single_linkage
+from .spectra import _cluster_means, _single_linkage
 
 __all__ = [
     "Rank2TwistedHiggs",
@@ -218,9 +218,12 @@ def _roots_with_multiplicity(poly: np.ndarray, base_genus: int, zero_tol: float)
             roots[idx] = r - npoly.polyval(r, monic) / slope
     scale = max(1.0, float(np.max(np.abs(roots))) if roots.size else 1.0)
     radius = CLUSTER_RADIUS_REL * scale
+    clusters = _single_linkage(roots[None], radius)
+    clustered = {i for _, members in clusters for i in members}
+    clusters += [(0, [i]) for i in range(roots.size) if i not in clustered]
     merged = [
-        (complex(np.mean(roots[members])), len(members))
-        for _, members in _single_linkage(roots[None], radius)
+        (mean, len(members))
+        for (_, members), mean in zip(clusters, _cluster_means(roots[None], clusters))
     ]
     merged.sort(key=lambda t: (t[0].real, t[0].imag))
     return merged, inf_mult

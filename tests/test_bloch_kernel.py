@@ -162,13 +162,15 @@ def test_property_single_linkage_matches_union_find(n_rows, seed):
     rng = np.random.default_rng(seed)
     radius = float(np.exp(rng.uniform(-5.0, 2.0)))
     rows = planted_rows(rng, n_rows, radius)
-    assert list(_single_linkage(rows, radius)) == union_find_oracle(rows, radius)
+    for row in rows:  # ragged: one row at a time
+        expected = [(0, m) for _, m in union_find_oracle([row], radius) if len(m) >= 2]
+        assert _single_linkage(row[None], radius) == expected
 
 
 def test_single_linkage_joins_chains_transitively():
     # 0 -- 0.6 -- 1.2 -- 1.8: the ends are 1.8 apart, one cluster at radius 1
     row = np.array([1.8, 5.0, 0.0, 1.2, 0.6, -4.0], dtype=complex)
-    assert list(_single_linkage([row], 1.0)) == [(0, [0, 2, 3, 4]), (0, [1]), (0, [5])]
+    assert _single_linkage(row[None], 1.0) == [(0, [0, 2, 3, 4])]
 
 
 def test_grid_indices_are_row_major_unravel():
