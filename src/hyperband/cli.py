@@ -14,7 +14,7 @@ same inputs, config, and seed produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import sys
 
@@ -33,67 +33,47 @@ __all__ = ["main"]
 # ---------------------------------------------------------------------------
 
 
-def _parse_complex(value, name: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+def _parse_numbers(value, name: str, kinds: str, usage: str, sep: str = ",") -> list:
+    """The numbers an option holds, given as a flag string or a config value.
+
+    `kinds` has one letter per number: "f" reads a float, "i" an integer.
+    "i*" reads any count of integers, and "ff?" a pair whose second float a
+    flag string or a lone JSON number may leave out (it reads 0.0).  A JSON
+    list must hold every number, as numbers or numeric strings.  Booleans,
+    and numbers with a fractional part where an integer is read, are
+    refused, so a config value never reads as a different grid than the one
+    written.
+    """
+    error = ValueError(f"cannot read {name}={value!r} as {usage}")
+    listed = isinstance(value, (list, tuple))
     if isinstance(value, str):
-        parts = value.split(",")
-        try:
-            if len(parts) == 1:
-                return complex(float(parts[0]))
-            if len(parts) == 2:
-                return complex(float(parts[0]), float(parts[1]))
-        except ValueError:
-            pass
-    raise ValueError(f"cannot read {name}={value!r} as a complex number (use RE or RE,IM)")
+        parts = value.split(sep)
+    elif listed:
+        parts = list(value)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        parts = [value]
+    else:
+        raise error
+    letters = kinds.rstrip("*?")
+    if kinds.endswith("*"):
+        letters *= len(parts)
+    elif kinds.endswith("?") and not listed and len(parts) == len(letters) - 1:
+        parts.append(0.0)
+    if len(parts) != len(letters):
+        raise error
+
+    def number(part, kind):
+        if isinstance(part, bool) or (kind == "i" and not isinstance(part, str) and part % 1):
+            raise ValueError(part)
+        return float(part) if kind == "f" else int(part)
+
+    try:
+        return [number(part, kind) for part, kind in zip(parts, letters)]
+    except (TypeError, ValueError, OverflowError):
+        raise error from None
 
 
-def _parse_counts(value, name: str) -> list:
-    if isinstance(value, int):
-        return [value]
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    if isinstance(value, str):
-        try:
-            return [int(p) for p in value.split(",")]
-        except ValueError:
-            pass
-    raise ValueError(f"cannot read {name}={value!r} as grid counts (use N or N,N,...)")
-
-
-def _parse_region(value, name: str):
-    if isinstance(value, (list, tuple)) and len(value) == 3:
-        return float(value[0]), float(value[1]), int(value[2])
-    if isinstance(value, str):
-        parts = value.split(":")
-        if len(parts) == 3:
-            try:
-                return float(parts[0]), float(parts[1]), int(parts[2])
-            except ValueError:
-                pass
-    raise ValueError(
-        f"cannot read {name}={value!r} as a log-modulus region (use LO:HI:COUNT)"
-    )
-
-
-def _parse_real_pair(value, name: str):
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return float(value[0]), float(value[1])
-    if isinstance(value, str):
-        parts = value.split(",")
-        if len(parts) == 2:
-            try:
-                return float(parts[0]), float(parts[1])
-            except ValueError:
-                pass
-        if len(parts) == 1:
-            try:
-                return float(parts[0]), 0.0
-            except ValueError:
-                pass
-    raise ValueError(f"cannot read {name}={value!r} as a vector (use X,Y)")
+_COMPLEX = ("ff?", "a complex number (use RE or RE,IM)")
 
 
 class _Options:
@@ -129,12 +109,19 @@ class _Options:
         return value
 
 
-def _write_text(text: str, out_path) -> None:
+@contextlib.contextmanager
+def _output(out_path):
+    """The handle data goes to: stdout for no path or "-", else the file."""
     if out_path is None or out_path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write_text(text: str, out_path) -> None:
+    with _output(out_path) as fh:
+        fh.write(text)
 
 
 def _dump_json(obj) -> str:
@@ -149,17 +136,18 @@ def _dump_json(obj) -> str:
 def cmd_bands(args) -> int:
     opts = _Options(args)
     model = tight_binding.read_model(opts.require("model"))
-    counts = _parse_counts(opts.get("grid", "8"), "grid")
+    counts = _parse_numbers(opts.get("grid", "8"), "grid", "i*", "grid counts (use N or N,N,...)")
     region = opts.get("region")
     if region is None:
         grid = spectra.unitary_grid(model.genus, counts)
     else:
-        lo, hi, nm = _parse_region(region, "region")
+        lo, hi, nm = _parse_numbers(
+            region, "region", "ffi", "a log-modulus region (use LO:HI:COUNT)", sep=":"
+        )
         grid = spectra.complex_region_grid(model.genus, counts, (lo, hi), nm)
     bands = spectra.sweep(model, grid)
-    buf = io.StringIO()
-    spectra.write_bands_csv(bands, buf)
-    _write_text(buf.getvalue(), opts.get("out"))
+    with _output(opts.get("out")) as fh:
+        spectra.write_bands_csv(bands, fh)
     return 0
 
 
@@ -175,8 +163,8 @@ def cmd_bloch_variety(args) -> int:
 
 def cmd_euclidean(args) -> int:
     opts = _Options(args)
-    tau = _parse_complex(opts.require("tau"), "tau")
-    kx, ky = _parse_real_pair(opts.get("k", "0,0"), "k")
+    tau = complex(*_parse_numbers(opts.require("tau"), "tau", *_COMPLEX))
+    kx, ky = _parse_numbers(opts.get("k", "0,0"), "k", "ff?", "a vector (use X,Y)")
     n_bands = int(opts.get("bands", 8))
     lattice = euclidean.EuclideanLattice(tau)
     recip = euclidean.reciprocal(lattice)
@@ -200,9 +188,9 @@ def cmd_euclidean(args) -> int:
 def cmd_higgs_toy(args) -> int:
     opts = _Options(args)
     point = higgs_toy.ToyModelPoint(
-        m=_parse_complex(opts.require("m"), "m"),
-        u=_parse_complex(opts.require("u"), "u"),
-        B=_parse_complex(opts.get("B", 1.0), "B"),
+        m=complex(*_parse_numbers(opts.require("m"), "m", *_COMPLEX)),
+        u=complex(*_parse_numbers(opts.require("u"), "u", *_COMPLEX)),
+        B=complex(*_parse_numbers(opts.get("B", 1.0), "B", *_COMPLEX)),
     )
     tol = float(opts.get("tol", 1e-9))
     seed = int(opts.get("seed", 0))
@@ -250,9 +238,9 @@ def cmd_spectral_curve(args) -> int:
         phi = spectral_curve.higgs_from_json_file(higgs_path)
     else:
         point = higgs_toy.ToyModelPoint(
-            m=_parse_complex(opts.require("m"), "m"),
-            u=_parse_complex(u, "u"),
-            B=_parse_complex(opts.get("B", 1.0), "B"),
+            m=complex(*_parse_numbers(opts.require("m"), "m", *_COMPLEX)),
+            u=complex(*_parse_numbers(u, "u", *_COMPLEX)),
+            B=complex(*_parse_numbers(opts.get("B", 1.0), "B", *_COMPLEX)),
         )
         phi = spectral_curve.toy_to_twisted(point)
     info = spectral_curve.curve_info(phi)

@@ -36,6 +36,7 @@ import numpy as np
 from .errors import NumericalCheckFailure
 
 __all__ = [
+    "INFINITY",
     "ToyModelPoint",
     "RationalMatrixOneForm",
     "connection_matrices",

@@ -424,6 +424,133 @@ def test_config_rejects_unknown_keys(single_site_model, tmp_path, capsys):
     assert all(name in err for name in ("grid", "model", "out", "region"))
 
 
+# ---------------------------------------------------------------------------
+# option values: one table per option, flag strings and config values alike
+# ---------------------------------------------------------------------------
+
+
+def _run_with_option(tmp_path, argv, option, value, source):
+    """cli.main with `option` set by a flag string or a config value; (code, out path)."""
+    out = tmp_path / "out"
+    if source == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option: value}), encoding="utf-8")
+        argv = argv + ["--config", str(cfg)]
+    else:
+        argv = argv + [f"--{option}={value}"]
+    return cli.main(argv + ["--out", str(out)]), out
+
+
+def _assert_refused(code, out, option, capsys):
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert code == 2 and not out.exists()
+    assert len(errors) == 1 and f"cannot read {option}=" in errors[0]
+
+
+@pytest.mark.parametrize(
+    "source, value, points",
+    [
+        ("flag", "4", 16),
+        ("flag", "3,5", 15),
+        ("flag", " 3 ,5", 15),
+        ("flag", "4.5", None),
+        ("flag", "a,b", None),
+        ("config", "3,5", 15),
+        ("config", 4, 16),
+        ("config", [3, 5], 15),
+        ("config", ["3", 5], 15),
+        ("config", [4.0, 4], 16),
+        ("config", [4.5, 4], None),  # used to run a 4 x 4 grid
+        ("config", True, None),  # used to run a 1 x 1 grid
+        ("config", [True, 4], None),
+        ("config", [None, 4], None),
+    ],
+)
+def test_grid_option_values(single_site_model, tmp_path, capsys, source, value, points):
+    argv = ["bands", "--model", str(single_site_model)]
+    code, out = _run_with_option(tmp_path, argv, "grid", value, source)
+    if points is None:
+        _assert_refused(code, out, "grid", capsys)
+    else:
+        assert code == 0 and len(csv_rows(out.read_text())) == points
+
+
+@pytest.mark.parametrize(
+    "source, value, moduli",
+    [
+        ("flag", "-0.1:0.1:3", 3),
+        ("flag", "-0.1:0.1:2.7", None),
+        ("flag", "-0.1:0.1", None),
+        ("flag", "-0.1,0.1,3", None),
+        ("config", "-0.1:0.1:3", 3),
+        ("config", [-0.1, 0.1, 3], 3),
+        ("config", [-0.1, 0.1, 3.0], 3),
+        ("config", ["-0.1", 0.1, "2"], 2),
+        ("config", [-0.1, 0.1, 2.7], None),  # used to sweep 2 moduli
+        ("config", [-0.1, 0.1, True], None),
+        ("config", [-0.1, 0.1], None),
+        ("config", 3, None),
+    ],
+)
+def test_region_option_values(single_site_model, tmp_path, capsys, source, value, moduli):
+    argv = ["bands", "--model", str(single_site_model), "--grid", "2"]
+    code, out = _run_with_option(tmp_path, argv, "region", value, source)
+    if moduli is None:
+        _assert_refused(code, out, "region", capsys)
+    else:
+        assert code == 0 and len(csv_rows(out.read_text())) == (2 * moduli) ** 2
+
+
+@pytest.mark.parametrize(
+    "source, value, expected",
+    [
+        ("flag", "2", [2.0, 0.0]),
+        ("flag", "2,0.5", [2.0, 0.5]),
+        ("flag", "2,-0.0", [2.0, -0.0]),
+        ("flag", "two", None),
+        ("flag", "2,0.5,1", None),
+        ("config", "2,0.5", [2.0, 0.5]),
+        ("config", 2, [2.0, 0.0]),
+        ("config", [2, 0.5], [2.0, 0.5]),
+        ("config", ["2", "0.5"], [2.0, 0.5]),
+        ("config", [2], None),
+        ("config", [True, 1], None),  # used to read 1+1j
+        ("config", [2, None], None),
+    ],
+)
+def test_complex_option_values(tmp_path, capsys, source, value, expected):
+    code, out = _run_with_option(tmp_path, ["higgs-toy", "--u", "0.3"], "m", value, source)
+    if expected is None:
+        _assert_refused(code, out, "m", capsys)
+    else:
+        assert code == 0
+        m = json.loads(out.read_text())["m"]
+        assert m == expected and [np.signbit(x) for x in m] == [np.signbit(x) for x in expected]
+
+
+@pytest.mark.parametrize(
+    "source, value, expected",
+    [
+        ("flag", "0.5,0.25", [0.5, 0.25]),
+        ("flag", "0.5", [0.5, 0.0]),
+        ("flag", "a,b", None),
+        ("flag", "1,2,3", None),
+        ("config", "0.5,0.25", [0.5, 0.25]),
+        ("config", [0.5, 0.25], [0.5, 0.25]),
+        ("config", 0.5, [0.5, 0.0]),  # a lone number reads like the flag "0.5"
+        ("config", [0.5], None),
+        ("config", [False, 0.5], None),  # used to read (0.0, 0.5)
+        ("config", {"x": 0.5}, None),
+    ],
+)
+def test_vector_option_values(tmp_path, capsys, source, value, expected):
+    code, out = _run_with_option(tmp_path, ["euclidean", "--tau", "0,1"], "k", value, source)
+    if expected is None:
+        _assert_refused(code, out, "k", capsys)
+    else:
+        assert code == 0 and json.loads(out.read_text())["k"] == expected
+
+
 def test_no_subcommand_prints_help(capsys):
     assert cli.main([]) == 2
     assert "usage" in capsys.readouterr().err.lower()

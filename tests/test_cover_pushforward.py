@@ -1,6 +1,7 @@
 """The per-cover pushforward table against the dense Kronecker build it replaced."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hyperband.covers_quivers import (
     CoverPushforward,
     PushforwardReport,
     UnbranchedCover,
-    _int_det,
+    _eliminate,
     _schreier_data,
     cover_genus,
     cover_to_json,
@@ -109,6 +110,73 @@ def dense_report(model, cover, chi, tol=1e-9):
         tolerance=tol,
         passed=distance <= tol * max(radius, 1e-12),
     )
+
+
+def _smith_right_transform(rows: list, width: int):
+    """Exact integer Smith-style diagonalization tracking the column transform.
+
+    Returns (diagonal entries, V) with (original) @ V related to the diagonal
+    by unimodular row operations; V is unimodular.  Only the diagonal values
+    and V are needed: rank = #nonzero diagonal entries, torsion-freeness =
+    all nonzero entries are +-1, and the class of basis vector e_j in the
+    quotient by the row lattice is row j of V restricted to the free columns.
+    """
+    R = [[int(v) for v in row] for row in rows]
+    n = len(R)
+    V = [[1 if i == j else 0 for j in range(width)] for i in range(width)]
+
+    def col_swap(a, b):
+        for i in range(n):
+            R[i][a], R[i][b] = R[i][b], R[i][a]
+        for i in range(width):
+            V[i][a], V[i][b] = V[i][b], V[i][a]
+
+    def col_add(dst, src, q):
+        for i in range(n):
+            R[i][dst] += q * R[i][src]
+        for i in range(width):
+            V[i][dst] += q * V[i][src]
+
+    t = 0
+    limit = min(n, width)
+    while t < limit:
+        pivot = None
+        for i in range(t, n):
+            for j in range(t, width):
+                if R[i][j] != 0:
+                    pivot = (i, j)
+                    break
+            if pivot:
+                break
+        if pivot is None:
+            break
+        i0, j0 = pivot
+        if i0 != t:
+            R[i0], R[t] = R[t], R[i0]
+        if j0 != t:
+            col_swap(j0, t)
+        while True:
+            # shrink the pivot by column ops along its row ...
+            for j in range(t + 1, width):
+                if R[t][j] != 0:
+                    q = R[t][j] // R[t][t]
+                    col_add(j, t, -q)
+                    if R[t][j] != 0:
+                        col_swap(t, j)
+            # ... and row ops along its column (V untouched)
+            for i in range(t + 1, n):
+                if R[i][t] != 0:
+                    q = R[i][t] // R[t][t]
+                    R[i] = [x - q * y for x, y in zip(R[i], R[t])]
+                    if R[i][t] != 0:
+                        R[i], R[t] = R[t], R[i]
+            if all(R[t][j] == 0 for j in range(t + 1, width)) and all(
+                R[i][t] == 0 for i in range(t + 1, n)
+            ):
+                break
+        t += 1
+    diagonal = [R[i][i] for i in range(min(n, width))]
+    return diagonal, V
 
 
 def bareiss_det(matrix):
@@ -360,6 +428,11 @@ def test_property_commuting_covers_pass_or_are_refused(cover, seed):
     assert table.check(chi).passed
 
 
+def _abs_det(matrix):
+    """|det| from the eliminator: every step is unimodular up to sign."""
+    return abs(math.prod(_eliminate(matrix, len(matrix))[0]))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     st.integers(0, 6).flatmap(
@@ -372,7 +445,7 @@ def test_property_commuting_covers_pass_or_are_refused(cover, seed):
 def test_property_sparse_det_matches_bareiss(matrix, make_singular):
     if make_singular and len(matrix) > 1:
         matrix[-1] = [x - y for x, y in zip(matrix[0], matrix[1])] if len(matrix) > 2 else list(matrix[0])
-    assert _int_det(matrix) == bareiss_det(matrix)
+    assert _abs_det(matrix) == abs(bareiss_det(matrix))
 
 
 def test_sparse_det_on_signed_permutations_and_singular_cases():
@@ -382,11 +455,91 @@ def test_sparse_det_on_signed_permutations_and_singular_cases():
         signs = rng.choice([-1, 1], n)
         m = np.zeros((n, n), dtype=int)
         m[np.arange(n), perm] = signs
-        assert abs(_int_det(m.tolist())) == 1
-        assert _int_det(m.tolist()) == bareiss_det(m.tolist())
-    assert _int_det([]) == 1
-    assert _int_det([[0, 0], [0, 0]]) == 0
-    assert _int_det([[2, 4], [1, 2]]) == 0
-    assert _int_det([[2, 1], [1, 1]]) == 1
-    assert _int_det([[0, 1], [1, 0]]) == -1
-    assert _int_det([[6, 4], [4, 6]]) == 20
+        assert _abs_det(m.tolist()) == 1 == abs(bareiss_det(m.tolist()))
+    assert _abs_det([]) == 1
+    assert _abs_det([[0, 0], [0, 0]]) == 0
+    assert _abs_det([[2, 4], [1, 2]]) == 0
+    assert _abs_det([[2, 1], [1, 1]]) == 1
+    assert _abs_det([[0, 1], [1, 0]]) == 1
+    assert _abs_det([[6, 4], [4, 6]]) == 20
+
+
+@st.composite
+def small_matrices(draw):
+    """Rectangular, up to 7 x 7, entries in [-3, 3], some rows and columns zero.
+
+    Entries stay small on purpose: the shared pivot rule lets them grow
+    without bound on general integer matrices (see `_eliminate`).
+    """
+    n, width = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    row = st.lists(st.integers(-3, 3), min_size=width, max_size=width)
+    matrix = draw(st.lists(row, min_size=n, max_size=n))
+    zero_rows = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))
+    zero_cols = draw(st.sets(st.integers(0, max(width - 1, 0)), max_size=width))
+    return [
+        [0 if i in zero_rows or j in zero_cols else v for j, v in enumerate(row)]
+        for i, row in enumerate(matrix)
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_matrices())
+def test_property_eliminator_matches_dense_smith_form(matrix):
+    width = len(matrix[0]) if matrix else 0
+    assert _eliminate(matrix, width) == _smith_right_transform(matrix, width)
+
+
+def _schreier_data_against_oracle(cover):
+    """_schreier_data with every elimination checked against the dense oracle."""
+    real = covers_quivers._eliminate
+    widths = []
+
+    def checked(rows, width):
+        result = real(rows, width)
+        assert result == _smith_right_transform(rows, width)
+        widths.append(width)
+        return result
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(covers_quivers, "_eliminate", checked)
+        return _schreier_data(cover), widths
+
+
+@pytest.mark.parametrize(
+    "cover",
+    COVERS + [cyclic(2, 64, 0), cyclic(2, 256, 3), cyclic(2, 64, 2, step=32), znzm(8, 8)],
+    ids=lambda c: f"N{c.sheets}-g{c.genus}",
+)
+def test_eliminator_matches_dense_smith_form_on_covers(cover):
+    data, widths = _schreier_data_against_oracle(cover)
+    # the relator rows, then the direction matrix
+    assert len(widths) == 2 and widths[1] == len(data.directions)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(cover=commuting_covers(mix_generators=True))
+def test_property_eliminator_matches_dense_smith_form_on_commuting_covers(cover):
+    try:
+        _schreier_data_against_oracle(cover)
+    except UnsupportedCoverError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "directions", [[[1, 1], [1, -1]], [[1, 2], [2, 4]]], ids=["det-2", "singular"]
+)
+def test_unimodularity_test_refuses_non_unit_determinants(directions, monkeypatch):
+    # a real cover's classes span the free lattice, so this refusal can only
+    # be reached by handing the second elimination another direction matrix
+    real = covers_quivers._eliminate
+    calls = []
+
+    def substituted(rows, width):
+        calls.append(width)
+        return real(directions if len(calls) == 2 else rows, width)
+
+    monkeypatch.setattr(covers_quivers, "_eliminate", substituted)
+    message = "^hop directions do not form a unimodular basis of the class lattice$"
+    with pytest.raises(UnsupportedCoverError, match=message):
+        _schreier_data(cyclic(1, 3, 0))
+    assert calls[1] == 2

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperband.covers_quivers import (
     UnbranchedCover,
@@ -343,3 +345,42 @@ def test_quiver_partition_block_consistency():
     h = reassemble(q, AbelianMomentum(np.array([1.0 + 0j, 1.0 + 0j])))
     expected = bloch_abelian(model, AbelianMomentum(np.array([1.0 + 0j, 1.0 + 0j]))).matrix
     assert np.array_equal(h, expected)
+
+
+@st.composite
+def quiver_cases(draw):
+    """(model, atom partition, character) with d from 1.
+
+    Matrices are dense or have whole atom blocks zeroed (the on-site matrix
+    in Hermitian pairs); characters are unitary or off the torus.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    genus, dim = draw(st.integers(1, 2)), draw(st.integers(1, 5))
+    order = draw(st.permutations(range(dim)))
+    cuts = sorted(draw(st.sets(st.integers(1, max(dim - 1, 1)), max_size=dim - 1)))
+    nodes = tuple(tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [dim]))
+    model = random_model(rng, genus, dim)
+    if draw(st.booleans()):
+        onsite, hops = model.onsite.copy(), [J.copy() for J in model.hops]
+        for a, rows in enumerate(nodes):
+            for b, cols in enumerate(nodes):
+                if b >= a and rng.random() < 0.5:
+                    onsite[np.ix_(rows, cols)] = 0.0
+                    onsite[np.ix_(cols, rows)] = 0.0
+                for J in hops:
+                    if rng.random() < 0.5:
+                        J[np.ix_(rows, cols)] = 0.0
+        model = TightBindingModel(genus, onsite, hops)
+    log_modulus = rng.uniform(-1.0, 1.0, 2 * genus) if draw(st.booleans()) else 0.0
+    chi = AbelianMomentum(np.exp(log_modulus + 1j * rng.uniform(0.0, 2.0 * np.pi, 2 * genus)))
+    return model, nodes, chi
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(quiver_cases())
+def test_property_quiver_round_trip_matches_bloch_abelian(case):
+    model, nodes, chi = case
+    expected = bloch_abelian(model, chi).matrix
+    quiver = quiver_from_model(model, nodes)
+    assert np.array_equal(reassemble(quiver, chi), expected)
+    assert np.array_equal(reassemble(torus_action(quiver, chi)), expected)
