@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -74,6 +75,8 @@ def _parse_numbers(value, name: str, kinds: str, usage: str, sep: str = ",") -> 
 
 
 _COMPLEX = ("ff?", "a complex number (use RE or RE,IM)")
+_NUMBER = ("f", "a number")
+_INTEGER = ("i", "an integer")
 
 
 class _Options:
@@ -154,8 +157,8 @@ def cmd_bands(args) -> int:
 def cmd_bloch_variety(args) -> int:
     opts = _Options(args)
     model = tight_binding.read_model(opts.require("model"))
-    tol = float(opts.get("tol", 1e-8))
-    seed = int(opts.get("seed", 0))
+    (tol,) = _parse_numbers(opts.get("tol", 1e-8), "tol", *_NUMBER)
+    (seed,) = _parse_numbers(opts.get("seed", 0), "seed", *_INTEGER)
     variety = spectra.bloch_variety(model, tol=tol, seed=seed)
     _write_text(_dump_json(variety.to_json()), opts.get("out"))
     return 0
@@ -165,7 +168,7 @@ def cmd_euclidean(args) -> int:
     opts = _Options(args)
     tau = complex(*_parse_numbers(opts.require("tau"), "tau", *_COMPLEX))
     kx, ky = _parse_numbers(opts.get("k", "0,0"), "k", "ff?", "a vector (use X,Y)")
-    n_bands = int(opts.get("bands", 8))
+    (n_bands,) = _parse_numbers(opts.get("bands", 8), "bands", *_INTEGER)
     lattice = euclidean.EuclideanLattice(tau)
     recip = euclidean.reciprocal(lattice)
     bands = euclidean.empty_lattice_bands(lattice, (kx, ky), n_bands)
@@ -192,8 +195,8 @@ def cmd_higgs_toy(args) -> int:
         u=complex(*_parse_numbers(opts.require("u"), "u", *_COMPLEX)),
         B=complex(*_parse_numbers(opts.get("B", 1.0), "B", *_COMPLEX)),
     )
-    tol = float(opts.get("tol", 1e-9))
-    seed = int(opts.get("seed", 0))
+    (tol,) = _parse_numbers(opts.get("tol", 1e-9), "tol", *_NUMBER)
+    (seed,) = _parse_numbers(opts.get("seed", 0), "seed", *_INTEGER)
     connection = higgs_toy.connection_form(point)
     higgs = higgs_toy.higgs_form(point)
     c = higgs_toy.hitchin_coordinate(point, seed=seed, tol=tol)
@@ -252,11 +255,11 @@ def cmd_cover_check(args) -> int:
     opts = _Options(args)
     model = tight_binding.read_model(opts.require("model"))
     cover = covers_quivers.read_cover(opts.require("cover"))
-    trials = int(opts.get("trials", 20))
+    (trials,) = _parse_numbers(opts.get("trials", 20), "trials", *_INTEGER)
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
-    tol = float(opts.get("tol", 1e-9))
-    seed = int(opts.get("seed", 0))
+    (tol,) = _parse_numbers(opts.get("tol", 1e-9), "tol", *_NUMBER)
+    (seed,) = _parse_numbers(opts.get("seed", 0), "seed", *_INTEGER)
     table = covers_quivers.CoverPushforward(model, cover)
     rng = np.random.default_rng(seed)
     worst = None
@@ -371,8 +374,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call of a process, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "func", None) is None:
         parser.print_help(sys.stderr)

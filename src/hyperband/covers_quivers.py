@@ -7,8 +7,11 @@ turn base models + cover data into spectra:
 
   * `supercell(model, cover)`: one tight-binding model on the cover group,
     with N-fold larger cells, built by Reidemeister-Schreier rewriting;
-  * `induce(chi, cover)`: the induced (monomial) nonabelian momentum on the
-    base group, fed to `bloch_nonabelian`.
+  * `induce(chi, cover)`: the induced monomial nonabelian momentum on the
+    base group, fed to `bloch_nonabelian`.  It is stored as permutations
+    and phases (per generator the sheet targets and the rho and rho^-1
+    entries), so its checks and its Hamiltonian never form a dense N x N
+    matrix or a Kronecker product; see `momenta.NonabelianMomentum`.
 
 Both produce the same Hamiltonian matrix in the same state ordering
 (cell index major, sheet index minor), so their spectra agree; see
@@ -16,27 +19,33 @@ Both produce the same Hamiltonian matrix in the same state ordering
 
 All three read one per-cover table, `CoverPushforward(model, cover)`, built
 once: the Schreier data, the edge table the induced momenta are read from,
-the cover's genus and connectivity, the supercell on-site matrix, and per
-cover-group generator only its nonzero d x d hop blocks, keyed by sheet pair.
-A check at one character assembles the supercell H(chi) by adding those
-blocks into a (d, N, d, N) view of one matrix, so the 2 genus(cover) dense
-hop matrices of the supercell are never formed; only `supercell` itself,
-which returns them, builds them.  The check costs two (dN)^2 eigensolves and
-no per-cover work, so `cover-check` reuses the table across its characters
-and runs the genus-2, d = 4, N = 256 cyclic cover (1024 states, 20
-characters) in well under a minute.
+the cover's genus and connectivity, and d x d blocks keyed by sheet pair --
+the on-site blocks of the supercell, with the signed-zero pattern every
+other pair holds, and per cover-group generator only its nonzero hop
+blocks.  The table holds nothing of size (dN)^2, so a genus-2, d = 4,
+N = 4096 cover builds within 40 MB.  A check at one character fills one
+(dN)^2 matrix with the on-site pattern, scatters the blocks into a
+(d, N, d, N) view of it and adds the hop blocks, so the dense supercell
+matrices are never formed; only `supercell` itself, which returns them,
+builds them.  The check costs two (dN)^2 eigensolves and no per-cover
+work, so `cover-check` reuses the table across its characters and runs
+the genus-2, d = 4, N = 256 cyclic cover (1024 states, 20 characters) in
+about 14 s.
 
-The rewriting pipeline: a BFS spanning forest fixes a Schreier transversal;
-each of the 2gN directed edges (sheet s, generator gamma) carries the Schreier
-element t_s gamma t_{s.gamma}^{-1} (trivial exactly on tree edges); the N
-rewritten relators are abelianized over the non-tree edges and quotiented out
-by one exact sparse integer eliminator, `_eliminate`, which diagonalizes the
-relator rows and tracks the column transform.  The surviving free quotient has
-rank 2 * genus(cover), and each edge class must be zero or +- a basis
-direction -- a cover whose classes cannot be straightened this way (they
-exist!) gets an UnsupportedCoverError rather than a silently wrong supercell.
-The last test, that the directions form a unimodular basis, runs the same
-eliminator on the direction matrix and asks for a +-1 diagonal.
+The rewriting pipeline: a BFS spanning forest fixes a Schreier transversal,
+kept as parent pointers; each of the 2gN directed edges (sheet s, generator
+gamma) carries the Schreier element t_s gamma t_{s.gamma}^{-1} (trivial
+exactly on tree edges); the N rewritten relators are abelianized over the
+non-tree edges into sparse rows and quotiented out by one exact sparse
+integer eliminator, `_eliminate`, which diagonalizes the relator rows and
+records the column transform.  The surviving free quotient has rank
+2 * genus(cover), and each edge class -- read from the transform's free
+columns, sparse -- must be zero or +- a basis direction; a cover whose
+classes cannot be straightened this way (they exist!) gets an
+UnsupportedCoverError rather than a silently wrong supercell.  The last
+test, that the directions form a unimodular basis, runs the same eliminator
+on the direction matrix and asks for a +-1 diagonal.  Every step is near
+linear in N on the covers tried: 0.1 s at N = 2048.
 
 A quiver presents one model's Hamiltonian as nodes (atoms = groups of cell
 states) and block arrows (label: which generator the hop crosses, or none for
@@ -48,14 +57,15 @@ on-site blocks).  `torus_action` scales arrows by character values, and
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import UnsupportedCoverError
 from .momenta import AbelianMomentum, NonabelianMomentum
-from .surface_group import Word, free_reduce, make_surface_group
-from .tight_binding import BlochHamiltonian, TightBindingModel, bloch_nonabelian
+from .surface_group import Word, make_surface_group
+from .tight_binding import BlochHamiltonian, TightBindingModel, _place_blocks, bloch_nonabelian
 
 __all__ = [
     "UnbranchedCover",
@@ -85,11 +95,14 @@ class UnbranchedCover:
 
     perms[i][s-1] is the sheet reached from sheet s along generator i+1.  The
     relator permutation must be the identity (that is what makes the data a
-    genuine cover of the surface group, not just of the free group).
+    genuine cover of the surface group, not just of the free group).  The
+    inverse permutations are stored once, and the components found once.
     """
 
     sheets: int
     perms: tuple
+    _inverse: tuple = field(init=False, repr=False, compare=False)
+    _components: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = int(self.sheets)
@@ -98,13 +111,19 @@ class UnbranchedCover:
         perms = tuple(tuple(int(v) for v in p) for p in self.perms)
         if len(perms) == 0 or len(perms) % 2 != 0:
             raise ValueError("need 2g permutations for some g >= 1")
+        inverse = []
         for idx, p in enumerate(perms):
             if sorted(p) != list(range(1, n + 1)):
                 raise ValueError(
                     f"entry {idx + 1} is not a permutation of 1..{n}: {p}"
                 )
+            back = [0] * n
+            for s, t in enumerate(p):
+                back[t - 1] = s
+            inverse.append(tuple(back))
         object.__setattr__(self, "sheets", n)
         object.__setattr__(self, "perms", perms)
+        object.__setattr__(self, "_inverse", tuple(inverse))
         group = make_surface_group(len(perms) // 2)
         image = self.word_permutation(group.relator())
         if image != tuple(range(n)):
@@ -123,7 +142,7 @@ class UnbranchedCover:
         return self.perms[gen - 1][sheet0] - 1
 
     def backward(self, sheet0: int, gen: int) -> int:
-        return self.perms[gen - 1].index(sheet0 + 1)
+        return self._inverse[gen - 1][sheet0]
 
     def word_permutation(self, word: Word) -> tuple:
         """0-indexed image tuple of the right action of `word` on sheets."""
@@ -132,13 +151,15 @@ class UnbranchedCover:
             if g > len(self.perms):
                 raise ValueError(f"word uses generator {g}, cover has {len(self.perms)}")
             if e == 1:
-                state = [self.forward(s, g) for s in state]
+                state = [self.perms[g - 1][s] - 1 for s in state]
             else:
-                state = [self.backward(s, g) for s in state]
+                state = [self._inverse[g - 1][s] for s in state]
         return tuple(state)
 
     def components(self) -> tuple:
         """Connected components as sorted tuples of 0-indexed sheets."""
+        if self._components is not None:
+            return self._components
         seen = [False] * self.sheets
         comps = []
         for start in range(self.sheets):
@@ -155,7 +176,8 @@ class UnbranchedCover:
                             seen[t] = True
                             stack.append(t)
             comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        object.__setattr__(self, "_components", tuple(comps))
+        return self._components
 
     @property
     def transitive(self) -> bool:
@@ -177,7 +199,8 @@ def cover_genus(cover: UnbranchedCover, base_genus: int = None) -> int:
 
 @dataclass(frozen=True)
 class _SchreierData:
-    directions: tuple  # deduplicated sign-normalized nonzero classes, basis order
+    directions: tuple  # deduplicated sign-normalized nonzero classes, basis order,
+    # each as its sorted nonzero (coordinate, value) pairs
     edge_assignment: dict  # (sheet0, gen) -> (direction index, sign) or (None, 0)
     genus_cover: int
 
@@ -185,43 +208,52 @@ class _SchreierData:
 def _spanning_forest(cover: UnbranchedCover):
     """BFS forest (least sheet of each component first, generators in order).
 
-    Returns (transversal words, tree edge set).  Tree edges are stored in
-    forward orientation (s, gamma) meaning s -> s.gamma.
+    Returns (parents, tree edge set).  parents[t] is (s, gamma, e) when t was
+    reached from s along gamma^e (None at the roots), so the transversal word
+    of t is that of s times gamma^e.  Tree edges are stored in forward
+    orientation (s, gamma) meaning s -> s.gamma.
     """
     n = cover.sheets
     n_gens = 2 * cover.genus
-    transversal = [None] * n
+    parents = [None] * n
+    seen = [False] * n
     tree = set()
     for root in range(n):
-        if transversal[root] is not None:
+        if seen[root]:
             continue
-        transversal[root] = Word(())
-        queue = [root]
+        seen[root] = True
+        queue = deque([root])
         while queue:
-            s = queue.pop(0)
+            s = queue.popleft()
             for g in range(1, n_gens + 1):
                 t = cover.forward(s, g)
-                if transversal[t] is None:
-                    transversal[t] = transversal[s] * Word(((g, 1),))
+                if not seen[t]:
+                    seen[t] = True
+                    parents[t] = (s, g, 1)
                     tree.add((s, g))
                     queue.append(t)
                 t = cover.backward(s, g)
-                if transversal[t] is None:
-                    transversal[t] = transversal[s] * Word(((g, -1),))
+                if not seen[t]:
+                    seen[t] = True
+                    parents[t] = (s, g, -1)
                     tree.add((t, g))
                     queue.append(t)
-    return tuple(transversal), frozenset(tree)
+    return parents, frozenset(tree)
 
 
 def _eliminate(rows: list, width: int):
     """Exact integer diagonalization by unimodular row and column operations.
 
-    Returns (diagonal, V): the diagonal entries of (unimodular) @ rows @ V,
-    min(len(rows), width) of them, and the unimodular width x width column
-    transform V as dense rows.  Rank = #nonzero diagonal entries,
-    torsion-freeness = all nonzero entries are +-1, |det| of a square input =
-    |product of the diagonal|, and the class of basis vector e_j in the
-    quotient by the row lattice is row j of V restricted to the free columns.
+    `rows` are sparse, {column: value} mappings over columns 0..width-1.
+    Returns (diagonal, transform): the diagonal entries of
+    (unimodular) @ rows @ V, min(len(rows), width) of them, and a function
+    giving the unimodular width x width column transform V: transform(first)
+    is the list of V's rows restricted to column positions first..width-1,
+    each a sparse {position: value} dict with no zeros, so transform(0) is
+    all of V.  Rank = #nonzero diagonal entries, torsion-freeness = all
+    nonzero entries are +-1, |det| of a square input = |product of the
+    diagonal|, and the class of basis vector e_j in the quotient by the row
+    lattice is row j of transform(rank).
 
     Stage t takes the first nonzero entry at or past (t, t) in row-major
     order as its pivot and moves it to (t, t).  Then, until row t and column
@@ -236,21 +268,24 @@ def _eliminate(rows: list, width: int):
     their entries have stayed within +-1 at every sheet count tried; the
     hop-direction matrices are nearly signed permutations.
 
-    Storage is sparse: {column: value} rows and a column -> rows index.  V
-    rides along as `width` extra rows under the input (the augmented matrix
-    [rows; I]), so column operations update it with no separate code; row
-    operations and pivots touch only the input rows.  Swaps only relabel
-    positions.
+    Storage is sparse: {column: value} rows and a column -> rows index.
+    Swaps only relabel positions.  V = E_1 ... E_m is kept as its column
+    operations E_k, and `transform` multiplies them out backwards onto the
+    requested columns only, so the free columns cost about their own size.
+    All of V can be far larger: on the chain-shaped relator rows of a cyclic
+    cover each column operation carries the pivot column's entries on to the
+    next column, so at N = 1024 sheets (width 3,073) V holds 526,849
+    entries, all but 3,073 of them in pivot columns that no class reads.
     """
     n = len(rows)
-    R = [{j: int(v) for j, v in enumerate(row) if v} for row in rows]
-    R += [{j: 1} for j in range(width)]
+    R = [{j: int(v) for j, v in row.items() if v} for row in rows]
     holders = [set() for _ in range(width)]  # column -> rows nonzero there
     for i, row in enumerate(R):
         for j in row:
             holders[j].add(i)
-    row_at, row_pos = list(range(n)), list(range(n + width))  # position <-> row
+    row_at, row_pos = list(range(n)), list(range(n))  # position <-> row
     col_at, col_pos = list(range(width)), list(range(width))  # position <-> column
+    steps = []  # (j, pivot, q): column j -= q * column pivot, in order
 
     def put(i, j, value):
         if value:
@@ -267,8 +302,8 @@ def _eliminate(rows: list, width: int):
         col_at[a], col_at[b] = col_at[b], col_at[a]
         col_pos[col_at[a]], col_pos[col_at[b]] = a, b
 
-    def below(t):  # positions of input rows past t that are nonzero in column t
-        return sorted(row_pos[i] for i in holders[col_at[t]] if t < row_pos[i] < n)
+    def below(t):  # positions of rows past t that are nonzero in column t
+        return sorted(row_pos[i] for i in holders[col_at[t]] if row_pos[i] > t)
 
     for t in range(min(n, width)):
         start = next((p for p in range(t, n) if R[row_at[p]]), None)
@@ -284,6 +319,7 @@ def _eliminate(rows: list, width: int):
                 q = pivot_row[j] // pivot_row[pivot]
                 for i in holders[pivot]:
                     put(i, j, R[i].get(j, 0) - q * R[i][pivot])
+                steps.append((j, pivot, q))
                 if j in pivot_row:
                     swap_cols(t, p)
             # ... and by row operations along its column
@@ -297,18 +333,32 @@ def _eliminate(rows: list, width: int):
             if len(R[row_at[t]]) == 1 and not below(t):
                 break
     diagonal = [R[row_at[t]].get(col_at[t], 0) for t in range(min(n, width))]
-    V = [[0] * width for _ in range(width)]
-    for j, dense in enumerate(V):
-        for c, v in R[n + j].items():
-            dense[col_pos[c]] = v
-    return diagonal, V
+
+    def transform(first: int) -> list:
+        # rows of E_1 (E_2 (... (E_m P))), P the identity's columns at
+        # positions first..; E_k (column j -= q column pivot) acting from
+        # the left is: row pivot -= q row j
+        V = {col_at[p]: {p: 1} for p in range(first, width)}
+        for j, pivot, q in reversed(steps):
+            source = V.get(j)
+            if source and q:
+                target = V.setdefault(pivot, {})
+                for c, v in source.items():
+                    value = target.get(c, 0) - q * v
+                    if value:
+                        target[c] = value
+                    else:
+                        del target[c]
+        return [V.get(i, {}) for i in range(width)]
+
+    return diagonal, transform
 
 
 def _schreier_data(cover: UnbranchedCover) -> _SchreierData:
     g = cover.genus
     n = cover.sheets
     n_gens = 2 * g
-    transversal, tree = _spanning_forest(cover)
+    parents, tree = _spanning_forest(cover)
 
     edge_order = []
     edge_index = {}
@@ -319,45 +369,41 @@ def _schreier_data(cover: UnbranchedCover) -> _SchreierData:
                 edge_order.append((s, gen))
     k = len(edge_order)
 
-    # consistency: the Schreier word of a tree edge must reduce to nothing
+    # consistency: the Schreier word t_s gamma t_{s.gamma}^-1 of a tree edge
+    # is trivial, which holds when the edge is the parent link of one end
     for s, gen in tree:
         t = cover.forward(s, gen)
-        h = free_reduce(transversal[s] * Word(((gen, 1),)) * transversal[t].inverse())
-        if len(h) != 0:
+        if parents[t] != (s, gen, 1) and parents[s] != (t, gen, -1):
             raise AssertionError("spanning forest produced a nontrivial tree relation")
 
-    # abelianized rewritten relators: one row per sheet over the non-tree edges
-    group = make_surface_group(g)
-    relator = group.relator()
+    # abelianized rewritten relators: one sparse row per sheet over the
+    # non-tree edges
+    relator = make_surface_group(g).relator()
     rows = []
     for start in range(n):
-        row = [0] * k
+        row = {}
         s = start
         for gen, exp in relator.letters:
             if exp == 1:
                 edge = (s, gen)
                 nxt = cover.forward(s, gen)
-                sign = 1
             else:
-                prev = cover.backward(s, gen)
-                edge = (prev, gen)
-                nxt = prev
-                sign = -1
+                nxt = cover.backward(s, gen)
+                edge = (nxt, gen)
             if edge not in tree:
-                row[edge_index[edge]] += sign
+                j = edge_index[edge]
+                row[j] = row.get(j, 0) + exp
             s = nxt
         if s != start:
             raise AssertionError("relator walk did not close up")
         rows.append(row)
 
+    g_cover = cover_genus(cover)
+    edge_assignment = {edge: (None, 0) for edge in tree}
     if k == 0:
-        return _SchreierData(
-            directions=(),
-            edge_assignment={edge: (None, 0) for edge in tree},
-            genus_cover=cover_genus(cover),
-        )
+        return _SchreierData(directions=(), edge_assignment=edge_assignment, genus_cover=g_cover)
 
-    diagonal, V = _eliminate(rows, k)
+    diagonal, transform = _eliminate(rows, k)
     rank = sum(1 for d in diagonal if d != 0)
     if any(d != 0 and abs(d) != 1 for d in diagonal):
         raise UnsupportedCoverError(
@@ -365,48 +411,31 @@ def _schreier_data(cover: UnbranchedCover) -> _SchreierData:
             "this cover cannot carry a single-generator-hop supercell"
         )
     free = k - rank
-    g_cover = cover_genus(cover)
     if free != 2 * g_cover:
         raise UnsupportedCoverError(
             f"free hop-class rank {free} does not match 2 * genus(cover) = {2 * g_cover}"
         )
 
-    classes = {}
-    for j, edge in enumerate(edge_order):
-        classes[edge] = tuple(V[j][rank:])
-    for edge in tree:
-        classes[edge] = tuple([0] * free)
-
-    def normalized(c):
-        for v in c:
-            if v > 0:
-                return tuple(c), 1
-            if v < 0:
-                return tuple(-x for x in c), -1
-        return None, 0
-
+    # an edge's class is its row of V at the free columns; sign-normalized,
+    # its first nonzero coordinate is positive
     directions = {}  # class -> direction index, in first-seen order
-    for edge in edge_order:
-        base, sign = normalized(classes[edge])
-        if sign != 0 and base not in directions:
-            directions[base] = len(directions)
+    for edge, row in zip(edge_order, transform(rank)):
+        cls = sorted((c - rank, v) for c, v in row.items())
+        if not cls:
+            edge_assignment[edge] = (None, 0)
+            continue
+        sign = 1 if cls[0][1] > 0 else -1
+        base = tuple((c, sign * v) for c, v in cls)
+        edge_assignment[edge] = (directions.setdefault(base, len(directions)), sign)
     if len(directions) != free:
         raise UnsupportedCoverError(
             f"found {len(directions)} distinct hop directions but the free rank "
             f"is {free}; the classes cannot be straightened to single generators"
         )
-    if any(abs(x) != 1 for x in _eliminate(list(directions), free)[0]):
+    if any(abs(x) != 1 for x in _eliminate([dict(c) for c in directions], free)[0]):
         raise UnsupportedCoverError(
             "hop directions do not form a unimodular basis of the class lattice"
         )
-
-    edge_assignment = {}
-    for edge, cls in classes.items():
-        base, sign = normalized(cls)
-        if sign == 0:
-            edge_assignment[edge] = (None, 0)
-        else:
-            edge_assignment[edge] = (directions[base], sign)
 
     return _SchreierData(
         directions=tuple(directions),
@@ -416,45 +445,34 @@ def _schreier_data(cover: UnbranchedCover) -> _SchreierData:
 
 
 def _edge_table(cover: UnbranchedCover, data: _SchreierData) -> tuple:
-    """Per base generator: (target sheets, rho entry index, rho_inv entry index).
+    """(target sheets, rho entry index, rho_inv entry index), each (2g, N).
 
-    Indices point into [1, chi_1..chi_G, chi_1^-1..chi_G^-1], G = 2 genus(cover):
-    a trivial-class edge reads 1; an edge of class +d_i reads chi_i forward
+    Row i is base generator i+1.  Indices point into
+    [1, chi_1..chi_G, chi_1^-1..chi_G^-1], G = 2 genus(cover): a
+    trivial-class edge reads 1; an edge of class +d_i reads chi_i forward
     and chi_i^-1 backward, one of class -d_i the other way round.
     """
-    n = cover.sheets
+    n_gens, n = 2 * cover.genus, cover.sheets
     n_dirs = 2 * data.genus_cover
-    table = []
-    for gen in range(1, 2 * cover.genus + 1):
-        forward = np.zeros(n, dtype=int)
-        backward = np.zeros(n, dtype=int)
-        for s in range(n):
-            direction, sign = data.edge_assignment[(s, gen)]
-            if sign > 0:
-                forward[s], backward[s] = 1 + direction, 1 + n_dirs + direction
-            elif sign < 0:
-                forward[s], backward[s] = 1 + n_dirs + direction, 1 + direction
-        table.append((np.array(cover.perms[gen - 1]) - 1, forward, backward))
-    return tuple(table)
+    forward = np.zeros((n_gens, n), dtype=int)
+    backward = np.zeros((n_gens, n), dtype=int)
+    for (s, gen), (direction, sign) in data.edge_assignment.items():
+        if sign > 0:
+            forward[gen - 1, s], backward[gen - 1, s] = 1 + direction, 1 + n_dirs + direction
+        elif sign < 0:
+            forward[gen - 1, s], backward[gen - 1, s] = 1 + n_dirs + direction, 1 + direction
+    return np.array(cover.perms) - 1, forward, backward
 
 
-def _induced(chi: AbelianMomentum, sheets: int, genus_cover: int, edges: tuple):
+def _induced(chi: AbelianMomentum, genus_cover: int, edges: tuple) -> NonabelianMomentum:
     """The monomial momentum rho(gamma)[s, s.gamma] read from an edge table."""
     if chi.genus != genus_cover:
         raise ValueError(
             f"character has genus {chi.genus}, cover group has genus {genus_cover}"
         )
     values = np.concatenate(([1.0], chi.chi, chi.chi_inv))
-    index = np.arange(sheets)
-    mats, invs = [], []
-    for targets, forward, backward in edges:
-        rho = np.zeros((sheets, sheets), dtype=complex)
-        rho[index, targets] = values[forward]
-        rho_inv = np.zeros((sheets, sheets), dtype=complex)
-        rho_inv[targets, index] = values[backward]
-        mats.append(rho)
-        invs.append(rho_inv)
-    return NonabelianMomentum(tuple(mats), tuple(invs))
+    targets, forward, backward = edges
+    return NonabelianMomentum(monomial=(targets, values[forward], values[backward]))
 
 
 @dataclass(frozen=True)
@@ -476,14 +494,17 @@ class CoverPushforward:
 
     Construction does all the per-cover work: the Schreier data and the edge
     table the induced momenta are read from, the cover's genus and
-    connectivity, the supercell on-site matrix, and for each cover-group
-    generator only the d x d hop blocks it places, keyed by sheet pair:
-    `hop_blocks[i]` is (rows, cols, A, B) with A[k] the generator's block
-    from cell states (., cols[k]) to (., rows[k]) and B[k] the same block of
-    its dagger.  States are ordered (cell state) major, (sheet) minor, the
-    Kronecker convention of `bloch_nonabelian`; an edge of trivial class lands
-    in the on-site matrix, one of class +-d_i in cover generator i+1 (forward
-    or dagger side).  A `check` then never forms a dense supercell hop matrix.
+    connectivity, and d x d blocks keyed by sheet pair.  `onsite` is
+    (zero, rows, cols, blocks): the symmetrized on-site block blocks[k] at
+    sheet pair (rows[k], cols[k]) and the d x d pattern of signed zeros,
+    `zero`, at every other pair.  `hop_blocks[i]` is (rows, cols, A, B) for
+    cover-group generator i+1, with A[k] its block from cell states
+    (., cols[k]) to (., rows[k]) and B[k] the same block of its dagger.
+    States are ordered (cell state) major, (sheet) minor, the Kronecker
+    convention of `bloch_nonabelian`; an edge of trivial class lands in the
+    on-site blocks, one of class +-d_i in cover generator i+1 (forward or
+    dagger side).  Only `supercell_hamiltonian` and `supercell` form dense
+    matrices from them.
     """
 
     def __init__(self, model: TightBindingModel, cover: UnbranchedCover):
@@ -500,7 +521,8 @@ class CoverPushforward:
         # A dense build adds every trivial-class edge's hop over the whole
         # matrix, so entries off its block collect the signed zero J * 0,
         # and eigensolvers branch on the sign of a zero.  Seeding the
-        # diagonal blocks with M * 1 and the others with M * 0, each summed
+        # diagonal blocks with M * 1 and the other blocks, and the pattern
+        # every sheet pair without a block holds, with M * 0, each summed
         # with those zeros, then adding the blocks in edge order, gives the
         # dense on-site matrix bit for bit.
         zero = np.zeros((d, d), dtype=complex)
@@ -508,9 +530,7 @@ class CoverPushforward:
         for gen in sorted({gen for (_, gen), (k, _) in data.edge_assignment.items() if k is None}):
             for J in (model.hops[gen - 1], model.hops_dagger[gen - 1]):
                 seeds = [seed + J * zero for seed in seeds]
-        onsite = np.empty((d, n, d, n), dtype=complex)
-        onsite[...] = seeds[1][:, None, :, None]
-        onsite[:, np.arange(n), :, np.arange(n)] = seeds[0]
+        onsite = {(s, s): seeds[0].copy() for s in range(n)}
         blocks = [{} for _ in range(2 * data.genus_cover)]
         for s in range(n):
             for gen in range(1, 2 * model.genus + 1):
@@ -518,22 +538,31 @@ class CoverPushforward:
                 direction, sign = data.edge_assignment[(s, gen)]
                 J, J_dagger = model.hops[gen - 1], model.hops_dagger[gen - 1]
                 if direction is None:
-                    onsite[:, s, :, t] += J
-                    onsite[:, t, :, s] += J_dagger
+                    for pair, hop in (((s, t), J), ((t, s), J_dagger)):
+                        if pair not in onsite:
+                            onsite[pair] = seeds[1].copy()
+                        onsite[pair] += hop
                 else:
                     pair, hop = ((s, t), J) if sign > 0 else ((t, s), J_dagger)
                     block = blocks[direction].setdefault(pair, np.zeros((d, d), dtype=complex))
                     block += hop
-        onsite = onsite.reshape(d * n, d * n)
-        # symmetrized exactly as TightBindingModel does it
-        self.onsite = (onsite + onsite.conj().T) / 2.0
+        # symmetrized exactly as TightBindingModel does it; the pairs come
+        # in transposed pairs, so each block meets its mirror's dagger
+        pairs = sorted(onsite)
+        mirrors = np.array([onsite[(t, s)] for s, t in pairs]).conj().transpose(0, 2, 1)
+        self.onsite = (
+            (seeds[1] + seeds[1].conj().T) / 2.0,
+            np.array([s for s, _ in pairs], dtype=int),
+            np.array([t for _, t in pairs], dtype=int),
+            (np.array([onsite[pair] for pair in pairs]) + mirrors) / 2.0,
+        )
         self.hop_blocks = tuple(_with_dagger(b, d) for b in blocks)
 
     def induce(self, chi: AbelianMomentum) -> NonabelianMomentum:
         """The induced monomial momentum, as `induce(chi, cover)`."""
         if not isinstance(chi, AbelianMomentum):
             raise TypeError("induce expects an AbelianMomentum on the cover group")
-        return _induced(chi, self.sheets, self.genus_cover, self.edges)
+        return _induced(chi, self.genus_cover, self.edges)
 
     def supercell_hamiltonian(self, chi: AbelianMomentum) -> BlochHamiltonian:
         """bloch_abelian(supercell(model, cover), chi), bit for bit.
@@ -550,10 +579,12 @@ class CoverPushforward:
         # front, leaves the same zeros as all the dense steps together.
         zeros = np.zeros(chi.chi.shape, dtype=complex)
         missed = chi.chi * zeros + chi.chi_inv * zeros.conj()
-        H = self.onsite + complex(
+        shift = complex(
             -0.0 if np.signbit(missed.real).all() else 0.0,
             -0.0 if np.signbit(missed.imag).all() else 0.0,
         )
+        onsite_zero, onsite_rows, onsite_cols, onsite_blocks = self.onsite
+        H = _place_blocks(onsite_zero + shift, onsite_rows, onsite_cols, onsite_blocks + shift, n)
         view = H.reshape(d, n, d, n)
         for i, (rows, cols, A, B) in enumerate(self.hop_blocks):
             view[:, rows, :, cols] += chi.chi[i] * A + chi.chi_inv[i] * B
@@ -603,17 +634,16 @@ def _with_dagger(blocks: dict, d: int) -> tuple:
 def supercell(model: TightBindingModel, cover: UnbranchedCover) -> TightBindingModel:
     """The cover-group tight-binding model with N-fold cells.
 
-    Dense hop matrices placed from the blocks of `CoverPushforward`; see there
+    Dense matrices placed from the blocks of `CoverPushforward`; see there
     for the state ordering and which edge goes where.
     """
     table = CoverPushforward(model, cover)
-    d, n = model.dim, cover.sheets
-    hops = []
-    for rows, cols, A, _ in table.hop_blocks:
-        hop = np.zeros((d * n, d * n), dtype=complex)
-        hop.reshape(d, n, d, n)[:, rows, :, cols] += A
-        hops.append(hop)
-    return TightBindingModel(make_surface_group(table.genus_cover), table.onsite, hops)
+    n = cover.sheets
+    # each hop block is added to +0, as a dense sum would, turning -0 into +0
+    zero = np.zeros((model.dim, model.dim), dtype=complex)
+    hops = [_place_blocks(zero, rows, cols, zero + A, n) for rows, cols, A, _ in table.hop_blocks]
+    onsite = _place_blocks(*table.onsite, n)
+    return TightBindingModel(make_surface_group(table.genus_cover), onsite, hops)
 
 
 def induce(chi: AbelianMomentum, cover: UnbranchedCover) -> NonabelianMomentum:
@@ -628,7 +658,7 @@ def induce(chi: AbelianMomentum, cover: UnbranchedCover) -> NonabelianMomentum:
     if not isinstance(chi, AbelianMomentum):
         raise TypeError("induce expects an AbelianMomentum on the cover group")
     data = _schreier_data(cover)
-    return _induced(chi, cover.sheets, data.genus_cover, _edge_table(cover, data))
+    return _induced(chi, data.genus_cover, _edge_table(cover, data))
 
 
 def pushforward_check(

@@ -14,6 +14,7 @@ floating point (see `tight_binding.adjoint_momentum`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,49 +83,32 @@ class AbelianMomentum:
         return make_surface_group(self.genus)
 
 
-@dataclass(frozen=True)
 class NonabelianMomentum:
     """Invertible n x n matrices, one per generator, with the relator -> identity.
 
-    `rho_inv` may be supplied by constructors that know exact inverses (for
-    example monomial induced representations); otherwise inverses are computed
-    numerically.  Hamiltonian assembly always uses the stored inverses.
+    Given either as dense matrices `rho`, with `rho_inv` supplied by
+    constructors that know exact inverses and computed numerically otherwise,
+    or as `monomial` data, the form covers induce: three (2g, n) arrays
+    (targets, forward, backward), row i for generator i+1, meaning
+    rho_i[s, targets[i, s]] = forward[i, s] and
+    rho_i^-1[targets[i, s], s] = backward[i, s], every other entry zero.  A
+    monomial momentum is checked (finite, inverses, relator) and assembled
+    by `bloch_nonabelian` through permutations and phases alone; its dense
+    `rho` and `rho_inv` are built when first read.  Hamiltonian assembly
+    always uses the stored inverses.  Instances are immutable.
     """
 
-    rho: tuple
-    rho_inv: tuple = None
-
-    def __post_init__(self):
-        mats = tuple(np.array(m, dtype=complex) for m in self.rho)
-        if len(mats) == 0 or len(mats) % 2 != 0:
-            raise ValueError(f"need 2g matrices for some g >= 1, got {len(mats)}")
-        n = mats[0].shape[0] if mats[0].ndim == 2 else -1
-        for m in mats:
-            if m.ndim != 2 or m.shape != (n, n):
-                raise ValueError("all generator matrices must be square of one size")
-            if not np.all(np.isfinite(m)):
-                raise ValueError("generator matrices must be finite")
-        if self.rho_inv is None:
-            invs = []
-            for idx, m in enumerate(mats):
-                try:
-                    invs.append(np.linalg.inv(m))
-                except np.linalg.LinAlgError as exc:
-                    raise ValueError(f"generator matrix {idx + 1} is singular") from exc
-            invs = tuple(invs)
+    def __init__(self, rho=None, rho_inv=None, monomial=None):
+        if monomial is None:
+            mats, invs = _dense_generators(rho, rho_inv)
+            n, count = mats[0].shape[0], len(mats)
+            self.__dict__.update(rho=mats, rho_inv=invs)
+        elif rho is not None or rho_inv is not None:
+            raise TypeError("give dense matrices or monomial data, not both")
         else:
-            invs = tuple(np.array(m, dtype=complex) for m in self.rho_inv)
-            if len(invs) != len(mats):
-                raise ValueError("rho_inv must match rho in length")
-        for idx, (m, inv) in enumerate(zip(mats, invs)):
-            if inv.shape != (n, n):
-                raise ValueError("inverse matrices must match the generator shape")
-            if not np.all(np.isfinite(inv)) or np.linalg.norm(inv @ m - np.eye(n)) > 1e-6:
-                raise ValueError(f"generator matrix {idx + 1} is numerically singular")
-        for m in mats + invs:
-            m.setflags(write=False)
-        object.__setattr__(self, "rho", mats)
-        object.__setattr__(self, "rho_inv", invs)
+            monomial = _monomial_generators(*monomial)
+            count, n = monomial[0].shape
+        self.__dict__.update(monomial=monomial, genus=count // 2, rank=n)
         res = relator_residual(self)
         if res > TOL_RELATOR:
             raise ValueError(
@@ -132,13 +116,18 @@ class NonabelianMomentum:
                 f"(residual {res:.3e} > {TOL_RELATOR:.0e})"
             )
 
-    @property
-    def genus(self) -> int:
-        return len(self.rho) // 2
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @property
-    def rank(self) -> int:
-        return self.rho[0].shape[0]
+    @functools.cached_property
+    def rho(self) -> tuple:
+        targets, forward, _ = self.monomial
+        return tuple(_monomial_matrix(np.arange(self.rank), t, f) for t, f in zip(targets, forward))
+
+    @functools.cached_property
+    def rho_inv(self) -> tuple:
+        targets, _, backward = self.monomial
+        return tuple(_monomial_matrix(t, np.arange(self.rank), b) for t, b in zip(targets, backward))
 
     @property
     def unitary(self) -> bool:
@@ -146,6 +135,75 @@ class NonabelianMomentum:
 
     def group(self) -> SurfaceGroup:
         return make_surface_group(self.genus)
+
+
+def _monomial_matrix(rows, cols, values) -> np.ndarray:
+    """Dense read-only matrix holding `values` at (rows, cols), zero elsewhere."""
+    m = np.zeros((rows.size, rows.size), dtype=complex)
+    m[rows, cols] = values
+    m.setflags(write=False)
+    return m
+
+
+def _check_count(count: int, what: str) -> None:
+    if count == 0 or count % 2 != 0:
+        raise ValueError(f"need 2g {what} for some g >= 1, got {count}")
+
+
+def _dense_generators(rho, rho_inv) -> tuple:
+    """(matrices, inverses) validated as square, finite and mutually inverse."""
+    mats = tuple(np.array(m, dtype=complex) for m in rho)
+    _check_count(len(mats), "matrices")
+    n = mats[0].shape[0] if mats[0].ndim == 2 else -1
+    for m in mats:
+        if m.ndim != 2 or m.shape != (n, n):
+            raise ValueError("all generator matrices must be square of one size")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("generator matrices must be finite")
+    if rho_inv is None:
+        invs = []
+        for idx, m in enumerate(mats):
+            try:
+                invs.append(np.linalg.inv(m))
+            except np.linalg.LinAlgError as exc:
+                raise ValueError(f"generator matrix {idx + 1} is singular") from exc
+        invs = tuple(invs)
+    else:
+        invs = tuple(np.array(m, dtype=complex) for m in rho_inv)
+        if len(invs) != len(mats):
+            raise ValueError("rho_inv must match rho in length")
+    for idx, (m, inv) in enumerate(zip(mats, invs)):
+        if inv.shape != (n, n):
+            raise ValueError("inverse matrices must match the generator shape")
+        if not np.all(np.isfinite(inv)) or np.linalg.norm(inv @ m - np.eye(n)) > 1e-6:
+            raise ValueError(f"generator matrix {idx + 1} is numerically singular")
+    for m in mats + invs:
+        m.setflags(write=False)
+    return mats, invs
+
+
+def _monomial_generators(targets, forward, backward) -> tuple:
+    """(targets, forward, backward) as read-only (2g, n) arrays.
+
+    The same checks as dense matrices get: each row of targets a
+    permutation of the n sheets, phases finite, and rho_inv rho = I to 1e-6,
+    which for monomial matrices is the diagonal forward * backward = 1.
+    """
+    targets = np.array(targets, dtype=np.intp)
+    forward = np.array(forward, dtype=complex)
+    backward = np.array(backward, dtype=complex)
+    if targets.ndim != 2 or not targets.shape == forward.shape == backward.shape:
+        raise ValueError("monomial data must be three (2g, n) arrays of one shape")
+    _check_count(len(targets), "matrices")
+    if not (np.all(np.isfinite(forward)) and np.all(np.isfinite(backward))):
+        raise ValueError("generator matrices must be finite")
+    singular = np.any(np.sort(targets, axis=1) != np.arange(targets.shape[1]), axis=1)
+    singular |= np.linalg.norm(forward * backward - 1.0, axis=1) > 1e-6
+    if singular.any():
+        raise ValueError(f"generator matrix {np.argmax(singular) + 1} is numerically singular")
+    for a in (targets, forward, backward):
+        a.setflags(write=False)
+    return targets, forward, backward
 
 
 @dataclass(frozen=True)
@@ -171,15 +229,31 @@ def relator_residual(momentum) -> float:
     """Frobenius distance of the relator's image from the identity.
 
     Inverse letters read the stored inverses (`rho_inv`, or `chi_inv` of a
-    character), the ones assembly uses, so no matrix is inverted again.
+    character), the ones assembly uses, so no matrix is inverted again.  A
+    monomial momentum composes its permutations and multiplies its phases:
+    the image is rho[s, sheets[s]] = phase[s].
     """
+    letters = make_surface_group(momentum.genus).relator().letters
+    if isinstance(momentum, NonabelianMomentum) and momentum.monomial is not None:
+        n = momentum.rank
+        targets, forward, backward = momentum.monomial
+        sources = np.argsort(targets, axis=1)
+        sheets, phase = np.arange(n), np.ones(n, dtype=complex)
+        for gen, exp in letters:
+            if exp == 1:
+                phase, sheets = phase * forward[gen - 1, sheets], targets[gen - 1, sheets]
+            else:
+                sheets = sources[gen - 1, sheets]
+                phase = phase * backward[gen - 1, sheets]
+        fixed = sheets == np.arange(n)
+        return float(np.sqrt(np.sum(np.abs(phase - fixed) ** 2 + ~fixed)))
     if isinstance(momentum, AbelianMomentum):
         mats = _as_matrices(momentum)
         invs = [np.array([[z]]) for z in momentum.chi_inv]
     else:
         mats, invs = momentum.rho, momentum.rho_inv
     image = np.eye(mats[0].shape[0], dtype=complex)
-    for gen, exp in make_surface_group(len(mats) // 2).relator().letters:
+    for gen, exp in letters:
         image = image @ (mats[gen - 1] if exp == 1 else invs[gen - 1])
     return float(np.linalg.norm(image - np.eye(image.shape[0])))
 
@@ -187,6 +261,9 @@ def relator_residual(momentum) -> float:
 def _unitarity_residual(momentum) -> float:
     if isinstance(momentum, AbelianMomentum):
         return float(np.max(np.abs(np.abs(momentum.chi) - 1.0)))
+    if momentum.monomial is not None:
+        # rho rho^dagger of a monomial matrix is diag(|forward|^2)
+        return float(np.max(np.linalg.norm(np.abs(momentum.monomial[1]) ** 2 - 1.0, axis=1)))
     n = momentum.rank
     return float(max(np.linalg.norm(m @ m.conj().T - np.eye(n)) for m in momentum.rho))
 

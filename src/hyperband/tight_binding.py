@@ -11,7 +11,16 @@ and at a rank-n nonabelian momentum rho
 
     H(rho) = M (x) I_n + sum_i  J_i (x) rho_i + J_i^dagger (x) rho_i^{-1}
 
-with Kronecker factors ordered (cell state) (x) (representation space).
+with Kronecker factors ordered (cell state) (x) (representation space).  At a
+monomial momentum (the kind covers induce: one nonzero per row, stored as
+permutations and phases) the same sum is assembled without Kronecker
+products: each d x d block at a sheet pair where I, some rho_i or some
+rho_i^{-1} is nonzero -- at most (4g + 1) N of the N^2 pairs -- is replayed
+with the Kronecker sum's own products and additions, and every other pair
+gets the one d x d pattern of signed zeros the sum leaves there, so the
+matrix equals the Kronecker route's byte for byte, zeros' signs included.
+`_place_blocks` (fill with a zero pattern, scatter d x d blocks by sheet
+pair) also assembles the cover supercells of `covers_quivers`.
 
 Floating-point contract: one kernel, `_assemble`, builds every abelian H(chi)
 for `bloch_abelian`, `spectra.sweep` and `spectra.bloch_variety`.  It adds one
@@ -155,6 +164,8 @@ def bloch_nonabelian(model: TightBindingModel, momentum: NonabelianMomentum) -> 
         raise TypeError("bloch_nonabelian expects a NonabelianMomentum; use bloch_abelian")
     if momentum.genus != model.genus:
         raise ValueError(f"genus mismatch: model {model.genus}, momentum {momentum.genus}")
+    if momentum.monomial is not None:
+        return BlochHamiltonian(_assemble_monomial(model, momentum), momentum, momentum.unitary)
     n = momentum.rank
     H = np.kron(model.onsite, np.eye(n, dtype=complex))
     for i in range(2 * model.genus):
@@ -162,6 +173,46 @@ def bloch_nonabelian(model: TightBindingModel, momentum: NonabelianMomentum) -> 
             model.hops_dagger[i], momentum.rho_inv[i]
         )
     return BlochHamiltonian(H, momentum, momentum.unitary)
+
+
+def _assemble_monomial(model: TightBindingModel, momentum: NonabelianMomentum) -> np.ndarray:
+    """The Kronecker sum of `bloch_nonabelian` at a monomial momentum, bit for bit.
+
+    Entry ((a, s), (b, t)) of the Kronecker sum is M_ab I_st, then one
+    J_ab rho_st + J^dagger_ab rho^-1_st step per generator.  Only the sheet
+    pairs where I, a rho or a rho^-1 is nonzero are replayed so; at every
+    other pair each factor is +0, and the same steps leave one d x d pattern
+    of signed zeros, replayed once as an extra pair with all weights zero.
+    """
+    n = momentum.rank
+    targets, forward, backward = momentum.monomial
+    sheets = np.arange(n)
+    keys = np.concatenate([sheets * (n + 1), (sheets * n + targets).ravel(), (targets * n + sheets).ravel()])
+    rows, cols = np.divmod(np.unique(keys), n)
+    # weights[k, p]: I, then rho_i and rho_i^-1 per generator, at pair p
+    weights = np.zeros((1 + 2 * len(targets), rows.size + 1), dtype=complex)
+    weights[0, :-1] = rows == cols
+    weights[1::2, :-1] = np.where(targets[:, rows] == cols, forward[:, rows], 0.0)
+    weights[2::2, :-1] = np.where(targets[:, cols] == rows, backward[:, cols], 0.0)
+    weights = weights[:, :, None, None]
+    blocks = model.onsite * weights[0]
+    for i in range(2 * model.genus):
+        blocks += model.hops[i] * weights[1 + 2 * i] + model.hops_dagger[i] * weights[2 + 2 * i]
+    return _place_blocks(blocks[-1], rows, cols, blocks[:-1], n)
+
+
+def _place_blocks(zero: np.ndarray, rows, cols, blocks: np.ndarray, n: int) -> np.ndarray:
+    """(d n) x (d n) matrix: `blocks[k]` at sheet pair (rows[k], cols[k]), `zero` elsewhere.
+
+    States are ordered (cell state) major, (sheet) minor, the Kronecker
+    convention of `bloch_nonabelian`; `zero` is the d x d pattern (of signed
+    zeros, typically) every sheet pair without a block holds.
+    """
+    d = zero.shape[0]
+    H = np.empty((d, n, d, n), dtype=complex)
+    H[...] = zero[:, None, :, None]
+    H[:, rows, :, cols] = blocks
+    return H.reshape(d * n, d * n)
 
 
 def adjoint_momentum(momentum: AbelianMomentum) -> AbelianMomentum:

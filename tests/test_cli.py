@@ -551,6 +551,76 @@ def test_vector_option_values(tmp_path, capsys, source, value, expected):
         assert code == 0 and json.loads(out.read_text())["k"] == expected
 
 
+@pytest.mark.parametrize(
+    "option, source, value, expected",
+    [
+        ("trials", "flag", "3", 3),
+        ("trials", "flag", "2.5", None),
+        ("trials", "flag", "abc", None),
+        ("trials", "config", 3, 3),
+        ("trials", "config", "3", 3),
+        ("trials", "config", 3.0, 3),
+        ("trials", "config", 2.5, None),  # used to run 2 trials
+        ("trials", "config", True, None),  # used to run 1 trial
+        ("trials", "config", None, None),
+        ("tol", "flag", "1e-6", 1e-6),
+        ("tol", "flag", "tight", None),
+        ("tol", "config", 1e-6, 1e-6),
+        ("tol", "config", "1e-6", 1e-6),
+        ("tol", "config", True, None),  # used to read 1.0
+        ("seed", "flag", "7", 7),
+        ("seed", "flag", "7.5", None),
+        ("seed", "config", 7, 7),
+        ("seed", "config", True, None),  # used to run seed 1
+    ],
+)
+def test_cover_check_scalar_option_values(
+    two_state_model, swap_cover, tmp_path, capsys, option, source, value, expected
+):
+    argv = ["cover-check", "--model", str(two_state_model), "--cover", str(swap_cover)]
+    code, out = _run_with_option(tmp_path, argv, option, value, source)
+    if expected is None:
+        _assert_refused(code, out, option, capsys)
+        return
+    assert code == 0
+    reference = tmp_path / "reference"
+    assert cli.main(argv + [f"--{option}={expected}", "--out", str(reference)]) == 0
+    assert out.read_text() == reference.read_text()
+    doc = json.loads(out.read_text())
+    assert {"trials": doc["trials"], "tol": doc["tolerance"]}.get(option, expected) == expected
+
+
+@pytest.mark.parametrize(
+    "source, value, count",
+    [
+        ("flag", "3", 3),
+        ("flag", "3.9", None),
+        ("config", 3, 3),
+        ("config", 3.9, None),  # used to print 3 bands
+        ("config", False, None),
+    ],
+)
+def test_bands_count_option_values(tmp_path, capsys, source, value, count):
+    code, out = _run_with_option(tmp_path, ["euclidean", "--tau", "0,1"], "bands", value, source)
+    if count is None:
+        _assert_refused(code, out, "bands", capsys)
+    else:
+        assert code == 0 and len(json.loads(out.read_text())["bands"]) == count
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    calls, original = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or original())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert cli.main(["euclidean", "--tau", "0,1"]) == 0
+        assert cli.main([]) == 2
+    finally:
+        cli._parser.cache_clear()
+    assert len(calls) == 1
+
+
 def test_no_subcommand_prints_help(capsys):
     assert cli.main([]) == 2
     assert "usage" in capsys.readouterr().err.lower()

@@ -231,7 +231,7 @@ def special_models(rng, genus, dim):
     real = TightBindingModel(genus, onsite + onsite.T, [rng.normal(size=(dim, dim)) for _ in range(2 * genus)])
     sparse = TightBindingModel(
         genus,
-        np.diag([-1.0, 0.0, 2.0][:dim]),
+        np.diag([-1.0, 0.0, 2.0, -0.0][:dim]),
         [rng.choice([-1.0, 0.0, -0.0, 1j, -0.5j], (dim, dim)) for _ in range(2 * genus)],
     )
     return [random_model(rng, genus, dim), real, sparse]
@@ -428,9 +428,19 @@ def test_property_commuting_covers_pass_or_are_refused(cover, seed):
     assert table.check(chi).passed
 
 
+def _sparse(matrix):
+    """Dense rows as the eliminator's {column: value} rows."""
+    return [dict(enumerate(row)) for row in matrix]
+
+
+def _dense(rows, width):
+    """Sparse {column: value} rows as dense lists of `width` entries."""
+    return [[row.get(j, 0) for j in range(width)] for row in rows]
+
+
 def _abs_det(matrix):
     """|det| from the eliminator: every step is unimodular up to sign."""
-    return abs(math.prod(_eliminate(matrix, len(matrix))[0]))
+    return abs(math.prod(_eliminate(_sparse(matrix), len(matrix))[0]))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -486,7 +496,8 @@ def small_matrices(draw):
 @given(small_matrices())
 def test_property_eliminator_matches_dense_smith_form(matrix):
     width = len(matrix[0]) if matrix else 0
-    assert _eliminate(matrix, width) == _smith_right_transform(matrix, width)
+    diagonal, transform = _eliminate(_sparse(matrix), width)
+    assert (diagonal, _dense(transform(0), width)) == _smith_right_transform(matrix, width)
 
 
 def _schreier_data_against_oracle(cover):
@@ -495,8 +506,9 @@ def _schreier_data_against_oracle(cover):
     widths = []
 
     def checked(rows, width):
-        result = real(rows, width)
-        assert result == _smith_right_transform(rows, width)
+        diagonal, transform = result = real(rows, width)
+        dense_v = _dense(transform(0), width)
+        assert (diagonal, dense_v) == _smith_right_transform(_dense(rows, width), width)
         widths.append(width)
         return result
 
@@ -536,7 +548,7 @@ def test_unimodularity_test_refuses_non_unit_determinants(directions, monkeypatc
 
     def substituted(rows, width):
         calls.append(width)
-        return real(directions if len(calls) == 2 else rows, width)
+        return real(_sparse(directions) if len(calls) == 2 else rows, width)
 
     monkeypatch.setattr(covers_quivers, "_eliminate", substituted)
     message = "^hop directions do not form a unimodular basis of the class lattice$"
