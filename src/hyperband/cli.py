@@ -8,7 +8,10 @@ to stderr; data goes to --out (or stdout).
 A JSON config file (--config) may supply any long option of the subcommand by
 its name, e.g. {"model": "cell.json", "grid": "16,16"}, and no other key;
 explicit flags win over the config, which wins over built-in defaults.  The
-same inputs, config, and seed produce byte-identical files.
+same inputs, config, and seed produce byte-identical files for a fixed BLAS
+thread count.  Threaded eigensolvers round differently, and cover-check
+reports the trial with the largest spectral distance, a rounding-level
+figure, so its chosen trial can change with the thread count.
 """
 
 from __future__ import annotations

@@ -237,11 +237,55 @@ def _single_linkage(rows, radius: float) -> list:
     Two entries join a cluster when some chain of pairwise distances
     <= radius connects them, each distance the scalar `abs(x - y)`.  Returns
     (row index, members) pairs in row order, then in order of first member,
-    each member list ascending.  Candidate pairs come from each row sorted by
-    Re: |Re(x - y)| never exceeds abs(x - y), and once no row has entries k
-    apart in that order within the radius, no row has any further apart.
+    each member list ascending.
+
+    Rows of reals (zero imaginary parts, as every Hermitian sweep gives)
+    whose adjacent gaps are all >= 0 (sorted, and no nan from a nan or from
+    equal infinities) are labelled as runs of adjacent gaps <= radius:
+    abs(complex(x, 0.0)) == abs(x), and float subtraction rounds
+    monotonically, so a pair within the radius has every adjacent gap between
+    them within it.  Every other row goes through `_union_find`.
     """
     rows = np.asarray(rows)
+    # a whole-array any() first: the per-row one costs several times more
+    runs = np.ones(len(rows), dtype=bool)
+    if rows.imag.any():
+        runs = ~rows.imag.any(axis=1)
+        if not runs.any():
+            return _union_find(rows, radius)
+    re = rows.real
+    gaps = re[:, 1:] - re[:, :-1]
+    unsorted = ~(gaps >= 0)
+    if unsorted.any():
+        runs &= ~unsorted.any(axis=1)
+    # joined gap i of a run row links entries i and i + 1; consecutive joined
+    # gaps of one row form one cluster
+    p, i = np.nonzero(gaps <= radius)
+    keep = runs[p]
+    p, i = p[keep], i[keep]
+    starts = np.ones(p.size + 1, dtype=bool)
+    starts[1:-1] = (p[1:] != p[:-1]) | (i[1:] != i[:-1] + 1)
+    bounds = np.flatnonzero(starts)
+    first, last = bounds[:-1], bounds[1:] - 1
+    clusters = [
+        (row, list(range(a, b + 2)))
+        for row, a, b in zip(p[first].tolist(), i[first].tolist(), i[last].tolist())
+    ]
+    others = np.flatnonzero(~runs)
+    if others.size:
+        ids = others.tolist()
+        clusters += [(ids[r], m) for r, m in _union_find(rows[others], radius)]
+        clusters.sort(key=lambda cluster: cluster[0])
+    return clusters
+
+
+def _union_find(rows: np.ndarray, radius: float) -> list:
+    """`_single_linkage` on any rows, through a union-find over candidate pairs.
+
+    Candidate pairs come from each row sorted by Re: |Re(x - y)| never
+    exceeds abs(x - y), and once no row has entries k apart in that order
+    within the radius, no row has any further apart.
+    """
     n = rows.shape[1]
     order = np.argsort(rows.real, axis=1)
     re = rows.real[np.arange(len(rows))[:, None], order]
@@ -294,14 +338,10 @@ def detect_crossings(bands: BandStructure, gap_tol: float = None) -> tuple:
         gap_tol = 1e-6 * radius if radius > 0 else 1e-12
     clusters = _single_linkage(bands.bands, float(gap_tol))
     indices = bands.grid.indices[[p for p, _ in clusters]].tolist()
+    # fields in order (grid_index, flat_index, eigenvalue, multiplicity,
+    # band_indices): positional arguments build each group faster than keywords
     return tuple(
-        DegeneracyGroup(
-            grid_index=tuple(index),
-            flat_index=p,
-            eigenvalue=mean,
-            multiplicity=len(members),
-            band_indices=tuple(members),
-        )
+        DegeneracyGroup(tuple(index), p, mean, len(members), tuple(members))
         for (p, members), index, mean in zip(
             clusters, indices, _cluster_means(bands.bands, clusters)
         )
@@ -476,14 +516,28 @@ def write_bands_csv(bands: BandStructure, fh) -> None:
     )
     cols = [f"i{k}" for k in range(len(grid.shape))] + ["band", "re", "im"]
     fh.write(",".join(cols) + "\n")
-    prefixes = [""]
-    for n in grid.shape:
-        prefixes = [f"{head}{i}," for head in prefixes for i in range(n)]
-    # one template per grid point; {k!r} of the builtin float is the shortest
-    # round-tripping form
-    row = "".join(
-        f"{{0}}{b},{{{2 * b + 1}!r}},{{{2 * b + 2}!r}}\n" for b in range(bands.n_bands)
-    )
-    parts = np.ascontiguousarray(bands.bands).view(np.float64).reshape(grid.n_points, -1)
-    for prefix, values in zip(prefixes, parts.tolist()):
-        fh.write(row.format(prefix, *values))
+    # one block per run of the last grid axis: its row heads "i0,...,ik,b,"
+    # are built once, its values are repr'd in C (repr of the builtin float is
+    # the shortest round-tripping form), and it is joined and written once
+    *outer_shape, n_last = grid.shape
+    heads = [""]
+    for n in outer_shape:
+        heads = [f"{head}{i}," for head in heads for i in range(n)]
+    tails = [f"{i},{b}," for i in range(n_last) for b in range(bands.n_bands)]
+    blocks = bands.bands.reshape(len(heads), len(tails))
+    # every eigvalsh sweep has only +0.0 imaginary parts; a block of those
+    # writes them as a constant, any other bit pattern (-0.0 too) by repr
+    real = ~blocks.imag.view(np.int64).any(axis=1)
+    real_parts = [None, None, ",0.0\n"] * len(tails)
+    parts = [None, None, ",", None, "\n"] * len(tails)
+    for head, block, is_real in zip(heads, blocks, real.tolist()):
+        row_heads = [head + tail for tail in tails]
+        if is_real:
+            real_parts[0::3] = row_heads
+            real_parts[1::3] = map(repr, block.real.tolist())
+            fh.write("".join(real_parts))
+        else:
+            parts[0::5] = row_heads
+            parts[1::5] = map(repr, block.real.tolist())
+            parts[3::5] = map(repr, block.imag.tolist())
+            fh.write("".join(parts))

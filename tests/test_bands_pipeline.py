@@ -1,9 +1,9 @@
-"""The bands pipeline: batched sweep, vectorized clusterer, template CSV rows.
+"""The bands pipeline: batched sweep, vectorized clusterer, block-joined CSV rows.
 
 Each step is checked byte for byte against the route it replaced, kept here
 as an oracle: the one-shot stack solve of `sweep`, the all-pairs union-find
 (`test_bloch_kernel.union_find_oracle`) with one `np.mean` per group, and the
-per-float CSV writer.
+per-float CSV writer, which also checks the CLI's bytes.
 """
 
 import io
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperband import spectra, spectral_curve
+from hyperband import cli, spectra, spectral_curve
 from hyperband.errors import NumericalCheckFailure
 from hyperband.higgs_toy import ToyModelPoint
 from hyperband.spectra import (
@@ -30,7 +30,13 @@ from hyperband.spectra import (
     unitary_grid,
     write_bands_csv,
 )
-from hyperband.tight_binding import TightBindingModel, _assemble, bloch_abelian
+from hyperband.tight_binding import (
+    TightBindingModel,
+    _assemble,
+    bloch_abelian,
+    read_model,
+    write_model,
+)
 
 from test_bloch_kernel import grids, seeds, union_find_oracle
 from test_tight_binding import random_model
@@ -304,6 +310,52 @@ def test_detect_crossings_means_of_large_groups(dim):
     assert_groups_equal(groups, detect_crossings_oracle(bands, gap_tol))
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    genus=st.integers(1, 2),
+    n=st.integers(1, 9),
+    gap_tol=st.sampled_from([0.0, 1e-6, 0.5, 3.0]),
+    unsorted_share=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=seeds,
+)
+def test_property_detect_crossings_on_real_rows(genus, n, gap_tol, unsorted_share, seed):
+    # values on a lattice of gap_tol / 2: exact ties, gaps at the tolerance,
+    # +-0.0 next to each other, imaginary parts +0.0 or -0.0
+    rng = np.random.default_rng(seed)
+    grid = unitary_grid(genus, rng.integers(1, 4, 2 * genus).tolist())
+    shape = (grid.n_points, n)
+    step = gap_tol / 2 if gap_tol > 0 else 0.25
+    real = np.sort(rng.integers(-4, 5, shape) * step, axis=1)
+    zero = real == 0
+    real[zero] = np.where(rng.random(int(zero.sum())) < 0.5, -0.0, 0.0)
+    for row in real:
+        if rng.random() < unsorted_share:
+            row[:] = rng.permutation(row)
+    values = real + 0j
+    values.imag = np.where(rng.random(shape) < 0.2, -0.0, 0.0)
+    bands = BandStructure(grid, values)
+    with mock.patch.object(spectra, "_union_find", wraps=spectra._union_find) as union_find:
+        groups = detect_crossings(bands, gap_tol)
+    assert_groups_equal(groups, detect_crossings_oracle(bands, gap_tol))
+    # rows that are not sorted, and only those, take the union-find
+    unsorted = np.flatnonzero(np.any(real[:, 1:] < real[:, :-1], axis=1))
+    if unsorted.size:
+        assert union_find.call_args.args[0].tobytes() == values[unsorted].tobytes()
+    else:
+        union_find.assert_not_called()
+
+
+@pytest.mark.parametrize("radius", [0.5, np.inf])
+def test_single_linkage_rows_with_infinities(radius):
+    # equal infinities differ by nan, so such rows are not labelled as runs
+    inf = np.inf
+    rows = np.array(
+        [[1.0, inf, inf], [-inf, -inf, 0.0], [-inf, 0.0, inf], [0.0, 0.25, inf]]
+    ) + 0j
+    with np.errstate(invalid="ignore"):
+        assert _single_linkage(rows, radius) == expected_clusters(rows, radius)
+
+
 @pytest.mark.parametrize(
     "m, u",
     [(1 + 1e-7, -1.0), (1 + 1e-7, 2 + 1j), (1e-8 + 1e-8j, -1.0), (0.999999998, 2 + 1j)],
@@ -327,6 +379,12 @@ def test_curve_info_double_root_branch_points_unchanged(monkeypatch, m, u):
 
 # -- the CSV writer ----------------------------------------------------------
 
+def with_imag(bands, imag):
+    values = np.array(bands.bands)
+    values.imag = imag
+    return BandStructure(bands.grid, values, bands.meta)
+
+
 @pytest.mark.parametrize(
     "genus, dim, grid",
     [
@@ -334,8 +392,15 @@ def test_curve_info_double_root_branch_points_unchanged(monkeypatch, m, u):
         (2, 3, lambda: unitary_grid(2, [2, 3, 1, 2])),
         (1, 2, lambda: complex_region_grid(1, [3, 4], (-0.5, 0.4), 2)),
         (2, 2, lambda: complex_region_grid(2, [2, 1, 1, 2], (-0.1, 0.3), 3)),
+        (1, 17, lambda: unitary_grid(1, [3, 2])),
+        (1, 17, lambda: complex_region_grid(1, [2, 1], (-0.2, 0.2), 2)),
+        (2, 2, lambda: unitary_grid(2, [2, 3, 2, 1])),
+        (1, 3, lambda: complex_region_grid(1, [3, 1], (-0.3, 0.1), 1)),
     ],
-    ids=["d1", "genus2", "region", "genus2-region"],
+    ids=[
+        "d1", "genus2", "region", "genus2-region",
+        "d17", "d17-region", "last-axis-1", "region-last-axis-1",
+    ],
 )
 def test_csv_matches_per_float_writer(genus, dim, grid):
     rng = np.random.default_rng(11)
@@ -345,6 +410,45 @@ def test_csv_matches_per_float_writer(genus, dim, grid):
     text = csv_text(write_bands_csv, zeros)
     assert text == csv_text(per_float_writer_oracle, zeros)
     assert ",-0.0," in text and ",0.0," in text and text.count("-0.0\n") > 0
+    # the writer picks its path per block from the imaginary parts' bits, not
+    # from the grid: all +0.0 on either grid, one -0.0, and nonzero parts
+    shape = bands.bands.shape
+    negative = np.zeros(shape)
+    negative.flat[rng.integers(negative.size)] = -0.0
+    for imag in (np.zeros(shape), negative, rng.normal(size=shape)):
+        changed = with_imag(bands, imag)
+        text = csv_text(write_bands_csv, changed)
+        assert text == csv_text(per_float_writer_oracle, changed)
+    assert csv_text(write_bands_csv, with_imag(bands, negative)).count(",-0.0\n") == 1
+
+
+@pytest.mark.parametrize(
+    "genus, dim, counts, region, double",
+    [
+        (1, 3, "6,5", None, False),
+        (1, 2, "4,3", "-0.3:0.2:2", False),
+        (2, 2, "3,2,2,3", None, True),
+    ],
+    ids=["on-torus", "off-torus", "doubled"],
+)
+def test_cli_bands_writes_the_per_float_bytes(tmp_path, genus, dim, counts, region, double):
+    model = random_model(np.random.default_rng(14), genus, dim)
+    if double:
+        model = doubled(model)
+    path = tmp_path / "model.json"
+    write_model(model, path)
+    out = tmp_path / "bands.csv"
+    argv = ["bands", "--model", str(path), "--grid", counts, "--out", str(out)]
+    shape = [int(c) for c in counts.split(",")]
+    if region is None:
+        grid = unitary_grid(genus, shape)
+    else:
+        argv.append(f"--region={region}")
+        lo, hi, n_moduli = region.split(":")
+        grid = complex_region_grid(genus, shape, (float(lo), float(hi)), int(n_moduli))
+    assert cli.main(argv) == 0
+    bands = sweep(read_model(path), grid)
+    assert out.read_bytes() == csv_text(per_float_writer_oracle, bands).encode()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
