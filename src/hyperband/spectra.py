@@ -5,20 +5,25 @@ are embarrassingly parallel over grid points and are solved in cache-sized
 batches; the output is independent of the batch size, and identical inputs
 produce identical outputs (no threading nondeterminism is introduced here).
 Band crossings and the branch points of `spectral_curve` share one
-single-linkage clusterer.
+single-linkage clusterer (branch points, one row of roots, go straight to its
+union-find).
 
 The Bloch variety of a model is the polynomial det(H(chi) - E) viewed as a
 Laurent polynomial in the momentum entries chi_1..chi_2g and an ordinary
-polynomial in E.  For a d-state cell each chi variable appears with exponents
-in [-d, d] (each term of the determinant expansion is a product of d entries,
-each linear in chi_i and chi_i^{-1}), so coefficients are recovered exactly
-from samples on a (2d+1)-point roots-of-unity grid per variable via the FFT,
-and the E-coefficients at each sample come from elementary symmetric functions
-of the eigenvalues.  A held-out residual check guards the reconstruction.
+polynomial in E.  Variable chi_i appears with exponents in [-r_i, r_i], r_i the
+rank of its hop J_i (at most d): write chi_i J_i + chi_i^{-1} J_i^dagger as
+[U V] diag(chi_i I_r, chi_i^{-1} I_r) [V U]^dagger with J_i = U V^dagger, and
+by Cauchy-Binet the determinant is a sum over index sets S of minors of the
+diagonal factor, chi_i^(a - b) with a, b <= r_i, times terms free of chi_i.
+So coefficients are recovered exactly from samples on a
+(2r_i+1)-point roots-of-unity grid per variable via the FFT, and the
+E-coefficients at each sample come from elementary symmetric functions of the
+eigenvalues.  A held-out residual check guards the reconstruction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -352,9 +357,10 @@ def detect_crossings(bands: BandStructure, gap_tol: float = None) -> tuple:
 class BlochVariety:
     """det(H(chi) - E) as a Laurent polynomial in chi and polynomial in E.
 
-    `coeffs` has one axis per chi variable (length 2*bound+1, FFT exponent
-    layout: index m means exponent m for m <= bound, m - (2*bound+1) above)
-    plus a final axis of length dim+1 for powers of E.
+    `coeffs` has one axis per chi variable plus a final axis of length dim+1
+    for powers of E.  Chi axis i has odd length 2*r_i+1 in FFT exponent
+    layout: index m means exponent m for m <= r_i, m - (2*r_i+1) above.
+    `bound` is the largest r_i, a bound on every exponent.
     """
 
     genus: int
@@ -365,14 +371,26 @@ class BlochVariety:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
+        *axes, n_powers = c.shape
+        if len(axes) != 2 * self.genus or n_powers != self.dim + 1:
+            raise ValueError(
+                f"coeffs shape {c.shape} does not fit genus {self.genus}, dim {self.dim}"
+            )
+        if any(n % 2 == 0 for n in axes) or max(axes, default=1) != 2 * self.bound + 1:
+            raise ValueError(
+                f"chi axis lengths {tuple(axes)} are not 2*r+1 with max r = bound {self.bound}"
+            )
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    def _axis_exponents(self) -> np.ndarray:
-        m = 2 * self.bound + 1
-        e = np.arange(m)
-        e[e > self.bound] -= m
-        return e
+    def _axis_exponents(self) -> list:
+        """Exponent of each index, per chi axis, read off `coeffs.shape`."""
+        exps = []
+        for m in self.coeffs.shape[:-1]:
+            e = np.arange(m)
+            e[e > m // 2] -= m
+            exps.append(e)
+        return exps
 
     def terms(self) -> list:
         """Nonzero terms as (alpha tuple, E power, coefficient), canonically ordered."""
@@ -380,7 +398,7 @@ class BlochVariety:
         out = []
         for flat_idx in np.argwhere(self.coeffs != 0):
             *chi_idx, j = flat_idx
-            alpha = tuple(int(exps[i]) for i in chi_idx)
+            alpha = tuple(int(e[i]) for e, i in zip(exps, chi_idx))
             out.append((alpha, int(j), complex(self.coeffs[tuple(flat_idx)])))
         out.sort(key=lambda t: (t[0], t[1]))
         return out
@@ -390,11 +408,10 @@ class BlochVariety:
         chi = np.asarray(chi, dtype=complex).reshape(-1)
         if chi.size != 2 * self.genus:
             raise ValueError(f"need {2 * self.genus} momentum entries, got {chi.size}")
-        exps = self._axis_exponents()
         acc = self.coeffs
         acc_abs = np.abs(self.coeffs)
-        for i in range(2 * self.genus):
-            powers = chi[i] ** exps
+        for x, exps in zip(chi, self._axis_exponents()):
+            powers = x**exps
             acc = np.tensordot(powers, acc, axes=(0, 0))
             acc_abs = np.tensordot(np.abs(powers), acc_abs, axes=(0, 0))
         E = complex(E)
@@ -435,6 +452,11 @@ def _char_coeffs_from_eigenvalues(lams: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+#: largest accepted estimate of `bloch_variety`'s coefficient arrays (the
+#: char-poly samples, their FFT and the pruning temporaries: 3 P (d+1) 16 B)
+_VARIETY_BYTES = 1 << 30
+
+
 def bloch_variety(
     model: TightBindingModel,
     holdout_points: int = 20,
@@ -444,35 +466,61 @@ def bloch_variety(
 ) -> BlochVariety:
     """Recover det(H(chi) - E) as an exact finite Laurent/polynomial expansion.
 
-    Samples chi on the (2d+1)^{2g} roots-of-unity grid, converts eigenvalues to
+    Samples chi_i at the 2r_i+1 roots of unity, r_i the numeric rank of hop
+    J_i (numpy's default tolerance), converts eigenvalues to
     characteristic-polynomial coefficients, and inverts the momentum dependence
-    with an FFT.  Coefficients below prune_rel (relative to the largest) are
+    with an FFT.  The grid is assembled and solved in slices of at most
+    `_CHUNK_BYTES` of momenta and Hamiltonians.  A grid whose coefficient
+    arrays would exceed `_VARIETY_BYTES` is refused with ValueError before any
+    sampling.  Coefficients below prune_rel (relative to the largest) are
     zeroed.  A held-out random sample (reproducible via `seed`) must match
-    direct determinant evaluation to `tol` relative, else
-    NumericalCheckFailure is raised.
+    direct determinant evaluation to `tol` relative, else NumericalCheckFailure
+    is raised; an undercounted rank fails it too.
     """
     d = model.dim
     g = model.genus
-    bound = d
-    m = 2 * bound + 1
-    axis = np.exp(2j * np.pi * np.arange(m) / m)
-    chis, shape = _product_grid([axis] * (2 * g))
-    stack = _assemble(model, chis, 1.0 / chis)
-    try:
-        # unsorted: sorting would reorder the products in the char-poly coefficients
-        lams = np.linalg.eigvals(stack)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalCheckFailure(f"eigensolver failed on the sampling grid: {exc}") from exc
-    F = _char_coeffs_from_eigenvalues(lams)  # (P, d+1)
-    F = F.reshape(shape + (d + 1,))
-    coeffs = np.fft.fftn(F, axes=tuple(range(2 * g))) / (m ** (2 * g))
+    ranks = [int(np.linalg.matrix_rank(h)) for h in model.hops]
+    shape = tuple(2 * r + 1 for r in ranks)
+    n_points = math.prod(shape)
+    estimate = 3 * n_points * (d + 1) * 16
+    if estimate > _VARIETY_BYTES:
+        raise ValueError(
+            f"Bloch variety too large: about {estimate / 1e9:.1f} GB of coefficient "
+            f"arrays for a {'x'.join(map(str, shape))} sampling grid (hop ranks "
+            f"{ranks}, dim {d}); the limit is {_VARIETY_BYTES / 1e9:.1f} GB"
+        )
+    axes = [np.exp(2j * np.pi * np.arange(m) / m) for m in shape]
+    F = np.empty((n_points, d + 1), dtype=complex)
+    lam_scale = 0.0
+    # a slice holds its momenta, their reciprocals and its Hamiltonians
+    step = max(1, _CHUNK_BYTES // (16 * (4 * g + d**2)))
+    for start in range(0, n_points, step):
+        # row-major grid index of each point, peeled off from the last axis
+        rest = np.arange(start, min(start + step, n_points))
+        chis = np.empty((rest.size, 2 * g), dtype=complex)
+        for i in reversed(range(2 * g)):
+            rest, k = np.divmod(rest, shape[i])
+            chis[:, i] = axes[i][k]
+        stack = _assemble(model, chis, 1.0 / chis)
+        try:
+            # unsorted: sorting would reorder the products in the char-poly coefficients
+            lams = np.linalg.eigvals(stack)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalCheckFailure(
+                f"eigensolver failed on the sampling grid: {exc}"
+            ) from exc
+        F[start : start + step] = _char_coeffs_from_eigenvalues(lams)
+        lam_scale = max(lam_scale, float(np.max(np.abs(lams))))
+    coeffs = np.fft.fftn(F.reshape(shape + (d + 1,)), axes=tuple(range(2 * g)))
+    del F  # freed before the pruning temporaries, as the size estimate assumes
+    coeffs /= n_points
     peak = float(np.max(np.abs(coeffs)))
     if peak > 0:
-        coeffs = np.where(np.abs(coeffs) <= prune_rel * peak, 0.0, coeffs)
+        coeffs[np.abs(coeffs) <= prune_rel * peak] = 0.0
+    bound = max(ranks)
     variety = BlochVariety(genus=g, dim=d, bound=bound, coeffs=coeffs, holdout_residual=0.0)
 
     rng = np.random.default_rng(seed)
-    lam_scale = float(np.max(np.abs(lams))) if lams.size else 1.0
     worst = 0.0
     for _ in range(int(holdout_points)):
         mod = np.exp(rng.uniform(-0.3, 0.3, size=2 * g))

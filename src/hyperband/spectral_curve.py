@@ -27,7 +27,7 @@ from numpy.polynomial import polynomial as npoly
 from ._serialize import complex_from_json, complex_to_json
 from .errors import EverywhereSingularError, NumericalCheckFailure
 from .higgs_toy import INFINITY, ToyModelPoint, higgs_matrices
-from .spectra import _cluster_means, _single_linkage
+from .spectra import _cluster_means, _union_find
 
 __all__ = [
     "Rank2TwistedHiggs",
@@ -218,7 +218,8 @@ def _roots_with_multiplicity(poly: np.ndarray, base_genus: int, zero_tol: float)
             roots[idx] = r - npoly.polyval(r, monic) / slope
     scale = max(1.0, float(np.max(np.abs(roots))) if roots.size else 1.0)
     radius = CLUSTER_RADIUS_REL * scale
-    clusters = _single_linkage(roots[None], radius)
+    # one row of roots, never a sorted Hermitian sweep row: straight to the union-find
+    clusters = _union_find(roots[None], radius)
     clustered = {i for _, members in clusters for i in members}
     clusters += [(0, [i]) for i in range(roots.size) if i not in clustered]
     merged = [

@@ -130,7 +130,7 @@ def test_sweep_slices_match_one_shot_solve(region, counts):
     assert sweep(model, grid).bands.tobytes() == one_shot_oracle(model, grid).tobytes()
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(
     data=st.data(),
     genus=st.integers(1, 2),
@@ -198,7 +198,7 @@ def expected_clusters(rows, radius):
 batches = dict(n_rows=st.integers(1, 8), n=st.integers(1, 12), seed=seeds)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(as_complex=st.booleans(), **batches)
 def test_property_sorted_real_rows_with_ties(as_complex, n_rows, n, seed):
     # values on a lattice of radius / 2: exact ties, gaps at the radius, +-0.0
@@ -215,7 +215,7 @@ def test_property_sorted_real_rows_with_ties(as_complex, n_rows, n, seed):
     assert _single_linkage(rows, radius) == expected_clusters(rows, radius)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(**batches)
 def test_property_chains_not_adjacent_in_re_order(n_rows, n, seed):
     rng = np.random.default_rng(seed)
@@ -237,7 +237,7 @@ def test_property_chains_not_adjacent_in_re_order(n_rows, n, seed):
     assert _single_linkage(rows, radius) == expected_clusters(rows, radius)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(**batches)
 def test_property_ties_in_re_but_not_in_im(n_rows, n, seed):
     rng = np.random.default_rng(seed)
@@ -267,7 +267,7 @@ def assert_groups_equal(new, old):
     assert all(type(v) is int for g in new for v in g.grid_index + g.band_indices)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(
     data=st.data(),
     genus=st.integers(1, 2),
@@ -310,7 +310,7 @@ def test_detect_crossings_means_of_large_groups(dim):
     assert_groups_equal(groups, detect_crossings_oracle(bands, gap_tol))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(
     genus=st.integers(1, 2),
     n=st.integers(1, 9),
@@ -365,7 +365,7 @@ def test_curve_info_double_root_branch_points_unchanged(monkeypatch, m, u):
     new = spectral_curve.curve_info(phi).branch_points
     assert any(bp.multiplicity == 2 for bp in new)
     # the old route: every cluster, singletons included, each mean by np.mean
-    monkeypatch.setattr(spectral_curve, "_single_linkage", union_find_oracle)
+    monkeypatch.setattr(spectral_curve, "_union_find", union_find_oracle)
     monkeypatch.setattr(
         spectral_curve,
         "_cluster_means",
@@ -451,7 +451,7 @@ def test_cli_bands_writes_the_per_float_bytes(tmp_path, genus, dim, counts, regi
     assert out.read_bytes() == csv_text(per_float_writer_oracle, bands).encode()
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(
     data=st.data(),
     genus=st.integers(1, 2),

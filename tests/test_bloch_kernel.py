@@ -93,7 +93,7 @@ def grids(draw, genus):
     return complex_region_grid(genus, counts, (lo, hi), draw(st.integers(1, 2)))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(data=st.data(), genus=st.integers(1, 2), dim=st.integers(1, 4), seed=seeds)
 def test_property_sweep_rows_are_pointwise_spectra(data, genus, dim, seed):
     model = random_model(np.random.default_rng(seed), genus, dim)
@@ -109,7 +109,7 @@ def test_property_sweep_rows_are_pointwise_spectra(data, genus, dim, seed):
         assert bands.bands[p].tobytes() == eigenvalues(ham).tobytes(), p
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(genus=st.integers(1, 3), dim=st.integers(1, 5), seed=seeds)
 def test_property_bloch_abelian_matches_scalar_loop(genus, dim, seed):
     rng = np.random.default_rng(seed)
@@ -119,7 +119,7 @@ def test_property_bloch_abelian_matches_scalar_loop(genus, dim, seed):
     assert H.tobytes() == scalar_loop_oracle(model, chi).tobytes()
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(genus=st.integers(1, 3), dim=st.integers(1, 5), seed=seeds)
 def test_property_adjoint_identity_is_bitwise(genus, dim, seed):
     # equal up to the sign of zeros, which array_equal ignores
@@ -130,7 +130,7 @@ def test_property_adjoint_identity_is_bitwise(genus, dim, seed):
     assert np.array_equal(bloch_abelian(model, adjoint_momentum(chi)).matrix, H.conj().T)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(genus=st.integers(1, 2), dim=st.integers(1, 4), P=st.integers(1, 9), seed=seeds)
 def test_property_batched_kernel_matches_stack_oracle(genus, dim, P, seed):
     rng = np.random.default_rng(seed)
@@ -156,7 +156,7 @@ def planted_rows(rng, n_rows, radius):
     return rows
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(n_rows=st.integers(1, 6), seed=seeds)
 def test_property_single_linkage_matches_union_find(n_rows, seed):
     rng = np.random.default_rng(seed)

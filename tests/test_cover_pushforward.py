@@ -357,7 +357,7 @@ def test_cover_check_builds_schreier_data_once(tmp_path, monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# properties (derandomized: every run draws the same examples)
+# properties (derandomized by conftest.py: every run draws the same examples)
 # ---------------------------------------------------------------------------
 
 
@@ -401,7 +401,7 @@ def commuting_covers(draw, mix_generators):
     return UnbranchedCover(len(a_all), perms)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(cover=commuting_covers(mix_generators=False), seed=st.integers(0, 2**32 - 1))
 def test_property_pushforward_passes_on_product_covers(cover, seed):
     rng = np.random.default_rng(seed)
@@ -415,7 +415,7 @@ def test_property_pushforward_passes_on_product_covers(cover, seed):
         assert report.matrix_distance <= 1e-12 * max(1.0, report.spectral_radius)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(cover=commuting_covers(mix_generators=True), seed=st.integers(0, 2**32 - 1))
 def test_property_commuting_covers_pass_or_are_refused(cover, seed):
     rng = np.random.default_rng(seed)
@@ -443,7 +443,7 @@ def _abs_det(matrix):
     return abs(math.prod(_eliminate(_sparse(matrix), len(matrix))[0]))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(
     st.integers(0, 6).flatmap(
         lambda n: st.lists(
@@ -492,7 +492,7 @@ def small_matrices(draw):
     ]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(small_matrices())
 def test_property_eliminator_matches_dense_smith_form(matrix):
     width = len(matrix[0]) if matrix else 0
@@ -528,7 +528,7 @@ def test_eliminator_matches_dense_smith_form_on_covers(cover):
     assert len(widths) == 2 and widths[1] == len(data.directions)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(cover=commuting_covers(mix_generators=True))
 def test_property_eliminator_matches_dense_smith_form_on_commuting_covers(cover):
     try:

@@ -376,7 +376,7 @@ def quiver_cases(draw):
     return model, nodes, chi
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(quiver_cases())
 def test_property_quiver_round_trip_matches_bloch_abelian(case):
     model, nodes, chi = case

@@ -220,7 +220,7 @@ KINDS = st.sampled_from(["torus", "off", "special"])
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(cover=surface_covers(), seed=st.integers(0, 2**32 - 1), kind=KINDS, dim=st.integers(1, 4))
 def test_property_monomial_bloch_equals_kron_bit_for_bit(cover, seed, kind, dim):
     rng = np.random.default_rng(seed)
@@ -237,7 +237,7 @@ def test_property_monomial_bloch_equals_kron_bit_for_bit(cover, seed, kind, dim)
         assert ours.hermitian == dense.unitary == chi.unitary
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(cover=surface_covers(), seed=st.integers(0, 2**32 - 1), kind=KINDS)
 def test_property_monomial_dense_matrices_equal_loop_induce(cover, seed, kind):
     chi, rho = induced_or_none(cover, np.random.default_rng(seed), kind)
@@ -257,7 +257,7 @@ def _outcome(build):
         return str(exc).split(" (residual")[0]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(
     cover=surface_covers(),
     seed=st.integers(0, 2**32 - 1),
@@ -343,7 +343,7 @@ def test_schreier_data_matches_word_based_build(cover):
     _assert_same_schreier_data(cover)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(cover=surface_covers(max_sheets=12))
 def test_property_schreier_data_matches_word_based_build(cover):
     _assert_same_schreier_data(cover)
