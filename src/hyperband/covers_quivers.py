@@ -19,18 +19,13 @@ Both produce the same Hamiltonian matrix in the same state ordering
 
 All three read one per-cover table, `CoverPushforward(model, cover)`, built
 once: the Schreier data, the edge table the induced momenta are read from,
-the cover's genus and connectivity, and d x d blocks keyed by sheet pair --
-the on-site blocks of the supercell, with the signed-zero pattern every
-other pair holds, and per cover-group generator only its nonzero hop
-blocks.  The table holds nothing of size (dN)^2, so a genus-2, d = 4,
-N = 4096 cover builds within 40 MB.  A check at one character fills one
-(dN)^2 matrix with the on-site pattern, scatters the blocks into a
-(d, N, d, N) view of it and adds the hop blocks, so the dense supercell
-matrices are never formed; only `supercell` itself, which returns them,
-builds them.  The check costs two (dN)^2 eigensolves and no per-cover
-work, so `cover-check` reuses the table across its characters and runs
-the genus-2, d = 4, N = 256 cyclic cover (1024 states, 20 characters) in
-about 14 s.
+the cover's genus and connectivity, and d x d blocks keyed by sheet pair.
+It holds nothing of size (dN)^2, so a genus-2, d = 4, N = 4096 cover builds
+within 40 MB.  `CoverPushforward.check_batch` compares the routes at many
+characters in one pass: per slice of trials it checks the induced phases,
+fills both Hamiltonian stacks from the blocks and solves each stack with
+one eigensolver call, so `cover-check` pays its Python overhead per slice,
+not per character.
 
 The rewriting pipeline: a BFS spanning forest fixes a Schreier transversal,
 kept as parent pointers; each of the 2gN directed edges (sheet s, generator
@@ -63,9 +58,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnsupportedCoverError
-from .momenta import AbelianMomentum, NonabelianMomentum
+from .momenta import (
+    TOL_UNITARY,
+    AbelianMomentum,
+    NonabelianMomentum,
+    _monomial_checks,
+    _monomial_unitarity,
+)
+from .spectra import _slices, _solve_stack
 from .surface_group import Word, make_surface_group
-from .tight_binding import BlochHamiltonian, TightBindingModel, _place_blocks, bloch_nonabelian
+from .tight_binding import BlochHamiltonian, TightBindingModel, _assemble_monomial, _place_blocks
 
 __all__ = [
     "UnbranchedCover",
@@ -445,23 +447,19 @@ def _schreier_data(cover: UnbranchedCover) -> _SchreierData:
 
 
 def _edge_table(cover: UnbranchedCover, data: _SchreierData) -> tuple:
-    """(target sheets, rho entry index, rho_inv entry index), each (2g, N).
+    """(target sheets, class codes), each (2g, N), row i for base generator i+1.
 
-    Row i is base generator i+1.  Indices point into
-    [1, chi_1..chi_G, chi_1^-1..chi_G^-1], G = 2 genus(cover): a
-    trivial-class edge reads 1; an edge of class +d_i reads chi_i forward
-    and chi_i^-1 backward, one of class -d_i the other way round.
+    With G = 2 genus(cover), a code is 0 for an edge of trivial class, 1 + i
+    for class +d_i and 1 + G + i for -d_i: the entry of
+    [1, chi_1..chi_G, chi_1^-1..chi_G^-1] that rho reads there, while rho^-1
+    reads the same entry of [1, chi^-1, chi].
     """
-    n_gens, n = 2 * cover.genus, cover.sheets
     n_dirs = 2 * data.genus_cover
-    forward = np.zeros((n_gens, n), dtype=int)
-    backward = np.zeros((n_gens, n), dtype=int)
+    code = np.zeros((2 * cover.genus, cover.sheets), dtype=int)
     for (s, gen), (direction, sign) in data.edge_assignment.items():
-        if sign > 0:
-            forward[gen - 1, s], backward[gen - 1, s] = 1 + direction, 1 + n_dirs + direction
-        elif sign < 0:
-            forward[gen - 1, s], backward[gen - 1, s] = 1 + n_dirs + direction, 1 + direction
-    return np.array(cover.perms) - 1, forward, backward
+        if sign:
+            code[gen - 1, s] = 1 + direction + (n_dirs if sign < 0 else 0)
+    return np.array(cover.perms) - 1, code
 
 
 def _induced(chi: AbelianMomentum, genus_cover: int, edges: tuple) -> NonabelianMomentum:
@@ -470,9 +468,14 @@ def _induced(chi: AbelianMomentum, genus_cover: int, edges: tuple) -> Nonabelian
         raise ValueError(
             f"character has genus {chi.genus}, cover group has genus {genus_cover}"
         )
-    values = np.concatenate(([1.0], chi.chi, chi.chi_inv))
-    targets, forward, backward = edges
-    return NonabelianMomentum(monomial=(targets, values[forward], values[backward]))
+    return NonabelianMomentum(monomial=(edges[0], *_induced_phases(chi.chi, chi.chi_inv, edges)))
+
+
+def _induced_phases(chi: np.ndarray, chi_inv: np.ndarray, edges: tuple) -> tuple:
+    """(forward, backward) phases, lead + (2g, N), of characters lead + (2G,)."""
+    one = np.ones(chi.shape[:-1] + (1,))
+    forward = np.concatenate((one, chi, chi_inv), axis=-1)[..., edges[1]]
+    return forward, np.concatenate((one, chi_inv, chi), axis=-1)[..., edges[1]]
 
 
 @dataclass(frozen=True)
@@ -492,19 +495,18 @@ class PushforwardReport:
 class CoverPushforward:
     """Both pushforward routes for one (model, cover) pair, built once.
 
-    Construction does all the per-cover work: the Schreier data and the edge
+    Construction does all the per-cover work: the Schreier data, the edge
     table the induced momenta are read from, the cover's genus and
-    connectivity, and d x d blocks keyed by sheet pair.  `onsite` is
-    (zero, rows, cols, blocks): the symmetrized on-site block blocks[k] at
-    sheet pair (rows[k], cols[k]) and the d x d pattern of signed zeros,
-    `zero`, at every other pair.  `hop_blocks[i]` is (rows, cols, A, B) for
-    cover-group generator i+1, with A[k] its block from cell states
-    (., cols[k]) to (., rows[k]) and B[k] the same block of its dagger.
-    States are ordered (cell state) major, (sheet) minor, the Kronecker
-    convention of `bloch_nonabelian`; an edge of trivial class lands in the
-    on-site blocks, one of class +-d_i in cover generator i+1 (forward or
-    dagger side).  Only `supercell_hamiltonian` and `supercell` form dense
-    matrices from them.
+    connectivity, and d x d blocks keyed by sheet pair, each kind in one
+    stacked pass over all edges.  `onsite` is (zero, rows, cols, blocks): the
+    symmetrized on-site block blocks[k] at sheet pair (rows[k], cols[k]) and
+    the pattern of signed zeros, `zero`, at every other pair.  `hop_blocks`
+    is (directions, rows, cols, A, B), sorted by cover generator, then pair:
+    A[k] is the block of cover generator directions[k] + 1 from cell states
+    (., cols[k]) to (., rows[k]), B[k] that of its dagger.  States are
+    ordered (cell state) major, (sheet) minor, as in `bloch_nonabelian`; an
+    edge of trivial class lands in the on-site blocks, one of class +-d_i in
+    cover generator i+1 (forward or dagger side).
     """
 
     def __init__(self, model: TightBindingModel, cover: UnbranchedCover):
@@ -512,11 +514,20 @@ class CoverPushforward:
         if cover.genus != model.genus:
             raise ValueError(f"genus mismatch: model {model.genus}, cover {cover.genus}")
         n, d = cover.sheets, model.dim
+        n_gens, n_dirs = 2 * model.genus, 2 * data.genus_cover
         self.model = model
         self.sheets = n
         self.genus_cover = data.genus_cover
         self.connected = cover.transitive
         self.edges = _edge_table(cover, data)
+        # each edge (s -> t along gen) in edge order, s major, its class
+        # code (0 trivial, 1 + i for +d_i, 1 + n_dirs + i for -d_i) and the
+        # keys of its sheet pairs (s, t) and (t, s); blocks several edges
+        # share sum them in this order
+        s, t = np.repeat(np.arange(n), n_gens), self.edges[0].T.ravel()
+        gen, code = np.tile(np.arange(n_gens), n), self.edges[1].T.ravel()
+        st, ts, trivial = s * n + t, t * n + s, code == 0
+        hops, daggers = np.array(model.hops), np.array(model.hops_dagger)
 
         # A dense build adds every trivial-class edge's hop over the whole
         # matrix, so entries off its block collect the signed zero J * 0,
@@ -527,36 +538,41 @@ class CoverPushforward:
         # dense on-site matrix bit for bit.
         zero = np.zeros((d, d), dtype=complex)
         seeds = [model.onsite * (zero + 1.0), model.onsite * zero]
-        for gen in sorted({gen for (_, gen), (k, _) in data.edge_assignment.items() if k is None}):
-            for J in (model.hops[gen - 1], model.hops_dagger[gen - 1]):
+        for i in np.unique(gen[trivial]):
+            for J in (hops[i], daggers[i]):
                 seeds = [seed + J * zero for seed in seeds]
-        onsite = {(s, s): seeds[0].copy() for s in range(n)}
-        blocks = [{} for _ in range(2 * data.genus_cover)]
-        for s in range(n):
-            for gen in range(1, 2 * model.genus + 1):
-                t = cover.forward(s, gen)
-                direction, sign = data.edge_assignment[(s, gen)]
-                J, J_dagger = model.hops[gen - 1], model.hops_dagger[gen - 1]
-                if direction is None:
-                    for pair, hop in (((s, t), J), ((t, s), J_dagger)):
-                        if pair not in onsite:
-                            onsite[pair] = seeds[1].copy()
-                        onsite[pair] += hop
-                else:
-                    pair, hop = ((s, t), J) if sign > 0 else ((t, s), J_dagger)
-                    block = blocks[direction].setdefault(pair, np.zeros((d, d), dtype=complex))
-                    block += hop
+        # a trivial edge adds J at (s, t), then J^dagger at (t, s)
+        i, keys = gen[trivial], np.stack([st[trivial], ts[trivial]], 1).ravel()
+        keys = np.concatenate([np.arange(n) * (n + 1), keys])
+        pairs, where = np.unique(keys, return_inverse=True)
+        rows, cols = np.divmod(pairs, n)
+        blocks = np.where((rows == cols)[:, None, None], seeds[0], seeds[1])
+        np.add.at(blocks, where[n:], np.stack([hops[i], daggers[i]], 1).reshape(-1, d, d))
         # symmetrized exactly as TightBindingModel does it; the pairs come
         # in transposed pairs, so each block meets its mirror's dagger
-        pairs = sorted(onsite)
-        mirrors = np.array([onsite[(t, s)] for s, t in pairs]).conj().transpose(0, 2, 1)
-        self.onsite = (
-            (seeds[1] + seeds[1].conj().T) / 2.0,
-            np.array([s for s, _ in pairs], dtype=int),
-            np.array([t for _, t in pairs], dtype=int),
-            (np.array([onsite[pair] for pair in pairs]) + mirrors) / 2.0,
-        )
-        self.hop_blocks = tuple(_with_dagger(b, d) for b in blocks)
+        mirrors = blocks[np.searchsorted(pairs, cols * n + rows)].conj().transpose(0, 2, 1)
+        self.onsite = ((seeds[1] + seeds[1].conj().T) / 2.0, rows, cols, (blocks + mirrors) / 2.0)
+
+        # class +d_i adds J at (s, t) to cover generator i + 1, class -d_i
+        # adds J^dagger at (t, s); keys (generator, row, col) sort as stored
+        def mirror(keys):
+            direction, pair = np.divmod(keys, n * n)
+            return direction * n * n + (pair % n) * n + pair // n
+
+        i, code, st, ts = gen[~trivial], code[~trivial], st[~trivial], ts[~trivial]
+        positive = code <= n_dirs
+        keys = (np.where(positive, code, code - n_dirs) - 1) * n * n + np.where(positive, st, ts)
+        keys, where = np.unique(keys, return_inverse=True)
+        summed = np.zeros((keys.size, d, d), dtype=complex)
+        np.add.at(summed, where, np.where(positive[:, None, None], hops[i], daggers[i]))
+        # A is zero where only the dagger has a block, and B[(s, t)] is
+        # A[(t, s)]^dagger, entry for entry what the dense J.conj().T holds
+        stored = np.union1d(keys, mirror(keys))
+        A = np.zeros((stored.size, d, d), dtype=complex)
+        A[np.searchsorted(stored, keys)] = summed
+        B = A[np.searchsorted(stored, mirror(stored))].conj().transpose(0, 2, 1).copy()
+        directions, pairs = np.divmod(stored, n * n)
+        self.hop_blocks = (directions, *np.divmod(pairs, n), A, B)
 
     def induce(self, chi: AbelianMomentum) -> NonabelianMomentum:
         """The induced monomial momentum, as `induce(chi, cover)`."""
@@ -565,70 +581,77 @@ class CoverPushforward:
         return _induced(chi, self.genus_cover, self.edges)
 
     def supercell_hamiltonian(self, chi: AbelianMomentum) -> BlochHamiltonian:
-        """bloch_abelian(supercell(model, cover), chi), bit for bit.
-
-        Same accumulation order: on-site first, then one
-        chi_i A_i + chi_i^-1 B_i step per generator, added only on the
-        sheet pairs the generator touches.
-        """
+        """bloch_abelian(supercell(model, cover), chi), bit for bit."""
         if chi.genus != self.genus_cover:
             raise ValueError(f"genus mismatch: supercell {self.genus_cover}, momentum {chi.genus}")
-        d, n = self.model.dim, self.sheets
-        # Off its blocks a dense step adds chi_i * 0 + chi_i^-1 * 0, a zero
-        # whose sign can turn a -0 entry into +0; adding their sum once, up
-        # front, leaves the same zeros as all the dense steps together.
-        zeros = np.zeros(chi.chi.shape, dtype=complex)
-        missed = chi.chi * zeros + chi.chi_inv * zeros.conj()
-        shift = complex(
-            -0.0 if np.signbit(missed.real).all() else 0.0,
-            -0.0 if np.signbit(missed.imag).all() else 0.0,
-        )
-        onsite_zero, onsite_rows, onsite_cols, onsite_blocks = self.onsite
-        H = _place_blocks(onsite_zero + shift, onsite_rows, onsite_cols, onsite_blocks + shift, n)
-        view = H.reshape(d, n, d, n)
-        for i, (rows, cols, A, B) in enumerate(self.hop_blocks):
-            view[:, rows, :, cols] += chi.chi[i] * A + chi.chi_inv[i] * B
+        H = self._supercell_stack(chi.chi[None], chi.chi_inv[None])[0]
         return BlochHamiltonian(H, chi, chi.unitary)
 
+    def _supercell_stack(self, chi: np.ndarray, chi_inv: np.ndarray) -> np.ndarray:
+        """(T, dN, dN) supercell Hamiltonians at (T, 2G) characters.
+
+        In `bloch_abelian`'s order on the dense supercell: on-site, then a
+        chi_i A_i + chi_i^-1 B_i step per cover generator on its pairs only.
+        """
+        d, n = self.model.dim, self.sheets
+        # Off its blocks a dense step adds chi_i * 0 + chi_i^-1 * 0, a zero
+        # whose sign can turn a -0 entry into +0; adding their sum once per
+        # character, up front, leaves the zeros all the dense steps leave.
+        zeros = np.zeros(chi.shape, dtype=complex)
+        missed = chi * zeros + chi_inv * zeros.conj()
+        shift = np.zeros((len(chi), 1, 1), dtype=complex)
+        shift.real[np.signbit(missed.real).all(axis=-1)] = -0.0
+        shift.imag[np.signbit(missed.imag).all(axis=-1)] = -0.0
+        zero, rows, cols, blocks = self.onsite
+        H = _place_blocks(zero + shift, rows, cols, blocks + shift[:, None], n)
+        directions, rows, cols, A, B = self.hop_blocks
+        steps = chi[:, directions, None, None] * A + chi_inv[:, directions, None, None] * B
+        # unbuffered, in stored order: a pair's steps add in generator order
+        view = H.reshape(len(chi), d, n, d, n)
+        np.add.at(view, (slice(None), slice(None), rows, slice(None), cols), np.moveaxis(steps, 1, 0))
+        return H
+
     def check(self, chi: AbelianMomentum, tol: float = 1e-9) -> PushforwardReport:
-        """Compare supercell and induced-momentum spectra at one character."""
-        from .spectra import eigenvalues  # deferred: spectra imports nothing from here
+        """`check_batch` at one character, with its stored reciprocals."""
+        return self.check_batch(chi.chi[None], chi.chi_inv[None], tol)[0]
 
-        h_induced = bloch_nonabelian(self.model, self.induce(chi))
-        h_supercell = self.supercell_hamiltonian(chi)
-        spec_a = eigenvalues(h_induced)
-        spec_b = eigenvalues(h_supercell)
-        distance = float(np.max(np.abs(spec_a - spec_b)))
-        radius = float(max(np.max(np.abs(spec_a)), np.max(np.abs(spec_b))))
-        matrix_distance = float(np.max(np.abs(h_induced.matrix - h_supercell.matrix)))
-        passed = distance <= tol * max(radius, 1e-12)
-        return PushforwardReport(
-            n_states=h_induced.matrix.shape[0],
-            connected=self.connected,
-            genus_cover=self.genus_cover,
-            matrix_distance=matrix_distance,
-            spectral_distance=distance,
-            spectral_radius=radius,
-            tolerance=tol,
-            passed=passed,
-        )
+    def check_batch(self, chi, chi_inv, tol: float = 1e-9) -> list:
+        """Reports comparing the two routes at (T, 2G) characters and reciprocals.
 
-
-def _with_dagger(blocks: dict, d: int) -> tuple:
-    """(rows, cols, A, B) over the sheet pairs a hop or its dagger touches.
-
-    A holds the hop's blocks (zero where only the dagger has one) and B the
-    dagger's, B[(s, t)] = A[(t, s)]^dagger, entry for entry what the dense
-    J.conj().T holds.
-    """
-    pairs = sorted(set(blocks) | {(t, s) for s, t in blocks})
-    position = {pair: k for k, pair in enumerate(pairs)}
-    zero = np.zeros((d, d), dtype=complex)
-    A = np.array([blocks.get(pair, zero) for pair in pairs])
-    B = A[[position[(t, s)] for s, t in pairs]].conj().transpose(0, 2, 1).copy()
-    rows = np.array([s for s, _ in pairs], dtype=int)
-    cols = np.array([t for _, t in pairs], dtype=int)
-    return rows, cols, A, B
+        In slices of at most `spectra._CHUNK_BYTES` of Hamiltonians, the
+        induced phases are checked as `NonabelianMomentum` checks them (a
+        failure names its trial), and both stacks are assembled and solved,
+        one solver call each per Hermitian flag, each route by its own flags.
+        """
+        chi, chi_inv = np.asarray(chi, dtype=complex), np.asarray(chi_inv, dtype=complex)
+        if chi.ndim != 2 or chi.shape[1] != 2 * self.genus_cover or chi_inv.shape != chi.shape:
+            raise ValueError(
+                f"need (T, {2 * self.genus_cover}) characters, got {chi.shape} and {chi_inv.shape}"
+            )
+        d, n = self.model.dim, self.sheets
+        reports = []
+        for part in _slices(len(chi), 2 * 16 * (d * n) ** 2):
+            forward, backward = _induced_phases(chi[part], chi_inv[part], self.edges)
+            _monomial_checks(self.edges[0], forward, backward, first=part.start)
+            induced = _assemble_monomial(self.model, self.edges[0], forward, backward)
+            supercell = self._supercell_stack(chi[part], chi_inv[part])
+            unitary = np.max(np.abs(np.abs(chi[part]) - 1.0), axis=-1) <= TOL_UNITARY
+            name = lambda k, start=part.start: f"trial {start + k}"
+            spec_a = _solve_stack(induced, _monomial_unitarity(forward) <= TOL_UNITARY, name)
+            spec_b = _solve_stack(supercell, unitary, name)
+            columns = zip(
+                np.max(np.abs(induced - supercell), axis=(-2, -1)).tolist(),
+                np.max(np.abs(spec_a - spec_b), axis=-1).tolist(),
+                np.max(np.abs(spec_a), axis=-1).tolist(),
+                np.max(np.abs(spec_b), axis=-1).tolist(),
+            )
+            del induced, supercell  # freed before the next slice builds its stacks
+            for matrix_distance, distance, radius_a, radius_b in columns:
+                radius = max(radius_a, radius_b)
+                passed = distance <= tol * max(radius, 1e-12)
+                facts = (d * n, self.connected, self.genus_cover, matrix_distance, distance, radius)
+                reports.append(PushforwardReport(*facts, tol, passed))
+        return reports
 
 
 def supercell(model: TightBindingModel, cover: UnbranchedCover) -> TightBindingModel:
@@ -638,11 +661,15 @@ def supercell(model: TightBindingModel, cover: UnbranchedCover) -> TightBindingM
     for the state ordering and which edge goes where.
     """
     table = CoverPushforward(model, cover)
-    n = cover.sheets
+    directions, rows, cols, A, _ = table.hop_blocks
+    bounds = np.searchsorted(directions, np.arange(2 * table.genus_cover + 1))
     # each hop block is added to +0, as a dense sum would, turning -0 into +0
     zero = np.zeros((model.dim, model.dim), dtype=complex)
-    hops = [_place_blocks(zero, rows, cols, zero + A, n) for rows, cols, A, _ in table.hop_blocks]
-    onsite = _place_blocks(*table.onsite, n)
+    hops = [
+        _place_blocks(zero, rows[a:b], cols[a:b], zero + A[a:b], cover.sheets)
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+    onsite = _place_blocks(*table.onsite, cover.sheets)
     return TightBindingModel(make_surface_group(table.genus_cover), onsite, hops)
 
 

@@ -93,7 +93,8 @@ class NonabelianMomentum:
     rho_i[s, targets[i, s]] = forward[i, s] and
     rho_i^-1[targets[i, s], s] = backward[i, s], every other entry zero.  A
     monomial momentum is checked (finite, inverses, relator) and assembled
-    by `bloch_nonabelian` through permutations and phases alone; its dense
+    by `bloch_nonabelian` through permutations and phases alone, by the
+    routines cover checks run on many at once; its dense
     `rho` and `rho_inv` are built when first read.  Hamiltonian assembly
     always uses the stored inverses.  Instances are immutable.
     """
@@ -102,19 +103,26 @@ class NonabelianMomentum:
         if monomial is None:
             mats, invs = _dense_generators(rho, rho_inv)
             n, count = mats[0].shape[0], len(mats)
-            self.__dict__.update(rho=mats, rho_inv=invs)
+            self.__dict__.update(rho=mats, rho_inv=invs, monomial=None, genus=count // 2, rank=n)
+            res = relator_residual(self)
+            if res > TOL_RELATOR:
+                raise ValueError(
+                    f"the surface relator does not map to the identity "
+                    f"(residual {res:.3e} > {TOL_RELATOR:.0e})"
+                )
         elif rho is not None or rho_inv is not None:
             raise TypeError("give dense matrices or monomial data, not both")
         else:
-            monomial = _monomial_generators(*monomial)
-            count, n = monomial[0].shape
-        self.__dict__.update(monomial=monomial, genus=count // 2, rank=n)
-        res = relator_residual(self)
-        if res > TOL_RELATOR:
-            raise ValueError(
-                f"the surface relator does not map to the identity "
-                f"(residual {res:.3e} > {TOL_RELATOR:.0e})"
-            )
+            targets = np.array(monomial[0], dtype=np.intp)
+            forward, backward = (np.array(a, dtype=complex) for a in monomial[1:])
+            if targets.ndim != 2 or not targets.shape == forward.shape == backward.shape:
+                raise ValueError("monomial data must be three (2g, n) arrays of one shape")
+            _check_count(len(targets), "matrices")
+            _monomial_checks(targets, forward, backward)
+            for a in (targets, forward, backward):
+                a.setflags(write=False)
+            count, n = targets.shape
+            self.__dict__.update(monomial=(targets, forward, backward), genus=count // 2, rank=n)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -182,28 +190,55 @@ def _dense_generators(rho, rho_inv) -> tuple:
     return mats, invs
 
 
-def _monomial_generators(targets, forward, backward) -> tuple:
-    """(targets, forward, backward) as read-only (2g, n) arrays.
+def _monomial_checks(targets, forward, backward, first: int = 0) -> None:
+    """The checks dense matrices get, on phases lead + (2g, n), lead () or (T,).
 
-    The same checks as dense matrices get: each row of targets a
-    permutation of the n sheets, phases finite, and rho_inv rho = I to 1e-6,
-    which for monomial matrices is the diagonal forward * backward = 1.
+    `targets` (2g, n) is shared.  Phases must be finite; rho_inv rho = I to
+    1e-6 per generator, for monomial matrices a permutation row of targets
+    and forward * backward = 1; and the relator's image must be I within
+    TOL_RELATOR.  A failure raises ValueError; with a trial axis it names
+    the first failing trial, counted from `first`.
     """
-    targets = np.array(targets, dtype=np.intp)
-    forward = np.array(forward, dtype=complex)
-    backward = np.array(backward, dtype=complex)
-    if targets.ndim != 2 or not targets.shape == forward.shape == backward.shape:
-        raise ValueError("monomial data must be three (2g, n) arrays of one shape")
-    _check_count(len(targets), "matrices")
-    if not (np.all(np.isfinite(forward)) and np.all(np.isfinite(backward))):
-        raise ValueError("generator matrices must be finite")
-    singular = np.any(np.sort(targets, axis=1) != np.arange(targets.shape[1]), axis=1)
-    singular |= np.linalg.norm(forward * backward - 1.0, axis=1) > 1e-6
+
+    def refuse(trial, message):
+        raise ValueError(f"trial {first + trial}: {message}" if forward.ndim > 2 else message)
+
+    finite = np.isfinite(forward).all(axis=(-2, -1)) & np.isfinite(backward).all(axis=(-2, -1))
+    if not finite.all():
+        refuse(np.argmin(finite), "generator matrices must be finite")
+    singular = np.any(np.sort(targets, axis=-1) != np.arange(targets.shape[-1]), axis=-1)
+    singular = singular | (np.linalg.norm(forward * backward - 1.0, axis=-1) > 1e-6)
     if singular.any():
-        raise ValueError(f"generator matrix {np.argmax(singular) + 1} is numerically singular")
-    for a in (targets, forward, backward):
-        a.setflags(write=False)
-    return targets, forward, backward
+        trial, gen = divmod(int(np.argmax(singular)), len(targets))
+        refuse(trial, f"generator matrix {gen + 1} is numerically singular")
+    residual = np.reshape(_monomial_relator(targets, forward, backward), -1)
+    if (residual > TOL_RELATOR).any():
+        trial = int(np.argmax(residual > TOL_RELATOR))
+        refuse(
+            trial,
+            f"the surface relator does not map to the identity "
+            f"(residual {residual[trial]:.3e} > {TOL_RELATOR:.0e})",
+        )
+
+
+def _monomial_relator(targets, forward, backward) -> np.ndarray:
+    """`relator_residual` of monomial phases lead + (2g, n), one per trial."""
+    n = targets.shape[-1]
+    sources = np.argsort(targets, axis=-1)
+    sheets, phase = np.arange(n), np.ones(forward.shape[:-2] + (n,), dtype=complex)
+    for gen, exp in make_surface_group(len(targets) // 2).relator().letters:
+        if exp == 1:
+            phase, sheets = phase * forward[..., gen - 1, sheets], targets[gen - 1, sheets]
+        else:
+            sheets = sources[gen - 1, sheets]
+            phase = phase * backward[..., gen - 1, sheets]
+    fixed = sheets == np.arange(n)
+    return np.sqrt(np.sum(np.abs(phase - fixed) ** 2 + ~fixed, axis=-1))
+
+
+def _monomial_unitarity(forward) -> np.ndarray:
+    """Unitarity residual per trial: rho rho^dagger of a monomial matrix is diag(|forward|^2)."""
+    return np.max(np.linalg.norm(np.abs(forward) ** 2 - 1.0, axis=-1), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -233,27 +268,15 @@ def relator_residual(momentum) -> float:
     monomial momentum composes its permutations and multiplies its phases:
     the image is rho[s, sheets[s]] = phase[s].
     """
-    letters = make_surface_group(momentum.genus).relator().letters
     if isinstance(momentum, NonabelianMomentum) and momentum.monomial is not None:
-        n = momentum.rank
-        targets, forward, backward = momentum.monomial
-        sources = np.argsort(targets, axis=1)
-        sheets, phase = np.arange(n), np.ones(n, dtype=complex)
-        for gen, exp in letters:
-            if exp == 1:
-                phase, sheets = phase * forward[gen - 1, sheets], targets[gen - 1, sheets]
-            else:
-                sheets = sources[gen - 1, sheets]
-                phase = phase * backward[gen - 1, sheets]
-        fixed = sheets == np.arange(n)
-        return float(np.sqrt(np.sum(np.abs(phase - fixed) ** 2 + ~fixed)))
+        return float(_monomial_relator(*momentum.monomial))
     if isinstance(momentum, AbelianMomentum):
         mats = _as_matrices(momentum)
         invs = [np.array([[z]]) for z in momentum.chi_inv]
     else:
         mats, invs = momentum.rho, momentum.rho_inv
     image = np.eye(mats[0].shape[0], dtype=complex)
-    for gen, exp in letters:
+    for gen, exp in make_surface_group(momentum.genus).relator().letters:
         image = image @ (mats[gen - 1] if exp == 1 else invs[gen - 1])
     return float(np.linalg.norm(image - np.eye(image.shape[0])))
 
@@ -262,8 +285,7 @@ def _unitarity_residual(momentum) -> float:
     if isinstance(momentum, AbelianMomentum):
         return float(np.max(np.abs(np.abs(momentum.chi) - 1.0)))
     if momentum.monomial is not None:
-        # rho rho^dagger of a monomial matrix is diag(|forward|^2)
-        return float(np.max(np.linalg.norm(np.abs(momentum.monomial[1]) ** 2 - 1.0, axis=1)))
+        return float(_monomial_unitarity(momentum.monomial[1]))
     n = momentum.rank
     return float(max(np.linalg.norm(m @ m.conj().T - np.eye(n)) for m in momentum.rho))
 

@@ -183,36 +183,69 @@ def eigenvalues(ham) -> np.ndarray:
     return _sorted_eigenvalues(m, hermitian)
 
 
-#: bytes of Hamiltonian stack assembled and solved per batch in `sweep`
+#: bytes of Hamiltonians assembled and solved per slice (see `_slices`)
 _CHUNK_BYTES = 1 << 20
 
 
+def _slices(count: int, item_bytes: int) -> list:
+    """range(count) in slices of at most `_CHUNK_BYTES`, one item at least.
+
+    A trailing one-item slice joins a longer one before it: numpy rounds a
+    broadcast complex product with a one-entry result without the fused
+    multiply-add of its vector loops, so at d = 1 a lone point gets other bits.
+    Sweeps, Bloch varieties and cover checks all slice by this rule.
+    """
+    step = max(1, _CHUNK_BYTES // item_bytes)
+    starts = list(range(0, count, step))
+    if step > 1 and len(starts) > 1 and count - starts[-1] == 1:
+        del starts[-1]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [count])]
+
+
+def _solve_stack(stack: np.ndarray, hermitian, name) -> np.ndarray:
+    """Sorted spectra of a stack by one solver call per flag in `hermitian`.
+
+    `hermitian` is one flag or one per matrix.  If a solver fails, its
+    matrices are solved one at a time and the first failing one is named by
+    `name(k)`, k its position in the stack.
+    """
+    flags = np.broadcast_to(hermitian, stack.shape[:1])
+    out = None
+    for flag in (True, False):
+        picked = np.flatnonzero(flags == flag)
+        if not picked.size:
+            continue
+        whole = picked.size == len(stack)
+        part = stack if whole else stack[picked]
+        try:
+            values = _sorted_eigenvalues(part, flag)
+        except NumericalCheckFailure:
+            for k, matrix in zip(picked, part):
+                try:
+                    _sorted_eigenvalues(matrix, flag)
+                except NumericalCheckFailure as exc:
+                    raise NumericalCheckFailure(f"eigensolver failed at {name(k)}: {exc}") from exc
+            raise NumericalCheckFailure("batched eigensolver failed")
+        if whole:
+            return values
+        out = np.empty(stack.shape[:-1], dtype=complex) if out is None else out
+        out[picked] = values
+    return out
+
+
 def sweep(model: TightBindingModel, grid: MomentumGrid) -> BandStructure:
-    """Spectra over all grid points (row-major), solved in cache-sized batches.
+    """Spectra over all grid points (row-major), solved in cache-sized slices.
 
     Assembly is elementwise and LAPACK solves each matrix on its own, so the
-    bands do not depend on the batch size.
+    bands do not depend on the slice size (see `_slices` for the exception).
     """
     if grid.genus != model.genus:
         raise ValueError(f"genus mismatch: model {model.genus}, grid {grid.genus}")
     bands = np.empty((grid.n_points, model.dim), dtype=complex)
-    step = max(1, _CHUNK_BYTES // (16 * model.dim**2))
-    for start in range(0, grid.n_points, step):
-        chis = grid.chis[start : start + step]
-        stack = _assemble(model, chis, 1.0 / chis)
-        try:
-            bands[start : start + step] = _sorted_eigenvalues(stack, grid.unitary)
-        except NumericalCheckFailure:
-            # locate the failing grid point so the error is actionable
-            for p, matrix in enumerate(stack, start):
-                try:
-                    _sorted_eigenvalues(matrix, grid.unitary)
-                except NumericalCheckFailure as exc:
-                    raise NumericalCheckFailure(
-                        f"eigensolver failed at grid index "
-                        f"{np.unravel_index(p, grid.shape)}: {exc}"
-                    ) from exc
-            raise NumericalCheckFailure("batched eigensolver failed")
+    for part in _slices(grid.n_points, 16 * model.dim**2):
+        chis = grid.chis[part]
+        name = lambda k: f"grid index {np.unravel_index(part.start + k, grid.shape)}"
+        bands[part] = _solve_stack(_assemble(model, chis, 1.0 / chis), grid.unitary, name)
     meta = {
         "model_hash": model.content_hash,
         "grid_shape": list(grid.shape),
@@ -493,10 +526,9 @@ def bloch_variety(
     F = np.empty((n_points, d + 1), dtype=complex)
     lam_scale = 0.0
     # a slice holds its momenta, their reciprocals and its Hamiltonians
-    step = max(1, _CHUNK_BYTES // (16 * (4 * g + d**2)))
-    for start in range(0, n_points, step):
+    for part in _slices(n_points, 16 * (4 * g + d**2)):
         # row-major grid index of each point, peeled off from the last axis
-        rest = np.arange(start, min(start + step, n_points))
+        rest = np.arange(part.start, part.stop)
         chis = np.empty((rest.size, 2 * g), dtype=complex)
         for i in reversed(range(2 * g)):
             rest, k = np.divmod(rest, shape[i])
@@ -509,7 +541,7 @@ def bloch_variety(
             raise NumericalCheckFailure(
                 f"eigensolver failed on the sampling grid: {exc}"
             ) from exc
-        F[start : start + step] = _char_coeffs_from_eigenvalues(lams)
+        F[part] = _char_coeffs_from_eigenvalues(lams)
         lam_scale = max(lam_scale, float(np.max(np.abs(lams))))
     coeffs = np.fft.fftn(F.reshape(shape + (d + 1,)), axes=tuple(range(2 * g)))
     del F  # freed before the pruning temporaries, as the size estimate assumes

@@ -165,7 +165,9 @@ def bloch_nonabelian(model: TightBindingModel, momentum: NonabelianMomentum) -> 
     if momentum.genus != model.genus:
         raise ValueError(f"genus mismatch: model {model.genus}, momentum {momentum.genus}")
     if momentum.monomial is not None:
-        return BlochHamiltonian(_assemble_monomial(model, momentum), momentum, momentum.unitary)
+        targets, forward, backward = momentum.monomial
+        H = _assemble_monomial(model, targets, forward[None], backward[None])[0]
+        return BlochHamiltonian(H, momentum, momentum.unitary)
     n = momentum.rank
     H = np.kron(model.onsite, np.eye(n, dtype=complex))
     for i in range(2 * model.genus):
@@ -175,44 +177,45 @@ def bloch_nonabelian(model: TightBindingModel, momentum: NonabelianMomentum) -> 
     return BlochHamiltonian(H, momentum, momentum.unitary)
 
 
-def _assemble_monomial(model: TightBindingModel, momentum: NonabelianMomentum) -> np.ndarray:
-    """The Kronecker sum of `bloch_nonabelian` at a monomial momentum, bit for bit.
+def _assemble_monomial(model: TightBindingModel, targets, forward, backward) -> np.ndarray:
+    """The Kronecker sums of `bloch_nonabelian` at T monomial momenta, bit for bit.
 
-    Entry ((a, s), (b, t)) of the Kronecker sum is M_ab I_st, then one
-    J_ab rho_st + J^dagger_ab rho^-1_st step per generator.  Only the sheet
-    pairs where I, a rho or a rho^-1 is nonzero are replayed so; at every
-    other pair each factor is +0, and the same steps leave one d x d pattern
-    of signed zeros, replayed once as an extra pair with all weights zero.
+    `targets` (2g, n) is shared, `forward` and `backward` are (T, 2g, n) (see
+    `NonabelianMomentum`), the result is (T, d n, d n).  Entry ((a, s), (b, t))
+    of a Kronecker sum is M_ab I_st, then one J_ab rho_st + J^dagger_ab rho^-1_st
+    step per generator.  Only the sheet pairs where I, a rho or a rho^-1 is
+    nonzero are replayed so; at every other pair each factor is +0, and the
+    same steps leave one d x d pattern of signed zeros, replayed once as an
+    extra pair with all weights zero.
     """
-    n = momentum.rank
-    targets, forward, backward = momentum.monomial
+    n = targets.shape[-1]
     sheets = np.arange(n)
     keys = np.concatenate([sheets * (n + 1), (sheets * n + targets).ravel(), (targets * n + sheets).ravel()])
     rows, cols = np.divmod(np.unique(keys), n)
-    # weights[k, p]: I, then rho_i and rho_i^-1 per generator, at pair p
-    weights = np.zeros((1 + 2 * len(targets), rows.size + 1), dtype=complex)
-    weights[0, :-1] = rows == cols
-    weights[1::2, :-1] = np.where(targets[:, rows] == cols, forward[:, rows], 0.0)
-    weights[2::2, :-1] = np.where(targets[:, cols] == rows, backward[:, cols], 0.0)
-    weights = weights[:, :, None, None]
-    blocks = model.onsite * weights[0]
+    # weights[:, k, p]: I, then rho_i and rho_i^-1 per generator, at pair p
+    weights = np.zeros((len(forward), 1 + 2 * len(targets), rows.size + 1, 1, 1), dtype=complex)
+    weights[:, 0, :-1, 0, 0] = rows == cols
+    weights[:, 1::2, :-1, 0, 0] = np.where(targets[:, rows] == cols, forward[:, :, rows], 0.0)
+    weights[:, 2::2, :-1, 0, 0] = np.where(targets[:, cols] == rows, backward[:, :, cols], 0.0)
+    blocks = model.onsite * weights[:, 0]
     for i in range(2 * model.genus):
-        blocks += model.hops[i] * weights[1 + 2 * i] + model.hops_dagger[i] * weights[2 + 2 * i]
-    return _place_blocks(blocks[-1], rows, cols, blocks[:-1], n)
+        blocks += model.hops[i] * weights[:, 1 + 2 * i] + model.hops_dagger[i] * weights[:, 2 + 2 * i]
+    return _place_blocks(blocks[:, -1], rows, cols, blocks[:, :-1], n)
 
 
 def _place_blocks(zero: np.ndarray, rows, cols, blocks: np.ndarray, n: int) -> np.ndarray:
-    """(d n) x (d n) matrix: `blocks[k]` at sheet pair (rows[k], cols[k]), `zero` elsewhere.
+    """lead + (d n, d n) matrices: `blocks[..., k, :, :]` at sheet pair (rows[k], cols[k]).
 
     States are ordered (cell state) major, (sheet) minor, the Kronecker
-    convention of `bloch_nonabelian`; `zero` is the d x d pattern (of signed
-    zeros, typically) every sheet pair without a block holds.
+    convention of `bloch_nonabelian`; `zero`, lead + (d, d), is the pattern
+    (of signed zeros, typically) every sheet pair without a block holds.
     """
-    d = zero.shape[0]
-    H = np.empty((d, n, d, n), dtype=complex)
-    H[...] = zero[:, None, :, None]
-    H[:, rows, :, cols] = blocks
-    return H.reshape(d * n, d * n)
+    *lead, d, _ = zero.shape
+    H = np.empty((*lead, d, n, d, n), dtype=complex)
+    H[...] = zero[..., :, None, :, None]
+    # the pair axis of an index split by a slice comes first
+    H[..., :, rows, :, cols] = np.moveaxis(blocks, -3, 0)
+    return H.reshape(*lead, d * n, d * n)
 
 
 def adjoint_momentum(momentum: AbelianMomentum) -> AbelianMomentum:

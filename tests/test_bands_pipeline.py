@@ -19,6 +19,7 @@ from hyperband.errors import NumericalCheckFailure
 from hyperband.higgs_toy import ToyModelPoint
 from hyperband.spectra import (
     BandStructure,
+    MomentumGrid,
     DegeneracyGroup,
     _single_linkage,
     _sorted_eigenvalues,
@@ -138,12 +139,47 @@ def test_sweep_slices_match_one_shot_solve(region, counts):
     rows=st.integers(1, 12),
     seed=seeds,
 )
-def test_property_sweep_is_independent_of_batch_size(data, genus, dim, rows, seed):
+def test_property_sweep_is_independent_of_batch_size(chunk_budget, data, genus, dim, rows, seed):
     model = random_model(np.random.default_rng(seed), genus, dim)
     grid = data.draw(grids(genus))
-    with mock.patch.object(spectra, "_CHUNK_BYTES", rows * 16 * dim**2):
+    with chunk_budget(rows * 16 * dim**2):
         bands = sweep(model, grid)
     assert bands.bands.tobytes() == one_shot_oracle(model, grid).tobytes()
+
+
+def test_slices_join_a_trailing_single_item(chunk_budget):
+    with chunk_budget(4 * 16):
+        assert spectra._slices(9, 16) == [slice(0, 4), slice(4, 9)]
+        assert spectra._slices(8, 16) == [slice(0, 4), slice(4, 8)]
+        assert spectra._slices(1, 16) == [slice(0, 1)]
+        assert spectra._slices(0, 16) == []
+    with chunk_budget(16):  # one item per slice: nothing to join
+        assert spectra._slices(3, 16) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+
+def test_sweep_last_point_solves_as_in_the_one_shot_stack():
+    # d = 1: 65,537 points are one full 1 MiB slice and one point more,
+    # which joins that slice instead of being solved alone
+    grid = complex_region_grid(1, [65537, 1], (0.2, 0.2), 1)
+    for seed in range(10):
+        model = random_model(np.random.default_rng(seed), 1, 1)
+        assert sweep(model, grid).bands[-1].tobytes() == one_shot_oracle(model, grid)[-1].tobytes()
+
+
+@pytest.mark.parametrize("budget", [16, 2 * 16, 3 * 16])
+def test_sweep_at_small_budgets_solves_as_in_the_one_shot_stack(chunk_budget, budget):
+    # at 16 B every slice holds one point, and each is solved as a lone
+    # one-row stack; at 32 and 48 B no slice is a lone trailing point
+    grid = complex_region_grid(1, [7, 1], (0.2, 0.2), 1)
+    for seed in range(10):
+        model = random_model(np.random.default_rng(seed), 1, 1)
+        with chunk_budget(budget):
+            bands = sweep(model, grid).bands
+        if budget == 16:
+            rows = [one_shot_oracle(model, MomentumGrid(grid.chis[p : p + 1], (1,) * 2, False)) for p in range(7)]
+            assert bands.tobytes() == np.concatenate(rows).tobytes()
+        else:
+            assert bands.tobytes() == one_shot_oracle(model, grid).tobytes()
 
 
 @pytest.mark.parametrize("solver", ["eigvalsh", "eigvals"])

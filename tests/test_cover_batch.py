@@ -1,0 +1,413 @@
+"""The batched cover check against the per-character check it replaced.
+
+`per_trial_check` is `CoverPushforward.check` as it ran before the batch:
+per character one induced momentum, one monomial assembly in Kronecker
+order, one supercell Hamiltonian and two eigensolves.  Its supercell
+Hamiltonian comes from the dense Kronecker build of `test_cover_pushforward`,
+which the per-character table assembly equalled bit for bit.  Reports are
+compared field by field, floats by their bytes, so the signs of zeros count.
+"""
+
+import dataclasses
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hyperband import cli
+from hyperband.covers_quivers import (
+    CoverPushforward,
+    PushforwardReport,
+    UnbranchedCover,
+    _induced_phases,
+    cover_genus,
+    cover_to_json,
+    induce,
+)
+from hyperband.errors import NumericalCheckFailure, UnsupportedCoverError
+from hyperband.momenta import AbelianMomentum, _monomial_checks
+from hyperband.spectra import eigenvalues
+from hyperband.tight_binding import BlochHamiltonian, _place_blocks, bloch_abelian, write_model
+
+from test_cover_pushforward import COVERS, cyclic, kron_supercell, special_models, znzm
+from test_monomial_covers import KINDS, surface_covers
+from test_tight_binding import random_model
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-character check and cover-check loop
+# ---------------------------------------------------------------------------
+
+
+def per_character_monomial(model, momentum):
+    """`bloch_nonabelian` at one monomial momentum, as assembled before the batch axis."""
+    n = momentum.rank
+    targets, forward, backward = momentum.monomial
+    sheets = np.arange(n)
+    keys = np.concatenate([sheets * (n + 1), (sheets * n + targets).ravel(), (targets * n + sheets).ravel()])
+    rows, cols = np.divmod(np.unique(keys), n)
+    weights = np.zeros((1 + 2 * len(targets), rows.size + 1), dtype=complex)
+    weights[0, :-1] = rows == cols
+    weights[1::2, :-1] = np.where(targets[:, rows] == cols, forward[:, rows], 0.0)
+    weights[2::2, :-1] = np.where(targets[:, cols] == rows, backward[:, cols], 0.0)
+    weights = weights[:, :, None, None]
+    blocks = model.onsite * weights[0]
+    for i in range(2 * model.genus):
+        blocks += model.hops[i] * weights[1 + 2 * i] + model.hops_dagger[i] * weights[2 + 2 * i]
+    return _place_blocks(blocks[-1], rows, cols, blocks[:-1], n)
+
+
+def per_trial_check(model, cover, dense, chi, tol=1e-9):
+    """The check at one character; `dense` is kron_supercell(model, cover)."""
+    rho = induce(chi, cover)
+    h_induced = BlochHamiltonian(per_character_monomial(model, rho), rho, rho.unitary)
+    h_supercell = bloch_abelian(dense, chi)
+    spec_a = eigenvalues(h_induced)
+    spec_b = eigenvalues(h_supercell)
+    distance = float(np.max(np.abs(spec_a - spec_b)))
+    radius = float(max(np.max(np.abs(spec_a)), np.max(np.abs(spec_b))))
+    matrix_distance = float(np.max(np.abs(h_induced.matrix - h_supercell.matrix)))
+    return PushforwardReport(
+        n_states=h_induced.matrix.shape[0],
+        connected=cover.transitive,
+        genus_cover=cover_genus(cover),
+        matrix_distance=matrix_distance,
+        spectral_distance=distance,
+        spectral_radius=radius,
+        tolerance=tol,
+        passed=distance <= tol * max(radius, 1e-12),
+    )
+
+
+def oracle_cover_check(model, cover, trials, tol, seed):
+    """(stdout, --out text) of cover-check drawing and checking one character at a time."""
+    table = CoverPushforward(model, cover)
+    dense = kron_supercell(model, cover)
+    rng = np.random.default_rng(seed)
+    worst = None
+    for _ in range(trials):
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=2 * table.genus_cover)
+        report = per_trial_check(model, cover, dense, AbelianMomentum(np.exp(1j * phases)), tol)
+        if worst is None or report.spectral_distance > worst.spectral_distance:
+            worst = report
+    line = (
+        f"{'PASS' if worst.passed else 'FAIL'}: {trials} characters, {worst.n_states} states, "
+        f"max spectral distance {worst.spectral_distance:.3e} "
+        f"(tolerance {tol:g} x radius {worst.spectral_radius:.3e})\n"
+    )
+    summary = {
+        "hyperband_cover_check": 1,
+        "passed": worst.passed,
+        "trials": trials,
+        "n_states": worst.n_states,
+        "connected": worst.connected,
+        "genus_cover": worst.genus_cover,
+        "max_spectral_distance": worst.spectral_distance,
+        "max_matrix_distance": worst.matrix_distance,
+        "spectral_radius": worst.spectral_radius,
+        "tolerance": tol,
+    }
+    return line, json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+
+def fields(report):
+    """A report's fields with their types, floats as their bytes."""
+    return tuple(
+        (type(v).__name__, struct.pack("<d", v) if isinstance(v, float) else v)
+        for v in dataclasses.astuple(report)
+    )
+
+
+def characters(rng, kinds, genus_cover):
+    """(T, 2G) characters, one row per kind, and the reciprocals a momentum stores."""
+    rows = []
+    for kind in kinds:
+        if kind == "torus":
+            rows.append(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2 * genus_cover)))
+        elif kind == "off":
+            rows.append(np.exp(rng.uniform(-0.5, 0.5, 2 * genus_cover) + 1j * rng.uniform(0.0, 2.0 * np.pi, 2 * genus_cover)))
+        else:
+            rows.append(rng.choice([1.0, -1.0, 1j, -1j, 2.0, -0.5], 2 * genus_cover).astype(complex))
+    momenta = [AbelianMomentum(row) for row in rows]
+    return momenta, np.array([m.chi for m in momenta]), np.array([m.chi_inv for m in momenta])
+
+
+def assert_batch_matches(model, cover, kinds, rng, table=None):
+    table = CoverPushforward(model, cover) if table is None else table
+    dense = kron_supercell(model, cover)
+    momenta, chi, chi_inv = characters(rng, kinds, table.genus_cover)
+    got = table.check_batch(chi, chi_inv)
+    want = [per_trial_check(model, cover, dense, m) for m in momenta]
+    assert [fields(r) for r in got] == [fields(r) for r in want]
+    assert fields(table.check(momenta[-1])) == fields(want[-1])
+
+
+def item_bytes(model, cover):
+    """Slice budget per trial: its induced and supercell Hamiltonians."""
+    return 2 * 16 * (model.dim * cover.sheets) ** 2
+
+
+# ---------------------------------------------------------------------------
+# covers
+# ---------------------------------------------------------------------------
+
+
+def swap(genus, n, gen):
+    """One generator swaps the two halves of the sheets."""
+    perms = [tuple(range(1, n + 1)) for _ in range(2 * genus)]
+    perms[gen] = tuple((s + n // 2) % n + 1 for s in range(n))
+    return UnbranchedCover(n, tuple(perms))
+
+
+def refused(n):
+    """Two generators of different handles cycle the sheets: too many hop directions."""
+    shift = tuple(s % n + 1 for s in range(1, n + 1))
+    ident = tuple(range(1, n + 1))
+    return UnbranchedCover(n, (shift, ident, shift, ident))
+
+
+BATCH_COVERS = {
+    "cyclic-g1": cyclic(1, 3, 1),
+    "cyclic-g2": cyclic(2, 5, 0),
+    "cyclic-disconnected": cyclic(2, 6, 3, step=2),
+    "z2xz3": znzm(2, 3),
+    "z3xz4": znzm(3, 4),
+    "swap-g1": swap(1, 4, 0),
+    "swap-g2": swap(2, 6, 2),
+    "one-sheet-g1": UnbranchedCover(1, ((1,), (1,))),
+    "one-sheet-g2": UnbranchedCover(1, ((1,),) * 4),
+}
+
+
+@pytest.mark.parametrize("cover", BATCH_COVERS.values(), ids=BATCH_COVERS.keys())
+def test_batch_reports_equal_per_character_reports(cover):
+    rng = np.random.default_rng(cover.sheets * 7 + cover.genus)
+    kinds = ["torus", "off", "special", "torus", "special", "off", "torus"]
+    for dim in (1, 2, 3, 4):
+        for model in special_models(rng, cover.genus, dim):
+            assert_batch_matches(model, cover, kinds, rng)
+
+
+def test_one_sheet_cover_at_dim_one_single_and_batched():
+    # a single 1 x 1 Hamiltonian per trial: the smallest products numpy runs
+    cover = BATCH_COVERS["one-sheet-g1"]
+    rng = np.random.default_rng(40)
+    for model in special_models(rng, 1, 1):
+        for kinds in (["torus"], ["off"], ["special"], ["torus", "off"], ["special"] * 3):
+            assert_batch_matches(model, cover, kinds, rng)
+
+
+@settings(max_examples=60)
+@given(
+    cover=surface_covers(),
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 4),
+    kinds=st.lists(KINDS, min_size=1, max_size=6),
+)
+def test_property_batch_reports_equal_per_character_reports(cover, seed, dim, kinds):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, cover.genus, dim)
+    try:
+        table = CoverPushforward(model, cover)
+    except UnsupportedCoverError:
+        return
+    assert_batch_matches(model, cover, kinds, rng, table)
+
+
+def test_supercell_stack_gives_each_character_its_own_signed_zeros():
+    # the quadrants of a character's entries decide the signs of the zeros
+    # a dense build leaves off every generator's blocks; one batch mixes
+    # characters of every quadrant, axis values and off-torus values
+    rng = np.random.default_rng(48)
+    for cover in COVERS:
+        for model in special_models(rng, cover.genus, 2):
+            table = CoverPushforward(model, cover)
+            dense = kron_supercell(model, cover)
+            width = 2 * table.genus_cover
+            rows = [np.exp(1j * (rng.uniform(0.1, 1.4, width) + q * np.pi / 2)) for q in range(4)]
+            rows += [np.full(width, z, dtype=complex) for z in (1.0, -1.0, 1j, -1j, -0.5, 2.0)]
+            rows += [rng.choice([1.0, -1.0, 1j, -1j, 2.0], width).astype(complex) for _ in range(3)]
+            momenta = [AbelianMomentum(row) for row in rows]
+            stack = table._supercell_stack(
+                np.array([m.chi for m in momenta]), np.array([m.chi_inv for m in momenta])
+            )
+            for H, chi in zip(stack, momenta):
+                assert H.tobytes() == bloch_abelian(dense, chi).matrix.tobytes()
+                assert H.tobytes() == table.supercell_hamiltonian(chi).matrix.tobytes()
+
+
+@pytest.mark.parametrize("per_slice", [1, 2, 3])
+def test_slices_of_one_two_and_three_trials(chunk_budget, monkeypatch, per_slice):
+    rng = np.random.default_rng(41 + per_slice)
+    solve = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape[0]) or solve(a))
+    # seven trials: a trailing slice of one joins the slice before it
+    sizes = {1: [1] * 7, 2: [2, 2, 3], 3: [3, 4]}[per_slice]
+    for cover in (BATCH_COVERS["cyclic-g2"], BATCH_COVERS["z2xz3"], BATCH_COVERS["one-sheet-g1"]):
+        for dim in (1, 3):
+            model = random_model(rng, cover.genus, dim)
+            table = CoverPushforward(model, cover)
+            momenta, chi, chi_inv = characters(rng, ["torus"] * 7, table.genus_cover)
+            calls.clear()
+            with chunk_budget(per_slice * item_bytes(model, cover)):
+                got = table.check_batch(chi, chi_inv)
+            # one induced and one supercell stack per slice
+            assert calls == [k for k in sizes for _ in range(2)]
+            dense = kron_supercell(model, cover)
+            want = [per_trial_check(model, cover, dense, m) for m in momenta]
+            assert [fields(r) for r in got] == [fields(r) for r in want]
+
+
+def test_mixed_batch_solves_each_route_per_solver(monkeypatch):
+    rng = np.random.default_rng(42)
+    cover = BATCH_COVERS["swap-g2"]
+    model = random_model(rng, cover.genus, 2)
+    shapes = {"eigvalsh": [], "eigvals": []}
+    for name in shapes:
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda a, solve=solve, name=name: shapes[name].append(a.shape) or solve(a)
+        )
+    kinds = ["torus", "off", "off", "torus", "special", "torus"]
+    table = CoverPushforward(model, cover)
+    momenta, chi, chi_inv = characters(rng, kinds, table.genus_cover)
+    unitary = sum(m.unitary for m in momenta)
+    assert 0 < unitary < len(kinds)
+    table.check_batch(chi, chi_inv)
+    n = model.dim * cover.sheets
+    assert shapes == {
+        "eigvalsh": [(unitary, n, n)] * 2,
+        "eigvals": [(len(kinds) - unitary, n, n)] * 2,
+    }
+    monkeypatch.undo()
+    assert_batch_matches(model, cover, kinds, rng, table)
+
+
+# ---------------------------------------------------------------------------
+# failures name their trial
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        ("inverse", r"^trial 3: generator matrix \d is numerically singular$"),
+        ("nan", r"^trial 3: generator matrices must be finite$"),
+    ],
+)
+def test_corrupt_character_is_refused_by_trial(chunk_budget, damage, message):
+    rng = np.random.default_rng(43)
+    cover = BATCH_COVERS["cyclic-g2"]
+    model = random_model(rng, cover.genus, 2)
+    table = CoverPushforward(model, cover)
+    _, chi, chi_inv = characters(rng, ["torus"] * 5, table.genus_cover)
+    if damage == "inverse":
+        chi_inv[3, 1] *= 1.001
+    else:
+        chi[3, 1] = np.nan
+    with chunk_budget(2 * item_bytes(model, cover)), pytest.raises(ValueError, match=message):
+        table.check_batch(chi, chi_inv)
+
+
+def test_monomial_checks_name_the_trial_whose_relator_fails():
+    rng = np.random.default_rng(44)
+    cover = BATCH_COVERS["cyclic-g2"]
+    table = CoverPushforward(random_model(rng, 2, 1), cover)
+    _, chi, chi_inv = characters(rng, ["torus"] * 4, table.genus_cover)
+    targets = table.edges[0]
+    forward, backward = _induced_phases(chi, chi_inv, table.edges)
+    _monomial_checks(targets, forward, backward)
+    # exact inverses, phases off the character: the relator no longer closes
+    forward[2, 1, 1] *= 1.5
+    backward[2, 1, 1] /= 1.5
+    with pytest.raises(ValueError, match=r"^trial 7: the surface relator does not map to the identity \(residual"):
+        _monomial_checks(targets, forward, backward, first=5)
+    # without a trial axis the message is the momentum's own
+    with pytest.raises(ValueError, match=r"^the surface relator does not map to the identity \(residual"):
+        _monomial_checks(targets, forward[2], backward[2])
+
+
+@pytest.mark.parametrize("solver", ["eigvalsh", "eigvals"])
+def test_solver_failure_names_its_trial(chunk_budget, monkeypatch, solver):
+    rng = np.random.default_rng(45)
+    cover = BATCH_COVERS["z2xz3"]
+    model = random_model(rng, cover.genus, 2)
+    table = CoverPushforward(model, cover)
+    _, chi, chi_inv = characters(rng, ["torus" if solver == "eigvalsh" else "off"] * 5, table.genus_cover)
+    bad = table.supercell_hamiltonian(AbelianMomentum(chi[3], chi_inv[3])).matrix
+    solve = getattr(np.linalg, solver)
+
+    def flaky(a):
+        if np.any(np.all(a == bad, axis=(-2, -1))):
+            raise np.linalg.LinAlgError("forced")
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, solver, flaky)
+    with chunk_budget(2 * item_bytes(model, cover)), pytest.raises(NumericalCheckFailure) as err:
+        table.check_batch(chi, chi_inv)
+    assert str(err.value) == "eigensolver failed at trial 3: eigensolver did not converge: forced"
+
+
+def test_batch_refuses_characters_of_the_wrong_shape():
+    table = CoverPushforward(random_model(np.random.default_rng(46), 1, 2), BATCH_COVERS["z2xz3"])
+    ones = np.ones((3, 2), dtype=complex)
+    with pytest.raises(ValueError, match=r"need \(T, 2\)"):
+        table.check_batch(ones[:, :1], ones[:, :1])
+    with pytest.raises(ValueError, match=r"need \(T, 2\)"):
+        table.check_batch(ones, ones[:2])
+    assert table.check_batch(ones[:0], ones[:0]) == []
+
+
+# ---------------------------------------------------------------------------
+# cover-check
+# ---------------------------------------------------------------------------
+
+
+def test_one_draw_of_all_phases_equals_one_draw_per_trial():
+    for trials, width in ((1, 2), (7, 10), (20, 130)):
+        batch = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, size=(trials, width))
+        rng = np.random.default_rng(5)
+        rows = [rng.uniform(0.0, 2.0 * np.pi, size=width) for _ in range(trials)]
+        assert batch.tobytes() == np.array(rows).tobytes()
+        chi = np.exp(1j * batch)
+        for row, values, inverses in zip(rows, chi, 1.0 / chi):
+            momentum = AbelianMomentum(np.exp(1j * row))
+            assert momentum.chi.tobytes() == values.tobytes()
+            assert momentum.chi_inv.tobytes() == inverses.tobytes()
+
+
+CLI_COVERS = {
+    "cyclic": (cyclic(2, 8, 1), 2),
+    "znzm": (znzm(3, 4), 2),
+    "swap": (swap(2, 8, 2), 2),
+    "refused": (refused(4), 2),
+}
+
+
+@pytest.mark.parametrize("trials", [1, 2, 7, 20])
+@pytest.mark.parametrize("kind", CLI_COVERS.keys())
+def test_cover_check_bytes_equal_the_per_character_loop(tmp_path, capsys, kind, trials):
+    cover, dim = CLI_COVERS[kind]
+    model = random_model(np.random.default_rng(47 + trials), cover.genus, dim)
+    model_path, cover_path, out = tmp_path / "model.json", tmp_path / "cover.json", tmp_path / "out.json"
+    write_model(model, model_path)
+    cover_path.write_text(json.dumps(cover_to_json(cover)), encoding="utf-8")
+    argv = [
+        "cover-check", "--model", str(model_path), "--cover", str(cover_path),
+        "--trials", str(trials), "--seed", str(trials + 3), "--out", str(out),
+    ]
+    code = cli.main(argv)
+    stdout = capsys.readouterr().out
+    if kind == "refused":
+        with pytest.raises(UnsupportedCoverError):
+            oracle_cover_check(model, cover, trials, 1e-9, trials + 3)
+        assert (code, stdout, out.exists()) == (3, "", False)
+        return
+    line, text = oracle_cover_check(model, cover, trials, 1e-9, trials + 3)
+    assert code == 0
+    assert stdout == line
+    assert out.read_text(encoding="utf-8") == text

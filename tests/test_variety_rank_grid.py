@@ -112,7 +112,7 @@ def shapes(max_dim):
 
 @settings(max_examples=30)
 @given(shape=shapes(5), seed=st.integers(0, 2**32 - 1), chunk=st.sampled_from([1 << 20, 512]))
-def test_property_full_rank_equals_full_grid(tmp_path_factory, shape, seed, chunk):
+def test_property_full_rank_equals_full_grid(chunk_budget, tmp_path_factory, shape, seed, chunk):
     # full-rank hops: the grid, layout and arithmetic are the full-grid route's,
     # for any slice size.  At d = 1 numpy rounds a one-element complex product
     # differently from a vectorized one, so a one-point slice would move bits;
@@ -125,7 +125,7 @@ def test_property_full_rank_equals_full_grid(tmp_path_factory, shape, seed, chun
     write_model(model, path)
     model = read_model(path)
     coeffs, residual, doc = full_grid_oracle(model, seed=seed % 1000)
-    with mock.patch.object(spectra, "_CHUNK_BYTES", chunk):
+    with chunk_budget(chunk):
         variety = bloch_variety(model, seed=seed % 1000)
     assert variety.bound == dim
     assert variety.coeffs.tobytes() == coeffs.tobytes()
