@@ -3,16 +3,28 @@
 from __future__ import annotations
 
 import json
+import numbers
 
 import numpy as np
 
 __all__ = [
+    "integer",
     "complex_to_json",
     "complex_from_json",
     "matrix_to_json",
     "matrix_from_json",
     "canonical_dumps",
 ]
+
+
+def integer(value, name: str) -> int:
+    """`value` as an int; booleans and fractional numbers raise ValueError."""
+    if type(value) is int:
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def complex_to_json(z) -> list:

@@ -18,29 +18,34 @@ Both produce the same Hamiltonian matrix in the same state ordering
 `pushforward_check`.
 
 All three read one per-cover table, `CoverPushforward(model, cover)`, built
-once: the Schreier data, the edge table the induced momenta are read from,
-the cover's genus and connectivity, and d x d blocks keyed by sheet pair.
-It holds nothing of size (dN)^2, so a genus-2, d = 4, N = 4096 cover builds
-within 40 MB.  `CoverPushforward.check_batch` compares the routes at many
-characters in one pass: per slice of trials it checks the induced phases,
-fills both Hamiltonian stacks from the blocks and solves each stack with
-one eigensolver call, so `cover-check` pays its Python overhead per slice,
-not per character.
+once: the Schreier data, whose (2g, N) class codes the induced momenta are
+read from, the cover's genus and connectivity, and d x d blocks keyed by
+sheet pair.  It holds nothing of size (dN)^2, so a genus-2, d = 4,
+N = 4096 cover builds within 40 MB.  `CoverPushforward.check_batch`
+compares the routes at many characters in one pass: per slice of trials it
+checks the induced phases, fills both Hamiltonian stacks from the blocks and
+solves each stack with one eigensolver call, so `cover-check` pays its
+Python overhead per slice, not per character.
 
-The rewriting pipeline: a BFS spanning forest fixes a Schreier transversal,
-kept as parent pointers; each of the 2gN directed edges (sheet s, generator
-gamma) carries the Schreier element t_s gamma t_{s.gamma}^{-1} (trivial
-exactly on tree edges); the N rewritten relators are abelianized over the
-non-tree edges into sparse rows and quotiented out by one exact sparse
-integer eliminator, `_eliminate`, which diagonalizes the relator rows and
-records the column transform.  The surviving free quotient has rank
-2 * genus(cover), and each edge class -- read from the transform's free
-columns, sparse -- must be zero or +- a basis direction; a cover whose
-classes cannot be straightened this way (they exist!) gets an
-UnsupportedCoverError rather than a silently wrong supercell.  The last
-test, that the directions form a unimodular basis, runs the same eliminator
-on the direction matrix and asks for a +-1 diagonal.  Every step is near
-linear in N on the covers tried: 0.1 s at N = 2048.
+The rewriting pipeline reads one form of the cover, its (2g, N) arrays of
+sheet targets and sources.  One BFS, cached on the cover, yields the
+components and the spanning forest, a (2g, N) mask of tree edges: the parent
+links of a Schreier transversal.  Each of the 2gN directed edges (sheet s,
+generator gamma) carries the Schreier element t_s gamma t_{s.gamma}^{-1},
+trivial on tree edges.  One walk of the relator from every sheet at once
+(`surface_group._walk`, which also serves the cover's relator check and the
+monomial relator residual) gives the N rewritten relators, abelianized over
+the non-tree edges into sparse rows.  One exact sparse integer eliminator,
+`_eliminate`, diagonalizes those rows and records the column transform.
+The surviving free quotient has rank 2 * genus(cover), and each edge class
+-- read from the transform's free columns, sparse -- must be zero or +- a
+basis direction; its code goes straight into the (2g, N) code array every
+later step reads.  A cover whose classes cannot be straightened this way
+(they exist!) gets an UnsupportedCoverError rather than a silently wrong
+supercell.  The last test, that the directions form a unimodular basis,
+runs the same eliminator on the direction matrix and asks for a +-1
+diagonal.  Every step is near linear in N on the covers tried: 0.1 s at
+N = 2048.
 
 A quiver presents one model's Hamiltonian as nodes (atoms = groups of cell
 states) and block arrows (label: which generator the hop crosses, or none for
@@ -51,12 +56,13 @@ on-site blocks).  `torus_action` scales arrows by character values, and
 
 from __future__ import annotations
 
+import functools
 import json
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._serialize import integer
 from .errors import UnsupportedCoverError
 from .momenta import (
     TOL_UNITARY,
@@ -66,7 +72,7 @@ from .momenta import (
     _monomial_unitarity,
 )
 from .spectra import _slices, _solve_stack
-from .surface_group import Word, make_surface_group
+from .surface_group import Word, _walk, make_surface_group
 from .tight_binding import BlochHamiltonian, TightBindingModel, _assemble_monomial, _place_blocks
 
 __all__ = [
@@ -97,38 +103,39 @@ class UnbranchedCover:
 
     perms[i][s-1] is the sheet reached from sheet s along generator i+1.  The
     relator permutation must be the identity (that is what makes the data a
-    genuine cover of the surface group, not just of the free group).  The
-    inverse permutations are stored once, and the components found once.
+    genuine cover of the surface group, not just of the free group).  Every
+    sheet walk reads the same data as read-only zero-indexed (2g, N) arrays:
+    targets[i, s] = perms[i][s] - 1 and its inverse, sources.
     """
 
     sheets: int
     perms: tuple
-    _inverse: tuple = field(init=False, repr=False, compare=False)
-    _components: tuple = field(default=None, init=False, repr=False, compare=False)
+    targets: np.ndarray = field(init=False, repr=False, compare=False)
+    sources: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = int(self.sheets)
+        n = integer(self.sheets, "sheets")
         if n < 1:
             raise ValueError("a cover needs at least one sheet")
-        perms = tuple(tuple(int(v) for v in p) for p in self.perms)
+        perms = tuple(tuple(integer(v, "a sheet in perms") for v in p) for p in self.perms)
         if len(perms) == 0 or len(perms) % 2 != 0:
             raise ValueError("need 2g permutations for some g >= 1")
-        inverse = []
-        for idx, p in enumerate(perms):
-            if sorted(p) != list(range(1, n + 1)):
-                raise ValueError(
-                    f"entry {idx + 1} is not a permutation of 1..{n}: {p}"
-                )
-            back = [0] * n
-            for s, t in enumerate(p):
-                back[t - 1] = s
-            inverse.append(tuple(back))
+        # an entry of the wrong length or range fails the sort check as zeros
+        rows = [p if len(p) == n and 0 < min(p) and max(p) <= n else (0,) * n for p in perms]
+        targets = np.array(rows, dtype=np.intp) - 1
+        bad = (np.sort(targets, axis=1) != np.arange(n)).any(axis=1)
+        if bad.any():
+            idx = int(np.argmax(bad))
+            raise ValueError(f"entry {idx + 1} is not a permutation of 1..{n}: {perms[idx]}")
+        sources = np.argsort(targets, axis=1)
+        for a in (targets, sources):
+            a.setflags(write=False)
         object.__setattr__(self, "sheets", n)
         object.__setattr__(self, "perms", perms)
-        object.__setattr__(self, "_inverse", tuple(inverse))
-        group = make_surface_group(len(perms) // 2)
-        image = self.word_permutation(group.relator())
-        if image != tuple(range(n)):
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "sources", sources)
+        _, end = _walk(make_surface_group(len(perms) // 2).relator(), targets, sources)
+        if (end != np.arange(n)).any():
             raise ValueError(
                 "the relator permutation is not the identity; "
                 "this is a free-group cover but not a surface-group cover"
@@ -141,45 +148,50 @@ class UnbranchedCover:
 
     def forward(self, sheet0: int, gen: int) -> int:
         """0-indexed sheet reached along generator `gen` (1-indexed)."""
-        return self.perms[gen - 1][sheet0] - 1
+        return int(self.targets[gen - 1, sheet0])
 
     def backward(self, sheet0: int, gen: int) -> int:
-        return self._inverse[gen - 1][sheet0]
+        return int(self.sources[gen - 1, sheet0])
 
     def word_permutation(self, word: Word) -> tuple:
         """0-indexed image tuple of the right action of `word` on sheets."""
-        state = list(range(self.sheets))
-        for g, e in word.letters:
+        for g, _ in word.letters:
             if g > len(self.perms):
                 raise ValueError(f"word uses generator {g}, cover has {len(self.perms)}")
-            if e == 1:
-                state = [self.perms[g - 1][s] - 1 for s in state]
-            else:
-                state = [self._inverse[g - 1][s] for s in state]
-        return tuple(state)
+        return tuple(_walk(word, self.targets, self.sources)[1].tolist())
+
+    @functools.cached_property
+    def _forest(self) -> tuple:
+        """(tree, components) from one BFS over the sheets.
+
+        Roots are taken least unvisited sheet first; a visited sheet looks
+        along the generators in order, forward before backward.  That order
+        fixes the tree, hence the relator columns, the eliminator's V and the
+        CLI bytes, so it must stay.  tree (2g, N) marks at [gen - 1, s] each
+        edge s -> s.gen that reached a new sheet: the parent links of a
+        Schreier transversal, so exactly the edges whose Schreier element is
+        trivial by construction.  components are sorted tuples of sheets.
+        """
+        targets, sources = self.targets.tolist(), self.sources.tolist()
+        tree = np.zeros(self.targets.shape, dtype=bool)
+        seen, components = [False] * self.sheets, []
+        for root in range(self.sheets):
+            if seen[root]:
+                continue
+            seen[root], queue = True, [root]
+            for s in queue:  # the queue grows while it is read
+                for i, (forward, backward) in enumerate(zip(targets, sources)):
+                    for reached, edge in ((forward[s], s), (backward[s], backward[s])):
+                        if not seen[reached]:
+                            seen[reached] = tree[i, edge] = True
+                            queue.append(reached)
+            components.append(tuple(sorted(queue)))
+        tree.setflags(write=False)
+        return tree, tuple(components)
 
     def components(self) -> tuple:
         """Connected components as sorted tuples of 0-indexed sheets."""
-        if self._components is not None:
-            return self._components
-        seen = [False] * self.sheets
-        comps = []
-        for start in range(self.sheets):
-            if seen[start]:
-                continue
-            stack, comp = [start], []
-            seen[start] = True
-            while stack:
-                s = stack.pop()
-                comp.append(s)
-                for g in range(1, len(self.perms) + 1):
-                    for t in (self.forward(s, g), self.backward(s, g)):
-                        if not seen[t]:
-                            seen[t] = True
-                            stack.append(t)
-            comps.append(tuple(sorted(comp)))
-        object.__setattr__(self, "_components", tuple(comps))
-        return self._components
+        return self._forest[1]
 
     @property
     def transitive(self) -> bool:
@@ -201,46 +213,12 @@ def cover_genus(cover: UnbranchedCover, base_genus: int = None) -> int:
 
 @dataclass(frozen=True)
 class _SchreierData:
+    codes: np.ndarray  # (2g, N) class code of edge s -> s.gen at [gen - 1, s]: 0 for
+    # the trivial class, 1 + i for +d_i, 1 + G + i for -d_i, G = 2 * genus_cover;
+    # the entry of [1, chi, chi^-1] that rho reads there ([1, chi^-1, chi] for rho^-1)
     directions: tuple  # deduplicated sign-normalized nonzero classes, basis order,
     # each as its sorted nonzero (coordinate, value) pairs
-    edge_assignment: dict  # (sheet0, gen) -> (direction index, sign) or (None, 0)
     genus_cover: int
-
-
-def _spanning_forest(cover: UnbranchedCover):
-    """BFS forest (least sheet of each component first, generators in order).
-
-    Returns (parents, tree edge set).  parents[t] is (s, gamma, e) when t was
-    reached from s along gamma^e (None at the roots), so the transversal word
-    of t is that of s times gamma^e.  Tree edges are stored in forward
-    orientation (s, gamma) meaning s -> s.gamma.
-    """
-    n = cover.sheets
-    n_gens = 2 * cover.genus
-    parents = [None] * n
-    seen = [False] * n
-    tree = set()
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            s = queue.popleft()
-            for g in range(1, n_gens + 1):
-                t = cover.forward(s, g)
-                if not seen[t]:
-                    seen[t] = True
-                    parents[t] = (s, g, 1)
-                    tree.add((s, g))
-                    queue.append(t)
-                t = cover.backward(s, g)
-                if not seen[t]:
-                    seen[t] = True
-                    parents[t] = (s, g, -1)
-                    tree.add((t, g))
-                    queue.append(t)
-    return parents, frozenset(tree)
 
 
 def _eliminate(rows: list, width: int):
@@ -357,53 +335,25 @@ def _eliminate(rows: list, width: int):
 
 
 def _schreier_data(cover: UnbranchedCover) -> _SchreierData:
-    g = cover.genus
-    n = cover.sheets
-    n_gens = 2 * g
-    parents, tree = _spanning_forest(cover)
+    g, n = cover.genus, cover.sheets
+    tree = cover._forest[0]
+    # the non-tree edges, sheet major, are the columns of the relator rows
+    k = int(tree.size - np.count_nonzero(tree))
+    column = np.full(tree.shape, -1)
+    column.T[~tree.T] = np.arange(k)
 
-    edge_order = []
-    edge_index = {}
-    for s in range(n):
-        for gen in range(1, n_gens + 1):
-            if (s, gen) not in tree:
-                edge_index[(s, gen)] = len(edge_order)
-                edge_order.append((s, gen))
-    k = len(edge_order)
-
-    # consistency: the Schreier word t_s gamma t_{s.gamma}^-1 of a tree edge
-    # is trivial, which holds when the edge is the parent link of one end
-    for s, gen in tree:
-        t = cover.forward(s, gen)
-        if parents[t] != (s, gen, 1) and parents[s] != (t, gen, -1):
-            raise AssertionError("spanning forest produced a nontrivial tree relation")
-
-    # abelianized rewritten relators: one sparse row per sheet over the
-    # non-tree edges
-    relator = make_surface_group(g).relator()
-    rows = []
-    for start in range(n):
-        row = {}
-        s = start
-        for gen, exp in relator.letters:
-            if exp == 1:
-                edge = (s, gen)
-                nxt = cover.forward(s, gen)
-            else:
-                nxt = cover.backward(s, gen)
-                edge = (nxt, gen)
-            if edge not in tree:
-                j = edge_index[edge]
+    # abelianized rewritten relators: one sparse row per starting sheet
+    rows = [{} for _ in range(n)]
+    steps, _ = _walk(make_surface_group(g).relator(), cover.targets, cover.sources)
+    for gen, exp, crossed in steps:
+        for row, j in zip(rows, column[gen - 1][crossed].tolist()):
+            if j >= 0:
                 row[j] = row.get(j, 0) + exp
-            s = nxt
-        if s != start:
-            raise AssertionError("relator walk did not close up")
-        rows.append(row)
 
     g_cover = cover_genus(cover)
-    edge_assignment = {edge: (None, 0) for edge in tree}
+    codes = np.zeros(tree.shape, dtype=int)
     if k == 0:
-        return _SchreierData(directions=(), edge_assignment=edge_assignment, genus_cover=g_cover)
+        return _SchreierData(codes=codes, directions=(), genus_cover=g_cover)
 
     diagonal, transform = _eliminate(rows, k)
     rank = sum(1 for d in diagonal if d != 0)
@@ -421,14 +371,15 @@ def _schreier_data(cover: UnbranchedCover) -> _SchreierData:
     # an edge's class is its row of V at the free columns; sign-normalized,
     # its first nonzero coordinate is positive
     directions = {}  # class -> direction index, in first-seen order
-    for edge, row in zip(edge_order, transform(rank)):
+    classes = []  # the code of each non-tree edge, in column order
+    for row in transform(rank):
         cls = sorted((c - rank, v) for c, v in row.items())
         if not cls:
-            edge_assignment[edge] = (None, 0)
+            classes.append(0)
             continue
         sign = 1 if cls[0][1] > 0 else -1
         base = tuple((c, sign * v) for c, v in cls)
-        edge_assignment[edge] = (directions.setdefault(base, len(directions)), sign)
+        classes.append(1 + directions.setdefault(base, len(directions)) + (free if sign < 0 else 0))
     if len(directions) != free:
         raise UnsupportedCoverError(
             f"found {len(directions)} distinct hop directions but the free rank "
@@ -438,32 +389,12 @@ def _schreier_data(cover: UnbranchedCover) -> _SchreierData:
         raise UnsupportedCoverError(
             "hop directions do not form a unimodular basis of the class lattice"
         )
-
-    return _SchreierData(
-        directions=tuple(directions),
-        edge_assignment=edge_assignment,
-        genus_cover=g_cover,
-    )
-
-
-def _edge_table(cover: UnbranchedCover, data: _SchreierData) -> tuple:
-    """(target sheets, class codes), each (2g, N), row i for base generator i+1.
-
-    With G = 2 genus(cover), a code is 0 for an edge of trivial class, 1 + i
-    for class +d_i and 1 + G + i for -d_i: the entry of
-    [1, chi_1..chi_G, chi_1^-1..chi_G^-1] that rho reads there, while rho^-1
-    reads the same entry of [1, chi^-1, chi].
-    """
-    n_dirs = 2 * data.genus_cover
-    code = np.zeros((2 * cover.genus, cover.sheets), dtype=int)
-    for (s, gen), (direction, sign) in data.edge_assignment.items():
-        if sign:
-            code[gen - 1, s] = 1 + direction + (n_dirs if sign < 0 else 0)
-    return np.array(cover.perms) - 1, code
+    codes.T[~tree.T] = classes
+    return _SchreierData(codes=codes, directions=tuple(directions), genus_cover=g_cover)
 
 
 def _induced(chi: AbelianMomentum, genus_cover: int, edges: tuple) -> NonabelianMomentum:
-    """The monomial momentum rho(gamma)[s, s.gamma] read from an edge table."""
+    """The monomial momentum rho(gamma)[s, s.gamma] read from (targets, class codes)."""
     if chi.genus != genus_cover:
         raise ValueError(
             f"character has genus {chi.genus}, cover group has genus {genus_cover}"
@@ -495,9 +426,9 @@ class PushforwardReport:
 class CoverPushforward:
     """Both pushforward routes for one (model, cover) pair, built once.
 
-    Construction does all the per-cover work: the Schreier data, the edge
-    table the induced momenta are read from, the cover's genus and
-    connectivity, and d x d blocks keyed by sheet pair, each kind in one
+    Construction does all the per-cover work: the Schreier data, `edges`
+    (the cover's targets and the class codes, the induced momenta are read
+    from them), the cover's genus and connectivity, and d x d blocks keyed by sheet pair, each kind in one
     stacked pass over all edges.  `onsite` is (zero, rows, cols, blocks): the
     symmetrized on-site block blocks[k] at sheet pair (rows[k], cols[k]) and
     the pattern of signed zeros, `zero`, at every other pair.  `hop_blocks`
@@ -519,7 +450,7 @@ class CoverPushforward:
         self.sheets = n
         self.genus_cover = data.genus_cover
         self.connected = cover.transitive
-        self.edges = _edge_table(cover, data)
+        self.edges = (cover.targets, data.codes)
         # each edge (s -> t along gen) in edge order, s major, its class
         # code (0 trivial, 1 + i for +d_i, 1 + n_dirs + i for -d_i) and the
         # keys of its sheet pairs (s, t) and (t, s); blocks several edges
@@ -597,10 +528,12 @@ class CoverPushforward:
         # Off its blocks a dense step adds chi_i * 0 + chi_i^-1 * 0, a zero
         # whose sign can turn a -0 entry into +0; adding their sum once per
         # character, up front, leaves the zeros all the dense steps leave.
+        # Only its imaginary half is kept: no on-site entry has real part -0
+        # (the products with seeds 1 + 0j and 0 + 0j, symmetrized, leave
+        # none), so a real +0 shift changes no entry.
         zeros = np.zeros(chi.shape, dtype=complex)
         missed = chi * zeros + chi_inv * zeros.conj()
         shift = np.zeros((len(chi), 1, 1), dtype=complex)
-        shift.real[np.signbit(missed.real).all(axis=-1)] = -0.0
         shift.imag[np.signbit(missed.imag).all(axis=-1)] = -0.0
         zero, rows, cols, blocks = self.onsite
         H = _place_blocks(zero + shift, rows, cols, blocks + shift[:, None], n)
@@ -685,7 +618,7 @@ def induce(chi: AbelianMomentum, cover: UnbranchedCover) -> NonabelianMomentum:
     if not isinstance(chi, AbelianMomentum):
         raise TypeError("induce expects an AbelianMomentum on the cover group")
     data = _schreier_data(cover)
-    return _induced(chi, data.genus_cover, _edge_table(cover, data))
+    return _induced(chi, data.genus_cover, (cover.targets, data.codes))
 
 
 def pushforward_check(
@@ -715,7 +648,7 @@ def cover_from_json(data: dict) -> UnbranchedCover:
         raise ValueError(
             f"not a cover document (missing or unsupported {COVER_FORMAT_KEY!r} marker)"
         )
-    return UnbranchedCover(int(data["sheets"]), tuple(tuple(p) for p in data["perms"]))
+    return UnbranchedCover(data["sheets"], tuple(tuple(p) for p in data["perms"]))
 
 
 def read_cover(path) -> UnbranchedCover:

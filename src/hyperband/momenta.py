@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._serialize import complex_from_json, complex_to_json, matrix_from_json, matrix_to_json
-from .surface_group import SurfaceGroup, make_surface_group
+from .surface_group import SurfaceGroup, _walk, make_surface_group
 
 __all__ = [
     "AbelianMomentum",
@@ -224,15 +224,12 @@ def _monomial_checks(targets, forward, backward, first: int = 0) -> None:
 def _monomial_relator(targets, forward, backward) -> np.ndarray:
     """`relator_residual` of monomial phases lead + (2g, n), one per trial."""
     n = targets.shape[-1]
-    sources = np.argsort(targets, axis=-1)
-    sheets, phase = np.arange(n), np.ones(forward.shape[:-2] + (n,), dtype=complex)
-    for gen, exp in make_surface_group(len(targets) // 2).relator().letters:
-        if exp == 1:
-            phase, sheets = phase * forward[..., gen - 1, sheets], targets[gen - 1, sheets]
-        else:
-            sheets = sources[gen - 1, sheets]
-            phase = phase * backward[..., gen - 1, sheets]
-    fixed = sheets == np.arange(n)
+    relator = make_surface_group(len(targets) // 2).relator()
+    steps, end = _walk(relator, targets, np.argsort(targets, axis=-1))
+    phase = np.ones(forward.shape[:-2] + (n,), dtype=complex)
+    for gen, exp, crossed in steps:
+        phase = phase * (forward if exp == 1 else backward)[..., gen - 1, crossed]
+    fixed = end == np.arange(n)
     return np.sqrt(np.sum(np.abs(phase - fixed) ** 2 + ~fixed, axis=-1))
 
 

@@ -19,12 +19,13 @@ Polynomials are 1-d complex coefficient arrays in ascending powers of z.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._serialize import complex_from_json, complex_to_json
+from ._serialize import complex_from_json, complex_to_json, integer
 from .errors import EverywhereSingularError, NumericalCheckFailure
 from .higgs_toy import INFINITY, ToyModelPoint, higgs_matrices
 from .spectra import _cluster_means, _union_find
@@ -106,7 +107,7 @@ class Rank2TwistedHiggs:
     entries: tuple  # ((p11, p12), (p21, p22)), ascending coefficients
 
     def __post_init__(self):
-        genus, k = int(self.genus), int(self.k)
+        genus, k = integer(self.genus, "genus"), integer(self.k, "k")
         if not feasibility(genus, k):
             raise ValueError(f"(genus={genus}, k={k}) is infeasible: need 0 <= k <= genus+1")
         rows = tuple(tuple(_as_poly(p) for p in row) for row in self.entries)
@@ -378,11 +379,9 @@ def higgs_from_json(data: dict) -> Rank2TwistedHiggs:
         )
         for i in range(2)
     )
-    return Rank2TwistedHiggs(genus=int(data["genus"]), k=int(data["k"]), entries=entries)
+    return Rank2TwistedHiggs(genus=data["genus"], k=data["k"], entries=entries)
 
 
 def higgs_from_json_file(path) -> Rank2TwistedHiggs:
-    import json
-
     with open(path, "r", encoding="utf-8") as fh:
         return higgs_from_json(json.load(fh))

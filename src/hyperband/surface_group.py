@@ -120,6 +120,26 @@ def abelianize(word: Word, group) -> tuple:
     return tuple(image)
 
 
+def _walk(word: Word, targets, sources) -> tuple:
+    """Walk `word` from every sheet at once; (2g, n) arrays give the sheet moves.
+
+    targets[i, s] is the sheet reached from s along generator i+1 and sources
+    its inverse.  Returns (steps, end): per letter (gen, exp, crossed), where
+    crossed[s] is the sheet whose forward edge the walk from s crosses (it
+    starts there when exp = +1 and ends there when exp = -1), and end[s] the
+    sheet the walk from s reaches.
+    """
+    sheets, steps = np.arange(targets.shape[-1]), []
+    for gen, exp in word.letters:
+        if exp == 1:
+            steps.append((gen, exp, sheets))
+            sheets = targets[gen - 1][sheets]
+        else:
+            sheets = sources[gen - 1][sheets]
+            steps.append((gen, exp, sheets))
+    return steps, sheets
+
+
 def evaluate_word(word: Word, assignment) -> np.ndarray:
     """Evaluate `word` under generator -> matrix, as an ordered product.
 

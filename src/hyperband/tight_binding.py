@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._serialize import canonical_dumps, matrix_from_json, matrix_to_json
+from ._serialize import canonical_dumps, integer, matrix_from_json, matrix_to_json
 from .momenta import AbelianMomentum, NonabelianMomentum
 from .surface_group import SurfaceGroup, make_surface_group
 
@@ -244,8 +244,8 @@ def model_from_json(data: dict) -> TightBindingModel:
         raise ValueError(
             f"not a model document (missing or unsupported {FORMAT_KEY!r} marker)"
         )
-    genus = int(data["genus"])
-    dim = int(data["dim"])
+    genus = integer(data["genus"], "genus")
+    dim = integer(data["dim"], "dim")
     onsite = matrix_from_json(data["onsite"])
     hops = [matrix_from_json(h) for h in data["hops"]]
     if onsite.shape != (dim, dim):

@@ -11,7 +11,7 @@ import pytest
 import hyperband
 from hyperband import cli
 from hyperband.covers_quivers import UnbranchedCover, cover_to_json
-from hyperband.tight_binding import TightBindingModel, write_model
+from hyperband.tight_binding import TightBindingModel, model_to_json, write_model
 
 
 @pytest.fixture
@@ -117,6 +117,18 @@ def test_bands_missing_model_is_usage_error(capsys):
 def test_bands_nonexistent_file(tmp_path, capsys):
     code = cli.main(["bands", "--model", str(tmp_path / "nope.json")])
     assert code == 2
+
+
+@pytest.mark.parametrize("field, value", [("genus", 1.8), ("genus", True), ("dim", 1.5), ("dim", True)])
+def test_bands_refuses_non_integer_model_fields(tmp_path, capsys, field, value):
+    doc = model_to_json(TightBindingModel(1, [[0.0]], [[[1.0]], [[1.0]]]))
+    doc[field] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["bands", "--model", str(path), "--grid", "2,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {field} must be an integer, got {value!r}\n"
 
 
 def test_bands_bad_grid(single_site_model, capsys):
@@ -275,6 +287,19 @@ def test_spectral_curve_from_higgs_file(tmp_path):
     assert json.loads(out.read_text())["genus"] == 1
 
 
+@pytest.mark.parametrize("field, value", [("genus", 1.5), ("k", True)])
+def test_spectral_curve_refuses_non_integer_fields(tmp_path, capsys, field, value):
+    from hyperband.higgs_toy import ToyModelPoint
+    from hyperband.spectral_curve import higgs_to_json, toy_to_twisted
+
+    doc = higgs_to_json(toy_to_twisted(ToyModelPoint(m=3.0, u=2.0, B=1.0)))
+    doc[field] = value
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["spectral-curve", "--higgs", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {field} must be an integer, got {value!r}\n"
+
+
 def test_spectral_curve_rejects_non_higgs_json(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text('{"something": "else"}', encoding="utf-8")
@@ -360,6 +385,38 @@ def test_cover_check_rejects_fewer_than_one_trial(two_state_model, swap_cover, t
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert "--trials" in captured.err
+
+
+@pytest.mark.parametrize(
+    "sheets, perms, name, value",
+    [
+        (2.9, [[2.7, 1.2], [True, 2]], "sheets", 2.9),
+        (2, [[2.7, 1.2], [1, 2]], "a sheet in perms", 2.7),
+        (2, [[2, 1], [True, 2]], "a sheet in perms", True),
+        (False, [[1], [1]], "sheets", False),
+    ],
+)
+def test_cover_check_refuses_non_integer_cover_fields(
+    two_state_model, tmp_path, capsys, sheets, perms, name, value
+):
+    # read with int(), the first document was the valid swap cover ((2, 1), (1, 2))
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"hyperband_cover": 1, "sheets": sheets, "perms": perms}))
+    code = cli.main(["cover-check", "--model", str(two_state_model), "--cover", str(path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name} must be an integer, got {value!r}\n"
+
+
+def test_cover_check_reads_integral_floats_as_integers(two_state_model, swap_cover, tmp_path, capsys):
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"hyperband_cover": 1, "sheets": 2.0, "perms": [[2.0, 1], [1, 2.0]]}))
+    outputs = []
+    for cover in (swap_cover, path):
+        assert cli.main(["cover-check", "--model", str(two_state_model), "--cover", str(cover)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,24 @@ from test_tight_binding import random_model
 # ---------------------------------------------------------------------------
 
 
+def edge_assignment(data):
+    """{(sheet0, gen): (direction index, sign)} read from the class codes.
+
+    Code 0 is (None, 0), 1 + i is (i, +1) and 1 + G + i is (i, -1), with
+    G = 2 * genus(cover).
+    """
+    n_dirs = 2 * data.genus_cover
+    return {
+        (s, gen + 1): (None, 0) if code == 0 else ((code - 1) % n_dirs, 1 if code <= n_dirs else -1)
+        for gen, row in enumerate(data.codes.tolist())
+        for s, code in enumerate(row)
+    }
+
+
 def kron_supercell(model, cover):
     """The dense build: one np.kron per edge over the whole supercell."""
     data = _schreier_data(cover)
+    assignment = edge_assignment(data)
     n = cover.sheets
     big = model.dim * n
     onsite = np.kron(model.onsite, np.eye(n, dtype=complex))
@@ -55,7 +70,7 @@ def kron_supercell(model, cover):
     for s in range(n):
         for gen in range(1, 2 * model.genus + 1):
             t = cover.forward(s, gen)
-            direction, sign = data.edge_assignment[(s, gen)]
+            direction, sign = assignment[(s, gen)]
             J = model.hops[gen - 1]
             if direction is None:
                 onsite = onsite + np.kron(J, basis_block(s, t))
@@ -70,6 +85,7 @@ def kron_supercell(model, cover):
 def loop_induce(chi, cover):
     """The induced momentum filled one edge at a time."""
     data = _schreier_data(cover)
+    assignment = edge_assignment(data)
     n = cover.sheets
     mats, invs = [], []
     for gen in range(1, 2 * cover.genus + 1):
@@ -77,7 +93,7 @@ def loop_induce(chi, cover):
         rho_inv = np.zeros((n, n), dtype=complex)
         for s in range(n):
             t = cover.forward(s, gen)
-            direction, sign = data.edge_assignment[(s, gen)]
+            direction, sign = assignment[(s, gen)]
             if direction is None:
                 rho[s, t] = 1.0
                 rho_inv[t, s] = 1.0
@@ -292,6 +308,36 @@ def test_table_assembly_equals_dense_bloch_bit_for_bit():
                 ours, theirs = table.induce(chi), loop_induce(chi, cover)
                 for a, b in zip(ours.rho + ours.rho_inv, theirs.rho + theirs.rho_inv):
                     assert _same_bits(a, b)
+
+
+REAL_ENTRIES = [complex(re, im) for re in (0.0, -0.0, 0.5, -0.5) for im in (0.0, -0.0)]
+SIGNED_ENTRIES = REAL_ENTRIES + [complex(re, im) for re in (0.0, -0.0) for im in (0.5, -0.5)]
+FIRST_PERMS = {"one-sheet": (1,), "identity": (1, 2), "swap": (2, 1), "3-cycle": (2, 3, 1)}
+
+
+@st.composite
+def signed_zero_cases(draw):
+    """d = 1, 2 models with entries +-0, +-0.5, +-0 +- 0.5j on four small covers,
+    and characters in the second quadrant or at -1."""
+    genus, d = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    first = FIRST_PERMS[draw(st.sampled_from(sorted(FIRST_PERMS)))]
+    cover = UnbranchedCover(len(first), (first,) + (tuple(sorted(first)),) * (2 * genus - 1))
+    entries = lambda values, size: np.array(draw(st.lists(st.sampled_from(values), min_size=size, max_size=size)))
+    onsite = np.diag(entries(REAL_ENTRIES, d))
+    if d == 2:  # set, not summed: a sum would turn each -0 into +0
+        onsite[0, 1] = draw(st.sampled_from(SIGNED_ENTRIES))
+        onsite[1, 0] = np.conj(onsite[0, 1])
+    hops = [entries(SIGNED_ENTRIES, d * d).reshape(d, d) for _ in range(2 * genus)]
+    chi = entries([-0.6 + 0.8j, -0.28 + 0.96j, complex(-1.0, 0.0)], 2 * cover_genus(cover))
+    return TightBindingModel(genus, onsite, hops), cover, AbelianMomentum(chi)
+
+
+@settings(max_examples=300)
+@given(signed_zero_cases())
+def test_property_supercell_stack_keeps_the_dense_zero_signs(case):
+    model, cover, chi = case
+    ours = CoverPushforward(model, cover).supercell_hamiltonian(chi).matrix
+    assert ours.tobytes() == bloch_abelian(supercell(model, cover), chi).matrix.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from hyperband.covers_quivers import (
 )
 from hyperband.errors import UnsupportedCoverError
 from hyperband.momenta import AbelianMomentum
-from hyperband.surface_group import Word
+from hyperband.surface_group import Word, evaluate_word, make_surface_group
 from hyperband.tight_binding import TightBindingModel, bloch_abelian, bloch_nonabelian
 
 from test_tight_binding import random_model
@@ -64,6 +64,44 @@ def test_components_and_transitivity():
     identity = UnbranchedCover(sheets=2, perms=((1, 2), (1, 2)))
     assert identity.components() == ((0,), (1,))
     assert not identity.transitive
+
+
+@st.composite
+def permutation_tuples(draw):
+    """(N, 2g one-indexed permutations), g = 1 or 2, N <= 6; some handles commute."""
+    genus, n = draw(st.integers(1, 2)), draw(st.integers(1, 6))
+    perms = []
+    for _ in range(genus):
+        a, b = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+        if draw(st.booleans()):  # b a power of a: the handle's commutator is trivial
+            b = list(range(n))
+            for _ in range(draw(st.integers(0, 3))):
+                b = [a[s] for s in b]
+        perms += [a, b]
+    return n, tuple(tuple(t + 1 for t in p) for p in perms)
+
+
+@settings(max_examples=200)
+@given(permutation_tuples())
+def test_property_cover_accepts_exactly_relator_identities(case):
+    n, perms = case
+    # oracle: P[s, t] = 1 when generator i moves sheet s to t, so products in
+    # word order are the right action on sheets
+    mats = [np.eye(n)[[t - 1 for t in p]] for p in perms]
+    identity = np.array_equal(evaluate_word(make_surface_group(len(perms) // 2).relator(), mats), np.eye(n))
+    try:
+        cover = UnbranchedCover(n, perms)
+    except ValueError as exc:
+        assert not identity
+        assert "relator permutation is not the identity" in str(exc)
+        return
+    assert identity
+    # oracle: the orbits of the generated group, from the transitive closure
+    reach = np.eye(n, dtype=int) + sum(m + m.T for m in mats).astype(int)
+    for _ in range(n):
+        reach = np.minimum(reach @ reach, 1)
+    orbits = sorted({tuple(np.flatnonzero(row).tolist()) for row in reach})
+    assert cover.components() == tuple(orbits)
 
 
 def test_cover_genus_formula():

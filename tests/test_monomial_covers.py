@@ -27,6 +27,7 @@ from test_cover_pushforward import (
     _same_bits,
     _smith_right_transform,
     cyclic,
+    edge_assignment,
     loop_induce,
     special_models,
 )
@@ -331,7 +332,7 @@ def _assert_same_schreier_data(cover):
     data = _schreier_data(cover)
     free = 2 * data.genus_cover
     dense = tuple(tuple(dict(c).get(i, 0) for i in range(free)) for c in data.directions)
-    assert (dense, data.edge_assignment, data.genus_cover) == expected
+    assert (dense, edge_assignment(data), data.genus_cover) == expected
 
 
 @pytest.mark.parametrize(

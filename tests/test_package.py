@@ -1,7 +1,10 @@
 """The package namespace: its public names are exactly its modules' lists."""
 
+import ast
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import hyperband
 
@@ -23,3 +26,20 @@ def test_public_names_are_the_union_of_module_lists():
     # the one export that was missing from its module's list
     assert "INFINITY" in hyperband.__all__ and hyperband.INFINITY == float("inf")
     assert isinstance(hyperband.__version__, str)
+
+
+def test_library_imports_only_the_standard_library_numpy_and_itself():
+    # the library is numpy only; the tests and the benchmark may use more
+    allowed = set(sys.stdlib_module_names) | {"numpy", "hyperband"}
+    sources = sorted(Path(hyperband.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # relative imports stay inside the package
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
