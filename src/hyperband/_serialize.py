@@ -1,14 +1,16 @@
-"""Shared JSON helpers: complex scalars as [re, im], matrices row-major."""
+"""Shared input helpers: integer and tolerance checks, JSON complex scalars and matrices."""
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 
 import numpy as np
 
 __all__ = [
     "integer",
+    "check_tolerance",
     "complex_to_json",
     "complex_from_json",
     "matrix_to_json",
@@ -25,6 +27,13 @@ def integer(value, name: str) -> int:
         if isinstance(value, numbers.Integral) or float(value).is_integer():
             return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_tolerance(tol) -> None:
+    """Refuse (ValueError) a NaN, infinite or negative tolerance, which would
+    switch its check off or fail it at distance 0."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 def complex_to_json(z) -> list:

@@ -17,9 +17,10 @@ Both produce the same Hamiltonian matrix in the same state ordering
 (cell index major, sheet index minor), so their spectra agree; see
 `pushforward_check`.
 
-All three read one per-cover table, `CoverPushforward(model, cover)`, built
-once: the Schreier data, whose (2g, N) class codes the induced momenta are
-read from, the cover's genus and connectivity, and d x d blocks keyed by
+The Reidemeister-Schreier data, whose (2g, N) class codes the induced
+momenta are read from, is derived once per cover and cached on it.  The
+supercell routes read one per-(model, cover) table, `CoverPushforward`,
+built once: the cover's genus and connectivity and d x d blocks keyed by
 sheet pair.  It holds nothing of size (dN)^2, so a genus-2, d = 4,
 N = 4096 cover builds within 40 MB.  `CoverPushforward.check_batch`
 compares the routes at many characters in one pass: per slice of trials it
@@ -28,11 +29,11 @@ solves each stack with one eigensolver call, so `cover-check` pays its
 Python overhead per slice, not per character.
 
 The rewriting pipeline reads one form of the cover, its (2g, N) arrays of
-sheet targets and sources.  One BFS, cached on the cover, yields the
-components and the spanning forest, a (2g, N) mask of tree edges: the parent
-links of a Schreier transversal.  Each of the 2gN directed edges (sheet s,
-generator gamma) carries the Schreier element t_s gamma t_{s.gamma}^{-1},
-trivial on tree edges.  One walk of the relator from every sheet at once
+sheet targets and sources.  One BFS, cached on the cover like the Schreier
+data built from it, yields the components and the spanning forest, a (2g, N)
+mask of tree edges: the parent links of a Schreier transversal.  Each of the
+2gN directed edges (sheet s, generator gamma) carries the Schreier element
+t_s gamma t_{s.gamma}^{-1}, trivial on tree edges.  One walk of the relator from every sheet at once
 (`surface_group._walk`, which also serves the cover's relator check and the
 monomial relator residual) gives the N rewritten relators, abelianized over
 the non-tree edges into sparse rows.  One exact sparse integer eliminator,
@@ -62,7 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._serialize import integer
+from ._serialize import check_tolerance, integer
 from .errors import UnsupportedCoverError
 from .momenta import (
     TOL_UNITARY,
@@ -150,9 +151,6 @@ class UnbranchedCover:
         """0-indexed sheet reached along generator `gen` (1-indexed)."""
         return int(self.targets[gen - 1, sheet0])
 
-    def backward(self, sheet0: int, gen: int) -> int:
-        return int(self.sources[gen - 1, sheet0])
-
     def word_permutation(self, word: Word) -> tuple:
         """0-indexed image tuple of the right action of `word` on sheets."""
         for g, _ in word.letters:
@@ -189,6 +187,15 @@ class UnbranchedCover:
         tree.setflags(write=False)
         return tree, tuple(components)
 
+    @functools.cached_property
+    def _schreier(self) -> _SchreierData:
+        """`_schreier_data(self)`, derived on first use and kept.
+
+        A refused cover keeps nothing: each access raises
+        UnsupportedCoverError again.
+        """
+        return _schreier_data(self)
+
     def components(self) -> tuple:
         """Connected components as sorted tuples of 0-indexed sheets."""
         return self._forest[1]
@@ -198,12 +205,9 @@ class UnbranchedCover:
         return len(self.components()) == 1
 
 
-def cover_genus(cover: UnbranchedCover, base_genus: int = None) -> int:
+def cover_genus(cover: UnbranchedCover) -> int:
     """Genus of the covering surface group: sum over components of N_j(g-1)+1."""
-    g = cover.genus if base_genus is None else int(base_genus)
-    if base_genus is not None and g != cover.genus:
-        raise ValueError(f"cover was built over genus {cover.genus}, not {g}")
-    return sum(len(c) * (g - 1) + 1 for c in cover.components())
+    return sum(len(c) * (cover.genus - 1) + 1 for c in cover.components())
 
 
 # ---------------------------------------------------------------------------
@@ -393,15 +397,6 @@ def _schreier_data(cover: UnbranchedCover) -> _SchreierData:
     return _SchreierData(codes=codes, directions=tuple(directions), genus_cover=g_cover)
 
 
-def _induced(chi: AbelianMomentum, genus_cover: int, edges: tuple) -> NonabelianMomentum:
-    """The monomial momentum rho(gamma)[s, s.gamma] read from (targets, class codes)."""
-    if chi.genus != genus_cover:
-        raise ValueError(
-            f"character has genus {chi.genus}, cover group has genus {genus_cover}"
-        )
-    return NonabelianMomentum(monomial=(edges[0], *_induced_phases(chi.chi, chi.chi_inv, edges)))
-
-
 def _induced_phases(chi: np.ndarray, chi_inv: np.ndarray, edges: tuple) -> tuple:
     """(forward, backward) phases, lead + (2g, N), of characters lead + (2G,)."""
     one = np.ones(chi.shape[:-1] + (1,))
@@ -426,22 +421,23 @@ class PushforwardReport:
 class CoverPushforward:
     """Both pushforward routes for one (model, cover) pair, built once.
 
-    Construction does all the per-cover work: the Schreier data, `edges`
-    (the cover's targets and the class codes, the induced momenta are read
-    from them), the cover's genus and connectivity, and d x d blocks keyed by sheet pair, each kind in one
-    stacked pass over all edges.  `onsite` is (zero, rows, cols, blocks): the
-    symmetrized on-site block blocks[k] at sheet pair (rows[k], cols[k]) and
-    the pattern of signed zeros, `zero`, at every other pair.  `hop_blocks`
-    is (directions, rows, cols, A, B), sorted by cover generator, then pair:
-    A[k] is the block of cover generator directions[k] + 1 from cell states
-    (., cols[k]) to (., rows[k]), B[k] that of its dagger.  States are
-    ordered (cell state) major, (sheet) minor, as in `bloch_nonabelian`; an
-    edge of trivial class lands in the on-site blocks, one of class +-d_i in
-    cover generator i+1 (forward or dagger side).
+    Construction does all the per-(model, cover) work: `edges` (the cover's
+    targets and its cached class codes, the induced momenta are read from
+    them), the cover's genus and connectivity, and d x d blocks keyed by sheet
+    pair, each kind in one stacked pass over all edges.  `onsite` is (zero,
+    rows, cols, blocks): the symmetrized on-site block blocks[k] at sheet pair
+    (rows[k], cols[k]) and the pattern of signed zeros, `zero`, at every other
+    pair.  `hop_blocks` is (directions, rows, cols, A, B), sorted by cover
+    generator, then pair: A[k] is the block of cover generator
+    directions[k] + 1 from cell states (., cols[k]) to (., rows[k]), B[k]
+    that of its dagger.
+    States are ordered (cell state) major, (sheet) minor, as in
+    `bloch_nonabelian`; an edge of trivial class lands in the on-site blocks,
+    one of class +-d_i in cover generator i+1 (forward or dagger side).
     """
 
     def __init__(self, model: TightBindingModel, cover: UnbranchedCover):
-        data = _schreier_data(cover)
+        data = cover._schreier
         if cover.genus != model.genus:
             raise ValueError(f"genus mismatch: model {model.genus}, cover {cover.genus}")
         n, d = cover.sheets, model.dim
@@ -469,7 +465,7 @@ class CoverPushforward:
         # dense on-site matrix bit for bit.
         zero = np.zeros((d, d), dtype=complex)
         seeds = [model.onsite * (zero + 1.0), model.onsite * zero]
-        for i in np.unique(gen[trivial]):
+        for i in sorted(set(gen[trivial].tolist())):
             for J in (hops[i], daggers[i]):
                 seeds = [seed + J * zero for seed in seeds]
         # a trivial edge adds J at (s, t), then J^dagger at (t, s)
@@ -498,18 +494,13 @@ class CoverPushforward:
         np.add.at(summed, where, np.where(positive[:, None, None], hops[i], daggers[i]))
         # A is zero where only the dagger has a block, and B[(s, t)] is
         # A[(t, s)]^dagger, entry for entry what the dense J.conj().T holds
-        stored = np.union1d(keys, mirror(keys))
+        # np.unique without return_inverse (or np.union1d) imports numpy.ma
+        stored = np.unique(np.concatenate([keys, mirror(keys)]), return_inverse=True)[0]
         A = np.zeros((stored.size, d, d), dtype=complex)
         A[np.searchsorted(stored, keys)] = summed
         B = A[np.searchsorted(stored, mirror(stored))].conj().transpose(0, 2, 1).copy()
         directions, pairs = np.divmod(stored, n * n)
         self.hop_blocks = (directions, *np.divmod(pairs, n), A, B)
-
-    def induce(self, chi: AbelianMomentum) -> NonabelianMomentum:
-        """The induced monomial momentum, as `induce(chi, cover)`."""
-        if not isinstance(chi, AbelianMomentum):
-            raise TypeError("induce expects an AbelianMomentum on the cover group")
-        return _induced(chi, self.genus_cover, self.edges)
 
     def supercell_hamiltonian(self, chi: AbelianMomentum) -> BlochHamiltonian:
         """bloch_abelian(supercell(model, cover), chi), bit for bit."""
@@ -525,18 +516,17 @@ class CoverPushforward:
         chi_i A_i + chi_i^-1 B_i step per cover generator on its pairs only.
         """
         d, n = self.model.dim, self.sheets
-        # Off its blocks a dense step adds chi_i * 0 + chi_i^-1 * 0, a zero
-        # whose sign can turn a -0 entry into +0; adding their sum once per
-        # character, up front, leaves the zeros all the dense steps leave.
-        # Only its imaginary half is kept: no on-site entry has real part -0
-        # (the products with seeds 1 + 0j and 0 + 0j, symmetrized, leave
-        # none), so a real +0 shift changes no entry.
-        zeros = np.zeros(chi.shape, dtype=complex)
-        missed = chi * zeros + chi_inv * zeros.conj()
-        shift = np.zeros((len(chi), 1, 1), dtype=complex)
-        shift.imag[np.signbit(missed.imag).all(axis=-1)] = -0.0
+        # Off its blocks a dense step adds chi_i * (0 + 0j) + chi_i^-1 * (0 - 0j),
+        # whose imaginary part is -0 only if Re chi_i <= -0 <= Re chi_i^-1 and
+        # both imaginary parts are <= -0.  Then Re(chi_i chi_i^-1) <= 0, which
+        # the reciprocal checks refuse (`AbelianMomentum`'s, and in
+        # `check_batch` `_monomial_checks`, run before any stack is built).
+        # So the steps turn every imaginary -0 into +0, and no on-site entry
+        # has real part -0 (the products with seeds 1 + 0j and 0 + 0j,
+        # symmetrized, leave none): adding +0 once, up front, does the same.
+        plus = np.zeros((len(chi), 1, 1))
         zero, rows, cols, blocks = self.onsite
-        H = _place_blocks(zero + shift, rows, cols, blocks + shift[:, None], n)
+        H = _place_blocks(zero + plus, rows, cols, blocks + plus[:, None], n)
         directions, rows, cols, A, B = self.hop_blocks
         steps = chi[:, directions, None, None] * A + chi_inv[:, directions, None, None] * B
         # unbuffered, in stored order: a pair's steps add in generator order
@@ -556,6 +546,7 @@ class CoverPushforward:
         failure names its trial), and both stacks are assembled and solved,
         one solver call each per Hermitian flag, each route by its own flags.
         """
+        check_tolerance(tol)
         chi, chi_inv = np.asarray(chi, dtype=complex), np.asarray(chi_inv, dtype=complex)
         if chi.ndim != 2 or chi.shape[1] != 2 * self.genus_cover or chi_inv.shape != chi.shape:
             raise ValueError(
@@ -617,8 +608,13 @@ def induce(chi: AbelianMomentum, cover: UnbranchedCover) -> NonabelianMomentum:
     """
     if not isinstance(chi, AbelianMomentum):
         raise TypeError("induce expects an AbelianMomentum on the cover group")
-    data = _schreier_data(cover)
-    return _induced(chi, data.genus_cover, (cover.targets, data.codes))
+    data = cover._schreier
+    if chi.genus != data.genus_cover:
+        raise ValueError(
+            f"character has genus {chi.genus}, cover group has genus {data.genus_cover}"
+        )
+    phases = _induced_phases(chi.chi, chi.chi_inv, (cover.targets, data.codes))
+    return NonabelianMomentum(monomial=(cover.targets, *phases))
 
 
 def pushforward_check(

@@ -193,30 +193,27 @@ def fold(k, lattice: EuclideanLattice) -> np.ndarray:
     them mod 1.
     """
     k = _as_k_vector(k)
-    G = lattice.basis
-    W = reciprocal(lattice).basis
-    coords = G @ k  # c_i = k . gamma_i
-    coords = np.mod(coords, 1.0)
+    return _fold(k, lattice.basis, reciprocal(lattice).basis)
+
+
+def _fold(k: np.ndarray, G: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """`fold` with the lattice basis G and its reciprocal basis W given."""
+    coords = np.mod(G @ k, 1.0)  # c_i = k . gamma_i
     return coords[0] * W[0] + coords[1] * W[1]
 
 
 def two_torsion_points(lattice: EuclideanLattice) -> list:
     """The four 2-torsion momenta 0, w_1/2, w_2/2, (w_1+w_2)/2, folded."""
-    W = reciprocal(lattice).basis
-    points = [
-        np.zeros(2),
-        W[0] / 2.0,
-        W[1] / 2.0,
-        (W[0] + W[1]) / 2.0,
-    ]
-    return [fold(p, lattice) for p in points]
+    G, W = lattice.basis, reciprocal(lattice).basis
+    points = [np.zeros(2), W[0] / 2.0, W[1] / 2.0, (W[0] + W[1]) / 2.0]
+    return [_fold(p, G, W) for p in points]
 
 
-def modular_lambda(tau, tol: float = 1e-15) -> complex:
+def modular_lambda(tau) -> complex:
     """The modular lambda function via theta constants, lambda = (theta2/theta3)^4.
 
     theta2 = 2 sum_{n>=0} q^{(n+1/2)^2}, theta3 = 1 + 2 sum_{n>=1} q^{n^2},
-    q = exp(i pi tau); series truncated once a term falls below `tol`.
+    q = exp(i pi tau); each series is truncated once a term falls below 1e-15.
     """
     tau = complex(tau)
     if not (tau.imag > 0):
@@ -229,7 +226,7 @@ def modular_lambda(tau, tol: float = 1e-15) -> complex:
     while True:
         term = np.exp(i_pi_tau * (n + 0.5) ** 2)
         theta2 += term
-        if abs(term) < tol:
+        if abs(term) < 1e-15:
             break
         n += 1
         if n > 10_000:
@@ -240,7 +237,7 @@ def modular_lambda(tau, tol: float = 1e-15) -> complex:
     while True:
         term = np.exp(i_pi_tau * n * n)
         theta3 += 2.0 * term
-        if abs(term) < tol:
+        if abs(term) < 1e-15:
             break
         n += 1
         if n > 10_000:

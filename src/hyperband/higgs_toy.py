@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._serialize import check_tolerance
 from .errors import NumericalCheckFailure
 
 __all__ = [
@@ -184,27 +185,21 @@ def hitchin_closed_form(point: ToyModelPoint) -> complex:
     return -(B * B) * u * (u - 1.0) * (u - m)
 
 
-def hitchin_coordinate(
-    point: ToyModelPoint,
-    n_samples: int = 5,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> complex:
+def hitchin_coordinate(point: ToyModelPoint, *, seed: int = 0, tol: float = 1e-9) -> complex:
     """c = z (z-1) (z-m) det(B Phi(z)), checked to be z-independent.
 
-    Evaluates at `n_samples` random z bounded away from the poles and requires
-    the relative spread of the samples to stay below `tol`.
+    Evaluates at 5 random z bounded away from the poles and requires the
+    relative spread of the samples to stay below `tol`.
     """
-    if n_samples < 2:
-        raise ValueError("need at least two samples to check z-independence")
+    check_tolerance(tol)
     form = higgs_form(point)
     rng = np.random.default_rng(seed)
     poles = [0.0 + 0.0j, 1.0 + 0.0j, point.m]
     values = []
     attempts = 0
-    while len(values) < n_samples:
+    while len(values) < 5:
         attempts += 1
-        if attempts > 1000 * n_samples:
+        if attempts > 5000:
             raise NumericalCheckFailure("could not sample z away from the poles")
         z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
         if min(abs(z - p) for p in poles) < 0.3:

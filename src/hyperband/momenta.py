@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._serialize import complex_from_json, complex_to_json, matrix_from_json, matrix_to_json
-from .surface_group import SurfaceGroup, _walk, make_surface_group
+from .surface_group import _walk, make_surface_group
 
 __all__ = [
     "AbelianMomentum",
@@ -78,9 +78,6 @@ class AbelianMomentum:
     @property
     def unitary(self) -> bool:
         return bool(_unitarity_residual(self) <= TOL_UNITARY)
-
-    def group(self) -> SurfaceGroup:
-        return make_surface_group(self.genus)
 
 
 class NonabelianMomentum:
@@ -140,9 +137,6 @@ class NonabelianMomentum:
     @property
     def unitary(self) -> bool:
         return bool(_unitarity_residual(self) <= TOL_UNITARY)
-
-    def group(self) -> SurfaceGroup:
-        return make_surface_group(self.genus)
 
 
 def _monomial_matrix(rows, cols, values) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._serialize import complex_to_json
+from ._serialize import check_tolerance, complex_to_json
 from .errors import NumericalCheckFailure
 from .momenta import TOL_UNITARY, AbelianMomentum
 from .tight_binding import BlochHamiltonian, TightBindingModel, _assemble
@@ -495,7 +495,6 @@ def bloch_variety(
     holdout_points: int = 20,
     tol: float = 1e-8,
     seed: int = 0,
-    prune_rel: float = 1e-13,
 ) -> BlochVariety:
     """Recover det(H(chi) - E) as an exact finite Laurent/polynomial expansion.
 
@@ -505,11 +504,13 @@ def bloch_variety(
     with an FFT.  The grid is assembled and solved in slices of at most
     `_CHUNK_BYTES` of momenta and Hamiltonians.  A grid whose coefficient
     arrays would exceed `_VARIETY_BYTES` is refused with ValueError before any
-    sampling.  Coefficients below prune_rel (relative to the largest) are
-    zeroed.  A held-out random sample (reproducible via `seed`) must match
-    direct determinant evaluation to `tol` relative, else NumericalCheckFailure
-    is raised; an undercounted rank fails it too.
+    sampling.  Coefficients at or below 1e-13 of the largest are zeroed.  A
+    held-out random sample (reproducible via `seed`) must match direct
+    determinant evaluation to `tol` relative, else NumericalCheckFailure is
+    raised; an undercounted rank fails it too.  A NaN, infinite or negative
+    `tol` is refused with ValueError.
     """
+    check_tolerance(tol)
     d = model.dim
     g = model.genus
     ranks = [int(np.linalg.matrix_rank(h)) for h in model.hops]
@@ -548,7 +549,7 @@ def bloch_variety(
     coeffs /= n_points
     peak = float(np.max(np.abs(coeffs)))
     if peak > 0:
-        coeffs[np.abs(coeffs) <= prune_rel * peak] = 0.0
+        coeffs[np.abs(coeffs) <= 1e-13 * peak] = 0.0
     bound = max(ranks)
     variety = BlochVariety(genus=g, dim=d, bound=bound, coeffs=coeffs, holdout_residual=0.0)
 

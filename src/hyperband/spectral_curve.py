@@ -113,6 +113,8 @@ class Rank2TwistedHiggs:
         rows = tuple(tuple(_as_poly(p) for p in row) for row in self.entries)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("entries must be a 2x2 grid of polynomials")
+        if not all(np.isfinite(p).all() for row in rows for p in row):
+            raise ValueError("entry coefficients must be finite")
         caps = ((genus + 1, 2 * (genus + 1 - k)), (2 * k, genus + 1))
         for i in range(2):
             for j in range(2):
@@ -233,25 +235,33 @@ def _roots_with_multiplicity(poly: np.ndarray, base_genus: int, zero_tol: float)
 
 def branch_points(info: SpectralCurveInfo) -> tuple:
     """The branch divisor of `info`, with multiplicities; raises when Delta == 0."""
-    zero_tol = TRIM_REL * _disc_scale(info.a1, info.a2, info.discriminant)
-    finite, inf_mult = _roots_with_multiplicity(
-        info.discriminant, info.base_genus, zero_tol
-    )
-    out = [BranchPoint(point=p, multiplicity=m) for p, m in finite]
-    if inf_mult > 0:
-        out.append(BranchPoint(point=INFINITY, multiplicity=inf_mult))
-    return tuple(out)
+    return _branch_divisor(info.base_genus, info.a1, info.a2, info.discriminant)
 
 
 def curve_genus(info: SpectralCurveInfo) -> int:
     """(#branch points)/2 - 1 for a smooth (reduced) branch divisor."""
     if info.degenerate or not info.branch_points:
         raise EverywhereSingularError("degenerate curve has no genus")
-    if any(bp.multiplicity > 1 for bp in info.branch_points):
+    return _genus(info.branch_points)
+
+
+def _branch_divisor(base_genus: int, a1, a2, disc) -> tuple:
+    """BranchPoints of the curve with characteristic data (a1, a2, disc)."""
+    zero_tol = TRIM_REL * _disc_scale(a1, a2, disc)
+    finite, inf_mult = _roots_with_multiplicity(disc, base_genus, zero_tol)
+    out = [BranchPoint(point=p, multiplicity=m) for p, m in finite]
+    if inf_mult > 0:
+        out.append(BranchPoint(point=INFINITY, multiplicity=inf_mult))
+    return tuple(out)
+
+
+def _genus(bps: tuple) -> int:
+    """Genus of the double cover branched at the nonempty divisor `bps`."""
+    if any(bp.multiplicity > 1 for bp in bps):
         raise NumericalCheckFailure(
             "branch divisor is non-reduced; the double cover is singular"
         )
-    count = sum(bp.multiplicity for bp in info.branch_points)
+    count = sum(bp.multiplicity for bp in bps)
     if count % 2 != 0:
         raise NumericalCheckFailure(
             f"branch point count {count} is odd, which a double cover cannot have"
@@ -283,7 +293,6 @@ def curve_info(phi: Rank2TwistedHiggs) -> SpectralCurveInfo:
     a1, a2 = char_poly(phi)
     _cayley_hamilton_check(phi, a1, a2)
     disc = discriminant(a1, a2)
-    base = dict(base_genus=phi.genus, k=phi.k, a1=a1, a2=a2, discriminant=disc)
     # judge "identically zero" against the pre-cancellation product scale of
     # the entries, so exact algebraic collapses detected through rounding noise
     # still count as degenerate
@@ -293,21 +302,12 @@ def curve_info(phi: Rank2TwistedHiggs) -> SpectralCurveInfo:
     )
     product_scale = entry_peak * entry_peak
     disc_peak = float(np.max(np.abs(disc))) if disc.size else 0.0
-    if disc.size == 0 or disc_peak <= TRIM_REL * product_scale:
-        return SpectralCurveInfo(
-            branch_points=(), smooth=False, curve_genus=None, degenerate=True, **base
-        )
-    probe = SpectralCurveInfo(
-        branch_points=(), smooth=False, curve_genus=None, degenerate=False, **base
-    )
-    bps = branch_points(probe)
-    smooth = all(bp.multiplicity == 1 for bp in bps)
-    info = SpectralCurveInfo(
-        branch_points=bps, smooth=smooth, curve_genus=None, degenerate=False, **base
-    )
-    genus_val = curve_genus(info) if smooth else None
+    degenerate = disc.size == 0 or disc_peak <= TRIM_REL * product_scale
+    bps = () if degenerate else _branch_divisor(phi.genus, a1, a2, disc)
+    smooth = not degenerate and all(bp.multiplicity == 1 for bp in bps)
     return SpectralCurveInfo(
-        branch_points=bps, smooth=smooth, curve_genus=genus_val, degenerate=False, **base
+        base_genus=phi.genus, k=phi.k, a1=a1, a2=a2, discriminant=disc, branch_points=bps,
+        smooth=smooth, curve_genus=_genus(bps) if smooth else None, degenerate=degenerate,
     )
 
 

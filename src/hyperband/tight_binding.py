@@ -64,7 +64,7 @@ FORMAT_VERSION = 1
 class TightBindingModel:
     """Cell data (on-site matrix + one hop matrix per generator) over a group."""
 
-    def __init__(self, group: SurfaceGroup, onsite, hops, tol: float = TOL_HERMITIAN):
+    def __init__(self, group: SurfaceGroup, onsite, hops):
         if not isinstance(group, SurfaceGroup):
             group = make_surface_group(int(group))
         onsite = np.array(onsite, dtype=complex)
@@ -85,11 +85,11 @@ class TightBindingModel:
             raise ValueError("onsite matrix must be finite")
         residual = float(np.linalg.norm(onsite - onsite.conj().T))
         scale = max(1.0, float(np.linalg.norm(onsite)))
-        if residual > tol * scale:
+        if residual > TOL_HERMITIAN * scale:
             raise ValueError(
                 f"onsite matrix is not Hermitian (residual {residual:.3e}); "
                 "symmetrization only absorbs residuals below "
-                f"{tol:.0e} relative"
+                f"{TOL_HERMITIAN:.0e} relative"
             )
         symmetrized = (onsite + onsite.conj().T) / 2.0
         symmetrized.setflags(write=False)
@@ -191,7 +191,8 @@ def _assemble_monomial(model: TightBindingModel, targets, forward, backward) -> 
     n = targets.shape[-1]
     sheets = np.arange(n)
     keys = np.concatenate([sheets * (n + 1), (sheets * n + targets).ravel(), (targets * n + sheets).ravel()])
-    rows, cols = np.divmod(np.unique(keys), n)
+    # return_inverse keeps np.unique off its numpy.ma import
+    rows, cols = np.divmod(np.unique(keys, return_inverse=True)[0], n)
     # weights[:, k, p]: I, then rho_i and rho_i^-1 per generator, at pair p
     weights = np.zeros((len(forward), 1 + 2 * len(targets), rows.size + 1, 1, 1), dtype=complex)
     weights[:, 0, :-1, 0, 0] = rows == cols

@@ -1,9 +1,12 @@
 """End-to-end checks of the command-line interface."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,6 +309,22 @@ def test_spectral_curve_rejects_non_higgs_json(tmp_path, capsys):
     assert cli.main(["spectral-curve", "--higgs", str(path)]) == 2
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_spectral_curve_refuses_non_finite_coefficients(tmp_path, capsys, bad):
+    from hyperband.higgs_toy import ToyModelPoint
+    from hyperband.spectral_curve import higgs_to_json, toy_to_twisted
+
+    doc = higgs_to_json(toy_to_twisted(ToyModelPoint(m=3.0, u=2.0, B=1.0)))
+    doc["entries"][1][0][2] = [float(bad), 0.0]
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert bad in path.read_text()
+    assert cli.main(["spectral-curve", "--higgs", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: entry coefficients must be finite\n"
+
+
 # ---------------------------------------------------------------------------
 # cover-check
 # ---------------------------------------------------------------------------
@@ -417,6 +436,43 @@ def test_cover_check_reads_integral_floats_as_integers(two_state_model, swap_cov
         assert cli.main(["cover-check", "--model", str(two_state_model), "--cover", str(cover)]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_cover_check_leaves_numpy_ma_unimported(two_state_model, swap_cover):
+    # numpy.ma costs about 20 ms to import; the library never needs it
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(hyperband.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from hyperband import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "sys.exit(code if 'numpy.ma' not in sys.modules else 'numpy.ma was imported')\n"
+    )
+    argv = ["cover-check", "--model", str(two_state_model), "--cover", str(swap_cover), "--trials", "3"]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("PASS: 3 characters")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bloch-variety", "--model", "{model}"],
+        ["higgs-toy", "--u", "2", "--m", "3"],
+        ["cover-check", "--model", "{model}", "--cover", "{cover}", "--trials", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_tolerance_that_would_disable_its_check_is_refused(
+    two_state_model, swap_cover, capsys, argv, tol
+):
+    argv = [a.format(model=two_state_model, cover=swap_cover) for a in argv]
+    assert cli.main([*argv, f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tol must be a finite number >= 0, got {float(tol)!r}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -702,3 +758,23 @@ def test_module_entry_point(single_site_model):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["hyperband_euclidean"] == 1
+
+
+# ---------------------------------------------------------------------------
+# documentation
+# ---------------------------------------------------------------------------
+
+
+def test_readme_usage_block_names_every_option():
+    # each subcommand's line in README's command-line block names each of its
+    # long options; --config and --out are described once for all of them
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    usage = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = {line.split()[1]: line for line in usage.splitlines() if line.startswith("hyperband ")}
+    parser = cli.build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(lines) == sorted(subcommands.choices)
+    for name, sub in subcommands.choices.items():
+        options = [o for a in sub._actions for o in a.option_strings if o.startswith("--")]
+        for option in sorted(set(options) - {"--config", "--out", "--help"}):
+            assert re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", lines[name]), (name, option)

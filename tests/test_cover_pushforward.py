@@ -17,6 +17,7 @@ from hyperband.covers_quivers import (
     _schreier_data,
     cover_genus,
     cover_to_json,
+    induce,
     pushforward_check,
     supercell,
 )
@@ -305,7 +306,7 @@ def test_table_assembly_equals_dense_bloch_bit_for_bit():
                 assert _same_bits(
                     table.supercell_hamiltonian(chi).matrix, bloch_abelian(dense, chi).matrix
                 )
-                ours, theirs = table.induce(chi), loop_induce(chi, cover)
+                ours, theirs = induce(chi, cover), loop_induce(chi, cover)
                 for a, b in zip(ours.rho + ours.rho_inv, theirs.rho + theirs.rho_inv):
                     assert _same_bits(a, b)
 
@@ -375,7 +376,7 @@ def test_table_holds_cover_facts_and_rejects_mismatches():
     with pytest.raises(ValueError):
         table.check(AbelianMomentum(np.ones(2, dtype=complex)))
     with pytest.raises(TypeError):
-        table.induce(np.ones(12, dtype=complex))
+        induce(np.ones(12, dtype=complex), cover)
     with pytest.raises(UnsupportedCoverError):
         CoverPushforward(random_model(rng, 1, 2), UnbranchedCover(3, ((3, 1, 2), (2, 3, 1))))
 
@@ -400,6 +401,30 @@ def test_cover_check_builds_schreier_data_once(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert capsys.readouterr().out.startswith("PASS: 7 characters, 12 states")
     assert len(calls) == 1
+
+
+def test_schreier_data_is_derived_once_per_cover_object(monkeypatch):
+    rng = np.random.default_rng(24)
+    calls = []
+    original = covers_quivers._schreier_data
+    monkeypatch.setattr(covers_quivers, "_schreier_data", lambda cover: calls.append(cover) or original(cover))
+    cover, model = znzm(2, 3), random_model(rng, 1, 2)
+    chi = AbelianMomentum(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2 * cover_genus(cover))))
+    for _ in range(2):
+        induce(chi, cover)
+        supercell(model, cover)
+        pushforward_check(model, cover, chi)
+        CoverPushforward(model, cover).check_batch(chi.chi[None], chi.chi_inv[None])
+    assert len(calls) == 1 and calls[0] is cover
+    # an equal cover is another object, with its own derivation
+    induce(chi, UnbranchedCover(cover.sheets, cover.perms))
+    assert len(calls) == 2
+    # a refused cover caches nothing and refuses every time
+    refused = UnbranchedCover(3, ((3, 1, 2), (2, 3, 1)))
+    for _ in range(2):
+        with pytest.raises(UnsupportedCoverError):
+            CoverPushforward(model, refused)
+    assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------

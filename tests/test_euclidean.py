@@ -97,6 +97,25 @@ def test_two_torsion_energies_square_lattice():
         assert bands.groups[0][1] == mult
 
 
+@pytest.mark.parametrize("tau", [1j, 2.0j, 0.3 + 1.1j, -0.7 + 0.4j])
+def test_two_torsion_points_solve_the_reciprocal_once(monkeypatch, tau):
+    import warnings
+
+    from hyperband import euclidean
+
+    calls = []
+    original = euclidean.reciprocal
+    monkeypatch.setattr(euclidean, "reciprocal", lambda lattice: calls.append(lattice) or original(lattice))
+    lattice = EuclideanLattice(tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # skew tau warns
+        points = two_torsion_points(lattice)
+        assert len(calls) == 1
+        W = original(lattice).basis
+        expected = [fold(p, lattice) for p in (np.zeros(2), W[0] / 2, W[1] / 2, (W[0] + W[1]) / 2)]
+    assert [p.tobytes() for p in points] == [p.tobytes() for p in expected]
+
+
 def test_fold_reduces_dual_coordinates():
     rng = np.random.default_rng(2)
     for _ in range(20):

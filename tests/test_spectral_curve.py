@@ -224,3 +224,37 @@ def test_higgs_json_round_trip():
 def test_higgs_json_rejects_bad_document():
     with pytest.raises(ValueError):
         higgs_from_json({"hyperband_higgs": 2, "genus": 1, "k": 0, "entries": []})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_coefficients_are_refused(bad):
+    with pytest.raises(ValueError, match="^entry coefficients must be finite$"):
+        Rank2TwistedHiggs(1, 1, (([0, bad], [1]), ([0], [0])))
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        toy_to_twisted(ToyModelPoint(m=3.0, u=2.0, B=1.0)),  # smooth, genus 1
+        Rank2TwistedHiggs(1, 1, (([1.0, 2.0], [0]), ([0], [-1.0, -2.0]))),  # double root
+        Rank2TwistedHiggs(1, 1, (([0], [1]), ([0], [0]))),  # degenerate
+    ],
+    ids=["smooth", "singular", "degenerate"],
+)
+def test_curve_info_builds_one_info(monkeypatch, phi):
+    from hyperband import spectral_curve
+
+    built = []
+
+    def counted(**fields):
+        built.append(fields)
+        return SpectralCurveInfo(**fields)
+
+    monkeypatch.setattr(spectral_curve, "SpectralCurveInfo", counted)
+    info = curve_info(phi)
+    assert len(built) == 1
+    # the public readers agree with what curve_info stored
+    if not info.degenerate:
+        assert branch_points(info) == info.branch_points
+    if info.smooth:
+        assert curve_genus(info) == info.curve_genus
