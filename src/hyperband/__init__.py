@@ -13,28 +13,35 @@ The pieces, roughly in dependency order:
   covers_quivers  finite unbranched covers, pushforward checks, quivers
 
 Everything numerical is numpy; nothing here needs scipy.
+
+Names are re-exported lazily: `hyperband.read_model` imports `tight_binding`
+and what it needs, not `spectra` or `covers_quivers`.
 """
 
-from .errors import *  # noqa: F401,F403
-from .surface_group import *  # noqa: F401,F403
-from .momenta import *  # noqa: F401,F403
-from .tight_binding import *  # noqa: F401,F403
-from .spectra import *  # noqa: F401,F403
-from .euclidean import *  # noqa: F401,F403
-from .higgs_toy import *  # noqa: F401,F403
-from .spectral_curve import *  # noqa: F401,F403
-from .covers_quivers import *  # noqa: F401,F403
-from . import errors, surface_group, momenta, tight_binding, spectra
-from . import euclidean, higgs_toy, spectral_curve, covers_quivers
+import importlib
 
 __version__ = "0.1.0"
 
-# each module's __all__ is the one list of its public names
-__all__ = ["__version__"] + [
-    name
-    for module in (
-        errors, surface_group, momenta, tight_binding, spectra,
-        euclidean, higgs_toy, spectral_curve, covers_quivers,
-    )
-    for name in module.__all__
-]
+#: the re-exported modules in dependency order; each one's __all__ lists its public names
+_MODULES = ("errors", "surface_group", "momenta", "tight_binding", "spectra",
+            "euclidean", "higgs_toy", "spectral_curve", "covers_quivers")
+
+
+def __getattr__(name: str):
+    """A module, `__all__`, or a public name from the first module (imported as
+    the search in dependency order reaches it) that lists it; bound here once found."""
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    value = ["__version__"]
+    # dunder probes (copy, pickle, inspect) import nothing
+    for module_name in _MODULES if name == "__all__" or not name.startswith("__") else ():
+        module = importlib.import_module(f"{__name__}.{module_name}")
+        if name in module.__all__:
+            value = getattr(module, name)
+            break
+        value += module.__all__
+    else:
+        if name != "__all__":
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value

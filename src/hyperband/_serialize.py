@@ -1,4 +1,4 @@
-"""Shared input helpers: integer and tolerance checks, JSON complex scalars and matrices."""
+"""Shared helpers: integer and tolerance checks, JSON complex scalars and matrices, JSON text."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
     "canonical_dumps",
+    "indented_dumps",
 ]
 
 
@@ -68,3 +69,46 @@ def matrix_from_json(rows) -> np.ndarray:
 def canonical_dumps(obj) -> str:
     """Deterministic JSON text: sorted keys, fixed separators, repr floats."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _text(obj, newline: str) -> str:
+    """The JSON text of `obj`, its later lines led by `newline` ("\n" and the indent)."""
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        items = [_escape(key) + ": " + _text(value, inner) for key, value in sorted(obj.items())]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        # all finite floats, or all ints: each item's text is its repr, made in C
+        if all(map(float.__instancecheck__, obj)) and all(map(math.isfinite, obj)):
+            items = list(map(float.__repr__, obj))
+        elif all(map(int.__instancecheck__, obj)) and not any(map(bool.__instancecheck__, obj)):
+            items = list(map(int.__repr__, obj))
+        else:
+            items = [_text(item, inner) for item in obj]
+        brackets = "[]"
+    elif isinstance(obj, str):
+        return _escape(obj)
+    elif obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    elif isinstance(obj, int):
+        return int.__repr__(obj)
+    elif isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
+def indented_dumps(obj) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True) + "\n"`, byte for byte, for
+    dicts with str keys, lists, tuples, str, int, float (numpy.float64 too),
+    bool and None; anything else raises TypeError.  Unlike `json`'s indented
+    writer, it formats a list of only finite floats or only ints in C."""
+    return _text(obj, "\n") + "\n"

@@ -24,9 +24,8 @@ import sys
 
 import numpy as np
 
-from . import covers_quivers, euclidean, higgs_toy, spectra, spectral_curve, tight_binding
 from .errors import NumericalCheckFailure
-from ._serialize import complex_to_json, matrix_to_json
+from ._serialize import complex_to_json, indented_dumps as _dump_json, matrix_to_json
 
 __all__ = ["main"]
 
@@ -129,16 +128,13 @@ def _write_text(text: str, out_path) -> None:
         fh.write(text)
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands (each imports the modules it needs, so a run loads no others)
 # ---------------------------------------------------------------------------
 
 
 def cmd_bands(args) -> int:
+    from . import spectra, tight_binding
     opts = _Options(args)
     model = tight_binding.read_model(opts.require("model"))
     counts = _parse_numbers(opts.get("grid", "8"), "grid", "i*", "grid counts (use N or N,N,...)")
@@ -157,6 +153,7 @@ def cmd_bands(args) -> int:
 
 
 def cmd_bloch_variety(args) -> int:
+    from . import spectra, tight_binding
     opts = _Options(args)
     model = tight_binding.read_model(opts.require("model"))
     (tol,) = _parse_numbers(opts.get("tol", 1e-8), "tol", *_NUMBER)
@@ -167,6 +164,7 @@ def cmd_bloch_variety(args) -> int:
 
 
 def cmd_euclidean(args) -> int:
+    from . import euclidean
     opts = _Options(args)
     tau = complex(*_parse_numbers(opts.require("tau"), "tau", *_COMPLEX))
     kx, ky = _parse_numbers(opts.get("k", "0,0"), "k", "ff?", "a vector (use X,Y)")
@@ -191,6 +189,7 @@ def cmd_euclidean(args) -> int:
 
 
 def cmd_higgs_toy(args) -> int:
+    from . import higgs_toy
     opts = _Options(args)
     point = higgs_toy.ToyModelPoint(
         m=complex(*_parse_numbers(opts.require("m"), "m", *_COMPLEX)),
@@ -234,6 +233,7 @@ def cmd_higgs_toy(args) -> int:
 
 
 def cmd_spectral_curve(args) -> int:
+    from . import higgs_toy, spectral_curve
     opts = _Options(args)
     higgs_path = opts.get("higgs")
     u = opts.get("u")
@@ -254,6 +254,7 @@ def cmd_spectral_curve(args) -> int:
 
 
 def cmd_cover_check(args) -> int:
+    from . import covers_quivers, tight_binding
     opts = _Options(args)
     model = tight_binding.read_model(opts.require("model"))
     cover = covers_quivers.read_cover(opts.require("cover"))

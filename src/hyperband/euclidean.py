@@ -7,12 +7,13 @@ function evaluated by theta series.
 
 The reciprocal basis is *defined* operationally by the dual-basis equations
 w_i . gamma_j = delta_ij.  The closed form <1, tau/|tau|^2> is checked against
-that solve at construction; for non-rectangular tau the two disagree and a
+that solve, once per lattice; for non-rectangular tau the two disagree and a
 warning (not an error) is emitted, keeping the solve authoritative.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -51,6 +52,22 @@ class EuclideanLattice:
         """Rows are gamma_1, gamma_2."""
         return np.array([[1.0, 0.0], [self.tau.real, self.tau.imag]])
 
+    @functools.cached_property
+    def _reciprocal(self) -> ReciprocalLattice:
+        W = np.linalg.inv(self.basis).T  # rows w_i satisfy G @ W.T = I for G = basis
+        tau = self.tau
+        w2_formula = tau / (abs(tau) ** 2)
+        formula = np.array([[1.0, 0.0], [w2_formula.real, w2_formula.imag]])
+        discrepancy = float(np.max(np.abs(W - formula)))
+        if discrepancy > 1e-9:
+            warnings.warn(
+                f"closed-form reciprocal basis <1, tau/|tau|^2> deviates from the "
+                f"dual-basis solve by {discrepancy:.3e} for tau={tau} "
+                f"(expected for non-rectangular tau); using the solve",
+                stacklevel=4,  # the caller of `reciprocal`
+            )
+        return ReciprocalLattice(self, W, discrepancy)
+
 
 @dataclass(frozen=True)
 class ReciprocalLattice:
@@ -67,21 +84,8 @@ class ReciprocalLattice:
 
 
 def reciprocal(lattice: EuclideanLattice) -> ReciprocalLattice:
-    """Solve the dual-basis equations; compare against the closed form."""
-    G = lattice.basis
-    W = np.linalg.inv(G).T  # rows w_i satisfy G @ W.T = I
-    tau = lattice.tau
-    w2_formula = tau / (abs(tau) ** 2)
-    formula = np.array([[1.0, 0.0], [w2_formula.real, w2_formula.imag]])
-    discrepancy = float(np.max(np.abs(W - formula)))
-    if discrepancy > 1e-9:
-        warnings.warn(
-            f"closed-form reciprocal basis <1, tau/|tau|^2> deviates from the "
-            f"dual-basis solve by {discrepancy:.3e} for tau={tau} "
-            f"(expected for non-rectangular tau); using the solve",
-            stacklevel=2,
-        )
-    return ReciprocalLattice(lattice, W, discrepancy)
+    """Solve the dual-basis equations, once per lattice; compare against the closed form."""
+    return lattice._reciprocal
 
 
 def _as_k_vector(k) -> np.ndarray:

@@ -23,12 +23,13 @@ eigenvalues.  A held-out residual check guards the reconstruction.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._serialize import check_tolerance, complex_to_json
+from ._serialize import check_tolerance
 from .errors import NumericalCheckFailure
 from .momenta import TOL_UNITARY, AbelianMomentum
 from .tight_binding import BlochHamiltonian, TightBindingModel, _assemble
@@ -416,37 +417,41 @@ class BlochVariety:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    def _axis_exponents(self) -> list:
+    @functools.cached_property
+    def _exponents(self) -> tuple:
         """Exponent of each index, per chi axis, read off `coeffs.shape`."""
-        exps = []
-        for m in self.coeffs.shape[:-1]:
-            e = np.arange(m)
-            e[e > m // 2] -= m
-            exps.append(e)
-        return exps
+        return tuple((np.arange(m) + m // 2) % m - m // 2 for m in self.coeffs.shape[:-1])
+
+    @functools.cached_property
+    def _abs_coeffs(self) -> np.ndarray:
+        return np.abs(self.coeffs)
+
+    def _sorted_terms(self) -> tuple:
+        """Alphas (n, 2g), E powers and coefficients of the nonzero terms, by (alpha, power)."""
+        *chi_idx, powers = np.nonzero(self.coeffs)
+        alphas = [e[i] for e, i in zip(self._exponents, chi_idx)]
+        order = np.lexsort((powers, *alphas[::-1]))
+        values = self.coeffs[(*chi_idx, powers)]
+        return np.stack(alphas, axis=1)[order], powers[order], values[order]
 
     def terms(self) -> list:
         """Nonzero terms as (alpha tuple, E power, coefficient), canonically ordered."""
-        exps = self._axis_exponents()
-        out = []
-        for flat_idx in np.argwhere(self.coeffs != 0):
-            *chi_idx, j = flat_idx
-            alpha = tuple(int(e[i]) for e, i in zip(exps, chi_idx))
-            out.append((alpha, int(j), complex(self.coeffs[tuple(flat_idx)])))
-        out.sort(key=lambda t: (t[0], t[1]))
-        return out
+        alphas, powers, values = self._sorted_terms()
+        return list(zip(map(tuple, alphas.tolist()), powers.tolist(), values.tolist()))
 
     def evaluate(self, chi, E, with_scale: bool = False):
         """Value at one momentum vector and energy; optionally the |term|-sum scale."""
         chi = np.asarray(chi, dtype=complex).reshape(-1)
         if chi.size != 2 * self.genus:
             raise ValueError(f"need {2 * self.genus} momentum entries, got {chi.size}")
-        acc = self.coeffs
-        acc_abs = np.abs(self.coeffs)
-        for x, exps in zip(chi, self._axis_exponents()):
-            powers = x**exps
-            acc = np.tensordot(powers, acc, axes=(0, 0))
-            acc_abs = np.tensordot(np.abs(powers), acc_abs, axes=(0, 0))
+        acc, acc_abs = self.coeffs, self._abs_coeffs
+        # contract one chi axis per step: the (1, m) x (m, rest) product that
+        # np.tensordot(powers, acc, axes=(0, 0)) makes, without its overhead
+        for x, exps in zip(chi, self._exponents):
+            powers = (x**exps).reshape(1, -1)
+            rest = acc.shape[1:]
+            acc = np.dot(powers, acc.reshape(exps.size, -1)).reshape(rest)
+            acc_abs = np.dot(np.abs(powers), acc_abs.reshape(exps.size, -1)).reshape(rest)
         E = complex(E)
         e_powers = E ** np.arange(self.dim + 1)
         value = complex(np.dot(acc, e_powers))
@@ -456,10 +461,10 @@ class BlochVariety:
         return value
 
     def to_json(self) -> dict:
-        terms = [
-            {"alpha": list(alpha), "power": j, "coeff": complex_to_json(c)}
-            for alpha, j, c in self.terms()
-        ]
+        alphas, powers, values = self._sorted_terms()
+        pairs = np.stack([values.real, values.imag], axis=1).tolist()
+        terms = [{"alpha": a, "power": j, "coeff": c}
+                 for a, j, c in zip(alphas.tolist(), powers.tolist(), pairs)]
         return {
             "hyperband_bloch_variety": 1,
             "genus": self.genus,
@@ -547,9 +552,10 @@ def bloch_variety(
     coeffs = np.fft.fftn(F.reshape(shape + (d + 1,)), axes=tuple(range(2 * g)))
     del F  # freed before the pruning temporaries, as the size estimate assumes
     coeffs /= n_points
-    peak = float(np.max(np.abs(coeffs)))
+    mags = np.abs(coeffs)
+    peak = float(np.max(mags))
     if peak > 0:
-        coeffs[np.abs(coeffs) <= 1e-13 * peak] = 0.0
+        coeffs[mags <= 1e-13 * peak] = 0.0
     bound = max(ranks)
     variety = BlochVariety(genus=g, dim=d, bound=bound, coeffs=coeffs, holdout_residual=0.0)
 
@@ -571,9 +577,7 @@ def bloch_variety(
             f"Bloch-variety reconstruction failed its held-out check "
             f"(relative residual {worst:.3e} > {tol:.0e})"
         )
-    return BlochVariety(
-        genus=g, dim=d, bound=bound, coeffs=coeffs, holdout_residual=worst
-    )
+    return replace(variety, holdout_residual=worst)
 
 
 def write_bands_csv(bands: BandStructure, fh) -> None:

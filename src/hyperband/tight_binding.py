@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._serialize import canonical_dumps, integer, matrix_from_json, matrix_to_json
+from ._serialize import canonical_dumps, indented_dumps, integer, matrix_from_json, matrix_to_json
 from .momenta import AbelianMomentum, NonabelianMomentum
 from .surface_group import SurfaceGroup, make_surface_group
 
@@ -262,5 +262,4 @@ def read_model(path) -> TightBindingModel:
 
 def write_model(model: TightBindingModel, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(indented_dumps(model_to_json(model)))

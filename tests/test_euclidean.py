@@ -116,6 +116,30 @@ def test_two_torsion_points_solve_the_reciprocal_once(monkeypatch, tau):
     assert [p.tobytes() for p in points] == [p.tobytes() for p in expected]
 
 
+def test_reciprocal_is_solved_and_reported_once_per_lattice(monkeypatch):
+    import warnings
+
+    solves = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: solves.append(1) or inv(a))
+    lattice = EuclideanLattice(0.3 + 1.1j)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        first = reciprocal(lattice)
+        empty_lattice_bands(lattice, (0.1, 0.2), 3)
+        two_torsion_points(lattice)
+        assert reciprocal(lattice) is first
+    assert len(solves) == 1
+    assert len(caught) == 1 and "closed-form reciprocal basis" in str(caught[0].message)
+    # the warning names the line that asked for the reciprocal first
+    assert caught[0].filename == __file__
+    # a new lattice object solves again
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert reciprocal(EuclideanLattice(0.3 + 1.1j)) is not first
+    assert len(solves) == 2 and len(caught) == 1
+
+
 def test_fold_reduces_dual_coordinates():
     rng = np.random.default_rng(2)
     for _ in range(20):
