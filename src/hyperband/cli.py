@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -75,41 +76,54 @@ def _parse_numbers(value, name: str, kinds: str, usage: str, sep: str = ",") -> 
         raise error from None
 
 
+# readers: the `_parse_numbers` format (kinds, usage[, separator]) of an option
 _COMPLEX = ("ff?", "a complex number (use RE or RE,IM)")
 _NUMBER = ("f", "a number")
 _INTEGER = ("i", "an integer")
 
 
 class _Options:
-    """Merged view of command-line flags, config file entries, and defaults."""
+    """One subcommand's options, each parsed by its `_COMMANDS` reader when read.
+
+    A flag wins over a config entry (a null too) over the table default.
+    """
 
     def __init__(self, args: argparse.Namespace):
         self._args = vars(args)
+        options = _COMMANDS[args.command][2]
+        self._rows = {name: (reader, default) for name, reader, default, _ in options}
+        self._rows["out"] = (None, None)
         self._config = {}
-        config_path = self._args.get("config")
-        if config_path:
-            with open(config_path, "r", encoding="utf-8") as fh:
+        if args.config:
+            with open(args.config, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
             if not isinstance(data, dict):
                 raise ValueError("config file must hold a JSON object")
-            known = sorted(set(self._args) - {"command", "func", "config"})
-            unknown = [key for key in data if key not in known]
+            unknown = [key for key in data if key not in self._rows]
             if unknown:
-                raise ValueError(f"unknown config key {unknown[0]!r}; known: {', '.join(known)}")
+                raise ValueError(f"unknown config key {unknown[0]!r}; known: {', '.join(sorted(self._rows))}")
             self._config = data
 
-    def get(self, name: str, default=None):
-        value = self._args.get(name)
-        if value is not None:
+    def given(self, name: str):
+        """The option as given: flag, else config entry, else table default."""
+        value = self._args[name]
+        return self._config.get(name, self._rows[name][1]) if value is None else value
+
+    def __getitem__(self, name: str):
+        """The option parsed: a number, a list of them, a path, or None if unset."""
+        reader, default = self._rows[name]
+        value = self.given(name)
+        if reader is None or (value is None and default is None):
             return value
-        if name in self._config:
-            return self._config[name]
-        return default
+        numbers = _parse_numbers(value, name, *reader)
+        if reader is _COMPLEX:
+            return complex(*numbers)
+        return numbers[0] if len(reader[0]) == 1 else numbers
 
     def require(self, name: str):
-        value = self.get(name)
+        value = self[name]
         if value is None:
-            raise ValueError(f"missing required option --{name.replace('_', '-')}")
+            raise ValueError(f"missing required option --{name}")
         return value
 
 
@@ -133,42 +147,40 @@ def _write_text(text: str, out_path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_bands(args) -> int:
+def cmd_bands(opts: _Options) -> int:
     from . import spectra, tight_binding
-    opts = _Options(args)
     model = tight_binding.read_model(opts.require("model"))
-    counts = _parse_numbers(opts.get("grid", "8"), "grid", "i*", "grid counts (use N or N,N,...)")
-    region = opts.get("region")
+    counts, region = opts["grid"], opts["region"]
+    # 2g momenta and d bands per point; an empty region is its grid's to refuse
+    g, d = model.genus, model.dim
+    n_moduli = 1 if region is None else max(region[2], 0)
+    n_points = math.prod(spectra._axis_counts(g, counts)) * n_moduli ** (2 * g)
+    spectra._refuse_oversized(
+        n_points * (2 * g + d) * 16, "bands grid", f"momenta and bands for {n_points} points"
+    )
     if region is None:
-        grid = spectra.unitary_grid(model.genus, counts)
+        grid = spectra.unitary_grid(g, counts)
     else:
-        lo, hi, nm = _parse_numbers(
-            region, "region", "ffi", "a log-modulus region (use LO:HI:COUNT)", sep=":"
-        )
-        grid = spectra.complex_region_grid(model.genus, counts, (lo, hi), nm)
+        grid = spectra.complex_region_grid(g, counts, region[:2], region[2])
     bands = spectra.sweep(model, grid)
-    with _output(opts.get("out")) as fh:
+    with _output(opts["out"]) as fh:
         spectra.write_bands_csv(bands, fh)
     return 0
 
 
-def cmd_bloch_variety(args) -> int:
+def cmd_bloch_variety(opts: _Options) -> int:
     from . import spectra, tight_binding
-    opts = _Options(args)
     model = tight_binding.read_model(opts.require("model"))
-    (tol,) = _parse_numbers(opts.get("tol", 1e-8), "tol", *_NUMBER)
-    (seed,) = _parse_numbers(opts.get("seed", 0), "seed", *_INTEGER)
-    variety = spectra.bloch_variety(model, tol=tol, seed=seed)
-    _write_text(_dump_json(variety.to_json()), opts.get("out"))
+    variety = spectra.bloch_variety(model, tol=opts["tol"], seed=opts["seed"])
+    _write_text(_dump_json(variety.to_json()), opts["out"])
     return 0
 
 
-def cmd_euclidean(args) -> int:
+def cmd_euclidean(opts: _Options) -> int:
     from . import euclidean
-    opts = _Options(args)
-    tau = complex(*_parse_numbers(opts.require("tau"), "tau", *_COMPLEX))
-    kx, ky = _parse_numbers(opts.get("k", "0,0"), "k", "ff?", "a vector (use X,Y)")
-    (n_bands,) = _parse_numbers(opts.get("bands", 8), "bands", *_INTEGER)
+    tau = opts.require("tau")
+    kx, ky = opts["k"]
+    n_bands = opts["bands"]
     lattice = euclidean.EuclideanLattice(tau)
     recip = euclidean.reciprocal(lattice)
     bands = euclidean.empty_lattice_bands(lattice, (kx, ky), n_bands)
@@ -184,37 +196,26 @@ def cmd_euclidean(args) -> int:
         "band_groups": [[e, m] for e, m in bands.groups],
         "modular_lambda": complex_to_json(euclidean.modular_lambda(tau)),
     }
-    _write_text(_dump_json(report), opts.get("out"))
+    _write_text(_dump_json(report), opts["out"])
     return 0
 
 
-def cmd_higgs_toy(args) -> int:
+def _toy_point(opts: _Options):
+    from .higgs_toy import ToyModelPoint
+    return ToyModelPoint(m=opts.require("m"), u=opts.require("u"), B=opts["B"])
+
+
+def cmd_higgs_toy(opts: _Options) -> int:
     from . import higgs_toy
-    opts = _Options(args)
-    point = higgs_toy.ToyModelPoint(
-        m=complex(*_parse_numbers(opts.require("m"), "m", *_COMPLEX)),
-        u=complex(*_parse_numbers(opts.require("u"), "u", *_COMPLEX)),
-        B=complex(*_parse_numbers(opts.get("B", 1.0), "B", *_COMPLEX)),
-    )
-    (tol,) = _parse_numbers(opts.get("tol", 1e-9), "tol", *_NUMBER)
-    (seed,) = _parse_numbers(opts.get("seed", 0), "seed", *_INTEGER)
-    connection = higgs_toy.connection_form(point)
-    higgs = higgs_toy.higgs_form(point)
-    c = higgs_toy.hitchin_coordinate(point, seed=seed, tol=tol)
-
-    def pole_key(p):
-        if p == higgs_toy.INFINITY:
-            return "infinity"
-        if p == 0:
-            return "0"
-        if p == 1:
-            return "1"
-        return "m"
-
-    monodromy = {}
-    for p, residue in connection.poles:
-        values = higgs_toy.local_monodromy_eigenvalues(residue)
-        monodromy[pole_key(p)] = [complex_to_json(v) for v in values]
+    point = _toy_point(opts)
+    c = higgs_toy.hitchin_coordinate(point, tol=opts["tol"], seed=opts["seed"])
+    keys = ("0", "1", "m", "infinity")  # the poles in the order higgs_toy lists them
+    connection = higgs_toy.connection_form(point).poles
+    higgs = higgs_toy.higgs_form(point).poles
+    monodromy = {
+        key: [complex_to_json(v) for v in higgs_toy.local_monodromy_eigenvalues(residue)]
+        for key, (_, residue) in zip(keys, connection)
+    }
     report = {
         "hyperband_higgs_toy": 1,
         "u": complex_to_json(point.u),
@@ -222,51 +223,47 @@ def cmd_higgs_toy(args) -> int:
         "B": complex_to_json(point.B),
         "hitchin": complex_to_json(c),
         "hitchin_closed_form": complex_to_json(higgs_toy.hitchin_closed_form(point)),
-        "connection_residues": {
-            pole_key(p): matrix_to_json(r) for p, r in connection.poles
-        },
-        "higgs_residues": {pole_key(p): matrix_to_json(r) for p, r in higgs.poles},
+        "connection_residues": {k: matrix_to_json(r) for k, (_, r) in zip(keys, connection)},
+        "higgs_residues": {k: matrix_to_json(r) for k, (_, r) in zip(keys, higgs)},
         "connection_monodromy": monodromy,
     }
-    _write_text(_dump_json(report), opts.get("out"))
+    _write_text(_dump_json(report), opts["out"])
     return 0
 
 
-def cmd_spectral_curve(args) -> int:
-    from . import higgs_toy, spectral_curve
-    opts = _Options(args)
-    higgs_path = opts.get("higgs")
-    u = opts.get("u")
-    if (higgs_path is None) == (u is None):
+def cmd_spectral_curve(opts: _Options) -> int:
+    from . import spectral_curve
+    higgs_path = opts["higgs"]
+    if (higgs_path is None) == (opts.given("u") is None):
         raise ValueError("give exactly one input: --higgs FILE, or --u/--m[/--B]")
     if higgs_path is not None:
         phi = spectral_curve.higgs_from_json_file(higgs_path)
     else:
-        point = higgs_toy.ToyModelPoint(
-            m=complex(*_parse_numbers(opts.require("m"), "m", *_COMPLEX)),
-            u=complex(*_parse_numbers(u, "u", *_COMPLEX)),
-            B=complex(*_parse_numbers(opts.get("B", 1.0), "B", *_COMPLEX)),
-        )
-        phi = spectral_curve.toy_to_twisted(point)
+        phi = spectral_curve.toy_to_twisted(_toy_point(opts))
     info = spectral_curve.curve_info(phi)
-    _write_text(_dump_json(spectral_curve.curve_report(info)), opts.get("out"))
+    _write_text(_dump_json(spectral_curve.curve_report(info)), opts["out"])
     return 0
 
 
-def cmd_cover_check(args) -> int:
-    from . import covers_quivers, tight_binding
-    opts = _Options(args)
+def cmd_cover_check(opts: _Options) -> int:
+    from . import covers_quivers, spectra, tight_binding
     model = tight_binding.read_model(opts.require("model"))
     cover = covers_quivers.read_cover(opts.require("cover"))
-    (trials,) = _parse_numbers(opts.get("trials", 20), "trials", *_INTEGER)
+    trials = opts["trials"]
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
-    (tol,) = _parse_numbers(opts.get("tol", 1e-9), "tol", *_NUMBER)
-    (seed,) = _parse_numbers(opts.get("seed", 0), "seed", *_INTEGER)
+    tol, seed = opts["tol"], opts["seed"]
     table = covers_quivers.CoverPushforward(model, cover)
+    # per trial a report (about 230 B with its floats, measured under CPython
+    # 3.11); per character the phase draw (8 B), its exponent, chi, 1/chi (16 B each)
+    n_chars = 2 * table.genus_cover
+    spectra._refuse_oversized(
+        trials * (56 * n_chars + 256), "cover check",
+        f"characters and reports for {trials} trials (cover genus {table.genus_cover})",
+    )
     # one draw of all phases gives the numbers of one draw per trial
     rng = np.random.default_rng(seed)
-    chi = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(trials, 2 * table.genus_cover)))
+    chi = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(trials, n_chars)))
     # the first of the largest distances, as a strict > scan keeps it
     worst = max(table.check_batch(chi, 1.0 / chi, tol), key=lambda report: report.spectral_distance)
     verdict = "PASS" if worst.passed else "FAIL"
@@ -275,7 +272,6 @@ def cmd_cover_check(args) -> int:
         f"max spectral distance {worst.spectral_distance:.3e} "
         f"(tolerance {tol:g} x radius {worst.spectral_radius:.3e})\n"
     )
-    out = opts.get("out")
     summary = {
         "hyperband_cover_check": 1,
         "passed": worst.passed,
@@ -288,8 +284,8 @@ def cmd_cover_check(args) -> int:
         "spectral_radius": worst.spectral_radius,
         "tolerance": tol,
     }
-    if out is not None:
-        _write_text(_dump_json(summary), out)
+    if opts["out"] is not None:
+        _write_text(_dump_json(summary), opts["out"])
     sys.stdout.write(line)
     if not worst.passed:
         raise NumericalCheckFailure(
@@ -299,13 +295,53 @@ def cmd_cover_check(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the table: each subcommand once, with its options as (name, reader, default,
+# help), a reader of None reading a path; each also takes --config and --out
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file supplying defaults for these options")
-    sub.add_argument("--out", help="output path (default: stdout)")
+#: the (u, m, B) point of the Higgs toy, read by higgs-toy and spectral-curve
+_TOY_POINT = (
+    ("u", _COMPLEX, None, "toy-field modulus RE or RE,IM"),
+    ("m", _COMPLEX, None, "toy-field puncture RE or RE,IM (away from 0 and 1)"),
+    ("B", _COMPLEX, "1", "toy-field scale RE or RE,IM"),
+)
+
+_COMMANDS = {
+    "bands": (cmd_bands, "sweep a model over a momentum grid, emit CSV", (
+        ("model", None, None, "model JSON file"),
+        ("grid", ("i*", "grid counts (use N or N,N,...)"), "8",
+         "phase counts per momentum axis, e.g. 8 or 8,8,4,4"),
+        ("region", ("ffi", "a log-modulus region (use LO:HI:COUNT)", ":"), None,
+         "log-modulus range LO:HI:COUNT to sweep off the unitary torus"),
+    )),
+    "bloch-variety": (cmd_bloch_variety, "recover det(H(chi) - E) as an exact expansion", (
+        ("model", None, None, "model JSON file"),
+        ("tol", _NUMBER, "1e-8", "held-out residual tolerance"),
+        ("seed", _INTEGER, "0", "seed for the held-out sample"),
+    )),
+    "euclidean": (cmd_euclidean, "flat-torus reference data for tau, k", (
+        ("tau", _COMPLEX, None, "torus modulus RE,IM (upper half-plane)"),
+        ("k", ("ff?", "a vector (use X,Y)"), "0,0", "wave vector KX,KY"),
+        ("bands", _INTEGER, "8", "number of empty-lattice bands"),
+    )),
+    "higgs-toy": (cmd_higgs_toy, "residues, monodromy, and invariant at (u, m, B)", (
+        *_TOY_POINT,
+        ("tol", _NUMBER, "1e-9", "z-independence tolerance"),
+        ("seed", _INTEGER, "0", "seed for the z samples"),
+    )),
+    "spectral-curve": (cmd_spectral_curve, "branch divisor and genus of a rank-2 field", (
+        ("higgs", None, None, "twisted-field JSON file"),
+        *_TOY_POINT,
+    )),
+    "cover-check": (cmd_cover_check, "compare supercell vs induced-momentum spectra", (
+        ("model", None, None, "base model JSON file"),
+        ("cover", None, None, "cover JSON file"),
+        ("trials", _INTEGER, "20", "number of random unitary characters"),
+        ("tol", _NUMBER, "1e-9", "relative spectral tolerance"),
+        ("seed", _INTEGER, "0", "seed for the characters"),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,63 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="band structures on genus-g translation groups and friends",
     )
     subs = parser.add_subparsers(dest="command")
-
-    p = subs.add_parser("bands", help="sweep a model over a momentum grid, emit CSV")
-    p.add_argument("--model", help="model JSON file")
-    p.add_argument("--grid", help="phase counts per momentum axis, e.g. 8 or 8,8,4,4")
-    p.add_argument(
-        "--region",
-        help="log-modulus range LO:HI:COUNT to sweep off the unitary torus",
-    )
-    _add_common(p)
-    p.set_defaults(func=cmd_bands)
-
-    p = subs.add_parser(
-        "bloch-variety", help="recover det(H(chi) - E) as an exact expansion"
-    )
-    p.add_argument("--model", help="model JSON file")
-    p.add_argument("--tol", help="held-out residual tolerance (default 1e-8)")
-    p.add_argument("--seed", help="seed for the held-out sample (default 0)")
-    _add_common(p)
-    p.set_defaults(func=cmd_bloch_variety)
-
-    p = subs.add_parser("euclidean", help="flat-torus reference data for tau, k")
-    p.add_argument("--tau", help="torus modulus RE,IM (upper half-plane)")
-    p.add_argument("--k", help="wave vector KX,KY (default 0,0)")
-    p.add_argument("--bands", help="number of empty-lattice bands (default 8)")
-    _add_common(p)
-    p.set_defaults(func=cmd_euclidean)
-
-    p = subs.add_parser("higgs-toy", help="residues, monodromy, and invariant at (u, m, B)")
-    p.add_argument("--u", help="modulus RE or RE,IM")
-    p.add_argument("--m", help="puncture RE or RE,IM (away from 0 and 1)")
-    p.add_argument("--B", help="Higgs scale RE or RE,IM (default 1)")
-    p.add_argument("--tol", help="z-independence tolerance (default 1e-9)")
-    p.add_argument("--seed", help="seed for the z samples (default 0)")
-    _add_common(p)
-    p.set_defaults(func=cmd_higgs_toy)
-
-    p = subs.add_parser(
-        "spectral-curve", help="branch divisor and genus of a rank-2 field"
-    )
-    p.add_argument("--higgs", help="twisted-field JSON file")
-    p.add_argument("--u", help="toy-field modulus RE or RE,IM")
-    p.add_argument("--m", help="toy-field puncture RE or RE,IM")
-    p.add_argument("--B", help="toy-field scale RE or RE,IM (default 1)")
-    _add_common(p)
-    p.set_defaults(func=cmd_spectral_curve)
-
-    p = subs.add_parser(
-        "cover-check", help="compare supercell vs induced-momentum spectra"
-    )
-    p.add_argument("--model", help="base model JSON file")
-    p.add_argument("--cover", help="cover JSON file")
-    p.add_argument("--trials", help="number of random unitary characters (default 20)")
-    p.add_argument("--tol", help="relative spectral tolerance (default 1e-9)")
-    p.add_argument("--seed", help="seed for the characters (default 0)")
-    _add_common(p)
-    p.set_defaults(func=cmd_cover_check)
-
+    for command, (_, summary, options) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=summary)
+        for name, _, default, text in options:
+            sub.add_argument(f"--{name}", help=text if default is None else f"{text} (default {default})")
+        sub.add_argument("--config", help="JSON file supplying defaults for these options")
+        sub.add_argument("--out", help="output path (default: stdout)")
     return parser
 
 
@@ -383,11 +368,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if getattr(args, "func", None) is None:
+    if args.command is None:
         parser.print_help(sys.stderr)
         return 2
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][0](_Options(args))
     except (NumericalCheckFailure, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -151,11 +151,15 @@ def empty_lattice_bands(lattice: EuclideanLattice, k, n_bands: int) -> EmptyLatt
     tie_tol = 1e-9 * max(1.0, float(bound))
     kept = energies[energies <= bound + tie_tol]
     lowest = energies[:n_bands]
+    # the entries within tie_tol of a value form one run of the sorted `kept`;
+    # searchsorted with twice the margin brackets it, and the test counts it
+    starts = np.searchsorted(kept, lowest - 2.0 * tie_tol, "left")
+    stops = np.searchsorted(kept, lowest + 2.0 * tie_tol, "right")
     groups = []
-    for value in lowest:
+    for value, start, stop in zip(lowest.tolist(), starts.tolist(), stops.tolist()):
         if groups and abs(value - groups[-1][0]) <= tie_tol:
             continue
-        mult = int(np.sum(np.abs(kept - value) <= tie_tol))
+        mult = int(np.count_nonzero(np.abs(kept[start:stop] - value) <= tie_tol))
         groups.append((float(value), mult))
     return EmptyLatticeBands(k=k, energies=lowest, groups=tuple(groups))
 

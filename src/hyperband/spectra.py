@@ -490,9 +490,19 @@ def _char_coeffs_from_eigenvalues(lams: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-#: largest accepted estimate of `bloch_variety`'s coefficient arrays (the
-#: char-poly samples, their FFT and the pruning temporaries: 3 P (d+1) 16 B)
-_VARIETY_BYTES = 1 << 30
+#: largest accepted estimate of the arrays one call builds: `bloch_variety`'s
+#: coefficient arrays (the char-poly samples, their FFT and the pruning
+#: temporaries: 3 P (d+1) 16 B), and the CLI's bands grids and cover checks
+_MAX_ARRAY_BYTES = 1 << 30
+
+
+def _refuse_oversized(estimate: int, subject: str, arrays: str) -> None:
+    """Refuse with ValueError, before allocating them, arrays past `_MAX_ARRAY_BYTES`."""
+    if estimate > _MAX_ARRAY_BYTES:
+        raise ValueError(
+            f"{subject} too large: about {estimate / 1e9:.1f} GB of {arrays}; "
+            f"the limit is {_MAX_ARRAY_BYTES / 1e9:.1f} GB"
+        )
 
 
 def bloch_variety(
@@ -508,7 +518,7 @@ def bloch_variety(
     characteristic-polynomial coefficients, and inverts the momentum dependence
     with an FFT.  The grid is assembled and solved in slices of at most
     `_CHUNK_BYTES` of momenta and Hamiltonians.  A grid whose coefficient
-    arrays would exceed `_VARIETY_BYTES` is refused with ValueError before any
+    arrays would exceed `_MAX_ARRAY_BYTES` is refused with ValueError before any
     sampling.  Coefficients at or below 1e-13 of the largest are zeroed.  A
     held-out random sample (reproducible via `seed`) must match direct
     determinant evaluation to `tol` relative, else NumericalCheckFailure is
@@ -521,13 +531,11 @@ def bloch_variety(
     ranks = [int(np.linalg.matrix_rank(h)) for h in model.hops]
     shape = tuple(2 * r + 1 for r in ranks)
     n_points = math.prod(shape)
-    estimate = 3 * n_points * (d + 1) * 16
-    if estimate > _VARIETY_BYTES:
-        raise ValueError(
-            f"Bloch variety too large: about {estimate / 1e9:.1f} GB of coefficient "
-            f"arrays for a {'x'.join(map(str, shape))} sampling grid (hop ranks "
-            f"{ranks}, dim {d}); the limit is {_VARIETY_BYTES / 1e9:.1f} GB"
-        )
+    _refuse_oversized(
+        3 * n_points * (d + 1) * 16, "Bloch variety",
+        f"coefficient arrays for a {'x'.join(map(str, shape))} sampling grid "
+        f"(hop ranks {ranks}, dim {d})",
+    )
     axes = [np.exp(2j * np.pi * np.arange(m) / m) for m in shape]
     F = np.empty((n_points, d + 1), dtype=complex)
     lam_scale = 0.0

@@ -234,8 +234,12 @@ def _roots_with_multiplicity(poly: np.ndarray, base_genus: int, zero_tol: float)
 
 
 def branch_points(info: SpectralCurveInfo) -> tuple:
-    """The branch divisor of `info`, with multiplicities; raises when Delta == 0."""
-    return _branch_divisor(info.base_genus, info.a1, info.a2, info.discriminant)
+    """The branch divisor `curve_info` found, with multiplicities; raises when Delta == 0."""
+    if info.degenerate:
+        raise EverywhereSingularError(
+            "discriminant vanishes identically; no reduced branch divisor exists"
+        )
+    return info.branch_points
 
 
 def curve_genus(info: SpectralCurveInfo) -> int:
@@ -243,16 +247,6 @@ def curve_genus(info: SpectralCurveInfo) -> int:
     if info.degenerate or not info.branch_points:
         raise EverywhereSingularError("degenerate curve has no genus")
     return _genus(info.branch_points)
-
-
-def _branch_divisor(base_genus: int, a1, a2, disc) -> tuple:
-    """BranchPoints of the curve with characteristic data (a1, a2, disc)."""
-    zero_tol = TRIM_REL * _disc_scale(a1, a2, disc)
-    finite, inf_mult = _roots_with_multiplicity(disc, base_genus, zero_tol)
-    out = [BranchPoint(point=p, multiplicity=m) for p, m in finite]
-    if inf_mult > 0:
-        out.append(BranchPoint(point=INFINITY, multiplicity=inf_mult))
-    return tuple(out)
 
 
 def _genus(bps: tuple) -> int:
@@ -303,7 +297,13 @@ def curve_info(phi: Rank2TwistedHiggs) -> SpectralCurveInfo:
     product_scale = entry_peak * entry_peak
     disc_peak = float(np.max(np.abs(disc))) if disc.size else 0.0
     degenerate = disc.size == 0 or disc_peak <= TRIM_REL * product_scale
-    bps = () if degenerate else _branch_divisor(phi.genus, a1, a2, disc)
+    bps = ()
+    if not degenerate:
+        zero_tol = TRIM_REL * _disc_scale(a1, a2, disc)
+        finite, inf_mult = _roots_with_multiplicity(disc, phi.genus, zero_tol)
+        bps = tuple(BranchPoint(point=p, multiplicity=m) for p, m in finite)
+        if inf_mult > 0:
+            bps += (BranchPoint(point=INFINITY, multiplicity=inf_mult),)
     smooth = not degenerate and all(bp.multiplicity == 1 for bp in bps)
     return SpectralCurveInfo(
         base_genus=phi.genus, k=phi.k, a1=a1, a2=a2, discriminant=disc, branch_points=bps,

@@ -721,6 +721,99 @@ def test_bands_count_option_values(tmp_path, capsys, source, value, count):
         assert code == 0 and len(json.loads(out.read_text())["bands"]) == count
 
 
+# ---------------------------------------------------------------------------
+# the option table: defaults, --help, oversized inputs
+# ---------------------------------------------------------------------------
+
+#: every defaulted option, as the README states it and as a JSON config value
+DEFAULTS = {
+    "bands": {"grid": ("8", 8)},
+    "bloch-variety": {"tol": ("1e-8", 1e-8), "seed": ("0", 0)},
+    "euclidean": {"k": ("0,0", [0, 0]), "bands": ("8", 8)},
+    "higgs-toy": {"B": ("1", 1), "tol": ("1e-9", 1e-9), "seed": ("0", 0)},
+    "spectral-curve": {"B": ("1", [1, 0])},
+    "cover-check": {"trials": ("20", 20), "tol": ("1e-9", 1e-9), "seed": ("0", 0)},
+}
+
+
+def _required_inputs(command, single_site_model, two_state_model, swap_cover):
+    return {
+        "bands": ["--model", str(single_site_model)],
+        "bloch-variety": ["--model", str(two_state_model)],
+        "euclidean": ["--tau", "0.2,1.1"],
+        "higgs-toy": ["--u", "2", "--m", "3,0.5"],
+        "spectral-curve": ["--u", "2", "--m", "3,0.5"],
+        "cover-check": ["--model", str(two_state_model), "--cover", str(swap_cover)],
+    }[command]
+
+
+def test_table_declares_the_stated_defaults():
+    declared = {
+        command: {name for name, _, default, _ in options if default is not None}
+        for command, (_, _, options) in cli._COMMANDS.items()
+    }
+    assert declared == {command: set(options) for command, options in DEFAULTS.items()}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS))
+def test_explicit_defaults_give_the_same_bytes(
+    command, single_site_model, two_state_model, swap_cover, tmp_path, capsys
+):
+    # required inputs alone; then every default given by flag; then by config
+    required = _required_inputs(command, single_site_model, two_state_model, swap_cover)
+    flags = [f"--{name}={text}" for name, (text, _) in DEFAULTS[command].items()]
+    config = tmp_path / "defaults.json"
+    config.write_text(json.dumps({n: v for n, (_, v) in DEFAULTS[command].items()}))
+    runs = []
+    for extra in ([], flags, ["--config", str(config)]):
+        out = tmp_path / f"out{len(runs)}"
+        assert cli.main([command, *required, *extra, "--out", str(out)]) == 0
+        runs.append((out.read_bytes(), capsys.readouterr()))
+    assert runs[0][0] and runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS))
+def test_help_shows_every_table_default(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "400")  # one line per option
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--help"])
+    assert exit_info.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name, (text, _) in DEFAULTS[command].items():
+        (line,) = [l for l in lines if l.lstrip().startswith(f"--{name} ")]
+        assert line.endswith(f"(default {text})"), line
+
+
+def test_oversized_bands_grid_is_refused_before_the_grid_is_built(
+    single_site_model, monkeypatch, capsys
+):
+    from hyperband import spectra
+
+    def unreachable(*args):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(spectra, "_product_grid", unreachable)
+    code = cli.main(["bands", "--model", str(single_site_model), "--grid", "1000000,1000000"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: bands grid too large: about 48000.0 GB")
+    assert "1000000000000 points" in err and "the limit is 1.1 GB" in err
+
+
+def test_oversized_cover_check_is_refused_before_the_characters_are_drawn(
+    two_state_model, swap_cover, monkeypatch, capsys
+):
+    def unreachable(*args):
+        raise AssertionError("characters drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", unreachable)
+    argv = ["cover-check", "--model", str(two_state_model), "--cover", str(swap_cover)]
+    code = cli.main(argv + ["--trials", "10000000000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: cover check too large: about ")
+    assert "10000000000 trials (cover genus 1)" in captured.err
+
+
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
     calls, original = [], cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or original())

@@ -80,6 +80,43 @@ def test_empty_lattice_multiplicity_counts_beyond_window():
     assert bands.groups[1] == (1.0, 4)
 
 
+def _groups_by_full_scan(energies, kept, tie_tol):
+    """The multiplicity loop empty_lattice_bands used to run: one pass over `kept` per group."""
+    groups = []
+    for value in energies:
+        if groups and abs(value - groups[-1][0]) <= tie_tol:
+            continue
+        groups.append((float(value), int(np.sum(np.abs(kept - value) <= tie_tol))))
+    return tuple(groups)
+
+
+@pytest.mark.parametrize(
+    "tau, k",
+    [
+        (1j, (0.0, 0.0)),  # square: fourfold shells
+        (1j, (0.5, 0.5)),
+        (0.3 + 1.1j, (0.3, -0.2)),  # skew: nearly every energy its own group
+        (0.5 + 0.75**0.5 * 1j, (0.0, 0.0)),  # hexagonal: sixfold shells
+        (0.5 + 0.75**0.5 * 1j, (0.1, 0.2)),
+    ],
+)
+@pytest.mark.parametrize("n_bands", [1, 5, 26, 400])
+def test_band_groups_match_a_full_scan_of_the_kept_energies(tau, k, n_bands):
+    lattice = EuclideanLattice(tau)
+    bands = empty_lattice_bands(lattice, k, n_bands)
+    # every lattice vector out to well past the selected energies
+    W = reciprocal(lattice).basis
+    span = np.arange(-60, 61)
+    G = (span[:, None, None] * W[0] + span[None, :, None] * W[1]).reshape(-1, 2)
+    diff = np.asarray(k)[None, :] - G
+    energies = np.sort(np.einsum("ij,ij->i", diff, diff))
+    bound = bands.energies[-1]
+    tie_tol = 1e-9 * max(1.0, float(bound))
+    assert np.array_equal(energies[:n_bands], bands.energies)
+    kept = energies[energies <= bound + tie_tol]
+    assert bands.groups == _groups_by_full_scan(bands.energies, kept, tie_tol)
+
+
 def test_two_torsion_energies_square_lattice():
     lat = EuclideanLattice(1j)
     pts = two_torsion_points(lat)

@@ -132,6 +132,19 @@ def test_identically_zero_discriminant_reports_degenerate():
         curve_genus(info)
 
 
+def test_branch_points_agree_with_curve_info_on_rounding_level_discriminant():
+    # the discriminant (about 0.4) is rounding noise next to the entries'
+    # product scale of 1e12, so curve_info calls the curve degenerate;
+    # branch_points must say so too, not find a divisor at infinity
+    phi = Rank2TwistedHiggs(1, 1, (([1e6], [1e6]), ([-1e6 + 1e-7], [-1e6])))
+    info = curve_info(phi)
+    assert info.degenerate and info.branch_points == ()
+    with pytest.raises(EverywhereSingularError):
+        branch_points(info)
+    with pytest.raises(EverywhereSingularError):
+        curve_genus(info)
+
+
 def test_toy_field_branch_set():
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -173,25 +186,16 @@ def test_toy_field_scale_invariance_of_branch_points():
 def test_tiny_coefficient_noise_is_not_structure():
     # a discriminant that is "almost" degree 4 but whose top coefficient is
     # pure rounding junk must be treated as degree 3
+    # (branch_points now returns what curve_info found, so the divisor is
+    # taken here from the root finder curve_info runs, at its zero tolerance)
+    from hyperband.spectral_curve import TRIM_REL, _disc_scale, _roots_with_multiplicity
+
     a1 = np.zeros(1, dtype=complex)
     disc = np.array([0.0, -1.0, 0.0, 1.0, 1e-17], dtype=complex)
     a2 = -disc / 4.0
-    info = SpectralCurveInfo(
-        base_genus=1,
-        k=0,
-        a1=a1,
-        a2=a2,
-        discriminant=disc,
-        branch_points=(),
-        smooth=False,
-        curve_genus=None,
-        degenerate=False,
-    )
-    pts = branch_points(info)
-    finite = [bp for bp in pts if bp.point != INFINITY]
-    assert len(finite) == 3
-    inf_mult = [bp.multiplicity for bp in pts if bp.point == INFINITY]
-    assert inf_mult == [1]
+    finite, inf_mult = _roots_with_multiplicity(disc, 1, TRIM_REL * _disc_scale(a1, a2, disc))
+    assert len(finite) == 3 and all(m == 1 for _, m in finite)
+    assert inf_mult == 1
 
 
 def test_curve_report_layout():
