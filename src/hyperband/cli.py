@@ -264,9 +264,8 @@ def cmd_cover_check(opts: _Options) -> int:
     # one draw of all phases gives the numbers of one draw per trial
     rng = np.random.default_rng(seed)
     chi = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(trials, n_chars)))
-    # the first of the largest distances, as a strict > scan keeps it
-    worst = max(table.check_batch(chi, 1.0 / chi, tol), key=lambda report: report.spectral_distance)
-    verdict = "PASS" if worst.passed else "FAIL"
+    worst, passed = _cover_verdict(table.check_batch(chi, 1.0 / chi, tol))
+    verdict = "PASS" if passed else "FAIL"
     line = (
         f"{verdict}: {trials} characters, {worst.n_states} states, "
         f"max spectral distance {worst.spectral_distance:.3e} "
@@ -274,7 +273,7 @@ def cmd_cover_check(opts: _Options) -> int:
     )
     summary = {
         "hyperband_cover_check": 1,
-        "passed": worst.passed,
+        "passed": passed,
         "trials": trials,
         "n_states": worst.n_states,
         "connected": worst.connected,
@@ -287,11 +286,17 @@ def cmd_cover_check(opts: _Options) -> int:
     if opts["out"] is not None:
         _write_text(_dump_json(summary), opts["out"])
     sys.stdout.write(line)
-    if not worst.passed:
+    if not passed:
         raise NumericalCheckFailure(
             f"pushforward routes disagree: distance {worst.spectral_distance:.3e}"
         )
     return 0
+
+
+def _cover_verdict(reports: list) -> tuple:
+    """The first largest-distance report, and whether every trial passed: each
+    trial's tolerance scales with its own radius, so a smaller distance can fail."""
+    return max(reports, key=lambda report: report.spectral_distance), all(r.passed for r in reports)
 
 
 # ---------------------------------------------------------------------------

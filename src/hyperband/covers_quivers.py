@@ -50,16 +50,20 @@ N = 2048.
 
 A quiver presents one model's Hamiltonian as nodes (atoms = groups of cell
 states) and block arrows (label: which generator the hop crosses, or none for
-on-site blocks).  `torus_action` scales arrows by character values, and
-`reassemble` rebuilds H(chi) with the exact accumulation order of
-`bloch_abelian`, so the round trip is bit-for-bit.
+on-site blocks).  `torus_action` scales arrows by character values.  Each
+quiver sums its arrows once into a dense layout (the on-site matrix and a
+forward and a reverse matrix per generator), and `reassemble` runs
+`bloch_abelian`'s own kernel, `tight_binding._assemble`, on it, so the round
+trip is bit-for-bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,7 +78,7 @@ from .momenta import (
 )
 from .spectra import _slices, _solve_stack
 from .surface_group import Word, _walk, make_surface_group
-from .tight_binding import BlochHamiltonian, TightBindingModel, _assemble_monomial, _place_blocks
+from .tight_binding import BlochHamiltonian, TightBindingModel, _assemble, _assemble_monomial, _place_blocks
 
 __all__ = [
     "UnbranchedCover",
@@ -675,16 +679,49 @@ class QuiverArrow:
         b = np.array(self.block, dtype=complex)
         b.setflags(write=False)
         object.__setattr__(self, "block", b)
+        object.__setattr__(self, "reverse", bool(self.reverse))
+
+
+class _QuiverLayout(NamedTuple):
+    """A quiver's dense matrices, as the fields `tight_binding._assemble` reads."""
+
+    genus: int
+    dim: int
+    onsite: np.ndarray
+    hops: np.ndarray
+    hops_dagger: np.ndarray
 
 
 @dataclass(frozen=True)
 class Quiver:
-    """Nodes (atoms = tuples of state indices) and block arrows."""
+    """Nodes (atoms = tuples of state indices) and block arrows.
+
+    The atoms must partition the cell states, and each arrow must join two
+    atoms with a label None or in 1..2g and a (|target|, |source|) block;
+    anything else is a ValueError at construction.
+    """
 
     genus: int
     dim: int
     nodes: tuple  # tuple of tuples of 0-indexed states
     arrows: tuple = field(default_factory=tuple)
+
+    def __post_init__(self):
+        nodes = _check_partition(self.dim, self.nodes)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "arrows", tuple(self.arrows))
+        for a in self.arrows:
+            if a.label is not None and not (_is_index(a.label, 2 * self.genus + 1) and a.label > 0):
+                raise ValueError(f"arrow label {a.label!r} is neither None nor in 1..{2 * self.genus}")
+            if not (_is_index(a.source, len(nodes)) and _is_index(a.target, len(nodes))):
+                raise ValueError(f"arrow {a.source} -> {a.target} names an atom outside 0..{len(nodes) - 1}")
+            if a.block.shape != (len(nodes[a.target]), len(nodes[a.source])):
+                raise ValueError(f"arrow {a.source} -> {a.target} has a {a.block.shape} block")
+
+    @functools.cached_property
+    def _layout(self) -> _QuiverLayout:
+        """`_quiver_layout(self)`, built on first use and kept."""
+        return _quiver_layout(self)
 
     def internal_arrows(self) -> tuple:
         return tuple(a for a in self.arrows if a.label is None)
@@ -707,89 +744,85 @@ def _check_partition(dim: int, nodes) -> tuple:
     return nodes
 
 
+def _is_index(value, n: int) -> bool:
+    return isinstance(value, (int, np.integer)) and 0 <= value < n
+
+
+def _atom_order(nodes: tuple) -> tuple:
+    """The states run atom by atom, and each atom's slice of that run."""
+    order = np.array([s for atom in nodes for s in atom], dtype=np.intp)
+    ends = np.cumsum([len(atom) for atom in nodes]).tolist()
+    return order, [slice(end - len(atom), end) for atom, end in zip(nodes, ends)]
+
+
+def _quiver_layout(quiver: Quiver) -> _QuiverLayout:
+    """The on-site matrix and per generator its forward and reverse matrices.
+
+    Each arrow's block is added, in arrow order, to +0 at its atoms' rows and
+    columns of one stack whose states run atom by atom; the stack is put back
+    in state order once.
+    """
+    order, spans = _atom_order(quiver.nodes)
+    stack = np.zeros((1 + 4 * quiver.genus, quiver.dim, quiver.dim), dtype=complex)
+    for a in quiver.arrows:
+        slot = 0 if a.label is None else 2 * a.label - 1 + a.reverse
+        stack[slot, spans[a.target], spans[a.source]] += a.block
+    back = np.argsort(order)
+    stack = stack[:, back[:, None], back]
+    stack.setflags(write=False)
+    return _QuiverLayout(quiver.genus, quiver.dim, stack[0], stack[1::2], stack[2::2])
+
+
 def quiver_from_model(model: TightBindingModel, nodes=None) -> Quiver:
     """Decompose the model into per-atom blocks.
 
     `nodes` partitions the cell states into atoms (default: one atom per
     state).  Every nonzero block of the on-site matrix becomes an internal
     arrow; every nonzero block of hop J_gamma becomes a label-gamma arrow, and
-    every nonzero block of J_gamma^dagger its reverse-side arrow.
+    every nonzero block of J_gamma^dagger its reverse-side arrow.  The blocks
+    are cut from one copy of the matrices with their states run atom by atom.
     """
     if nodes is None:
         nodes = tuple((s,) for s in range(model.dim))
     nodes = _check_partition(model.dim, nodes)
-    arrows = []
-
-    def blocks_of(matrix, label, reverse):
-        found = []
-        for b, rows in enumerate(nodes):
-            for a, cols in enumerate(nodes):
-                block = matrix[np.ix_(rows, cols)]
-                if np.any(block != 0):
-                    found.append(
-                        QuiverArrow(
-                            source=a, target=b, block=block, label=label, reverse=reverse
-                        )
-                    )
-        return found
-
-    arrows.extend(blocks_of(model.onsite, None, False))
-    for gen in range(1, 2 * model.genus + 1):
-        arrows.extend(blocks_of(model.hops[gen - 1], gen, False))
-        arrows.extend(blocks_of(model.hops_dagger[gen - 1], gen, True))
-    return Quiver(genus=model.genus, dim=model.dim, nodes=nodes, arrows=tuple(arrows))
+    order, spans = _atom_order(nodes)
+    # matrix k > 0 is hop (k + 1) // 2, or its dagger for even k
+    stack = np.stack([model.onsite, *(m for pair in zip(model.hops, model.hops_dagger) for m in pair)])
+    stack = stack[:, order[:, None], order]
+    # nonzero[k, b, a]: block (atom b, atom a) of matrix k has a nonzero entry
+    starts = [span.start for span in spans]
+    nonzero = np.logical_or.reduceat(np.logical_or.reduceat(stack != 0, starts, axis=1), starts, axis=2)
+    arrows = tuple(
+        QuiverArrow(a, b, stack[k, spans[b], spans[a]], (k + 1) // 2 or None, k > 0 and k % 2 == 0)
+        for k, b, a in zip(*(index.tolist() for index in np.nonzero(nonzero)))
+    )
+    return Quiver(genus=model.genus, dim=model.dim, nodes=nodes, arrows=arrows)
 
 
 def torus_action(quiver: Quiver, chi: AbelianMomentum) -> Quiver:
     """Scale label-gamma arrows by chi_gamma (forward) / chi_gamma^{-1} (reverse)."""
     if chi.genus != quiver.genus:
         raise ValueError(f"genus mismatch: quiver {quiver.genus}, momentum {chi.genus}")
-    arrows = []
-    for a in quiver.arrows:
-        if a.label is None:
-            arrows.append(a)
-        else:
-            factor = chi.chi_inv[a.label - 1] if a.reverse else chi.chi[a.label - 1]
-            arrows.append(
-                QuiverArrow(
-                    source=a.source,
-                    target=a.target,
-                    block=factor * a.block,
-                    label=a.label,
-                    reverse=a.reverse,
-                )
-            )
-    return Quiver(genus=quiver.genus, dim=quiver.dim, nodes=quiver.nodes, arrows=tuple(arrows))
+    factors = (chi.chi, chi.chi_inv)
+    arrows = tuple(
+        a if a.label is None else dataclasses.replace(a, block=factors[a.reverse][a.label - 1] * a.block)
+        for a in quiver.arrows
+    )
+    return dataclasses.replace(quiver, arrows=arrows)
 
 
 def reassemble(quiver: Quiver, chi: AbelianMomentum = None) -> np.ndarray:
-    """Rebuild the Hamiltonian from the arrows.
+    """Rebuild the Hamiltonian from the arrows: `_assemble` on the quiver's layout.
 
-    With `chi` given, crossing arrows are weighted chi_gamma / chi_gamma^{-1};
-    without it they enter with weight one (useful after torus_action, which
-    bakes the weights into the blocks).  The accumulation order mirrors
-    `bloch_abelian` -- on-site first, then one combined forward+dagger pass
-    per generator -- so the result matches it bit-for-bit.
+    With `chi` given, forward arrows are weighted chi_gamma and reverse ones
+    its stored reciprocal; without it every arrow enters with weight one
+    (useful after torus_action, which bakes the weights into the blocks).
+    The layout is built once per quiver, and the arithmetic is
+    `bloch_abelian`'s own, so the round trip from `quiver_from_model` is
+    bit-for-bit.
     """
-    d = quiver.dim
-    H = np.zeros((d, d), dtype=complex)
-    for a in quiver.internal_arrows():
-        rows, cols = quiver.nodes[a.target], quiver.nodes[a.source]
-        H[np.ix_(rows, cols)] += a.block
-    for gen in range(1, 2 * quiver.genus + 1):
-        pair = np.zeros((d, d), dtype=complex)
-        for a in quiver.crossing_arrows(gen):
-            if a.reverse:
-                continue
-            rows, cols = quiver.nodes[a.target], quiver.nodes[a.source]
-            weight = 1.0 if chi is None else chi.chi[gen - 1]
-            block = a.block if chi is None else weight * a.block
-            pair[np.ix_(rows, cols)] += block
-        for a in quiver.crossing_arrows(gen):
-            if not a.reverse:
-                continue
-            rows, cols = quiver.nodes[a.target], quiver.nodes[a.source]
-            block = a.block if chi is None else chi.chi_inv[gen - 1] * a.block
-            pair[np.ix_(rows, cols)] += block
-        H += pair
-    return H
+    if chi is None:
+        chi = AbelianMomentum(np.ones(2 * quiver.genus, dtype=complex))
+    if chi.genus != quiver.genus:
+        raise ValueError(f"genus mismatch: quiver {quiver.genus}, momentum {chi.genus}")
+    return _assemble(quiver._layout, chi.chi, chi.chi_inv)

@@ -14,6 +14,7 @@ warning (not an error) is emitted, keeping the solve authoritative.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -114,10 +115,11 @@ class EmptyLatticeBands:
 def empty_lattice_bands(lattice: EuclideanLattice, k, n_bands: int) -> EmptyLatticeBands:
     """The n lowest |k - G|^2, G in the reciprocal lattice, with full tie counts.
 
-    Enumerates an initial 5x5 window of reciprocal vectors to bound the n-th
-    energy, then enlarges the window until it provably contains every G with
-    |k - G|^2 at or below that bound (using the smallest singular value of the
-    reciprocal basis), so no low-energy vector is missed.
+    Enumerates the smallest square window of reciprocal vectors, at least
+    5x5, that holds n of them to bound the n-th energy, then enlarges the
+    window until it provably contains every G with |k - G|^2 at or below that
+    bound (using the smallest singular value of the reciprocal basis), so no
+    low-energy vector is missed.
     """
     n_bands = int(n_bands)
     if n_bands < 1:
@@ -135,12 +137,10 @@ def empty_lattice_bands(lattice: EuclideanLattice, k, n_bands: int) -> EmptyLatt
         diff = k[None, :] - G
         return np.sort(np.einsum("ij,ij->i", diff, diff))
 
-    half_width = 2
+    # (2h + 1)^2 >= n_bands first holds at h = ceil(sqrt(n_bands)) // 2
+    half_width = max(2, (math.isqrt(n_bands - 1) + 1) // 2)
     while True:
         energies = window_energies(half_width)
-        if energies.size < n_bands:
-            half_width += 1
-            continue
         bound = energies[n_bands - 1]
         radius = float(np.linalg.norm(k)) + float(np.sqrt(bound))
         needed = int(np.ceil(radius / sigma_min)) + 1

@@ -23,7 +23,8 @@ matrix equals the Kronecker route's byte for byte, zeros' signs included.
 pair) also assembles the cover supercells of `covers_quivers`.
 
 Floating-point contract: one kernel, `_assemble`, builds every abelian H(chi)
-for `bloch_abelian`, `spectra.sweep` and `spectra.bloch_variety`.  It adds one
+for `bloch_abelian`, `spectra.sweep`, `spectra.bloch_variety` and
+`covers_quivers.reassemble` (on a quiver's dense layout).  It adds one
 generator pair chi_i J_i + chi_i^{-1} J_i^dagger per step, with the reciprocals
 it is given (in `bloch_abelian`, the ones stored on the momentum).  So
 `adjoint_momentum` is an exact involution on Hamiltonians: H(adjoint(chi))
@@ -143,9 +144,11 @@ def bloch_abelian(model: TightBindingModel, momentum: AbelianMomentum) -> BlochH
     return BlochHamiltonian(H, momentum, momentum.unitary)
 
 
-def _assemble(model: TightBindingModel, chi: np.ndarray, chi_inv: np.ndarray) -> np.ndarray:
+def _assemble(model, chi: np.ndarray, chi_inv: np.ndarray) -> np.ndarray:
     """H(chi), shape lead + (d, d), for chi and chi_inv of shape lead + (2g,).
 
+    `model` is a `TightBindingModel` or anything with its genus, dim, onsite,
+    hops and hops_dagger fields, such as a quiver's layout.
     At d = 1 a one-row (1, 2g) batch can round differently from a (2g,) momentum.
     """
     H = np.empty(chi.shape[:-1] + (model.dim, model.dim), dtype=complex)

@@ -13,7 +13,7 @@ import pytest
 
 import hyperband
 from hyperband import cli
-from hyperband.covers_quivers import UnbranchedCover, cover_to_json
+from hyperband.covers_quivers import CoverPushforward, PushforwardReport, UnbranchedCover, cover_to_json
 from hyperband.tight_binding import TightBindingModel, model_to_json, write_model
 
 
@@ -372,6 +372,36 @@ def test_cover_check_impossible_tolerance_fails(two_state_model, swap_cover, cap
     captured = capsys.readouterr()
     assert captured.out.startswith("FAIL")
     assert "numerical failure" in captured.err
+
+
+def _report(distance, radius, tol=1e-9):
+    passed = distance <= tol * max(radius, 1e-12)
+    return PushforwardReport(4, True, 1, 0.0, distance, radius, tol, passed)
+
+
+def test_cover_verdict_fails_when_any_trial_fails():
+    # each trial's tolerance scales with its own radius: the largest distance
+    # (2e-9 at radius 4) passes, the smaller 1.5e-9 at radius 1 fails
+    reports = [_report(1e-9, 2.0), _report(2e-9, 4.0), _report(1.5e-9, 1.0), _report(2e-9, 1.0)]
+    worst, passed = cli._cover_verdict(reports)
+    assert worst is reports[1] and worst.passed
+    assert passed is False
+    # all passing: the first largest-distance report, and a pass
+    worst, passed = cli._cover_verdict(reports[:2] + [_report(2e-9, 8.0)])
+    assert worst is reports[1] and passed is True
+
+
+def test_cover_check_prints_fail_when_a_smaller_distance_fails(
+    two_state_model, swap_cover, tmp_path, monkeypatch, capsys
+):
+    reports = [_report(1.5e-9, 1.0), _report(2e-9, 4.0)]
+    monkeypatch.setattr(CoverPushforward, "check_batch", lambda self, chi, chi_inv, tol: reports)
+    out = tmp_path / "report.json"
+    argv = ["cover-check", "--model", str(two_state_model), "--cover", str(swap_cover), "--trials", "2"]
+    assert cli.main(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith("FAIL: 2 characters, 4 states, max spectral distance 2.000e-09")
+    assert json.loads(out.read_text())["passed"] is False
 
 
 def test_cover_check_unsupported_cover(two_state_model, tmp_path, capsys):

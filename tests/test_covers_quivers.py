@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperband import covers_quivers
 from hyperband.covers_quivers import (
+    Quiver,
+    QuiverArrow,
     UnbranchedCover,
     cover_from_json,
     cover_genus,
@@ -387,13 +390,14 @@ def test_quiver_partition_block_consistency():
 
 @st.composite
 def quiver_cases(draw):
-    """(model, atom partition, character) with d from 1.
+    """(model, atom partition, character) at genus 1-3, d 1-8.
 
-    Matrices are dense or have whole atom blocks zeroed (the on-site matrix
-    in Hermitian pairs); characters are unitary or off the torus.
+    Atoms are random, usually non-contiguous, runs of a permutation of the
+    states.  Matrices are dense or have whole atom blocks zeroed (the on-site
+    matrix in Hermitian pairs); characters are unitary or off the torus.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    genus, dim = draw(st.integers(1, 2)), draw(st.integers(1, 5))
+    genus, dim = draw(st.integers(1, 3)), draw(st.integers(1, 8))
     order = draw(st.permutations(range(dim)))
     cuts = sorted(draw(st.sets(st.integers(1, max(dim - 1, 1)), max_size=dim - 1)))
     nodes = tuple(tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [dim]))
@@ -422,3 +426,97 @@ def test_property_quiver_round_trip_matches_bloch_abelian(case):
     quiver = quiver_from_model(model, nodes)
     assert np.array_equal(reassemble(quiver, chi), expected)
     assert np.array_equal(reassemble(torus_action(quiver, chi)), expected)
+
+
+def _hand_built_quiver():
+    """A genus-1 quiver on atoms (2, 0) and (1,): two on-site arrows and two
+    forward arrows share a block, and the reverse blocks are not daggers."""
+    rng = np.random.default_rng(15)
+
+    def block(rows, cols):
+        return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+    arrows = (
+        QuiverArrow(0, 0, block(2, 2)),
+        QuiverArrow(1, 0, block(2, 1), label=1),
+        QuiverArrow(0, 1, block(1, 2), label=1, reverse=True),
+        QuiverArrow(0, 0, block(2, 2)),
+        QuiverArrow(1, 0, block(2, 1), label=1),
+        QuiverArrow(1, 1, block(1, 1), label=2),
+        QuiverArrow(0, 0, block(2, 2), label=2, reverse=True),
+    )
+    return Quiver(genus=1, dim=3, nodes=((2, 0), (1,)), arrows=arrows)
+
+
+def _dense_reference(quiver, chi, chi_inv):
+    """M + sum_i chi_i F_i + chi_i^-1 R_i, each dense matrix the sum of its arrows' blocks."""
+    d = quiver.dim
+    onsite = np.zeros((d, d), dtype=complex)
+    forward = np.zeros((2 * quiver.genus, d, d), dtype=complex)
+    reverse = np.zeros_like(forward)
+    for a in quiver.arrows:
+        target = onsite if a.label is None else (reverse if a.reverse else forward)[a.label - 1]
+        target[np.ix_(quiver.nodes[a.target], quiver.nodes[a.source])] += a.block
+    H = onsite.copy()
+    for i in range(2 * quiver.genus):
+        H += chi[i] * forward[i] + chi_inv[i] * reverse[i]
+    return H
+
+
+def test_hand_built_quiver_reassembles_to_its_dense_sum():
+    quiver = _hand_built_quiver()
+    chi = AbelianMomentum(np.array([1.3 * np.exp(0.4j), np.exp(2.1j)]))
+    assert np.array_equal(reassemble(quiver, chi), _dense_reference(quiver, chi.chi, chi.chi_inv))
+    ones = np.ones(2)
+    assert np.array_equal(reassemble(quiver), _dense_reference(quiver, ones, ones))
+    # torus_action bakes the same weights into the blocks
+    baked = reassemble(torus_action(quiver, chi))
+    assert np.allclose(baked, reassemble(quiver, chi), rtol=0.0, atol=1e-14)
+    # the reverse blocks are not daggers of the forward ones, so H is not Hermitian
+    assert not np.allclose(reassemble(quiver), reassemble(quiver).conj().T)
+    with pytest.raises(ValueError, match="genus mismatch"):
+        reassemble(quiver, AbelianMomentum(np.ones(4, dtype=complex)))
+
+
+def test_quiver_layout_is_built_once_per_quiver(monkeypatch):
+    built = []
+    real = covers_quivers._quiver_layout
+    monkeypatch.setattr(covers_quivers, "_quiver_layout", lambda q: built.append(q) or real(q))
+    rng = np.random.default_rng(16)
+    model = random_model(rng, 2, 4)
+    quiver = quiver_from_model(model, ((3, 0), (1, 2)))
+    assert built == []
+    for _ in range(5):
+        chi = unitary_character(rng, 2)
+        assert np.array_equal(reassemble(quiver, chi), bloch_abelian(model, chi).matrix)
+    reassemble(quiver)
+    assert built == [quiver]
+    scaled = torus_action(quiver, chi)
+    reassemble(scaled)
+    reassemble(scaled)
+    assert built == [quiver, scaled]
+
+
+@pytest.mark.parametrize(
+    "arrow",
+    [
+        QuiverArrow(0, 1, np.ones((1, 2)), label=5),  # genus 1 has labels 1..2
+        QuiverArrow(0, 1, np.ones((1, 2)), label=0),
+        QuiverArrow(0, 1, np.ones((1, 2)), label="a"),
+        QuiverArrow(0, 1, np.ones((1, 2)), label=1.0),
+        QuiverArrow(0, 2, np.ones((1, 2))),  # only atoms 0 and 1
+        QuiverArrow(-1, 0, np.ones((2, 1))),
+        QuiverArrow(0, 1, np.ones((2, 1)), label=1),  # atom 1 has one state, atom 0 two
+        QuiverArrow(0, 0, np.ones(4)),
+    ],
+)
+def test_quiver_refuses_malformed_arrows(arrow):
+    with pytest.raises(ValueError):
+        Quiver(genus=1, dim=3, nodes=((0, 2), (1,)), arrows=(arrow,))
+
+
+def test_quiver_refuses_atoms_that_do_not_partition_the_states():
+    with pytest.raises(ValueError):
+        Quiver(genus=1, dim=3, nodes=((0, 1), (1, 2)))
+    with pytest.raises(ValueError):
+        Quiver(genus=1, dim=3, nodes=((0, 1),))

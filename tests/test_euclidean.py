@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperband.errors import NumericalCheckFailure
 from hyperband.euclidean import (
@@ -115,6 +117,50 @@ def test_band_groups_match_a_full_scan_of_the_kept_energies(tau, k, n_bands):
     assert np.array_equal(energies[:n_bands], bands.energies)
     kept = energies[energies <= bound + tie_tol]
     assert bands.groups == _groups_by_full_scan(bands.energies, kept, tie_tol)
+
+
+def _bands_from_a_growing_window(lattice, k, n_bands):
+    """The window search empty_lattice_bands used to run: from half-width 2,
+    one step at a time until the window holds n_bands vectors."""
+    W = reciprocal(lattice).basis
+    k = np.asarray(k, dtype=float)
+    sigma_min = float(np.linalg.svd(W, compute_uv=False)[-1])
+
+    def window_energies(half_width):
+        span = np.arange(-half_width, half_width + 1)
+        mm, nn = np.meshgrid(span, span, indexing="ij")
+        diff = k[None, :] - (mm.reshape(-1, 1) * W[0] + nn.reshape(-1, 1) * W[1])
+        return np.sort(np.einsum("ij,ij->i", diff, diff))
+
+    half_width = 2
+    while True:
+        energies = window_energies(half_width)
+        if energies.size < n_bands:
+            half_width += 1
+            continue
+        bound = energies[n_bands - 1]
+        needed = int(np.ceil((float(np.linalg.norm(k)) + float(np.sqrt(bound))) / sigma_min)) + 1
+        if needed <= half_width:
+            break
+        half_width = needed
+    tie_tol = 1e-9 * max(1.0, float(bound))
+    kept = energies[energies <= bound + tie_tol]
+    return energies[:n_bands], _groups_by_full_scan(energies[:n_bands], kept, tie_tol)
+
+
+@settings(max_examples=60)
+@given(
+    st.floats(-1.0, 1.0),
+    st.floats(0.3, 3.0),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    st.one_of(st.integers(1, 30), st.integers(1, 3000)),
+)
+def test_first_window_sized_from_n_bands_gives_the_same_bands(re_tau, im_tau, k, n_bands):
+    lattice = EuclideanLattice(complex(re_tau, im_tau))
+    bands = empty_lattice_bands(lattice, k, n_bands)
+    energies, groups = _bands_from_a_growing_window(lattice, k, n_bands)
+    assert bands.energies.tobytes() == energies.tobytes()
+    assert bands.groups == groups
 
 
 def test_two_torsion_energies_square_lattice():
