@@ -254,17 +254,19 @@ def cmd_cover_check(opts: _Options) -> int:
         raise ValueError(f"--trials must be at least 1, got {trials}")
     tol, seed = opts["tol"], opts["seed"]
     table = covers_quivers.CoverPushforward(model, cover)
-    # per trial a report (about 230 B with its floats, measured under CPython
-    # 3.11); per character the phase draw (8 B), its exponent, chi, 1/chi (16 B each)
+    # per character the phase draw (8 B), its exponent, chi, 1/chi (16 B
+    # each); the reports are kept one slice at a time
     n_chars = 2 * table.genus_cover
     spectra._refuse_oversized(
-        trials * (56 * n_chars + 256), "cover check",
-        f"characters and reports for {trials} trials (cover genus {table.genus_cover})",
+        trials * 56 * n_chars, "cover check",
+        f"characters for {trials} trials (cover genus {table.genus_cover})",
     )
     # one draw of all phases gives the numbers of one draw per trial
     rng = np.random.default_rng(seed)
     chi = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(trials, n_chars)))
-    worst, passed = _cover_verdict(table.check_batch(chi, 1.0 / chi, tol))
+    slices = table._check_slices(chi, 1.0 / chi, tol)
+    worst, failure = _cover_verdict(report for reports in slices for report in reports)
+    passed = failure is None
     verdict = "PASS" if passed else "FAIL"
     line = (
         f"{verdict}: {trials} characters, {worst.n_states} states, "
@@ -287,16 +289,26 @@ def cmd_cover_check(opts: _Options) -> int:
         _write_text(_dump_json(summary), opts["out"])
     sys.stdout.write(line)
     if not passed:
+        k, report = failure
+        distance, radius = report.spectral_distance, report.spectral_radius
         raise NumericalCheckFailure(
-            f"pushforward routes disagree: distance {worst.spectral_distance:.3e}"
+            f"pushforward routes disagree: trial {k} has distance {distance:.3e} at radius "
+            f"{radius:.3e} (distance/radius {distance / max(radius, 1e-12):.3e} > tolerance {tol:g})"
         )
     return 0
 
 
-def _cover_verdict(reports: list) -> tuple:
-    """The first largest-distance report, and whether every trial passed: each
-    trial's tolerance scales with its own radius, so a smaller distance can fail."""
-    return max(reports, key=lambda report: report.spectral_distance), all(r.passed for r in reports)
+def _cover_verdict(reports) -> tuple:
+    """The first largest-distance report, and the first failing trial as
+    (index, report), None when every trial passed: each trial's tolerance
+    scales with its own radius, so a smaller distance can fail."""
+    worst = failure = None
+    for k, report in enumerate(reports):
+        if worst is None or report.spectral_distance > worst.spectral_distance:
+            worst = report
+        if failure is None and not report.passed:
+            failure = (k, report)
+    return worst, failure
 
 
 # ---------------------------------------------------------------------------

@@ -550,6 +550,10 @@ class CoverPushforward:
         failure names its trial), and both stacks are assembled and solved,
         one solver call each per Hermitian flag, each route by its own flags.
         """
+        return [report for reports in self._check_slices(chi, chi_inv, tol) for report in reports]
+
+    def _check_slices(self, chi, chi_inv, tol: float):
+        """`check_batch`'s reports, one slice's list at a time."""
         check_tolerance(tol)
         chi, chi_inv = np.asarray(chi, dtype=complex), np.asarray(chi_inv, dtype=complex)
         if chi.ndim != 2 or chi.shape[1] != 2 * self.genus_cover or chi_inv.shape != chi.shape:
@@ -557,7 +561,6 @@ class CoverPushforward:
                 f"need (T, {2 * self.genus_cover}) characters, got {chi.shape} and {chi_inv.shape}"
             )
         d, n = self.model.dim, self.sheets
-        reports = []
         for part in _slices(len(chi), 2 * 16 * (d * n) ** 2):
             forward, backward = _induced_phases(chi[part], chi_inv[part], self.edges)
             _monomial_checks(self.edges[0], forward, backward, first=part.start)
@@ -574,12 +577,13 @@ class CoverPushforward:
                 np.max(np.abs(spec_b), axis=-1).tolist(),
             )
             del induced, supercell  # freed before the next slice builds its stacks
+            reports = []
             for matrix_distance, distance, radius_a, radius_b in columns:
                 radius = max(radius_a, radius_b)
                 passed = distance <= tol * max(radius, 1e-12)
                 facts = (d * n, self.connected, self.genus_cover, matrix_distance, distance, radius)
                 reports.append(PushforwardReport(*facts, tol, passed))
-        return reports
+            yield reports
 
 
 def supercell(model: TightBindingModel, cover: UnbranchedCover) -> TightBindingModel:

@@ -270,28 +270,31 @@ class DegeneracyGroup:
     band_indices: tuple
 
 
-def _single_linkage(rows, radius: float) -> list:
+def _single_linkage(rows, radius: float) -> tuple:
     """Single-linkage clusters of >= 2 entries within each row of a 2-D array.
 
     Two entries join a cluster when some chain of pairwise distances
-    <= radius connects them, each distance the scalar `abs(x - y)`.  Returns
-    (row index, members) pairs in row order, then in order of first member,
-    each member list ascending.
+    <= radius connects them, each distance the scalar `abs(x - y)`.
 
     Rows of reals (zero imaginary parts, as every Hermitian sweep gives)
     whose adjacent gaps are all >= 0 (sorted, and no nan from a nan or from
     equal infinities) are labelled as runs of adjacent gaps <= radius:
     abs(complex(x, 0.0)) == abs(x), and float subtraction rounds
     monotonically, so a pair within the radius has every adjacent gap between
-    them within it.  Every other row goes through `_union_find`.
+    them within it.  Their clusters come back as three int arrays (row, first
+    member, size), a cluster being its row's entries first..first+size-1.
+    Every other row goes through `_union_find`, whose (row index, members)
+    pairs come back as the fourth item.  Both parts are in row order, then in
+    order of first member.
     """
     rows = np.asarray(rows)
+    none = np.zeros(0, dtype=np.intp)
     # a whole-array any() first: the per-row one costs several times more
     runs = np.ones(len(rows), dtype=bool)
     if rows.imag.any():
         runs = ~rows.imag.any(axis=1)
         if not runs.any():
-            return _union_find(rows, radius)
+            return none, none, none, _union_find(rows, radius)
     re = rows.real
     gaps = re[:, 1:] - re[:, :-1]
     unsorted = ~(gaps >= 0)
@@ -306,16 +309,12 @@ def _single_linkage(rows, radius: float) -> list:
     starts[1:-1] = (p[1:] != p[:-1]) | (i[1:] != i[:-1] + 1)
     bounds = np.flatnonzero(starts)
     first, last = bounds[:-1], bounds[1:] - 1
-    clusters = [
-        (row, list(range(a, b + 2)))
-        for row, a, b in zip(p[first].tolist(), i[first].tolist(), i[last].tolist())
-    ]
     others = np.flatnonzero(~runs)
+    clusters = []
     if others.size:
         ids = others.tolist()
-        clusters += [(ids[r], m) for r, m in _union_find(rows[others], radius)]
-        clusters.sort(key=lambda cluster: cluster[0])
-    return clusters
+        clusters = [(ids[r], m) for r, m in _union_find(rows[others], radius)]
+    return p[first], i[first], i[last] - i[first] + 2, clusters
 
 
 def _union_find(rows: np.ndarray, radius: float) -> list:
@@ -353,17 +352,31 @@ def _union_find(rows: np.ndarray, radius: float) -> list:
     return [(root // n, members) for root, members in clusters.items()]
 
 
+def _gather_means(rows: np.ndarray, p: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """complex(np.mean(rows[p[k], cols[k]])) for each k, bit for bit: clusters of one size."""
+    return np.add.reduce(rows[p[:, None], cols], axis=1) / cols.shape[1]
+
+
 def _cluster_means(rows: np.ndarray, clusters: list) -> list:
-    """complex(np.mean(rows[p, members])) per (p, members), batched by size."""
+    """`_gather_means` of (p, members) pairs, batched by size."""
     means = [None] * len(clusters)
     by_size: dict = {}
     for k, (_, members) in enumerate(clusters):
         by_size.setdefault(len(members), []).append(k)
-    for m, ks in by_size.items():
+    for ks in by_size.values():
         p = np.array([clusters[k][0] for k in ks])
         cols = np.array([clusters[k][1] for k in ks])
-        for k, mean in zip(ks, (np.add.reduce(rows[p[:, None], cols], axis=1) / m).tolist()):
+        for k, mean in zip(ks, _gather_means(rows, p, cols).tolist()):
             means[k] = mean
+    return means
+
+
+def _run_means(rows: np.ndarray, p, first, size) -> np.ndarray:
+    """`_gather_means` of the runs (p, first, size), one gather per size."""
+    means = np.empty(p.size, dtype=complex)
+    for m in np.unique(size).tolist():
+        k = np.flatnonzero(size == m)
+        means[k] = _gather_means(rows, p[k], first[k, None] + np.arange(m))
     return means
 
 
@@ -375,16 +388,35 @@ def detect_crossings(bands: BandStructure, gap_tol: float = None) -> tuple:
     if gap_tol is None:
         radius = spectral_radius(bands)
         gap_tol = 1e-6 * radius if radius > 0 else 1e-12
-    clusters = _single_linkage(bands.bands, float(gap_tol))
-    indices = bands.grid.indices[[p for p, _ in clusters]].tolist()
+    rows = bands.bands
+    p, first, size, others = _single_linkage(rows, float(gap_tol))
+    if not (p.size or others):
+        return ()
+    # the columns of the runs' groups, then of the union-find's
+    means = _run_means(rows, p, first, size).tolist()
+    width = rows.shape[1] + 1
+    codes, which = np.unique(first * width + size, return_inverse=True)
+    spans = [tuple(range(a, a + m)) for a, m in (divmod(c, width) for c in codes.tolist())]
+    members = [spans[k] for k in which.tolist()]  # one tuple per distinct (first, size)
+    size = size.tolist()
+    if others:
+        runs = p.size
+        p = np.concatenate([p, [r for r, _ in others]])
+        means += _cluster_means(rows, others)
+        members += [tuple(m) for _, m in others]
+        size += [len(m) for _, m in others]
+        if runs:  # the two routes' rows interleave
+            order = np.argsort(p, kind="stable")
+            p, ks = p[order], order.tolist()
+            means, members, size = ([column[k] for k in ks] for column in (means, members, size))
+    # one grid_index tuple per degenerate grid point
+    new = np.ones(p.size, dtype=bool)
+    new[1:] = p[1:] != p[:-1]
+    points = list(map(tuple, bands.grid.indices[p[new]].tolist()))
+    points = [points[k] for k in (np.cumsum(new) - 1).tolist()]
     # fields in order (grid_index, flat_index, eigenvalue, multiplicity,
     # band_indices): positional arguments build each group faster than keywords
-    return tuple(
-        DegeneracyGroup(tuple(index), p, mean, len(members), tuple(members))
-        for (p, members), index, mean in zip(
-            clusters, indices, _cluster_means(bands.bands, clusters)
-        )
-    )
+    return tuple(map(DegeneracyGroup, points, p.tolist(), means, size, members))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ Polynomials are 1-d complex coefficient arrays in ascending powers of z.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -263,19 +264,30 @@ def _genus(bps: tuple) -> int:
     return count // 2 - 1
 
 
-def _cayley_hamilton_check(phi: Rank2TwistedHiggs, a1, a2, seed: int = 0) -> None:
-    rng = np.random.default_rng(seed)
-    for _ in range(5):
-        z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-        M = phi.evaluate(z)
-        t1 = complex(npoly.polyval(z, a1)) if a1.size else 0.0
-        t2 = complex(npoly.polyval(z, a2)) if a2.size else 0.0
-        residual = M @ M - t1 * M + t2 * np.eye(2)
-        scale = max(1.0, float(np.linalg.norm(M)) ** 2)
-        if np.linalg.norm(residual) > CAYLEY_TOL * scale:
-            raise NumericalCheckFailure(
-                f"Cayley-Hamilton residual {np.linalg.norm(residual):.3e} at z={z}"
-            )
+@functools.cache
+def _cayley_points() -> np.ndarray:
+    """The Cayley-Hamilton check points: five (Re, Im) draws of default_rng(0).
+
+    Drawn on first use, not at import: importing numpy.random costs about 10 ms.
+    """
+    points = np.random.default_rng(0).uniform(-2.0, 2.0, 10).view(complex)
+    points.setflags(write=False)
+    return points
+
+
+def _cayley_hamilton_check(phi: Rank2TwistedHiggs, a1, a2) -> None:
+    """M^2 - a1 M + a2 = 0 for M = phi(z) at each of `_cayley_points()`."""
+    z = _cayley_points()
+    M = np.array([[npoly.polyval(z, p) for p in row] for row in phi.entries]).transpose(2, 0, 1)
+    t1, t2 = (npoly.polyval(z, _as_poly(a))[:, None, None] for a in (a1, a2))
+    residual = np.linalg.norm(M @ M - t1 * M + t2 * np.eye(2), axis=(1, 2))
+    scale = np.maximum(1.0, np.linalg.norm(M, axis=(1, 2)) ** 2)
+    failed = np.flatnonzero(residual > CAYLEY_TOL * scale)
+    if failed.size:
+        k = failed[0]
+        raise NumericalCheckFailure(
+            f"Cayley-Hamilton residual {residual[k]:.3e} at z={complex(z[k])}"
+        )
 
 
 def curve_info(phi: Rank2TwistedHiggs) -> SpectralCurveInfo:

@@ -21,7 +21,6 @@ from hyperband.spectra import (
     BandStructure,
     MomentumGrid,
     DegeneracyGroup,
-    _single_linkage,
     _sorted_eigenvalues,
     complex_region_grid,
     detect_crossings,
@@ -39,7 +38,7 @@ from hyperband.tight_binding import (
     write_model,
 )
 
-from test_bloch_kernel import grids, seeds, union_find_oracle
+from test_bloch_kernel import grids, linkage_clusters, seeds, union_find_oracle
 from test_tight_binding import random_model
 
 
@@ -248,7 +247,7 @@ def test_property_sorted_real_rows_with_ties(as_complex, n_rows, n, seed):
         values.real = rows
         values.imag = np.where(rng.random(rows.shape) < 0.5, -0.0, 0.0)
         rows = values
-    assert _single_linkage(rows, radius) == expected_clusters(rows, radius)
+    assert linkage_clusters(rows, radius) == expected_clusters(rows, radius)
 
 
 @settings(max_examples=80)
@@ -270,7 +269,7 @@ def test_property_chains_not_adjacent_in_re_order(n_rows, n, seed):
                     row[0].imag + rng.choice([-1, 1]) * radius * rng.uniform(2.0, 5.0)
                 )
         row[:] = rng.permutation(row)
-    assert _single_linkage(rows, radius) == expected_clusters(rows, radius)
+    assert linkage_clusters(rows, radius) == expected_clusters(rows, radius)
 
 
 @settings(max_examples=80)
@@ -281,7 +280,7 @@ def test_property_ties_in_re_but_not_in_im(n_rows, n, seed):
     rows = np.empty((n_rows, n), dtype=complex)
     rows.real = rng.integers(-2, 3, (n_rows, n)) * radius * rng.choice([0.25, 1.0])
     rows.imag = rng.normal(size=(n_rows, n)) * 2 * radius
-    assert _single_linkage(rows, radius) == expected_clusters(rows, radius)
+    assert linkage_clusters(rows, radius) == expected_clusters(rows, radius)
 
 
 def test_single_linkage_decides_with_scalar_abs():
@@ -291,7 +290,7 @@ def test_single_linkage_decides_with_scalar_abs():
     z = rng.normal(size=400) + 1j * rng.normal(size=400)
     z /= np.array([abs(v) for v in z.tolist()])
     rows = np.stack([np.zeros_like(z), z], axis=1)
-    assert _single_linkage(rows, 1.0) == expected_clusters(rows, 1.0)
+    assert linkage_clusters(rows, 1.0) == expected_clusters(rows, 1.0)
 
 
 def assert_groups_equal(new, old):
@@ -381,6 +380,78 @@ def test_property_detect_crossings_on_real_rows(genus, n, gap_tol, unsorted_shar
         union_find.assert_not_called()
 
 
+def assert_materialised(groups):
+    assert type(groups) is tuple
+    assert all(type(g) is DegeneracyGroup for g in groups)
+    assert all(type(g.flat_index) is int and type(g.multiplicity) is int for g in groups)
+    assert all(type(g.eigenvalue) is complex for g in groups)
+    assert all(type(g.grid_index) is tuple and type(g.band_indices) is tuple for g in groups)
+
+
+@settings(max_examples=80)
+@given(
+    genus=st.integers(1, 2),
+    n=st.integers(1, 10),
+    gap_tol=st.sampled_from([1e-6, 0.5, 3.0]),
+    seed=seeds,
+)
+def test_property_detect_crossings_on_mixed_rows(genus, n, gap_tol, seed):
+    # sorted real rows (labelled as runs), unsorted real rows and complex rows
+    # interleaved in one structure: the two routes' groups merge in row order
+    rng = np.random.default_rng(seed)
+    grid = unitary_grid(genus, rng.integers(1, 4, 2 * genus).tolist())
+    shape = (grid.n_points, n)
+    step = gap_tol / 2
+    values = np.sort(rng.integers(-4, 5, shape) * step, axis=1) + 0j
+    zero = values.real == 0
+    values.real[zero] = np.where(rng.random(int(zero.sum())) < 0.5, -0.0, 0.0)
+    values.imag = np.where(rng.random(shape) < 0.3, -0.0, 0.0)
+    kinds = rng.integers(0, 3, grid.n_points)  # 0 sorted real, 1 unsorted real, 2 complex
+    for row, kind in zip(values, kinds):
+        if kind == 1:
+            row[:] = rng.permutation(row)
+        elif kind == 2:
+            row.imag = rng.integers(-2, 3, n) * step
+    bands = BandStructure(grid, values)
+    with mock.patch.object(spectra, "_union_find", wraps=spectra._union_find) as union_find:
+        groups = detect_crossings(bands, gap_tol)
+    assert_materialised(groups)
+    assert_groups_equal(groups, detect_crossings_oracle(bands, gap_tol))
+    # the rows that are not sorted and real, and only those, take the union-find
+    real = ~values.imag.any(axis=1)
+    runs = real & np.all(values.real[:, 1:] >= values.real[:, :-1], axis=1)
+    if runs.all():
+        union_find.assert_not_called()
+    else:
+        assert union_find.call_args.args[0].tobytes() == values[~runs].tobytes()
+
+
+@pytest.mark.parametrize("n", [9, 12, 17, 24])
+def test_detect_crossings_signed_zero_means_of_large_groups(n):
+    # sorted real rows that are one cluster of n >= 9 entries, past the eight
+    # accumulators np.add.reduce sums in: +-0 and the smallest subnormals
+    # +-d, whose exact sum over n underflows to a zero that keeps its sign
+    d = 5e-324
+    rng = np.random.default_rng(n)
+    grid = unitary_grid(1, [3, 4])
+    values = np.zeros((grid.n_points, n), dtype=complex)
+    negative = np.zeros(grid.n_points, dtype=bool)
+    for p, row in enumerate(values):
+        k_neg, k_pos = rng.integers(0, (n - 1) // 2, 2)
+        negative[p] = k_neg > k_pos
+        zeros = np.where(rng.random(n - k_neg - k_pos) < 0.5, -0.0, 0.0)
+        row.real = np.concatenate([np.full(k_neg, -d), zeros, np.full(k_pos, d)])
+        row.imag = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    bands = BandStructure(grid, values)
+    groups = detect_crossings(bands, 0.5)
+    assert_materialised(groups)
+    assert [g.multiplicity for g in groups] == [n] * grid.n_points
+    means = np.array([g.eigenvalue for g in groups])
+    assert np.all(means == 0) and negative.any() and not negative.all()
+    assert np.signbit(means.real).tolist() == negative.tolist()
+    assert_groups_equal(groups, detect_crossings_oracle(bands, 0.5))
+
+
 @pytest.mark.parametrize("radius", [0.5, np.inf])
 def test_single_linkage_rows_with_infinities(radius):
     # equal infinities differ by nan, so such rows are not labelled as runs
@@ -389,7 +460,7 @@ def test_single_linkage_rows_with_infinities(radius):
         [[1.0, inf, inf], [-inf, -inf, 0.0], [-inf, 0.0, inf], [0.0, 0.25, inf]]
     ) + 0j
     with np.errstate(invalid="ignore"):
-        assert _single_linkage(rows, radius) == expected_clusters(rows, radius)
+        assert linkage_clusters(rows, radius) == expected_clusters(rows, radius)
 
 
 @pytest.mark.parametrize(

@@ -141,6 +141,13 @@ def test_property_batched_kernel_matches_stack_oracle(genus, dim, P, seed):
     assert stack.tobytes() == stack_oracle(model, chis).tobytes()
 
 
+def linkage_clusters(rows, radius):
+    """`_single_linkage`'s runs and union-find clusters as one (row, members) list."""
+    p, first, size, others = _single_linkage(rows, radius)
+    runs = [(r, list(range(a, a + m))) for r, a, m in zip(p.tolist(), first.tolist(), size.tolist())]
+    return sorted(runs + others, key=lambda cluster: cluster[0])
+
+
 def planted_rows(rng, n_rows, radius):
     """Complex rows with chains whose ends lie beyond `radius` of each other."""
     rows = []
@@ -164,13 +171,13 @@ def test_property_single_linkage_matches_union_find(n_rows, seed):
     rows = planted_rows(rng, n_rows, radius)
     for row in rows:  # ragged: one row at a time
         expected = [(0, m) for _, m in union_find_oracle([row], radius) if len(m) >= 2]
-        assert _single_linkage(row[None], radius) == expected
+        assert linkage_clusters(row[None], radius) == expected
 
 
 def test_single_linkage_joins_chains_transitively():
     # 0 -- 0.6 -- 1.2 -- 1.8: the ends are 1.8 apart, one cluster at radius 1
     row = np.array([1.8, 5.0, 0.0, 1.2, 0.6, -4.0], dtype=complex)
-    assert _single_linkage(row[None], 1.0) == [(0, [0, 2, 3, 4])]
+    assert linkage_clusters(row[None], 1.0) == [(0, [0, 2, 3, 4])]
 
 
 def test_grid_indices_are_row_major_unravel():

@@ -383,25 +383,71 @@ def test_cover_verdict_fails_when_any_trial_fails():
     # each trial's tolerance scales with its own radius: the largest distance
     # (2e-9 at radius 4) passes, the smaller 1.5e-9 at radius 1 fails
     reports = [_report(1e-9, 2.0), _report(2e-9, 4.0), _report(1.5e-9, 1.0), _report(2e-9, 1.0)]
-    worst, passed = cli._cover_verdict(reports)
+    worst, failure = cli._cover_verdict(reports)
     assert worst is reports[1] and worst.passed
-    assert passed is False
-    # all passing: the first largest-distance report, and a pass
-    worst, passed = cli._cover_verdict(reports[:2] + [_report(2e-9, 8.0)])
-    assert worst is reports[1] and passed is True
+    assert failure[0] == 2 and failure[1] is reports[2]
+    # all passing: the first largest-distance report, and no failure
+    worst, failure = cli._cover_verdict(iter(reports[:2] + [_report(2e-9, 8.0)]))
+    assert worst is reports[1] and failure is None
 
 
 def test_cover_check_prints_fail_when_a_smaller_distance_fails(
     two_state_model, swap_cover, tmp_path, monkeypatch, capsys
 ):
     reports = [_report(1.5e-9, 1.0), _report(2e-9, 4.0)]
-    monkeypatch.setattr(CoverPushforward, "check_batch", lambda self, chi, chi_inv, tol: reports)
+    monkeypatch.setattr(CoverPushforward, "_check_slices", lambda self, chi, chi_inv, tol: iter([reports]))
     out = tmp_path / "report.json"
     argv = ["cover-check", "--model", str(two_state_model), "--cover", str(swap_cover), "--trials", "2"]
     assert cli.main(argv + ["--out", str(out)]) == 3
     captured = capsys.readouterr()
     assert captured.out.startswith("FAIL: 2 characters, 4 states, max spectral distance 2.000e-09")
+    assert "trial 0 has distance 1.500e-09 at radius 1.000e+00" in captured.err
     assert json.loads(out.read_text())["passed"] is False
+
+
+def test_cover_check_names_the_first_failing_trial(tmp_path, capsys):
+    # an 8-sheet cover cycled by a1 over a genus-2, d = 2 model: trial 58
+    # fails at a smaller distance than the largest, which passes
+    from test_tight_binding import random_model
+
+    model, cover, out = tmp_path / "model.json", tmp_path / "cover.json", tmp_path / "out.json"
+    write_model(random_model(np.random.default_rng(4), 2, 2), model)
+    cycle = (2, 3, 4, 5, 6, 7, 8, 1)
+    still = tuple(range(1, 9))
+    cover.write_text(json.dumps(cover_to_json(UnbranchedCover(8, (cycle, still, still, still)))))
+    argv = ["cover-check", "--model", str(model), "--cover", str(cover), "--trials", "200"]
+    assert cli.main(argv + ["--tol", "2.1e-15", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "FAIL: 200 characters, 16 states, max spectral distance 2.576e-14 "
+        "(tolerance 2.1e-15 x radius 1.236e+01)\n"
+    )
+    assert captured.err == (
+        "numerical failure: pushforward routes disagree: trial 58 has distance 2.309e-14 "
+        "at radius 1.094e+01 (distance/radius 2.111e-15 > tolerance 2.1e-15)\n"
+    )
+    doc = json.loads(out.read_text())
+    assert doc["passed"] is False and doc["max_spectral_distance"] == 2.5757174171303632e-14
+
+
+def test_cover_check_keeps_one_slice_of_reports(two_state_model, swap_cover, tmp_path, capsys):
+    # the characters are held whole (chi and 1/chi, 32 B per entry), the
+    # reports one slice at a time: about 230 B per trial, 23 MB here, if all kept
+    import tracemalloc
+
+    trials, n_chars = 100_000, 2
+    argv = ["cover-check", "--model", str(two_state_model), "--cover", str(swap_cover)]
+    argv += ["--trials", str(trials), "--out", str(tmp_path / "out.json")]
+    cli.main(argv[:-4] + ["--trials", "2"])  # the modules imported before tracing
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.startswith(f"PASS: {trials} characters, 4 states")
+    assert peak < 32 * trials * n_chars + 6e6
 
 
 def test_cover_check_unsupported_cover(two_state_model, tmp_path, capsys):

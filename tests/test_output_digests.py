@@ -1,0 +1,161 @@
+"""The six subcommands' output bytes, pinned by sha256 digests.
+
+Each subcommand runs on tiny fixed inputs, every matrix at most 16 x 16 so
+that no eigensolve depends on the BLAS thread count, in a fresh interpreter
+with OPENBLAS_NUM_THREADS=1 and in one with the variable unset.  The digests
+of stdout and of the --out file, and the exit code, must match the recorded
+ones.  A changed digest means changed output bytes: re-record `DIGESTS` (run
+this file's `DRIVER` by hand) only for an intended output change, and say so.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hyperband.covers_quivers import UnbranchedCover, cover_to_json
+from hyperband.spectral_curve import Rank2TwistedHiggs, higgs_to_json
+from hyperband.tight_binding import TightBindingModel, write_model
+
+from test_tight_binding import random_model
+
+# case name -> argv after the input paths are filled in; {out} is the --out file
+CASES = {
+    "bands": ["bands", "--model", "{pair}", "--grid", "3,4", "--out", "{out}"],
+    "bands-stdout": ["bands", "--model", "{pair}", "--grid", "2"],
+    "bands-region": ["bands", "--model", "{pair}", "--grid", "2,3", "--region=-0.3:0.2:2", "--out", "{out}"],
+    "bands-degenerate": ["bands", "--model", "{doubled}", "--grid", "3", "--out", "{out}"],
+    "bloch-variety": ["bloch-variety", "--model", "{pair}", "--seed", "3", "--out", "{out}"],
+    "bloch-variety-genus-2": ["bloch-variety", "--model", "{genus2}", "--out", "{out}"],
+    "euclidean": ["euclidean", "--tau", "0.3,1.1", "--k", "0.1,-0.2", "--bands", "6", "--out", "{out}"],
+    "higgs-toy": ["higgs-toy", "--u", "0.7,0.2", "--m", "2,0.5", "--seed", "5", "--out", "{out}"],
+    "spectral-curve": ["spectral-curve", "--u", "0.7,0.2", "--m", "2,0.5", "--out", "{out}"],
+    "spectral-curve-higgs": ["spectral-curve", "--higgs", "{higgs}", "--out", "{out}"],
+    "cover-check": ["cover-check", "--model", "{pair}", "--cover", "{swap}", "--trials", "7", "--seed", "1", "--out", "{out}"],
+    "cover-check-fail": ["cover-check", "--model", "{genus2}", "--cover", "{cycle}", "--trials", "4", "--tol", "1e-30", "--out", "{out}"],
+}
+
+# runs every case in one interpreter: argv[1] is a JSON {case: argv} map,
+# stdout gets a JSON {case: [exit code, sha256 of stdout, sha256 of --out]}
+DRIVER = """
+import contextlib, hashlib, io, json, os, sys
+from hyperband import cli
+digests = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    out = next((a for a, flag in zip(argv[1:], argv) if flag == "--out"), None)
+    buf, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    data = open(out, "rb").read() if out else b""
+    digests[name] = [code, hashlib.sha256(buf.getvalue().encode()).hexdigest(),
+                     hashlib.sha256(data).hexdigest()]
+print(json.dumps(digests, sort_keys=True))
+"""
+
+#: case -> [exit code, sha256 of stdout, sha256 of the --out file]
+EMPTY = hashlib.sha256(b"").hexdigest()
+DIGESTS = {
+    "bands": [
+        0,
+        EMPTY,
+        "70162d5c75f9e1e5b1878952405aac15737c19c600ca690687ced2bb9eb986db",
+    ],
+    "bands-degenerate": [
+        0,
+        EMPTY,
+        "17acf06ece041bb5cca2dd064518395818e6f738876bd0ea04a3005efe039817",
+    ],
+    "bands-region": [
+        0,
+        EMPTY,
+        "b118381f9229d886205dff02401b70be71c00c8c841707433d4dc254397a6c23",
+    ],
+    "bands-stdout": [
+        0,
+        "bc0e9a8fae8465fe066be36769ae45ee6adeb8d2bcaa5ae42bea427b6ec9f505",
+        EMPTY,
+    ],
+    "bloch-variety": [
+        0,
+        EMPTY,
+        "856478767988c5dd4a4eeb71d31eeea93f561217286441ba85e28bc4ca3c377b",
+    ],
+    "bloch-variety-genus-2": [
+        0,
+        EMPTY,
+        "996bd21a32747add3a8a2453a5a52403ac451fbae7be7b089d99471f29d669f1",
+    ],
+    "cover-check": [
+        0,
+        "6c0481e4bb5bcc0eca3afa96b37386e8b6937efb1c23f7f98b649855470169b7",
+        "00fa3dfc81eb9244d659d5bd2bdde665c266e9b31faff6d85388133a5d828f59",
+    ],
+    "cover-check-fail": [
+        3,
+        "093148719b0c7de89d468ed011fe291625fd48aed586ceca16c266cd5000bfa5",
+        "de3d71a04e7fe326a245ca5470232d807aab3a574f02cfa04b8cf0f5557ea9fc",
+    ],
+    "euclidean": [
+        0,
+        EMPTY,
+        "528821f90f4984203b23437e8bdddbef32a3fb26c9849652bad17c1cb801b92e",
+    ],
+    "higgs-toy": [
+        0,
+        EMPTY,
+        "b2ed6f83cea2bb57a74f2451448b56b23357ce64240c3eefc941efe29ea2c940",
+    ],
+    "spectral-curve": [
+        0,
+        EMPTY,
+        "4dd2876e2876e476c8003a38e5638ed7ded13accfb5bd1f3ec18339b55b6df9d",
+    ],
+    "spectral-curve-higgs": [
+        0,
+        EMPTY,
+        "1a2f4ec396a02b8ac14f057458ed5906f487f6506f59b70d7f5d6ecb38d12cf1",
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def case_argv(tmp_path_factory):
+    root = tmp_path_factory.mktemp("digests")
+    pair = random_model(np.random.default_rng(11), 1, 2)
+    paths = {name: root / f"{name}.json" for name in ("pair", "doubled", "genus2", "swap", "cycle", "higgs")}
+    write_model(pair, paths["pair"])
+    base = random_model(np.random.default_rng(12), 1, 1)  # M (+) M: degenerate everywhere
+    doubled = TightBindingModel(1, np.kron(np.eye(2), base.onsite), [np.kron(np.eye(2), h) for h in base.hops])
+    write_model(doubled, paths["doubled"])
+    write_model(random_model(np.random.default_rng(13), 2, 2), paths["genus2"])
+    swap = UnbranchedCover(sheets=2, perms=((2, 1), (1, 2)))
+    cycle = UnbranchedCover(sheets=4, perms=((2, 3, 4, 1), (1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4)))
+    for name, cover in (("swap", swap), ("cycle", cycle)):
+        paths[name].write_text(json.dumps(cover_to_json(cover)), encoding="utf-8")
+    rng = np.random.default_rng(14)
+    entries = tuple(tuple(rng.normal(size=n) + 1j * rng.normal(size=n) for n in row) for row in ((3, 3), (3, 3)))
+    paths["higgs"].write_text(json.dumps(higgs_to_json(Rank2TwistedHiggs(2, 1, entries))), encoding="utf-8")
+    fill = {name: str(path) for name, path in paths.items()}
+    return {
+        name: [arg.format(out=str(root / f"{name}.out"), **fill) for arg in argv]
+        for name, argv in CASES.items()
+    }
+
+
+@pytest.mark.parametrize("threads", ["1", None], ids=["one-blas-thread", "blas-threads-unset"])
+def test_cli_output_digests(case_argv, threads):
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    run = subprocess.run(
+        [sys.executable, "-c", DRIVER, json.dumps(case_argv)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(run.stdout) == DIGESTS

@@ -262,3 +262,78 @@ def test_curve_info_builds_one_info(monkeypatch, phi):
         assert branch_points(info) == info.branch_points
     if info.smooth:
         assert curve_genus(info) == info.curve_genus
+
+
+def per_point_cayley_oracle(phi, a1, a2):
+    """The check as a loop over five fresh scalar draws of default_rng(0)."""
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        M = phi.evaluate(z)
+        t1 = complex(npoly.polyval(z, a1)) if a1.size else 0.0
+        t2 = complex(npoly.polyval(z, a2)) if a2.size else 0.0
+        residual = M @ M - t1 * M + t2 * np.eye(2)
+        scale = max(1.0, float(np.linalg.norm(M)) ** 2)
+        if np.linalg.norm(residual) > 1e-10 * scale:
+            raise NumericalCheckFailure(
+                f"Cayley-Hamilton residual {np.linalg.norm(residual):.3e} at z={z}"
+            )
+
+
+def random_field(rng, genus, k):
+    caps = ((genus + 1, 2 * (genus + 1 - k)), (2 * k, genus + 1))
+    entries = tuple(
+        tuple(rng.normal(size=cap + 1) + 1j * rng.normal(size=cap + 1) for cap in row)
+        for row in caps
+    )
+    return Rank2TwistedHiggs(genus, k, entries)
+
+
+def test_cayley_points_are_the_per_call_draws():
+    from hyperband import spectral_curve
+
+    rng = np.random.default_rng(0)
+    drawn = [complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(5)]
+    assert spectral_curve._cayley_points().tolist() == drawn
+    assert spectral_curve._cayley_points() is spectral_curve._cayley_points()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cayley_hamilton_check_matches_per_point_loop(seed):
+    from hyperband import spectral_curve
+
+    rng = np.random.default_rng(seed)
+    genus = int(rng.integers(0, 4))
+    phi = random_field(rng, genus, int(rng.integers(0, genus + 2)))
+    a1, a2 = char_poly(phi)
+    failures = 0
+    for which in range(2):
+        for size in (0.0, 1e-14, 1e-6, 1.0):
+            polys = [a1, a2]
+            polys[which] = polys[which] + size * rng.normal(size=polys[which].size)
+            try:
+                per_point_cayley_oracle(phi, *polys)
+                expected = None
+            except NumericalCheckFailure as exc:
+                expected = str(exc)
+            if expected is None:
+                spectral_curve._cayley_hamilton_check(phi, *polys)
+            else:
+                failures += 1
+                with pytest.raises(NumericalCheckFailure) as caught:
+                    spectral_curve._cayley_hamilton_check(phi, *polys)
+                assert str(caught.value) == expected
+    # perturbed a1 and a2 fail the check: at least the unit perturbations
+    assert failures >= 2
+
+
+def test_cayley_hamilton_check_with_zero_trace():
+    from hyperband import spectral_curve
+
+    # a1 vanishes identically, and char_poly stores it as an empty array
+    phi = Rank2TwistedHiggs(1, 1, (([1.0, 2.0], [1.0]), ([3.0], [-1.0, -2.0])))
+    a1, a2 = char_poly(phi)
+    assert a1.size == 0
+    spectral_curve._cayley_hamilton_check(phi, a1, a2)
+    with pytest.raises(NumericalCheckFailure, match="Cayley-Hamilton residual"):
+        spectral_curve._cayley_hamilton_check(phi, np.array([1e-3]), a2)
