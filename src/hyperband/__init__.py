@@ -14,34 +14,72 @@ The pieces, roughly in dependency order:
 
 Everything numerical is numpy; nothing here needs scipy.
 
-Names are re-exported lazily: `hyperband.read_model` imports `tight_binding`
-and what it needs, not `spectra` or `covers_quivers`.
+`_EXPORTS` below is the one list of public names.  `import hyperband`
+imports none of the modules: a name is looked up in the table, and its own
+module is imported (with what that module imports) on first use, so
+`hyperband.read_model` loads `tight_binding`, `momenta` and `surface_group`,
+never `spectra` or `covers_quivers`.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-#: the re-exported modules in dependency order; each one's __all__ lists its public names
-_MODULES = ("errors", "surface_group", "momenta", "tight_binding", "spectra",
-            "euclidean", "higgs_toy", "spectral_curve", "covers_quivers")
+#: each re-exported module, in dependency order, and its public names
+_EXPORTS = {
+    "errors": ("NumericalCheckFailure", "UnsupportedCoverError", "EverywhereSingularError"),
+    "surface_group": (
+        "SurfaceGroup", "Word", "make_surface_group", "free_reduce", "abelianize", "evaluate_word",
+    ),
+    "momenta": (
+        "AbelianMomentum", "NonabelianMomentum", "MomentumReport", "euclidean_character",
+        "validate", "direct_sum", "split_complex", "abelian_to_nonabelian",
+        "relator_residual", "commutant_dimension", "momentum_to_json", "momentum_from_json",
+    ),
+    "tight_binding": (
+        "TightBindingModel", "BlochHamiltonian", "bloch_abelian", "bloch_nonabelian",
+        "adjoint_momentum", "model_to_json", "model_from_json", "read_model", "write_model",
+    ),
+    "spectra": (
+        "MomentumGrid", "unitary_grid", "complex_region_grid", "BandStructure", "eigenvalues",
+        "sweep", "spectral_radius", "DegeneracyGroup", "detect_crossings", "BlochVariety",
+        "bloch_variety", "write_bands_csv",
+    ),
+    "euclidean": (
+        "EuclideanLattice", "ReciprocalLattice", "reciprocal", "EmptyLatticeBands",
+        "empty_lattice_bands", "DispersionValue", "complex_dispersion", "two_torsion_points",
+        "fold", "modular_lambda",
+    ),
+    "higgs_toy": (
+        "INFINITY", "ToyModelPoint", "RationalMatrixOneForm", "connection_matrices",
+        "higgs_matrices", "connection_form", "higgs_form", "evaluate_form", "residue_at",
+        "hitchin_coordinate", "hitchin_closed_form", "local_monodromy_eigenvalues",
+        "PushforwardConstants", "parabolic_pushforward_constants",
+    ),
+    "spectral_curve": (
+        "Rank2TwistedHiggs", "small_stratum_form", "feasibility", "char_poly", "discriminant",
+        "BranchPoint", "SpectralCurveInfo", "branch_points", "curve_genus", "curve_info",
+        "toy_to_twisted", "curve_report", "higgs_to_json", "higgs_from_json",
+        "higgs_from_json_file",
+    ),
+    "covers_quivers": (
+        "UnbranchedCover", "cover_genus", "supercell", "induce", "CoverPushforward",
+        "PushforwardReport", "pushforward_check", "cover_to_json", "cover_from_json",
+        "read_cover", "Quiver", "QuiverArrow", "quiver_from_model", "torus_action", "reassemble",
+    ),
+}
+#: public name -> the module that defines it
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_HOME]
 
 
 def __getattr__(name: str):
-    """A module, `__all__`, or a public name from the first module (imported as
-    the search in dependency order reaches it) that lists it; bound here once found."""
-    if name in _MODULES:
+    """A submodule (`cli` too), or a public name from its own module, bound here once read."""
+    if name in _EXPORTS or name == "cli":
         return importlib.import_module(f"{__name__}.{name}")
-    value = ["__version__"]
-    # dunder probes (copy, pickle, inspect) import nothing
-    for module_name in _MODULES if name == "__all__" or not name.startswith("__") else ():
-        module = importlib.import_module(f"{__name__}.{module_name}")
-        if name in module.__all__:
-            value = getattr(module, name)
-            break
-        value += module.__all__
-    else:
-        if name != "__all__":
-            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
     globals()[name] = value
     return value

@@ -8,17 +8,6 @@ import numbers
 
 import numpy as np
 
-__all__ = [
-    "integer",
-    "check_tolerance",
-    "complex_to_json",
-    "complex_from_json",
-    "matrix_to_json",
-    "matrix_from_json",
-    "canonical_dumps",
-    "indented_dumps",
-]
-
 
 def integer(value, name: str) -> int:
     """`value` as an int; booleans and fractional numbers raise ValueError."""

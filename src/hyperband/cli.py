@@ -28,8 +28,6 @@ import numpy as np
 from .errors import NumericalCheckFailure
 from ._serialize import complex_to_json, indented_dumps as _dump_json, matrix_to_json
 
-__all__ = ["main"]
-
 
 # ---------------------------------------------------------------------------
 # option parsing helpers (config values and flag strings share these)

@@ -80,24 +80,6 @@ from .spectra import _slices, _solve_stack
 from .surface_group import Word, _walk, make_surface_group
 from .tight_binding import BlochHamiltonian, TightBindingModel, _assemble, _assemble_monomial, _place_blocks
 
-__all__ = [
-    "UnbranchedCover",
-    "cover_genus",
-    "supercell",
-    "induce",
-    "CoverPushforward",
-    "PushforwardReport",
-    "pushforward_check",
-    "cover_to_json",
-    "cover_from_json",
-    "read_cover",
-    "Quiver",
-    "QuiverArrow",
-    "quiver_from_model",
-    "torus_action",
-    "reassemble",
-]
-
 COVER_FORMAT_KEY = "hyperband_cover"
 COVER_FORMAT_VERSION = 1
 

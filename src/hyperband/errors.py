@@ -8,12 +8,6 @@ CLI maps them to a distinct exit code.
 
 from __future__ import annotations
 
-__all__ = [
-    "NumericalCheckFailure",
-    "UnsupportedCoverError",
-    "EverywhereSingularError",
-]
-
 
 class NumericalCheckFailure(RuntimeError):
     """A numerical consistency check failed (residual too large, no convergence)."""

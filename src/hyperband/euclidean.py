@@ -22,19 +22,6 @@ import numpy as np
 
 from .errors import NumericalCheckFailure
 
-__all__ = [
-    "EuclideanLattice",
-    "ReciprocalLattice",
-    "reciprocal",
-    "EmptyLatticeBands",
-    "empty_lattice_bands",
-    "DispersionValue",
-    "complex_dispersion",
-    "two_torsion_points",
-    "fold",
-    "modular_lambda",
-]
-
 
 @dataclass(frozen=True)
 class EuclideanLattice:

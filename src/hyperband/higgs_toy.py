@@ -36,24 +36,6 @@ import numpy as np
 from ._serialize import check_tolerance
 from .errors import NumericalCheckFailure
 
-__all__ = [
-    "INFINITY",
-    "ToyModelPoint",
-    "RationalMatrixOneForm",
-    "connection_matrices",
-    "higgs_matrices",
-    "connection_form",
-    "higgs_form",
-    "evaluate_form",
-    "residue_at",
-    "hitchin_coordinate",
-    "hitchin_closed_form",
-    "local_monodromy_eigenvalues",
-    "small_stratum_form",
-    "PushforwardConstants",
-    "parabolic_pushforward_constants",
-]
-
 #: the point at infinity on the base sphere, as stored in pole lists
 INFINITY = math.inf
 
@@ -239,24 +221,6 @@ def local_monodromy_eigenvalues(residue) -> tuple:
             )
     lam = np.sort_complex(lam)
     return tuple(np.exp(2j * np.pi * val) for val in lam)
-
-
-def small_stratum_form(P):
-    """The companion-shaped field [[0, P], [1, 0]] with deg P <= 4 (genus-1, k=0 bounds).
-
-    Its characteristic polynomial is lambda^2 - P(z).
-    """
-    from .spectral_curve import Rank2TwistedHiggs  # deferred: avoids an import cycle
-
-    P = np.atleast_1d(np.array(P, dtype=complex))
-    if P.ndim != 1:
-        raise ValueError("P must be a 1-d coefficient array (ascending powers)")
-    degree = len(np.trim_zeros(P, "b")) - 1
-    if degree > 4:
-        raise ValueError(f"deg P must be <= 4, got {degree}")
-    zero = np.zeros(1, dtype=complex)
-    one = np.ones(1, dtype=complex)
-    return Rank2TwistedHiggs(genus=1, k=0, entries=((zero, P), (one, zero)))
 
 
 @dataclass(frozen=True)

@@ -22,19 +22,6 @@ import numpy as np
 from ._serialize import complex_from_json, complex_to_json, matrix_from_json, matrix_to_json
 from .surface_group import _walk, make_surface_group
 
-__all__ = [
-    "AbelianMomentum",
-    "NonabelianMomentum",
-    "MomentumReport",
-    "euclidean_character",
-    "validate",
-    "direct_sum",
-    "split_complex",
-    "abelian_to_nonabelian",
-    "momentum_to_json",
-    "momentum_from_json",
-]
-
 #: residual threshold for "the relator maps to the identity"
 TOL_RELATOR = 1e-9
 #: residual threshold for "this momentum is unitary"

@@ -4,9 +4,9 @@ Eigenvalues are always reported sorted lexicographically by (Re, Im).  Sweeps
 are embarrassingly parallel over grid points and are solved in cache-sized
 batches; the output is independent of the batch size, and identical inputs
 produce identical outputs (no threading nondeterminism is introduced here).
-Band crossings and the branch points of `spectral_curve` share one
-single-linkage clusterer (branch points, one row of roots, go straight to its
-union-find).
+Band crossings are single-linkage clusters per grid point: sorted real rows
+are labelled as runs here, every other row goes to the union-find of
+`_clustering`, which the branch points of `spectral_curve` share.
 
 The Bloch variety of a model is the polynomial det(H(chi) - E) viewed as a
 Laurent polynomial in the momentum entries chi_1..chi_2g and an ordinary
@@ -29,34 +29,25 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._serialize import check_tolerance
+from ._clustering import _cluster_means, _gather_means, _union_find
+from ._serialize import check_tolerance, integer
 from .errors import NumericalCheckFailure
 from .momenta import TOL_UNITARY, AbelianMomentum
 from .tight_binding import BlochHamiltonian, TightBindingModel, _assemble
 
-__all__ = [
-    "MomentumGrid",
-    "unitary_grid",
-    "complex_region_grid",
-    "BandStructure",
-    "eigenvalues",
-    "sweep",
-    "spectral_radius",
-    "DegeneracyGroup",
-    "detect_crossings",
-    "BlochVariety",
-    "bloch_variety",
-    "write_bands_csv",
-]
-
 
 @dataclass(frozen=True)
 class MomentumGrid:
-    """An ordered list of abelian momenta arranged on a product grid."""
+    """An ordered list of abelian momenta arranged on a product grid.
+
+    `shape` has one count per momentum entry (2g of them), whose product is
+    the number of momenta.  `unitary` is derived: every |chi| is within
+    TOL_UNITARY of 1, so a sweep may solve with `eigvalsh`.
+    """
 
     chis: np.ndarray  # (P, 2g) complex
     shape: tuple
-    unitary: bool
+    unitary: bool = field(init=False)
 
     def __post_init__(self):
         chis = np.asarray(self.chis, dtype=complex)
@@ -64,9 +55,18 @@ class MomentumGrid:
             raise ValueError("grid must contain at least one momentum")
         if np.any(chis == 0) or not np.all(np.isfinite(chis)):
             raise ValueError("grid momenta must be finite and nonzero")
+        shape = tuple(integer(n, "grid shape entry") for n in self.shape)
+        if len(shape) != chis.shape[1] or math.prod(shape) != chis.shape[0]:
+            raise ValueError(
+                f"grid shape {shape} does not fit {chis.shape[0]} momenta of {chis.shape[1]} entries"
+            )
         chis.setflags(write=False)
         object.__setattr__(self, "chis", chis)
-        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
+        object.__setattr__(self, "shape", shape)
+        # max | |chi| - 1 | <= TOL_UNITARY: near 1 the subtraction is exact,
+        # so the extremes of |chi| decide it without two more temporaries
+        mod = np.abs(chis)
+        object.__setattr__(self, "unitary", bool(max(mod.max() - 1.0, 1.0 - mod.min()) <= TOL_UNITARY))
 
     @property
     def indices(self) -> np.ndarray:
@@ -87,9 +87,7 @@ class MomentumGrid:
 
 def _axis_counts(genus: int, counts) -> list:
     n_axes = 2 * genus
-    if np.isscalar(counts):
-        counts = [int(counts)] * n_axes
-    counts = [int(c) for c in counts]
+    counts = [integer(c, "axis count") for c in ([counts] if np.isscalar(counts) else counts)]
     if len(counts) == 1:
         counts = counts * n_axes
     if len(counts) != n_axes:
@@ -100,19 +98,23 @@ def _axis_counts(genus: int, counts) -> list:
 
 
 def _product_grid(axis_points: list) -> tuple:
-    """Row-major cartesian product; returns (chis (P, n), shape)."""
+    """Row-major cartesian product; returns (chis (P, n), shape).
+
+    Each axis is broadcast into its column of one array: a meshgrid and a
+    stack would copy every column twice.
+    """
     shape = tuple(len(p) for p in axis_points)
-    mesh = np.meshgrid(*axis_points, indexing="ij")
-    chis = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    return chis, shape
+    chis = np.empty(shape + (len(shape),), dtype=complex)
+    for i, points in enumerate(axis_points):
+        chis[..., i] = points.reshape((-1,) + (1,) * (len(shape) - 1 - i))
+    return chis.reshape(-1, len(shape)), shape
 
 
 def unitary_grid(genus: int, counts) -> MomentumGrid:
     """Uniform phase grid on the unitary torus: chi_i = exp(2 pi i j / n_i)."""
     counts = _axis_counts(genus, counts)
     axis_points = [np.exp(2j * np.pi * np.arange(n) / n) for n in counts]
-    chis, shape = _product_grid(axis_points)
-    return MomentumGrid(chis, shape, unitary=True)
+    return MomentumGrid(*_product_grid(axis_points))
 
 
 def complex_region_grid(genus: int, counts, log_modulus, n_moduli: int) -> MomentumGrid:
@@ -124,7 +126,7 @@ def complex_region_grid(genus: int, counts, log_modulus, n_moduli: int) -> Momen
     """
     counts = _axis_counts(genus, counts)
     lo, hi = float(log_modulus[0]), float(log_modulus[1])
-    n_moduli = int(n_moduli)
+    n_moduli = integer(n_moduli, "n_moduli")
     if n_moduli < 1:
         raise ValueError("grid is empty: n_moduli must be >= 1")
     if n_moduli == 1:
@@ -135,9 +137,7 @@ def complex_region_grid(genus: int, counts, log_modulus, n_moduli: int) -> Momen
     for n in counts:
         phases = np.exp(2j * np.pi * np.arange(n) / n)
         axis_points.append((moduli[:, None] * phases[None, :]).reshape(-1))
-    chis, shape = _product_grid(axis_points)
-    unitary = bool(np.max(np.abs(np.abs(chis) - 1.0)) <= TOL_UNITARY)
-    return MomentumGrid(chis, shape, unitary=unitary)
+    return MomentumGrid(*_product_grid(axis_points))
 
 
 @dataclass(frozen=True)
@@ -315,60 +315,6 @@ def _single_linkage(rows, radius: float) -> tuple:
         ids = others.tolist()
         clusters = [(ids[r], m) for r, m in _union_find(rows[others], radius)]
     return p[first], i[first], i[last] - i[first] + 2, clusters
-
-
-def _union_find(rows: np.ndarray, radius: float) -> list:
-    """`_single_linkage` on any rows, through a union-find over candidate pairs.
-
-    Candidate pairs come from each row sorted by Re: |Re(x - y)| never
-    exceeds abs(x - y), and once no row has entries k apart in that order
-    within the radius, no row has any further apart.
-    """
-    n = rows.shape[1]
-    order = np.argsort(rows.real, axis=1)
-    re = rows.real[np.arange(len(rows))[:, None], order]
-    limit = radius * (1 + 1e-12)
-    parent = {}  # node -> parent, for nodes that are not roots
-
-    def find(x):
-        while x in parent:
-            x = parent[x]
-        return x
-
-    for k in range(1, n):
-        p, i = np.nonzero(re[:, k:] - re[:, :-k] <= limit)
-        if p.size == 0:
-            break
-        a, b = order[p, i], order[p, i + k]
-        diffs = (rows[p, a] - rows[p, b]).tolist()
-        for x, y, diff in zip((p * n + a).tolist(), (p * n + b).tolist(), diffs):
-            if abs(diff) <= radius:
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[rx] = ry
-    clusters: dict = {}
-    for x in sorted(set(parent) | set(parent.values())):
-        clusters.setdefault(find(x), []).append(x % n)
-    return [(root // n, members) for root, members in clusters.items()]
-
-
-def _gather_means(rows: np.ndarray, p: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """complex(np.mean(rows[p[k], cols[k]])) for each k, bit for bit: clusters of one size."""
-    return np.add.reduce(rows[p[:, None], cols], axis=1) / cols.shape[1]
-
-
-def _cluster_means(rows: np.ndarray, clusters: list) -> list:
-    """`_gather_means` of (p, members) pairs, batched by size."""
-    means = [None] * len(clusters)
-    by_size: dict = {}
-    for k, (_, members) in enumerate(clusters):
-        by_size.setdefault(len(members), []).append(k)
-    for ks in by_size.values():
-        p = np.array([clusters[k][0] for k in ks])
-        cols = np.array([clusters[k][1] for k in ks])
-        for k, mean in zip(ks, _gather_means(rows, p, cols).tolist()):
-            means[k] = mean
-    return means
 
 
 def _run_means(rows: np.ndarray, p, first, size) -> np.ndarray:

@@ -26,27 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from ._clustering import _cluster_means, _union_find
 from ._serialize import complex_from_json, complex_to_json, integer
 from .errors import EverywhereSingularError, NumericalCheckFailure
 from .higgs_toy import INFINITY, ToyModelPoint, higgs_matrices
-from .spectra import _cluster_means, _union_find
-
-__all__ = [
-    "Rank2TwistedHiggs",
-    "feasibility",
-    "char_poly",
-    "discriminant",
-    "BranchPoint",
-    "SpectralCurveInfo",
-    "branch_points",
-    "curve_genus",
-    "curve_info",
-    "toy_to_twisted",
-    "curve_report",
-    "higgs_to_json",
-    "higgs_from_json",
-    "higgs_from_json_file",
-]
 
 #: relative threshold for discarding numerically-zero leading coefficients
 TRIM_REL = 1e-12
@@ -137,6 +120,22 @@ class Rank2TwistedHiggs:
         return np.array(
             [[npoly.polyval(z, p) for p in row] for row in self.entries], dtype=complex
         )
+
+
+def small_stratum_form(P):
+    """The companion-shaped field [[0, P], [1, 0]] with deg P <= 4 (genus-1, k=0 bounds).
+
+    Its characteristic polynomial is lambda^2 - P(z).
+    """
+    P = np.atleast_1d(np.array(P, dtype=complex))
+    if P.ndim != 1:
+        raise ValueError("P must be a 1-d coefficient array (ascending powers)")
+    degree = len(np.trim_zeros(P, "b")) - 1
+    if degree > 4:
+        raise ValueError(f"deg P must be <= 4, got {degree}")
+    zero = np.zeros(1, dtype=complex)
+    one = np.ones(1, dtype=complex)
+    return Rank2TwistedHiggs(genus=1, k=0, entries=((zero, P), (one, zero)))
 
 
 def char_poly(phi: Rank2TwistedHiggs):

@@ -17,15 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "SurfaceGroup",
-    "Word",
-    "make_surface_group",
-    "free_reduce",
-    "abelianize",
-    "evaluate_word",
-]
-
 
 @dataclass(frozen=True)
 class Word:

@@ -43,18 +43,6 @@ from ._serialize import canonical_dumps, indented_dumps, integer, matrix_from_js
 from .momenta import AbelianMomentum, NonabelianMomentum
 from .surface_group import SurfaceGroup, make_surface_group
 
-__all__ = [
-    "TightBindingModel",
-    "BlochHamiltonian",
-    "bloch_abelian",
-    "bloch_nonabelian",
-    "adjoint_momentum",
-    "model_to_json",
-    "model_from_json",
-    "read_model",
-    "write_model",
-]
-
 #: largest tolerated anti-Hermitian part of a supplied on-site matrix
 TOL_HERMITIAN = 1e-8
 

@@ -175,7 +175,7 @@ def test_sweep_at_small_budgets_solves_as_in_the_one_shot_stack(chunk_budget, bu
         with chunk_budget(budget):
             bands = sweep(model, grid).bands
         if budget == 16:
-            rows = [one_shot_oracle(model, MomentumGrid(grid.chis[p : p + 1], (1,) * 2, False)) for p in range(7)]
+            rows = [one_shot_oracle(model, MomentumGrid(grid.chis[p : p + 1], (1,) * 2)) for p in range(7)]
             assert bands.tobytes() == np.concatenate(rows).tobytes()
         else:
             assert bands.tobytes() == one_shot_oracle(model, grid).tobytes()

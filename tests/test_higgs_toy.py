@@ -19,8 +19,8 @@ from hyperband.higgs_toy import (
     local_monodromy_eigenvalues,
     parabolic_pushforward_constants,
     residue_at,
-    small_stratum_form,
 )
+from hyperband.spectral_curve import small_stratum_form
 
 
 def random_point(rng):

@@ -1,8 +1,10 @@
-"""The package namespace: its public names are exactly its modules' lists,
-and a module is imported only when one of its names is first used."""
+"""The package namespace: one table lists its public names, and a module is
+imported only when one of its names is first used; the library's imports."""
 
 import ast
+import graphlib
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -15,22 +17,28 @@ import pytest
 import hyperband
 
 
-def test_public_names_are_the_union_of_module_lists():
+def test_export_table_names_every_public_definition_once():
     # every public module but the command-line entry point is re-exported
-    modules = [
-        importlib.import_module(f"hyperband.{info.name}")
-        for info in pkgutil.iter_modules(hyperband.__path__)
+    public = [
+        info.name for info in pkgutil.iter_modules(hyperband.__path__)
         if not info.name.startswith("_") and info.name != "cli"
     ]
-    assert len(modules) == 9
-    union = {"__version__"}.union(*(module.__all__ for module in modules))
-    assert len(hyperband.__all__) == len(set(hyperband.__all__)) == len(union)
-    assert set(hyperband.__all__) == union
-    for module in modules:
-        for name in module.__all__:
+    assert sorted(hyperband._EXPORTS) == sorted(public) and len(public) == 9
+    names = [name for names in hyperband._EXPORTS.values() for name in names]
+    assert len(names) == len(set(names))
+    assert hyperband.__all__ == ["__version__", *names]
+    for module_name, exported in hyperband._EXPORTS.items():
+        module = importlib.import_module(f"hyperband.{module_name}")
+        for name in exported:
             assert getattr(hyperband, name) is getattr(module, name)
-    # the one export that was missing from its module's list
-    assert "INFINITY" in hyperband.__all__ and hyperband.INFINITY == float("inf")
+        # the functions and classes the module defines, not those it imports
+        defined = {
+            name for name, value in vars(module).items()
+            if not name.startswith("_") and (inspect.isfunction(value) or inspect.isclass(value))
+            and value.__module__ == module.__name__
+        }
+        assert defined <= set(exported), f"{module_name} does not export {defined - set(exported)}"
+    assert hyperband.INFINITY == float("inf")
     assert isinstance(hyperband.__version__, str)
 
 
@@ -49,6 +57,41 @@ def test_library_imports_only_the_standard_library_numpy_and_itself():
                 continue  # relative imports stay inside the package
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+def _package_imports(node) -> list:
+    """The hyperband modules one import statement names; [] for any other node."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[1] for alias in node.names if alias.name.startswith("hyperband.")]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    if node.level:
+        module = node.module or ""
+    elif node.module == "hyperband" or node.module.startswith("hyperband."):
+        module = node.module.partition(".")[2]
+    else:
+        return []
+    return [module.split(".")[0]] if module else [alias.name for alias in node.names]
+
+
+def test_library_imports_nothing_deferred_and_no_cycle():
+    # a module imports what it needs at its top, and no two modules need
+    # each other; the CLI's subcommands each import the modules they run
+    graph = {}
+    for path in sorted(Path(hyperband.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        deferred = set()
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found = {id(node) for node in ast.walk(func) if _package_imports(node)}
+                assert path.stem == "cli" or not found, f"{path.name}: {func.name} imports a module"
+                deferred |= found
+        graph[path.stem] = {
+            module for node in ast.walk(tree) if id(node) not in deferred
+            for module in _package_imports(node)
+        }
+    assert graph["spectral_curve"] >= {"_clustering", "higgs_toy"}
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
 
 
 def _fresh_python(*args) -> subprocess.CompletedProcess:
@@ -78,6 +121,82 @@ def test_package_imports_a_module_when_one_of_its_names_is_first_used():
     assert "hyperband.spectra" not in second and "hyperband.covers_quivers" not in second
     assert "hyperband.covers_quivers" in last
     assert n_names == len(hyperband.__all__)
+
+
+#: each reader and import path (code) and subcommand (argv), run in a fresh
+#: interpreter, and the hyperband modules it loads; {model}, {cover} and
+#: {higgs} are input files
+LOADS = {
+    "read_model": (
+        "hyperband.read_model({model!r})",
+        "_serialize momenta surface_group tight_binding",
+    ),
+    "read_cover": (
+        "hyperband.read_model({model!r}); hyperband.read_cover({cover!r})",
+        "_clustering _serialize covers_quivers errors momenta spectra surface_group tight_binding",
+    ),
+    "higgs_from_json_file": (
+        "hyperband.higgs_from_json_file({higgs!r})",
+        "_clustering _serialize errors higgs_toy spectral_curve",
+    ),
+    "__all__": ("hyperband.__all__", ""),
+    "from hyperband import cli": ("from hyperband import cli", "_serialize cli errors"),
+    "bands": (
+        ["bands", "--model", "{model}", "--grid", "3"],
+        "_clustering _serialize cli errors momenta spectra surface_group tight_binding",
+    ),
+    "bloch-variety": (
+        ["bloch-variety", "--model", "{model}"],
+        "_clustering _serialize cli errors momenta spectra surface_group tight_binding",
+    ),
+    "euclidean": (["euclidean", "--tau", "0,1"], "_serialize cli errors euclidean"),
+    "higgs-toy": (["higgs-toy", "--u", "0.7", "--m", "2"], "_serialize cli errors higgs_toy"),
+    "spectral-curve": (
+        ["spectral-curve", "--higgs", "{higgs}"],
+        "_clustering _serialize cli errors higgs_toy spectral_curve",
+    ),
+    "cover-check": (
+        ["cover-check", "--model", "{model}", "--cover", "{cover}", "--trials", "2"],
+        "_clustering _serialize cli covers_quivers errors momenta spectra surface_group tight_binding",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def load_inputs(tmp_path_factory):
+    from hyperband.covers_quivers import UnbranchedCover, cover_to_json
+    from hyperband.spectral_curve import Rank2TwistedHiggs, higgs_to_json
+    from hyperband.tight_binding import TightBindingModel, write_model
+
+    root = tmp_path_factory.mktemp("loads")
+    paths = {name: str(root / f"{name}.json") for name in ("model", "cover", "higgs")}
+    write_model(TightBindingModel(1, [[0.5]], [[[1.0]], [[0.5j]]]), paths["model"])
+    cover = UnbranchedCover(sheets=2, perms=((2, 1), (1, 2)))
+    Path(paths["cover"]).write_text(json.dumps(cover_to_json(cover)), encoding="utf-8")
+    phi = Rank2TwistedHiggs(1, 1, (([1.0, 0.0, 1.0], [2.0]), ([1.0], [0.0, -1.0])))
+    Path(paths["higgs"]).write_text(json.dumps(higgs_to_json(phi)), encoding="utf-8")
+    return paths
+
+
+@pytest.mark.parametrize("path", LOADS)
+def test_each_path_loads_only_the_modules_it_uses(load_inputs, path):
+    code, expected = LOADS[path]
+    if isinstance(code, list):  # a subcommand, its stdout discarded
+        argv = [arg.format(**load_inputs) for arg in code]
+        code = (
+            "from hyperband import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0"
+        )
+    else:
+        code = code.format(**load_inputs)
+    script = (
+        f"import contextlib, io, sys, hyperband\n{code}\n"
+        "print(' '.join(sorted(m[10:] for m in sys.modules if m.startswith('hyperband.'))))\n"
+    )
+    proc = _fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == expected.split()
 
 
 def test_package_refuses_unknown_names():

@@ -9,6 +9,7 @@ from hyperband.errors import NumericalCheckFailure
 from hyperband.momenta import AbelianMomentum
 from hyperband.spectra import (
     BlochVariety,
+    MomentumGrid,
     bloch_variety,
     complex_region_grid,
     detect_crossings,
@@ -51,6 +52,44 @@ def test_complex_region_grid_moduli():
 def test_grid_rejects_empty_axes():
     with pytest.raises(ValueError):
         unitary_grid(1, [0, 4])
+
+
+def test_grid_derives_unitary_from_its_momenta():
+    # J_a = 1, J_b = 0 at chi = (2i, 1): H = 2i + 1/(2i) = 1.5i, which an
+    # eigvalsh solve (reading a non-Hermitian matrix as Hermitian) gives as 0
+    model = TightBindingModel(1, [[0.0]], [[[1.0]], [[0.0]]])
+    grid = MomentumGrid([[2j, 1]], (1, 1))
+    assert not grid.unitary
+    bands = sweep(model, grid)
+    assert not bands.hermitian and bands.bands.tolist() == [[1.5j]]
+    assert MomentumGrid([[1j, -1], [1, 1]], (2, 1)).unitary
+    with pytest.raises(TypeError):
+        MomentumGrid([[1j, -1]], (1, 1), unitary=True)
+
+
+@pytest.mark.parametrize(
+    "rows, shape",
+    [(4, (3, 3)), (4, (4,)), (4, (2, 2, 1, 1)), (4, (2, 2.5)), (4, (True, 4)), (1, ())],
+)
+def test_grid_refuses_a_shape_that_does_not_fit(rows, shape):
+    with pytest.raises(ValueError, match="grid shape"):
+        MomentumGrid(np.ones((rows, 2)), shape)
+
+
+@pytest.mark.parametrize("counts", [2.7, [2, 2.5], [True, 2], [2, False]])
+def test_grid_builders_refuse_fractional_and_boolean_counts(counts):
+    with pytest.raises(ValueError, match="axis count must be an integer"):
+        unitary_grid(1, counts)
+    with pytest.raises(ValueError, match="axis count must be an integer"):
+        complex_region_grid(1, counts, (-0.1, 0.1), 2)
+
+
+def test_grid_builders_accept_integral_numbers_only():
+    assert unitary_grid(1, 2.0).shape == (2, 2)
+    assert unitary_grid(1, [np.int64(3), 2]).shape == (3, 2)
+    assert complex_region_grid(1, 2, (-0.1, 0.1), 3.0).shape == (6, 6)
+    with pytest.raises(ValueError, match="n_moduli must be an integer"):
+        complex_region_grid(1, 2, (-0.1, 0.1), 1.5)
 
 
 def test_eigenvalues_sorted_by_real_then_imag():
