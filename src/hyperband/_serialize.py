@@ -1,4 +1,4 @@
-"""Shared helpers: integer and tolerance checks, JSON complex scalars and matrices, JSON text."""
+"""The one reader of outside input (JSON files, documents, counts, entries), tolerance checks, JSON text."""
 
 from __future__ import annotations
 
@@ -26,17 +26,39 @@ def check_tolerance(tol) -> None:
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
+def read_json(path):
+    """The JSON value in the UTF-8 file at `path`; bad JSON raises ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def document(data, kind: str, *keys: str) -> dict:
+    """`data` if it is an object marked `hyperband_<kind>: 1` holding `keys`, else ValueError."""
+    marker = f"hyperband_{kind}"
+    if not isinstance(data, dict) or data.get(marker) != 1 or data[marker] is True:
+        raise ValueError(f"not a {kind} document (expected {marker}: 1)")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{kind} document has no {key!r}")
+    return data
+
+
 def complex_to_json(z) -> list:
     z = complex(z)
     return [z.real, z.imag]
 
 
-def complex_from_json(pair) -> complex:
-    if isinstance(pair, (int, float)):
-        return complex(pair)
-    if len(pair) != 2:
-        raise ValueError(f"expected [re, im], got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+def complex_from_json(value, name: str) -> complex:
+    """A JSON number or [re, im] pair of them (no booleans, no strings) as a
+    complex, else ValueError; NaN and infinity pass, for the caller to refuse."""
+    re, im = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
+    numbers = isinstance(re, (int, float)) and isinstance(im, (int, float))
+    if numbers and not (isinstance(re, bool) or isinstance(im, bool)):
+        try:
+            return complex(float(re), float(im))
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"{name} must be a number or [re, im] in the float range, got {value!r}")
 
 
 def matrix_to_json(m) -> list:
@@ -47,11 +69,12 @@ def matrix_to_json(m) -> list:
     return [[complex_to_json(z) for z in row] for row in m]
 
 
-def matrix_from_json(rows) -> np.ndarray:
-    data = [[complex_from_json(z) for z in row] for row in rows]
+def matrix_from_json(rows, name: str) -> np.ndarray:
+    entry = f"an entry in {name}"
+    data = [[complex_from_json(z, entry) for z in row] for row in rows]
     m = np.array(data, dtype=complex)
     if m.ndim != 2:
-        raise ValueError("expected a matrix (nested lists)")
+        raise ValueError(f"{name} must be a matrix (nested lists)")
     return m
 
 

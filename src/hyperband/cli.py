@@ -19,14 +19,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import sys
 
 import numpy as np
 
 from .errors import NumericalCheckFailure
-from ._serialize import complex_to_json, indented_dumps as _dump_json, matrix_to_json
+from ._serialize import complex_to_json, indented_dumps as _dump_json, matrix_to_json, read_json
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +92,7 @@ class _Options:
         self._rows["out"] = (None, None)
         self._config = {}
         if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+            data = read_json(args.config)
             if not isinstance(data, dict):
                 raise ValueError("config file must hold a JSON object")
             unknown = [key for key in data if key not in self._rows]
@@ -391,7 +389,7 @@ def main(argv=None) -> int:
     except (NumericalCheckFailure, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError, KeyError, json.JSONDecodeError, OSError) as exc:
+    except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

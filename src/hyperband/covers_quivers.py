@@ -61,13 +61,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from ._serialize import check_tolerance, integer
+from ._serialize import check_tolerance, document, integer, read_json
 from .errors import UnsupportedCoverError
 from .momenta import (
     TOL_UNITARY,
@@ -79,9 +78,6 @@ from .momenta import (
 from .spectra import _slices, _solve_stack
 from .surface_group import Word, _walk, make_surface_group
 from .tight_binding import BlochHamiltonian, TightBindingModel, _assemble, _assemble_monomial, _place_blocks
-
-COVER_FORMAT_KEY = "hyperband_cover"
-COVER_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -623,23 +619,19 @@ def pushforward_check(
 
 def cover_to_json(cover: UnbranchedCover) -> dict:
     return {
-        COVER_FORMAT_KEY: COVER_FORMAT_VERSION,
+        "hyperband_cover": 1,
         "sheets": cover.sheets,
         "perms": [list(p) for p in cover.perms],
     }
 
 
 def cover_from_json(data: dict) -> UnbranchedCover:
-    if data.get(COVER_FORMAT_KEY) != COVER_FORMAT_VERSION:
-        raise ValueError(
-            f"not a cover document (missing or unsupported {COVER_FORMAT_KEY!r} marker)"
-        )
-    return UnbranchedCover(data["sheets"], tuple(tuple(p) for p in data["perms"]))
+    document(data, "cover", "sheets", "perms")
+    return UnbranchedCover(data["sheets"], data["perms"])
 
 
 def read_cover(path) -> UnbranchedCover:
-    with open(path, "r", encoding="utf-8") as fh:
-        return cover_from_json(json.load(fh))
+    return cover_from_json(read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +713,7 @@ class Quiver:
 
 
 def _check_partition(dim: int, nodes) -> tuple:
-    nodes = tuple(tuple(int(s) for s in atom) for atom in nodes)
+    nodes = tuple(tuple(integer(s, "a state in nodes") for s in atom) for atom in nodes)
     flat = sorted(s for atom in nodes for s in atom)
     if flat != list(range(dim)):
         raise ValueError(f"atoms must partition the {dim} cell states, got {nodes}")

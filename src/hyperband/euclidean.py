@@ -13,6 +13,7 @@ warning (not an error) is emitted, keeping the solve authoritative.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._serialize import integer
 from .errors import NumericalCheckFailure
 
 
@@ -31,6 +33,8 @@ class EuclideanLattice:
 
     def __post_init__(self):
         tau = complex(self.tau)
+        if not cmath.isfinite(tau):
+            raise ValueError(f"tau must be finite, got {tau}")
         if not (tau.imag > 0):
             raise ValueError(f"tau must lie in the upper half-plane, got {tau}")
         object.__setattr__(self, "tau", tau)
@@ -78,11 +82,12 @@ def reciprocal(lattice: EuclideanLattice) -> ReciprocalLattice:
 
 def _as_k_vector(k) -> np.ndarray:
     if isinstance(k, (int, float, complex)) and not isinstance(k, bool):
-        k = complex(k)
-        return np.array([k.real, k.imag])
+        k = (complex(k).real, complex(k).imag)
     k = np.asarray(k, dtype=float).reshape(-1)
     if k.size != 2:
         raise ValueError("k must be a real 2-vector (or a complex scalar read as one)")
+    if not np.isfinite(k).all():
+        raise ValueError(f"k must be finite, got {k.tolist()}")
     return k
 
 
@@ -108,7 +113,7 @@ def empty_lattice_bands(lattice: EuclideanLattice, k, n_bands: int) -> EmptyLatt
     bound (using the smallest singular value of the reciprocal basis), so no
     low-energy vector is missed.
     """
-    n_bands = int(n_bands)
+    n_bands = integer(n_bands, "n_bands")
     if n_bands < 1:
         raise ValueError("n_bands must be >= 1")
     W = reciprocal(lattice).basis

@@ -383,9 +383,11 @@ def momentum_to_json(momentum) -> dict:
 
 
 def momentum_from_json(data: dict):
+    if not isinstance(data, dict):
+        raise ValueError(f"a momentum must be a JSON object, got {data!r}")
     kind = data.get("momentum")
     if kind == "abelian":
-        return AbelianMomentum(np.array([complex_from_json(z) for z in data["chi"]]))
+        return AbelianMomentum(np.array([complex_from_json(z, "an entry in chi") for z in data["chi"]]))
     if kind == "nonabelian":
-        return NonabelianMomentum(tuple(matrix_from_json(m) for m in data["rho"]))
+        return NonabelianMomentum(tuple(matrix_from_json(m, "rho") for m in data["rho"]))
     raise ValueError(f"unknown momentum kind: {kind!r}")

@@ -504,6 +504,9 @@ def bloch_variety(
     `tol` is refused with ValueError.
     """
     check_tolerance(tol)
+    holdout_points = integer(holdout_points, "holdout_points")
+    if holdout_points < 1:
+        raise ValueError(f"holdout_points must be >= 1, got {holdout_points}")
     d = model.dim
     g = model.genus
     ranks = [int(np.linalg.matrix_rank(h)) for h in model.hops]
@@ -547,7 +550,7 @@ def bloch_variety(
 
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(int(holdout_points)):
+    for _ in range(holdout_points):
         mod = np.exp(rng.uniform(-0.3, 0.3, size=2 * g))
         phase = rng.uniform(0.0, 2 * np.pi, size=2 * g)
         chi = mod * np.exp(1j * phase)

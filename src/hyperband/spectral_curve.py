@@ -20,14 +20,13 @@ Polynomials are 1-d complex coefficient arrays in ascending powers of z.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from ._clustering import _cluster_means, _union_find
-from ._serialize import complex_from_json, complex_to_json, integer
+from ._serialize import complex_from_json, complex_to_json, document, integer, read_json
 from .errors import EverywhereSingularError, NumericalCheckFailure
 from .higgs_toy import INFINITY, ToyModelPoint, higgs_matrices
 
@@ -76,7 +75,7 @@ def _degree(p: np.ndarray) -> int:
 
 def feasibility(genus: int, k: int) -> bool:
     """Whether the degree-cap system admits fields at all: 0 <= k <= genus+1."""
-    genus, k = int(genus), int(k)
+    genus, k = integer(genus, "genus"), integer(k, "k")
     if genus < 0:
         raise ValueError("genus must be >= 0")
     return 0 <= k <= genus + 1
@@ -378,21 +377,10 @@ def higgs_to_json(phi: Rank2TwistedHiggs) -> dict:
 
 
 def higgs_from_json(data: dict) -> Rank2TwistedHiggs:
-    if not isinstance(data, dict) or data.get("hyperband_higgs") != 1:
-        raise ValueError("not a twisted-field document (expected hyperband_higgs: 1)")
-    rows = data["entries"]
-    if len(rows) != 2 or any(len(row) != 2 for row in rows):
-        raise ValueError("entries must be a 2x2 array of coefficient lists")
-    entries = tuple(
-        tuple(
-            np.array([complex_from_json(c) for c in rows[i][j]], dtype=complex)
-            for j in range(2)
-        )
-        for i in range(2)
-    )
+    rows = document(data, "higgs", "genus", "k", "entries")["entries"]
+    entries = [[[complex_from_json(c, "a coefficient in entries") for c in p] for p in row] for row in rows]
     return Rank2TwistedHiggs(genus=data["genus"], k=data["k"], entries=entries)
 
 
 def higgs_from_json_file(path) -> Rank2TwistedHiggs:
-    with open(path, "r", encoding="utf-8") as fh:
-        return higgs_from_json(json.load(fh))
+    return higgs_from_json(read_json(path))

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._serialize import integer
+
 
 @dataclass(frozen=True)
 class Word:
@@ -25,7 +27,7 @@ class Word:
     letters: tuple = ()
 
     def __post_init__(self):
-        letters = tuple((int(i), int(e)) for i, e in self.letters)
+        letters = tuple((integer(i, "generator index"), integer(e, "exponent")) for i, e in self.letters)
         for i, e in letters:
             if i < 1:
                 raise ValueError(f"generator index must be >= 1, got {i}")
@@ -51,9 +53,9 @@ class SurfaceGroup:
     generator_names: tuple = field(init=False)
 
     def __post_init__(self):
-        if int(self.genus) < 1:
+        object.__setattr__(self, "genus", integer(self.genus, "genus"))
+        if self.genus < 1:
             raise ValueError(f"genus must be >= 1, got {self.genus}")
-        object.__setattr__(self, "genus", int(self.genus))
         names = []
         for i in range(1, self.genus + 1):
             names.extend([f"a{i}", f"b{i}"])
@@ -103,7 +105,7 @@ def abelianize(word: Word, group) -> tuple:
     this factors through the group.
     """
     if not isinstance(group, SurfaceGroup):
-        group = make_surface_group(int(group))
+        group = make_surface_group(group)
     group.check_word(word)
     image = [0] * group.n_generators
     for i, e in word.letters:

@@ -34,20 +34,18 @@ equals H(chi)^dagger entry-for-entry in floating point, not merely up to roundin
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._serialize import canonical_dumps, indented_dumps, integer, matrix_from_json, matrix_to_json
+from ._serialize import (
+    canonical_dumps, document, indented_dumps, integer, matrix_from_json, matrix_to_json, read_json,
+)
 from .momenta import AbelianMomentum, NonabelianMomentum
 from .surface_group import SurfaceGroup, make_surface_group
 
 #: largest tolerated anti-Hermitian part of a supplied on-site matrix
 TOL_HERMITIAN = 1e-8
-
-FORMAT_KEY = "hyperband_model"
-FORMAT_VERSION = 1
 
 
 class TightBindingModel:
@@ -55,7 +53,7 @@ class TightBindingModel:
 
     def __init__(self, group: SurfaceGroup, onsite, hops):
         if not isinstance(group, SurfaceGroup):
-            group = make_surface_group(int(group))
+            group = make_surface_group(group)
         onsite = np.array(onsite, dtype=complex)
         if onsite.ndim != 2 or onsite.shape[0] != onsite.shape[1]:
             raise ValueError("onsite matrix must be square")
@@ -223,7 +221,7 @@ def adjoint_momentum(momentum: AbelianMomentum) -> AbelianMomentum:
 
 def model_to_json(model: TightBindingModel) -> dict:
     return {
-        FORMAT_KEY: FORMAT_VERSION,
+        "hyperband_model": 1,
         "genus": model.genus,
         "dim": model.dim,
         "onsite": matrix_to_json(model.onsite),
@@ -232,23 +230,17 @@ def model_to_json(model: TightBindingModel) -> dict:
 
 
 def model_from_json(data: dict) -> TightBindingModel:
-    if data.get(FORMAT_KEY) != FORMAT_VERSION:
-        raise ValueError(
-            f"not a model document (missing or unsupported {FORMAT_KEY!r} marker)"
-        )
-    genus = integer(data["genus"], "genus")
+    document(data, "model", "genus", "dim", "onsite", "hops")
     dim = integer(data["dim"], "dim")
-    onsite = matrix_from_json(data["onsite"])
-    hops = [matrix_from_json(h) for h in data["hops"]]
+    onsite = matrix_from_json(data["onsite"], "onsite")
+    hops = [matrix_from_json(h, "hops") for h in data["hops"]]
     if onsite.shape != (dim, dim):
         raise ValueError(f"onsite shape {onsite.shape} does not match dim={dim}")
-    return TightBindingModel(make_surface_group(genus), onsite, hops)
+    return TightBindingModel(data["genus"], onsite, hops)
 
 
 def read_model(path) -> TightBindingModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return model_from_json(data)
+    return model_from_json(read_json(path))
 
 
 def write_model(model: TightBindingModel, path) -> None:

@@ -134,6 +134,94 @@ def test_bands_refuses_non_integer_model_fields(tmp_path, capsys, field, value):
     assert captured.err == f"error: {field} must be an integer, got {value!r}\n"
 
 
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _setting(path, value):
+    """A change that sets the item at `path` (keys and indices) of a document copy."""
+    def change(doc):
+        doc = json.loads(json.dumps(doc))
+        item = doc
+        for step in path[:-1]:
+            item = item[step]
+        item[path[-1]] = value
+        return doc
+    return change
+
+
+_NOT_A_NUMBER = "must be a number or [re, im] in the float range, got"
+
+
+@pytest.mark.parametrize(
+    "command, kind, change, error",
+    [
+        ("bands", "model", lambda doc: [1, 2], "not a model document (expected hyperband_model: 1)"),
+        ("bloch-variety", "model", lambda doc: None, "not a model document (expected hyperband_model: 1)"),
+        (
+            "bands", "model", _setting(["hyperband_model"], True),
+            "not a model document (expected hyperband_model: 1)",
+        ),
+        ("cover-check", "model", lambda doc: "model", "not a model document (expected hyperband_model: 1)"),
+        ("cover-check", "cover", lambda doc: [1, 2], "not a cover document (expected hyperband_cover: 1)"),
+        ("spectral-curve", "higgs", lambda doc: None, "not a higgs document (expected hyperband_higgs: 1)"),
+        ("bloch-variety", "model", _without("hops"), "model document has no 'hops'"),
+        ("cover-check", "cover", _without("perms"), "cover document has no 'perms'"),
+        ("spectral-curve", "higgs", _without("entries"), "higgs document has no 'entries'"),
+        ("bands", "model", _setting(["hops", 0, 0, 0], "12"), f"an entry in hops {_NOT_A_NUMBER} '12'"),
+        (
+            "bloch-variety", "model", _setting(["hops", 1, 0, 0], True),
+            f"an entry in hops {_NOT_A_NUMBER} True",
+        ),
+        ("bands", "model", _setting(["onsite", 0, 0], None), f"an entry in onsite {_NOT_A_NUMBER} None"),
+        (
+            "bands", "model", _setting(["onsite", 0, 0], [0.0, "1"]),
+            f"an entry in onsite {_NOT_A_NUMBER} [0.0, '1']",
+        ),
+        (
+            "bloch-variety", "model", _setting(["onsite", 0, 0], 10**400),
+            f"an entry in onsite {_NOT_A_NUMBER} {10**400}",
+        ),
+        (
+            "spectral-curve", "higgs", _setting(["entries", 0, 0, 0], "10"),
+            f"a coefficient in entries {_NOT_A_NUMBER} '10'",
+        ),
+        (
+            "spectral-curve", "higgs", _setting(["entries", 1, 1, 0], True),
+            f"a coefficient in entries {_NOT_A_NUMBER} True",
+        ),
+        (
+            "spectral-curve", "higgs", _setting(["entries", 0, 1, 0], None),
+            f"a coefficient in entries {_NOT_A_NUMBER} None",
+        ),
+    ],
+    ids=lambda value: value.split(" must")[0].split(" (")[0] if isinstance(value, str) else "change",
+)
+def test_commands_refuse_bad_documents_and_entries(tmp_path, capsys, command, kind, change, error):
+    from hyperband.higgs_toy import ToyModelPoint
+    from hyperband.spectral_curve import higgs_to_json, toy_to_twisted
+
+    documents = {
+        "model": model_to_json(TightBindingModel(1, [[0.0]], [[[1.0]], [[1.0]]])),
+        "cover": cover_to_json(UnbranchedCover(sheets=2, perms=((2, 1), (1, 2)))),
+        "higgs": higgs_to_json(toy_to_twisted(ToyModelPoint(m=3.0, u=2.0, B=1.0))),
+    }
+    documents[kind] = change(documents[kind])
+    for name, doc in documents.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    inputs = {
+        "bands": ["--model", "model.json", "--grid", "2"],
+        "bloch-variety": ["--model", "model.json"],
+        "cover-check": ["--model", "model.json", "--cover", "cover.json"],
+        "spectral-curve": ["--higgs", "higgs.json"],
+    }[command]
+    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in inputs]
+    assert cli.main([command, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
 def test_bands_bad_grid(single_site_model, capsys):
     code = cli.main(["bands", "--model", str(single_site_model), "--grid", "a,b"])
     assert code == 2
@@ -199,6 +287,23 @@ def test_euclidean_square_lattice_degeneracy(tmp_path):
 def test_euclidean_lower_half_plane_rejected(capsys):
     code = cli.main(["euclidean", "--tau", "0,-1"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--tau", "0,1", "--k", "1e400,0"], "k must be finite, got [inf, 0.0]"),
+        (["--tau", "0,1", "--k", "0,nan"], "k must be finite, got [0.0, nan]"),
+        (["--tau", "nan,1"], "tau must be finite, got (nan+1j)"),
+        (["--tau", "0,1e400"], "tau must be finite, got infj"),
+        (["--tau=-inf,1"], "tau must be finite, got (-inf+1j)"),
+    ],
+)
+def test_euclidean_refuses_non_finite_tau_and_k(capsys, argv, error):
+    assert cli.main(["euclidean", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
 
 
 def test_euclidean_bad_tau_string(capsys):

@@ -520,3 +520,11 @@ def test_quiver_refuses_atoms_that_do_not_partition_the_states():
         Quiver(genus=1, dim=3, nodes=((0, 1), (1, 2)))
     with pytest.raises(ValueError):
         Quiver(genus=1, dim=3, nodes=((0, 1),))
+
+
+@pytest.mark.parametrize("nodes", [((0.5,), (1,)), ((0,), (True,)), ((0, 1.5),)])
+def test_quiver_refuses_fractional_and_boolean_states(nodes):
+    with pytest.raises(ValueError, match="a state in nodes must be an integer"):
+        Quiver(genus=1, dim=2, nodes=nodes)
+    with pytest.raises(ValueError, match="a state in nodes must be an integer"):
+        quiver_from_model(TightBindingModel(1, np.zeros((2, 2)), [np.eye(2)] * 2), nodes)

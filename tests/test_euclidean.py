@@ -24,6 +24,27 @@ def test_lattice_requires_upper_half_plane():
         EuclideanLattice(2.0)
 
 
+@pytest.mark.parametrize(
+    "tau",
+    [complex(np.nan, 1), complex(0, np.inf), complex(-np.inf, 1), complex(0, np.nan)],
+)
+def test_lattice_and_momentum_must_be_finite(tau):
+    with pytest.raises(ValueError, match="tau must be finite"):
+        EuclideanLattice(tau)
+    lattice = EuclideanLattice(1j)
+    k = (tau.real, tau.imag)
+    with pytest.raises(ValueError, match="k must be finite"):
+        empty_lattice_bands(lattice, k, 3)
+    with pytest.raises(ValueError, match="k must be finite"):
+        empty_lattice_bands(lattice, tau, 3)
+
+
+@pytest.mark.parametrize("n_bands", [2.5, True, "3"])
+def test_empty_lattice_bands_refuses_non_integer_counts(n_bands):
+    with pytest.raises(ValueError, match="n_bands must be an integer"):
+        empty_lattice_bands(EuclideanLattice(1j), 0.0, n_bands)
+
+
 def test_reciprocal_duality_pairing():
     rng = np.random.default_rng(0)
     for _ in range(20):

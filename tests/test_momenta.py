@@ -181,6 +181,26 @@ def test_momentum_json_rejects_garbage():
         momentum_from_json({"momentum": "sideways"})
 
 
+#: the start of the error for an entry that is not a JSON number or pair
+NOT_A_NUMBER = r"must be a number or \[re, im\] in the float range, got"
+
+
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        ([1, 2], "a momentum must be a JSON object"),
+        (None, "a momentum must be a JSON object"),
+        ({"momentum": "abelian", "chi": ["12", 1.0]}, rf"an entry in chi {NOT_A_NUMBER} '12'"),
+        ({"momentum": "abelian", "chi": [True, 1.0]}, rf"an entry in chi {NOT_A_NUMBER} True"),
+        ({"momentum": "abelian", "chi": [[1.0, None], 1.0]}, r"got \[1.0, None\]"),
+        ({"momentum": "nonabelian", "rho": [[["1"]], [[1.0]]]}, r"an entry in rho must be a number"),
+    ],
+)
+def test_momentum_json_refuses_non_objects_and_non_number_entries(data, error):
+    with pytest.raises(ValueError, match=error):
+        momentum_from_json(data)
+
+
 def test_relator_residual_reads_stored_inverses(monkeypatch):
     from hyperband.covers_quivers import UnbranchedCover, induce
     from hyperband.momenta import relator_residual

@@ -59,6 +59,50 @@ def test_library_imports_only_the_standard_library_numpy_and_itself():
                 assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
 
 
+#: the constructors and functions that take a count from their caller, by module
+COUNT_READERS = {
+    "surface_group": ("Word.__post_init__", "SurfaceGroup.__post_init__", "abelianize"),
+    "tight_binding": ("TightBindingModel.__init__",),
+    "covers_quivers": ("UnbranchedCover.__post_init__", "_check_partition"),
+    "spectral_curve": ("feasibility", "Rank2TwistedHiggs.__post_init__"),
+    "euclidean": ("empty_lattice_bands",),
+    "spectra": ("bloch_variety", "unitary_grid", "complex_region_grid"),
+}
+
+
+def _functions(tree) -> dict:
+    """Each function of a module by its qualified name (Class.method or name)."""
+    found = {}
+    for node in tree.body:
+        methods = node.body if isinstance(node, ast.ClassDef) else [node]
+        prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        for func in methods:
+            if isinstance(func, ast.FunctionDef):
+                found[prefix + func.name] = func
+    return found
+
+
+def test_outside_input_is_read_only_through_serialize():
+    # JSON text is parsed in one place, and a count is read with `integer`,
+    # which refuses what a bare int() would truncate (2.7 -> 2, True -> 1)
+    for path in sorted(Path(hyperband.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                module = getattr(node.func.value, "id", None)
+                parses = module == "json" and node.func.attr in ("load", "loads")
+                assert path.stem == "_serialize" or not parses, f"{path.name}:{node.lineno} parses JSON"
+        functions = _functions(tree)
+        for name in COUNT_READERS.get(path.stem, ()):
+            for node in ast.walk(functions[name]):
+                # int() of a name or field is a value handed in; int(np.argmax(...)) is not
+                bare = (
+                    isinstance(node, ast.Call) and getattr(node.func, "id", None) == "int"
+                    and isinstance(node.args[0], (ast.Name, ast.Attribute))
+                )
+                assert not bare, f"{path.name}:{node.lineno}: {name} reads a count with int()"
+
+
 def _package_imports(node) -> list:
     """The hyperband modules one import statement names; [] for any other node."""
     if isinstance(node, ast.Import):

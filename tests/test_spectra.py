@@ -223,6 +223,23 @@ def test_variety_holdout_failure_raises():
         bloch_variety(model, tol=1e-30)  # impossible tolerance
 
 
+@pytest.mark.parametrize(
+    "holdout_points, error",
+    [
+        (0, "holdout_points must be >= 1, got 0"),
+        (-5, "holdout_points must be >= 1, got -5"),
+        (2.5, "holdout_points must be an integer, got 2.5"),
+        (True, "holdout_points must be an integer, got True"),
+    ],
+)
+def test_variety_refuses_a_holdout_check_that_would_not_run(holdout_points, error):
+    # with no held-out point the check would report a residual of 0.0 unrun
+    model = TightBindingModel(1, [[0.0]], [[[1.0]], [[1.0]]])
+    with pytest.raises(ValueError, match=error):
+        bloch_variety(model, holdout_points=holdout_points)
+    assert bloch_variety(model, holdout_points=1.0).holdout_residual <= 1e-8
+
+
 def test_variety_json_layout():
     model = TightBindingModel(1, [[0.0]], [[[1.0]], [[1.0]]])
     doc = bloch_variety(model).to_json()

@@ -230,6 +230,37 @@ def test_higgs_json_rejects_bad_document():
         higgs_from_json({"hyperband_higgs": 2, "genus": 1, "k": 0, "entries": []})
 
 
+#: the start of the error for an entry that is not a JSON number or pair
+NOT_A_NUMBER = r"must be a number or \[re, im\] in the float range, got"
+
+
+def _higgs_document(coefficient):
+    """A genus-1, k=0 twisted-field document whose (1,1) entry is [coefficient]."""
+    return {"hyperband_higgs": 1, "genus": 1, "k": 0, "entries": [[[coefficient], [0.0]], [[0.0], [0.0]]]}
+
+
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        ([1, 2], r"not a higgs document \(expected hyperband_higgs: 1\)"),
+        ({k: v for k, v in _higgs_document(1.0).items() if k != "k"}, "higgs document has no 'k'"),
+        (_higgs_document("10"), rf"a coefficient in entries {NOT_A_NUMBER} '10'"),
+        (_higgs_document(True), rf"a coefficient in entries {NOT_A_NUMBER} True"),
+        (_higgs_document(None), rf"a coefficient in entries {NOT_A_NUMBER} None"),
+    ],
+)
+def test_higgs_json_refuses_non_documents_and_non_number_coefficients(data, error):
+    assert higgs_from_json(_higgs_document(10)).entries[0][0].tolist() == [10]
+    with pytest.raises(ValueError, match=error):
+        higgs_from_json(data)
+
+
+@pytest.mark.parametrize("genus, k", [(1.5, 0), (1, True), (True, 0)])
+def test_feasibility_refuses_fractional_and_boolean_counts(genus, k):
+    with pytest.raises(ValueError, match="must be an integer"):
+        feasibility(genus, k)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_non_finite_coefficients_are_refused(bad):
     with pytest.raises(ValueError, match="^entry coefficients must be finite$"):

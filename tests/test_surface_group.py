@@ -1,5 +1,7 @@
 """Words, relators, and matrix evaluation for the genus-g translation groups."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,28 @@ def test_relator_structure_genus_one():
 def test_genus_zero_rejected():
     with pytest.raises(ValueError):
         make_surface_group(0)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: SurfaceGroup(2.7), "genus must be an integer, got 2.7"),
+        (lambda: SurfaceGroup(True), "genus must be an integer, got True"),
+        (lambda: abelianize(Word(((1, 1),)), 1.5), "genus must be an integer, got 1.5"),
+        (lambda: Word(((1.9, 1),)), "generator index must be an integer, got 1.9"),
+        (lambda: Word(((1, True),)), "exponent must be an integer, got True"),
+        (lambda: Word(((1, 1), ("2", -1))), "generator index must be an integer, got '2'"),
+    ],
+)
+def test_counts_refuse_fractions_and_booleans(build, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        build()
+
+
+def test_counts_read_integral_numbers_as_ints():
+    assert SurfaceGroup(2.0).genus == 2 and type(SurfaceGroup(np.int64(2)).genus) is int
+    assert Word(((1.0, np.int64(-1)),)).letters == ((1, -1),)
+    assert abelianize(Word(((2, 1),)), 1.0) == (0, 1)
 
 
 def test_word_validates_exponents():

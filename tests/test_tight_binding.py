@@ -167,3 +167,46 @@ def test_model_json_round_trip(tmp_path):
 def test_model_json_rejects_wrong_format():
     with pytest.raises((ValueError, KeyError)):
         model_from_json({"some_other_format": 2})
+
+
+#: the start of the error for an entry that is not a JSON number or pair
+NOT_A_NUMBER = r"must be a number or \[re, im\] in the float range, got"
+
+
+def _model_document(hop, **fields):
+    """A genus-1, one-state model document whose first hop entry is `hop`."""
+    doc = {"hyperband_model": 1, "genus": 1, "dim": 1, "onsite": [[0.0]], "hops": [[[hop]], [[1.0]]]}
+    doc.update(fields)
+    return doc
+
+
+def test_model_document_reads_numbers_and_pairs():
+    assert model_from_json(_model_document(2)).hops[0][0, 0] == 2
+    assert model_from_json(_model_document([0.5, -1])).hops[0][0, 0] == 0.5 - 1j
+
+
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        ([1, 2], r"not a model document \(expected hyperband_model: 1\)"),
+        (None, "not a model document"),
+        (_model_document(1.0, hyperband_model=True), "not a model document"),
+        (_model_document(1.0, hyperband_model=2), "not a model document"),
+        ({k: v for k, v in _model_document(1.0).items() if k != "dim"}, "model document has no 'dim'"),
+        (_model_document("12"), rf"an entry in hops {NOT_A_NUMBER} '12'"),
+        (_model_document(True), rf"an entry in hops {NOT_A_NUMBER} True"),
+        (_model_document(None), rf"an entry in hops {NOT_A_NUMBER} None"),
+        (_model_document([1.0, False]), r"got \[1.0, False\]"),
+        (_model_document([1.0, 0.0, 0.0]), r"got \[1.0, 0.0, 0.0\]"),
+        (_model_document([1.0, 10**400]), "in the float range, got"),
+    ],
+)
+def test_model_json_refuses_non_documents_and_non_number_entries(data, error):
+    with pytest.raises(ValueError, match=error):
+        model_from_json(data)
+
+
+@pytest.mark.parametrize("genus", [2.7, True, "1"])
+def test_model_refuses_fractional_and_boolean_genus(genus):
+    with pytest.raises(ValueError, match="genus must be an integer"):
+        TightBindingModel(genus, [[0.0]], [[[1.0]], [[1.0]]])
