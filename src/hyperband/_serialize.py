@@ -1,4 +1,5 @@
-"""The one reader of outside input (JSON files, documents, counts, entries), tolerance checks, JSON text."""
+"""The one reader of outside input (JSON files, documents, counts, entries), the
+one size rule for the arrays counts ask for, tolerance checks, JSON text."""
 
 from __future__ import annotations
 
@@ -17,6 +18,33 @@ def integer(value, name: str) -> int:
         if isinstance(value, numbers.Integral) or float(value).is_integer():
             return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+#: largest accepted estimate, in bytes, of the arrays one call builds
+_MAX_ARRAY_BYTES = 1 << 30
+
+
+def refuse_oversized(estimate, subject: str, arrays: str, *counts: int) -> None:
+    """Refuse with ValueError, before they are allocated, arrays of `estimate`
+    bytes past `_MAX_ARRAY_BYTES`.  `estimate` is an exact int of any size, or
+    a float (inf and nan are refused).  The message gives it in GB below 10^24
+    bytes and fills the `{}` fields of `arrays` with the ints `counts`, in full
+    below 10^18; larger values appear as powers of ten, never converted whole
+    to a float or a string."""
+    if estimate <= _MAX_ARRAY_BYTES:
+        return
+    power = lambda n: f"about 10^{round(math.log10(n))}"
+    if estimate < 10**24:
+        size = f"about {estimate / 1e9:.1f} GB"
+    elif estimate < math.inf:
+        size = power(estimate) + " bytes"
+    else:  # inf or nan
+        size = "an unbounded size"
+    shown = [str(n) if n < 10**18 else power(n) for n in counts]
+    raise ValueError(
+        f"{subject} too large: {size} of {arrays.format(*shown)}; "
+        f"the limit is {_MAX_ARRAY_BYTES / 1e9:.1f} GB"
+    )
 
 
 def check_tolerance(tol) -> None:

@@ -19,13 +19,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import math
 import sys
 
 import numpy as np
 
 from .errors import NumericalCheckFailure
-from ._serialize import complex_to_json, indented_dumps as _dump_json, matrix_to_json, read_json
+from ._serialize import complex_to_json, indented_dumps as _dump_json, matrix_to_json, read_json, refuse_oversized
 
 
 # ---------------------------------------------------------------------------
@@ -147,17 +146,10 @@ def cmd_bands(opts: _Options) -> int:
     from . import spectra, tight_binding
     model = tight_binding.read_model(opts.require("model"))
     counts, region = opts["grid"], opts["region"]
-    # 2g momenta and d bands per point; an empty region is its grid's to refuse
-    g, d = model.genus, model.dim
-    n_moduli = 1 if region is None else max(region[2], 0)
-    n_points = math.prod(spectra._axis_counts(g, counts)) * n_moduli ** (2 * g)
-    spectra._refuse_oversized(
-        n_points * (2 * g + d) * 16, "bands grid", f"momenta and bands for {n_points} points"
-    )
     if region is None:
-        grid = spectra.unitary_grid(g, counts)
+        grid = spectra.unitary_grid(model.genus, counts)
     else:
-        grid = spectra.complex_region_grid(g, counts, region[:2], region[2])
+        grid = spectra.complex_region_grid(model.genus, counts, region[:2], region[2])
     bands = spectra.sweep(model, grid)
     with _output(opts["out"]) as fh:
         spectra.write_bands_csv(bands, fh)
@@ -242,7 +234,7 @@ def cmd_spectral_curve(opts: _Options) -> int:
 
 
 def cmd_cover_check(opts: _Options) -> int:
-    from . import covers_quivers, spectra, tight_binding
+    from . import covers_quivers, tight_binding
     model = tight_binding.read_model(opts.require("model"))
     cover = covers_quivers.read_cover(opts.require("cover"))
     trials = opts["trials"]
@@ -253,9 +245,9 @@ def cmd_cover_check(opts: _Options) -> int:
     # per character the phase draw (8 B), its exponent, chi, 1/chi (16 B
     # each); the reports are kept one slice at a time
     n_chars = 2 * table.genus_cover
-    spectra._refuse_oversized(
+    refuse_oversized(
         trials * 56 * n_chars, "cover check",
-        f"characters for {trials} trials (cover genus {table.genus_cover})",
+        "characters for {} trials (cover genus {})", trials, table.genus_cover,
     )
     # one draw of all phases gives the numbers of one draw per trial
     rng = np.random.default_rng(seed)

@@ -66,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._serialize import check_tolerance, document, integer, read_json
+from ._serialize import check_tolerance, document, integer, read_json, refuse_oversized
 from .errors import UnsupportedCoverError
 from .momenta import (
     TOL_UNITARY,
@@ -103,9 +103,10 @@ class UnbranchedCover:
         perms = tuple(tuple(integer(v, "a sheet in perms") for v in p) for p in self.perms)
         if len(perms) == 0 or len(perms) % 2 != 0:
             raise ValueError("need 2g permutations for some g >= 1")
-        # an entry of the wrong length or range fails the sort check as zeros
-        rows = [p if len(p) == n and 0 < min(p) and max(p) <= n else (0,) * n for p in perms]
-        targets = np.array(rows, dtype=np.intp) - 1
+        for idx, p in enumerate(perms):
+            if len(p) != n or min(p) < 1 or max(p) > n:
+                raise ValueError(f"entry {idx + 1} is not a permutation of 1..{n}: {p}")
+        targets = np.array(perms, dtype=np.intp) - 1
         bad = (np.sort(targets, axis=1) != np.arange(n)).any(axis=1)
         if bad.any():
             idx = int(np.argmax(bad))
@@ -337,10 +338,6 @@ def _schreier_data(cover: UnbranchedCover) -> _SchreierData:
                 row[j] = row.get(j, 0) + exp
 
     g_cover = cover_genus(cover)
-    codes = np.zeros(tree.shape, dtype=int)
-    if k == 0:
-        return _SchreierData(codes=codes, directions=(), genus_cover=g_cover)
-
     diagonal, transform = _eliminate(rows, k)
     rank = sum(1 for d in diagonal if d != 0)
     if any(d != 0 and abs(d) != 1 for d in diagonal):
@@ -375,6 +372,7 @@ def _schreier_data(cover: UnbranchedCover) -> _SchreierData:
         raise UnsupportedCoverError(
             "hop directions do not form a unimodular basis of the class lattice"
         )
+    codes = np.zeros(tree.shape, dtype=int)
     codes.T[~tree.T] = classes
     return _SchreierData(codes=codes, directions=tuple(directions), genus_cover=g_cover)
 
@@ -539,6 +537,8 @@ class CoverPushforward:
                 f"need (T, {2 * self.genus_cover}) characters, got {chi.shape} and {chi_inv.shape}"
             )
         d, n = self.model.dim, self.sheets
+        # a trial's two stacks, their difference and its moduli: 3.5 (dN)^2 complexes
+        refuse_oversized(56 * (d * n) ** 2, "cover check", "Hamiltonians of {} states per trial", d * n)
         for part in _slices(len(chi), 2 * 16 * (d * n) ** 2):
             forward, backward = _induced_phases(chi[part], chi_inv[part], self.edges)
             _monomial_checks(self.edges[0], forward, backward, first=part.start)
@@ -571,6 +571,9 @@ def supercell(model: TightBindingModel, cover: UnbranchedCover) -> TightBindingM
     for the state ordering and which edge goes where.
     """
     table = CoverPushforward(model, cover)
+    # the placed matrices, the model's copies of them and its hop daggers
+    n_matrices, n = 6 * table.genus_cover + 2, model.dim * cover.sheets
+    refuse_oversized(16 * n_matrices * n**2, "supercell", "{} dense matrices of {} states", n_matrices, n)
     directions, rows, cols, A, _ = table.hop_blocks
     bounds = np.searchsorted(directions, np.arange(2 * table.genus_cover + 1))
     # each hop block is added to +0, as a dense sum would, turning -0 into +0

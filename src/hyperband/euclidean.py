@@ -16,12 +16,13 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._serialize import integer
+from ._serialize import integer, refuse_oversized
 from .errors import NumericalCheckFailure
 
 
@@ -37,6 +38,11 @@ class EuclideanLattice:
             raise ValueError(f"tau must be finite, got {tau}")
         if not (tau.imag > 0):
             raise ValueError(f"tau must lie in the upper half-plane, got {tau}")
+        # neither |tau|^2 (the closed form's divisor) nor the solve's 1 / Im tau
+        # and Re tau / Im tau may overflow or underflow
+        norm, ratio = abs(tau) * abs(tau), max(1.0, abs(tau.real)) / tau.imag
+        if not (sys.float_info.min <= norm < math.inf and ratio < math.inf):
+            raise ValueError(f"tau out of range: the reciprocal basis of {tau} overflows or underflows")
         object.__setattr__(self, "tau", tau)
 
     @property
@@ -111,7 +117,8 @@ def empty_lattice_bands(lattice: EuclideanLattice, k, n_bands: int) -> EmptyLatt
     5x5, that holds n of them to bound the n-th energy, then enlarges the
     window until it provably contains every G with |k - G|^2 at or below that
     bound (using the smallest singular value of the reciprocal basis), so no
-    low-energy vector is missed.
+    low-energy vector is missed.  A window past the size rule of
+    `_serialize.refuse_oversized` is refused with ValueError before it is built.
     """
     n_bands = integer(n_bands, "n_bands")
     if n_bands < 1:
@@ -129,16 +136,19 @@ def empty_lattice_bands(lattice: EuclideanLattice, k, n_bands: int) -> EmptyLatt
         diff = k[None, :] - G
         return np.sort(np.einsum("ij,ij->i", diff, diff))
 
-    # (2h + 1)^2 >= n_bands first holds at h = ceil(sqrt(n_bands)) // 2
-    half_width = max(2, (math.isqrt(n_bands - 1) + 1) // 2)
-    while True:
+    # the half-width from n_bands ((2h + 1)^2 >= n_bands first holds at h =
+    # ceil(sqrt(n_bands)) // 2), then from the bound, a float until the size
+    # rule has passed it; a window holds at most 64 B per vector at once
+    reach, half_width = max(2, (math.isqrt(n_bands - 1) + 1) // 2), 0
+    while reach > half_width:
+        side = 2 * reach + 1
+        refuse_oversized(64 * side * side, "empty-lattice window", "reciprocal vectors for {} bands", n_bands)
+        half_width = math.ceil(reach)
         energies = window_energies(half_width)
         bound = energies[n_bands - 1]
-        radius = float(np.linalg.norm(k)) + float(np.sqrt(bound))
-        needed = int(np.ceil(radius / sigma_min)) + 1
-        if needed <= half_width:
-            break
-        half_width = needed
+        with np.errstate(over="ignore"):  # |k| past the float range: an infinite reach
+            radius = float(np.linalg.norm(k)) + float(np.sqrt(bound))
+        reach = float(np.ceil(radius / sigma_min)) + 1.0
     # keep every vector that could tie with the selected energies
     tie_tol = 1e-9 * max(1.0, float(bound))
     kept = energies[energies <= bound + tie_tol]

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._clustering import _cluster_means, _gather_means, _union_find
-from ._serialize import check_tolerance, integer
+from ._serialize import check_tolerance, integer, refuse_oversized
 from .errors import NumericalCheckFailure
 from .momenta import TOL_UNITARY, AbelianMomentum
 from .tight_binding import BlochHamiltonian, TightBindingModel, _assemble
@@ -85,7 +85,9 @@ class MomentumGrid:
         return AbelianMomentum(self.chis[flat_index])
 
 
-def _axis_counts(genus: int, counts) -> list:
+def _axis_counts(genus: int, counts, n_moduli: int = 1) -> list:
+    """The 2g phase counts (one broadcasts), refused before any axis is built
+    if the grid's momenta, n_moduli moduli per phase, pass the size rule."""
     n_axes = 2 * genus
     counts = [integer(c, "axis count") for c in ([counts] if np.isscalar(counts) else counts)]
     if len(counts) == 1:
@@ -94,6 +96,11 @@ def _axis_counts(genus: int, counts) -> list:
         raise ValueError(f"need {n_axes} axis counts (or one to broadcast), got {len(counts)}")
     if any(c < 1 for c in counts):
         raise ValueError("grid is empty: all axis counts must be >= 1")
+    n_moduli = integer(n_moduli, "n_moduli")
+    if n_moduli < 1:
+        raise ValueError("grid is empty: n_moduli must be >= 1")
+    n_points = math.prod(counts) * n_moduli**n_axes
+    refuse_oversized(n_points * n_axes * 16, "bands grid", "momenta for {} points", n_points)
     return counts
 
 
@@ -124,11 +131,9 @@ def complex_region_grid(genus: int, counts, log_modulus, n_moduli: int) -> Momen
     [log_modulus[0], log_modulus[1]] (endpoints included), times `counts[i]`
     phases uniform on [0, 2 pi) -- modulus-major within the axis.
     """
-    counts = _axis_counts(genus, counts)
+    counts = _axis_counts(genus, counts, n_moduli)
     lo, hi = float(log_modulus[0]), float(log_modulus[1])
     n_moduli = integer(n_moduli, "n_moduli")
-    if n_moduli < 1:
-        raise ValueError("grid is empty: n_moduli must be >= 1")
     if n_moduli == 1:
         moduli = np.array([np.exp((lo + hi) / 2.0)])
     else:
@@ -242,8 +247,10 @@ def sweep(model: TightBindingModel, grid: MomentumGrid) -> BandStructure:
     """
     if grid.genus != model.genus:
         raise ValueError(f"genus mismatch: model {model.genus}, grid {grid.genus}")
-    bands = np.empty((grid.n_points, model.dim), dtype=complex)
-    for part in _slices(grid.n_points, 16 * model.dim**2):
+    n_points, width = grid.n_points, 2 * model.genus + model.dim  # momenta and bands per point
+    refuse_oversized(16 * width * n_points, "bands grid", "momenta and bands for {} points", n_points)
+    bands = np.empty((n_points, model.dim), dtype=complex)
+    for part in _slices(n_points, 16 * model.dim**2):
         chis = grid.chis[part]
         name = lambda k: f"grid index {np.unravel_index(part.start + k, grid.shape)}"
         bands[part] = _solve_stack(_assemble(model, chis, 1.0 / chis), grid.unitary, name)
@@ -468,21 +475,6 @@ def _char_coeffs_from_eigenvalues(lams: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-#: largest accepted estimate of the arrays one call builds: `bloch_variety`'s
-#: coefficient arrays (the char-poly samples, their FFT and the pruning
-#: temporaries: 3 P (d+1) 16 B), and the CLI's bands grids and cover checks
-_MAX_ARRAY_BYTES = 1 << 30
-
-
-def _refuse_oversized(estimate: int, subject: str, arrays: str) -> None:
-    """Refuse with ValueError, before allocating them, arrays past `_MAX_ARRAY_BYTES`."""
-    if estimate > _MAX_ARRAY_BYTES:
-        raise ValueError(
-            f"{subject} too large: about {estimate / 1e9:.1f} GB of {arrays}; "
-            f"the limit is {_MAX_ARRAY_BYTES / 1e9:.1f} GB"
-        )
-
-
 def bloch_variety(
     model: TightBindingModel,
     holdout_points: int = 20,
@@ -496,7 +488,7 @@ def bloch_variety(
     characteristic-polynomial coefficients, and inverts the momentum dependence
     with an FFT.  The grid is assembled and solved in slices of at most
     `_CHUNK_BYTES` of momenta and Hamiltonians.  A grid whose coefficient
-    arrays would exceed `_MAX_ARRAY_BYTES` is refused with ValueError before any
+    arrays would exceed the size rule's limit is refused with ValueError before any
     sampling.  Coefficients at or below 1e-13 of the largest are zeroed.  A
     held-out random sample (reproducible via `seed`) must match direct
     determinant evaluation to `tol` relative, else NumericalCheckFailure is
@@ -512,7 +504,8 @@ def bloch_variety(
     ranks = [int(np.linalg.matrix_rank(h)) for h in model.hops]
     shape = tuple(2 * r + 1 for r in ranks)
     n_points = math.prod(shape)
-    _refuse_oversized(
+    # the char-poly samples, their FFT and the pruning temporaries
+    refuse_oversized(
         3 * n_points * (d + 1) * 16, "Bloch variety",
         f"coefficient arrays for a {'x'.join(map(str, shape))} sampling grid "
         f"(hop ranks {ranks}, dim {d})",

@@ -1,15 +1,20 @@
 """End-to-end checks of the command-line interface."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hyperband
 from hyperband import cli
@@ -976,7 +981,7 @@ def test_oversized_bands_grid_is_refused_before_the_grid_is_built(
     monkeypatch.setattr(spectra, "_product_grid", unreachable)
     code = cli.main(["bands", "--model", str(single_site_model), "--grid", "1000000,1000000"])
     err = capsys.readouterr().err
-    assert code == 2 and err.startswith("error: bands grid too large: about 48000.0 GB")
+    assert code == 2 and err.startswith("error: bands grid too large: about 32000.0 GB")
     assert "1000000000000 points" in err and "the limit is 1.1 GB" in err
 
 
@@ -993,6 +998,122 @@ def test_oversized_cover_check_is_refused_before_the_characters_are_drawn(
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: cover check too large: about ")
     assert "10000000000 trials (cover genus 1)" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# counts past any array: one size rule refuses each, before it is built
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def count_inputs(tmp_path_factory):
+    """A one-state genus-1 model, the swap cover, and a file for each case's config or cover."""
+    root = tmp_path_factory.mktemp("counts")
+    paths = {name: root / f"{name}.json" for name in ("model", "cover", "case")}
+    write_model(TightBindingModel(1, [[0.0]], [[[1.0]], [[1.0]]]), paths["model"])
+    paths["cover"].write_text(json.dumps(cover_to_json(UnbranchedCover(2, ((2, 1), (1, 2))))))
+    return {name: str(path) for name, path in paths.items()}
+
+
+def _refused_in_one_line(argv, inputs) -> str:
+    """Run `argv` in-process; assert exit 2, no output, one `error:` line within 2 s; that line."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([arg.format(**inputs) for arg in argv])
+    elapsed = time.perf_counter() - start
+    lines = err.getvalue().splitlines()
+    assert code == 2 and out.getvalue() == "" and elapsed < 2.0
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+#: each count option: its subcommand's other arguments and, for a count N,
+#: the option's flag value and its config value as JSON text
+COUNT_OPTIONS = [
+    ("grid", ["bands", "--model", "{model}"], "{n}", "{n}"),
+    ("grid", ["bands", "--model", "{model}"], "3,{n}", "[3, {n}]"),
+    ("region", ["bands", "--model", "{model}", "--grid", "2"], "0:1:{n}", "[0, 1, {n}]"),
+    ("trials", ["cover-check", "--model", "{model}", "--cover", "{cover}"], "{n}", "{n}"),
+    ("bands", ["euclidean", "--tau", "0,1"], "{n}", "{n}"),
+]
+COVER_DOCUMENT = '{{"hyperband_cover": 1, "sheets": {n}, "perms": [[2, 1], [1, 2]]}}'
+
+
+@settings(max_examples=80)
+@given(
+    case=st.sampled_from([*range(len(COUNT_OPTIONS))] * 2 + ["sheets"]),
+    source=st.sampled_from(["flag", "config"]),
+    lead=st.integers(1, 9),
+    zeros=st.integers(10, 5000),
+)
+# the longest int a flag or a JSON document may hold has 4300 digits
+@example(case=0, source="flag", lead=9, zeros=4299)
+@example(case=0, source="config", lead=9, zeros=4299)
+@example(case="sheets", source="flag", lead=9, zeros=4299)
+@example(case=3, source="config", lead=1, zeros=4300)
+def test_property_counts_past_any_array_exit_2_in_one_line(count_inputs, case, source, lead, zeros):
+    # counts from 10^10 to thousands of digits, as flags, config values and
+    # cover sheets: a clear refusal, never a traceback, an allocation or a hang
+    n = f"{lead}{'0' * zeros}"
+    if case == "sheets":
+        with open(count_inputs["case"], "w", encoding="utf-8") as fh:
+            fh.write(COVER_DOCUMENT.format(n=n))
+        argv = ["cover-check", "--model", "{model}", "--cover", "{case}"]
+    else:
+        option, argv, flag, config = COUNT_OPTIONS[case]
+        if source == "flag":
+            argv = argv + [f"--{option}={flag.format(n=n)}"]
+        else:
+            with open(count_inputs["case"], "w", encoding="utf-8") as fh:
+                fh.write(f'{{"{option}": {config.format(n=n)}}}')
+            argv = argv + ["--config", "{case}"]
+    _refused_in_one_line(argv, count_inputs)
+
+
+#: inputs that used to end in a traceback, a memory error or a hang, and the
+#: start of their refusal
+CRASH_PATHS = {
+    "bands grid": (["bands", "--model", "{model}", "--grid", "1" + "0" * 400], "bands grid too large"),
+    "cover sheets": (["cover-check", "--model", "{model}", "--cover", "{case}"], "entry 1 is not a permutation"),
+    "euclidean bands": (["euclidean", "--tau", "0,1", "--bands", "1" + "0" * 30], "empty-lattice window too large"),
+    "cover-check trials": (
+        ["cover-check", "--model", "{model}", "--cover", "{cover}", "--trials", "1" + "0" * 400],
+        "cover check too large",
+    ),
+    "euclidean k": (["euclidean", "--tau", "0,1", "--k", "1e300,0"], "empty-lattice window too large"),
+    "euclidean bands slow": (["euclidean", "--tau", "0,1", "--bands", "100000000"], "empty-lattice window too large"),
+    "tau underflow": (["euclidean", "--tau", "0,1e-320"], "tau out of range"),
+    "tau overflow": (["euclidean", "--tau", "1e300,1"], "tau out of range"),
+}
+
+
+@pytest.mark.parametrize("path", CRASH_PATHS)
+def test_crash_paths_exit_2_in_one_line(count_inputs, path):
+    argv, refusal = CRASH_PATHS[path]
+    with open(count_inputs["case"], "w", encoding="utf-8") as fh:
+        fh.write(COVER_DOCUMENT.format(n="1" + "0" * 400))
+    assert _refused_in_one_line(argv, count_inputs).startswith(f"error: {refusal}")
+
+
+def test_large_cover_check_is_refused_before_any_stack_is_built(tmp_path, monkeypatch):
+    # a cyclic genus-2 cover of 8192 sheets at d = 1: 56 (dN)^2 B = 3.8 GB per trial
+    from hyperband import covers_quivers
+
+    def unreachable(*args):
+        raise AssertionError("a stack was built")
+
+    monkeypatch.setattr(covers_quivers, "_assemble_monomial", unreachable)
+    inputs = {"model": str(tmp_path / "model.json"), "cover": str(tmp_path / "cover.json")}
+    write_model(TightBindingModel(2, [[0.5]], [[[1.0]], [[0.5j]], [[0.3]], [[0.2j]]]), inputs["model"])
+    n = 8192
+    perms = [[(s + 1) % n + 1 for s in range(n)]] + [list(range(1, n + 1))] * 3
+    Path(inputs["cover"]).write_text(json.dumps({"hyperband_cover": 1, "sheets": n, "perms": perms}))
+    line = _refused_in_one_line(["cover-check", "--model", "{model}", "--cover", "{cover}"], inputs)
+    assert line == (
+        "error: cover check too large: about 3.8 GB of Hamiltonians of 8192 states per trial; "
+        "the limit is 1.1 GB"
+    )
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):

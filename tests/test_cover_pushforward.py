@@ -230,6 +230,23 @@ def cyclic(genus, n, gen, step=1):
     return UnbranchedCover(n, tuple(perms))
 
 
+def test_oversized_supercell_is_refused_before_its_matrices_are_placed(monkeypatch):
+    # a genus-2 cyclic cover of 256 sheets has genus 257: 1544 dense matrices
+    # of 256 states in the placed blocks, the model's copies and its daggers
+    model = random_model(np.random.default_rng(3), 2, 1)
+    cover = cyclic(2, 256, 0)
+
+    def unreachable(*args):
+        raise AssertionError("a dense matrix was placed")
+
+    monkeypatch.setattr(covers_quivers, "_place_blocks", unreachable)
+    with pytest.raises(ValueError) as info:
+        supercell(model, cover)
+    assert str(info.value) == (
+        "supercell too large: about 1.6 GB of 1544 dense matrices of 256 states; the limit is 1.1 GB"
+    )
+
+
 def product_perms(n, m):
     """Z_n x Z_m acting on sheets s = i m + j: a steps i, b steps j (0-indexed)."""
     a = [((i + 1) % n) * m + j for i in range(n) for j in range(m)]

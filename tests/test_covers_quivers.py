@@ -45,6 +45,23 @@ def test_cover_validates_permutations():
         UnbranchedCover(sheets=2, perms=((2, 1),))  # odd count
 
 
+@pytest.mark.parametrize(
+    "sheets, perms, bad",
+    [
+        (2, ((2, 1), (1, 2, 3)), 2),  # too long
+        (3, ((2, 3, 1), (1, 2)), 2),  # too short
+        (2, ((2, 1), (0, 1)), 2),  # below the range
+        (2, ((3, 1), (1, 2)), 1),  # above it
+        (2, ((1, 1), (2, 1, 3)), 2),  # a bad length or range is named before a repeat
+        (10**400, ((2, 1), (1, 2)), 1),  # no array of 10^400 sheets is attempted
+    ],
+)
+def test_cover_names_the_entry_of_the_wrong_length_or_range(sheets, perms, bad):
+    with pytest.raises(ValueError) as info:
+        UnbranchedCover(sheets=sheets, perms=perms)
+    assert str(info.value) == f"entry {bad} is not a permutation of 1..{sheets}: {perms[bad - 1]}"
+
+
 def test_cover_rejects_free_group_only_data():
     # genus 1 needs commuting permutations; a 3-cycle and a transposition
     # that do not commute fail the relator

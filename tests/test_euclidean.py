@@ -1,5 +1,7 @@
 """Flat genus-1 reference computations."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,45 @@ def test_lattice_and_momentum_must_be_finite(tau):
         empty_lattice_bands(lattice, k, 3)
     with pytest.raises(ValueError, match="k must be finite"):
         empty_lattice_bands(lattice, tau, 3)
+
+
+@pytest.mark.parametrize(
+    "tau",
+    [
+        complex(0, 1e-320),  # |tau|^2 underflows to 0: tau / |tau|^2 divided by zero
+        complex(1e-170, 1e-170),
+        complex(1e300, 1),  # |tau|^2 overflows
+        complex(0, 1e155),
+        complex(1, 1e-320),  # the solve's 1 / Im tau overflows
+        complex(1e300, 1e-10),  # and its Re tau / Im tau
+    ],
+)
+def test_lattice_refuses_a_tau_whose_reciprocal_basis_leaves_the_float_range(tau):
+    with pytest.raises(ValueError, match="tau out of range"):
+        EuclideanLattice(tau)
+
+
+@pytest.mark.parametrize("tau", [complex(0, 1e-150), complex(1e150, 1e-150), complex(-1e150, 1e150)])
+def test_lattice_accepts_a_tau_whose_reciprocal_basis_is_finite(tau):
+    W = reciprocal(EuclideanLattice(tau)).basis
+    assert np.isfinite(W).all() and np.isfinite(reciprocal(EuclideanLattice(tau)).formula_discrepancy)
+
+
+@pytest.mark.parametrize(
+    "k, n_bands, shown",
+    [
+        ((0.0, 0.0), 10**8, "about 6.4 GB of reciprocal vectors for 100000000 bands"),
+        ((0.0, 0.0), 10**30, "about 10^32 bytes of reciprocal vectors for about 10^30 bands"),
+        ((1e300, 0.0), 8, "an unbounded size of reciprocal vectors for 8 bands"),  # |k|^2 overflows
+        ((1e20, 0.0), 8, "about 10^43 bytes of reciprocal vectors for 8 bands"),
+    ],
+)
+def test_oversized_window_is_refused_before_it_is_built(k, n_bands, shown):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on the way
+        with pytest.raises(ValueError) as info:
+            empty_lattice_bands(EuclideanLattice(1j), k, n_bands)
+    assert str(info.value) == f"empty-lattice window too large: {shown}; the limit is 1.1 GB"
 
 
 @pytest.mark.parametrize("n_bands", [2.5, True, "3"])

@@ -103,6 +103,33 @@ def test_outside_input_is_read_only_through_serialize():
                 assert not bare, f"{path.name}:{node.lineno}: {name} reads a count with int()"
 
 
+def test_only_serialize_holds_the_array_limit():
+    # one size rule: every other module calls `refuse_oversized`, and none
+    # defines a limit or a guard of its own or compares against the limit
+    limits = {1 << 30, 2**30}
+    for path in sorted(Path(hyperband.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.stem == "_serialize":
+            assert "refuse_oversized" in _functions(tree)
+            continue
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            assert name != "_MAX_ARRAY_BYTES", f"{path.name}:{node.lineno} reads the limit"
+            assert "oversized" not in str(name) or name == "refuse_oversized", f"{path.name}: {name}"
+            literal = isinstance(node, ast.Constant) and node.value in limits
+            shifted = isinstance(node, ast.BinOp) and ast.unparse(node) in ("1 << 30", "2 ** 30")
+            assert not (literal or shifted), f"{path.name}:{node.lineno} holds a size limit"
+    # the bands command leaves every size to the library
+    cli_tree = ast.parse((Path(hyperband.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    cmd_bands = _functions(cli_tree)["cmd_bands"]
+    assert not any(isinstance(node, ast.BinOp) for node in ast.walk(cmd_bands))
+    called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+              for node in ast.walk(cmd_bands) if isinstance(node, ast.Call)}
+    assert not called & {"refuse_oversized", "_axis_counts", "prod"}
+    assert "math" not in {alias.name for node in ast.walk(cli_tree) if isinstance(node, ast.Import)
+                          for alias in node.names}
+
+
 def _package_imports(node) -> list:
     """The hyperband modules one import statement names; [] for any other node."""
     if isinstance(node, ast.Import):

@@ -1,4 +1,5 @@
-"""The indented JSON writer: `json.dumps(obj, indent=2, sort_keys=True)`'s bytes."""
+"""The indented JSON writer: `json.dumps(obj, indent=2, sort_keys=True)`'s bytes;
+the size rule for the arrays a caller's counts ask for."""
 
 import json
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperband import _serialize
 from hyperband._serialize import indented_dumps
 from hyperband.tight_binding import model_to_json, write_model
 
@@ -97,3 +99,39 @@ def test_write_model_writes_the_json_module_text(tmp_path):
     path = tmp_path / "model.json"
     write_model(model, path)
     assert path.read_text(encoding="utf-8") == reference(model_to_json(model))
+
+
+# ---------------------------------------------------------------------------
+# the size rule
+# ---------------------------------------------------------------------------
+
+
+def test_size_rule_passes_the_limit_and_refuses_one_byte_more():
+    limit = _serialize._MAX_ARRAY_BYTES
+    _serialize.refuse_oversized(limit, "grid", "momenta")
+    _serialize.refuse_oversized(float(limit), "grid", "momenta")
+    with pytest.raises(ValueError) as info:
+        _serialize.refuse_oversized(limit + 1, "grid", "momenta for {} points", 7)
+    assert str(info.value) == "grid too large: about 1.1 GB of momenta for 7 points; the limit is 1.1 GB"
+
+
+@pytest.mark.parametrize(
+    "estimate, count, shown",
+    [
+        (48 * 10**12, 10**12, "about 48000.0 GB of arrays for 1000000000000 points"),
+        (10**24 - 1, 10**18 - 1, "about 1000000000000000.0 GB of arrays for 999999999999999999 points"),
+        (10**24, 10**18, "about 10^24 bytes of arrays for about 10^18 points"),
+        # past the float range, and past the digits str() of an int may show
+        (16 * 10**400, 10**400, "about 10^401 bytes of arrays for about 10^400 points"),
+        (10**6000, 10**5000, "about 10^6000 bytes of arrays for about 10^5000 points"),
+        (1e300, 10**20, "about 10^300 bytes of arrays for about 10^20 points"),
+        (float("inf"), 3, "an unbounded size of arrays for 3 points"),
+        (float("nan"), 3, "an unbounded size of arrays for 3 points"),
+    ],
+    ids=["GB", "last-GB", "first-power", "past-float", "past-str", "float", "inf", "nan"],
+)
+def test_size_rule_compares_exactly_and_shows_any_size(estimate, count, shown):
+    with pytest.raises(ValueError) as info:
+        _serialize.refuse_oversized(estimate, "grid", "arrays for {} points", count)
+    assert str(info.value) == f"grid too large: {shown}; the limit is 1.1 GB"
+

@@ -1,10 +1,12 @@
 """Momentum grids, sweeps, crossings, and the determinant expansion."""
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from hyperband import _serialize
 from hyperband.errors import NumericalCheckFailure
 from hyperband.momenta import AbelianMomentum
 from hyperband.spectra import (
@@ -82,6 +84,40 @@ def test_grid_builders_refuse_fractional_and_boolean_counts(counts):
         unitary_grid(1, counts)
     with pytest.raises(ValueError, match="axis count must be an integer"):
         complex_region_grid(1, counts, (-0.1, 0.1), 2)
+
+
+@pytest.mark.parametrize(
+    "build, shown",
+    [
+        (lambda: unitary_grid(2, 182), "about 70.2 GB of momenta for 1097199376 points"),
+        (lambda: unitary_grid(1, [1, 10**400]), "about 10^402 bytes of momenta for about 10^400 points"),
+        # 2 phases times 10^200 moduli per axis
+        (
+            lambda: complex_region_grid(1, 2, (0, 1), 10**200),
+            "about 10^402 bytes of momenta for about 10^401 points",
+        ),
+    ],
+)
+def test_grid_builders_refuse_oversized_grids_before_any_axis(monkeypatch, build, shown):
+    def unreachable(*args):
+        raise AssertionError("an axis was built")
+
+    monkeypatch.setattr(np, "exp", unreachable)
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == f"bands grid too large: {shown}; the limit is 1.1 GB"
+
+
+def test_sweep_refuses_a_grid_whose_momenta_and_bands_pass_the_size_rule():
+    # 16 points of 2 momenta pass a 512 B limit; with 3 bands each they do not
+    model = random_model(np.random.default_rng(5), 1, 3)
+    with mock.patch.object(_serialize, "_MAX_ARRAY_BYTES", 16 * 2 * 16):
+        grid = unitary_grid(1, 4)
+        with pytest.raises(ValueError) as info:
+            sweep(model, grid)
+    assert str(info.value) == (
+        "bands grid too large: about 0.0 GB of momenta and bands for 16 points; the limit is 0.0 GB"
+    )
 
 
 def test_grid_builders_accept_integral_numbers_only():
