@@ -47,11 +47,11 @@ def refuse_oversized(estimate, subject: str, arrays: str, *counts: int) -> None:
     )
 
 
-def check_tolerance(tol) -> None:
+def check_tolerance(tol, name: str = "tol") -> None:
     """Refuse (ValueError) a NaN, infinite or negative tolerance, which would
     switch its check off or fail it at distance 0."""
     if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+        raise ValueError(f"{name} must be a finite number >= 0, got {tol!r}")
 
 
 def read_json(path):

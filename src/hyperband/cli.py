@@ -104,6 +104,10 @@ class _Options:
         value = self._args[name]
         return self._config.get(name, self._rows[name][1]) if value is None else value
 
+    def supplied(self, name: str) -> bool:
+        """Whether the option came as a flag or a config entry, not from the table."""
+        return self._args[name] is not None or name in self._config
+
     def __getitem__(self, name: str):
         """The option parsed: a number, a list of them, a path, or None if unset."""
         reader, default = self._rows[name]
@@ -222,7 +226,8 @@ def cmd_higgs_toy(opts: _Options) -> int:
 def cmd_spectral_curve(opts: _Options) -> int:
     from . import spectral_curve
     higgs_path = opts["higgs"]
-    if (higgs_path is None) == (opts.given("u") is None):
+    toy = any(opts.supplied(name) for name in ("u", "m", "B"))
+    if higgs_path is None and opts.given("u") is None or higgs_path is not None and toy:
         raise ValueError("give exactly one input: --higgs FILE, or --u/--m[/--B]")
     if higgs_path is not None:
         phi = spectral_curve.higgs_from_json_file(higgs_path)

@@ -113,12 +113,17 @@ class EmptyLatticeBands:
 def empty_lattice_bands(lattice: EuclideanLattice, k, n_bands: int) -> EmptyLatticeBands:
     """The n lowest |k - G|^2, G in the reciprocal lattice, with full tie counts.
 
-    Enumerates the smallest square window of reciprocal vectors, at least
-    5x5, that holds n of them to bound the n-th energy, then enlarges the
-    window until it provably contains every G with |k - G|^2 at or below that
-    bound (using the smallest singular value of the reciprocal basis), so no
-    low-energy vector is missed.  A window past the size rule of
-    `_serialize.refuse_oversized` is refused with ValueError before it is built.
+    Enumerates the smallest square window of reciprocal vectors m W_0 + n W_1,
+    at least 5x5 and centred on the vector nearest k in lattice coordinates
+    (rint of lattice.basis @ k), that holds n of them to bound the n-th
+    energy, then enlarges the window until it provably contains every G with
+    |k - G|^2 at or below that bound (such a G lies within |k - centre| +
+    sqrt(bound) of the centre, and the smallest singular value of the
+    reciprocal basis converts lengths to coordinates), so no low-energy
+    vector is missed.  A window
+    past the size rule of `_serialize.refuse_oversized` is refused with
+    ValueError before it is built, and so is a k whose lattice coordinates
+    reach 2^52, where consecutive window coordinates stop being distinct floats.
     """
     n_bands = integer(n_bands, "n_bands")
     if n_bands < 1:
@@ -129,9 +134,15 @@ def empty_lattice_bands(lattice: EuclideanLattice, k, n_bands: int) -> EmptyLatt
     if sigma_min <= 0:
         raise NumericalCheckFailure("reciprocal basis is numerically singular")
 
+    with np.errstate(over="ignore", invalid="ignore"):
+        centre = np.rint(lattice.basis @ k)
+    if not np.all(np.abs(centre) < 2.0**52):
+        raise ValueError(f"k out of range: its lattice coordinates {centre.tolist()} reach 2^52")
+    shift = float(np.linalg.norm(k - centre @ W))  # at most |W_0|/2 + |W_1|/2
+
     def window_energies(half_width: int) -> np.ndarray:
         rng = np.arange(-half_width, half_width + 1)
-        mm, nn = np.meshgrid(rng, rng, indexing="ij")
+        mm, nn = np.meshgrid(centre[0] + rng, centre[1] + rng, indexing="ij")
         G = mm.reshape(-1, 1) * W[0] + nn.reshape(-1, 1) * W[1]
         diff = k[None, :] - G
         return np.sort(np.einsum("ij,ij->i", diff, diff))
@@ -146,9 +157,7 @@ def empty_lattice_bands(lattice: EuclideanLattice, k, n_bands: int) -> EmptyLatt
         half_width = math.ceil(reach)
         energies = window_energies(half_width)
         bound = energies[n_bands - 1]
-        with np.errstate(over="ignore"):  # |k| past the float range: an infinite reach
-            radius = float(np.linalg.norm(k)) + float(np.sqrt(bound))
-        reach = float(np.ceil(radius / sigma_min)) + 1.0
+        reach = float(np.ceil((shift + float(np.sqrt(bound))) / sigma_min)) + 1.0
     # keep every vector that could tie with the selected energies
     tie_tol = 1e-9 * max(1.0, float(bound))
     kept = energies[energies <= bound + tie_tol]

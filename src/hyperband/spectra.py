@@ -4,9 +4,9 @@ Eigenvalues are always reported sorted lexicographically by (Re, Im).  Sweeps
 are embarrassingly parallel over grid points and are solved in cache-sized
 batches; the output is independent of the batch size, and identical inputs
 produce identical outputs (no threading nondeterminism is introduced here).
-Band crossings are single-linkage clusters per grid point: sorted real rows
-are labelled as runs here, every other row goes to the union-find of
-`_clustering`, which the branch points of `spectral_curve` share.
+Band crossings are single-linkage clusters per grid point, from
+`_clustering.single_linkage`, which the branch points of `spectral_curve`
+share.
 
 The Bloch variety of a model is the polynomial det(H(chi) - E) viewed as a
 Laurent polynomial in the momentum entries chi_1..chi_2g and an ordinary
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._clustering import _cluster_means, _gather_means, _union_find
+from ._clustering import single_linkage
 from ._serialize import check_tolerance, integer, refuse_oversized
 from .errors import NumericalCheckFailure
 from .momenta import TOL_UNITARY, AbelianMomentum
@@ -277,91 +277,31 @@ class DegeneracyGroup:
     band_indices: tuple
 
 
-def _single_linkage(rows, radius: float) -> tuple:
-    """Single-linkage clusters of >= 2 entries within each row of a 2-D array.
-
-    Two entries join a cluster when some chain of pairwise distances
-    <= radius connects them, each distance the scalar `abs(x - y)`.
-
-    Rows of reals (zero imaginary parts, as every Hermitian sweep gives)
-    whose adjacent gaps are all >= 0 (sorted, and no nan from a nan or from
-    equal infinities) are labelled as runs of adjacent gaps <= radius:
-    abs(complex(x, 0.0)) == abs(x), and float subtraction rounds
-    monotonically, so a pair within the radius has every adjacent gap between
-    them within it.  Their clusters come back as three int arrays (row, first
-    member, size), a cluster being its row's entries first..first+size-1.
-    Every other row goes through `_union_find`, whose (row index, members)
-    pairs come back as the fourth item.  Both parts are in row order, then in
-    order of first member.
-    """
-    rows = np.asarray(rows)
-    none = np.zeros(0, dtype=np.intp)
-    # a whole-array any() first: the per-row one costs several times more
-    runs = np.ones(len(rows), dtype=bool)
-    if rows.imag.any():
-        runs = ~rows.imag.any(axis=1)
-        if not runs.any():
-            return none, none, none, _union_find(rows, radius)
-    re = rows.real
-    gaps = re[:, 1:] - re[:, :-1]
-    unsorted = ~(gaps >= 0)
-    if unsorted.any():
-        runs &= ~unsorted.any(axis=1)
-    # joined gap i of a run row links entries i and i + 1; consecutive joined
-    # gaps of one row form one cluster
-    p, i = np.nonzero(gaps <= radius)
-    keep = runs[p]
-    p, i = p[keep], i[keep]
-    starts = np.ones(p.size + 1, dtype=bool)
-    starts[1:-1] = (p[1:] != p[:-1]) | (i[1:] != i[:-1] + 1)
-    bounds = np.flatnonzero(starts)
-    first, last = bounds[:-1], bounds[1:] - 1
-    others = np.flatnonzero(~runs)
-    clusters = []
-    if others.size:
-        ids = others.tolist()
-        clusters = [(ids[r], m) for r, m in _union_find(rows[others], radius)]
-    return p[first], i[first], i[last] - i[first] + 2, clusters
-
-
-def _run_means(rows: np.ndarray, p, first, size) -> np.ndarray:
-    """`_gather_means` of the runs (p, first, size), one gather per size."""
-    means = np.empty(p.size, dtype=complex)
-    for m in np.unique(size).tolist():
-        k = np.flatnonzero(size == m)
-        means[k] = _gather_means(rows, p[k], first[k, None] + np.arange(m))
-    return means
-
-
 def detect_crossings(bands: BandStructure, gap_tol: float = None) -> tuple:
-    """Single-linkage clusters (`_single_linkage`) of >= 2 eigenvalues per grid point.
+    """Single-linkage clusters (`_clustering.single_linkage`) of >= 2 eigenvalues per grid point.
 
-    Default gap_tol is 1e-6 times the spectral radius of the sweep.
+    Default gap_tol is 1e-6 times the spectral radius of the sweep; a given
+    one that is NaN, infinite or negative raises ValueError.
     """
     if gap_tol is None:
         radius = spectral_radius(bands)
         gap_tol = 1e-6 * radius if radius > 0 else 1e-12
-    rows = bands.bands
-    p, first, size, others = _single_linkage(rows, float(gap_tol))
-    if not (p.size or others):
+    else:
+        check_tolerance(gap_tol, "gap_tol")
+    p, start, size, members, means = single_linkage(bands.bands, float(gap_tol))
+    if not p.size:
         return ()
-    # the columns of the runs' groups, then of the union-find's
-    means = _run_means(rows, p, first, size).tolist()
-    width = rows.shape[1] + 1
-    codes, which = np.unique(first * width + size, return_inverse=True)
-    spans = [tuple(range(a, a + m)) for a, m in (divmod(c, width) for c in codes.tolist())]
-    members = [spans[k] for k in which.tolist()]  # one tuple per distinct (first, size)
-    size = size.tolist()
-    if others:
-        runs = p.size
-        p = np.concatenate([p, [r for r, _ in others]])
-        means += _cluster_means(rows, others)
-        members += [tuple(m) for _, m in others]
-        size += [len(m) for _, m in others]
-        if runs:  # the two routes' rows interleave
-            order = np.argsort(p, kind="stable")
-            p, ks = p[order], order.tolist()
-            means, members, size = ([column[k] for k in ks] for column in (means, members, size))
+    # one band_indices tuple per distinct member set: per cluster size, the
+    # sets are ranked one member at a time (the codes stay below clusters x bands)
+    width = bands.bands.shape[1]
+    spans = np.empty(p.size, dtype=object)
+    for m in np.flatnonzero(np.bincount(size)).tolist():
+        k = np.flatnonzero(size == m)
+        sets = members[start[k, None] + np.arange(m)]
+        which = sets[:, 0]
+        for column in sets.T[1:]:
+            _, first, which = np.unique(which * width + column, return_index=True, return_inverse=True)
+        spans[k] = np.fromiter(map(tuple, sets[first].tolist()), dtype=object, count=first.size)[which]
     # one grid_index tuple per degenerate grid point
     new = np.ones(p.size, dtype=bool)
     new[1:] = p[1:] != p[:-1]
@@ -369,7 +309,7 @@ def detect_crossings(bands: BandStructure, gap_tol: float = None) -> tuple:
     points = [points[k] for k in (np.cumsum(new) - 1).tolist()]
     # fields in order (grid_index, flat_index, eigenvalue, multiplicity,
     # band_indices): positional arguments build each group faster than keywords
-    return tuple(map(DegeneracyGroup, points, p.tolist(), means, size, members))
+    return tuple(map(DegeneracyGroup, points, p.tolist(), means.tolist(), size.tolist(), spans.tolist()))
 
 
 @dataclass(frozen=True)

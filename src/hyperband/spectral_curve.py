@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._clustering import _cluster_means, _union_find
+from ._clustering import single_linkage
 from ._serialize import complex_from_json, complex_to_json, document, integer, read_json
 from .errors import EverywhereSingularError, NumericalCheckFailure
 from .higgs_toy import INFINITY, ToyModelPoint, higgs_matrices
@@ -220,14 +220,10 @@ def _roots_with_multiplicity(poly: np.ndarray, base_genus: int, zero_tol: float)
             roots[idx] = r - npoly.polyval(r, monic) / slope
     scale = max(1.0, float(np.max(np.abs(roots))) if roots.size else 1.0)
     radius = CLUSTER_RADIUS_REL * scale
-    # one row of roots, never a sorted Hermitian sweep row: straight to the union-find
-    clusters = _union_find(roots[None], radius)
-    clustered = {i for _, members in clusters for i in members}
-    clusters += [(0, [i]) for i in range(roots.size) if i not in clustered]
-    merged = [
-        (mean, len(members))
-        for (_, members), mean in zip(clusters, _cluster_means(roots[None], clusters))
-    ]
+    _, _, size, members, means = single_linkage(roots[None], radius)
+    alone = np.ones(roots.size, dtype=bool)
+    alone[members] = False
+    merged = list(zip(means.tolist(), size.tolist())) + [(r, 1) for r in roots[alone].tolist()]
     merged.sort(key=lambda t: (t[0].real, t[0].imag))
     return merged, inf_mult
 

@@ -7,7 +7,6 @@ per-float CSV writer, which also checks the CLI's bytes.
 """
 
 import io
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperband import cli, spectra, spectral_curve
+from hyperband._clustering import single_linkage
 from hyperband.errors import NumericalCheckFailure
 from hyperband.higgs_toy import ToyModelPoint
 from hyperband.spectra import (
@@ -293,6 +293,32 @@ def test_single_linkage_decides_with_scalar_abs():
     assert linkage_clusters(rows, 1.0) == expected_clusters(rows, 1.0)
 
 
+@settings(max_examples=80)
+@given(real=st.booleans(), **batches)
+def test_property_permuting_a_row_permutes_its_clusters(real, n_rows, n, seed):
+    # values on a lattice of radius / 2: ties and distances at the radius;
+    # sorted real rows skip the argsort that their permutations take
+    rng = np.random.default_rng(seed)
+    radius = float(rng.choice([1e-3, 0.5, 1.0]))
+    rows = rng.integers(-4, 5, (n_rows, n)) * (radius / 2) + 0j
+    if real:
+        rows = np.sort(rows.real, axis=1) + 0j
+    else:
+        rows.imag = rng.integers(-2, 3, (n_rows, n)) * (radius / 2)
+    perm = np.argsort(rng.random((n_rows, n)), axis=1)
+    permuted = np.take_along_axis(rows, perm, axis=1)
+
+    def member_sets(values, relabel):
+        row, start, size, members, _ = single_linkage(values, radius)
+        return sorted(
+            (r, sorted(relabel[r][members[a:a + m]].tolist()))
+            for r, a, m in zip(row.tolist(), start.tolist(), size.tolist())
+        )
+
+    identity = np.broadcast_to(np.arange(n), (n_rows, n))
+    assert member_sets(permuted, perm) == member_sets(rows, identity)
+    assert member_sets(rows, identity) == sorted(expected_clusters(rows, radius))
+
 def assert_groups_equal(new, old):
     assert new == old
     # == ignores the sign of zero; the bytes do not
@@ -369,16 +395,16 @@ def test_property_detect_crossings_on_real_rows(genus, n, gap_tol, unsorted_shar
     values = real + 0j
     values.imag = np.where(rng.random(shape) < 0.2, -0.0, 0.0)
     bands = BandStructure(grid, values)
-    with mock.patch.object(spectra, "_union_find", wraps=spectra._union_find) as union_find:
-        groups = detect_crossings(bands, gap_tol)
-    assert_groups_equal(groups, detect_crossings_oracle(bands, gap_tol))
-    # rows that are not sorted, and only those, take the union-find
-    unsorted = np.flatnonzero(np.any(real[:, 1:] < real[:, :-1], axis=1))
-    if unsorted.size:
-        assert union_find.call_args.args[0].tobytes() == values[unsorted].tobytes()
-    else:
-        union_find.assert_not_called()
+    assert_groups_equal(detect_crossings(bands, gap_tol), detect_crossings_oracle(bands, gap_tol))
 
+
+@pytest.mark.parametrize("gap_tol", [float("nan"), -1.0, float("inf"), float("-inf")])
+def test_detect_crossings_refuses_a_nan_infinite_or_negative_gap_tol(gap_tol):
+    model = doubled(random_model(np.random.default_rng(3), 1, 2))
+    bands = sweep(model, unitary_grid(1, [3, 3]))
+    assert len(detect_crossings(bands)) == 2 * bands.grid.n_points
+    with pytest.raises(ValueError, match=r"^gap_tol must be a finite number >= 0, got"):
+        detect_crossings(bands, gap_tol)
 
 def assert_materialised(groups):
     assert type(groups) is tuple
@@ -396,8 +422,8 @@ def assert_materialised(groups):
     seed=seeds,
 )
 def test_property_detect_crossings_on_mixed_rows(genus, n, gap_tol, seed):
-    # sorted real rows (labelled as runs), unsorted real rows and complex rows
-    # interleaved in one structure: the two routes' groups merge in row order
+    # sorted real rows, unsorted real rows and complex rows interleaved in one
+    # structure: the groups come in row order whatever each row's kind
     rng = np.random.default_rng(seed)
     grid = unitary_grid(genus, rng.integers(1, 4, 2 * genus).tolist())
     shape = (grid.n_points, n)
@@ -413,17 +439,9 @@ def test_property_detect_crossings_on_mixed_rows(genus, n, gap_tol, seed):
         elif kind == 2:
             row.imag = rng.integers(-2, 3, n) * step
     bands = BandStructure(grid, values)
-    with mock.patch.object(spectra, "_union_find", wraps=spectra._union_find) as union_find:
-        groups = detect_crossings(bands, gap_tol)
+    groups = detect_crossings(bands, gap_tol)
     assert_materialised(groups)
     assert_groups_equal(groups, detect_crossings_oracle(bands, gap_tol))
-    # the rows that are not sorted and real, and only those, take the union-find
-    real = ~values.imag.any(axis=1)
-    runs = real & np.all(values.real[:, 1:] >= values.real[:, :-1], axis=1)
-    if runs.all():
-        union_find.assert_not_called()
-    else:
-        assert union_find.call_args.args[0].tobytes() == values[~runs].tobytes()
 
 
 @pytest.mark.parametrize("n", [9, 12, 17, 24])
@@ -463,6 +481,16 @@ def test_single_linkage_rows_with_infinities(radius):
         assert linkage_clusters(rows, radius) == expected_clusters(rows, radius)
 
 
+def union_find_linkage(rows, radius):
+    """`single_linkage`'s arrays from `union_find_oracle`, each mean by np.mean."""
+    clusters = [(p, m) for p, m in union_find_oracle(rows, radius) if len(m) >= 2]
+    size = np.array([len(m) for _, m in clusters], dtype=int)
+    start = np.cumsum(size) - size
+    members = np.array([i for _, m in clusters for i in m], dtype=int)
+    means = np.array([complex(np.mean(rows[p, m])) for p, m in clusters], dtype=complex)
+    return np.array([p for p, _ in clusters], dtype=int), start, size, members, means
+
+
 @pytest.mark.parametrize(
     "m, u",
     [(1 + 1e-7, -1.0), (1 + 1e-7, 2 + 1j), (1e-8 + 1e-8j, -1.0), (0.999999998, 2 + 1j)],
@@ -471,13 +499,8 @@ def test_curve_info_double_root_branch_points_unchanged(monkeypatch, m, u):
     phi = spectral_curve.toy_to_twisted(ToyModelPoint(m=m, u=u))
     new = spectral_curve.curve_info(phi).branch_points
     assert any(bp.multiplicity == 2 for bp in new)
-    # the old route: every cluster, singletons included, each mean by np.mean
-    monkeypatch.setattr(spectral_curve, "_union_find", union_find_oracle)
-    monkeypatch.setattr(
-        spectral_curve,
-        "_cluster_means",
-        lambda rows, clusters: [complex(np.mean(rows[p, m])) for p, m in clusters],
-    )
+    # the old route: the all-pairs union-find, each mean by np.mean
+    monkeypatch.setattr(spectral_curve, "single_linkage", union_find_linkage)
     old = spectral_curve.curve_info(phi).branch_points
     assert [(repr(bp.point), bp.multiplicity) for bp in new] == [
         (repr(bp.point), bp.multiplicity) for bp in old

@@ -9,9 +9,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperband._clustering import single_linkage
 from hyperband.momenta import AbelianMomentum
 from hyperband.spectra import (
-    _single_linkage,
     complex_region_grid,
     detect_crossings,
     eigenvalues,
@@ -142,10 +142,10 @@ def test_property_batched_kernel_matches_stack_oracle(genus, dim, P, seed):
 
 
 def linkage_clusters(rows, radius):
-    """`_single_linkage`'s runs and union-find clusters as one (row, members) list."""
-    p, first, size, others = _single_linkage(rows, radius)
-    runs = [(r, list(range(a, a + m))) for r, a, m in zip(p.tolist(), first.tolist(), size.tolist())]
-    return sorted(runs + others, key=lambda cluster: cluster[0])
+    """`single_linkage`'s clusters as one (row, members) list."""
+    row, start, size, members, _ = single_linkage(rows, radius)
+    members = members.tolist()
+    return [(r, members[a:a + m]) for r, a, m in zip(row.tolist(), start.tolist(), size.tolist())]
 
 
 def planted_rows(rng, n_rows, radius):

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import hyperband
 from hyperband import cli
 from hyperband.covers_quivers import CoverPushforward, PushforwardReport, UnbranchedCover, cover_to_json
+from hyperband.euclidean import EuclideanLattice, empty_lattice_bands
 from hyperband.tight_binding import TightBindingModel, model_to_json, write_model
 
 
@@ -311,6 +313,22 @@ def test_euclidean_refuses_non_finite_tau_and_k(capsys, argv, error):
     assert captured.err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("tau, k", [("0,1", "1000,1000"), ("0.3,1.1", "500,500")])
+def test_euclidean_far_k_is_served(tmp_path, tau, k):
+    # the window sits about k: a far k costs no more than k = 0 (the window
+    # about the origin asked 2.0 GB for the first and took 1.4 s for the second)
+    out = tmp_path / "e.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a skew tau warns about the closed form
+        assert cli.main(["euclidean", "--tau", tau, "--k", k, "--out", str(out)]) == 0
+        lattice = EuclideanLattice(complex(*map(float, tau.split(","))))
+        expected = empty_lattice_bands(lattice, tuple(map(float, k.split(","))), 8)
+    doc = json.loads(out.read_text())
+    assert doc["bands"] == expected.energies.tolist()
+    assert [tuple(g) for g in doc["band_groups"]] == list(expected.groups)
+    if tau == "0,1":  # k on a lattice point
+        assert doc["band_groups"] == [[0.0, 1], [1.0, 4], [2.0, 4]]
+
 def test_euclidean_bad_tau_string(capsys):
     code = cli.main(["euclidean", "--tau", "one"])
     assert code == 2
@@ -387,6 +405,33 @@ def test_spectral_curve_input_exclusivity(tmp_path, capsys):
     )
     assert code == 2
 
+
+@pytest.mark.parametrize(
+    "extra, config",
+    [
+        (["--m", "5"], None),
+        (["--m", "5", "--B", "3"], None),
+        (["--B", "1"], None),  # B given at its table default still counts
+        (["--u", "2"], None),
+        ([], {"m": "5"}),
+        ([], {"B": "3"}),
+        ([], {"B": None}),
+    ],
+)
+def test_spectral_curve_higgs_file_refuses_toy_options(tmp_path, capsys, extra, config):
+    from hyperband.higgs_toy import ToyModelPoint
+    from hyperband.spectral_curve import higgs_to_json, toy_to_twisted
+
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(higgs_to_json(toy_to_twisted(ToyModelPoint(m=3.0, u=2.0)))))
+    argv = ["spectral-curve", "--higgs", str(path), *extra]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "config.json")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: give exactly one input: --higgs FILE, or --u/--m[/--B]\n"
 
 def test_spectral_curve_from_higgs_file(tmp_path):
     from hyperband.higgs_toy import ToyModelPoint
@@ -1081,7 +1126,7 @@ CRASH_PATHS = {
         ["cover-check", "--model", "{model}", "--cover", "{cover}", "--trials", "1" + "0" * 400],
         "cover check too large",
     ),
-    "euclidean k": (["euclidean", "--tau", "0,1", "--k", "1e300,0"], "empty-lattice window too large"),
+    "euclidean k": (["euclidean", "--tau", "0,1", "--k", "1e300,0"], "k out of range"),
     "euclidean bands slow": (["euclidean", "--tau", "0,1", "--bands", "100000000"], "empty-lattice window too large"),
     "tau underflow": (["euclidean", "--tau", "0,1e-320"], "tau out of range"),
     "tau overflow": (["euclidean", "--tau", "1e300,1"], "tau out of range"),

@@ -130,6 +130,33 @@ def test_only_serialize_holds_the_array_limit():
                           for alias in node.names}
 
 
+def test_crossings_and_branch_points_take_their_clusters_from_one_function():
+    # `spectra` and `spectral_curve` each import and call `single_linkage`
+    # alone from `_clustering`; no module keeps a union-find (a find, a
+    # union or parent pointers) beside it
+    root = Path(hyperband.__file__).parent
+    for stem in ("spectra", "spectral_curve"):
+        tree = ast.parse((root / f"{stem}.py").read_text(encoding="utf-8"))
+        imported = [
+            alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "_clustering"
+            for alias in node.names
+        ]
+        assert imported == ["single_linkage"], f"{stem} imports {imported} from _clustering"
+        called = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "single_linkage"
+        ]
+        assert len(called) == 1, f"{stem} calls single_linkage {len(called)} times"
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        assert not [name for name in defined if "union" in name or "find" in name], path.name
+        names = {getattr(node, "id", None) or getattr(node, "arg", None) for node in ast.walk(tree)}
+        assert "parent" not in names, f"{path.name} keeps parent pointers"
+    clustering = ast.parse((root / "_clustering.py").read_text(encoding="utf-8"))
+    assert [name for name in _functions(clustering) if not name.startswith("_")] == ["single_linkage"]
+
 def _package_imports(node) -> list:
     """The hyperband modules one import statement names; [] for any other node."""
     if isinstance(node, ast.Import):
