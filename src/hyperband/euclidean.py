@@ -122,8 +122,13 @@ def empty_lattice_bands(lattice: EuclideanLattice, k, n_bands: int) -> EmptyLatt
     reciprocal basis converts lengths to coordinates), so no low-energy
     vector is missed.  A window
     past the size rule of `_serialize.refuse_oversized` is refused with
-    ValueError before it is built, and so is a k whose lattice coordinates
-    reach 2^52, where consecutive window coordinates stop being distinct floats.
+    ValueError before it is built, and so is a k too far out for its energies
+    to resolve ties: one whose lattice coordinates c reach 2^52, where
+    consecutive window coordinates stop being distinct floats, or where
+    |c_0| |W_0| + |c_1| |W_1| reaches 2^16.  Rounding the products of
+    m W_0 + n W_1 moves a G near the centre, and so k - G, by up to 2^-52
+    times that sum, and an energy E by up to 2^-51 sqrt(E) times it: under
+    2^16 that is below 1/30 of the tie tolerance 1e-9 max(1, bound).
     """
     n_bands = integer(n_bands, "n_bands")
     if n_bands < 1:
@@ -136,8 +141,11 @@ def empty_lattice_bands(lattice: EuclideanLattice, k, n_bands: int) -> EmptyLatt
 
     with np.errstate(over="ignore", invalid="ignore"):
         centre = np.rint(lattice.basis @ k)
-    if not np.all(np.abs(centre) < 2.0**52):
-        raise ValueError(f"k out of range: its lattice coordinates {centre.tolist()} reach 2^52")
+        centre_size = float(np.abs(centre) @ np.linalg.norm(W, axis=1))
+    if not (np.all(np.abs(centre) < 2.0**52) and centre_size < 2.0**16):
+        raise ValueError(
+            f"k out of range: its lattice coordinates {centre.tolist()} are too far out to resolve ties"
+        )
     shift = float(np.linalg.norm(k - centre @ W))  # at most |W_0|/2 + |W_1|/2
 
     def window_energies(half_width: int) -> np.ndarray:

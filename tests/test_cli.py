@@ -329,6 +329,19 @@ def test_euclidean_far_k_is_served(tmp_path, tau, k):
     if tau == "0,1":  # k on a lattice point
         assert doc["band_groups"] == [[0.0, 1], [1.0, 4], [2.0, 4]]
 
+def test_euclidean_k_too_far_out_to_resolve_ties_exits_2(capsys):
+    # the window about k would be cheap, but at these lattice coordinates the
+    # rounding of G moves the energies by several tie tolerances
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a skew tau warns about the closed form
+        assert cli.main(["euclidean", "--tau", "0.3,1.1", "--k", "1e8,1e8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: k out of range: its lattice coordinates [100000000.0, 140000000.0] are too far out to resolve ties\n"
+    )
+
+
 def test_euclidean_bad_tau_string(capsys):
     code = cli.main(["euclidean", "--tau", "one"])
     assert code == 2

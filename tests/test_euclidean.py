@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -85,22 +86,78 @@ def test_oversized_window_is_refused_before_it_is_built(k, n_bands, shown):
     [
         (1j, (1e300, 0.0), "[1e+300, 0.0]"),  # |k|^2 overflows
         (1j, (1e20, 0.0), "[1e+20, 0.0]"),
-        (1j, (0.0, 2.0**52), "[0.0, 4503599627370496.0]"),
+        (1j, (0.0, 2.0**16), "[0.0, 65536.0]"),  # |c_0| |W_0| + |c_1| |W_1| reaches 2^16
+        (0.3 + 1.1j, (1e8, 1e8), "[100000000.0, 140000000.0]"),  # energies off by 7 tie tolerances
+        (1e20j, (0.0, 1.0), "[0.0, 1e+20]"),  # |W_1| = 1e-20: only the 2^52 rule refuses it
         (1e150j, (1e300, 1e300), "[1e+300, inf]"),  # lattice.basis @ k overflows
     ],
 )
-def test_k_past_exact_window_coordinates_is_refused(tau, k, shown):
-    # beyond 2^52 the window's consecutive coordinates are no longer distinct floats
+def test_k_too_far_out_to_resolve_ties_is_refused(tau, k, shown):
+    # past 2^52 the window's consecutive coordinates are no longer distinct
+    # floats; past the 2^16 rule the rounding of G nears the tie tolerance
     with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError) as info:
-            empty_lattice_bands(EuclideanLattice(tau), k, 8)
-    assert str(info.value) == f"k out of range: its lattice coordinates {shown} reach 2^52"
+        warnings.simplefilter("ignore")  # a skew tau warns about the closed form
+        with np.errstate(all="raise"):  # no overflow on the way
+            with pytest.raises(ValueError) as info:
+                empty_lattice_bands(EuclideanLattice(tau), k, 8)
+    assert str(info.value) == f"k out of range: its lattice coordinates {shown} are too far out to resolve ties"
 
 
-def test_k_just_inside_exact_window_coordinates_is_served():
-    bands = empty_lattice_bands(EuclideanLattice(1j), (0.25, 2.0**52 - 1), 4)
+def test_k_just_inside_the_tie_rule_is_served():
+    bands = empty_lattice_bands(EuclideanLattice(1j), (0.25, 2.0**16 - 1), 4)
     assert bands.groups == ((0.0625, 1), (0.5625, 1), (1.0625, 2))
+
+
+def _exact_groups(lattice, k, n_bands, bound):
+    """The n lowest |k - G|^2 and their tie groups, in exact rational
+    arithmetic on the float k and reciprocal basis, over a window about k
+    that holds every G with |k - G|^2 <= bound + 1."""
+    W = reciprocal(lattice).basis
+    centre = np.rint(lattice.basis @ np.asarray(k))
+    sigma_min = float(np.linalg.svd(W, compute_uv=False)[-1])
+    shift = float(np.linalg.norm(np.asarray(k) - centre @ W))
+    half_width = math.ceil((shift + math.sqrt(bound + 1.0)) / sigma_min) + 1
+    (w00, w01), (w10, w11) = [[Fraction(float(v)) for v in row] for row in W]
+    kx, ky = map(Fraction, k)
+    exact = []
+    for m in range(int(centre[0]) - half_width, int(centre[0]) + half_width + 1):
+        for n in range(int(centre[1]) - half_width, int(centre[1]) + half_width + 1):
+            dx, dy = kx - m * w00 - n * w10, ky - m * w01 - n * w11
+            exact.append(dx * dx + dy * dy)
+    exact.sort()
+    tie_tol = Fraction(1e-9 * max(1.0, bound))
+    groups = []
+    for value in exact[:n_bands]:
+        if groups and abs(value - groups[-1][0]) <= tie_tol:
+            continue
+        groups.append((value, sum(1 for e in exact if abs(e - value) <= tie_tol)))
+    return exact[:n_bands], groups, tie_tol
+
+
+@settings(max_examples=30)
+@given(
+    st.floats(-1.0, 1.0),
+    st.floats(0.5, 2.0),
+    st.floats(0.0, 2 * math.pi),
+    st.floats(0.25, 0.99),
+    st.sampled_from([(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.25, -0.375)]),
+    st.integers(1, 12),
+)
+def test_far_k_on_a_skew_lattice_matches_exact_energies(re_tau, im_tau, angle, size, offset, n_bands):
+    # k = (c + offset) @ W with |c_0| |W_0| + |c_1| |W_1| up to 0.99 2^16;
+    # the half-lattice offsets put exact ties on the cell edges
+    lattice = EuclideanLattice(complex(re_tau, im_tau))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a skew tau warns about the closed form
+        W = reciprocal(lattice).basis
+        direction = np.array([math.cos(angle), math.sin(angle)])
+        centre = np.rint(size * 2.0**16 * direction / (np.abs(direction) @ np.linalg.norm(W, axis=1)))
+        k = tuple(((centre + offset) @ W).tolist())
+        bands = empty_lattice_bands(lattice, k, n_bands)
+    exact, groups, tie_tol = _exact_groups(lattice, k, n_bands, float(bands.energies[-1]))
+    assert all(abs(Fraction(e) - x) <= tie_tol / 10 for e, x in zip(bands.energies.tolist(), exact))
+    assert [mult for _, mult in bands.groups] == [mult for _, mult in groups]
+    assert all(abs(Fraction(e) - x) <= tie_tol / 10 for (e, _), (x, _) in zip(bands.groups, groups))
 
 
 @pytest.mark.parametrize("n_bands", [2.5, True, "3"])

@@ -132,8 +132,7 @@ def test_only_serialize_holds_the_array_limit():
 
 def test_crossings_and_branch_points_take_their_clusters_from_one_function():
     # `spectra` and `spectral_curve` each import and call `single_linkage`
-    # alone from `_clustering`; no module keeps a union-find (a find, a
-    # union or parent pointers) beside it
+    # alone from `_clustering`, and `_clustering` exports nothing else
     root = Path(hyperband.__file__).parent
     for stem in ("spectra", "spectral_curve"):
         tree = ast.parse((root / f"{stem}.py").read_text(encoding="utf-8"))
@@ -148,14 +147,9 @@ def test_crossings_and_branch_points_take_their_clusters_from_one_function():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "single_linkage"
         ]
         assert len(called) == 1, f"{stem} calls single_linkage {len(called)} times"
-    for path in sorted(root.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
-        assert not [name for name in defined if "union" in name or "find" in name], path.name
-        names = {getattr(node, "id", None) or getattr(node, "arg", None) for node in ast.walk(tree)}
-        assert "parent" not in names, f"{path.name} keeps parent pointers"
     clustering = ast.parse((root / "_clustering.py").read_text(encoding="utf-8"))
     assert [name for name in _functions(clustering) if not name.startswith("_")] == ["single_linkage"]
+
 
 def _package_imports(node) -> list:
     """The hyperband modules one import statement names; [] for any other node."""
