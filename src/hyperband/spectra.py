@@ -15,10 +15,11 @@ rank of its hop J_i (at most d): write chi_i J_i + chi_i^{-1} J_i^dagger as
 [U V] diag(chi_i I_r, chi_i^{-1} I_r) [V U]^dagger with J_i = U V^dagger, and
 by Cauchy-Binet the determinant is a sum over index sets S of minors of the
 diagonal factor, chi_i^(a - b) with a, b <= r_i, times terms free of chi_i.
-So coefficients are recovered exactly from samples on a
-(2r_i+1)-point roots-of-unity grid per variable via the FFT, and the
-E-coefficients at each sample come from elementary symmetric functions of the
-eigenvalues.  A held-out residual check guards the reconstruction.
+So coefficients are recovered exactly from samples on a (2r_i+1)-point
+roots-of-unity grid per variable via the FFT.  There H(chi) is Hermitian, and
+the E-coefficients are elementary symmetric functions of its `eigvalsh`
+eigenvalues.  A held-out check off the torus, its determinants taken in one
+batch, guards the reconstruction.
 """
 
 from __future__ import annotations
@@ -280,11 +281,13 @@ class DegeneracyGroup:
 def detect_crossings(bands: BandStructure, gap_tol: float = None) -> tuple:
     """Single-linkage clusters (`_clustering.single_linkage`) of >= 2 eigenvalues per grid point.
 
-    Default gap_tol is 1e-6 times the spectral radius of the sweep; a given
-    one that is NaN, infinite or negative raises ValueError.
+    Default gap_tol is 1e-6 times the spectral radius of the sweep, which must
+    be finite; a given one that is NaN, infinite or negative raises ValueError.
     """
     if gap_tol is None:
         radius = spectral_radius(bands)
+        if not math.isfinite(radius):
+            raise ValueError(f"spectral radius is {radius}: give gap_tol explicitly")
         gap_tol = 1e-6 * radius if radius > 0 else 1e-12
     else:
         check_tolerance(gap_tol, "gap_tol")
@@ -426,14 +429,15 @@ def bloch_variety(
     Samples chi_i at the 2r_i+1 roots of unity, r_i the numeric rank of hop
     J_i (numpy's default tolerance), converts eigenvalues to
     characteristic-polynomial coefficients, and inverts the momentum dependence
-    with an FFT.  The grid is assembled and solved in slices of at most
-    `_CHUNK_BYTES` of momenta and Hamiltonians.  A grid whose coefficient
-    arrays would exceed the size rule's limit is refused with ValueError before any
-    sampling.  Coefficients at or below 1e-13 of the largest are zeroed.  A
-    held-out random sample (reproducible via `seed`) must match direct
-    determinant evaluation to `tol` relative, else NumericalCheckFailure is
-    raised; an undercounted rank fails it too.  A NaN, infinite or negative
-    `tol` is refused with ValueError.
+    with an FFT.  On that unitary grid H(chi) is Hermitian: it is solved by
+    `eigvalsh` through `_solve_stack`, in slices of at most `_CHUNK_BYTES`, and
+    a failed solve names its sampling grid index.  A grid whose coefficient
+    arrays would exceed the size rule's limit is refused with ValueError before
+    any sampling.  Coefficients at or below 1e-13 of the largest are zeroed.
+    Held-out random points off the torus (reproducible via `seed`) must match
+    their direct determinants, one batched `det`, to `tol` relative, else
+    NumericalCheckFailure is raised; an undercounted rank fails it too.  A NaN,
+    infinite or negative `tol` is refused with ValueError.
     """
     check_tolerance(tol)
     holdout_points = integer(holdout_points, "holdout_points")
@@ -461,14 +465,8 @@ def bloch_variety(
         for i in reversed(range(2 * g)):
             rest, k = np.divmod(rest, shape[i])
             chis[:, i] = axes[i][k]
-        stack = _assemble(model, chis, 1.0 / chis)
-        try:
-            # unsorted: sorting would reorder the products in the char-poly coefficients
-            lams = np.linalg.eigvals(stack)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalCheckFailure(
-                f"eigensolver failed on the sampling grid: {exc}"
-            ) from exc
+        name = lambda k: f"sampling grid index {np.unravel_index(part.start + k, shape)}"
+        lams = _solve_stack(_assemble(model, chis, 1.0 / chis), True, name)
         F[part] = _char_coeffs_from_eigenvalues(lams)
         lam_scale = max(lam_scale, float(np.max(np.abs(lams))))
     coeffs = np.fft.fftn(F.reshape(shape + (d + 1,)), axes=tuple(range(2 * g)))
@@ -481,19 +479,21 @@ def bloch_variety(
     bound = max(ranks)
     variety = BlochVariety(genus=g, dim=d, bound=bound, coeffs=coeffs, holdout_residual=0.0)
 
+    # drawn point by point, in the order `seed` fixes, then solved as one stack
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(holdout_points):
+    chis = np.empty((holdout_points, 2 * g), dtype=complex)
+    energies = np.empty(holdout_points, dtype=complex)
+    for p in range(holdout_points):
         mod = np.exp(rng.uniform(-0.3, 0.3, size=2 * g))
-        phase = rng.uniform(0.0, 2 * np.pi, size=2 * g)
-        chi = mod * np.exp(1j * phase)
-        E = (rng.normal() + 1j * rng.normal()) * max(lam_scale, 1.0)
-        # one-row batch: the (2g,) form rounds differently at d = 1, moving holdout_residual
-        H = _assemble(model, chi[None, :], 1.0 / chi[None, :])[0]
-        direct = complex(np.linalg.det(H - E * np.eye(d)))
+        chis[p] = mod * np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=2 * g))
+        energies[p] = (rng.normal() + 1j * rng.normal()) * max(lam_scale, 1.0)
+    H = _assemble(model, chis, 1.0 / chis)
+    H[:, np.arange(d), np.arange(d)] -= energies[:, None]
+    direct = np.linalg.det(H).tolist()
+    worst = 0.0
+    for chi, E, det in zip(chis, energies, direct):
         value, scale = variety.evaluate(chi, E, with_scale=True)
-        rel = abs(value - direct) / max(scale, 1e-300)
-        worst = max(worst, rel)
+        worst = max(worst, abs(value - det) / max(scale, 1e-300))
     if worst > tol:
         raise NumericalCheckFailure(
             f"Bloch-variety reconstruction failed its held-out check "

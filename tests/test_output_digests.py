@@ -4,8 +4,10 @@ Each subcommand runs on tiny fixed inputs, every matrix at most 16 x 16 so
 that no eigensolve depends on the BLAS thread count, in a fresh interpreter
 with OPENBLAS_NUM_THREADS=1 and in one with the variable unset.  The digests
 of stdout and of the --out file, and the exit code, must match the recorded
-ones.  A changed digest means changed output bytes: re-record `DIGESTS` (run
-this file's `DRIVER` by hand) only for an intended output change, and say so.
+ones.  A changed digest means changed output bytes: re-record `DIGESTS` only
+for an intended output change, and say so.  To measure them, run this file:
+`python tests/test_output_digests.py` prints the digests under each BLAS
+setting and exits 1 if the two disagree.
 """
 
 import hashlib
@@ -13,10 +15,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+if __name__ == "__main__":  # run as a script, outside pytest's pythonpath
+    sys.path.insert(0, SRC)
 
 from hyperband.covers_quivers import UnbranchedCover, cover_to_json
 from hyperband.spectral_curve import Rank2TwistedHiggs, higgs_to_json
@@ -83,12 +90,12 @@ DIGESTS = {
     "bloch-variety": [
         0,
         EMPTY,
-        "856478767988c5dd4a4eeb71d31eeea93f561217286441ba85e28bc4ca3c377b",
+        "4b12b110ae8663939dc4aeb419df4fa84cce3165072248b997c802154371b0dd",
     ],
     "bloch-variety-genus-2": [
         0,
         EMPTY,
-        "996bd21a32747add3a8a2453a5a52403ac451fbae7be7b089d99471f29d669f1",
+        "95244dc901467198dcb91cedb08fc1a2d42aa8d4935ace4046db5952f49085a9",
     ],
     "cover-check": [
         0,
@@ -123,9 +130,8 @@ DIGESTS = {
 }
 
 
-@pytest.fixture(scope="module")
-def case_argv(tmp_path_factory):
-    root = tmp_path_factory.mktemp("digests")
+def write_cases(root: Path) -> dict:
+    """Write the fixed inputs under `root`; return each case's argv."""
     pair = random_model(np.random.default_rng(11), 1, 2)
     paths = {name: root / f"{name}.json" for name in ("pair", "doubled", "genus2", "swap", "cycle", "higgs")}
     write_model(pair, paths["pair"])
@@ -147,15 +153,58 @@ def case_argv(tmp_path_factory):
     }
 
 
-@pytest.mark.parametrize("threads", ["1", None], ids=["one-blas-thread", "blas-threads-unset"])
-def test_cli_output_digests(case_argv, threads):
+def measure(case_argv: dict, threads) -> dict:
+    """Every case's [exit code, stdout digest, --out digest], run by `DRIVER` in
+    a fresh interpreter with OPENBLAS_NUM_THREADS=threads (None: unset)."""
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    env["PYTHONPATH"] = os.pathsep.join([SRC] + [p for p in [env.get("PYTHONPATH")] if p])
     run = subprocess.run(
         [sys.executable, "-c", DRIVER, json.dumps(case_argv)],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert json.loads(run.stdout) == DIGESTS
+    return json.loads(run.stdout)
+
+
+@pytest.fixture(scope="module")
+def case_argv(tmp_path_factory):
+    return write_cases(tmp_path_factory.mktemp("digests"))
+
+
+@pytest.mark.parametrize("threads", ["1", None], ids=["one-blas-thread", "blas-threads-unset"])
+def test_cli_output_digests(case_argv, threads):
+    assert measure(case_argv, threads) == DIGESTS
+
+
+def test_script_fails_when_the_blas_settings_disagree(monkeypatch, capsys):
+    runs = {"1": DIGESTS, None: {**DIGESTS, "bands": [0, EMPTY, EMPTY]}}
+    monkeypatch.setitem(globals(), "write_cases", lambda root: {})
+    monkeypatch.setitem(globals(), "measure", lambda case_argv, threads: runs[threads])
+    assert main() == 1
+    out, err = capsys.readouterr()
+    assert "# differ from DIGESTS: none" in out and err == "the two BLAS settings disagree\n"
+    runs[None] = DIGESTS
+    assert main() == 0
+
+
+def main() -> int:
+    """Print the measured digests under both BLAS settings, name the cases
+    that differ from `DIGESTS`, and return 1 if the two settings disagree."""
+    with tempfile.TemporaryDirectory() as root:
+        case_argv = write_cases(Path(root))
+        measured = {threads: measure(case_argv, threads) for threads in ("1", None)}
+    for threads, digests in measured.items():
+        print(f"# OPENBLAS_NUM_THREADS={threads or 'unset'}")
+        for name in sorted(digests):
+            print(f"    {json.dumps(name)}: {json.dumps(digests[name])},")
+    changed = sorted(name for name in measured["1"] if measured["1"][name] != DIGESTS.get(name))
+    print(f"# differ from DIGESTS: {', '.join(changed) or 'none'}")
+    if measured["1"] != measured[None]:
+        print("the two BLAS settings disagree", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,6 +10,7 @@ from hyperband import _serialize
 from hyperband.errors import NumericalCheckFailure
 from hyperband.momenta import AbelianMomentum
 from hyperband.spectra import (
+    BandStructure,
     BlochVariety,
     MomentumGrid,
     bloch_variety,
@@ -197,6 +198,18 @@ def test_detect_crossings_gapped_model_has_none():
     )
     bands = sweep(model, unitary_grid(1, [4, 4]))
     assert detect_crossings(bands) == ()
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_detect_crossings_default_tolerance_refuses_non_finite_bands(bad):
+    # rows 0, 1, 2, 3: one non-finite entry would make the default gap_tol
+    # non-finite and merge every point's eigenvalues into one group
+    rows = np.tile(np.arange(4.0), (4, 1)).astype(complex)
+    rows[2, 3] = bad
+    bands = BandStructure(unitary_grid(1, [2, 2]), rows)
+    with pytest.raises(ValueError, match=f"spectral radius is {bad}: give gap_tol explicitly"):
+        detect_crossings(bands)
+    assert detect_crossings(bands, gap_tol=0.5) == ()
 
 
 # ---------------------------------------------------------------------------

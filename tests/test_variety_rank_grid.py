@@ -1,17 +1,22 @@
 """The Bloch variety sampled on the hop-rank grid, in bounded slices.
 
-The full (2d+1)^{2g} grid route it replaced is kept here as the oracle,
-serialization included: with every hop at full rank the new route must give
-the same coefficients, residual and CLI bytes, and with rank-deficient hops
-the same term support with values within 1e-12 of the peak.
+Two oracles.  The full (2d+1)^{2g} grid route, serialization included, on
+the same Hermitian solve and batched held-out determinants: with every hop at
+full rank the rank grid must give the same coefficients, residual and CLI
+bytes, and with rank-deficient hops the same term support with values within
+1e-12 of the peak.  The rank grid solved with the general `eigvals` and a
+per-point held-out loop, the route before the Hermitian solve: a tolerance
+oracle for the same support, values within 1e-12 of the peak and a passing
+held-out check.
 """
 
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperband import cli, spectra
@@ -25,36 +30,48 @@ from hyperband.spectra import (
 from hyperband.tight_binding import TightBindingModel, _assemble, read_model, write_model
 
 
-def full_grid_oracle(model, holdout_points=20, seed=0, prune_rel=1e-13):
+def holdout_point(rng, genus, lam_scale):
+    """One held-out momentum and energy, in `bloch_variety`'s draw order."""
+    chi = np.exp(rng.uniform(-0.3, 0.3, size=2 * genus)) * np.exp(
+        1j * rng.uniform(0.0, 2 * np.pi, size=2 * genus)
+    )
+    return chi, (rng.normal() + 1j * rng.normal()) * max(lam_scale, 1.0)
+
+
+def prune(coeffs, prune_rel=1e-13):
+    peak = float(np.max(np.abs(coeffs)))
+    if peak > 0:
+        coeffs = np.where(np.abs(coeffs) <= prune_rel * peak, 0.0, coeffs)
+    return coeffs
+
+
+def full_grid_oracle(model, holdout_points=20, seed=0):
     """The full-grid `bloch_variety`: (coeffs, holdout_residual, JSON document)."""
     d, g = model.dim, model.genus
     m = 2 * d + 1
     axis = np.exp(2j * np.pi * np.arange(m) / m)
     chis, shape = _product_grid([axis] * (2 * g))
-    lams = np.linalg.eigvals(_assemble(model, chis, 1.0 / chis))
+    H = _assemble(model, chis, 1.0 / chis)
+    lams = np.sort(np.linalg.eigvalsh(H).astype(complex), axis=-1)
     F = _char_coeffs_from_eigenvalues(lams).reshape(shape + (d + 1,))
-    coeffs = np.fft.fftn(F, axes=tuple(range(2 * g))) / (m ** (2 * g))
-    peak = float(np.max(np.abs(coeffs)))
-    if peak > 0:
-        coeffs = np.where(np.abs(coeffs) <= prune_rel * peak, 0.0, coeffs)
+    coeffs = prune(np.fft.fftn(F, axes=tuple(range(2 * g))) / (m ** (2 * g)))
     exps = np.arange(m)
     exps[exps > d] -= m
     rng = np.random.default_rng(seed)
     lam_scale = float(np.max(np.abs(lams)))
+    points = [holdout_point(rng, g, lam_scale) for _ in range(holdout_points)]
+    chis = np.array([chi for chi, _ in points])
+    energies = np.array([E for _, E in points])
+    H = _assemble(model, chis, 1.0 / chis)
+    H[:, np.arange(d), np.arange(d)] -= energies[:, None]
     worst = 0.0
-    for _ in range(holdout_points):
-        chi = np.exp(rng.uniform(-0.3, 0.3, size=2 * g)) * np.exp(
-            1j * rng.uniform(0.0, 2 * np.pi, size=2 * g)
-        )
-        E = (rng.normal() + 1j * rng.normal()) * max(lam_scale, 1.0)
-        H = _assemble(model, chi[None, :], 1.0 / chi[None, :])[0]
-        direct = complex(np.linalg.det(H - E * np.eye(d)))
+    for chi, E, direct in zip(chis, energies, np.linalg.det(H).tolist()):
         acc, acc_abs = coeffs, np.abs(coeffs)
         for i in range(2 * g):
             powers = chi[i] ** exps
             acc = np.tensordot(powers, acc, axes=(0, 0))
             acc_abs = np.tensordot(np.abs(powers), acc_abs, axes=(0, 0))
-        e_powers = E ** np.arange(d + 1)
+        e_powers = complex(E) ** np.arange(d + 1)
         value = complex(np.dot(acc, e_powers))
         scale = float(np.dot(acc_abs, np.abs(e_powers)))
         worst = max(worst, abs(value - direct) / max(scale, 1e-300))
@@ -75,6 +92,29 @@ def full_grid_oracle(model, holdout_points=20, seed=0, prune_rel=1e-13):
         ],
     }
     return coeffs, worst, doc
+
+
+def eigvals_route_oracle(model, holdout_points=20, seed=0):
+    """The rank-grid `bloch_variety` on the general solver: each sample by
+    unsorted `eigvals`, each held-out point by its own `det`; returns the
+    variety with its holdout_residual."""
+    d, g = model.dim, model.genus
+    ranks = [int(np.linalg.matrix_rank(h)) for h in model.hops]
+    chis, shape = _product_grid([np.exp(2j * np.pi * np.arange(2 * r + 1) / (2 * r + 1)) for r in ranks])
+    lams = np.linalg.eigvals(_assemble(model, chis, 1.0 / chis))
+    F = _char_coeffs_from_eigenvalues(lams).reshape(shape + (d + 1,))
+    coeffs = prune(np.fft.fftn(F, axes=tuple(range(2 * g))) / chis.shape[0])
+    variety = BlochVariety(genus=g, dim=d, bound=max(ranks), coeffs=coeffs, holdout_residual=0.0)
+    rng = np.random.default_rng(seed)
+    lam_scale = float(np.max(np.abs(lams)))
+    worst = 0.0
+    for _ in range(holdout_points):
+        chi, E = holdout_point(rng, g, lam_scale)
+        H = _assemble(model, chi[None, :], 1.0 / chi[None, :])[0]
+        direct = complex(np.linalg.det(H - E * np.eye(d)))
+        value, scale = variety.evaluate(chi, E, with_scale=True)
+        worst = max(worst, abs(value - direct) / max(scale, 1e-300))
+    return replace(variety, holdout_residual=worst)
 
 
 def hop_of_rank(rng, dim, rank, singular_values=None):
@@ -110,6 +150,9 @@ def shapes(max_dim):
     )
 
 
+deficit_lists = st.lists(st.integers(0, 5), min_size=4, max_size=4)
+
+
 @settings(max_examples=30)
 @given(shape=shapes(5), seed=st.integers(0, 2**32 - 1), chunk=st.sampled_from([1 << 20, 512]))
 def test_property_full_rank_equals_full_grid(chunk_budget, tmp_path_factory, shape, seed, chunk):
@@ -137,11 +180,25 @@ def test_property_full_rank_equals_full_grid(chunk_budget, tmp_path_factory, sha
 
 
 @settings(max_examples=40)
-@given(
-    shape=shapes(5),
-    seed=st.integers(0, 2**32 - 1),
-    deficits=st.lists(st.integers(0, 5), min_size=4, max_size=4),
-)
+@given(shape=shapes(5), seed=st.integers(0, 2**32 - 1), deficits=deficit_lists)
+@example(shape=(1, 4), seed=2, deficits=[0, 0, 0, 0])
+@example(shape=(2, 3), seed=3, deficits=[0, 0, 0, 0])
+@example(shape=(2, 3), seed=4, deficits=[1, 0, 2, 3])
+def test_property_hermitian_route_matches_eigvals_route(shape, seed, deficits):
+    # full and deficient ranks, genus 1-2, d 1-5: the Hermitian solve and the
+    # batched held-out determinants agree with the general route to rounding
+    genus, dim = shape
+    ranks = [max(0, dim - k) for k in deficits[: 2 * genus]]
+    model = model_with_ranks(seed, genus, dim, ranks)
+    variety = bloch_variety(model, seed=seed % 1000)
+    oracle = eigvals_route_oracle(model, seed=seed % 1000)
+    assert variety.coeffs.shape == oracle.coeffs.shape
+    assert_same_support(variety, oracle.to_json())
+    assert variety.holdout_residual <= 1e-8
+
+
+@settings(max_examples=40)
+@given(shape=shapes(5), seed=st.integers(0, 2**32 - 1), deficits=deficit_lists)
 def test_property_rank_deficient_keeps_support(shape, seed, deficits):
     genus, dim = shape
     ranks = [max(0, dim - k) for k in deficits[: 2 * genus]]
