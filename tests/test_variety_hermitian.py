@@ -11,7 +11,6 @@ evaluates the variety once per held-out point.
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,15 +65,10 @@ def test_property_coefficients_are_conjugate_symmetric(shape, seed, deficits):
     assert np.max(np.abs(negated_exponents(coeffs) - coeffs.conj())) <= 1e-12 * peak
 
 
-@pytest.fixture
-def genus_two_model(tmp_path):
+def test_default_run_calls_one_eigvalsh_per_slice_and_one_det(tmp_path, monkeypatch):
     # g = 2, d = 4 at full rank: a 9^4 sampling grid in three slices
     path = tmp_path / "model.json"
     write_model(model_with_ranks(8, 2, 4, [4] * 4), path)
-    return path
-
-
-def test_default_run_calls_one_eigvalsh_per_slice_and_one_det(genus_two_model, tmp_path):
     counts = {"eigvalsh": 0, "eigvals": 0, "det": 0, "evaluate": 0}
 
     def counting(name, fn):
@@ -83,20 +77,10 @@ def test_default_run_calls_one_eigvalsh_per_slice_and_one_det(genus_two_model, t
             return fn(*args, **kwargs)
         return call
 
-    patches = [
-        mock.patch.object(np.linalg, name, counting(name, getattr(np.linalg, name)))
-        for name in ("eigvalsh", "eigvals", "det")
-    ]
-    patches.append(mock.patch.object(BlochVariety, "evaluate", counting("evaluate", BlochVariety.evaluate)))
-    out = tmp_path / "variety.json"
-    for patch in patches:
-        patch.start()
-    try:
-        code = cli.main(["bloch-variety", "--model", str(genus_two_model), "--out", str(out)])
-    finally:
-        for patch in patches:
-            patch.stop()
-    assert code == 0
+    for name in ("eigvalsh", "eigvals", "det"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(BlochVariety, "evaluate", counting("evaluate", BlochVariety.evaluate))
+    assert cli.main(["bloch-variety", "--model", str(path), "--out", str(tmp_path / "variety.json")]) == 0
     n_slices = len(spectra._slices(9**4, 16 * (4 * 2 + 4**2)))
     assert n_slices == 3
     assert counts == {"eigvalsh": n_slices, "eigvals": 0, "det": 1, "evaluate": 20}
