@@ -29,12 +29,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("NumericalCheckFailure", "UnsupportedCoverError", "EverywhereSingularError"),
     "surface_group": (
-        "SurfaceGroup", "Word", "make_surface_group", "free_reduce", "abelianize", "evaluate_word",
+        "SurfaceGroup", "Word", "make_surface_group", "free_reduce", "evaluate_word",
     ),
     "momenta": (
-        "AbelianMomentum", "NonabelianMomentum", "MomentumReport", "euclidean_character",
-        "validate", "direct_sum", "split_complex", "abelian_to_nonabelian",
-        "relator_residual", "commutant_dimension", "momentum_to_json", "momentum_from_json",
+        "AbelianMomentum", "NonabelianMomentum", "euclidean_character", "direct_sum",
+        "split_complex", "abelian_to_nonabelian", "relator_residual", "commutant_dimension",
     ),
     "tight_binding": (
         "TightBindingModel", "BlochHamiltonian", "bloch_abelian", "bloch_nonabelian",
@@ -52,12 +51,11 @@ _EXPORTS = {
     ),
     "higgs_toy": (
         "INFINITY", "ToyModelPoint", "RationalMatrixOneForm", "connection_matrices",
-        "higgs_matrices", "connection_form", "higgs_form", "evaluate_form", "residue_at",
+        "higgs_matrices", "connection_form", "higgs_form", "evaluate_form",
         "hitchin_coordinate", "hitchin_closed_form", "local_monodromy_eigenvalues",
-        "PushforwardConstants", "parabolic_pushforward_constants",
     ),
     "spectral_curve": (
-        "Rank2TwistedHiggs", "small_stratum_form", "feasibility", "char_poly", "discriminant",
+        "Rank2TwistedHiggs", "feasibility", "char_poly", "discriminant",
         "BranchPoint", "SpectralCurveInfo", "branch_points", "curve_genus", "curve_info",
         "toy_to_twisted", "curve_report", "higgs_to_json", "higgs_from_json",
         "higgs_from_json_file",

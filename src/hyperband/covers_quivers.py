@@ -76,7 +76,7 @@ from .momenta import (
     _monomial_unitarity,
 )
 from .spectra import _slices, _solve_stack
-from .surface_group import Word, _walk, make_surface_group
+from .surface_group import _walk, make_surface_group
 from .tight_binding import BlochHamiltonian, TightBindingModel, _assemble, _assemble_monomial, _place_blocks
 
 
@@ -129,17 +129,6 @@ class UnbranchedCover:
     def genus(self) -> int:
         """Genus of the base group."""
         return len(self.perms) // 2
-
-    def forward(self, sheet0: int, gen: int) -> int:
-        """0-indexed sheet reached along generator `gen` (1-indexed)."""
-        return int(self.targets[gen - 1, sheet0])
-
-    def word_permutation(self, word: Word) -> tuple:
-        """0-indexed image tuple of the right action of `word` on sheets."""
-        for g, _ in word.letters:
-            if g > len(self.perms):
-                raise ValueError(f"word uses generator {g}, cover has {len(self.perms)}")
-        return tuple(_walk(word, self.targets, self.sources)[1].tolist())
 
     @functools.cached_property
     def _forest(self) -> tuple:
@@ -703,16 +692,6 @@ class Quiver:
     def _layout(self) -> _QuiverLayout:
         """`_quiver_layout(self)`, built on first use and kept."""
         return _quiver_layout(self)
-
-    def internal_arrows(self) -> tuple:
-        return tuple(a for a in self.arrows if a.label is None)
-
-    def crossing_arrows(self, label: int = None) -> tuple:
-        return tuple(
-            a
-            for a in self.arrows
-            if a.label is not None and (label is None or a.label == label)
-        )
 
 
 def _check_partition(dim: int, nodes) -> tuple:

@@ -152,15 +152,6 @@ def evaluate_form(form: RationalMatrixOneForm, z) -> np.ndarray:
     return value
 
 
-def residue_at(form: RationalMatrixOneForm, point) -> np.ndarray:
-    for p, residue in form.poles:
-        if (p == INFINITY and point == INFINITY) or (
-            p != INFINITY and point != INFINITY and p == complex(point)
-        ):
-            return residue
-    raise KeyError(f"no pole at {point}")
-
-
 def hitchin_closed_form(point: ToyModelPoint) -> complex:
     """-B^2 u (u-1) (u-m); see the module docstring for provenance."""
     u, m, B = point.u, point.m, point.B
@@ -221,27 +212,3 @@ def local_monodromy_eigenvalues(residue) -> tuple:
             )
     lam = np.sort_complex(lam)
     return tuple(np.exp(2j * np.pi * val) for val in lam)
-
-
-@dataclass(frozen=True)
-class PushforwardConstants:
-    """Local pushforward data at a parabolic point of weight 1/2."""
-
-    weights: tuple
-    residue: np.ndarray
-    monodromy: np.ndarray
-    monodromy_eigenvalues: tuple
-
-
-def parabolic_pushforward_constants() -> PushforwardConstants:
-    """Weights (0, 1/2): residue diag(0, 1/2), monodromy diag(1, -1)."""
-    weights = (0.0, 0.5)
-    residue = np.diag([0.0, 0.5]).astype(complex)
-    monodromy = np.diag([1.0, -1.0]).astype(complex)
-    eigenvalues = tuple(np.exp(2j * np.pi * w) for w in weights)
-    return PushforwardConstants(
-        weights=weights,
-        residue=residue,
-        monodromy=monodromy,
-        monodromy_eigenvalues=eigenvalues,
-    )

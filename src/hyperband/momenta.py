@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._serialize import complex_from_json, complex_to_json, matrix_from_json, matrix_to_json
 from .surface_group import _walk, make_surface_group
 
 #: residual threshold for "the relator maps to the identity"
@@ -51,7 +50,7 @@ class AbelianMomentum:
             chi_inv = np.array(self.chi_inv, dtype=complex).reshape(-1)
             if chi_inv.shape != chi.shape:
                 raise ValueError("chi_inv must match chi in length")
-            if np.max(np.abs(chi * chi_inv - 1.0)) > 1e-9:
+            if not (np.max(np.abs(chi * chi_inv - 1.0)) <= 1e-9):
                 raise ValueError("chi_inv entries are not reciprocals of chi")
         chi.setflags(write=False)
         chi_inv.setflags(write=False)
@@ -219,19 +218,6 @@ def _monomial_unitarity(forward) -> np.ndarray:
     return np.max(np.linalg.norm(np.abs(forward) ** 2 - 1.0, axis=-1), axis=-1)
 
 
-@dataclass(frozen=True)
-class MomentumReport:
-    """Diagnostics from `validate`."""
-
-    genus: int
-    rank: int
-    relator_residual: float
-    unitarity_residual: float
-    unitary: bool
-    commutant_dimension: int
-    irreducible: bool
-
-
 def _as_matrices(momentum):
     if isinstance(momentum, AbelianMomentum):
         return [np.array([[z]]) for z in momentum.chi]
@@ -285,28 +271,6 @@ def commutant_dimension(momentum) -> int:
     if svals.size == 0 or svals[0] == 0.0:
         return n * n
     return int(np.sum(svals <= COMMUTANT_CUTOFF * svals[0]))
-
-
-def validate(momentum) -> MomentumReport:
-    """Check the relator, measure unitarity, and compute the commutant."""
-    if isinstance(momentum, AbelianMomentum):
-        genus, rank = momentum.genus, 1
-    elif isinstance(momentum, NonabelianMomentum):
-        genus, rank = momentum.genus, momentum.rank
-    else:
-        raise TypeError(f"not a momentum: {type(momentum).__name__}")
-    rel = relator_residual(momentum)
-    uni = _unitarity_residual(momentum)
-    cdim = commutant_dimension(momentum)
-    return MomentumReport(
-        genus=genus,
-        rank=rank,
-        relator_residual=rel,
-        unitarity_residual=uni,
-        unitary=uni <= TOL_UNITARY,
-        commutant_dimension=cdim,
-        irreducible=cdim == 1,
-    )
 
 
 def euclidean_character(k, tau) -> AbelianMomentum:
@@ -372,22 +336,3 @@ def split_complex(momentum: AbelianMomentum):
     moduli = np.abs(momentum.chi)
     phases = momentum.chi / moduli
     return AbelianMomentum(phases), moduli
-
-
-def momentum_to_json(momentum) -> dict:
-    if isinstance(momentum, AbelianMomentum):
-        return {"momentum": "abelian", "chi": [complex_to_json(z) for z in momentum.chi]}
-    if isinstance(momentum, NonabelianMomentum):
-        return {"momentum": "nonabelian", "rho": [matrix_to_json(m) for m in momentum.rho]}
-    raise TypeError(f"not a momentum: {type(momentum).__name__}")
-
-
-def momentum_from_json(data: dict):
-    if not isinstance(data, dict):
-        raise ValueError(f"a momentum must be a JSON object, got {data!r}")
-    kind = data.get("momentum")
-    if kind == "abelian":
-        return AbelianMomentum(np.array([complex_from_json(z, "an entry in chi") for z in data["chi"]]))
-    if kind == "nonabelian":
-        return NonabelianMomentum(tuple(matrix_from_json(m, "rho") for m in data["rho"]))
-    raise ValueError(f"unknown momentum kind: {kind!r}")

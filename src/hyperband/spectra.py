@@ -54,7 +54,13 @@ class MomentumGrid:
         chis = np.asarray(self.chis, dtype=complex)
         if chis.ndim != 2 or chis.shape[0] == 0:
             raise ValueError("grid must contain at least one momentum")
-        if np.any(chis == 0) or not np.all(np.isfinite(chis)):
+        # finiteness is tested on the entries, since |chi| overflows near
+        # 1e308; one |chi| pass decides both "nonzero" (smallest modulus > 0)
+        # and, below, max | |chi| - 1 | <= TOL_UNITARY: near 1 the subtraction
+        # is exact, so the extremes of |chi| decide it
+        mod = np.abs(chis)
+        low = mod.min(initial=np.inf)  # (P, 0) momenta go on to the shape check
+        if not (np.all(np.isfinite(chis)) and low > 0):
             raise ValueError("grid momenta must be finite and nonzero")
         shape = tuple(integer(n, "grid shape entry") for n in self.shape)
         if len(shape) != chis.shape[1] or math.prod(shape) != chis.shape[0]:
@@ -64,10 +70,7 @@ class MomentumGrid:
         chis.setflags(write=False)
         object.__setattr__(self, "chis", chis)
         object.__setattr__(self, "shape", shape)
-        # max | |chi| - 1 | <= TOL_UNITARY: near 1 the subtraction is exact,
-        # so the extremes of |chi| decide it without two more temporaries
-        mod = np.abs(chis)
-        object.__setattr__(self, "unitary", bool(max(mod.max() - 1.0, 1.0 - mod.min()) <= TOL_UNITARY))
+        object.__setattr__(self, "unitary", bool(max(mod.max() - 1.0, 1.0 - low) <= TOL_UNITARY))
 
     @property
     def indices(self) -> np.ndarray:
@@ -253,7 +256,7 @@ def sweep(model: TightBindingModel, grid: MomentumGrid) -> BandStructure:
     bands = np.empty((n_points, model.dim), dtype=complex)
     for part in _slices(n_points, 16 * model.dim**2):
         chis = grid.chis[part]
-        name = lambda k: f"grid index {np.unravel_index(part.start + k, grid.shape)}"
+        name = lambda k: f"grid index {tuple(map(int, np.unravel_index(part.start + k, grid.shape)))}"
         bands[part] = _solve_stack(_assemble(model, chis, 1.0 / chis), grid.unitary, name)
     meta = {
         "model_hash": model.content_hash,
@@ -465,7 +468,7 @@ def bloch_variety(
         for i in reversed(range(2 * g)):
             rest, k = np.divmod(rest, shape[i])
             chis[:, i] = axes[i][k]
-        name = lambda k: f"sampling grid index {np.unravel_index(part.start + k, shape)}"
+        name = lambda k: f"sampling grid index {tuple(map(int, np.unravel_index(part.start + k, shape)))}"
         lams = _solve_stack(_assemble(model, chis, 1.0 / chis), True, name)
         F[part] = _char_coeffs_from_eigenvalues(lams)
         lam_scale = max(lam_scale, float(np.max(np.abs(lams))))

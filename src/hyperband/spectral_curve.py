@@ -121,22 +121,6 @@ class Rank2TwistedHiggs:
         )
 
 
-def small_stratum_form(P):
-    """The companion-shaped field [[0, P], [1, 0]] with deg P <= 4 (genus-1, k=0 bounds).
-
-    Its characteristic polynomial is lambda^2 - P(z).
-    """
-    P = np.atleast_1d(np.array(P, dtype=complex))
-    if P.ndim != 1:
-        raise ValueError("P must be a 1-d coefficient array (ascending powers)")
-    degree = len(np.trim_zeros(P, "b")) - 1
-    if degree > 4:
-        raise ValueError(f"deg P must be <= 4, got {degree}")
-    zero = np.zeros(1, dtype=complex)
-    one = np.ones(1, dtype=complex)
-    return Rank2TwistedHiggs(genus=1, k=0, entries=((zero, P), (one, zero)))
-
-
 def char_poly(phi: Rank2TwistedHiggs):
     """(a1, a2) with characteristic polynomial lambda^2 - a1 lambda + a2."""
     (p11, p12), (p21, p22) = phi.entries

@@ -61,10 +61,6 @@ class SurfaceGroup:
             names.extend([f"a{i}", f"b{i}"])
         object.__setattr__(self, "generator_names", tuple(names))
 
-    @property
-    def n_generators(self) -> int:
-        return 2 * self.genus
-
     def relator(self) -> Word:
         """The defining relator, the product of the g commutators [a_i, b_i]."""
         letters = []
@@ -72,14 +68,6 @@ class SurfaceGroup:
             a, b = 2 * i + 1, 2 * i + 2
             letters.extend([(a, 1), (b, 1), (a, -1), (b, -1)])
         return Word(tuple(letters))
-
-    def check_word(self, word: Word) -> None:
-        for i, _ in word.letters:
-            if i > self.n_generators:
-                raise ValueError(
-                    f"generator index {i} out of range for genus {self.genus} "
-                    f"(have {self.n_generators} generators)"
-                )
 
 
 def make_surface_group(genus: int) -> SurfaceGroup:
@@ -96,21 +84,6 @@ def free_reduce(word: Word) -> Word:
         else:
             stack.append(letter)
     return Word(tuple(stack))
-
-
-def abelianize(word: Word, group) -> tuple:
-    """Exponent-sum image of `word` in Z^{2g}, as a tuple of ints.
-
-    `group` may also be a plain genus.  The relator abelianizes to zero, so
-    this factors through the group.
-    """
-    if not isinstance(group, SurfaceGroup):
-        group = make_surface_group(group)
-    group.check_word(word)
-    image = [0] * group.n_generators
-    for i, e in word.letters:
-        image[i - 1] += e
-    return tuple(image)
 
 
 def _walk(word: Word, targets, sources) -> tuple:

@@ -70,7 +70,7 @@ def kron_supercell(model, cover):
 
     for s in range(n):
         for gen in range(1, 2 * model.genus + 1):
-            t = cover.forward(s, gen)
+            t = cover.perms[gen - 1][s] - 1
             direction, sign = assignment[(s, gen)]
             J = model.hops[gen - 1]
             if direction is None:
@@ -93,7 +93,7 @@ def loop_induce(chi, cover):
         rho = np.zeros((n, n), dtype=complex)
         rho_inv = np.zeros((n, n), dtype=complex)
         for s in range(n):
-            t = cover.forward(s, gen)
+            t = cover.perms[gen - 1][s] - 1
             direction, sign = assignment[(s, gen)]
             if direction is None:
                 rho[s, t] = 1.0

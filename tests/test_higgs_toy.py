@@ -17,10 +17,7 @@ from hyperband.higgs_toy import (
     hitchin_closed_form,
     hitchin_coordinate,
     local_monodromy_eigenvalues,
-    parabolic_pushforward_constants,
-    residue_at,
 )
-from hyperband.spectral_curve import small_stratum_form
 
 
 def random_point(rng):
@@ -91,7 +88,7 @@ def test_infinity_residue_balances_finite_ones():
     point = ToyModelPoint(m=3.0, u=2.0, B=1.0)
     form = higgs_form(point)
     finite_sum = sum(r for p, r in form.poles if p != INFINITY)
-    assert np.array_equal(residue_at(form, INFINITY), -finite_sum)
+    assert np.array_equal(dict(form.poles)[INFINITY], -finite_sum)
 
 
 def test_evaluate_form_partial_fractions():
@@ -162,7 +159,7 @@ def test_local_monodromy_connection_eigenvalues():
 
 def test_local_monodromy_rejects_nilpotent_nonscalar():
     point = ToyModelPoint(m=3.0, u=2.0, B=1.0)
-    nilpotent = residue_at(higgs_form(point), 0.0)
+    nilpotent = dict(higgs_form(point).poles)[0.0]
     with pytest.raises(ValueError):
         local_monodromy_eigenvalues(nilpotent)
 
@@ -170,24 +167,6 @@ def test_local_monodromy_rejects_nilpotent_nonscalar():
 def test_local_monodromy_scalar_residue_allowed():
     values = local_monodromy_eigenvalues(np.diag([0.5, 0.5]))
     assert np.allclose(values, [-1.0, -1.0])
-
-
-def test_small_stratum_form_structure():
-    P = np.array([1.0, 2.0, 0.0, 0.0, 3.0], dtype=complex)
-    phi = small_stratum_form(P)
-    assert phi.genus == 1 and phi.k == 0
-    assert np.array_equal(phi.entries[0][1], P)
-    assert np.allclose(phi.entries[1][0], [1.0])
-    assert np.allclose(phi.entries[0][0], [0.0])
-    with pytest.raises(ValueError):
-        small_stratum_form(np.ones(6))  # degree 5 > 4
-
-
-def test_parabolic_pushforward_constants():
-    consts = parabolic_pushforward_constants()
-    assert consts.weights == (0.0, 0.5)
-    assert np.array_equal(consts.residue, np.diag([0.0, 0.5]))
-    assert np.array_equal(consts.monodromy, np.diag([1.0, -1.0]))
 
 
 def test_infinity_marker_is_math_inf():

@@ -8,6 +8,7 @@ import inspect
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,70 @@ def test_export_table_names_every_public_definition_once():
     assert isinstance(hyperband.__version__, str)
 
 
+#: exported names that no library code, acceptance test or benchmark reads,
+#: each with what it is kept for; every other export needs one of those readers
+KEPT = {
+    "fold": "the reference the tests check two_torsion_points against",
+    "torus_action": "the second route the quiver tests take to reassemble's weights",
+    "write_model": "writes the model files the CLI tests read",
+    "cover_to_json": "writes the cover files the CLI tests read",
+    "higgs_to_json": "writes the twisted-field files the CLI tests read",
+    "euclidean_character": "ROADMAP items 2 and 3 join spectral data to it",
+    "split_complex": "ROADMAP item 3 replaces it with the Higgs split",
+    "direct_sum": "ROADMAP item 7 builds polystable momenta with it",
+    "commutant_dimension": "ROADMAP item 7 tells stable momenta from polystable ones with it",
+}
+
+
+def _reads(tree, home=None) -> set:
+    """The names a module reads (loaded Name ids and Attribute attrs).
+
+    With `home` (the module's stem), a top-level definition's reads of its
+    own name are left out when that name is exported from `home`.
+    """
+    found = set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            else:
+                continue
+            if not (home and name == own and hyperband._HOME.get(name) == home):
+                found.add(name)
+    return found
+
+
+def test_every_export_has_a_consumer():
+    # a consumer is library code outside the name's own definition, the
+    # acceptance tests, the benchmark (its code and dotted names such as
+    # tracer.TRACED's), or a KEPT entry saying what the name is kept for
+    repo = Path(__file__).resolve().parents[1]
+    library = set()
+    for path in sorted(Path(hyperband.__file__).parent.glob("*.py")):
+        library |= _reads(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    outside = _reads(ast.parse((repo / "tests" / "test_acceptance.py").read_text(encoding="utf-8")))
+    bench = sorted((repo / "bench").glob("*.py"))
+    assert bench
+    for path in bench:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        outside |= _reads(tree)
+        outside |= {
+            part for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and re.fullmatch(r"[A-Za-z_][\w.]*", node.value)
+            for part in node.value.split(".")
+        }
+    read = library | outside
+    unread = [name for name in hyperband._HOME if name not in read and name not in KEPT]
+    assert not unread, f"exported but read by nothing: {unread}"
+    assert set(KEPT) <= set(hyperband._HOME), f"kept but not exported: {set(KEPT) - set(hyperband._HOME)}"
+    assert not set(KEPT) & read, f"kept names that something now reads: {set(KEPT) & read}"
+    assert all(reason for reason in KEPT.values())
+
+
 def test_library_imports_only_the_standard_library_numpy_and_itself():
     # the library is numpy only; the tests and the benchmark may use more
     allowed = set(sys.stdlib_module_names) | {"numpy", "hyperband"}
@@ -61,7 +126,7 @@ def test_library_imports_only_the_standard_library_numpy_and_itself():
 
 #: the constructors and functions that take a count from their caller, by module
 COUNT_READERS = {
-    "surface_group": ("Word.__post_init__", "SurfaceGroup.__post_init__", "abelianize"),
+    "surface_group": ("Word.__post_init__", "SurfaceGroup.__post_init__"),
     "tight_binding": ("TightBindingModel.__init__",),
     "covers_quivers": ("UnbranchedCover.__post_init__", "_check_partition"),
     "spectral_curve": ("feasibility", "Rank2TwistedHiggs.__post_init__"),

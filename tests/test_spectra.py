@@ -70,6 +70,19 @@ def test_grid_derives_unitary_from_its_momenta():
         MomentumGrid([[1j, -1]], (1, 1), unitary=True)
 
 
+@pytest.mark.parametrize("bad", [0.0, -0j, np.nan, np.inf, complex(1.0, -np.inf)])
+def test_grid_refuses_zero_and_non_finite_momenta_before_its_shape(bad):
+    # the shape (5,) fits nothing; the entries are refused first
+    with pytest.raises(ValueError, match="grid momenta must be finite and nonzero"):
+        MomentumGrid([[1.0, bad]], (5,))
+
+
+def test_grid_reads_huge_and_tiny_finite_momenta():
+    # |chi| overflows to inf for the first and is subnormal for the second
+    grid = MomentumGrid([[1.7e308 + 1.7e308j, 5e-324]], (1, 1))
+    assert not grid.unitary
+
+
 @pytest.mark.parametrize(
     "rows, shape",
     [(4, (3, 3)), (4, (4,)), (4, (2, 2, 1, 1)), (4, (2, 2.5)), (4, (True, 4)), (1, ())],
