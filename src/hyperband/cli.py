@@ -164,7 +164,7 @@ def cmd_bloch_variety(opts: _Options) -> int:
     from . import spectra, tight_binding
     model = tight_binding.read_model(opts.require("model"))
     variety = spectra.bloch_variety(model, tol=opts["tol"], seed=opts["seed"])
-    _write_text(_dump_json(variety.to_json()), opts["out"])
+    _write_text(variety.json_text(), opts["out"])
     return 0
 
 

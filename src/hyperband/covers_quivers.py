@@ -476,7 +476,7 @@ class CoverPushforward:
         if chi.genus != self.genus_cover:
             raise ValueError(f"genus mismatch: supercell {self.genus_cover}, momentum {chi.genus}")
         H = self._supercell_stack(chi.chi[None], chi.chi_inv[None])[0]
-        return BlochHamiltonian(H, chi, chi.unitary)
+        return BlochHamiltonian(H, chi.unitary)
 
     def _supercell_stack(self, chi: np.ndarray, chi_inv: np.ndarray) -> np.ndarray:
         """(T, dN, dN) supercell Hamiltonians at (T, 2G) characters.
@@ -656,7 +656,6 @@ class _QuiverLayout(NamedTuple):
     """A quiver's dense matrices, as the fields `tight_binding._assemble` reads."""
 
     genus: int
-    dim: int
     onsite: np.ndarray
     hops: np.ndarray
     hops_dagger: np.ndarray
@@ -730,7 +729,7 @@ def _quiver_layout(quiver: Quiver) -> _QuiverLayout:
     back = np.argsort(order)
     stack = stack[:, back[:, None], back]
     stack.setflags(write=False)
-    return _QuiverLayout(quiver.genus, quiver.dim, stack[0], stack[1::2], stack[2::2])
+    return _QuiverLayout(quiver.genus, stack[0], stack[1::2], stack[2::2])
 
 
 def quiver_from_model(model: TightBindingModel, nodes=None) -> Quiver:

@@ -64,14 +64,13 @@ class EuclideanLattice:
                 f"(expected for non-rectangular tau); using the solve",
                 stacklevel=4,  # the caller of `reciprocal`
             )
-        return ReciprocalLattice(self, W, discrepancy)
+        return ReciprocalLattice(W, discrepancy)
 
 
 @dataclass(frozen=True)
 class ReciprocalLattice:
     """Dual basis rows w_1, w_2 with w_i . gamma_j = delta_ij."""
 
-    lattice: EuclideanLattice
     basis: np.ndarray
     formula_discrepancy: float
 

@@ -16,10 +16,15 @@ rank of its hop J_i (at most d): write chi_i J_i + chi_i^{-1} J_i^dagger as
 by Cauchy-Binet the determinant is a sum over index sets S of minors of the
 diagonal factor, chi_i^(a - b) with a, b <= r_i, times terms free of chi_i.
 So coefficients are recovered exactly from samples on a (2r_i+1)-point
-roots-of-unity grid per variable via the FFT.  There H(chi) is Hermitian, and
-the E-coefficients are elementary symmetric functions of its `eigvalsh`
-eigenvalues.  A held-out check off the torus, its determinants taken in one
-batch, guards the reconstruction.
+roots-of-unity grid per variable via the FFT.  That grid is the product of
+its axes, so each hop term chi_i J_i + chi_i^{-1} J_i^dagger is formed once
+per axis value and the grid's Hamiltonians are grown from the terms by
+broadcast adds (`tight_binding._assemble`), with the bits of assembling each
+point alone.  There H(chi) is Hermitian, and the E-coefficients are
+elementary symmetric functions of its `eigvalsh` eigenvalues.  A held-out
+check off the torus, its determinants taken in one batch, guards the
+reconstruction; non-finite coefficients or residuals fail it.
+`BlochVariety.json_text` writes the terms one column at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 from ._clustering import single_linkage
 from ._serialize import check_tolerance, integer, refuse_oversized
 from .errors import NumericalCheckFailure
-from .momenta import TOL_UNITARY, AbelianMomentum
+from .momenta import TOL_UNITARY
 from .tight_binding import BlochHamiltonian, TightBindingModel, _assemble
 
 
@@ -84,9 +89,6 @@ class MomentumGrid:
     @property
     def genus(self) -> int:
         return self.chis.shape[1] // 2
-
-    def momentum(self, flat_index: int) -> AbelianMomentum:
-        return AbelianMomentum(self.chis[flat_index])
 
 
 def _axis_counts(genus: int, counts, n_moduli: int = 1) -> list:
@@ -197,15 +199,17 @@ def eigenvalues(ham) -> np.ndarray:
 _CHUNK_BYTES = 1 << 20
 
 
-def _slices(count: int, item_bytes: int) -> list:
-    """range(count) in slices of at most `_CHUNK_BYTES`, one item at least.
+def _slices(count: int, item_bytes: int, least: int = 1) -> list:
+    """range(count) in slices of at most `_CHUNK_BYTES`, but of `least` items
+    at least (all `count` if fewer).
 
     A trailing one-item slice joins a longer one before it: numpy rounds a
     broadcast complex product with a one-entry result without the fused
     multiply-add of its vector loops, so at d = 1 a lone point gets other bits.
-    Sweeps, Bloch varieties and cover checks all slice by this rule.
+    Sweeps, Bloch varieties (by leading grid rows, two at least, so that no
+    sampling axis is cut to one entry) and cover checks all slice by this rule.
     """
-    step = max(1, _CHUNK_BYTES // item_bytes)
+    step = max(least, _CHUNK_BYTES // item_bytes)
     starts = list(range(0, count, step))
     if step > 1 and len(starts) > 1 and count - starts[-1] == 1:
         del starts[-1]
@@ -256,8 +260,10 @@ def sweep(model: TightBindingModel, grid: MomentumGrid) -> BandStructure:
     bands = np.empty((n_points, model.dim), dtype=complex)
     for part in _slices(n_points, 16 * model.dim**2):
         chis = grid.chis[part]
+        # the columns of the momenta, each a (P, 1, 1) view
+        H = _assemble(model, chis.T[..., None, None], (1.0 / chis).T[..., None, None])
         name = lambda k: f"grid index {tuple(map(int, np.unravel_index(part.start + k, grid.shape)))}"
-        bands[part] = _solve_stack(_assemble(model, chis, 1.0 / chis), grid.unitary, name)
+        bands[part] = _solve_stack(H, grid.unitary, name)
     meta = {
         "model_hash": model.content_hash,
         "grid_shape": list(grid.shape),
@@ -365,11 +371,6 @@ class BlochVariety:
         values = self.coeffs[(*chi_idx, powers)]
         return np.stack(alphas, axis=1)[order], powers[order], values[order]
 
-    def terms(self) -> list:
-        """Nonzero terms as (alpha tuple, E power, coefficient), canonically ordered."""
-        alphas, powers, values = self._sorted_terms()
-        return list(zip(map(tuple, alphas.tolist()), powers.tolist(), values.tolist()))
-
     def evaluate(self, chi, E, with_scale: bool = False):
         """Value at one momentum vector and energy; optionally the |term|-sum scale."""
         chi = np.asarray(chi, dtype=complex).reshape(-1)
@@ -391,19 +392,35 @@ class BlochVariety:
             return value, scale
         return value
 
-    def to_json(self) -> dict:
+    def json_text(self) -> str:
+        """The JSON document, byte for byte as `_serialize.indented_dumps`
+        writes it: genus, dim, exponent_bound, holdout_residual and one
+        {alpha, coeff: [re, im], power} object per term, in `_sorted_terms`
+        order.  Its numbers are repr'd one column at a time; a non-finite
+        coefficient or residual raises ValueError."""
         alphas, powers, values = self._sorted_terms()
-        pairs = np.stack([values.real, values.imag], axis=1).tolist()
-        terms = [{"alpha": a, "power": j, "coeff": c}
-                 for a, j, c in zip(alphas.tolist(), powers.tolist(), pairs)]
-        return {
-            "hyperband_bloch_variety": 1,
-            "genus": self.genus,
-            "dim": self.dim,
-            "exponent_bound": self.bound,
-            "holdout_residual": self.holdout_residual,
-            "terms": terms,
-        }
+        residual = float(self.holdout_residual)
+        if not (math.isfinite(residual) and np.all(np.isfinite(values))):
+            raise ValueError("a Bloch variety with non-finite numbers has no JSON text")
+        text = (
+            '{\n  "dim": %d,\n  "exponent_bound": %d,\n  "genus": %d,\n  "holdout_residual": %r,\n'
+            '  "hyperband_bloch_variety": 1,\n  "terms": [' % (self.dim, self.bound, self.genus, residual)
+        )
+        n = powers.size
+        if not n:
+            return text + "]\n}\n"
+        # each column follows its fixed text; a term's first text closes the term before
+        item = "\n        "
+        fixed = ['\n    {\n      "alpha": [' + item] + ["," + item] * (alphas.shape[1] - 1)
+        fixed += ['\n      ],\n      "coeff": [' + item, "," + item, '\n      ],\n      "power": ']
+        columns = [*alphas.T, values.real, values.imag, powers]
+        width = 2 * len(columns)
+        parts = [None] * (width * n)
+        for k, (before, column) in enumerate(zip(fixed, columns)):
+            parts[2 * k::width] = [before] * n
+            parts[2 * k + 1::width] = map(repr, column.tolist())
+        parts[width::width] = ["\n    }," + fixed[0]] * (n - 1)
+        return text + "".join(parts) + "\n    }\n  ]\n}\n"
 
 
 def _char_coeffs_from_eigenvalues(lams: np.ndarray) -> np.ndarray:
@@ -432,15 +449,20 @@ def bloch_variety(
     Samples chi_i at the 2r_i+1 roots of unity, r_i the numeric rank of hop
     J_i (numpy's default tolerance), converts eigenvalues to
     characteristic-polynomial coefficients, and inverts the momentum dependence
-    with an FFT.  On that unitary grid H(chi) is Hermitian: it is solved by
-    `eigvalsh` through `_solve_stack`, in slices of at most `_CHUNK_BYTES`, and
+    with an FFT.  Each axis enters `_assemble` shaped to broadcast against the
+    others, so its hop terms are formed once per axis value; the grid is cut
+    into sub-boxes of at least two leading indices times every trailing axis,
+    of at most `_CHUNK_BYTES` where two rows allow.  On that unitary grid
+    H(chi) is Hermitian: it is solved by `eigvalsh` through `_solve_stack`, and
     a failed solve names its sampling grid index.  A grid whose coefficient
     arrays would exceed the size rule's limit is refused with ValueError before
     any sampling.  Coefficients at or below 1e-13 of the largest are zeroed.
     Held-out random points off the torus (reproducible via `seed`) must match
     their direct determinants, one batched `det`, to `tol` relative, else
-    NumericalCheckFailure is raised; an undercounted rank fails it too.  A NaN,
-    infinite or negative `tol` is refused with ValueError.
+    NumericalCheckFailure is raised; an undercounted rank fails it too, and so
+    do non-finite coefficients (an overflowing characteristic polynomial) and
+    a NaN or overflowing residual.  A NaN, infinite or negative `tol` is
+    refused with ValueError.
     """
     check_tolerance(tol)
     holdout_points = integer(holdout_points, "holdout_points")
@@ -457,26 +479,35 @@ def bloch_variety(
         f"coefficient arrays for a {'x'.join(map(str, shape))} sampling grid "
         f"(hop ranks {ranks}, dim {d})",
     )
-    axes = [np.exp(2j * np.pi * np.arange(m) / m) for m in shape]
+    # axis i shaped to broadcast along grid axis i, and its reciprocals
+    axes = [
+        np.exp(2j * np.pi * np.arange(m) / m).reshape((m,) + (1,) * (2 * g + 1 - i))
+        for i, m in enumerate(shape)
+    ]
+    inverses = [1.0 / axis for axis in axes]
     F = np.empty((n_points, d + 1), dtype=complex)
     lam_scale = 0.0
-    # a slice holds its momenta, their reciprocals and its Hamiltonians
-    for part in _slices(n_points, 16 * (4 * g + d**2)):
-        # row-major grid index of each point, peeled off from the last axis
-        rest = np.arange(part.start, part.stop)
-        chis = np.empty((rest.size, 2 * g), dtype=complex)
-        for i in reversed(range(2 * g)):
-            rest, k = np.divmod(rest, shape[i])
-            chis[:, i] = axes[i][k]
-        name = lambda k: f"sampling grid index {tuple(map(int, np.unravel_index(part.start + k, shape)))}"
-        lams = _solve_stack(_assemble(model, chis, 1.0 / chis), True, name)
-        F[part] = _char_coeffs_from_eigenvalues(lams)
+    # sub-boxes: a range of leading indices times every trailing axis, sized
+    # by the bytes a point took as a row of momenta, its reciprocals and its
+    # Hamiltonian, so the peak stays where that per-point route had it
+    trailing = n_points // shape[0]
+    for part in _slices(shape[0], 16 * (4 * g + d**2) * trailing, least=2):
+        H = _assemble(model, [axes[0][part], *axes[1:]], [inverses[0][part], *inverses[1:]])
+        offset = part.start * trailing
+        name = lambda k: f"sampling grid index {tuple(map(int, np.unravel_index(offset + k, shape)))}"
+        lams = _solve_stack(H.reshape(-1, d, d), True, name)
+        F[offset:offset + len(lams)] = _char_coeffs_from_eigenvalues(lams)
         lam_scale = max(lam_scale, float(np.max(np.abs(lams))))
     coeffs = np.fft.fftn(F.reshape(shape + (d + 1,)), axes=tuple(range(2 * g)))
     del F  # freed before the pruning temporaries, as the size estimate assumes
     coeffs /= n_points
     mags = np.abs(coeffs)
     peak = float(np.max(mags))
+    if not math.isfinite(peak):
+        raise NumericalCheckFailure(
+            f"Bloch-variety coefficients are not finite (largest magnitude {peak}): "
+            "the characteristic polynomial overflows"
+        )
     if peak > 0:
         coeffs[mags <= 1e-13 * peak] = 0.0
     bound = max(ranks)
@@ -490,14 +521,18 @@ def bloch_variety(
         mod = np.exp(rng.uniform(-0.3, 0.3, size=2 * g))
         chis[p] = mod * np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=2 * g))
         energies[p] = (rng.normal() + 1j * rng.normal()) * max(lam_scale, 1.0)
-    H = _assemble(model, chis, 1.0 / chis)
+    H = _assemble(model, chis.T[..., None, None], (1.0 / chis).T[..., None, None])
     H[:, np.arange(d), np.arange(d)] -= energies[:, None]
     direct = np.linalg.det(H).tolist()
-    worst = 0.0
+    residuals = []
     for chi, E, det in zip(chis, energies, direct):
         value, scale = variety.evaluate(chi, E, with_scale=True)
-        worst = max(worst, abs(value - det) / max(scale, 1e-300))
-    if worst > tol:
+        try:
+            residuals.append(abs(value - det) / max(scale, 1e-300))
+        except OverflowError:  # |value - det| beyond the float range
+            residuals.append(math.inf)
+    worst = float(np.max(residuals))  # a NaN residual is the worst
+    if not worst <= tol:
         raise NumericalCheckFailure(
             f"Bloch-variety reconstruction failed its held-out check "
             f"(relative residual {worst:.3e} > {tol:.0e})"

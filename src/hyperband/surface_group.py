@@ -13,7 +13,7 @@ cancellation happens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,16 +50,11 @@ class SurfaceGroup:
     """The surface translation group of the stated genus."""
 
     genus: int
-    generator_names: tuple = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "genus", integer(self.genus, "genus"))
         if self.genus < 1:
             raise ValueError(f"genus must be >= 1, got {self.genus}")
-        names = []
-        for i in range(1, self.genus + 1):
-            names.extend([f"a{i}", f"b{i}"])
-        object.__setattr__(self, "generator_names", tuple(names))
 
     def relator(self) -> Word:
         """The defining relator, the product of the g commutators [a_i, b_i]."""

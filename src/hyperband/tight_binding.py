@@ -26,7 +26,9 @@ Floating-point contract: one kernel, `_assemble`, builds every abelian H(chi)
 for `bloch_abelian`, `spectra.sweep`, `spectra.bloch_variety` and
 `covers_quivers.reassemble` (on a quiver's dense layout).  It adds one
 generator pair chi_i J_i + chi_i^{-1} J_i^dagger per step, with the reciprocals
-it is given (in `bloch_abelian`, the ones stored on the momentum).  So
+it is given (in `bloch_abelian`, the ones stored on the momentum), whether
+the coefficients are one momentum's scalars, a batch's columns or a product
+grid's axes, so every entry gets the same operations in each form.  So
 `adjoint_momentum` is an exact involution on Hamiltonians: H(adjoint(chi))
 equals H(chi)^dagger entry-for-entry in floating point, not merely up to rounding.
 """
@@ -108,10 +110,9 @@ class TightBindingModel:
 
 @dataclass(frozen=True)
 class BlochHamiltonian:
-    """An assembled Hamiltonian together with the momentum that produced it."""
+    """An assembled Hamiltonian, and whether its momentum is unitary (so it is Hermitian)."""
 
     matrix: np.ndarray
-    momentum: object
     hermitian: bool
 
     def __post_init__(self):
@@ -127,23 +128,25 @@ def bloch_abelian(model: TightBindingModel, momentum: AbelianMomentum) -> BlochH
     if momentum.genus != model.genus:
         raise ValueError(f"genus mismatch: model {model.genus}, momentum {momentum.genus}")
     H = _assemble(model, momentum.chi, momentum.chi_inv)
-    return BlochHamiltonian(H, momentum, momentum.unitary)
+    return BlochHamiltonian(H, momentum.unitary)
 
 
-def _assemble(model, chi: np.ndarray, chi_inv: np.ndarray) -> np.ndarray:
-    """H(chi), shape lead + (d, d), for chi and chi_inv of shape lead + (2g,).
+def _assemble(model, chi, chi_inv) -> np.ndarray:
+    """M + sum_i chi[i] J_i + chi_inv[i] J_i^dagger, of shape lead + (d, d).
 
-    `model` is a `TightBindingModel` or anything with its genus, dim, onsite,
-    hops and hops_dagger fields, such as a quiver's layout.
-    At d = 1 a one-row (1, 2g) batch can round differently from a (2g,) momentum.
+    `chi` and `chi_inv` hold one coefficient per generator: a scalar, or an
+    array shaped lead_i + (1, 1), the lead_i broadcasting to `lead`.  A
+    momentum passes its (2g,) entries, a batch its (P, 2g) columns as (P, 1, 1)
+    views, a product grid its axes shaped to broadcast, so each hop term is
+    formed once per axis value.  The terms are added to M left to right, the
+    same operations for every entry in each form, except that at d = 1 a
+    one-entry array (not a scalar) rounds unlike a longer one: numpy's vector
+    loops fuse the multiply-add.  `model` is a `TightBindingModel` or anything
+    with its genus, onsite, hops and hops_dagger fields (a quiver's layout).
     """
-    H = np.empty(chi.shape[:-1] + (model.dim, model.dim), dtype=complex)
-    H[...] = model.onsite
+    H = model.onsite
     for i in range(2 * model.genus):
-        H += (
-            chi[..., i, None, None] * model.hops[i]
-            + chi_inv[..., i, None, None] * model.hops_dagger[i]
-        )
+        H = H + (chi[i] * model.hops[i] + chi_inv[i] * model.hops_dagger[i])
     return H
 
 
@@ -156,14 +159,14 @@ def bloch_nonabelian(model: TightBindingModel, momentum: NonabelianMomentum) -> 
     if momentum.monomial is not None:
         targets, forward, backward = momentum.monomial
         H = _assemble_monomial(model, targets, forward[None], backward[None])[0]
-        return BlochHamiltonian(H, momentum, momentum.unitary)
+        return BlochHamiltonian(H, momentum.unitary)
     n = momentum.rank
     H = np.kron(model.onsite, np.eye(n, dtype=complex))
     for i in range(2 * model.genus):
         H += np.kron(model.hops[i], momentum.rho[i]) + np.kron(
             model.hops_dagger[i], momentum.rho_inv[i]
         )
-    return BlochHamiltonian(H, momentum, momentum.unitary)
+    return BlochHamiltonian(H, momentum.unitary)
 
 
 def _assemble_monomial(model: TightBindingModel, targets, forward, backward) -> np.ndarray:

@@ -17,6 +17,7 @@ from hyperband import cli, spectra, spectral_curve
 from hyperband._clustering import single_linkage
 from hyperband.errors import NumericalCheckFailure
 from hyperband.higgs_toy import ToyModelPoint
+from hyperband.momenta import AbelianMomentum
 from hyperband.spectra import (
     BandStructure,
     MomentumGrid,
@@ -43,7 +44,7 @@ from test_tight_binding import random_model
 
 
 def one_shot_oracle(model, grid):
-    stack = _assemble(model, grid.chis, 1.0 / grid.chis)
+    stack = _assemble(model, grid.chis.T[..., None, None], (1.0 / grid.chis).T[..., None, None])
     return _sorted_eigenvalues(stack, grid.unitary)
 
 
@@ -189,7 +190,8 @@ def test_sweep_names_the_failing_point_in_a_later_slice(monkeypatch, solver):
     else:
         grid = complex_region_grid(1, [10, 20], (-0.3, 0.2), 2)
     bad = 700  # in the third slice of 256 rows
-    target = _assemble(model, grid.chis[bad : bad + 1], 1.0 / grid.chis[bad : bad + 1])[0]
+    chi = grid.chis[bad]
+    target = _assemble(model, chi[:, None, None], (1.0 / chi)[:, None, None])
     solve = getattr(np.linalg, solver)
     batches = []
 
@@ -216,7 +218,7 @@ def test_near_unit_region_grid_solves_like_its_momenta():
     assert grid.unitary
     bands = sweep(model, grid)
     for p in range(grid.n_points):
-        ham = bloch_abelian(model, grid.momentum(p))
+        ham = bloch_abelian(model, AbelianMomentum(grid.chis[p]))
         assert ham.hermitian
         assert bands.bands[p].tobytes() == eigenvalues(ham).tobytes(), p
     assert "hermitian=True" in csv_text(write_bands_csv, bands).splitlines()[1]

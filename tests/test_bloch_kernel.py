@@ -101,11 +101,11 @@ def test_property_sweep_rows_are_pointwise_spectra(data, genus, dim, seed):
     bands = sweep(model, grid)
     assert bands.hermitian == grid.unitary
     for p in range(grid.n_points):
-        ham = bloch_abelian(model, grid.momentum(p))
+        ham = bloch_abelian(model, AbelianMomentum(grid.chis[p]))
         if ham.hermitian != grid.unitary:
             # a unit-modulus point of an off-torus grid, or moduli within
             # 1e-9 but not 1e-12 of one: the sweep keeps the grid's solver
-            ham = BlochHamiltonian(ham.matrix, ham.momentum, grid.unitary)
+            ham = BlochHamiltonian(ham.matrix, grid.unitary)
         assert bands.bands[p].tobytes() == eigenvalues(ham).tobytes(), p
 
 
@@ -136,7 +136,7 @@ def test_property_batched_kernel_matches_stack_oracle(genus, dim, P, seed):
     rng = np.random.default_rng(seed)
     model = random_model(rng, genus, dim)
     chis = random_chi(rng, genus, (P,))
-    stack = _assemble(model, chis, 1.0 / chis)
+    stack = _assemble(model, chis.T[..., None, None], (1.0 / chis).T[..., None, None])
     assert stack.flags.c_contiguous
     assert stack.tobytes() == stack_oracle(model, chis).tobytes()
 

@@ -63,7 +63,7 @@ def per_character_monomial(model, momentum):
 def per_trial_check(model, cover, dense, chi, tol=1e-9):
     """The check at one character; `dense` is kron_supercell(model, cover)."""
     rho = induce(chi, cover)
-    h_induced = BlochHamiltonian(per_character_monomial(model, rho), rho, rho.unitary)
+    h_induced = BlochHamiltonian(per_character_monomial(model, rho), rho.unitary)
     h_supercell = bloch_abelian(dense, chi)
     spec_a = eigenvalues(h_induced)
     spec_b = eigenvalues(h_supercell)

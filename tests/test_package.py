@@ -43,8 +43,9 @@ def test_export_table_names_every_public_definition_once():
     assert isinstance(hyperband.__version__, str)
 
 
-#: exported names that no library code, acceptance test or benchmark reads,
-#: each with what it is kept for; every other export needs one of those readers
+#: exported names, and public members (Class.member) of exported classes,
+#: that no library code, acceptance test or benchmark reads, each with what it
+#: is kept for; every other export and member needs one of those readers
 KEPT = {
     "fold": "the reference the tests check two_torsion_points against",
     "torus_action": "the second route the quiver tests take to reassemble's weights",
@@ -55,6 +56,12 @@ KEPT = {
     "split_complex": "ROADMAP item 3 replaces it with the Higgs split",
     "direct_sum": "ROADMAP item 7 builds polystable momenta with it",
     "commutant_dimension": "ROADMAP item 7 tells stable momenta from polystable ones with it",
+    "Word.inverse": "the reference the monomial-cover tests build their Schreier words with",
+    "CoverPushforward.supercell_hamiltonian": "the per-character supercell the batched check is tested against",
+    "TightBindingModel.onsite_residual": "ROADMAP item 10 reports it through --metrics",
+    "DegeneracyGroup.grid_index": "where a crossing lies, in the result detect_crossings returns",
+    "DispersionValue.k_real": "the real part of the split k = k_r + i k_i that split_energy is formed from",
+    "DispersionValue.k_imag": "the imaginary part of the split k = k_r + i k_i that split_energy is formed from",
 }
 
 
@@ -79,31 +86,83 @@ def _reads(tree, home=None) -> set:
     return found
 
 
+def _members(tree, home) -> dict:
+    """{"Class.member": its own definition or None} for the public methods,
+    properties and fields (annotated in the class body, or set on self in
+    `__init__`) of the classes exported from `home`."""
+    found = {}
+    for top in tree.body:
+        if not (isinstance(top, ast.ClassDef) and hyperband._HOME.get(top.name) == home):
+            continue
+        for node in top.body:
+            own = None
+            if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                names = [
+                    target.attr for target in ast.walk(node)
+                    if isinstance(target, ast.Attribute) and isinstance(target.ctx, ast.Store)
+                    and getattr(target.value, "id", None) == "self"
+                ]
+            elif isinstance(node, ast.FunctionDef):
+                names, own = [node.name], node
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            found.update({f"{top.name}.{name}": own for name in names if not name.startswith("_")})
+    return found
+
+
+def _attribute_reads(tree) -> list:
+    """(attr, node) for each loaded Attribute of a module."""
+    return [
+        (node.attr, node) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+
+
 def test_every_export_has_a_consumer():
     # a consumer is library code outside the name's own definition, the
     # acceptance tests, the benchmark (its code and dotted names such as
-    # tracer.TRACED's), or a KEPT entry saying what the name is kept for
+    # tracer.TRACED's), or a KEPT entry saying what the name is kept for; a
+    # member (Class.member) is read as an attribute of that name, or named
+    # Class.member in a dotted string of the benchmark
     repo = Path(__file__).resolve().parents[1]
-    library = set()
+    library, members, attributes = set(), {}, []
     for path in sorted(Path(hyperband.__file__).parent.glob("*.py")):
-        library |= _reads(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    outside = _reads(ast.parse((repo / "tests" / "test_acceptance.py").read_text(encoding="utf-8")))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        library |= _reads(tree, path.stem)
+        members.update(_members(tree, path.stem))
+        attributes += _attribute_reads(tree)
     bench = sorted((repo / "bench").glob("*.py"))
-    assert bench
-    for path in bench:
+    assert bench and members
+    outside, outside_attributes, dotted = set(), set(), set()
+    for path in [repo / "tests" / "test_acceptance.py", *bench]:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         outside |= _reads(tree)
-        outside |= {
-            part for node in ast.walk(tree)
-            if isinstance(node, ast.Constant) and isinstance(node.value, str)
-            and re.fullmatch(r"[A-Za-z_][\w.]*", node.value)
-            for part in node.value.split(".")
-        }
+        outside_attributes |= {attr for attr, _ in _attribute_reads(tree)}
+        if path.parent.name != "bench":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+                    parts = node.value.split(".")
+                    outside.update(parts)
+                    dotted.update(map(".".join, zip(parts, parts[1:])))
     read = library | outside
-    unread = [name for name in hyperband._HOME if name not in read and name not in KEPT]
+
+    def member_read(key) -> bool:
+        name, own = key.partition(".")[2], members[key]
+        inside = set() if own is None else {id(node) for node in ast.walk(own)}
+        return key in dotted or name in outside_attributes or any(
+            attr == name and id(node) not in inside for attr, node in attributes
+        )
+
+    is_read = lambda name: member_read(name) if name in members else name in read
+    unread = [name for name in [*hyperband._HOME, *members] if name not in KEPT and not is_read(name)]
     assert not unread, f"exported but read by nothing: {unread}"
-    assert set(KEPT) <= set(hyperband._HOME), f"kept but not exported: {set(KEPT) - set(hyperband._HOME)}"
-    assert not set(KEPT) & read, f"kept names that something now reads: {set(KEPT) & read}"
+    unknown = set(KEPT) - set(hyperband._HOME) - set(members)
+    assert not unknown, f"kept but not exported: {unknown}"
+    assert not [name for name in KEPT if is_read(name)], "kept names that something now reads"
     assert all(reason for reason in KEPT.values())
 
 

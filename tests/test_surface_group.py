@@ -14,11 +14,6 @@ from hyperband.surface_group import (
 )
 
 
-def test_generator_names_alternate_a_b():
-    g = make_surface_group(3)
-    assert g.generator_names == ("a1", "b1", "a2", "b2", "a3", "b3")
-
-
 def test_relator_has_length_4g_and_abelianizes_to_zero():
     for genus in (1, 2, 3, 5):
         g = make_surface_group(genus)

@@ -94,7 +94,7 @@ def test_failing_eigvalsh_names_the_sample(tmp_path, capsys, monkeypatch):
     axis = np.exp(2j * np.pi * np.arange(7) / 7)
     # row-major like the sampling grid, and assembled in one 49-point stack as its slice is
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    target = _assemble(model, grid, 1.0 / grid)[30]
+    target = _assemble(model, grid.T[..., None, None], (1.0 / grid).T[..., None, None])[30]
     solve = np.linalg.eigvalsh
 
     def flaky(a):

@@ -1,7 +1,7 @@
 """BlochVariety's readers against the per-call forms they replaced.
 
 `evaluate` reads the exponents and |coeffs| cached on the variety and
-contracts each chi axis with np.dot; `terms` and `to_json` read one
+contracts each chi axis with np.dot; `json_text` reads its terms from one
 np.nonzero.  The tensordot evaluation and the argwhere loop are kept here as
 oracles, and the new forms must match them bit for bit.
 """
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hyperband._serialize import complex_to_json
 from hyperband.spectra import BlochVariety, bloch_variety
 
-from test_variety_rank_grid import model_with_ranks
+from test_variety_rank_grid import model_with_ranks, variety_terms
 
 
 def axis_exponents(variety):
@@ -90,10 +90,10 @@ def test_evaluate_on_fortran_ordered_coeffs():
 @given(variety=varieties())
 def test_property_terms_equal_the_argwhere_loop(variety):
     old = argwhere_terms(variety)
-    assert repr(variety.terms()) == repr(old)
-    doc = variety.to_json()
+    assert repr(variety_terms(variety)) == repr(old)
+    doc = json.loads(variety.json_text())
     old_terms = [{"alpha": list(a), "power": j, "coeff": complex_to_json(c)} for a, j, c in old]
-    assert json.dumps(doc["terms"]) == json.dumps(old_terms)
+    assert json.dumps(doc["terms"], sort_keys=True) == json.dumps(old_terms, sort_keys=True)
 
 
 @pytest.mark.parametrize("genus, dim, shape", [(1, 2, (3, 5, 3)), (2, 1, (3, 1, 1, 3, 2))])
@@ -101,6 +101,6 @@ def test_all_zero_variety_has_no_terms(genus, dim, shape):
     variety = BlochVariety(
         genus=genus, dim=dim, bound=max(shape[:-1]) // 2, coeffs=np.zeros(shape), holdout_residual=0.0
     )
-    assert variety.terms() == argwhere_terms(variety) == []
-    assert variety.to_json()["terms"] == []
+    assert variety_terms(variety) == argwhere_terms(variety) == []
+    assert json.loads(variety.json_text())["terms"] == []
     assert variety.evaluate(np.ones(2 * genus), 1.0, with_scale=True) == (0.0, 0.0)

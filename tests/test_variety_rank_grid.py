@@ -10,6 +10,7 @@ oracle for the same support, values within 1e-12 of the peak and a passing
 held-out check.
 """
 
+import json
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -51,7 +52,7 @@ def full_grid_oracle(model, holdout_points=20, seed=0):
     m = 2 * d + 1
     axis = np.exp(2j * np.pi * np.arange(m) / m)
     chis, shape = _product_grid([axis] * (2 * g))
-    H = _assemble(model, chis, 1.0 / chis)
+    H = _assemble(model, chis.T[..., None, None], (1.0 / chis).T[..., None, None])
     lams = np.sort(np.linalg.eigvalsh(H).astype(complex), axis=-1)
     F = _char_coeffs_from_eigenvalues(lams).reshape(shape + (d + 1,))
     coeffs = prune(np.fft.fftn(F, axes=tuple(range(2 * g))) / (m ** (2 * g)))
@@ -62,7 +63,7 @@ def full_grid_oracle(model, holdout_points=20, seed=0):
     points = [holdout_point(rng, g, lam_scale) for _ in range(holdout_points)]
     chis = np.array([chi for chi, _ in points])
     energies = np.array([E for _, E in points])
-    H = _assemble(model, chis, 1.0 / chis)
+    H = _assemble(model, chis.T[..., None, None], (1.0 / chis).T[..., None, None])
     H[:, np.arange(d), np.arange(d)] -= energies[:, None]
     worst = 0.0
     for chi, E, direct in zip(chis, energies, np.linalg.det(H).tolist()):
@@ -101,7 +102,7 @@ def eigvals_route_oracle(model, holdout_points=20, seed=0):
     d, g = model.dim, model.genus
     ranks = [int(np.linalg.matrix_rank(h)) for h in model.hops]
     chis, shape = _product_grid([np.exp(2j * np.pi * np.arange(2 * r + 1) / (2 * r + 1)) for r in ranks])
-    lams = np.linalg.eigvals(_assemble(model, chis, 1.0 / chis))
+    lams = np.linalg.eigvals(_assemble(model, chis.T[..., None, None], (1.0 / chis).T[..., None, None]))
     F = _char_coeffs_from_eigenvalues(lams).reshape(shape + (d + 1,))
     coeffs = prune(np.fft.fftn(F, axes=tuple(range(2 * g))) / chis.shape[0])
     variety = BlochVariety(genus=g, dim=d, bound=max(ranks), coeffs=coeffs, holdout_residual=0.0)
@@ -110,7 +111,7 @@ def eigvals_route_oracle(model, holdout_points=20, seed=0):
     worst = 0.0
     for _ in range(holdout_points):
         chi, E = holdout_point(rng, g, lam_scale)
-        H = _assemble(model, chi[None, :], 1.0 / chi[None, :])[0]
+        H = _assemble(model, chi[:, None, None], (1.0 / chi)[:, None, None])
         direct = complex(np.linalg.det(H - E * np.eye(d)))
         value, scale = variety.evaluate(chi, E, with_scale=True)
         worst = max(worst, abs(value - direct) / max(scale, 1e-300))
@@ -134,8 +135,14 @@ def model_with_ranks(seed, genus, dim, ranks):
     return TightBindingModel(genus, onsite, [hop_of_rank(rng, dim, r) for r in ranks])
 
 
+def variety_terms(variety):
+    """(alpha tuple, E power, coefficient) per term, read back from the JSON text."""
+    doc = json.loads(variety.json_text())
+    return [(tuple(t["alpha"]), t["power"], complex(*t["coeff"])) for t in doc["terms"]]
+
+
 def assert_same_support(variety, oracle_doc, rel=1e-12):
-    new = {(tuple(a), j): c for a, j, c in variety.terms()}
+    new = {(a, j): c for a, j, c in variety_terms(variety)}
     old = {
         (tuple(t["alpha"]), t["power"]): complex(*t["coeff"]) for t in oracle_doc["terms"]
     }
@@ -193,7 +200,7 @@ def test_property_hermitian_route_matches_eigvals_route(shape, seed, deficits):
     variety = bloch_variety(model, seed=seed % 1000)
     oracle = eigvals_route_oracle(model, seed=seed % 1000)
     assert variety.coeffs.shape == oracle.coeffs.shape
-    assert_same_support(variety, oracle.to_json())
+    assert_same_support(variety, json.loads(oracle.json_text()))
     assert variety.holdout_residual <= 1e-8
 
 
@@ -215,7 +222,7 @@ def test_rank_zero_hop_has_axis_length_one():
     model = model_with_ranks(3, 2, 3, [3, 0, 1, 2])
     variety = bloch_variety(model)
     assert variety.coeffs.shape == (7, 1, 3, 5, 4)
-    assert all(alpha[1] == 0 for alpha, _, _ in variety.terms())
+    assert all(alpha[1] == 0 for alpha, _, _ in variety_terms(variety))
     assert_same_support(variety, full_grid_oracle(model)[2])
 
 
@@ -233,14 +240,14 @@ def test_near_singular_hop_keeps_full_degree():
     assert variety.coeffs.shape == (7, 7, 4)
     assert variety.coeffs.tobytes() == coeffs.tobytes()
     assert variety.holdout_residual == residual
-    assert any(abs(alpha[0]) == dim for alpha, _, _ in variety.terms())
+    assert any(abs(alpha[0]) == dim for alpha, _, _ in variety_terms(variety))
 
 
 def test_mixed_axis_lengths_through_terms_evaluate_and_json():
     model = model_with_ranks(5, 2, 3, [1, 3, 0, 2])
     variety = bloch_variety(model)
     assert variety.coeffs.shape == (3, 7, 1, 5, 4)
-    terms = variety.terms()
+    terms = variety_terms(variety)
     for axis, r in enumerate([1, 3, 0, 2]):
         assert max(abs(alpha[axis]) for alpha, _, _ in terms) == r
     rng = np.random.default_rng(6)
@@ -250,9 +257,9 @@ def test_mixed_axis_lengths_through_terms_evaluate_and_json():
         value, scale = variety.evaluate(chi, E, with_scale=True)
         from_terms = sum(c * np.prod(chi**np.array(a)) * E**j for a, j, c in terms)
         assert abs(value - from_terms) <= 1e-13 * scale
-        H = _assemble(model, chi[None, :], 1.0 / chi[None, :])[0]
+        H = _assemble(model, chi[:, None, None], (1.0 / chi)[:, None, None])
         assert abs(value - np.linalg.det(H - E * np.eye(3))) <= 1e-10 * scale
-    doc = variety.to_json()
+    doc = json.loads(variety.json_text())
     assert doc["hyperband_bloch_variety"] == 1
     assert doc["exponent_bound"] == 3
     assert [(tuple(t["alpha"]), t["power"]) for t in doc["terms"]] == [
@@ -303,4 +310,4 @@ def test_low_rank_genus_three_runs_in_bounded_memory():
     assert variety.coeffs.shape == (5,) * 6 + (7,)
     assert variety.holdout_residual <= 1e-8
     assert peak < 2**30
-    assert variety.to_json()["exponent_bound"] == 2
+    assert json.loads(variety.json_text())["exponent_bound"] == 2
