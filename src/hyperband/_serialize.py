@@ -114,6 +114,51 @@ def canonical_dumps(obj) -> str:
 _escape = json.encoder.encode_basestring_ascii
 
 
+class Rows:
+    """A list of JSON objects held as columns, for `indented_dumps` to write
+    one column at a time.  Each keyword is a field; its value is a 1-d integer
+    or float array (one number per object) or a list of them (a list of
+    numbers per object).  There is one column at least, all of one length."""
+
+    def __init__(self, **fields):
+        self.fields = fields
+
+
+def _rows_text(fields: dict, newline: str) -> str:
+    """The text `_text` makes of the list of objects `fields` holds as columns."""
+    inner, key, entry = newline + "  ", newline + "    ", newline + "      "
+    # each column follows its fixed text, which closes the field before it
+    fixed, columns, text = [], [], "{"
+    for name, value in sorted(fields.items()):
+        text += key + _escape(name) + ": "
+        if isinstance(value, list):
+            text += "[" + entry if value else "[]"
+            for column in value:
+                fixed.append(text)
+                columns.append(column)
+                text = "," + entry
+            text = (key + "]" if value else text) + ","
+        else:
+            fixed.append(text)
+            columns.append(value)
+            text = ","
+    n = len(columns[0]) if columns else -1
+    if n < 0 or any(c.ndim != 1 or len(c) != n or c.dtype.kind not in "iuf" for c in columns):
+        raise TypeError("Rows needs 1-d integer or float columns, one at least, all of one length")
+    if any(c.dtype.kind == "f" and not np.all(np.isfinite(c)) for c in columns):
+        raise ValueError("Rows columns hold non-finite numbers")
+    width = 2 * len(columns)
+    if not n:
+        return "[]"
+    closing = text[:-1] + inner + "}"
+    parts = [None] * (width * n)
+    for k, (before, column) in enumerate(zip(fixed, columns)):
+        parts[2 * k::width] = [before] * n
+        parts[2 * k + 1::width] = map(repr, column.tolist())
+    parts[width::width] = [closing + "," + inner + fixed[0]] * (n - 1)
+    return "[" + inner + "".join(parts) + closing + newline + "]"
+
+
 def _text(obj, newline: str) -> str:
     """The JSON text of `obj`, its later lines led by `newline` ("\n" and the indent)."""
     inner = newline + "  "
@@ -139,6 +184,8 @@ def _text(obj, newline: str) -> str:
         if math.isfinite(obj):
             return float.__repr__(obj)
         return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    elif isinstance(obj, Rows):
+        return _rows_text(obj.fields, newline)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     if not items:
@@ -149,6 +196,7 @@ def _text(obj, newline: str) -> str:
 def indented_dumps(obj) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True) + "\n"`, byte for byte, for
     dicts with str keys, lists, tuples, str, int, float (numpy.float64 too),
-    bool and None; anything else raises TypeError.  Unlike `json`'s indented
-    writer, it formats a list of only finite floats or only ints in C."""
+    bool and None, and `Rows` as the list of its objects; anything else raises
+    TypeError.  Unlike `json`'s indented writer, it formats a list of only
+    finite floats or only ints in C, and a `Rows` column by column."""
     return _text(obj, "\n") + "\n"

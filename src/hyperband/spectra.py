@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._clustering import single_linkage
-from ._serialize import check_tolerance, integer, refuse_oversized
+from ._serialize import Rows, check_tolerance, indented_dumps, integer, refuse_oversized
 from .errors import NumericalCheckFailure
 from .momenta import TOL_UNITARY
 from .tight_binding import BlochHamiltonian, TightBindingModel, _assemble
@@ -199,21 +199,39 @@ def eigenvalues(ham) -> np.ndarray:
 _CHUNK_BYTES = 1 << 20
 
 
-def _slices(count: int, item_bytes: int, least: int = 1) -> list:
-    """range(count) in slices of at most `_CHUNK_BYTES`, but of `least` items
-    at least (all `count` if fewer).
+def _slices(count: int, item_bytes: int) -> list:
+    """range(count) in slices of at most `_CHUNK_BYTES`, one item at least.
 
     A trailing one-item slice joins a longer one before it: numpy rounds a
     broadcast complex product with a one-entry result without the fused
     multiply-add of its vector loops, so at d = 1 a lone point gets other bits.
-    Sweeps, Bloch varieties (by leading grid rows, two at least, so that no
-    sampling axis is cut to one entry) and cover checks all slice by this rule.
+    Sweeps, Bloch varieties (along one axis of each sub-box, at d >= 2) and
+    cover checks all slice by this rule.
     """
-    step = max(least, _CHUNK_BYTES // item_bytes)
+    step = max(1, _CHUNK_BYTES // item_bytes)
     starts = list(range(0, count, step))
     if step > 1 and len(starts) > 1 and count - starts[-1] == 1:
         del starts[-1]
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [count])]
+
+
+def _sub_boxes(shape: tuple, point_bytes: int) -> list:
+    """The grid `shape` as row-major sub-boxes (a slice per axis) of at most
+    `_CHUNK_BYTES` at `point_bytes` a point, or of one point: the first axis
+    whose trailing box fits is cut by `_slices`, every axis before it one
+    index at a time, every axis after it kept whole.  Each box is contiguous
+    in the flattened grid."""
+    trailing = math.prod(shape)
+    for k, m in enumerate(shape):
+        trailing //= m
+        if trailing * point_bytes <= _CHUNK_BYTES:
+            break
+    whole = (slice(None),) * (len(shape) - k - 1)
+    return [
+        (*(slice(j, j + 1) for j in lead), part, *whole)
+        for lead in np.ndindex(shape[:k])
+        for part in _slices(shape[k], trailing * point_bytes)
+    ]
 
 
 def _solve_stack(stack: np.ndarray, hermitian, name) -> np.ndarray:
@@ -393,34 +411,19 @@ class BlochVariety:
         return value
 
     def json_text(self) -> str:
-        """The JSON document, byte for byte as `_serialize.indented_dumps`
-        writes it: genus, dim, exponent_bound, holdout_residual and one
-        {alpha, coeff: [re, im], power} object per term, in `_sorted_terms`
-        order.  Its numbers are repr'd one column at a time; a non-finite
+        """The JSON document: genus, dim, exponent_bound, holdout_residual and
+        one {alpha, coeff: [re, im], power} object per term, in `_sorted_terms`
+        order, written column by column (`_serialize.Rows`).  A non-finite
         coefficient or residual raises ValueError."""
         alphas, powers, values = self._sorted_terms()
         residual = float(self.holdout_residual)
-        if not (math.isfinite(residual) and np.all(np.isfinite(values))):
-            raise ValueError("a Bloch variety with non-finite numbers has no JSON text")
-        text = (
-            '{\n  "dim": %d,\n  "exponent_bound": %d,\n  "genus": %d,\n  "holdout_residual": %r,\n'
-            '  "hyperband_bloch_variety": 1,\n  "terms": [' % (self.dim, self.bound, self.genus, residual)
-        )
-        n = powers.size
-        if not n:
-            return text + "]\n}\n"
-        # each column follows its fixed text; a term's first text closes the term before
-        item = "\n        "
-        fixed = ['\n    {\n      "alpha": [' + item] + ["," + item] * (alphas.shape[1] - 1)
-        fixed += ['\n      ],\n      "coeff": [' + item, "," + item, '\n      ],\n      "power": ']
-        columns = [*alphas.T, values.real, values.imag, powers]
-        width = 2 * len(columns)
-        parts = [None] * (width * n)
-        for k, (before, column) in enumerate(zip(fixed, columns)):
-            parts[2 * k::width] = [before] * n
-            parts[2 * k + 1::width] = map(repr, column.tolist())
-        parts[width::width] = ["\n    }," + fixed[0]] * (n - 1)
-        return text + "".join(parts) + "\n    }\n  ]\n}\n"
+        if not math.isfinite(residual):
+            raise ValueError("a Bloch variety with a non-finite residual has no JSON text")
+        terms = Rows(alpha=list(alphas.T), coeff=[values.real, values.imag], power=powers)
+        return indented_dumps({
+            "dim": self.dim, "exponent_bound": self.bound, "genus": self.genus,
+            "holdout_residual": residual, "hyperband_bloch_variety": 1, "terms": terms,
+        })
 
 
 def _char_coeffs_from_eigenvalues(lams: np.ndarray) -> np.ndarray:
@@ -450,9 +453,10 @@ def bloch_variety(
     J_i (numpy's default tolerance), converts eigenvalues to
     characteristic-polynomial coefficients, and inverts the momentum dependence
     with an FFT.  Each axis enters `_assemble` shaped to broadcast against the
-    others, so its hop terms are formed once per axis value; the grid is cut
-    into sub-boxes of at least two leading indices times every trailing axis,
-    of at most `_CHUNK_BYTES` where two rows allow.  On that unitary grid
+    others, so its hop terms are formed once per axis value; at d >= 2 the
+    grid is cut into `_sub_boxes` of at most `_CHUNK_BYTES` (one point at
+    least), counting 32 d^2 bytes a point: the box's Hamiltonians and the
+    partial sum its last add reads.  On that unitary grid
     H(chi) is Hermitian: it is solved by `eigvalsh` through `_solve_stack`, and
     a failed solve names its sampling grid index.  A grid whose coefficient
     arrays would exceed the size rule's limit is refused with ValueError before
@@ -487,16 +491,17 @@ def bloch_variety(
     inverses = [1.0 / axis for axis in axes]
     F = np.empty((n_points, d + 1), dtype=complex)
     lam_scale = 0.0
-    # sub-boxes: a range of leading indices times every trailing axis, sized
-    # by the bytes a point took as a row of momenta, its reciprocals and its
-    # Hamiltonian, so the peak stays where that per-point route had it
-    trailing = n_points // shape[0]
-    for part in _slices(shape[0], 16 * (4 * g + d**2) * trailing, least=2):
-        H = _assemble(model, [axes[0][part], *axes[1:]], [inverses[0][part], *inverses[1:]])
-        offset = part.start * trailing
+    # at d = 1 the grid is one box: every axis has 1 or 3 entries, and a cut
+    # would leave a one-entry range, whose product numpy rounds without the
+    # fused multiply-add; its 16 B a point are a sixth of the arrays refused above
+    boxes = _sub_boxes(shape, 32 * d * d) if d > 1 else [(slice(None),) * len(shape)]
+    offset = 0
+    for box in boxes:
+        H = _assemble(model, [a[s] for a, s in zip(axes, box)], [a[s] for a, s in zip(inverses, box)])
         name = lambda k: f"sampling grid index {tuple(map(int, np.unravel_index(offset + k, shape)))}"
         lams = _solve_stack(H.reshape(-1, d, d), True, name)
         F[offset:offset + len(lams)] = _char_coeffs_from_eigenvalues(lams)
+        offset += len(lams)
         lam_scale = max(lam_scale, float(np.max(np.abs(lams))))
     coeffs = np.fft.fftn(F.reshape(shape + (d + 1,)), axes=tuple(range(2 * g)))
     del F  # freed before the pruning temporaries, as the size estimate assumes

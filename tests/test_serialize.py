@@ -1,5 +1,6 @@
-"""The indented JSON writer: `json.dumps(obj, indent=2, sort_keys=True)`'s bytes;
-the size rule for the arrays a caller's counts ask for."""
+"""The indented JSON writer: `json.dumps(obj, indent=2, sort_keys=True)`'s bytes,
+also of lists of objects held as columns (`Rows`); the size rule for the
+arrays a caller's counts ask for."""
 
 import json
 
@@ -92,6 +93,62 @@ def test_writer_examples(doc):
 def test_writer_refuses_unsupported_values(doc):
     with pytest.raises(TypeError):
         indented_dumps(doc)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS[:10])
+columns = st.one_of(
+    st.lists(finite).map(lambda xs: np.array(xs, dtype=float)),
+    st.lists(st.integers(-(2**62), 2**62)).map(lambda xs: np.array(xs, dtype=np.int64)),
+)
+
+
+@st.composite
+def rows(draw):
+    """A `Rows` of n objects (n >= 0) and the same objects as a list of dicts."""
+    n = draw(st.integers(0, 4))
+    fields = {}
+    for name in draw(st.lists(strings, min_size=1, max_size=4, unique=True)):
+        widths = draw(st.none() | st.integers(0, 3))
+        cut = lambda: draw(columns.filter(lambda c: len(c) >= n))[:n]
+        fields[name] = cut() if widths is None else [cut() for _ in range(widths)]
+    if not any(not isinstance(v, list) or v for v in fields.values()):
+        fields[next(iter(fields))] = draw(columns.filter(lambda c: len(c) >= n))[:n]
+    objects = [
+        {k: [c[j].item() for c in v] if isinstance(v, list) else v[j].item() for k, v in fields.items()}
+        for j in range(n)
+    ]
+    return _serialize.Rows(**fields), objects
+
+
+@settings(max_examples=200)
+@given(rows(), st.integers(0, 2))
+def test_property_rows_are_their_objects_byte_for_byte(drawn, depth):
+    # at any depth, under a key or in a list: the indent is the caller's
+    table, objects = drawn
+    doc, plain = table, objects
+    for _ in range(depth):
+        doc, plain = {"x": 1, "rows": doc}, {"x": 1, "rows": plain}
+    assert indented_dumps(doc) == reference(plain)
+    assert indented_dumps([doc]) == reference([plain])
+
+
+@pytest.mark.parametrize(
+    "fields, error",
+    [
+        ({"a": np.array([1.0, float("nan")])}, ValueError),
+        ({"a": [np.array([0.0]), np.array([float("-inf")])]}, ValueError),
+        ({}, TypeError),
+        ({"a": []}, TypeError),
+        ({"a": np.array([1, 2]), "b": np.array([1])}, TypeError),
+        ({"a": np.array([[1.0]])}, TypeError),
+        ({"a": np.array([1j])}, TypeError),
+        ({"a": np.array([True])}, TypeError),
+    ],
+    ids=["nan", "inf-in-list", "no-fields", "no-columns", "lengths", "2-d", "complex", "bool"],
+)
+def test_rows_refuse_what_json_text_cannot_hold(fields, error):
+    with pytest.raises(error):
+        indented_dumps({"rows": _serialize.Rows(**fields)})
 
 
 def test_write_model_writes_the_json_module_text(tmp_path):

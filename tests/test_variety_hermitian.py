@@ -66,7 +66,7 @@ def test_property_coefficients_are_conjugate_symmetric(shape, seed, deficits):
 
 
 def test_default_run_calls_one_eigvalsh_per_slice_and_one_det(tmp_path, monkeypatch):
-    # g = 2, d = 4 at full rank: a 9^4 sampling grid in three slices
+    # g = 2, d = 4 at full rank: a 9^4 sampling grid in four sub-boxes
     path = tmp_path / "model.json"
     write_model(model_with_ranks(8, 2, 4, [4] * 4), path)
     counts = {"eigvalsh": 0, "eigvals": 0, "det": 0, "evaluate": 0}
@@ -81,8 +81,8 @@ def test_default_run_calls_one_eigvalsh_per_slice_and_one_det(tmp_path, monkeypa
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     monkeypatch.setattr(BlochVariety, "evaluate", counting("evaluate", BlochVariety.evaluate))
     assert cli.main(["bloch-variety", "--model", str(path), "--out", str(tmp_path / "variety.json")]) == 0
-    n_slices = len(spectra._slices(9**4, 16 * (4 * 2 + 4**2)))
-    assert n_slices == 3
+    n_slices = len(spectra._sub_boxes((9,) * 4, 32 * 4**2))
+    assert n_slices == 4
     assert counts == {"eigvalsh": n_slices, "eigvals": 0, "det": 1, "evaluate": 20}
 
 

@@ -165,10 +165,8 @@ deficit_lists = st.lists(st.integers(0, 5), min_size=4, max_size=4)
 def test_property_full_rank_equals_full_grid(chunk_budget, tmp_path_factory, shape, seed, chunk):
     # full-rank hops: the grid, layout and arithmetic are the full-grid route's,
     # for any slice size.  At d = 1 numpy rounds a one-element complex product
-    # differently from a vectorized one, so a one-point slice would move bits;
-    # the real budget never makes one there (3^(2g) points: one slice up to
-    # g = 3, a last slice of >= 666 points up to g = 7); 512 B keeps >= 3 points
-    # per slice at d = 1 and slices larger cells down to one point
+    # differently from a vectorized one, so the sampler never cuts that grid;
+    # 512 B cuts larger cells into sub-boxes of a few points or of one
     genus, dim = shape
     model = model_with_ranks(seed, genus, dim, [dim] * 2 * genus)
     path = tmp_path_factory.mktemp("variety") / "model.json"

@@ -2,7 +2,7 @@
 
 The grid is a product of 2g roots-of-unity axes, so `bloch_variety` forms
 each hop term once per axis value and grows the grid by broadcast adds, in
-sub-boxes of leading-axis rows.  The per-point stack it replaced, every
+sub-boxes that hold the slice budget.  The per-point stack it replaced, every
 momentum of the grid assembled from its own (2g,) row, is kept here as the
 oracle, and the sampled Hamiltonians must equal it bit for bit.  The JSON
 text is written column by column and must be what the indented writer makes
@@ -11,6 +11,7 @@ of the same document.  Non-finite coefficients and residuals fail the check.
 
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -59,25 +60,50 @@ def rank_models(draw):
 @example(model=model_with_ranks(1, 1, 1, [1, 1]), chunk=1)
 @example(model=model_with_ranks(2, 3, 1, [1, 0, 1, 1, 0, 1]), chunk=600)
 @example(model=model_with_ranks(3, 2, 4, [4, 4, 2, 1]), chunk=4096)
+@example(model=model_with_ranks(5, 2, 3, [0, 3, 3, 1]), chunk=4096)
 def test_property_product_grid_equals_per_point_stack(chunk_budget, model, chunk):
-    # small budgets split the leading axis into sub-boxes of two rows or more
+    # small budgets cut the grid into sub-boxes: at d >= 2 of at most the
+    # budget (one point at least, half as much again where a trailing
+    # one-entry range joins the one before), at d = 1 never
     ranks = [int(np.linalg.matrix_rank(h)) for h in model.hops]
     axes = [np.exp(2j * np.pi * np.arange(2 * r + 1) / (2 * r + 1)) for r in ranks]
     chis, _ = _product_grid(axes)
     with chunk_budget(chunk):
         stacks = sampled_stacks(model)
-    rows = [len(stack) * (2 * ranks[0] + 1) // len(chis) for stack in stacks]
-    assert all(r >= 2 for r in rows) or rows == [1]
+    point_bytes = 32 * model.dim**2
+    if model.dim == 1:
+        assert len(stacks) == 1
+    else:
+        assert all(len(s) * point_bytes <= max(chunk * 3 // 2, point_bytes) for s in stacks)
     assert np.concatenate(stacks).tobytes() == stack_oracle(model, chis).tobytes()
 
 
-def test_small_budget_splits_the_leading_axis(chunk_budget):
-    # g = 2, d = 2 at full rank: 5 leading rows of 125 points; one row per
-    # budget would leave a last row alone, so it joins the slice before
+def test_small_budget_cuts_the_first_axis_whose_trailing_box_fits(chunk_budget):
+    # g = 2, d = 2 at full rank: a 5^4 grid at 128 B a point; 25 points after
+    # axis 1 fit in 6400 B twice, so axis 1 is cut in ranges of two (a last
+    # lone index joins the range before) under each index of axis 0
     model = model_with_ranks(4, 2, 2, [2, 2, 2, 2])
-    with chunk_budget(1):
+    with chunk_budget(6400):
         stacks = sampled_stacks(model)
-    assert [len(s) for s in stacks] == [250, 375]
+    assert [len(s) for s in stacks] == [50, 75] * 5
+
+
+def test_rank_zero_leading_hop_keeps_the_sampling_peak(chunk_budget):
+    # g = 2, d = 8, hop ranks [0, 8, 8, 8]: a 1 x 17^3 grid whose Hamiltonians
+    # take 5 MB; sampled as one box behind its one-entry leading axis, they
+    # would dwarf the 2.1 MB of coefficient arrays the size rule counts
+    model = model_with_ranks(6, 2, 8, [0, 8, 8, 8])
+    budget = 1 << 16
+    coefficient_bytes = 3 * 17**3 * 9 * 16
+    bloch_variety(model, holdout_points=1)  # the modules imported before tracing
+    with chunk_budget(budget):
+        tracemalloc.start()
+        try:
+            bloch_variety(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < coefficient_bytes + 2 * budget + 500_000
 
 
 def test_failing_sample_in_a_later_slice_is_named(chunk_budget, tmp_path, capsys, monkeypatch):
@@ -98,7 +124,7 @@ def test_failing_sample_in_a_later_slice_is_named(chunk_budget, tmp_path, capsys
         return solve(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
-    with chunk_budget(16 * (4 + 9) * 7 * 2):
+    with chunk_budget(32 * 9 * 7 * 2):
         assert cli.main(["bloch-variety", "--model", str(path)]) == 3
     assert batches[:3] == [14, 14, 21]
     assert capsys.readouterr().err == (
