@@ -6,9 +6,10 @@ periods (1, tau), its reciprocal, free-particle ("empty lattice") bands,
 function evaluated by theta series.
 
 The reciprocal basis is *defined* operationally by the dual-basis equations
-w_i . gamma_j = delta_ij.  The closed form <1, tau/|tau|^2> is checked against
-that solve, once per lattice; for non-rectangular tau the two disagree and a
-warning (not an error) is emitted, keeping the solve authoritative.
+w_i . gamma_j = delta_ij.  The closed form w_1 = (1, -Re tau / Im tau),
+w_2 = (0, 1 / Im tau) is checked against that solve, once per lattice,
+relative to the solve's largest entry; past 1e-9 a warning (not an error) is
+emitted, keeping the solve authoritative.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ class EuclideanLattice:
             raise ValueError(f"tau must be finite, got {tau}")
         if not (tau.imag > 0):
             raise ValueError(f"tau must lie in the upper half-plane, got {tau}")
-        # neither |tau|^2 (the closed form's divisor) nor the solve's 1 / Im tau
-        # and Re tau / Im tau may overflow or underflow
+        # neither |tau|^2 nor the solve's 1 / Im tau and Re tau / Im tau may
+        # overflow or underflow
         norm, ratio = abs(tau) * abs(tau), max(1.0, abs(tau.real)) / tau.imag
         if not (sys.float_info.min <= norm < math.inf and ratio < math.inf):
             raise ValueError(f"tau out of range: the reciprocal basis of {tau} overflows or underflows")
@@ -54,14 +55,13 @@ class EuclideanLattice:
     def _reciprocal(self) -> ReciprocalLattice:
         W = np.linalg.inv(self.basis).T  # rows w_i satisfy G @ W.T = I for G = basis
         tau = self.tau
-        w2_formula = tau / (abs(tau) ** 2)
-        formula = np.array([[1.0, 0.0], [w2_formula.real, w2_formula.imag]])
-        discrepancy = float(np.max(np.abs(W - formula)))
+        formula = np.array([[1.0, -tau.real / tau.imag], [0.0, 1.0 / tau.imag]])
+        discrepancy = float(np.max(np.abs(W - formula)) / np.max(np.abs(W)))
         if discrepancy > 1e-9:
             warnings.warn(
-                f"closed-form reciprocal basis <1, tau/|tau|^2> deviates from the "
-                f"dual-basis solve by {discrepancy:.3e} for tau={tau} "
-                f"(expected for non-rectangular tau); using the solve",
+                f"closed-form reciprocal basis (1, -Re tau/Im tau), (0, 1/Im tau) "
+                f"deviates from the dual-basis solve by {discrepancy:.3e} relative "
+                f"for tau={tau}; using the solve",
                 stacklevel=4,  # the caller of `reciprocal`
             )
         return ReciprocalLattice(W, discrepancy)

@@ -1,12 +1,16 @@
 """Spectra over momentum grids, degeneracy detection, and Bloch varieties.
 
-Eigenvalues are always reported sorted lexicographically by (Re, Im).  Sweeps
-are embarrassingly parallel over grid points and are solved in cache-sized
-batches; the output is independent of the batch size, and identical inputs
-produce identical outputs (no threading nondeterminism is introduced here).
-Band crossings are single-linkage clusters per grid point, from
-`_clustering.single_linkage`, which the branch points of `spectral_curve`
-share.
+Eigenvalues are always reported sorted lexicographically by (Re, Im).  A
+momentum grid is the product of its 2g axes.  Sweeps and Bloch varieties
+sample their grids through one sampler, `_sampled_spectra`: it grows each
+cache-sized sub-box's Hamiltonians from the axes by broadcast adds
+(`tight_binding._assemble`), so each hop term chi_i J_i + chi_i^{-1}
+J_i^dagger is formed once per axis value, with the bits of assembling each
+point alone, and solves each box as one stack.  The output is independent of
+the box size, and identical inputs produce identical outputs (no threading
+nondeterminism is introduced here).  Band crossings are single-linkage
+clusters per grid point, from `_clustering.single_linkage`, which the branch
+points of `spectral_curve` share.
 
 The Bloch variety of a model is the polynomial det(H(chi) - E) viewed as a
 Laurent polynomial in the momentum entries chi_1..chi_2g and an ordinary
@@ -16,12 +20,9 @@ rank of its hop J_i (at most d): write chi_i J_i + chi_i^{-1} J_i^dagger as
 by Cauchy-Binet the determinant is a sum over index sets S of minors of the
 diagonal factor, chi_i^(a - b) with a, b <= r_i, times terms free of chi_i.
 So coefficients are recovered exactly from samples on a (2r_i+1)-point
-roots-of-unity grid per variable via the FFT.  That grid is the product of
-its axes, so each hop term chi_i J_i + chi_i^{-1} J_i^dagger is formed once
-per axis value and the grid's Hamiltonians are grown from the terms by
-broadcast adds (`tight_binding._assemble`), with the bits of assembling each
-point alone.  There H(chi) is Hermitian, and the E-coefficients are
-elementary symmetric functions of its `eigvalsh` eigenvalues.  A held-out
+roots-of-unity grid per variable via the FFT, sampled like a sweep's grid.
+There H(chi) is Hermitian, and the E-coefficients are elementary symmetric
+functions of its `eigvalsh` eigenvalues.  A held-out
 check off the torus, its determinants taken in one batch, guards the
 reconstruction; non-finite coefficients or residuals fail it.
 `BlochVariety.json_text` writes the terms one column at a time.
@@ -42,53 +43,56 @@ from .momenta import TOL_UNITARY
 from .tight_binding import BlochHamiltonian, TightBindingModel, _assemble
 
 
+def _roots_of_unity(n: int) -> np.ndarray:
+    return np.exp(2j * np.pi * np.arange(n) / n)
+
+
 @dataclass(frozen=True)
 class MomentumGrid:
-    """An ordered list of abelian momenta arranged on a product grid.
+    """The product grid of 2g momentum axes: one abelian momentum per point.
 
-    `shape` has one count per momentum entry (2g of them), whose product is
-    the number of momenta.  `unitary` is derived: every |chi| is within
-    TOL_UNITARY of 1, so a sweep may solve with `eigvalsh`.
+    `axes` holds 2g non-empty 1-d complex arrays; grid point (j_1, ..., j_2g),
+    in row-major order, is the momentum (axes[0][j_1], ..., axes[-1][j_2g]).
+    `shape`, `n_points` and `genus` are read off the axes.  `unitary` is
+    derived: every |chi| is within TOL_UNITARY of 1, so a sweep may solve
+    with `eigvalsh`.
     """
 
-    chis: np.ndarray  # (P, 2g) complex
-    shape: tuple
+    axes: tuple
     unitary: bool = field(init=False)
 
     def __post_init__(self):
-        chis = np.asarray(self.chis, dtype=complex)
-        if chis.ndim != 2 or chis.shape[0] == 0:
+        axes = tuple(np.array(a, dtype=complex) for a in self.axes)
+        if any(a.ndim != 1 for a in axes):
+            raise ValueError("grid axes must be 1-d arrays")
+        if any(a.size == 0 for a in axes):
             raise ValueError("grid must contain at least one momentum")
         # finiteness is tested on the entries, since |chi| overflows near
-        # 1e308; one |chi| pass decides both "nonzero" (smallest modulus > 0)
-        # and, below, max | |chi| - 1 | <= TOL_UNITARY: near 1 the subtraction
-        # is exact, so the extremes of |chi| decide it
-        mod = np.abs(chis)
-        low = mod.min(initial=np.inf)  # (P, 0) momenta go on to the shape check
-        if not (np.all(np.isfinite(chis)) and low > 0):
+        # 1e308; one |chi| pass per axis decides both "nonzero" (smallest
+        # modulus > 0) and, below, max | |chi| - 1 | <= TOL_UNITARY: near 1
+        # the subtraction is exact, so the extremes of |chi| decide it
+        mods = [np.abs(a) for a in axes]
+        if not all(np.all(np.isfinite(a)) and m.min() > 0 for a, m in zip(axes, mods)):
             raise ValueError("grid momenta must be finite and nonzero")
-        shape = tuple(integer(n, "grid shape entry") for n in self.shape)
-        if len(shape) != chis.shape[1] or math.prod(shape) != chis.shape[0]:
-            raise ValueError(
-                f"grid shape {shape} does not fit {chis.shape[0]} momenta of {chis.shape[1]} entries"
-            )
-        chis.setflags(write=False)
-        object.__setattr__(self, "chis", chis)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "unitary", bool(max(mod.max() - 1.0, 1.0 - low) <= TOL_UNITARY))
+        if not axes or len(axes) % 2:
+            raise ValueError(f"grid needs an even, nonzero number of axes (2g), got {len(axes)}")
+        for a in axes:
+            a.setflags(write=False)
+        object.__setattr__(self, "axes", axes)
+        unitary = all(max(m.max() - 1.0, 1.0 - m.min()) <= TOL_UNITARY for m in mods)
+        object.__setattr__(self, "unitary", unitary)
 
     @property
-    def indices(self) -> np.ndarray:
-        """(P, 2g) int grid index of each momentum, row-major like `chis`."""
-        return np.indices(self.shape).reshape(len(self.shape), -1).T
+    def shape(self) -> tuple:
+        return tuple(a.size for a in self.axes)
 
     @property
     def n_points(self) -> int:
-        return self.chis.shape[0]
+        return math.prod(self.shape)
 
     @property
     def genus(self) -> int:
-        return self.chis.shape[1] // 2
+        return len(self.axes) // 2
 
 
 def _axis_counts(genus: int, counts, n_moduli: int = 1) -> list:
@@ -110,24 +114,9 @@ def _axis_counts(genus: int, counts, n_moduli: int = 1) -> list:
     return counts
 
 
-def _product_grid(axis_points: list) -> tuple:
-    """Row-major cartesian product; returns (chis (P, n), shape).
-
-    Each axis is broadcast into its column of one array: a meshgrid and a
-    stack would copy every column twice.
-    """
-    shape = tuple(len(p) for p in axis_points)
-    chis = np.empty(shape + (len(shape),), dtype=complex)
-    for i, points in enumerate(axis_points):
-        chis[..., i] = points.reshape((-1,) + (1,) * (len(shape) - 1 - i))
-    return chis.reshape(-1, len(shape)), shape
-
-
 def unitary_grid(genus: int, counts) -> MomentumGrid:
     """Uniform phase grid on the unitary torus: chi_i = exp(2 pi i j / n_i)."""
-    counts = _axis_counts(genus, counts)
-    axis_points = [np.exp(2j * np.pi * np.arange(n) / n) for n in counts]
-    return MomentumGrid(*_product_grid(axis_points))
+    return MomentumGrid([_roots_of_unity(n) for n in _axis_counts(genus, counts)])
 
 
 def complex_region_grid(genus: int, counts, log_modulus, n_moduli: int) -> MomentumGrid:
@@ -144,11 +133,7 @@ def complex_region_grid(genus: int, counts, log_modulus, n_moduli: int) -> Momen
         moduli = np.array([np.exp((lo + hi) / 2.0)])
     else:
         moduli = np.exp(np.linspace(lo, hi, n_moduli))
-    axis_points = []
-    for n in counts:
-        phases = np.exp(2j * np.pi * np.arange(n) / n)
-        axis_points.append((moduli[:, None] * phases[None, :]).reshape(-1))
-    return MomentumGrid(*_product_grid(axis_points))
+    return MomentumGrid([(moduli[:, None] * _roots_of_unity(n)[None, :]).reshape(-1) for n in counts])
 
 
 @dataclass(frozen=True)
@@ -203,10 +188,11 @@ def _slices(count: int, item_bytes: int) -> list:
     """range(count) in slices of at most `_CHUNK_BYTES`, one item at least.
 
     A trailing one-item slice joins a longer one before it: numpy rounds a
-    broadcast complex product with a one-entry result without the fused
-    multiply-add of its vector loops, so at d = 1 a lone point gets other bits.
-    Sweeps, Bloch varieties (along one axis of each sub-box, at d >= 2) and
-    cover checks all slice by this rule.
+    complex product with a one-entry array operand without the fused
+    multiply-add of its vector loops, so a lone item could get other bits
+    than in a longer slice.  Cover checks slice their trials by this rule;
+    `_sub_boxes` cuts one axis of a grid by it too, though there a one-index
+    range enters `_assemble` as a 0-d value, which rounds as the vector loops do.
     """
     step = max(1, _CHUNK_BYTES // item_bytes)
     starts = list(range(0, count, step))
@@ -220,7 +206,8 @@ def _sub_boxes(shape: tuple, point_bytes: int) -> list:
     `_CHUNK_BYTES` at `point_bytes` a point, or of one point: the first axis
     whose trailing box fits is cut by `_slices`, every axis before it one
     index at a time, every axis after it kept whole.  Each box is contiguous
-    in the flattened grid."""
+    in the flattened grid, and the boxes come in its order; `_sampled_spectra`
+    assembles and solves one box at a time."""
     trailing = math.prod(shape)
     for k, m in enumerate(shape):
         trailing //= m
@@ -265,29 +252,50 @@ def _solve_stack(stack: np.ndarray, hermitian, name) -> np.ndarray:
     return out
 
 
+def _sampled_spectra(model: TightBindingModel, grid: MomentumGrid, label: str):
+    """Sorted spectra of `model` over `grid`, yielded per sub-box in row-major
+    order as (slice of the flattened grid, its (n, d) spectra).
+
+    The boxes are `_sub_boxes` at 32 d^2 bytes a point: a box's Hamiltonians
+    and the partial sum its last add reads.  Each is assembled by `_assemble`
+    from the grid's axes and their reciprocals, each shaped to broadcast
+    along its grid axis, so a hop term is formed once per axis value; an axis
+    range of one index enters as its 0-d value (see `_assemble`).  Each box
+    is solved through `_solve_stack` with `grid.unitary`, and a failing point
+    is named as `label` and its grid index.
+    """
+    d, n = model.dim, len(grid.shape)
+    axes = [a.reshape((-1,) + (1,) * (n + 1 - i)) for i, a in enumerate(grid.axes)]
+    inverses = [1.0 / a for a in axes]
+
+    def cut(axis, s):  # a range of one index as its 0-d value
+        part = axis[s]
+        return part.reshape(()) if len(part) == 1 else part
+
+    offset = 0
+    for box in _sub_boxes(grid.shape, 32 * d * d):
+        chi = [cut(a, s) for a, s in zip(axes, box)]
+        chi_inv = [cut(a, s) for a, s in zip(inverses, box)]
+        H = _assemble(model, chi, chi_inv).reshape(-1, d, d)
+        name = lambda k: f"{label} {tuple(map(int, np.unravel_index(offset + k, grid.shape)))}"
+        yield slice(offset, offset + len(H)), _solve_stack(H, grid.unitary, name)
+        offset += len(H)
+
+
 def sweep(model: TightBindingModel, grid: MomentumGrid) -> BandStructure:
-    """Spectra over all grid points (row-major), solved in cache-sized slices.
+    """Spectra over all grid points (row-major), from `_sampled_spectra`.
 
     Assembly is elementwise and LAPACK solves each matrix on its own, so the
-    bands do not depend on the slice size (see `_slices` for the exception).
+    bands do not depend on the box size.
     """
     if grid.genus != model.genus:
         raise ValueError(f"genus mismatch: model {model.genus}, grid {grid.genus}")
     n_points, width = grid.n_points, 2 * model.genus + model.dim  # momenta and bands per point
     refuse_oversized(16 * width * n_points, "bands grid", "momenta and bands for {} points", n_points)
     bands = np.empty((n_points, model.dim), dtype=complex)
-    for part in _slices(n_points, 16 * model.dim**2):
-        chis = grid.chis[part]
-        # the columns of the momenta, each a (P, 1, 1) view
-        H = _assemble(model, chis.T[..., None, None], (1.0 / chis).T[..., None, None])
-        name = lambda k: f"grid index {tuple(map(int, np.unravel_index(part.start + k, grid.shape)))}"
-        bands[part] = _solve_stack(H, grid.unitary, name)
-    meta = {
-        "model_hash": model.content_hash,
-        "grid_shape": list(grid.shape),
-        "unitary": bool(grid.unitary),
-    }
-    return BandStructure(grid, bands, meta=meta)
+    for part, values in _sampled_spectra(model, grid, "grid index"):
+        bands[part] = values
+    return BandStructure(grid, bands, meta={"model_hash": model.content_hash})
 
 
 def spectral_radius(bands: BandStructure) -> float:
@@ -335,7 +343,7 @@ def detect_crossings(bands: BandStructure, gap_tol: float = None) -> tuple:
     # one grid_index tuple per degenerate grid point
     new = np.ones(p.size, dtype=bool)
     new[1:] = p[1:] != p[:-1]
-    points = list(map(tuple, bands.grid.indices[p[new]].tolist()))
+    points = list(zip(*(i.tolist() for i in np.unravel_index(p[new], bands.grid.shape))))
     points = [points[k] for k in (np.cumsum(new) - 1).tolist()]
     # fields in order (grid_index, flat_index, eigenvalue, multiplicity,
     # band_indices): positional arguments build each group faster than keywords
@@ -452,21 +460,17 @@ def bloch_variety(
     Samples chi_i at the 2r_i+1 roots of unity, r_i the numeric rank of hop
     J_i (numpy's default tolerance), converts eigenvalues to
     characteristic-polynomial coefficients, and inverts the momentum dependence
-    with an FFT.  Each axis enters `_assemble` shaped to broadcast against the
-    others, so its hop terms are formed once per axis value; at d >= 2 the
-    grid is cut into `_sub_boxes` of at most `_CHUNK_BYTES` (one point at
-    least), counting 32 d^2 bytes a point: the box's Hamiltonians and the
-    partial sum its last add reads.  On that unitary grid
-    H(chi) is Hermitian: it is solved by `eigvalsh` through `_solve_stack`, and
-    a failed solve names its sampling grid index.  A grid whose coefficient
-    arrays would exceed the size rule's limit is refused with ValueError before
-    any sampling.  Coefficients at or below 1e-13 of the largest are zeroed.
-    Held-out random points off the torus (reproducible via `seed`) must match
-    their direct determinants, one batched `det`, to `tol` relative, else
-    NumericalCheckFailure is raised; an undercounted rank fails it too, and so
-    do non-finite coefficients (an overflowing characteristic polynomial) and
-    a NaN or overflowing residual.  A NaN, infinite or negative `tol` is
-    refused with ValueError.
+    with an FFT.  The grid is sampled by `_sampled_spectra`, as a sweep's
+    is; on that unitary grid H(chi) is Hermitian, so it is solved by
+    `eigvalsh`, and a failed solve names its sampling grid index.  A grid
+    whose coefficient arrays would exceed the size rule's limit is refused
+    with ValueError before any sampling.  Coefficients at or below 1e-13 of
+    the largest are zeroed.  Held-out random points off the torus
+    (reproducible via `seed`) must match their direct determinants, one
+    batched `det`, to `tol` relative, else NumericalCheckFailure is raised;
+    an undercounted rank fails it too, and so do non-finite coefficients (an
+    overflowing characteristic polynomial) and a NaN or overflowing residual.
+    A NaN, infinite or negative `tol` is refused with ValueError.
     """
     check_tolerance(tol)
     holdout_points = integer(holdout_points, "holdout_points")
@@ -483,25 +487,11 @@ def bloch_variety(
         f"coefficient arrays for a {'x'.join(map(str, shape))} sampling grid "
         f"(hop ranks {ranks}, dim {d})",
     )
-    # axis i shaped to broadcast along grid axis i, and its reciprocals
-    axes = [
-        np.exp(2j * np.pi * np.arange(m) / m).reshape((m,) + (1,) * (2 * g + 1 - i))
-        for i, m in enumerate(shape)
-    ]
-    inverses = [1.0 / axis for axis in axes]
+    grid = MomentumGrid([_roots_of_unity(m) for m in shape])
     F = np.empty((n_points, d + 1), dtype=complex)
     lam_scale = 0.0
-    # at d = 1 the grid is one box: every axis has 1 or 3 entries, and a cut
-    # would leave a one-entry range, whose product numpy rounds without the
-    # fused multiply-add; its 16 B a point are a sixth of the arrays refused above
-    boxes = _sub_boxes(shape, 32 * d * d) if d > 1 else [(slice(None),) * len(shape)]
-    offset = 0
-    for box in boxes:
-        H = _assemble(model, [a[s] for a, s in zip(axes, box)], [a[s] for a, s in zip(inverses, box)])
-        name = lambda k: f"sampling grid index {tuple(map(int, np.unravel_index(offset + k, shape)))}"
-        lams = _solve_stack(H.reshape(-1, d, d), True, name)
-        F[offset:offset + len(lams)] = _char_coeffs_from_eigenvalues(lams)
-        offset += len(lams)
+    for part, lams in _sampled_spectra(model, grid, "sampling grid index"):
+        F[part] = _char_coeffs_from_eigenvalues(lams)
         lam_scale = max(lam_scale, float(np.max(np.abs(lams))))
     coeffs = np.fft.fftn(F.reshape(shape + (d + 1,)), axes=tuple(range(2 * g)))
     del F  # freed before the pruning temporaries, as the size estimate assumes

@@ -139,10 +139,13 @@ def _assemble(model, chi, chi_inv) -> np.ndarray:
     momentum passes its (2g,) entries, a batch its (P, 2g) columns as (P, 1, 1)
     views, a product grid its axes shaped to broadcast, so each hop term is
     formed once per axis value.  The terms are added to M left to right, the
-    same operations for every entry in each form, except that at d = 1 a
-    one-entry array (not a scalar) rounds unlike a longer one: numpy's vector
-    loops fuse the multiply-add.  `model` is a `TightBindingModel` or anything
-    with its genus, onsite, hops and hops_dagger fields (a quiver's layout).
+    same operations for every entry in each form, provided no coefficient is
+    a one-entry array: numpy rounds a complex product with a scalar (0-d)
+    operand as its vector loops do, fusing the multiply-add, but one with a
+    one-entry array without, which shows at d = 1.  So an axis range of one
+    index is passed as its 0-d value.  `model` is a `TightBindingModel` or
+    anything with its genus, onsite, hops and hops_dagger fields (a quiver's
+    layout).
     """
     H = model.onsite
     for i in range(2 * model.genus):

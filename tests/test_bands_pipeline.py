@@ -10,7 +10,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperband import cli, spectra, spectral_curve
@@ -32,6 +32,7 @@ from hyperband.spectra import (
     write_bands_csv,
 )
 from hyperband.tight_binding import (
+    BlochHamiltonian,
     TightBindingModel,
     _assemble,
     bloch_abelian,
@@ -39,12 +40,13 @@ from hyperband.tight_binding import (
     write_model,
 )
 
-from test_bloch_kernel import grids, linkage_clusters, seeds, union_find_oracle
+from test_bloch_kernel import grid_momenta, grids, linkage_clusters, seeds, union_find_oracle
 from test_tight_binding import random_model
 
 
 def one_shot_oracle(model, grid):
-    stack = _assemble(model, grid.chis.T[..., None, None], (1.0 / grid.chis).T[..., None, None])
+    chis = grid_momenta(grid)
+    stack = _assemble(model, chis.T[..., None, None], (1.0 / chis).T[..., None, None])
     return _sorted_eigenvalues(stack, grid.unitary)
 
 
@@ -52,10 +54,9 @@ def detect_crossings_oracle(bands, gap_tol=None):
     if gap_tol is None:
         radius = spectral_radius(bands)
         gap_tol = 1e-6 * radius if radius > 0 else 1e-12
-    indices = bands.grid.indices
     return tuple(
         DegeneracyGroup(
-            grid_index=tuple(int(v) for v in indices[p]),
+            grid_index=tuple(int(v) for v in np.unravel_index(p, bands.grid.shape)),
             flat_index=p,
             eigenvalue=complex(np.mean(bands.bands[p, members])),
             multiplicity=len(members),
@@ -68,7 +69,6 @@ def detect_crossings_oracle(bands, gap_tol=None):
 
 def per_float_writer_oracle(bands, fh):
     grid = bands.grid
-    indices = grid.indices
     n_axes = len(grid.shape)
     fh.write("# hyperband bands v1\n")
     fh.write(
@@ -83,7 +83,7 @@ def per_float_writer_oracle(bands, fh):
     cols = [f"i{k}" for k in range(n_axes)] + ["band", "re", "im"]
     fh.write(",".join(cols) + "\n")
     for p in range(grid.n_points):
-        prefix = ",".join(str(int(v)) for v in indices[p])
+        prefix = ",".join(str(int(v)) for v in np.unravel_index(p, grid.shape))
         for b in range(bands.n_bands):
             lam = bands.bands[p, b]
             fh.write(f"{prefix},{b},{float(lam.real)!r},{float(lam.imag)!r}\n")
@@ -118,10 +118,11 @@ def signed_zeros(rng, bands):
 @pytest.mark.parametrize("region", [False, True], ids=["unitary", "region"])
 @pytest.mark.parametrize("counts", [(20, 40), (16, 48)], ids=["remainder", "whole-slices"])
 def test_sweep_slices_match_one_shot_solve(region, counts):
-    # d = 16: a slice is 256 rows; 800 rows are three slices and 32 more,
-    # 768 rows are three slices exactly
+    # d = 16: a box holds 128 points of 8 KiB, so the (20, 40) grid is cut
+    # into six boxes of three rows and one of two, the (16, 48) grid into
+    # eight boxes of two rows exactly
     model = random_model(np.random.default_rng(8), 1, 16)
-    assert spectra._CHUNK_BYTES // (16 * 16**2) == 256
+    assert spectra._CHUNK_BYTES // (32 * 16**2) == 128
     if region:
         grid = complex_region_grid(1, [c // 2 for c in counts], (-0.3, 0.2), 2)
         assert not grid.unitary
@@ -142,9 +143,42 @@ def test_sweep_slices_match_one_shot_solve(region, counts):
 def test_property_sweep_is_independent_of_batch_size(chunk_budget, data, genus, dim, rows, seed):
     model = random_model(np.random.default_rng(seed), genus, dim)
     grid = data.draw(grids(genus))
-    with chunk_budget(rows * 16 * dim**2):
+    with chunk_budget(rows * 32 * dim**2):
         bands = sweep(model, grid)
     assert bands.bands.tobytes() == one_shot_oracle(model, grid).tobytes()
+
+
+@st.composite
+def product_grids(draw):
+    """Genus 1-2 grids of axes of 1-4 non-real points each, on or off the unit torus."""
+    genus = draw(st.integers(1, 2))
+    lengths = draw(st.lists(st.integers(1, 4), min_size=2 * genus, max_size=2 * genus))
+    rng = np.random.default_rng(draw(seeds))
+    spread = draw(st.sampled_from([0.0, 0.5]))
+    return MomentumGrid([np.exp(rng.uniform(-spread, spread, m) + 1j * rng.uniform(0.1, 3.0, m)) for m in lengths])
+
+
+def pointwise_oracle(model, grid):
+    """Each point's `bloch_abelian`, solved and sorted on its own by the grid's solver."""
+    return np.array([
+        eigenvalues(BlochHamiltonian(bloch_abelian(model, AbelianMomentum(chi)).matrix, grid.unitary))
+        for chi in grid_momenta(grid)
+    ])
+
+
+@settings(max_examples=60)
+@given(grid=product_grids(), dim=st.integers(1, 4), seed=seeds)
+@example(grid=MomentumGrid([np.exp([0.1j, 2.0j, 3.0j]), [0.3 + 0.4j]]), dim=1, seed=0)
+def test_property_sampler_equals_pointwise_assembly(chunk_budget, grid, dim, seed):
+    # the smaller budgets cut the grid down to one point per box; ranges of
+    # one index enter `_assemble` as 0-d values, so each rounds as alone
+    model = random_model(np.random.default_rng(seed), grid.genus, dim)
+    expected = pointwise_oracle(model, grid).tobytes()
+    for chunk in (1 << 20, 4096, 600, 1):
+        with chunk_budget(chunk):
+            parts = list(spectra._sampled_spectra(model, grid, "grid index"))
+        assert [part.start for part, _ in parts] == [0] + [part.stop for part, _ in parts[:-1]]
+        assert np.concatenate([values for _, values in parts]).tobytes() == expected, chunk
 
 
 def test_slices_join_a_trailing_single_item(chunk_budget):
@@ -158,8 +192,9 @@ def test_slices_join_a_trailing_single_item(chunk_budget):
 
 
 def test_sweep_last_point_solves_as_in_the_one_shot_stack():
-    # d = 1: 65,537 points are one full 1 MiB slice and one point more,
-    # which joins that slice instead of being solved alone
+    # d = 1: 65,537 points of 32 B are two full 1 MiB boxes and one point
+    # more, which joins the box before it; its one-entry last axis enters
+    # `_assemble` as a 0-d value
     grid = complex_region_grid(1, [65537, 1], (0.2, 0.2), 1)
     for seed in range(10):
         model = random_model(np.random.default_rng(seed), 1, 1)
@@ -168,18 +203,15 @@ def test_sweep_last_point_solves_as_in_the_one_shot_stack():
 
 @pytest.mark.parametrize("budget", [16, 2 * 16, 3 * 16])
 def test_sweep_at_small_budgets_solves_as_in_the_one_shot_stack(chunk_budget, budget):
-    # at 16 B every slice holds one point, and each is solved as a lone
-    # one-row stack; at 32 and 48 B no slice is a lone trailing point
+    # `budget` / 16 points per box (32 B a point): at one point per box every
+    # range of the box enters `_assemble` as a 0-d value, which rounds as the
+    # one-shot stack's vector loops do, so a lone point gets no other bits
     grid = complex_region_grid(1, [7, 1], (0.2, 0.2), 1)
     for seed in range(10):
         model = random_model(np.random.default_rng(seed), 1, 1)
-        with chunk_budget(budget):
+        with chunk_budget(2 * budget):
             bands = sweep(model, grid).bands
-        if budget == 16:
-            rows = [one_shot_oracle(model, MomentumGrid(grid.chis[p : p + 1], (1,) * 2)) for p in range(7)]
-            assert bands.tobytes() == np.concatenate(rows).tobytes()
-        else:
-            assert bands.tobytes() == one_shot_oracle(model, grid).tobytes()
+        assert bands.tobytes() == one_shot_oracle(model, grid).tobytes()
 
 
 @pytest.mark.parametrize("solver", ["eigvalsh", "eigvals"])
@@ -189,8 +221,8 @@ def test_sweep_names_the_failing_point_in_a_later_slice(monkeypatch, solver):
         grid = unitary_grid(1, [20, 40])
     else:
         grid = complex_region_grid(1, [10, 20], (-0.3, 0.2), 2)
-    bad = 700  # in the third slice of 256 rows
-    chi = grid.chis[bad]
+    bad = 700  # in the sixth box of three 40-point rows
+    chi = grid_momenta(grid)[bad]
     target = _assemble(model, chi[:, None, None], (1.0 / chi)[:, None, None])
     solve = getattr(np.linalg, solver)
     batches = []
@@ -206,9 +238,10 @@ def test_sweep_names_the_failing_point_in_a_later_slice(monkeypatch, solver):
         sweep(model, grid)
     # row 700 of the (20, 40) grid, printed as plain integers
     assert str(err.value) == "eigensolver failed at grid index (17, 20): eigensolver did not converge: forced"
-    # three batches, then single matrices of the failing slice up to the bad point
-    assert batches[:3] == [(256, 16, 16)] * 3
-    assert batches[3:] == [(16, 16)] * (bad - 512 + 1)
+    # five whole boxes and the failing one, then single matrices of the
+    # failing box up to the bad point
+    assert batches[:6] == [(120, 16, 16)] * 6
+    assert batches[6:] == [(16, 16)] * (bad - 600 + 1)
 
 
 def test_near_unit_region_grid_solves_like_its_momenta():
@@ -217,8 +250,8 @@ def test_near_unit_region_grid_solves_like_its_momenta():
     grid = complex_region_grid(1, [3, 3], (-1e-10, 1e-10), 2)
     assert grid.unitary
     bands = sweep(model, grid)
-    for p in range(grid.n_points):
-        ham = bloch_abelian(model, AbelianMomentum(grid.chis[p]))
+    for p, chi in enumerate(grid_momenta(grid)):
+        ham = bloch_abelian(model, AbelianMomentum(chi))
         assert ham.hermitian
         assert bands.bands[p].tobytes() == eigenvalues(ham).tobytes(), p
     assert "hermitian=True" in csv_text(write_bands_csv, bands).splitlines()[1]

@@ -50,6 +50,11 @@ def stack_oracle(model, chis):
     return H
 
 
+def grid_momenta(grid):
+    """(P, 2g) momenta of `grid`, one row per point in row-major order: its axes expanded."""
+    return np.stack([m.ravel() for m in np.meshgrid(*grid.axes, indexing="ij")], axis=-1)
+
+
 def union_find_oracle(rows, radius):
     out = []
     for p, row in enumerate(rows):
@@ -100,8 +105,8 @@ def test_property_sweep_rows_are_pointwise_spectra(data, genus, dim, seed):
     grid = data.draw(grids(genus))
     bands = sweep(model, grid)
     assert bands.hermitian == grid.unitary
-    for p in range(grid.n_points):
-        ham = bloch_abelian(model, AbelianMomentum(grid.chis[p]))
+    for p, chi in enumerate(grid_momenta(grid)):
+        ham = bloch_abelian(model, AbelianMomentum(chi))
         if ham.hermitian != grid.unitary:
             # a unit-modulus point of an off-torus grid, or moduli within
             # 1e-9 but not 1e-12 of one: the sweep keeps the grid's solver
@@ -181,12 +186,14 @@ def test_single_linkage_joins_chains_transitively():
 
 
 def test_grid_indices_are_row_major_unravel():
+    # point p holds each axis's entry at np.unravel_index(p, shape)
     for genus, counts in ((1, [3, 5]), (2, [2, 1, 3, 4]), (1, [1, 1])):
-        grid = unitary_grid(genus, counts)
-        indices = grid.indices
-        assert indices.shape == (grid.n_points, 2 * genus)
+        grid = complex_region_grid(genus, counts, (-0.2, 0.3), 2)
+        momenta = grid_momenta(grid)
+        assert momenta.shape == (grid.n_points, 2 * genus)
         for p in range(grid.n_points):
-            assert tuple(indices[p]) == np.unravel_index(p, grid.shape)
+            index = np.unravel_index(p, grid.shape)
+            assert momenta[p].tolist() == [axis[i] for axis, i in zip(grid.axes, index)]
 
 
 def test_band_structure_hermitian_follows_grid():
@@ -206,4 +213,4 @@ def test_detect_crossings_reads_derived_indices():
     grid = unitary_grid(1, [2, 3])
     groups = detect_crossings(sweep(model, grid))
     assert [g.flat_index for g in groups] == list(range(grid.n_points))
-    assert [g.grid_index for g in groups] == [tuple(map(int, i)) for i in grid.indices]
+    assert [g.grid_index for g in groups] == [tuple(map(int, np.unravel_index(p, grid.shape))) for p in range(grid.n_points)]

@@ -95,11 +95,9 @@ def test_oversized_window_is_refused_before_it_is_built(k, n_bands, shown):
 def test_k_too_far_out_to_resolve_ties_is_refused(tau, k, shown):
     # past 2^52 the window's consecutive coordinates are no longer distinct
     # floats; past the 2^16 rule the rounding of G nears the tie tolerance
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a skew tau warns about the closed form
-        with np.errstate(all="raise"):  # no overflow on the way
-            with pytest.raises(ValueError) as info:
-                empty_lattice_bands(EuclideanLattice(tau), k, 8)
+    with np.errstate(all="raise"):  # no overflow on the way
+        with pytest.raises(ValueError) as info:
+            empty_lattice_bands(EuclideanLattice(tau), k, 8)
     assert str(info.value) == f"k out of range: its lattice coordinates {shown} are too far out to resolve ties"
 
 
@@ -147,13 +145,11 @@ def test_far_k_on_a_skew_lattice_matches_exact_energies(re_tau, im_tau, angle, s
     # k = (c + offset) @ W with |c_0| |W_0| + |c_1| |W_1| up to 0.99 2^16;
     # the half-lattice offsets put exact ties on the cell edges
     lattice = EuclideanLattice(complex(re_tau, im_tau))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a skew tau warns about the closed form
-        W = reciprocal(lattice).basis
-        direction = np.array([math.cos(angle), math.sin(angle)])
-        centre = np.rint(size * 2.0**16 * direction / (np.abs(direction) @ np.linalg.norm(W, axis=1)))
-        k = tuple(((centre + offset) @ W).tolist())
-        bands = empty_lattice_bands(lattice, k, n_bands)
+    W = reciprocal(lattice).basis
+    direction = np.array([math.cos(angle), math.sin(angle)])
+    centre = np.rint(size * 2.0**16 * direction / (np.abs(direction) @ np.linalg.norm(W, axis=1)))
+    k = tuple(((centre + offset) @ W).tolist())
+    bands = empty_lattice_bands(lattice, k, n_bands)
     exact, groups, tie_tol = _exact_groups(lattice, k, n_bands, float(bands.energies[-1]))
     assert all(abs(Fraction(e) - x) <= tie_tol / 10 for e, x in zip(bands.energies.tolist(), exact))
     assert [mult for _, mult in bands.groups] == [mult for _, mult in groups]
@@ -182,10 +178,6 @@ def test_reciprocal_square_lattice():
 
 
 def test_reciprocal_formula_agrees_for_rectangular_tau():
-    # the closed form <1, tau/|tau|^2> coincides with the dual solve only when
-    # tau is purely imaginary; the solve is authoritative either way
-    import warnings
-
     rng = np.random.default_rng(1)
     for _ in range(10):
         tau = complex(0.0, rng.uniform(0.2, 2.0))
@@ -196,16 +188,17 @@ def test_reciprocal_formula_agrees_for_rectangular_tau():
 
 
 def test_reciprocal_formula_discrepancy_reported_for_skew_tau():
-    import warnings
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rec = reciprocal(EuclideanLattice(0.5 + 1.0j))
-    assert rec.formula_discrepancy > 1e-9
-    assert len(caught) == 1
-    # the dual pairing still holds exactly
-    W, G = rec.basis, EuclideanLattice(0.5 + 1.0j).basis
-    assert np.allclose(W @ G.T, np.eye(2), atol=1e-12)
+    # the closed form is the dual basis (1, -Re tau / Im tau), (0, 1 / Im tau);
+    # its discrepancy is relative to W's largest entry, so the 2.0 absolute
+    # difference at tau = 1e8 + 1e-8 i (W's entries reach 1e16) is 2e-16
+    for tau in (0.5 + 1.0j, 0.3 + 1.1j, -1.7 + 0.2j, complex(1e8, 1e-8)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = reciprocal(EuclideanLattice(tau))
+        assert rec.formula_discrepancy <= 1e-15, tau
+        # the dual pairing holds
+        W, G = rec.basis, EuclideanLattice(tau).basis
+        assert np.allclose(W @ G.T, np.eye(2), atol=1e-12 * np.abs(W).max() * np.abs(G).max())
 
 
 def test_empty_lattice_gamma_point_square():
@@ -343,10 +336,8 @@ def test_window_about_k_gives_the_origin_windows_bands(re_tau, im_tau, k, n_band
     if half_integer:  # k on a lattice point or a cell edge: ties, and rint's halfway cases
         k = tuple(round(2 * v) / 2 for v in k)
     lattice = EuclideanLattice(complex(re_tau, im_tau))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a skew tau warns about the closed form
-        bands = empty_lattice_bands(lattice, k, n_bands)
-        energies, groups = _bands_from_an_origin_window(lattice, k, n_bands)
+    bands = empty_lattice_bands(lattice, k, n_bands)
+    energies, groups = _bands_from_an_origin_window(lattice, k, n_bands)
     assert bands.energies.tobytes() == energies.tobytes()
     assert bands.groups == groups
 
@@ -369,29 +360,24 @@ def test_two_torsion_energies_square_lattice():
 
 @pytest.mark.parametrize("tau", [1j, 2.0j, 0.3 + 1.1j, -0.7 + 0.4j])
 def test_two_torsion_points_solve_the_reciprocal_once(monkeypatch, tau):
-    import warnings
-
     from hyperband import euclidean
 
     calls = []
     original = euclidean.reciprocal
     monkeypatch.setattr(euclidean, "reciprocal", lambda lattice: calls.append(lattice) or original(lattice))
     lattice = EuclideanLattice(tau)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # skew tau warns
-        points = two_torsion_points(lattice)
-        assert len(calls) == 1
-        W = original(lattice).basis
-        expected = [fold(p, lattice) for p in (np.zeros(2), W[0] / 2, W[1] / 2, (W[0] + W[1]) / 2)]
+    points = two_torsion_points(lattice)
+    assert len(calls) == 1
+    W = original(lattice).basis
+    expected = [fold(p, lattice) for p in (np.zeros(2), W[0] / 2, W[1] / 2, (W[0] + W[1]) / 2)]
     assert [p.tobytes() for p in points] == [p.tobytes() for p in expected]
 
 
 def test_reciprocal_is_solved_and_reported_once_per_lattice(monkeypatch):
-    import warnings
-
+    # a solve off by 1e-6 relative is reported against the closed form
     solves = []
     inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda a: solves.append(1) or inv(a))
+    monkeypatch.setattr(np.linalg, "inv", lambda a: solves.append(1) or inv(a) * (1 + 1e-6))
     lattice = EuclideanLattice(0.3 + 1.1j)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -110,7 +110,7 @@ DIGESTS = {
     "euclidean": [
         0,
         EMPTY,
-        "528821f90f4984203b23437e8bdddbef32a3fb26c9849652bad17c1cb801b92e",
+        "f07bdac485b8b500a9e28a55a2a7ecc286a81fd9554e25f173d5285bcf70e44d",
     ],
     "higgs-toy": [
         0,

@@ -446,8 +446,20 @@ def test_bloch_variety_command_does_not_load_covers(tmp_path):
 
 
 def test_euclidean_command_warns_once_for_a_skew_lattice():
-    # the reciprocal basis is solved once per lattice, so its warning prints once
-    proc = _fresh_python("-m", "hyperband", "euclidean", "--tau", "0.3,1.1", "--bands", "3")
+    # the closed form holds for a skew lattice, so nothing is printed; with
+    # the solve put off by 1e-6 the warning prints once, as the reciprocal
+    # basis is solved once per lattice
+    argv = ["euclidean", "--tau", "0.3,1.1", "--bands", "3"]
+    proc = _fresh_python("-m", "hyperband", *argv)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert len(json.loads(proc.stdout)["bands"]) == 3
+    script = (
+        "import sys, numpy as np\n"
+        "inv = np.linalg.inv\n"
+        "np.linalg.inv = lambda a: inv(a) * (1 + 1e-6)\n"
+        "from hyperband import cli\n"
+        f"sys.exit(cli.main({argv!r}))\n"
+    )
+    proc = _fresh_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.count("UserWarning: closed-form reciprocal basis") == 1
-    assert len(json.loads(proc.stdout)["bands"]) == 3

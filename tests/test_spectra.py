@@ -25,6 +25,7 @@ from hyperband.spectra import (
 )
 from hyperband.tight_binding import TightBindingModel, bloch_abelian
 
+from test_bloch_kernel import grid_momenta
 from test_tight_binding import random_model, random_unitary_character
 
 
@@ -33,12 +34,15 @@ def test_unitary_grid_roots_of_unity():
     assert grid.shape == (4, 2)
     assert grid.n_points == 8
     assert grid.unitary
+    assert np.allclose(grid.axes[0], [1.0, 1j, -1.0, -1j])
+    assert np.allclose(grid.axes[1], [1.0, -1.0])
     # first axis cycles slowest (row-major)
-    assert np.allclose(grid.chis[0], [1.0, 1.0])
-    assert np.allclose(grid.chis[1], [1.0, -1.0])
-    assert np.allclose(grid.chis[2], [1j, 1.0])
+    chis = grid_momenta(grid)
+    assert np.allclose(chis[0], [1.0, 1.0])
+    assert np.allclose(chis[1], [1.0, -1.0])
+    assert np.allclose(chis[2], [1j, 1.0])
     # every entry is on the unit circle
-    assert np.max(np.abs(np.abs(grid.chis) - 1.0)) < 1e-14
+    assert np.max(np.abs(np.abs(chis) - 1.0)) < 1e-14
 
 
 def test_unitary_grid_broadcasts_single_count():
@@ -49,7 +53,7 @@ def test_unitary_grid_broadcasts_single_count():
 def test_complex_region_grid_moduli():
     grid = complex_region_grid(1, [4], log_modulus=(-0.5, 0.5), n_moduli=3)
     assert not grid.unitary
-    mods = np.unique(np.round(np.abs(grid.chis), 12))
+    mods = np.unique(np.round(np.abs(np.concatenate(grid.axes)), 12))
     assert np.allclose(mods, [np.exp(-0.5), 1.0, np.exp(0.5)])
 
 
@@ -62,35 +66,52 @@ def test_grid_derives_unitary_from_its_momenta():
     # J_a = 1, J_b = 0 at chi = (2i, 1): H = 2i + 1/(2i) = 1.5i, which an
     # eigvalsh solve (reading a non-Hermitian matrix as Hermitian) gives as 0
     model = TightBindingModel(1, [[0.0]], [[[1.0]], [[0.0]]])
-    grid = MomentumGrid([[2j, 1]], (1, 1))
+    grid = MomentumGrid([[2j], [1]])
     assert not grid.unitary
     bands = sweep(model, grid)
     assert not bands.hermitian and bands.bands.tolist() == [[1.5j]]
-    assert MomentumGrid([[1j, -1], [1, 1]], (2, 1)).unitary
+    assert MomentumGrid([[1j, 1], [-1]]).unitary
     with pytest.raises(TypeError):
-        MomentumGrid([[1j, -1]], (1, 1), unitary=True)
+        MomentumGrid([[1j], [-1]], unitary=True)
+
+
+def test_grid_is_read_off_its_axes():
+    axes = [[1, 2j, 3], [0.5j], [1, -1], [4j, 1]]
+    grid = MomentumGrid(axes)
+    assert (grid.shape, grid.n_points, grid.genus) == ((3, 1, 2, 2), 12, 2)
+    assert [a.tolist() for a in grid.axes] == [[complex(x) for x in a] for a in axes]
+    assert all(a.dtype == complex and not a.flags.writeable for a in grid.axes)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0j, np.nan, np.inf, complex(1.0, -np.inf)])
 def test_grid_refuses_zero_and_non_finite_momenta_before_its_shape(bad):
-    # the shape (5,) fits nothing; the entries are refused first
+    # one axis is an odd count; the entries are refused first
     with pytest.raises(ValueError, match="grid momenta must be finite and nonzero"):
-        MomentumGrid([[1.0, bad]], (5,))
+        MomentumGrid([[1.0, bad]])
 
 
 def test_grid_reads_huge_and_tiny_finite_momenta():
     # |chi| overflows to inf for the first and is subnormal for the second
-    grid = MomentumGrid([[1.7e308 + 1.7e308j, 5e-324]], (1, 1))
+    grid = MomentumGrid([[1.7e308 + 1.7e308j], [5e-324]])
     assert not grid.unitary
 
 
 @pytest.mark.parametrize(
-    "rows, shape",
-    [(4, (3, 3)), (4, (4,)), (4, (2, 2, 1, 1)), (4, (2, 2.5)), (4, (True, 4)), (1, ())],
+    "axes, error",
+    [
+        ([], "grid needs an even, nonzero number of axes (2g), got 0"),
+        ([[1j]], "grid needs an even, nonzero number of axes (2g), got 1"),
+        ([[1], [1j, 2], [3]], "grid needs an even, nonzero number of axes (2g), got 3"),
+        ([[1], []], "grid must contain at least one momentum"),
+        ([[np.nan], [], [1]], "grid must contain at least one momentum"),  # before the entries
+        ([[1], [[1, 2]]], "grid axes must be 1-d arrays"),
+        ([[1], 1j], "grid axes must be 1-d arrays"),
+    ],
 )
-def test_grid_refuses_a_shape_that_does_not_fit(rows, shape):
-    with pytest.raises(ValueError, match="grid shape"):
-        MomentumGrid(np.ones((rows, 2)), shape)
+def test_grid_refuses_an_odd_or_zero_axis_count_and_empty_or_non_flat_axes(axes, error):
+    with pytest.raises(ValueError) as info:
+        MomentumGrid(axes)
+    assert str(info.value) == error
 
 
 @pytest.mark.parametrize("counts", [2.7, [2, 2.5], [True, 2], [2, False]])
@@ -164,8 +185,8 @@ def test_sweep_shapes_and_meta():
     bands = sweep(model, grid)
     assert bands.bands.shape == (16, 2)
     assert bands.hermitian
-    assert bands.meta["model_hash"] == model.content_hash
-    assert list(bands.meta["grid_shape"]) == [4, 4]
+    assert bands.meta == {"model_hash": model.content_hash}
+    assert bands.grid is grid and bands.grid.shape == (4, 4)
 
 
 def test_sweep_matches_pointwise_assembly():
@@ -173,8 +194,9 @@ def test_sweep_matches_pointwise_assembly():
     model = random_model(rng, 2, 2)
     grid = unitary_grid(2, [2, 2, 2, 2])
     bands = sweep(model, grid)
+    chis = grid_momenta(grid)
     for p in (0, 3, 7, 15):
-        chi = AbelianMomentum(grid.chis[p])
+        chi = AbelianMomentum(chis[p])
         direct = eigenvalues(bloch_abelian(model, chi))
         assert np.allclose(bands.bands[p], direct, atol=1e-12)
 

@@ -24,11 +24,13 @@ from hyperband import cli, spectra
 from hyperband._serialize import complex_to_json
 from hyperband.spectra import (
     BlochVariety,
+    MomentumGrid,
     _char_coeffs_from_eigenvalues,
-    _product_grid,
     bloch_variety,
 )
 from hyperband.tight_binding import TightBindingModel, _assemble, read_model, write_model
+
+from test_bloch_kernel import grid_momenta
 
 
 def holdout_point(rng, genus, lam_scale):
@@ -51,7 +53,8 @@ def full_grid_oracle(model, holdout_points=20, seed=0):
     d, g = model.dim, model.genus
     m = 2 * d + 1
     axis = np.exp(2j * np.pi * np.arange(m) / m)
-    chis, shape = _product_grid([axis] * (2 * g))
+    grid = MomentumGrid([axis] * (2 * g))
+    chis, shape = grid_momenta(grid), grid.shape
     H = _assemble(model, chis.T[..., None, None], (1.0 / chis).T[..., None, None])
     lams = np.sort(np.linalg.eigvalsh(H).astype(complex), axis=-1)
     F = _char_coeffs_from_eigenvalues(lams).reshape(shape + (d + 1,))
@@ -101,7 +104,8 @@ def eigvals_route_oracle(model, holdout_points=20, seed=0):
     variety with its holdout_residual."""
     d, g = model.dim, model.genus
     ranks = [int(np.linalg.matrix_rank(h)) for h in model.hops]
-    chis, shape = _product_grid([np.exp(2j * np.pi * np.arange(2 * r + 1) / (2 * r + 1)) for r in ranks])
+    grid = MomentumGrid([np.exp(2j * np.pi * np.arange(2 * r + 1) / (2 * r + 1)) for r in ranks])
+    chis, shape = grid_momenta(grid), grid.shape
     lams = np.linalg.eigvals(_assemble(model, chis.T[..., None, None], (1.0 / chis).T[..., None, None]))
     F = _char_coeffs_from_eigenvalues(lams).reshape(shape + (d + 1,))
     coeffs = prune(np.fft.fftn(F, axes=tuple(range(2 * g))) / chis.shape[0])

@@ -22,10 +22,10 @@ from hypothesis import strategies as st
 from hyperband import cli, spectra
 from hyperband._serialize import indented_dumps
 from hyperband.errors import NumericalCheckFailure
-from hyperband.spectra import BlochVariety, _product_grid, bloch_variety
+from hyperband.spectra import BlochVariety, MomentumGrid, bloch_variety
 from hyperband.tight_binding import TightBindingModel, write_model
 
-from test_bloch_kernel import stack_oracle
+from test_bloch_kernel import grid_momenta, stack_oracle
 from test_variety_kernels import varieties
 from test_variety_rank_grid import model_with_ranks
 
@@ -62,19 +62,16 @@ def rank_models(draw):
 @example(model=model_with_ranks(3, 2, 4, [4, 4, 2, 1]), chunk=4096)
 @example(model=model_with_ranks(5, 2, 3, [0, 3, 3, 1]), chunk=4096)
 def test_property_product_grid_equals_per_point_stack(chunk_budget, model, chunk):
-    # small budgets cut the grid into sub-boxes: at d >= 2 of at most the
-    # budget (one point at least, half as much again where a trailing
-    # one-entry range joins the one before), at d = 1 never
+    # small budgets cut the grid into sub-boxes of at most the budget (one
+    # point at least, half as much again where a trailing one-index range
+    # joins the one before), at d = 1 too
     ranks = [int(np.linalg.matrix_rank(h)) for h in model.hops]
     axes = [np.exp(2j * np.pi * np.arange(2 * r + 1) / (2 * r + 1)) for r in ranks]
-    chis, _ = _product_grid(axes)
+    chis = grid_momenta(MomentumGrid(axes))
     with chunk_budget(chunk):
         stacks = sampled_stacks(model)
     point_bytes = 32 * model.dim**2
-    if model.dim == 1:
-        assert len(stacks) == 1
-    else:
-        assert all(len(s) * point_bytes <= max(chunk * 3 // 2, point_bytes) for s in stacks)
+    assert all(len(s) * point_bytes <= max(chunk * 3 // 2, point_bytes) for s in stacks)
     assert np.concatenate(stacks).tobytes() == stack_oracle(model, chis).tobytes()
 
 
@@ -113,7 +110,7 @@ def test_failing_sample_in_a_later_slice_is_named(chunk_budget, tmp_path, capsys
     path = tmp_path / "model.json"
     write_model(model, path)
     axis = np.exp(2j * np.pi * np.arange(7) / 7)
-    target = stack_oracle(model, _product_grid([axis, axis])[0])[30]
+    target = stack_oracle(model, grid_momenta(MomentumGrid([axis, axis])))[30]
     solve = np.linalg.eigvalsh
     batches = []
 
