@@ -235,6 +235,16 @@ def two_torsion_points(lattice: EuclideanLattice) -> list:
     return [_fold(p, G, W) for p in points]
 
 
+def _theta_series(terms, total: complex, name: str) -> complex:
+    """`total` plus twice each of `terms` in turn, up to and including the
+    first below 1e-15; NumericalCheckFailure if none is."""
+    for term in terms:
+        total += 2.0 * term
+        if abs(term) < 1e-15:
+            return total
+    raise NumericalCheckFailure(f"{name} series did not converge")
+
+
 def modular_lambda(tau) -> complex:
     """The modular lambda function via theta constants, lambda = (theta2/theta3)^4.
 
@@ -247,25 +257,6 @@ def modular_lambda(tau) -> complex:
     # q^s is evaluated as exp(i pi tau s): for non-integer s the principal
     # power of q = exp(i pi tau) would pick the wrong branch when |Re tau| > 1
     i_pi_tau = 1j * np.pi * tau
-    theta2 = 0.0 + 0.0j
-    n = 0
-    while True:
-        term = np.exp(i_pi_tau * (n + 0.5) ** 2)
-        theta2 += term
-        if abs(term) < 1e-15:
-            break
-        n += 1
-        if n > 10_000:
-            raise NumericalCheckFailure("theta2 series did not converge")
-    theta2 *= 2.0
-    theta3 = 1.0 + 0.0j
-    n = 1
-    while True:
-        term = np.exp(i_pi_tau * n * n)
-        theta3 += 2.0 * term
-        if abs(term) < 1e-15:
-            break
-        n += 1
-        if n > 10_000:
-            raise NumericalCheckFailure("theta3 series did not converge")
+    theta2 = _theta_series((np.exp(i_pi_tau * (n + 0.5) ** 2) for n in range(10_001)), 0j, "theta2")
+    theta3 = _theta_series((np.exp(i_pi_tau * n * n) for n in range(1, 10_001)), 1.0 + 0j, "theta3")
     return complex((theta2 / theta3) ** 4)

@@ -8,9 +8,10 @@ cache-sized sub-box's Hamiltonians from the axes by broadcast adds
 J_i^dagger is formed once per axis value, with the bits of assembling each
 point alone, and solves each box as one stack.  The output is independent of
 the box size, and identical inputs produce identical outputs (no threading
-nondeterminism is introduced here).  Band crossings are single-linkage
-clusters per grid point, from `_clustering.single_linkage`, which the branch
-points of `spectral_curve` share.
+nondeterminism is introduced here).  `write_bands_csv` writes the bands in
+the same sub-boxes; a sweep is sized once, by the 16 d bytes of bands a point
+it holds.  Band crossings are single-linkage clusters per grid point, from
+`_clustering.single_linkage`, which the branch points of `spectral_curve` share.
 
 The Bloch variety of a model is the polynomial det(H(chi) - E) viewed as a
 Laurent polynomial in the momentum entries chi_1..chi_2g and an ordinary
@@ -97,7 +98,8 @@ class MomentumGrid:
 
 def _axis_counts(genus: int, counts, n_moduli: int = 1) -> list:
     """The 2g phase counts (one broadcasts), refused before any axis is built
-    if the grid's momenta, n_moduli moduli per phase, pass the size rule."""
+    if the axes' entries, n_moduli moduli per phase, pass the size rule.  The
+    grid's points are sized by `sweep`, by the bands it holds."""
     n_axes = 2 * genus
     counts = [integer(c, "axis count") for c in ([counts] if np.isscalar(counts) else counts)]
     if len(counts) == 1:
@@ -106,11 +108,10 @@ def _axis_counts(genus: int, counts, n_moduli: int = 1) -> list:
         raise ValueError(f"need {n_axes} axis counts (or one to broadcast), got {len(counts)}")
     if any(c < 1 for c in counts):
         raise ValueError("grid is empty: all axis counts must be >= 1")
-    n_moduli = integer(n_moduli, "n_moduli")
     if n_moduli < 1:
         raise ValueError("grid is empty: n_moduli must be >= 1")
-    n_points = math.prod(counts) * n_moduli**n_axes
-    refuse_oversized(n_points * n_axes * 16, "bands grid", "momenta for {} points", n_points)
+    entries = sum(counts) * n_moduli
+    refuse_oversized(16 * entries, "bands grid", "axes of {} entries", entries)
     return counts
 
 
@@ -126,13 +127,10 @@ def complex_region_grid(genus: int, counts, log_modulus, n_moduli: int) -> Momen
     [log_modulus[0], log_modulus[1]] (endpoints included), times `counts[i]`
     phases uniform on [0, 2 pi) -- modulus-major within the axis.
     """
+    n_moduli = integer(n_moduli, "n_moduli")
     counts = _axis_counts(genus, counts, n_moduli)
     lo, hi = float(log_modulus[0]), float(log_modulus[1])
-    n_moduli = integer(n_moduli, "n_moduli")
-    if n_moduli == 1:
-        moduli = np.array([np.exp((lo + hi) / 2.0)])
-    else:
-        moduli = np.exp(np.linspace(lo, hi, n_moduli))
+    moduli = np.exp(np.linspace(lo, hi, n_moduli) if n_moduli > 1 else np.array([(lo + hi) / 2.0]))
     return MomentumGrid([(moduli[:, None] * _roots_of_unity(n)[None, :]).reshape(-1) for n in counts])
 
 
@@ -142,7 +140,7 @@ class BandStructure:
 
     grid: MomentumGrid
     bands: np.ndarray  # (P, N) complex, each row sorted by (Re, Im)
-    meta: dict = field(default_factory=dict)
+    model_hash: str = ""
 
     def __post_init__(self):
         bands = np.asarray(self.bands, dtype=complex)
@@ -194,7 +192,7 @@ def _slices(count: int, item_bytes: int) -> list:
     `_sub_boxes` cuts one axis of a grid by it too, though there a one-index
     range enters `_assemble` as a 0-d value, which rounds as the vector loops do.
     """
-    step = max(1, _CHUNK_BYTES // item_bytes)
+    step = max(1, _CHUNK_BYTES // max(item_bytes, 1))
     starts = list(range(0, count, step))
     if step > 1 and len(starts) > 1 and count - starts[-1] == 1:
         del starts[-1]
@@ -207,7 +205,7 @@ def _sub_boxes(shape: tuple, point_bytes: int) -> list:
     whose trailing box fits is cut by `_slices`, every axis before it one
     index at a time, every axis after it kept whole.  Each box is contiguous
     in the flattened grid, and the boxes come in its order; `_sampled_spectra`
-    assembles and solves one box at a time."""
+    assembles and solves, and `write_bands_csv` writes, one box at a time."""
     trailing = math.prod(shape)
     for k, m in enumerate(shape):
         trailing //= m
@@ -286,16 +284,17 @@ def sweep(model: TightBindingModel, grid: MomentumGrid) -> BandStructure:
     """Spectra over all grid points (row-major), from `_sampled_spectra`.
 
     Assembly is elementwise and LAPACK solves each matrix on its own, so the
-    bands do not depend on the box size.
+    bands do not depend on the box size.  The run is refused (ValueError)
+    before any assembly if its bands, 16 d bytes a point, pass the size rule.
     """
     if grid.genus != model.genus:
         raise ValueError(f"genus mismatch: model {model.genus}, grid {grid.genus}")
-    n_points, width = grid.n_points, 2 * model.genus + model.dim  # momenta and bands per point
-    refuse_oversized(16 * width * n_points, "bands grid", "momenta and bands for {} points", n_points)
+    n_points = grid.n_points
+    refuse_oversized(16 * model.dim * n_points, "bands grid", "bands for {} points", n_points)
     bands = np.empty((n_points, model.dim), dtype=complex)
     for part, values in _sampled_spectra(model, grid, "grid index"):
         bands[part] = values
-    return BandStructure(grid, bands, meta={"model_hash": model.content_hash})
+    return BandStructure(grid, bands, model.content_hash)
 
 
 def spectral_radius(bands: BandStructure) -> float:
@@ -535,49 +534,54 @@ def bloch_variety(
     return replace(variety, holdout_residual=worst)
 
 
+#: a CSV row's bytes while its box is written: its head and value strings,
+#: their list slots and its share of the joined text
+_CSV_ROW_BYTES = 256
+
+
 def write_bands_csv(bands: BandStructure, fh) -> None:
     """CSV with '#' header comments; one row per (grid point, band index).
 
     Columns: one integer grid index per momentum axis, the band index, then
     Re and Im of the eigenvalue.  Rows iterate grid points in row-major order
     and bands in ascending (Re, Im) order; decimal separator '.', field
-    separator ','.
+    separator ','.  The rows are written one `_sub_boxes` box at a time, at
+    `_CSV_ROW_BYTES` a row, so the text held at once stays within the box
+    budget whatever the grid's shape.
     """
-    grid = bands.grid
-    fh.write("# hyperband bands v1\n")
-    fh.write(
-        f"# model_hash={bands.meta.get('model_hash', '')} "
-        f"grid_shape={'x'.join(str(s) for s in grid.shape)} "
-        f"hermitian={bands.hermitian}\n"
-    )
-    fh.write(
-        "# rows: grid points in row-major order, bands sorted by (Re, Im); "
-        "columns: grid indices, band, eigenvalue\n"
-    )
+    grid, d = bands.grid, bands.n_bands
     cols = [f"i{k}" for k in range(len(grid.shape))] + ["band", "re", "im"]
-    fh.write(",".join(cols) + "\n")
-    # one block per run of the last grid axis: its row heads "i0,...,ik,b,"
-    # are built once, its values are repr'd in C (repr of the builtin float is
-    # the shortest round-tripping form), and it is joined and written once
-    *outer_shape, n_last = grid.shape
-    heads = [""]
-    for n in outer_shape:
-        heads = [f"{head}{i}," for head in heads for i in range(n)]
-    tails = [f"{i},{b}," for i in range(n_last) for b in range(bands.n_bands)]
-    blocks = bands.bands.reshape(len(heads), len(tails))
-    # every eigvalsh sweep has only +0.0 imaginary parts; a block of those
-    # writes them as a constant, any other bit pattern (-0.0 too) by repr
-    real = ~blocks.imag.view(np.int64).any(axis=1)
-    real_parts = [None, None, ",0.0\n"] * len(tails)
-    parts = [None, None, ",", None, "\n"] * len(tails)
-    for head, block, is_real in zip(heads, blocks, real.tolist()):
-        row_heads = [head + tail for tail in tails]
-        if is_real:
-            real_parts[0::3] = row_heads
-            real_parts[1::3] = map(repr, block.real.tolist())
-            fh.write("".join(real_parts))
+    fh.write(
+        f"# hyperband bands v1\n# model_hash={bands.model_hash} "
+        f"grid_shape={'x'.join(map(str, grid.shape))} hermitian={bands.hermitian}\n"
+        "# rows: grid points in row-major order, bands sorted by (Re, Im); "
+        f"columns: grid indices, band, eigenvalue\n{','.join(cols)}\n"
+    )
+    # every box holds the axes after its cut axis whole: their row tails
+    # "j,...,b," are built once, and a box's rows are its lead and cut-axis
+    # heads times them; its values are repr'd in C (repr of the builtin float
+    # is the shortest round-tripping form), and it is joined and written once
+    boxes = _sub_boxes(grid.shape, _CSV_ROW_BYTES * d)
+    n_cut = len(grid.shape) - boxes[0].count(slice(None))
+    tails = [""]
+    for n in (*grid.shape[n_cut:], d):
+        tails = [f"{tail}{i}," for tail in tails for i in range(n)]
+    values = bands.bands.reshape(grid.shape + (d,))
+    for box in boxes:
+        *lead, cut = box[:n_cut]
+        prefix = "".join(f"{s.start}," for s in lead)
+        heads = [f"{prefix}{j}," for j in range(cut.start, cut.stop)]
+        rows = [head + tail for head in heads for tail in tails]
+        part = values[box].reshape(-1)
+        # every eigvalsh sweep has only +0.0 imaginary parts; a box of those
+        # writes them as a constant, any other bit pattern (-0.0 too) by repr
+        if part.imag.view(np.int64).any():
+            text = [None, None, ",", None, "\n"] * len(rows)
+            text[0::5] = rows
+            text[1::5] = map(repr, part.real.tolist())
+            text[3::5] = map(repr, part.imag.tolist())
         else:
-            parts[0::5] = row_heads
-            parts[1::5] = map(repr, block.real.tolist())
-            parts[3::5] = map(repr, block.imag.tolist())
-            fh.write("".join(parts))
+            text = [None, None, ",0.0\n"] * len(rows)
+            text[0::3] = rows
+            text[1::3] = map(repr, part.real.tolist())
+        fh.write("".join(text))

@@ -181,7 +181,7 @@ def _roots_with_multiplicity(poly: np.ndarray, base_genus: int, zero_tol: float)
     Infinity carries multiplicity (2 genus + 2) - deg.
     """
     full_degree = 2 * base_genus + 2
-    poly = _trim_absolute(_trim_exact(poly), zero_tol)
+    poly = _trim_absolute(poly, zero_tol)
     if poly.size == 0:
         raise EverywhereSingularError(
             "discriminant vanishes identically; no reduced branch divisor exists"

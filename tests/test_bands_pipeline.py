@@ -1,12 +1,14 @@
-"""The bands pipeline: batched sweep, vectorized clusterer, block-joined CSV rows.
+"""The bands pipeline: batched sweep, vectorized clusterer, box-joined CSV rows.
 
 Each step is checked byte for byte against the route it replaced, kept here
 as an oracle: the one-shot stack solve of `sweep`, the all-pairs union-find
-(`test_bloch_kernel.union_find_oracle`) with one `np.mean` per group, and the
-per-float CSV writer, which also checks the CLI's bytes.
+(`test_bloch_kernel.union_find_oracle`) with one `np.mean` per group, the
+per-float CSV writer, which also checks the CLI's bytes, and the CSV writer
+of one block per last-axis run.
 """
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,7 +74,7 @@ def per_float_writer_oracle(bands, fh):
     n_axes = len(grid.shape)
     fh.write("# hyperband bands v1\n")
     fh.write(
-        f"# model_hash={bands.meta.get('model_hash', '')} "
+        f"# model_hash={bands.model_hash} "
         f"grid_shape={'x'.join(str(s) for s in grid.shape)} "
         f"hermitian={bands.hermitian}\n"
     )
@@ -87,6 +89,44 @@ def per_float_writer_oracle(bands, fh):
         for b in range(bands.n_bands):
             lam = bands.bands[p, b]
             fh.write(f"{prefix},{b},{float(lam.real)!r},{float(lam.imag)!r}\n")
+
+
+def block_writer_oracle(bands, fh):
+    """The writer before it wrote `_sub_boxes` boxes: one block per run of the
+    last grid axis, under one head string per outer grid point."""
+    grid = bands.grid
+    fh.write("# hyperband bands v1\n")
+    fh.write(
+        f"# model_hash={bands.model_hash} "
+        f"grid_shape={'x'.join(str(s) for s in grid.shape)} "
+        f"hermitian={bands.hermitian}\n"
+    )
+    fh.write(
+        "# rows: grid points in row-major order, bands sorted by (Re, Im); "
+        "columns: grid indices, band, eigenvalue\n"
+    )
+    cols = [f"i{k}" for k in range(len(grid.shape))] + ["band", "re", "im"]
+    fh.write(",".join(cols) + "\n")
+    *outer_shape, n_last = grid.shape
+    heads = [""]
+    for n in outer_shape:
+        heads = [f"{head}{i}," for head in heads for i in range(n)]
+    tails = [f"{i},{b}," for i in range(n_last) for b in range(bands.n_bands)]
+    blocks = bands.bands.reshape(len(heads), len(tails))
+    real = ~blocks.imag.view(np.int64).any(axis=1)
+    real_parts = [None, None, ",0.0\n"] * len(tails)
+    parts = [None, None, ",", None, "\n"] * len(tails)
+    for head, block, is_real in zip(heads, blocks, real.tolist()):
+        row_heads = [head + tail for tail in tails]
+        if is_real:
+            real_parts[0::3] = row_heads
+            real_parts[1::3] = map(repr, block.real.tolist())
+            fh.write("".join(real_parts))
+        else:
+            parts[0::5] = row_heads
+            parts[1::5] = map(repr, block.real.tolist())
+            parts[3::5] = map(repr, block.imag.tolist())
+            fh.write("".join(parts))
 
 
 def csv_text(writer, bands):
@@ -110,7 +150,7 @@ def signed_zeros(rng, bands):
     for part in (values.real, values.imag):
         hit = rng.random(values.shape) < 1 / 3
         part[hit] = np.where(rng.random(int(hit.sum())) < 0.5, -0.0, 0.0)
-    return BandStructure(bands.grid, values, bands.meta)
+    return BandStructure(bands.grid, values, bands.model_hash)
 
 
 # -- sweep in batches --------------------------------------------------------
@@ -545,7 +585,7 @@ def test_curve_info_double_root_branch_points_unchanged(monkeypatch, m, u):
 def with_imag(bands, imag):
     values = np.array(bands.bands)
     values.imag = imag
-    return BandStructure(bands.grid, values, bands.meta)
+    return BandStructure(bands.grid, values, bands.model_hash)
 
 
 @pytest.mark.parametrize(
@@ -573,7 +613,7 @@ def test_csv_matches_per_float_writer(genus, dim, grid):
     text = csv_text(write_bands_csv, zeros)
     assert text == csv_text(per_float_writer_oracle, zeros)
     assert ",-0.0," in text and ",0.0," in text and text.count("-0.0\n") > 0
-    # the writer picks its path per block from the imaginary parts' bits, not
+    # the writer picks its path per box from the imaginary parts' bits, not
     # from the grid: all +0.0 on either grid, one -0.0, and nonzero parts
     shape = bands.bands.shape
     negative = np.zeros(shape)
@@ -639,3 +679,93 @@ def test_property_bands_csv_parses_back_exactly(data, genus, dim, zeros, seed):
         assert int(band) == b
         parsed[p, b] = complex(float(re), float(im))
     assert parsed.tobytes() == bands.bands.tobytes()
+
+
+@st.composite
+def csv_grids(draw, genus):
+    """Unitary or region grids of 1-7 points an axis."""
+    lengths = draw(st.lists(st.integers(1, 7), min_size=2 * genus, max_size=2 * genus))
+    if draw(st.booleans()):
+        return unitary_grid(genus, lengths)
+    n_moduli = draw(st.integers(1, 2))
+    counts = [max(1, m // n_moduli) for m in lengths]
+    return complex_region_grid(genus, counts, (draw(st.floats(-1.0, 1.0)), 0.5), n_moduli)
+
+
+@settings(max_examples=60)
+@given(data=st.data(), genus=st.integers(1, 2), dim=st.integers(1, 4), zeros=st.booleans(), seed=seeds)
+def test_property_box_writer_equals_the_block_writer(chunk_budget, data, genus, dim, zeros, seed):
+    # at 1 B every box is one grid point; at 600 and 4096 the cut falls on
+    # different axes; at 1 MiB these grids are one box
+    rng = np.random.default_rng(seed)
+    bands = sweep(random_model(rng, genus, dim), data.draw(csv_grids(genus)))
+    if zeros:
+        bands = signed_zeros(rng, bands)
+    expected = csv_text(block_writer_oracle, bands)
+    for chunk in (1 << 20, 4096, 600, 1):
+        with chunk_budget(chunk):
+            assert csv_text(write_bands_csv, bands) == expected, chunk
+
+
+@pytest.mark.parametrize(
+    "genus, grid",
+    [
+        (1, lambda: unitary_grid(1, [1, 70001])),
+        (1, lambda: unitary_grid(1, [70001, 1])),
+        (1, lambda: complex_region_grid(1, [3, 10001], (-0.2, 0.3), 2)),
+        (2, lambda: unitary_grid(2, [1, 1, 1, 70001])),
+    ],
+    ids=["1x70001", "70001x1", "region-6x20002", "genus2-long-last-axis"],
+)
+def test_box_writer_equals_the_block_writer_on_long_axes(chunk_budget, genus, grid):
+    bands = sweep(random_model(np.random.default_rng(15), genus, 1), grid())
+    expected = csv_text(block_writer_oracle, bands)
+    for chunk in (1 << 20, 4096):
+        with chunk_budget(chunk):
+            assert csv_text(write_bands_csv, bands) == expected, chunk
+
+
+def test_box_writer_on_signed_zero_and_mixed_boxes(chunk_budget):
+    # a hand-built structure: one row of -0.0 imaginary parts, rows of +0.0
+    # and a complex row, so one box mixes real and complex rows
+    grid = unitary_grid(1, [3, 2])
+    values = np.arange(12, dtype=float).reshape(6, 2) - 5.5 + 0j
+    values[1].imag = -0.0
+    values[4] = [1e-300 - 2.5j, 3.0 + 1e300j]
+    bands = BandStructure(grid, values, "abc")
+    text = csv_text(write_bands_csv, bands)
+    assert text == csv_text(block_writer_oracle, bands) == csv_text(per_float_writer_oracle, bands)
+    assert "# model_hash=abc grid_shape=3x2 hermitian=True\n" in text
+    assert "0,1,0,-3.5,-0.0\n" in text and "2,0,1,3.0,1e+300\n" in text
+    for chunk in (4096, 600, 1):
+        with chunk_budget(chunk):
+            assert csv_text(write_bands_csv, bands) == text, chunk
+    # no bands: the header lines alone, as before
+    empty = BandStructure(grid, np.zeros((6, 0)))
+    assert csv_text(write_bands_csv, empty) == csv_text(block_writer_oracle, empty)
+    assert csv_text(write_bands_csv, empty).endswith("\ni0,i1,band,re,im\n")
+
+
+class _LineCounter:
+    """A text file that keeps only the number of lines written to it."""
+
+    lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+
+
+@pytest.mark.parametrize("counts", [[1, 200000], [200000, 1]])
+def test_box_writer_memory_is_bounded_by_the_box_budget(counts):
+    # the block writer held a head string per row of the long axis: 66 MB
+    # for 1x200000 and 14.5 MB for 200000x1 of traced peak
+    bands = sweep(random_model(np.random.default_rng(16), 1, 1), unitary_grid(1, counts))
+    sink = _LineCounter()
+    tracemalloc.start()
+    try:
+        write_bands_csv(bands, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.lines == 4 + 200000
+    assert peak < 4_000_000, peak

@@ -1023,18 +1023,18 @@ def test_help_shows_every_table_default(command, monkeypatch, capsys):
         assert line.endswith(f"(default {text})"), line
 
 
-def test_oversized_bands_grid_is_refused_before_the_grid_is_built(
+def test_oversized_bands_grid_is_refused_before_any_hamiltonian_is_assembled(
     single_site_model, monkeypatch, capsys
 ):
     from hyperband import spectra
 
     def unreachable(*args):
-        raise AssertionError("grid built")
+        raise AssertionError("a Hamiltonian was assembled")
 
-    monkeypatch.setattr(spectra, "MomentumGrid", unreachable)
+    monkeypatch.setattr(spectra, "_assemble", unreachable)
     code = cli.main(["bands", "--model", str(single_site_model), "--grid", "1000000,1000000"])
     err = capsys.readouterr().err
-    assert code == 2 and err.startswith("error: bands grid too large: about 32000.0 GB")
+    assert code == 2 and err.startswith("error: bands grid too large: about 16000.0 GB of bands")
     assert "1000000000000 points" in err and "the limit is 1.1 GB" in err
 
 

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from hyperband import _serialize
+from hyperband import _serialize, spectra
 from hyperband.errors import NumericalCheckFailure
 from hyperband.momenta import AbelianMomentum
 from hyperband.spectra import (
@@ -125,12 +125,11 @@ def test_grid_builders_refuse_fractional_and_boolean_counts(counts):
 @pytest.mark.parametrize(
     "build, shown",
     [
-        (lambda: unitary_grid(2, 182), "about 70.2 GB of momenta for 1097199376 points"),
-        (lambda: unitary_grid(1, [1, 10**400]), "about 10^402 bytes of momenta for about 10^400 points"),
-        # 2 phases times 10^200 moduli per axis
+        (lambda: unitary_grid(1, 10**400), "about 10^402 bytes of axes of about 10^400 entries"),
+        # 2 phases times 10^400 moduli on each of the 2 axes
         (
-            lambda: complex_region_grid(1, 2, (0, 1), 10**200),
-            "about 10^402 bytes of momenta for about 10^401 points",
+            lambda: complex_region_grid(1, 2, (0, 1), 10**400),
+            "about 10^402 bytes of axes of about 10^401 entries",
         ),
     ],
 )
@@ -144,15 +143,36 @@ def test_grid_builders_refuse_oversized_grids_before_any_axis(monkeypatch, build
     assert str(info.value) == f"bands grid too large: {shown}; the limit is 1.1 GB"
 
 
-def test_sweep_refuses_a_grid_whose_momenta_and_bands_pass_the_size_rule():
-    # 16 points of 2 momenta pass a 512 B limit; with 3 bands each they do not
+def test_sweep_refuses_a_built_grid_before_any_hamiltonian(monkeypatch):
+    # 182^4 points: 11,648 B of axes, 17.6 GB of bands at d = 1; refused
+    # before any Hamiltonian is assembled
+    grid = unitary_grid(2, 182)
+    assert grid.n_points == 1097199376
+    model = random_model(np.random.default_rng(5), 2, 1)
+
+    def unreachable(*args):
+        raise AssertionError("a Hamiltonian was assembled")
+
+    monkeypatch.setattr(spectra, "_assemble", unreachable)
+    with pytest.raises(ValueError) as info:
+        sweep(model, grid)
+    assert str(info.value) == (
+        "bands grid too large: about 17.6 GB of bands for 1097199376 points; the limit is 1.1 GB"
+    )
+
+
+def test_sweep_refuses_a_grid_whose_bands_pass_the_size_rule():
+    # 16 points of 3 bands pass a 768 B limit and do not pass 767 B: the
+    # grid's axes are not counted
     model = random_model(np.random.default_rng(5), 1, 3)
-    with mock.patch.object(_serialize, "_MAX_ARRAY_BYTES", 16 * 2 * 16):
-        grid = unitary_grid(1, 4)
+    grid = unitary_grid(1, 4)
+    with mock.patch.object(_serialize, "_MAX_ARRAY_BYTES", 16 * 3 * 16):
+        assert sweep(model, grid).bands.shape == (16, 3)
+    with mock.patch.object(_serialize, "_MAX_ARRAY_BYTES", 16 * 3 * 16 - 1):
         with pytest.raises(ValueError) as info:
             sweep(model, grid)
     assert str(info.value) == (
-        "bands grid too large: about 0.0 GB of momenta and bands for 16 points; the limit is 0.0 GB"
+        "bands grid too large: about 0.0 GB of bands for 16 points; the limit is 0.0 GB"
     )
 
 
@@ -185,7 +205,7 @@ def test_sweep_shapes_and_meta():
     bands = sweep(model, grid)
     assert bands.bands.shape == (16, 2)
     assert bands.hermitian
-    assert bands.meta == {"model_hash": model.content_hash}
+    assert bands.model_hash == model.content_hash
     assert bands.grid is grid and bands.grid.shape == (4, 4)
 
 
