@@ -248,7 +248,7 @@ def cmd_cover_check(opts: _Options) -> int:
     tol, seed = opts["tol"], opts["seed"]
     table = covers_quivers.CoverPushforward(model, cover)
     # per character the phase draw (8 B), its exponent, chi, 1/chi (16 B
-    # each); the reports are kept one slice at a time
+    # each); the reports stream, one slice's figures held at a time
     n_chars = 2 * table.genus_cover
     refuse_oversized(
         trials * 56 * n_chars, "cover check",
@@ -257,8 +257,7 @@ def cmd_cover_check(opts: _Options) -> int:
     # one draw of all phases gives the numbers of one draw per trial
     rng = np.random.default_rng(seed)
     chi = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(trials, n_chars)))
-    slices = table._check_slices(chi, 1.0 / chi, tol)
-    worst, failure = _cover_verdict(report for reports in slices for report in reports)
+    worst, failure = _cover_verdict(table.check_batch(chi, 1.0 / chi, tol))
     passed = failure is None
     verdict = "PASS" if passed else "FAIL"
     line = (

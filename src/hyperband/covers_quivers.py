@@ -22,11 +22,12 @@ momenta are read from, is derived once per cover and cached on it.  The
 supercell routes read one per-(model, cover) table, `CoverPushforward`,
 built once: the cover's genus and connectivity and d x d blocks keyed by
 sheet pair.  It holds nothing of size (dN)^2, so a genus-2, d = 4,
-N = 4096 cover builds within 40 MB.  `CoverPushforward.check_batch`
-compares the routes at many characters in one pass: per slice of trials it
-checks the induced phases, fills both Hamiltonian stacks from the blocks and
-solves each stack with one eigensolver call, so `cover-check` pays its
-Python overhead per slice, not per character.
+N = 4096 cover builds within 40 MB.  `CoverPushforward.check_batch`, the one
+check, compares the routes at many characters and yields one report per
+trial: per slice of trials it checks the induced phases, fills both
+Hamiltonian stacks from the blocks and solves each stack with one eigensolver
+call, so `cover-check` pays its Python overhead per slice, not per character,
+and holds one slice's figures at a time.
 
 The rewriting pipeline reads one form of the cover, its (2g, N) arrays of
 sheet targets and sources.  One BFS, cached on the cover like the Schreier
@@ -77,7 +78,7 @@ from .momenta import (
 )
 from .spectra import _slices, _solve_stack
 from .surface_group import _walk, make_surface_group
-from .tight_binding import BlochHamiltonian, TightBindingModel, _assemble, _assemble_monomial, _place_blocks
+from .tight_binding import TightBindingModel, _assemble, _assemble_monomial, _place_blocks
 
 
 @dataclass(frozen=True)
@@ -471,13 +472,6 @@ class CoverPushforward:
         directions, pairs = np.divmod(stored, n * n)
         self.hop_blocks = (directions, *np.divmod(pairs, n), A, B)
 
-    def supercell_hamiltonian(self, chi: AbelianMomentum) -> BlochHamiltonian:
-        """bloch_abelian(supercell(model, cover), chi), bit for bit."""
-        if chi.genus != self.genus_cover:
-            raise ValueError(f"genus mismatch: supercell {self.genus_cover}, momentum {chi.genus}")
-        H = self._supercell_stack(chi.chi[None], chi.chi_inv[None])[0]
-        return BlochHamiltonian(H, chi.unitary)
-
     def _supercell_stack(self, chi: np.ndarray, chi_inv: np.ndarray) -> np.ndarray:
         """(T, dN, dN) supercell Hamiltonians at (T, 2G) characters.
 
@@ -503,22 +497,17 @@ class CoverPushforward:
         np.add.at(view, (slice(None), slice(None), rows, slice(None), cols), np.moveaxis(steps, 1, 0))
         return H
 
-    def check(self, chi: AbelianMomentum, tol: float = 1e-9) -> PushforwardReport:
-        """`check_batch` at one character, with its stored reciprocals."""
-        return self.check_batch(chi.chi[None], chi.chi_inv[None], tol)[0]
+    def check_batch(self, chi, chi_inv, tol: float = 1e-9):
+        """Compare the two routes at (T, 2G) characters and reciprocals.
 
-    def check_batch(self, chi, chi_inv, tol: float = 1e-9) -> list:
-        """Reports comparing the two routes at (T, 2G) characters and reciprocals.
-
-        In slices of at most `spectra._CHUNK_BYTES` of Hamiltonians, the
-        induced phases are checked as `NonabelianMomentum` checks them (a
+        A generator of one `PushforwardReport` per trial, in trial order; it
+        runs nothing, its argument checks included, until its first report is
+        read.  In slices of at most `spectra._CHUNK_BYTES` of Hamiltonians,
+        the induced phases are checked as `NonabelianMomentum` checks them (a
         failure names its trial), and both stacks are assembled and solved,
-        one solver call each per Hermitian flag, each route by its own flags.
+        one solver call each per Hermitian flag, each route by its own flags;
+        a slice's reports are yielded before the next slice is built.
         """
-        return [report for reports in self._check_slices(chi, chi_inv, tol) for report in reports]
-
-    def _check_slices(self, chi, chi_inv, tol: float):
-        """`check_batch`'s reports, one slice's list at a time."""
         check_tolerance(tol)
         chi, chi_inv = np.asarray(chi, dtype=complex), np.asarray(chi_inv, dtype=complex)
         if chi.ndim != 2 or chi.shape[1] != 2 * self.genus_cover or chi_inv.shape != chi.shape:
@@ -544,13 +533,11 @@ class CoverPushforward:
                 np.max(np.abs(spec_b), axis=-1).tolist(),
             )
             del induced, supercell  # freed before the next slice builds its stacks
-            reports = []
             for matrix_distance, distance, radius_a, radius_b in columns:
                 radius = max(radius_a, radius_b)
                 passed = distance <= tol * max(radius, 1e-12)
                 facts = (d * n, self.connected, self.genus_cover, matrix_distance, distance, radius)
-                reports.append(PushforwardReport(*facts, tol, passed))
-            yield reports
+                yield PushforwardReport(*facts, tol, passed)
 
 
 def supercell(model: TightBindingModel, cover: UnbranchedCover) -> TightBindingModel:
@@ -603,10 +590,11 @@ def pushforward_check(
 ) -> PushforwardReport:
     """Compare supercell and induced-momentum spectra at one character.
 
-    A one-off `CoverPushforward(model, cover).check(chi, tol)`; checking many
-    characters on one cover should build the table once and reuse it.
+    The report of a one-off `CoverPushforward(model, cover).check_batch` on
+    the one character and its stored reciprocals; checking many characters
+    on one cover should build the table once and batch them.
     """
-    return CoverPushforward(model, cover).check(chi, tol)
+    return next(CoverPushforward(model, cover).check_batch(chi.chi[None], chi.chi_inv[None], tol))
 
 
 def cover_to_json(cover: UnbranchedCover) -> dict:

@@ -98,7 +98,9 @@ class MomentumGrid:
 
 def _axis_counts(genus: int, counts, n_moduli: int = 1) -> list:
     """The 2g phase counts (one broadcasts), refused before any axis is built
-    if the axes' entries, n_moduli moduli per phase, pass the size rule.  The
+    if building the axes' entries, n_moduli moduli per phase, passes the size
+    rule at 48 bytes an entry: an axis keeps 16, but its phase and modulus
+    temporaries, the grid's copy and its |chi| pass peak at 41 to 45.  The
     grid's points are sized by `sweep`, by the bands it holds."""
     n_axes = 2 * genus
     counts = [integer(c, "axis count") for c in ([counts] if np.isscalar(counts) else counts)]
@@ -111,7 +113,7 @@ def _axis_counts(genus: int, counts, n_moduli: int = 1) -> list:
     if n_moduli < 1:
         raise ValueError("grid is empty: n_moduli must be >= 1")
     entries = sum(counts) * n_moduli
-    refuse_oversized(16 * entries, "bands grid", "axes of {} entries", entries)
+    refuse_oversized(48 * entries, "bands grid", "axes of {} entries", entries)
     return counts
 
 
@@ -448,12 +450,11 @@ def _char_coeffs_from_eigenvalues(lams: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def bloch_variety(
-    model: TightBindingModel,
-    holdout_points: int = 20,
-    tol: float = 1e-8,
-    seed: int = 0,
-) -> BlochVariety:
+#: off-torus points the held-out check of `bloch_variety` draws
+_HOLDOUT_POINTS = 20
+
+
+def bloch_variety(model: TightBindingModel, tol: float = 1e-8, seed: int = 0) -> BlochVariety:
     """Recover det(H(chi) - E) as an exact finite Laurent/polynomial expansion.
 
     Samples chi_i at the 2r_i+1 roots of unity, r_i the numeric rank of hop
@@ -464,7 +465,7 @@ def bloch_variety(
     `eigvalsh`, and a failed solve names its sampling grid index.  A grid
     whose coefficient arrays would exceed the size rule's limit is refused
     with ValueError before any sampling.  Coefficients at or below 1e-13 of
-    the largest are zeroed.  Held-out random points off the torus
+    the largest are zeroed.  `_HOLDOUT_POINTS` random points off the torus
     (reproducible via `seed`) must match their direct determinants, one
     batched `det`, to `tol` relative, else NumericalCheckFailure is raised;
     an undercounted rank fails it too, and so do non-finite coefficients (an
@@ -472,9 +473,6 @@ def bloch_variety(
     A NaN, infinite or negative `tol` is refused with ValueError.
     """
     check_tolerance(tol)
-    holdout_points = integer(holdout_points, "holdout_points")
-    if holdout_points < 1:
-        raise ValueError(f"holdout_points must be >= 1, got {holdout_points}")
     d = model.dim
     g = model.genus
     ranks = [int(np.linalg.matrix_rank(h)) for h in model.hops]
@@ -509,9 +507,9 @@ def bloch_variety(
 
     # drawn point by point, in the order `seed` fixes, then solved as one stack
     rng = np.random.default_rng(seed)
-    chis = np.empty((holdout_points, 2 * g), dtype=complex)
-    energies = np.empty(holdout_points, dtype=complex)
-    for p in range(holdout_points):
+    chis = np.empty((_HOLDOUT_POINTS, 2 * g), dtype=complex)
+    energies = np.empty(_HOLDOUT_POINTS, dtype=complex)
+    for p in range(_HOLDOUT_POINTS):
         mod = np.exp(rng.uniform(-0.3, 0.3, size=2 * g))
         chis[p] = mod * np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=2 * g))
         energies[p] = (rng.normal() + 1j * rng.normal()) * max(lam_scale, 1.0)

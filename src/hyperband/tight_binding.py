@@ -59,6 +59,8 @@ class TightBindingModel:
         onsite = np.array(onsite, dtype=complex)
         if onsite.ndim != 2 or onsite.shape[0] != onsite.shape[1]:
             raise ValueError("onsite matrix must be square")
+        if onsite.size == 0:
+            raise ValueError(f"a model needs at least one state, got a {onsite.shape} onsite matrix")
         d = onsite.shape[0]
         hops = tuple(np.array(h, dtype=complex) for h in hops)
         if len(hops) != 2 * group.genus:

@@ -8,10 +8,12 @@ tests: they are the contract, the module tests are the diagnostics.
 
 import math
 import time
+from unittest import mock
 
 import mpmath
 import numpy as np
 
+from hyperband import spectra
 from hyperband.covers_quivers import (
     UnbranchedCover,
     cover_genus,
@@ -253,9 +255,9 @@ def test_acceptance_7_bloch_variety_holdout():
     for genus in (1, 2):
         for dim in (1, 2, 3):
             model = random_model(rng, genus, dim)
-            variety = bloch_variety(
-                model, holdout_points=100, tol=1e-8, seed=int(rng.integers(10_000))
-            )  # raises NumericalCheckFailure beyond tolerance
+            with mock.patch.object(spectra, "_HOLDOUT_POINTS", 100):
+                variety = bloch_variety(model, tol=1e-8, seed=int(rng.integers(10_000)))
+            # bloch_variety raises NumericalCheckFailure beyond tolerance
             assert variety.holdout_residual <= 1e-8
     print("ACCEPTANCE 7 (algebraic Bloch variety holdout): PASS")
 

@@ -558,7 +558,7 @@ def test_cover_check_prints_fail_when_a_smaller_distance_fails(
     two_state_model, swap_cover, tmp_path, monkeypatch, capsys
 ):
     reports = [_report(1.5e-9, 1.0), _report(2e-9, 4.0)]
-    monkeypatch.setattr(CoverPushforward, "_check_slices", lambda self, chi, chi_inv, tol: iter([reports]))
+    monkeypatch.setattr(CoverPushforward, "check_batch", lambda self, chi, chi_inv, tol: iter(reports))
     out = tmp_path / "report.json"
     argv = ["cover-check", "--model", str(two_state_model), "--cover", str(swap_cover), "--trials", "2"]
     assert cli.main(argv + ["--out", str(out)]) == 3
@@ -1036,6 +1036,22 @@ def test_oversized_bands_grid_is_refused_before_any_hamiltonian_is_assembled(
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: bands grid too large: about 16000.0 GB of bands")
     assert "1000000000000 points" in err and "the limit is 1.1 GB" in err
+
+
+def test_long_bands_axis_is_refused_before_any_axis_is_built(single_site_model, monkeypatch, capsys):
+    # 60,000,002 axis entries keep 0.96 GB but would peak near 2.5 GB while built
+    from hyperband import spectra
+
+    def unreachable(*args):
+        raise AssertionError("an axis was built")
+
+    monkeypatch.setattr(spectra, "_roots_of_unity", unreachable)
+    code = cli.main(["bands", "--model", str(single_site_model), "--grid", "2,60000000"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        "error: bands grid too large: about 2.9 GB of axes of 60000002 entries; the limit is 1.1 GB\n"
+    )
 
 
 def test_oversized_cover_check_is_refused_before_the_characters_are_drawn(

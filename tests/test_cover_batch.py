@@ -1,6 +1,6 @@
 """The batched cover check against the per-character check it replaced.
 
-`per_trial_check` is `CoverPushforward.check` as it ran before the batch:
+`per_trial_check` is the per-character check as it ran before the batch:
 per character one induced momentum, one monomial assembly in Kronecker
 order, one supercell Hamiltonian and two eigensolves.  Its supercell
 Hamiltonian comes from the dense Kronecker build of `test_cover_pushforward`,
@@ -32,7 +32,7 @@ from hyperband.momenta import AbelianMomentum, _monomial_checks
 from hyperband.spectra import eigenvalues
 from hyperband.tight_binding import BlochHamiltonian, _place_blocks, bloch_abelian, write_model
 
-from test_cover_pushforward import COVERS, cyclic, kron_supercell, special_models, znzm
+from test_cover_pushforward import COVERS, check_one, cyclic, kron_supercell, special_models, znzm
 from test_monomial_covers import KINDS, surface_covers
 from test_tight_binding import random_model
 
@@ -139,10 +139,10 @@ def assert_batch_matches(model, cover, kinds, rng, table=None):
     table = CoverPushforward(model, cover) if table is None else table
     dense = kron_supercell(model, cover)
     momenta, chi, chi_inv = characters(rng, kinds, table.genus_cover)
-    got = table.check_batch(chi, chi_inv)
+    got = list(table.check_batch(chi, chi_inv))
     want = [per_trial_check(model, cover, dense, m) for m in momenta]
     assert [fields(r) for r in got] == [fields(r) for r in want]
-    assert fields(table.check(momenta[-1])) == fields(want[-1])
+    assert fields(check_one(table, momenta[-1])) == fields(want[-1])
 
 
 def item_bytes(model, cover):
@@ -236,7 +236,7 @@ def test_supercell_stack_gives_each_character_its_own_signed_zeros():
             )
             for H, chi in zip(stack, momenta):
                 assert H.tobytes() == bloch_abelian(dense, chi).matrix.tobytes()
-                assert H.tobytes() == table.supercell_hamiltonian(chi).matrix.tobytes()
+                assert H.tobytes() == table._supercell_stack(chi.chi[None], chi.chi_inv[None])[0].tobytes()
 
 
 @pytest.mark.parametrize("per_slice", [1, 2, 3])
@@ -254,12 +254,35 @@ def test_slices_of_one_two_and_three_trials(chunk_budget, monkeypatch, per_slice
             momenta, chi, chi_inv = characters(rng, ["torus"] * 7, table.genus_cover)
             calls.clear()
             with chunk_budget(per_slice * item_bytes(model, cover)):
-                got = table.check_batch(chi, chi_inv)
+                got = list(table.check_batch(chi, chi_inv))
             # one induced and one supercell stack per slice
             assert calls == [k for k in sizes for _ in range(2)]
             dense = kron_supercell(model, cover)
             want = [per_trial_check(model, cover, dense, m) for m in momenta]
             assert [fields(r) for r in got] == [fields(r) for r in want]
+
+
+def test_batch_yields_each_slice_before_building_the_next(chunk_budget, monkeypatch):
+    # seven trials in slices of 2, 2 and 3: making the generator builds
+    # nothing, and the first report needs the first slice's stacks only
+    rng = np.random.default_rng(49)
+    cover = BATCH_COVERS["z2xz3"]
+    model = random_model(rng, cover.genus, 2)
+    table = CoverPushforward(model, cover)
+    _, chi, chi_inv = characters(rng, ["torus"] * 7, table.genus_cover)
+    want = [fields(r) for r in table.check_batch(chi, chi_inv)]
+    stack, built = CoverPushforward._supercell_stack, []
+    monkeypatch.setattr(
+        CoverPushforward, "_supercell_stack", lambda self, c, c_inv: built.append(len(c)) or stack(self, c, c_inv)
+    )
+    with chunk_budget(2 * item_bytes(model, cover)):
+        reports = table.check_batch(chi, chi_inv)
+        assert built == []
+        got = [fields(next(reports))]
+        assert built == [2]
+        got += [fields(r) for r in reports]
+    assert built == [2, 2, 3]
+    assert got == want
 
 
 def test_mixed_batch_solves_each_route_per_solver(monkeypatch):
@@ -277,7 +300,7 @@ def test_mixed_batch_solves_each_route_per_solver(monkeypatch):
     momenta, chi, chi_inv = characters(rng, kinds, table.genus_cover)
     unitary = sum(m.unitary for m in momenta)
     assert 0 < unitary < len(kinds)
-    table.check_batch(chi, chi_inv)
+    list(table.check_batch(chi, chi_inv))
     n = model.dim * cover.sheets
     assert shapes == {
         "eigvalsh": [(unitary, n, n)] * 2,
@@ -310,7 +333,7 @@ def test_corrupt_character_is_refused_by_trial(chunk_budget, damage, message):
     else:
         chi[3, 1] = np.nan
     with chunk_budget(2 * item_bytes(model, cover)), pytest.raises(ValueError, match=message):
-        table.check_batch(chi, chi_inv)
+        list(table.check_batch(chi, chi_inv))
 
 
 def test_monomial_checks_name_the_trial_whose_relator_fails():
@@ -338,7 +361,7 @@ def test_solver_failure_names_its_trial(chunk_budget, monkeypatch, solver):
     model = random_model(rng, cover.genus, 2)
     table = CoverPushforward(model, cover)
     _, chi, chi_inv = characters(rng, ["torus" if solver == "eigvalsh" else "off"] * 5, table.genus_cover)
-    bad = table.supercell_hamiltonian(AbelianMomentum(chi[3], chi_inv[3])).matrix
+    bad = table._supercell_stack(chi[3:4], chi_inv[3:4])[0]
     solve = getattr(np.linalg, solver)
 
     def flaky(a):
@@ -348,7 +371,7 @@ def test_solver_failure_names_its_trial(chunk_budget, monkeypatch, solver):
 
     monkeypatch.setattr(np.linalg, solver, flaky)
     with chunk_budget(2 * item_bytes(model, cover)), pytest.raises(NumericalCheckFailure) as err:
-        table.check_batch(chi, chi_inv)
+        list(table.check_batch(chi, chi_inv))
     assert str(err.value) == "eigensolver failed at trial 3: eigensolver did not converge: forced"
 
 
@@ -356,10 +379,11 @@ def test_batch_refuses_characters_of_the_wrong_shape():
     table = CoverPushforward(random_model(np.random.default_rng(46), 1, 2), BATCH_COVERS["z2xz3"])
     ones = np.ones((3, 2), dtype=complex)
     with pytest.raises(ValueError, match=r"need \(T, 2\)"):
-        table.check_batch(ones[:, :1], ones[:, :1])
+        list(table.check_batch(ones[:, :1], ones[:, :1]))
+    pending = table.check_batch(ones, ones[:2])  # refused when its first report is read
     with pytest.raises(ValueError, match=r"need \(T, 2\)"):
-        table.check_batch(ones, ones[:2])
-    assert table.check_batch(ones[:0], ones[:0]) == []
+        next(pending)
+    assert list(table.check_batch(ones[:0], ones[:0])) == []
 
 
 # ---------------------------------------------------------------------------

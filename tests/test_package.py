@@ -57,7 +57,6 @@ KEPT = {
     "direct_sum": "ROADMAP item 7 builds polystable momenta with it",
     "commutant_dimension": "ROADMAP item 7 tells stable momenta from polystable ones with it",
     "Word.inverse": "the reference the monomial-cover tests build their Schreier words with",
-    "CoverPushforward.supercell_hamiltonian": "the per-character supercell the batched check is tested against",
     "TightBindingModel.onsite_residual": "ROADMAP item 10 reports it through --metrics",
     "DegeneracyGroup.grid_index": "where a crossing lies, in the result detect_crossings returns",
     "DispersionValue.k_real": "the real part of the split k = k_r + i k_i that split_energy is formed from",
@@ -190,7 +189,7 @@ COUNT_READERS = {
     "covers_quivers": ("UnbranchedCover.__post_init__", "_check_partition"),
     "spectral_curve": ("feasibility", "Rank2TwistedHiggs.__post_init__"),
     "euclidean": ("empty_lattice_bands",),
-    "spectra": ("bloch_variety", "unitary_grid", "complex_region_grid"),
+    "spectra": ("unitary_grid", "complex_region_grid"),
 }
 
 
@@ -252,6 +251,18 @@ def test_only_serialize_holds_the_array_limit():
     assert not called & {"refuse_oversized", "_axis_counts", "prod"}
     assert "math" not in {alias.name for node in ast.walk(cli_tree) if isinstance(node, ast.Import)
                           for alias in node.names}
+
+
+def test_cli_reads_no_private_attribute_but_its_own():
+    # the CLI drives the library through its public names; `self._x` is the
+    # option table's own state
+    cli_tree = ast.parse((Path(hyperband.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        f"cli.py:{node.lineno} {ast.unparse(node)}" for node in ast.walk(cli_tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr.startswith("_")
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+    assert private == []
 
 
 def test_crossings_and_branch_points_take_their_clusters_from_one_function():

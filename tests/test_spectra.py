@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -141,6 +142,36 @@ def test_grid_builders_refuse_oversized_grids_before_any_axis(monkeypatch, build
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == f"bands grid too large: {shown}; the limit is 1.1 GB"
+
+
+def test_grid_axes_are_priced_at_48_bytes_an_entry():
+    # a genus-1 grid of 4 x 4 points has 8 axis entries: 384 B pass, 383 B do not
+    with mock.patch.object(_serialize, "_MAX_ARRAY_BYTES", 48 * 8):
+        assert unitary_grid(1, 4).shape == (4, 4)
+    with mock.patch.object(_serialize, "_MAX_ARRAY_BYTES", 48 * 8 - 1):
+        with pytest.raises(ValueError, match=r"about 0\.0 GB of axes of 8 entries"):
+            unitary_grid(1, 4)
+
+
+@pytest.mark.parametrize(
+    "build, entries",
+    [
+        (lambda: unitary_grid(1, [2, 200_000]), 200_002),
+        (lambda: unitary_grid(2, [2, 2, 2, 200_000]), 200_006),
+        (lambda: complex_region_grid(1, [2, 20_000], (-0.1, 0.1), 10), 200_020),
+        # one phase an axis: the moduli weigh most against the entries
+        (lambda: complex_region_grid(1, 1, (-0.1, 0.1), 100_000), 200_000),
+    ],
+    ids=["unitary-g1", "unitary-g2", "region", "region-moduli-only"],
+)
+def test_grid_build_peaks_within_its_size_estimate(build, entries):
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 16 * entries < peak <= 48 * entries
 
 
 def test_sweep_refuses_a_built_grid_before_any_hamiltonian(monkeypatch):
@@ -326,23 +357,6 @@ def test_variety_holdout_failure_raises():
     model = random_model(rng, 1, 2)
     with pytest.raises(NumericalCheckFailure):
         bloch_variety(model, tol=1e-30)  # impossible tolerance
-
-
-@pytest.mark.parametrize(
-    "holdout_points, error",
-    [
-        (0, "holdout_points must be >= 1, got 0"),
-        (-5, "holdout_points must be >= 1, got -5"),
-        (2.5, "holdout_points must be an integer, got 2.5"),
-        (True, "holdout_points must be an integer, got True"),
-    ],
-)
-def test_variety_refuses_a_holdout_check_that_would_not_run(holdout_points, error):
-    # with no held-out point the check would report a residual of 0.0 unrun
-    model = TightBindingModel(1, [[0.0]], [[[1.0]], [[1.0]]])
-    with pytest.raises(ValueError, match=error):
-        bloch_variety(model, holdout_points=holdout_points)
-    assert bloch_variety(model, holdout_points=1.0).holdout_residual <= 1e-8
 
 
 def test_variety_json_layout():

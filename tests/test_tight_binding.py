@@ -45,6 +45,13 @@ def test_model_validates_shapes():
         TightBindingModel(g, np.zeros((2, 3)), [np.eye(2), np.eye(2)])
 
 
+@pytest.mark.parametrize("genus", [1, 2])
+def test_model_refuses_a_cell_of_no_states(genus):
+    # a 0-state model used to be accepted, and a sweep on it died reshaping
+    with pytest.raises(ValueError, match=r"^a model needs at least one state, got a \(0, 0\) onsite matrix$"):
+        TightBindingModel(genus, np.zeros((0, 0)), [np.zeros((0, 0))] * (2 * genus))
+
+
 def test_model_symmetrizes_small_antihermitian_noise():
     g = make_surface_group(1)
     noise = 1e-12j

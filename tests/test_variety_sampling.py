@@ -92,7 +92,7 @@ def test_rank_zero_leading_hop_keeps_the_sampling_peak(chunk_budget):
     model = model_with_ranks(6, 2, 8, [0, 8, 8, 8])
     budget = 1 << 16
     coefficient_bytes = 3 * 17**3 * 9 * 16
-    bloch_variety(model, holdout_points=1)  # the modules imported before tracing
+    bloch_variety(model)  # the modules imported before tracing
     with chunk_budget(budget):
         tracemalloc.start()
         try:
