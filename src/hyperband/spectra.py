@@ -24,8 +24,9 @@ So coefficients are recovered exactly from samples on a (2r_i+1)-point
 roots-of-unity grid per variable via the FFT, sampled like a sweep's grid.
 There H(chi) is Hermitian, and the E-coefficients are elementary symmetric
 functions of its `eigvalsh` eigenvalues.  A held-out
-check off the torus, its determinants taken in one batch, guards the
-reconstruction; non-finite coefficients or residuals fail it.
+check off the torus, its determinants taken in one batch and the expansion
+evaluated at all its points in stacked passes with `evaluate`'s bits, guards
+the reconstruction; non-finite coefficients or residuals fail it.
 `BlochVariety.json_text` writes the terms one column at a time.
 """
 
@@ -400,24 +401,34 @@ class BlochVariety:
 
     def evaluate(self, chi, E, with_scale: bool = False):
         """Value at one momentum vector and energy; optionally the |term|-sum scale."""
-        chi = np.asarray(chi, dtype=complex).reshape(-1)
-        if chi.size != 2 * self.genus:
-            raise ValueError(f"need {2 * self.genus} momentum entries, got {chi.size}")
-        acc, acc_abs = self.coeffs, self._abs_coeffs
-        # contract one chi axis per step: the (1, m) x (m, rest) product that
-        # np.tensordot(powers, acc, axes=(0, 0)) makes, without its overhead
-        for x, exps in zip(chi, self._exponents):
-            powers = (x**exps).reshape(1, -1)
-            rest = acc.shape[1:]
-            acc = np.dot(powers, acc.reshape(exps.size, -1)).reshape(rest)
-            acc_abs = np.dot(np.abs(powers), acc_abs.reshape(exps.size, -1)).reshape(rest)
-        E = complex(E)
-        e_powers = E ** np.arange(self.dim + 1)
-        value = complex(np.dot(acc, e_powers))
-        scale = float(np.dot(acc_abs, np.abs(e_powers)))
+        chi = np.asarray(chi, dtype=complex).reshape(1, -1)
+        if chi.shape[1] != 2 * self.genus:
+            raise ValueError(f"need {2 * self.genus} momentum entries, got {chi.shape[1]}")
+        values, scales = self._evaluate_points(chi, np.array([complex(E)]))
+        value = complex(values[0])
         if with_scale:
-            return value, scale
+            return value, float(scales[0])
         return value
+
+    def _evaluate_points(self, chis: np.ndarray, energies: np.ndarray) -> tuple:
+        """Values and |term|-sum scales at P points: chis (P, 2g), energies (P,).
+
+        Contracts one chi axis per step for all points at once, as the stacked
+        product (P, 1, m) @ (1 or P, m, rest), then takes the E powers as
+        (P, 1, d+1) @ (P, d+1, 1).  matmul hands each stacked item to BLAS
+        gemv (or dot), as np.tensordot does with one point's powers, so each
+        point gets the bits of evaluating it alone, in any slice; a
+        (P, m) @ (m, rest) product would go through gemm and round otherwise.
+        """
+        acc, acc_abs = self.coeffs[None], self._abs_coeffs[None]
+        for x, exps in zip(chis.T, self._exponents):
+            powers = (x[:, None] ** exps)[:, None, :]
+            acc = np.matmul(powers, acc.reshape(len(acc), exps.size, -1))
+            acc_abs = np.matmul(np.abs(powers), acc_abs.reshape(len(acc_abs), exps.size, -1))
+        e_powers = (energies[:, None] ** np.arange(self.dim + 1))[..., None]
+        values = np.matmul(acc, e_powers).reshape(-1)
+        scales = np.matmul(acc_abs, np.abs(e_powers)).reshape(-1)
+        return values, scales
 
     def json_text(self) -> str:
         """The JSON document: genus, dim, exponent_bound, holdout_residual and
@@ -468,6 +479,8 @@ def bloch_variety(model: TightBindingModel, tol: float = 1e-8, seed: int = 0) ->
     the largest are zeroed.  `_HOLDOUT_POINTS` random points off the torus
     (reproducible via `seed`) must match their direct determinants, one
     batched `det`, to `tol` relative, else NumericalCheckFailure is raised;
+    the expansion is evaluated at all of them in stacked passes, in point
+    slices held to `_CHUNK_BYTES`, each point with the bits `evaluate` gives;
     an undercounted rank fails it too, and so do non-finite coefficients (an
     overflowing characteristic polynomial) and a NaN or overflowing residual.
     A NaN, infinite or negative `tol` is refused with ValueError.
@@ -475,7 +488,7 @@ def bloch_variety(model: TightBindingModel, tol: float = 1e-8, seed: int = 0) ->
     check_tolerance(tol)
     d = model.dim
     g = model.genus
-    ranks = [int(np.linalg.matrix_rank(h)) for h in model.hops]
+    ranks = np.linalg.matrix_rank(np.stack(model.hops)).tolist()
     shape = tuple(2 * r + 1 for r in ranks)
     n_points = math.prod(shape)
     # the char-poly samples, their FFT and the pruning temporaries
@@ -505,7 +518,8 @@ def bloch_variety(model: TightBindingModel, tol: float = 1e-8, seed: int = 0) ->
     bound = max(ranks)
     variety = BlochVariety(genus=g, dim=d, bound=bound, coeffs=coeffs, holdout_residual=0.0)
 
-    # drawn point by point, in the order `seed` fixes, then solved as one stack
+    # drawn point by point, in the order `seed` fixes, then solved as one
+    # stack and evaluated in point slices
     rng = np.random.default_rng(seed)
     chis = np.empty((_HOLDOUT_POINTS, 2 * g), dtype=complex)
     energies = np.empty(_HOLDOUT_POINTS, dtype=complex)
@@ -516,9 +530,15 @@ def bloch_variety(model: TightBindingModel, tol: float = 1e-8, seed: int = 0) ->
     H = _assemble(model, chis.T[..., None, None], (1.0 / chis).T[..., None, None])
     H[:, np.arange(d), np.arange(d)] -= energies[:, None]
     direct = np.linalg.det(H).tolist()
+    # a point's largest intermediates are the partial sums of the first two
+    # contractions, complex and |.| (24 bytes an entry), held at once
+    rest = coeffs.size // shape[0]
+    values = np.empty(_HOLDOUT_POINTS, dtype=complex)
+    scales = np.empty(_HOLDOUT_POINTS)
+    for part in _slices(_HOLDOUT_POINTS, 24 * (rest + rest // shape[1])):
+        values[part], scales[part] = variety._evaluate_points(chis[part], energies[part])
     residuals = []
-    for chi, E, det in zip(chis, energies, direct):
-        value, scale = variety.evaluate(chi, E, with_scale=True)
+    for value, scale, det in zip(values.tolist(), scales.tolist(), direct):
         try:
             residuals.append(abs(value - det) / max(scale, 1e-300))
         except OverflowError:  # |value - det| beyond the float range

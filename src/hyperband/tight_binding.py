@@ -240,6 +240,8 @@ def model_to_json(model: TightBindingModel) -> dict:
 def model_from_json(data: dict) -> TightBindingModel:
     document(data, "model", "genus", "dim", "onsite", "hops")
     dim = integer(data["dim"], "dim")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     onsite = matrix_from_json(data["onsite"], "onsite")
     hops = [matrix_from_json(h, "hops") for h in data["hops"]]
     if onsite.shape != (dim, dim):

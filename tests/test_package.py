@@ -57,6 +57,7 @@ KEPT = {
     "direct_sum": "ROADMAP item 7 builds polystable momenta with it",
     "commutant_dimension": "ROADMAP item 7 tells stable momenta from polystable ones with it",
     "Word.inverse": "the reference the monomial-cover tests build their Schreier words with",
+    "Rank2TwistedHiggs.evaluate": "the pointwise field the spectral-curve tests check char_poly and the Cayley-Hamilton check against",
     "TightBindingModel.onsite_residual": "ROADMAP item 10 reports it through --metrics",
     "DegeneracyGroup.grid_index": "where a crossing lies, in the result detect_crossings returns",
     "DispersionValue.k_real": "the real part of the split k = k_r + i k_i that split_energy is formed from",

@@ -206,6 +206,8 @@ def test_model_document_reads_numbers_and_pairs():
         (_model_document([1.0, False]), r"got \[1.0, False\]"),
         (_model_document([1.0, 0.0, 0.0]), r"got \[1.0, 0.0, 0.0\]"),
         (_model_document([1.0, 10**400]), "in the float range, got"),
+        (_model_document(1.0, dim=0, onsite=[], hops=[[], []]), "dim must be >= 1, got 0"),
+        (_model_document(1.0, dim=-2), "dim must be >= 1, got -2"),
     ],
 )
 def test_model_json_refuses_non_documents_and_non_number_entries(data, error):

@@ -5,7 +5,7 @@ Every sample lies on the unitary torus, where H(chi)^dagger = H(1/conj chi)
 recovered coefficients show the same symmetry as c_{-alpha,p} =
 conj(c_{alpha,p}).  A default run solves one `eigvalsh` stack per slice,
 never calls `eigvals`, takes the held-out determinants in one `det` and
-evaluates the variety once per held-out point.
+evaluates the variety once per slice of held-out points.
 """
 
 from unittest import mock
@@ -66,10 +66,13 @@ def test_property_coefficients_are_conjugate_symmetric(shape, seed, deficits):
 
 
 def test_default_run_calls_one_eigvalsh_per_slice_and_one_det(tmp_path, monkeypatch):
-    # g = 2, d = 4 at full rank: a 9^4 sampling grid in four sub-boxes
+    # g = 2, d = 4 at full rank: a 9^4 sampling grid in four sub-boxes; a
+    # held-out point's first two contractions hold 24 (9^3 + 9^2) 5 bytes,
+    # so the 20 points are evaluated in two slices of 10
     path = tmp_path / "model.json"
     write_model(model_with_ranks(8, 2, 4, [4] * 4), path)
-    counts = {"eigvalsh": 0, "eigvals": 0, "det": 0, "evaluate": 0}
+    counts = {"eigvalsh": 0, "eigvals": 0, "det": 0}
+    sizes = []
 
     def counting(name, fn):
         def call(*args, **kwargs):
@@ -79,11 +82,18 @@ def test_default_run_calls_one_eigvalsh_per_slice_and_one_det(tmp_path, monkeypa
 
     for name in ("eigvalsh", "eigvals", "det"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-    monkeypatch.setattr(BlochVariety, "evaluate", counting("evaluate", BlochVariety.evaluate))
+    kernel = BlochVariety._evaluate_points
+
+    def sizing(self, chis, energies):
+        sizes.append(len(chis))
+        return kernel(self, chis, energies)
+
+    monkeypatch.setattr(BlochVariety, "_evaluate_points", sizing)
     assert cli.main(["bloch-variety", "--model", str(path), "--out", str(tmp_path / "variety.json")]) == 0
     n_slices = len(spectra._sub_boxes((9,) * 4, 32 * 4**2))
     assert n_slices == 4
-    assert counts == {"eigvalsh": n_slices, "eigvals": 0, "det": 1, "evaluate": 20}
+    assert counts == {"eigvalsh": n_slices, "eigvals": 0, "det": 1}
+    assert sizes == [10, 10]  # one kernel call per slice of held-out points
 
 
 def test_failing_eigvalsh_names_the_sample(tmp_path, capsys, monkeypatch):

@@ -1,12 +1,16 @@
 """BlochVariety's readers against the per-call forms they replaced.
 
-`evaluate` reads the exponents and |coeffs| cached on the variety and
-contracts each chi axis with np.dot; `json_text` reads its terms from one
-np.nonzero.  The tensordot evaluation and the argwhere loop are kept here as
-oracles, and the new forms must match them bit for bit.
+`_evaluate_points` reads the exponents and |coeffs| cached on the variety
+and contracts each chi axis for all its points as one stacked matmul;
+`evaluate` is its one-point case, and the held-out check of `bloch_variety`
+calls it once per slice of points.  `json_text` reads its terms from one
+np.nonzero.  The per-point tensordot evaluation and the argwhere loop are
+kept here as oracles, and the new forms must match them bit for bit.
 """
 
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -73,6 +77,44 @@ def test_property_evaluate_is_bit_equal_to_tensordot(variety, seed):
         value, scale = variety.evaluate(chi, E, with_scale=True)
         assert bits(value, scale) == bits(*tensordot_evaluate(variety, chi, E))
         assert variety.evaluate(chi, E) == value
+
+
+@st.composite
+def rank_models(draw, max_dim=4):
+    """Genus 1-3, d 1-max_dim, each hop of rank 0..d, on grids of at most 6561 points."""
+    genus = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, max_dim))
+    ranks = draw(st.lists(st.integers(0, dim), min_size=2 * genus, max_size=2 * genus))
+    while math.prod(2 * r + 1 for r in ranks) > 6561:
+        ranks[ranks.index(max(ranks))] -= 1
+    return model_with_ranks(draw(st.integers(0, 2**32 - 1)), genus, dim, ranks)
+
+
+@settings(max_examples=40)
+@given(model=rank_models(6), n_points=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+       chunk=st.sampled_from([1 << 20, 4096, 1]))
+def test_property_kernel_is_bit_equal_to_tensordot(chunk_budget, model, n_points, seed, chunk):
+    # every slice the held-out check evaluates, under budgets down to one
+    # point a slice, and 1-20 fresh points in one call, against the oracle
+    kernel = BlochVariety._evaluate_points
+    calls = []
+
+    def spy(self, chis, energies):
+        calls.append((chis.copy(), energies.copy(), *kernel(self, chis, energies)))
+        return calls[-1][2:]
+
+    with chunk_budget(chunk), mock.patch.object(BlochVariety, "_evaluate_points", spy):
+        variety = bloch_variety(model)
+    assert sum(len(chis) for chis, *_ in calls) == 20
+    assert chunk > 1 or all(len(chis) == 1 for chis, *_ in calls)
+    rng = np.random.default_rng(seed)
+    n = 2 * variety.genus
+    chis = np.exp(rng.uniform(-0.3, 0.3, (n_points, n)) + 1j * rng.uniform(0.0, 2 * np.pi, (n_points, n)))
+    energies = (rng.normal(size=n_points) + 1j * rng.normal(size=n_points)) * 3.0
+    calls.append((chis, energies, *variety._evaluate_points(chis, energies)))
+    for chis, energies, values, scales in calls:
+        for chi, E, value, scale in zip(chis, energies, values, scales):
+            assert bits(value, scale) == bits(*tensordot_evaluate(variety, chi, E))
 
 
 def test_evaluate_on_fortran_ordered_coeffs():

@@ -26,7 +26,7 @@ from hyperband.spectra import BlochVariety, MomentumGrid, bloch_variety
 from hyperband.tight_binding import TightBindingModel, write_model
 
 from test_bloch_kernel import grid_momenta, stack_oracle
-from test_variety_kernels import varieties
+from test_variety_kernels import rank_models, varieties
 from test_variety_rank_grid import model_with_ranks
 
 
@@ -42,17 +42,6 @@ def sampled_stacks(model):
     with mock.patch.object(spectra, "_solve_stack", spy):
         bloch_variety(model)
     return stacks
-
-
-@st.composite
-def rank_models(draw):
-    """Genus 1-3, d 1-4, each hop of rank 0..d, on grids of at most 6561 points."""
-    genus = draw(st.integers(1, 3))
-    dim = draw(st.integers(1, 4))
-    ranks = draw(st.lists(st.integers(0, dim), min_size=2 * genus, max_size=2 * genus))
-    while math.prod(2 * r + 1 for r in ranks) > 6561:
-        ranks[ranks.index(max(ranks))] -= 1
-    return model_with_ranks(draw(st.integers(0, 2**32 - 1)), genus, dim, ranks)
 
 
 @settings(max_examples=60)
@@ -194,15 +183,18 @@ def test_overflowing_characteristic_polynomial_fails_the_check(tmp_path, capsys)
 def test_nan_or_overflowing_residual_fails_the_check(monkeypatch, value, reported):
     model = model_with_ranks(3, 1, 2, [2, 2])
     assert bloch_variety(model).holdout_residual <= 1e-8
-    evaluate = BlochVariety.evaluate
-    calls = []
+    kernel = BlochVariety._evaluate_points
+    seen = []
 
-    def one_bad(self, chi, E, with_scale=False):
-        calls.append(chi)
-        good = evaluate(self, chi, E, with_scale=True)
-        return (value, good[1]) if len(calls) == 7 else good
+    def one_bad(self, chis, energies):
+        values, scales = kernel(self, chis, energies)
+        bad = 6 - len(seen)  # held-out point 7, counted across the slices
+        if 0 <= bad < len(chis):
+            values[bad] = value
+        seen.extend(chis)
+        return values, scales
 
-    monkeypatch.setattr(BlochVariety, "evaluate", one_bad)
+    monkeypatch.setattr(BlochVariety, "_evaluate_points", one_bad)
     with pytest.raises(NumericalCheckFailure, match=f"relative residual {reported} > 1e-08"):
         bloch_variety(model)
-    assert len(calls) == 20
+    assert len(seen) == 20
