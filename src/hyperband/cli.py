@@ -257,11 +257,12 @@ def cmd_cover_check(opts: _Options) -> int:
     # one draw of all phases gives the numbers of one draw per trial
     rng = np.random.default_rng(seed)
     chi = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(trials, n_chars)))
-    worst, failure = _cover_verdict(table.check_batch(chi, 1.0 / chi, tol))
+    worst, matrix_distance, failure = _cover_verdict(table.check_batch(chi, 1.0 / chi, tol))
     passed = failure is None
     verdict = "PASS" if passed else "FAIL"
+    n_states = model.dim * cover.sheets
     line = (
-        f"{verdict}: {trials} characters, {worst.n_states} states, "
+        f"{verdict}: {trials} characters, {n_states} states, "
         f"max spectral distance {worst.spectral_distance:.3e} "
         f"(tolerance {tol:g} x radius {worst.spectral_radius:.3e})\n"
     )
@@ -269,11 +270,11 @@ def cmd_cover_check(opts: _Options) -> int:
         "hyperband_cover_check": 1,
         "passed": passed,
         "trials": trials,
-        "n_states": worst.n_states,
-        "connected": worst.connected,
-        "genus_cover": worst.genus_cover,
+        "n_states": n_states,
+        "connected": table.connected,
+        "genus_cover": table.genus_cover,
         "max_spectral_distance": worst.spectral_distance,
-        "max_matrix_distance": worst.matrix_distance,
+        "max_matrix_distance": matrix_distance,
         "spectral_radius": worst.spectral_radius,
         "tolerance": tol,
     }
@@ -291,16 +292,18 @@ def cmd_cover_check(opts: _Options) -> int:
 
 
 def _cover_verdict(reports) -> tuple:
-    """The first largest-distance report, and the first failing trial as
-    (index, report), None when every trial passed: each trial's tolerance
-    scales with its own radius, so a smaller distance can fail."""
-    worst = failure = None
+    """The first largest-distance report, the largest matrix distance of any
+    trial, and the first failing trial as (index, report), None when every
+    trial passed: each trial's tolerance scales with its own radius, so a
+    smaller distance can fail."""
+    worst, matrix_distance, failure = None, 0.0, None
     for k, report in enumerate(reports):
         if worst is None or report.spectral_distance > worst.spectral_distance:
             worst = report
+        matrix_distance = max(matrix_distance, report.matrix_distance)
         if failure is None and not report.passed:
             failure = (k, report)
-    return worst, failure
+    return worst, matrix_distance, failure
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ Both produce the same Hamiltonian matrix in the same state ordering
 (cell index major, sheet index minor), so their spectra agree; see
 `pushforward_check`.
 
-The Reidemeister-Schreier data, whose (2g, N) class codes the induced
+The Reidemeister-Schreier data, the (2g, N) class codes the induced
 momenta are read from, is derived once per cover and cached on it.  The
 supercell routes read one per-(model, cover) table, `CoverPushforward`,
 built once: the cover's genus and connectivity and d x d blocks keyed by
@@ -44,9 +44,7 @@ The surviving free quotient has rank 2 * genus(cover), and each edge class
 basis direction; its code goes straight into the (2g, N) code array every
 later step reads.  A cover whose classes cannot be straightened this way
 (they exist!) gets an UnsupportedCoverError rather than a silently wrong
-supercell.  The last test, that the directions form a unimodular basis,
-runs the same eliminator on the direction matrix and asks for a +-1
-diagonal.  Every step is near linear in N on the covers tried: 0.1 s at
+supercell.  Every step is near linear in N on the covers tried: 0.1 s at
 N = 2048.
 
 A quiver presents one model's Hamiltonian as nodes (atoms = groups of cell
@@ -161,8 +159,8 @@ class UnbranchedCover:
         return tree, tuple(components)
 
     @functools.cached_property
-    def _schreier(self) -> _SchreierData:
-        """`_schreier_data(self)`, derived on first use and kept.
+    def _schreier(self) -> np.ndarray:
+        """`_schreier_data(self)`, the class codes, derived on first use and kept.
 
         A refused cover keeps nothing: each access raises
         UnsupportedCoverError again.
@@ -188,16 +186,6 @@ def cover_genus(cover: UnbranchedCover) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _SchreierData:
-    codes: np.ndarray  # (2g, N) class code of edge s -> s.gen at [gen - 1, s]: 0 for
-    # the trivial class, 1 + i for +d_i, 1 + G + i for -d_i, G = 2 * genus_cover;
-    # the entry of [1, chi, chi^-1] that rho reads there ([1, chi^-1, chi] for rho^-1)
-    directions: tuple  # deduplicated sign-normalized nonzero classes, basis order,
-    # each as its sorted nonzero (coordinate, value) pairs
-    genus_cover: int
-
-
 def _eliminate(rows: list, width: int):
     """Exact integer diagonalization by unimodular row and column operations.
 
@@ -220,10 +208,9 @@ def _eliminate(rows: list, width: int):
     hence the hop classes, the supercells and the CLI bytes, so it must stay.
     Its one condition: on general integer matrices it lets entries grow
     without bound (one random 7 x 7 matrix with entries in [-3, 3] passed
-    4,000 digits within 2 s).  The matrices reduced here stay small: relator
+    4,000 digits within 2 s).  The rows reduced here stay small: relator
     rows are face-edge incidences, every column e_f - e_f' or zero, and
-    their entries have stayed within +-1 at every sheet count tried; the
-    hop-direction matrices are nearly signed permutations.
+    their entries have stayed within +-1 at every sheet count tried.
 
     Storage is sparse: {column: value} rows and a column -> rows index.
     Swaps only relabel positions.  V = E_1 ... E_m is kept as its column
@@ -311,7 +298,12 @@ def _eliminate(rows: list, width: int):
     return diagonal, transform
 
 
-def _schreier_data(cover: UnbranchedCover) -> _SchreierData:
+def _schreier_data(cover: UnbranchedCover) -> np.ndarray:
+    """The read-only (2g, N) class codes: at [gen - 1, s] the code of edge
+    s -> s.gen, 0 for the trivial class, 1 + i for +d_i and 1 + G + i for
+    -d_i, G = 2 * genus(cover), the entry of [1, chi, chi^-1] rho reads.
+    No basis check is needed: the edge classes generate the free quotient
+    Z^G, hence so do the G directions, and G generators of Z^G are a basis."""
     g, n = cover.genus, cover.sheets
     tree = cover._forest[0]
     # the non-tree edges, sheet major, are the columns of the relator rows
@@ -358,13 +350,10 @@ def _schreier_data(cover: UnbranchedCover) -> _SchreierData:
             f"found {len(directions)} distinct hop directions but the free rank "
             f"is {free}; the classes cannot be straightened to single generators"
         )
-    if any(abs(x) != 1 for x in _eliminate([dict(c) for c in directions], free)[0]):
-        raise UnsupportedCoverError(
-            "hop directions do not form a unimodular basis of the class lattice"
-        )
     codes = np.zeros(tree.shape, dtype=int)
     codes.T[~tree.T] = classes
-    return _SchreierData(codes=codes, directions=tuple(directions), genus_cover=g_cover)
+    codes.setflags(write=False)
+    return codes
 
 
 def _induced_phases(chi: np.ndarray, chi_inv: np.ndarray, edges: tuple) -> tuple:
@@ -378,9 +367,6 @@ def _induced_phases(chi: np.ndarray, chi_inv: np.ndarray, edges: tuple) -> tuple
 class PushforwardReport:
     """Outcome of comparing the two pushforward routes at one character."""
 
-    n_states: int
-    connected: bool
-    genus_cover: int
     matrix_distance: float
     spectral_distance: float
     spectral_radius: float
@@ -407,16 +393,16 @@ class CoverPushforward:
     """
 
     def __init__(self, model: TightBindingModel, cover: UnbranchedCover):
-        data = cover._schreier
+        codes = cover._schreier
         if cover.genus != model.genus:
             raise ValueError(f"genus mismatch: model {model.genus}, cover {cover.genus}")
         n, d = cover.sheets, model.dim
-        n_gens, n_dirs = 2 * model.genus, 2 * data.genus_cover
         self.model = model
         self.sheets = n
-        self.genus_cover = data.genus_cover
+        self.genus_cover = cover_genus(cover)
         self.connected = cover.transitive
-        self.edges = (cover.targets, data.codes)
+        self.edges = (cover.targets, codes)
+        n_gens, n_dirs = 2 * model.genus, 2 * self.genus_cover
         # each edge (s -> t along gen) in edge order, s major, its class
         # code (0 trivial, 1 + i for +d_i, 1 + n_dirs + i for -d_i) and the
         # keys of its sheet pairs (s, t) and (t, s); blocks several edges
@@ -536,8 +522,7 @@ class CoverPushforward:
             for matrix_distance, distance, radius_a, radius_b in columns:
                 radius = max(radius_a, radius_b)
                 passed = distance <= tol * max(radius, 1e-12)
-                facts = (d * n, self.connected, self.genus_cover, matrix_distance, distance, radius)
-                yield PushforwardReport(*facts, tol, passed)
+                yield PushforwardReport(matrix_distance, distance, radius, tol, passed)
 
 
 def supercell(model: TightBindingModel, cover: UnbranchedCover) -> TightBindingModel:
@@ -573,12 +558,10 @@ def induce(chi: AbelianMomentum, cover: UnbranchedCover) -> NonabelianMomentum:
     """
     if not isinstance(chi, AbelianMomentum):
         raise TypeError("induce expects an AbelianMomentum on the cover group")
-    data = cover._schreier
-    if chi.genus != data.genus_cover:
-        raise ValueError(
-            f"character has genus {chi.genus}, cover group has genus {data.genus_cover}"
-        )
-    phases = _induced_phases(chi.chi, chi.chi_inv, (cover.targets, data.codes))
+    codes, g_cover = cover._schreier, cover_genus(cover)
+    if chi.genus != g_cover:
+        raise ValueError(f"character has genus {chi.genus}, cover group has genus {g_cover}")
+    phases = _induced_phases(chi.chi, chi.chi_inv, (cover.targets, codes))
     return NonabelianMomentum(monomial=(cover.targets, *phases))
 
 

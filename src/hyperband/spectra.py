@@ -359,28 +359,32 @@ class BlochVariety:
     `coeffs` has one axis per chi variable plus a final axis of length dim+1
     for powers of E.  Chi axis i has odd length 2*r_i+1 in FFT exponent
     layout: index m means exponent m for m <= r_i, m - (2*r_i+1) above.
-    `bound` is the largest r_i, a bound on every exponent.
+    `genus`, `dim` and `bound`, the largest r_i and so a bound on every
+    exponent, are read off the shape.
     """
 
-    genus: int
-    dim: int
-    bound: int
     coeffs: np.ndarray
     holdout_residual: float
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
         *axes, n_powers = c.shape
-        if len(axes) != 2 * self.genus or n_powers != self.dim + 1:
-            raise ValueError(
-                f"coeffs shape {c.shape} does not fit genus {self.genus}, dim {self.dim}"
-            )
-        if any(n % 2 == 0 for n in axes) or max(axes, default=1) != 2 * self.bound + 1:
-            raise ValueError(
-                f"chi axis lengths {tuple(axes)} are not 2*r+1 with max r = bound {self.bound}"
-            )
+        if not axes or len(axes) % 2 or any(n % 2 == 0 for n in axes) or n_powers < 2:
+            raise ValueError(f"coeffs shape {c.shape} is not 2g odd chi axes and an E axis of length >= 2")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
+
+    @property
+    def genus(self) -> int:
+        return (self.coeffs.ndim - 1) // 2
+
+    @property
+    def dim(self) -> int:
+        return self.coeffs.shape[-1] - 1
+
+    @property
+    def bound(self) -> int:
+        return max(self.coeffs.shape[:-1]) // 2
 
     @functools.cached_property
     def _exponents(self) -> tuple:
@@ -515,8 +519,7 @@ def bloch_variety(model: TightBindingModel, tol: float = 1e-8, seed: int = 0) ->
         )
     if peak > 0:
         coeffs[mags <= 1e-13 * peak] = 0.0
-    bound = max(ranks)
-    variety = BlochVariety(genus=g, dim=d, bound=bound, coeffs=coeffs, holdout_residual=0.0)
+    variety = BlochVariety(coeffs, holdout_residual=0.0)
 
     # drawn point by point, in the order `seed` fixes, then solved as one
     # stack and evaluated in point slices

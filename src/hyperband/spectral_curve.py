@@ -153,9 +153,17 @@ class SpectralCurveInfo:
     a2: np.ndarray
     discriminant: np.ndarray
     branch_points: tuple  # of BranchPoint; empty when degenerate
-    smooth: bool
-    curve_genus: object  # int, or None when not smooth
     degenerate: bool  # discriminant vanishes identically
+
+    @property
+    def smooth(self) -> bool:
+        """A reduced branch divisor: not degenerate, every multiplicity 1."""
+        return not self.degenerate and all(bp.multiplicity == 1 for bp in self.branch_points)
+
+    @property
+    def curve_genus(self):
+        """The genus of a smooth curve, else None."""
+        return _genus(self.branch_points) if self.smooth else None
 
 
 def _disc_scale(a1: np.ndarray, a2: np.ndarray, disc: np.ndarray) -> float:
@@ -182,10 +190,6 @@ def _roots_with_multiplicity(poly: np.ndarray, base_genus: int, zero_tol: float)
     """
     full_degree = 2 * base_genus + 2
     poly = _trim_absolute(poly, zero_tol)
-    if poly.size == 0:
-        raise EverywhereSingularError(
-            "discriminant vanishes identically; no reduced branch divisor exists"
-        )
     degree = poly.size - 1
     if degree > full_degree:
         raise NumericalCheckFailure(
@@ -272,7 +276,9 @@ def curve_info(phi: Rank2TwistedHiggs) -> SpectralCurveInfo:
     """Characteristic polynomial, discriminant, branch divisor, smoothness, genus.
 
     An identically-zero discriminant (nilpotent-cone input) is reported as a
-    degenerate info object rather than an error.
+    degenerate info object rather than an error: one whose peak is within
+    TRIM_REL of the entries' product scale, or that the root finder's trim
+    would clear entirely.
     """
     a1, a2 = char_poly(phi)
     _cayley_hamilton_check(phi, a1, a2)
@@ -286,18 +292,17 @@ def curve_info(phi: Rank2TwistedHiggs) -> SpectralCurveInfo:
     )
     product_scale = entry_peak * entry_peak
     disc_peak = float(np.max(np.abs(disc))) if disc.size else 0.0
-    degenerate = disc.size == 0 or disc_peak <= TRIM_REL * product_scale
+    zero_tol = TRIM_REL * _disc_scale(a1, a2, disc)
+    degenerate = disc_peak <= max(TRIM_REL * product_scale, zero_tol)
     bps = ()
     if not degenerate:
-        zero_tol = TRIM_REL * _disc_scale(a1, a2, disc)
         finite, inf_mult = _roots_with_multiplicity(disc, phi.genus, zero_tol)
         bps = tuple(BranchPoint(point=p, multiplicity=m) for p, m in finite)
         if inf_mult > 0:
             bps += (BranchPoint(point=INFINITY, multiplicity=inf_mult),)
-    smooth = not degenerate and all(bp.multiplicity == 1 for bp in bps)
     return SpectralCurveInfo(
         base_genus=phi.genus, k=phi.k, a1=a1, a2=a2, discriminant=disc, branch_points=bps,
-        smooth=smooth, curve_genus=_genus(bps) if smooth else None, degenerate=degenerate,
+        degenerate=degenerate,
     )
 
 

@@ -404,6 +404,20 @@ def test_spectral_curve_degenerate_point_still_succeeds(tmp_path):
     assert doc["degenerate"] is True
 
 
+def test_spectral_curve_near_degenerate_field_succeeds(tmp_path, capsys):
+    # the constant field ((1, e), (e, 1)) with e^2 = 5e-13: a discriminant
+    # below the root finder's trim tolerance is reported degenerate
+    from hyperband.spectral_curve import Rank2TwistedHiggs, higgs_to_json
+
+    e = np.sqrt(5e-13)
+    higgs, out = tmp_path / "higgs.json", tmp_path / "c.json"
+    higgs.write_text(json.dumps(higgs_to_json(Rank2TwistedHiggs(1, 1, (([1.0], [e]), ([e], [1.0]))))))
+    code = cli.main(["spectral-curve", "--higgs", str(higgs), "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (0, "")
+    doc = json.loads(out.read_text())
+    assert (doc["degenerate"], doc["smooth"], doc["genus"], doc["branch_points"]) == (True, False, None, [])
+
+
 def test_spectral_curve_input_exclusivity(tmp_path, capsys):
     code = cli.main(["spectral-curve"])
     assert code == 2
@@ -537,21 +551,26 @@ def test_cover_check_impossible_tolerance_fails(two_state_model, swap_cover, cap
     assert "numerical failure" in captured.err
 
 
-def _report(distance, radius, tol=1e-9):
+def _report(distance, radius, tol=1e-9, matrix_distance=0.0):
     passed = distance <= tol * max(radius, 1e-12)
-    return PushforwardReport(4, True, 1, 0.0, distance, radius, tol, passed)
+    return PushforwardReport(matrix_distance, distance, radius, tol, passed)
 
 
 def test_cover_verdict_fails_when_any_trial_fails():
     # each trial's tolerance scales with its own radius: the largest distance
     # (2e-9 at radius 4) passes, the smaller 1.5e-9 at radius 1 fails
-    reports = [_report(1e-9, 2.0), _report(2e-9, 4.0), _report(1.5e-9, 1.0), _report(2e-9, 1.0)]
-    worst, failure = cli._cover_verdict(reports)
+    reports = [
+        _report(1e-9, 2.0, matrix_distance=1e-16), _report(2e-9, 4.0),
+        _report(1.5e-9, 1.0), _report(2e-9, 1.0, matrix_distance=3e-16),
+    ]
+    worst, matrix_distance, failure = cli._cover_verdict(reports)
     assert worst is reports[1] and worst.passed
+    # the matrix distance is the largest of any trial, not the worst trial's
+    assert matrix_distance == 3e-16
     assert failure[0] == 2 and failure[1] is reports[2]
     # all passing: the first largest-distance report, and no failure
-    worst, failure = cli._cover_verdict(iter(reports[:2] + [_report(2e-9, 8.0)]))
-    assert worst is reports[1] and failure is None
+    worst, matrix_distance, failure = cli._cover_verdict(iter(reports[:2] + [_report(2e-9, 8.0)]))
+    assert worst is reports[1] and matrix_distance == 1e-16 and failure is None
 
 
 def test_cover_check_prints_fail_when_a_smaller_distance_fails(

@@ -71,9 +71,6 @@ def per_trial_check(model, cover, dense, chi, tol=1e-9):
     radius = float(max(np.max(np.abs(spec_a)), np.max(np.abs(spec_b))))
     matrix_distance = float(np.max(np.abs(h_induced.matrix - h_supercell.matrix)))
     return PushforwardReport(
-        n_states=h_induced.matrix.shape[0],
-        connected=cover.transitive,
-        genus_cover=cover_genus(cover),
         matrix_distance=matrix_distance,
         spectral_distance=distance,
         spectral_radius=radius,
@@ -84,17 +81,18 @@ def per_trial_check(model, cover, dense, chi, tol=1e-9):
 
 def oracle_cover_check(model, cover, trials, tol, seed):
     """(stdout, --out text) of cover-check drawing and checking one character at a time."""
-    table = CoverPushforward(model, cover)
     dense = kron_supercell(model, cover)
     rng = np.random.default_rng(seed)
-    worst = None
+    worst, matrix_distance = None, 0.0
     for _ in range(trials):
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=2 * table.genus_cover)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=2 * cover_genus(cover))
         report = per_trial_check(model, cover, dense, AbelianMomentum(np.exp(1j * phases)), tol)
         if worst is None or report.spectral_distance > worst.spectral_distance:
             worst = report
+        matrix_distance = max(matrix_distance, report.matrix_distance)
+    n_states = model.dim * cover.sheets
     line = (
-        f"{'PASS' if worst.passed else 'FAIL'}: {trials} characters, {worst.n_states} states, "
+        f"{'PASS' if worst.passed else 'FAIL'}: {trials} characters, {n_states} states, "
         f"max spectral distance {worst.spectral_distance:.3e} "
         f"(tolerance {tol:g} x radius {worst.spectral_radius:.3e})\n"
     )
@@ -102,11 +100,11 @@ def oracle_cover_check(model, cover, trials, tol, seed):
         "hyperband_cover_check": 1,
         "passed": worst.passed,
         "trials": trials,
-        "n_states": worst.n_states,
-        "connected": worst.connected,
-        "genus_cover": worst.genus_cover,
+        "n_states": n_states,
+        "connected": cover.transitive,
+        "genus_cover": cover_genus(cover),
         "max_spectral_distance": worst.spectral_distance,
-        "max_matrix_distance": worst.matrix_distance,
+        "max_matrix_distance": matrix_distance,
         "spectral_radius": worst.spectral_radius,
         "tolerance": tol,
     }
@@ -435,3 +433,19 @@ def test_cover_check_bytes_equal_the_per_character_loop(tmp_path, capsys, kind, 
     assert code == 0
     assert stdout == line
     assert out.read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("kind", ["cyclic-g2", "cyclic-disconnected", "one-sheet-g2"])
+def test_cover_check_reports_the_cover_facts(tmp_path, capsys, kind):
+    # n_states, connected and genus_cover describe the cover, not a trial
+    cover = BATCH_COVERS[kind]
+    model = random_model(np.random.default_rng(50), cover.genus, 3)
+    model_path, cover_path, out = tmp_path / "model.json", tmp_path / "cover.json", tmp_path / "out.json"
+    write_model(model, model_path)
+    cover_path.write_text(json.dumps(cover_to_json(cover)), encoding="utf-8")
+    argv = ["cover-check", "--model", str(model_path), "--cover", str(cover_path), "--trials", "3", "--out", str(out)]
+    assert cli.main(argv) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    facts = (doc["n_states"], doc["connected"], doc["genus_cover"])
+    assert facts == (3 * cover.sheets, cover.transitive, cover_genus(cover))
+    assert capsys.readouterr().out.startswith(f"PASS: 3 characters, {3 * cover.sheets} states,")

@@ -40,28 +40,27 @@ from test_tight_binding import random_model
 # ---------------------------------------------------------------------------
 
 
-def edge_assignment(data):
+def edge_assignment(cover):
     """{(sheet0, gen): (direction index, sign)} read from the class codes.
 
     Code 0 is (None, 0), 1 + i is (i, +1) and 1 + G + i is (i, -1), with
     G = 2 * genus(cover).
     """
-    n_dirs = 2 * data.genus_cover
+    n_dirs = 2 * cover_genus(cover)
     return {
         (s, gen + 1): (None, 0) if code == 0 else ((code - 1) % n_dirs, 1 if code <= n_dirs else -1)
-        for gen, row in enumerate(data.codes.tolist())
+        for gen, row in enumerate(_schreier_data(cover).tolist())
         for s, code in enumerate(row)
     }
 
 
 def kron_supercell(model, cover):
     """The dense build: one np.kron per edge over the whole supercell."""
-    data = _schreier_data(cover)
-    assignment = edge_assignment(data)
+    assignment = edge_assignment(cover)
     n = cover.sheets
     big = model.dim * n
     onsite = np.kron(model.onsite, np.eye(n, dtype=complex))
-    new_hops = [np.zeros((big, big), dtype=complex) for _ in range(2 * data.genus_cover)]
+    new_hops = [np.zeros((big, big), dtype=complex) for _ in range(2 * cover_genus(cover))]
 
     def basis_block(a, b):
         E = np.zeros((n, n), dtype=complex)
@@ -80,13 +79,12 @@ def kron_supercell(model, cover):
                 new_hops[direction] += np.kron(J, basis_block(s, t))
             else:
                 new_hops[direction] += np.kron(J.conj().T, basis_block(t, s))
-    return TightBindingModel(make_surface_group(data.genus_cover), onsite, new_hops)
+    return TightBindingModel(make_surface_group(cover_genus(cover)), onsite, new_hops)
 
 
 def loop_induce(chi, cover):
     """The induced momentum filled one edge at a time."""
-    data = _schreier_data(cover)
-    assignment = edge_assignment(data)
+    assignment = edge_assignment(cover)
     n = cover.sheets
     mats, invs = [], []
     for gen in range(1, 2 * cover.genus + 1):
@@ -123,9 +121,6 @@ def dense_report(model, cover, chi, tol=1e-9):
     distance = float(np.max(np.abs(spec_a - spec_b)))
     radius = float(max(np.max(np.abs(spec_a)), np.max(np.abs(spec_b))))
     return PushforwardReport(
-        n_states=h_induced.matrix.shape[0],
-        connected=cover.transitive,
-        genus_cover=cover_genus(cover),
         matrix_distance=float(np.max(np.abs(h_induced.matrix - h_supercell.matrix))),
         spectral_distance=distance,
         spectral_radius=radius,
@@ -616,9 +611,9 @@ def _schreier_data_against_oracle(cover):
     ids=lambda c: f"N{c.sheets}-g{c.genus}",
 )
 def test_eliminator_matches_dense_smith_form_on_covers(cover):
-    data, widths = _schreier_data_against_oracle(cover)
-    # the relator rows, then the direction matrix
-    assert len(widths) == 2 and widths[1] == len(data.directions)
+    _, widths = _schreier_data_against_oracle(cover)
+    # the relator rows only, one column per non-tree edge
+    assert widths == [cover.sheets * (2 * cover.genus - 1) + len(cover.components())]
 
 
 @settings(max_examples=40)
@@ -628,23 +623,3 @@ def test_property_eliminator_matches_dense_smith_form_on_commuting_covers(cover)
         _schreier_data_against_oracle(cover)
     except UnsupportedCoverError:
         pass
-
-
-@pytest.mark.parametrize(
-    "directions", [[[1, 1], [1, -1]], [[1, 2], [2, 4]]], ids=["det-2", "singular"]
-)
-def test_unimodularity_test_refuses_non_unit_determinants(directions, monkeypatch):
-    # a real cover's classes span the free lattice, so this refusal can only
-    # be reached by handing the second elimination another direction matrix
-    real = covers_quivers._eliminate
-    calls = []
-
-    def substituted(rows, width):
-        calls.append(width)
-        return real(_sparse(directions) if len(calls) == 2 else rows, width)
-
-    monkeypatch.setattr(covers_quivers, "_eliminate", substituted)
-    message = "^hop directions do not form a unimodular basis of the class lattice$"
-    with pytest.raises(UnsupportedCoverError, match=message):
-        _schreier_data(cyclic(1, 3, 0))
-    assert calls[1] == 2

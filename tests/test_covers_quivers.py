@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hyperband import covers_quivers
 from hyperband.covers_quivers import (
+    CoverPushforward,
     Quiver,
     QuiverArrow,
     UnbranchedCover,
@@ -179,8 +180,9 @@ def test_hop_direction_count_invariant():
         UnbranchedCover(sheets=2, perms=((2, 1), (1, 2), (1, 2), (1, 2))),
     ]
     for cover in covers:
-        data = _schreier_data(cover)
-        assert len(data.directions) == 2 * cover_genus(cover)
+        codes, n_dirs = _schreier_data(cover), 2 * cover_genus(cover)
+        assert codes.max() <= 2 * n_dirs
+        assert np.unique((codes[codes > 0] - 1) % n_dirs).size == n_dirs
 
 
 def test_supercell_genus_mismatch_rejected():
@@ -261,9 +263,8 @@ def test_pushforward_check_report():
     chi = unitary_character(rng, 1)
     report = pushforward_check(model, cover, chi)
     assert report.passed
-    assert report.n_states == 9
-    assert report.connected
-    assert report.genus_cover == 1
+    table = CoverPushforward(model, cover)
+    assert (table.connected, table.genus_cover) == (True, 1)
     assert report.spectral_distance <= 1e-9 * report.spectral_radius
 
 

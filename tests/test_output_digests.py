@@ -100,7 +100,7 @@ DIGESTS = {
     "cover-check": [
         0,
         "6c0481e4bb5bcc0eca3afa96b37386e8b6937efb1c23f7f98b649855470169b7",
-        "00fa3dfc81eb9244d659d5bd2bdde665c266e9b31faff6d85388133a5d828f59",
+        "9bd74290942740805710bb569efd17882cbd0a7bf6a7078178a7bdd6dc4b4779",
     ],
     "cover-check-fail": [
         3,

@@ -339,13 +339,7 @@ def test_variety_detects_tampered_model():
     var = bloch_variety(model)
     coeffs = np.array(var.coeffs)
     coeffs[tuple([0] * coeffs.ndim)] += 0.1
-    broken = BlochVariety(
-        genus=var.genus,
-        dim=var.dim,
-        bound=var.bound,
-        coeffs=coeffs,
-        holdout_residual=var.holdout_residual,
-    )
+    broken = BlochVariety(coeffs, holdout_residual=var.holdout_residual)
     chi = random_unitary_character(rng, 1)
     e = eigenvalues(bloch_abelian(model, chi))[0]
     value, scale = broken.evaluate(chi.chi, e, with_scale=True)

@@ -145,6 +145,24 @@ def test_branch_points_agree_with_curve_info_on_rounding_level_discriminant():
         curve_genus(info)
 
 
+def near_diagonal_field(e_squared):
+    """The constant genus-1, k = 1 field ((1, e), (e, 1)): discriminant 4 e^2."""
+    e = np.sqrt(e_squared)
+    return Rank2TwistedHiggs(1, 1, (([1.0], [e]), ([e], [1.0])))
+
+
+@pytest.mark.parametrize(
+    "e_squared, degenerate", [(1e-13, True), (3e-13, True), (5e-13, True), (9e-13, True), (2e-12, False)]
+)
+def test_discriminant_the_root_finder_would_trim_away_is_degenerate(e_squared, degenerate):
+    # 4 e^2 at or below the trim tolerance 1e-12 * 4 (the scale of a1^2) is
+    # degenerate, also above the product-scale threshold 1e-12 * 1; above
+    # it, the discriminant is a nonzero constant and infinity carries all 4
+    info = curve_info(near_diagonal_field(e_squared))
+    points = () if degenerate else (BranchPoint(point=INFINITY, multiplicity=4),)
+    assert (info.degenerate, info.branch_points, info.smooth, info.curve_genus) == (degenerate, points, False, None)
+
+
 def test_toy_field_branch_set():
     rng = np.random.default_rng(1)
     for _ in range(20):

@@ -121,7 +121,7 @@ def test_evaluate_on_fortran_ordered_coeffs():
     # a non-contiguous coefficient array is reshaped (copied) as tensordot does
     variety = bloch_variety(model_with_ranks(7, 2, 2, [2, 1, 2, 2]))
     coeffs = np.asfortranarray(variety.coeffs)
-    moved = BlochVariety(genus=2, dim=2, bound=2, coeffs=coeffs, holdout_residual=0.0)
+    moved = BlochVariety(coeffs, holdout_residual=0.0)
     chi = np.exp(1j * np.array([0.3, 1.1, -2.0, 0.7])) * 1.1
     assert bits(*moved.evaluate(chi, 0.4 - 1j, with_scale=True)) == bits(
         *tensordot_evaluate(moved, chi, 0.4 - 1j)
@@ -140,9 +140,8 @@ def test_property_terms_equal_the_argwhere_loop(variety):
 
 @pytest.mark.parametrize("genus, dim, shape", [(1, 2, (3, 5, 3)), (2, 1, (3, 1, 1, 3, 2))])
 def test_all_zero_variety_has_no_terms(genus, dim, shape):
-    variety = BlochVariety(
-        genus=genus, dim=dim, bound=max(shape[:-1]) // 2, coeffs=np.zeros(shape), holdout_residual=0.0
-    )
+    variety = BlochVariety(np.zeros(shape), holdout_residual=0.0)
+    assert (variety.genus, variety.dim, variety.bound) == (genus, dim, max(shape[:-1]) // 2)
     assert variety_terms(variety) == argwhere_terms(variety) == []
     assert json.loads(variety.json_text())["terms"] == []
     assert variety.evaluate(np.ones(2 * genus), 1.0, with_scale=True) == (0.0, 0.0)

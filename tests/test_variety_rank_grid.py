@@ -109,7 +109,7 @@ def eigvals_route_oracle(model, holdout_points=20, seed=0):
     lams = np.linalg.eigvals(_assemble(model, chis.T[..., None, None], (1.0 / chis).T[..., None, None]))
     F = _char_coeffs_from_eigenvalues(lams).reshape(shape + (d + 1,))
     coeffs = prune(np.fft.fftn(F, axes=tuple(range(2 * g))) / chis.shape[0])
-    variety = BlochVariety(genus=g, dim=d, bound=max(ranks), coeffs=coeffs, holdout_residual=0.0)
+    variety = BlochVariety(coeffs, holdout_residual=0.0)
     rng = np.random.default_rng(seed)
     lam_scale = float(np.max(np.abs(lams)))
     worst = 0.0
@@ -270,15 +270,11 @@ def test_mixed_axis_lengths_through_terms_evaluate_and_json():
     assert_same_support(variety, full_grid_oracle(model)[2])
 
 
-@pytest.mark.parametrize(
-    "coeffs_shape, bound",
-    [((3, 5, 4), 1), ((3, 4, 4), 2), ((3, 5, 3), 2), ((3, 5, 4, 1), 2)],
-)
-def test_variety_rejects_layout_that_does_not_fit(coeffs_shape, bound):
+@pytest.mark.parametrize("coeffs_shape", [(3, 4, 4), (3, 5, 4, 1), (4,), (3, 3, 1)])
+def test_variety_rejects_layout_that_does_not_fit(coeffs_shape):
+    # an even chi axis; three chi axes; no chi axis; an E axis of length 1
     with pytest.raises(ValueError):
-        BlochVariety(
-            genus=1, dim=3, bound=bound, coeffs=np.zeros(coeffs_shape), holdout_residual=0.0
-        )
+        BlochVariety(np.zeros(coeffs_shape), holdout_residual=0.0)
 
 
 def test_oversized_variety_refused_before_sampling(tmp_path, capsys):

@@ -128,8 +128,7 @@ def test_property_json_text_is_the_indented_document(variety):
 
 @pytest.mark.parametrize("genus, dim, shape", [(1, 2, (3, 5, 3)), (2, 1, (3, 1, 1, 3, 2))])
 def test_json_text_of_an_empty_term_list(genus, dim, shape):
-    variety = BlochVariety(genus=genus, dim=dim, bound=max(shape[:-1]) // 2,
-                           coeffs=np.zeros(shape), holdout_residual=0.0)
+    variety = BlochVariety(np.zeros(shape), holdout_residual=0.0)
     text = variety.json_text()
     assert text == indented_dumps(json.loads(text))
     assert json.loads(text)["terms"] == []
@@ -139,7 +138,7 @@ def test_json_text_keeps_negative_zeros():
     coeffs = np.zeros((3, 1, 3), dtype=complex)
     coeffs[0, 0] = [complex(-0.0, 1.5), complex(2.0, -0.0), 0.0]
     coeffs[2, 0, 1] = complex(-1e-300, -0.0)
-    variety = BlochVariety(genus=1, dim=2, bound=1, coeffs=coeffs, holdout_residual=1e-17)
+    variety = BlochVariety(coeffs, holdout_residual=1e-17)
     text = variety.json_text()
     assert text == indented_dumps(json.loads(text))
     assert [t["coeff"] for t in json.loads(text)["terms"]] == [[-1e-300, -0.0], [-0.0, 1.5], [2.0, -0.0]]
@@ -150,11 +149,11 @@ def test_json_text_keeps_negative_zeros():
 def test_json_text_refuses_non_finite_coefficients(bad):
     coeffs = np.ones((3, 3, 2), dtype=complex)
     coeffs[1, 2, 0] = bad
-    variety = BlochVariety(genus=1, dim=1, bound=1, coeffs=coeffs, holdout_residual=0.0)
+    variety = BlochVariety(coeffs, holdout_residual=0.0)
     with pytest.raises(ValueError, match="non-finite"):
         variety.json_text()
     with pytest.raises(ValueError, match="non-finite"):
-        BlochVariety(genus=1, dim=1, bound=1, coeffs=np.ones((3, 3, 2)), holdout_residual=math.nan).json_text()
+        BlochVariety(np.ones((3, 3, 2)), holdout_residual=math.nan).json_text()
 
 
 def huge_model():
