@@ -37,15 +37,15 @@ mask of tree edges: the parent links of a Schreier transversal.  Each of the
 t_s gamma t_{s.gamma}^{-1}, trivial on tree edges.  One walk of the relator from every sheet at once
 (`surface_group._walk`, which also serves the cover's relator check and the
 monomial relator residual) gives the N rewritten relators, abelianized over
-the non-tree edges into sparse rows.  One exact sparse integer eliminator,
-`_eliminate`, diagonalizes those rows and records the column transform.
-The surviving free quotient has rank 2 * genus(cover), and each edge class
--- read from the transform's free columns, sparse -- must be zero or +- a
-basis direction; its code goes straight into the (2g, N) code array every
-later step reads.  A cover whose classes cannot be straightened this way
-(they exist!) gets an UnsupportedCoverError rather than a silently wrong
-supercell.  Every step is near linear in N on the covers tried: 0.1 s at
-N = 2048.
+the non-tree edges into sparse rows, one per face.  One contraction of the
+faces, `_contract`, eliminates those rows with +-1 pivots and records the
+column transform.  The surviving free quotient has rank 2 * genus(cover),
+and each edge class -- read from the transform's free columns, sparse --
+must be zero or +- a basis direction; its code goes straight into the
+(2g, N) code array every later step reads.  A cover whose classes cannot be
+straightened this way (they exist!) gets an UnsupportedCoverError rather
+than a silently wrong supercell.  Every step is near linear in N on the
+covers tried: 0.02 s at N = 2048.
 
 A quiver presents one model's Hamiltonian as nodes (atoms = groups of cell
 states) and block arrows (label: which generator the hop crosses, or none for
@@ -135,11 +135,12 @@ class UnbranchedCover:
 
         Roots are taken least unvisited sheet first; a visited sheet looks
         along the generators in order, forward before backward.  That order
-        fixes the tree, hence the relator columns, the eliminator's V and the
-        CLI bytes, so it must stay.  tree (2g, N) marks at [gen - 1, s] each
-        edge s -> s.gen that reached a new sheet: the parent links of a
-        Schreier transversal, so exactly the edges whose Schreier element is
-        trivial by construction.  components are sorted tuples of sheets.
+        fixes the tree, hence the relator columns, the contraction's pivots
+        and the CLI bytes, so it must stay.  tree (2g, N) marks at
+        [gen - 1, s] each edge s -> s.gen that reached a new sheet: the parent
+        links of a Schreier transversal, so exactly the edges whose Schreier
+        element is trivial by construction.  components are sorted tuples of
+        sheets.
         """
         targets, sources = self.targets.tolist(), self.sources.tolist()
         tree = np.zeros(self.targets.shape, dtype=bool)
@@ -186,124 +187,73 @@ def cover_genus(cover: UnbranchedCover) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _eliminate(rows: list, width: int):
-    """Exact integer diagonalization by unimodular row and column operations.
+def _contract(rows: list, width: int) -> tuple:
+    """(rank, classes) of the relator rows, by contracting their faces.
 
-    `rows` are sparse, {column: value} mappings over columns 0..width-1.
-    Returns (diagonal, transform): the diagonal entries of
-    (unimodular) @ rows @ V, min(len(rows), width) of them, and a function
-    giving the unimodular width x width column transform V: transform(first)
-    is the list of V's rows restricted to column positions first..width-1,
-    each a sparse {position: value} dict with no zeros, so transform(0) is
-    all of V.  Rank = #nonzero diagonal entries, torsion-freeness = all
-    nonzero entries are +-1, |det| of a square input = |product of the
-    diagonal|, and the class of basis vector e_j in the quotient by the row
-    lattice is row j of transform(rank).
+    `rows` are sparse {column: value} mappings over columns 0..width-1, one
+    per face, and are face-edge incidences: the relator holds each generator
+    once with each sign and the walk crosses every edge once per letter, so
+    each column is +1 in one face and -1 in one other, or cancels in one.
+    Face by face in index order, a nonempty face f pivots on its edge c of
+    lowest position, moved to position `rank`: the column operations
+    column j -= f[j] f[c] column c move f's other edges into the one other
+    face holding c (an edge both hold cancels), a row operation clears c
+    there, and f is emptied.  The rows stay incidences, so every pivot is
+    +-1: there is no torsion to test for, and the rank counts the faces
+    contracted.  This rule fixes the column transform V, hence the hop
+    classes, the supercells and the CLI bytes, so it must stay.
 
-    Stage t takes the first nonzero entry at or past (t, t) in row-major
-    order as its pivot and moves it to (t, t).  Then, until row t and column
-    t are clear past the pivot, it reduces row t's later entries by column
-    operations and column t's lower entries by row operations, each time
-    swapping a nonzero remainder in as the new pivot.  This rule fixes V,
-    hence the hop classes, the supercells and the CLI bytes, so it must stay.
-    Its one condition: on general integer matrices it lets entries grow
-    without bound (one random 7 x 7 matrix with entries in [-3, 3] passed
-    4,000 digits within 2 s).  The rows reduced here stay small: relator
-    rows are face-edge incidences, every column e_f - e_f' or zero, and
-    their entries have stayed within +-1 at every sheet count tried.
-
-    Storage is sparse: {column: value} rows and a column -> rows index.
-    Swaps only relabel positions.  V = E_1 ... E_m is kept as its column
-    operations E_k, and `transform` multiplies them out backwards onto the
-    requested columns only, so the free columns cost about their own size.
-    All of V can be far larger: on the chain-shaped relator rows of a cyclic
-    cover each column operation carries the pivot column's entries on to the
-    next column, so at N = 1024 sheets (width 3,073) V holds 526,849
-    entries, all but 3,073 of them in pivot columns that no class reads.
+    classes[j], the class of column j in the quotient, is row j of V at the
+    free positions rank..width-1, as a sparse {position - rank: value} dict.
+    V is kept as its column operations and multiplied out backwards onto the
+    free positions only: all of V is far larger (on a cyclic cover of 1024
+    sheets, 526,849 entries, all but 3,073 in pivot columns no class reads).
     """
-    n = len(rows)
-    R = [{j: int(v) for j, v in row.items() if v} for row in rows]
-    holders = [set() for _ in range(width)]  # column -> rows nonzero there
-    for i, row in enumerate(R):
-        for j in row:
-            holders[j].add(i)
-    row_at, row_pos = list(range(n)), list(range(n))  # position <-> row
+    faces = [{j: v for j, v in row.items() if v} for row in rows]
+    holders = [set() for _ in range(width)]  # column -> faces holding it
+    for f, face in enumerate(faces):
+        for j in face:
+            holders[j].add(f)
     col_at, col_pos = list(range(width)), list(range(width))  # position <-> column
-    steps = []  # (j, pivot, q): column j -= q * column pivot, in order
+    steps, rank = [], 0  # steps (j, c, q): column j -= q * column c, in order
+    for f, face in enumerate(faces):
+        if not face:
+            continue
+        c = min(face, key=col_pos.__getitem__)
+        p = col_pos[c]
+        col_at[rank], col_at[p] = c, col_at[rank]
+        col_pos[c], col_pos[col_at[p]] = rank, p
+        (other,) = holders[c] - {f}
+        merged, pivot = faces[other], face.pop(c)
+        del merged[c]
+        for j, v in face.items():
+            steps.append((j, c, v * pivot))
+            holders[j] ^= {f, other}  # an edge both faces hold cancels
+            if not merged.pop(j, 0):
+                merged[j] = v
+        face.clear()
+        rank += 1
 
-    def put(i, j, value):
-        if value:
-            R[i][j] = value
-            holders[j].add(i)
-        elif R[i].pop(j, 0):
-            holders[j].discard(i)
-
-    def swap_rows(a, b):
-        row_at[a], row_at[b] = row_at[b], row_at[a]
-        row_pos[row_at[a]], row_pos[row_at[b]] = a, b
-
-    def swap_cols(a, b):
-        col_at[a], col_at[b] = col_at[b], col_at[a]
-        col_pos[col_at[a]], col_pos[col_at[b]] = a, b
-
-    def below(t):  # positions of rows past t that are nonzero in column t
-        return sorted(row_pos[i] for i in holders[col_at[t]] if row_pos[i] > t)
-
-    for t in range(min(n, width)):
-        start = next((p for p in range(t, n) if R[row_at[p]]), None)
-        if start is None:
-            break
-        swap_rows(t, start)
-        swap_cols(t, min(col_pos[j] for j in R[row_at[t]]))
-        while True:
-            # shrink the pivot by column operations along its row ...
-            pivot_row = R[row_at[t]]
-            for p in sorted(col_pos[j] for j in pivot_row if col_pos[j] > t):
-                j, pivot = col_at[p], col_at[t]
-                q = pivot_row[j] // pivot_row[pivot]
-                for i in holders[pivot]:
-                    put(i, j, R[i].get(j, 0) - q * R[i][pivot])
-                steps.append((j, pivot, q))
-                if j in pivot_row:
-                    swap_cols(t, p)
-            # ... and by row operations along its column
-            for p in below(t):
-                row, pivot_row, pivot = R[row_at[p]], R[row_at[t]], col_at[t]
-                q = row[pivot] // pivot_row[pivot]
-                for j, v in pivot_row.items():
-                    put(row_at[p], j, row.get(j, 0) - q * v)
-                if pivot in row:
-                    swap_rows(t, p)
-            if len(R[row_at[t]]) == 1 and not below(t):
-                break
-    diagonal = [R[row_at[t]].get(col_at[t], 0) for t in range(min(n, width))]
-
-    def transform(first: int) -> list:
-        # rows of E_1 (E_2 (... (E_m P))), P the identity's columns at
-        # positions first..; E_k (column j -= q column pivot) acting from
-        # the left is: row pivot -= q row j
-        V = {col_at[p]: {p: 1} for p in range(first, width)}
-        for j, pivot, q in reversed(steps):
-            source = V.get(j)
-            if source and q:
-                target = V.setdefault(pivot, {})
-                for c, v in source.items():
-                    value = target.get(c, 0) - q * v
-                    if value:
-                        target[c] = value
-                    else:
-                        del target[c]
-        return [V.get(i, {}) for i in range(width)]
-
-    return diagonal, transform
+    # rows of E_1 (E_2 (... (E_m P))), P the identity's columns at the free
+    # positions; E_k (column j -= q column c) acting from the left is:
+    # row c -= q row j
+    V = {col_at[p]: {p - rank: 1} for p in range(rank, width)}
+    for j, c, q in reversed(steps):
+        target = V.setdefault(c, {})
+        for x, v in V.get(j, {}).items():
+            target[x] = target.get(x, 0) - q * v
+            if not target[x]:
+                del target[x]
+    return rank, [V.get(j, {}) for j in range(width)]
 
 
 def _schreier_data(cover: UnbranchedCover) -> np.ndarray:
     """The read-only (2g, N) class codes: at [gen - 1, s] the code of edge
     s -> s.gen, 0 for the trivial class, 1 + i for +d_i and 1 + G + i for
     -d_i, G = 2 * genus(cover), the entry of [1, chi, chi^-1] rho reads.
-    No basis check is needed: the edge classes generate the free quotient
-    Z^G, hence so do the G directions, and G generators of Z^G are a basis."""
+    No torsion check is needed, as every pivot of `_contract` is +-1, and no
+    basis check: the edge classes generate the free quotient Z^G, hence so
+    do the G directions, and G generators of Z^G are a basis."""
     g, n = cover.genus, cover.sheets
     tree = cover._forest[0]
     # the non-tree edges, sheet major, are the columns of the relator rows
@@ -320,25 +270,19 @@ def _schreier_data(cover: UnbranchedCover) -> np.ndarray:
                 row[j] = row.get(j, 0) + exp
 
     g_cover = cover_genus(cover)
-    diagonal, transform = _eliminate(rows, k)
-    rank = sum(1 for d in diagonal if d != 0)
-    if any(d != 0 and abs(d) != 1 for d in diagonal):
-        raise UnsupportedCoverError(
-            "the rewritten relators leave torsion in the hop-class lattice; "
-            "this cover cannot carry a single-generator-hop supercell"
-        )
+    rank, sparse = _contract(rows, k)
     free = k - rank
     if free != 2 * g_cover:
         raise UnsupportedCoverError(
             f"free hop-class rank {free} does not match 2 * genus(cover) = {2 * g_cover}"
         )
 
-    # an edge's class is its row of V at the free columns; sign-normalized,
-    # its first nonzero coordinate is positive
+    # an edge's class is the contraction's sparse class of its column;
+    # sign-normalized, its first nonzero coordinate is positive
     directions = {}  # class -> direction index, in first-seen order
     classes = []  # the code of each non-tree edge, in column order
-    for row in transform(rank):
-        cls = sorted((c - rank, v) for c, v in row.items())
+    for row in sparse:
+        cls = sorted(row.items())
         if not cls:
             classes.append(0)
             continue

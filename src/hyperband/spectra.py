@@ -128,12 +128,16 @@ def complex_region_grid(genus: int, counts, log_modulus, n_moduli: int) -> Momen
 
     Each variable runs over n_moduli moduli exp(mu), mu uniform in
     [log_modulus[0], log_modulus[1]] (endpoints included), times `counts[i]`
-    phases uniform on [0, 2 pi) -- modulus-major within the axis.
+    phases uniform on [0, 2 pi) -- modulus-major within the axis.  A modulus
+    that overflows or is zero is refused before any axis is built.
     """
     n_moduli = integer(n_moduli, "n_moduli")
     counts = _axis_counts(genus, counts, n_moduli)
     lo, hi = float(log_modulus[0]), float(log_modulus[1])
-    moduli = np.exp(np.linspace(lo, hi, n_moduli) if n_moduli > 1 else np.array([(lo + hi) / 2.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        moduli = np.exp(np.linspace(lo, hi, n_moduli) if n_moduli > 1 else np.array([(lo + hi) / 2.0]))
+    if not 0 < moduli.min() <= moduli.max() < np.inf:  # false for any NaN
+        raise ValueError(f"region moduli exp({lo}) to exp({hi}) must be finite and nonzero")
     return MomentumGrid([(moduli[:, None] * _roots_of_unity(n)[None, :]).reshape(-1) for n in counts])
 
 

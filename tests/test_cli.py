@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,17 @@ def test_bands_overflowing_region_is_refused(tmp_path, capsys):
     assert code == 2
     errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
     assert len(errors) == 1 and "non-finite" in errors[0]
+
+
+@pytest.mark.parametrize("region", ["0:800:3", "1e308:1e308:2", "-800:-700:2"])
+def test_bands_region_with_an_unrepresentable_modulus_is_refused_quietly(single_site_model, capsys, region):
+    # exp(800) and exp(1e308) overflow and exp(-800) is zero: one error line, no numpy warnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["bands", "--model", str(single_site_model), "--grid", "2", f"--region={region}"])
+    assert code == 2 and caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: region moduli exp(") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,23 @@ from hyperband.covers_quivers import (
 from hyperband.errors import NumericalCheckFailure, UnsupportedCoverError
 from hyperband.momenta import AbelianMomentum, _monomial_checks
 from hyperband.spectra import eigenvalues
-from hyperband.tight_binding import BlochHamiltonian, _place_blocks, bloch_abelian, write_model
+from hyperband.tight_binding import (
+    BlochHamiltonian,
+    _place_blocks,
+    bloch_abelian,
+    bloch_nonabelian,
+    write_model,
+)
 
-from test_cover_pushforward import COVERS, check_one, cyclic, kron_supercell, special_models, znzm
+from test_cover_pushforward import (
+    COVERS,
+    check_one,
+    commuting_covers,
+    cyclic,
+    kron_supercell,
+    special_models,
+    znzm,
+)
 from test_monomial_covers import KINDS, surface_covers
 from test_tight_binding import random_model
 
@@ -306,6 +320,87 @@ def test_mixed_batch_solves_each_route_per_solver(monkeypatch):
     }
     monkeypatch.undo()
     assert_batch_matches(model, cover, kinds, rng, table)
+
+
+# ---------------------------------------------------------------------------
+# classes against sheet positions: an oracle that reads no Schreier data
+# ---------------------------------------------------------------------------
+
+
+def sheet_positions(cover):
+    """(N, 2g) integer positions, summed along the cover's BFS tree from 0 at
+    each component's root (its least sheet): a tree edge s -> s.gen, generator
+    i + 1, steps by e_i."""
+    tree, components = cover._forest
+    eye = np.eye(2 * cover.genus, dtype=int)
+    pos = np.zeros((cover.sheets, 2 * cover.genus), dtype=int)
+    for component in components:
+        seen, queue = {component[0]}, [component[0]]
+        for s in queue:
+            for i in range(2 * cover.genus):
+                forward, backward = int(cover.targets[i, s]), int(cover.sources[i, s])
+                for reached, edge, step in ((forward, s, eye[i]), (backward, backward, -eye[i])):
+                    if tree[i, edge] and reached not in seen:
+                        pos[reached] = pos[s] + step
+                        seen.add(reached)
+                        queue.append(reached)
+    return pos
+
+
+def assert_classes_match_sheet_positions(cover, seed):
+    """The class codes against the base homology of each edge's Schreier element.
+
+    Edge (s, gen) maps to v = e_gen + pos(s) - pos(s.gen) in Z^2g: 0 for an
+    edge coded 0 and +-v_i, one v_i per direction, for one coded +-(1 + i).
+    Then the induced momentum of the character chi_i = psi^(v_i), pulled back
+    from a unitary base character psi, is psi times the sheet permutations up
+    to a diagonal gauge, so its Bloch spectrum is that of
+    M (x) I + sum_i psi_i J_i (x) P_i + psi_i^-1 J_i^dagger (x) P_i^T.
+    A wrong but self-consistent class fails this, where `cover-check`, whose
+    two routes both read the codes, would pass.
+    """
+    codes, n_dirs = cover._schreier, 2 * cover_genus(cover)
+    pos = sheet_positions(cover)
+    v = np.eye(2 * cover.genus, dtype=int)[:, None, :] + pos[None] - pos[cover.targets]
+    assert not v[codes == 0].any()
+    basis = []
+    for i in range(n_dirs):
+        signed = np.concatenate([v[codes == 1 + i], -v[codes == 1 + n_dirs + i]])
+        assert len(signed) > 0 and (signed == signed[0]).all()
+        basis.append(signed[0])
+
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, cover.genus, int(rng.integers(1, 4)))
+    theta = rng.uniform(0.0, 2.0 * np.pi, 2 * cover.genus)
+    chi = AbelianMomentum(np.exp(1j * (np.array(basis) @ theta)))
+    spectrum = eigenvalues(bloch_nonabelian(model, induce(chi, cover))).real
+    n = cover.sheets
+    H = np.kron(model.onsite, np.eye(n))
+    for i, psi in enumerate(np.exp(1j * theta)):
+        P = np.zeros((n, n))
+        P[np.arange(n), cover.targets[i]] = 1.0
+        H += psi * np.kron(model.hops[i], P) + np.conj(psi) * np.kron(model.hops_dagger[i], P.T)
+    expected = np.linalg.eigvalsh(H)
+    radius = max(np.max(np.abs(spectrum)), np.max(np.abs(expected)))
+    assert np.max(np.abs(spectrum - expected)) <= 1e-12 * radius
+
+
+@pytest.mark.parametrize("cover", BATCH_COVERS.values(), ids=BATCH_COVERS.keys())
+def test_classes_match_sheet_positions(cover):
+    assert_classes_match_sheet_positions(cover, cover.sheets * 11 + cover.genus)
+
+
+@settings(max_examples=400)
+@given(
+    cover=st.one_of(surface_covers(max_sheets=12), commuting_covers(mix_generators=True)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_accepted_classes_match_sheet_positions(cover, seed):
+    try:
+        cover._schreier
+    except UnsupportedCoverError:
+        return
+    assert_classes_match_sheet_positions(cover, seed)
 
 
 # ---------------------------------------------------------------------------

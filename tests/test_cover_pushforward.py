@@ -1,7 +1,6 @@
 """The per-cover pushforward table against the dense Kronecker build it replaced."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from hyperband.covers_quivers import (
     CoverPushforward,
     PushforwardReport,
     UnbranchedCover,
-    _eliminate,
     _schreier_data,
     cover_genus,
     cover_to_json,
@@ -194,29 +192,6 @@ def _smith_right_transform(rows: list, width: int):
         t += 1
     diagonal = [R[i][i] for i in range(min(n, width))]
     return diagonal, V
-
-
-def bareiss_det(matrix):
-    """Fraction-free dense Gaussian elimination."""
-    m = [[int(v) for v in row] for row in matrix]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -516,92 +491,31 @@ def test_property_commuting_covers_pass_or_are_refused(cover, seed):
     assert check_one(table, chi).passed
 
 
-def _sparse(matrix):
-    """Dense rows as the eliminator's {column: value} rows."""
-    return [dict(enumerate(row)) for row in matrix]
-
-
 def _dense(rows, width):
     """Sparse {column: value} rows as dense lists of `width` entries."""
     return [[row.get(j, 0) for j in range(width)] for row in rows]
 
 
-def _abs_det(matrix):
-    """|det| from the eliminator: every step is unimodular up to sign."""
-    return abs(math.prod(_eliminate(_sparse(matrix), len(matrix))[0]))
-
-
-@settings(max_examples=200)
-@given(
-    st.integers(0, 6).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
-        )
-    ),
-    st.booleans(),
-)
-def test_property_sparse_det_matches_bareiss(matrix, make_singular):
-    if make_singular and len(matrix) > 1:
-        matrix[-1] = [x - y for x, y in zip(matrix[0], matrix[1])] if len(matrix) > 2 else list(matrix[0])
-    assert _abs_det(matrix) == abs(bareiss_det(matrix))
-
-
-def test_sparse_det_on_signed_permutations_and_singular_cases():
-    rng = np.random.default_rng(24)
-    for n in (1, 5, 40):
-        perm = rng.permutation(n)
-        signs = rng.choice([-1, 1], n)
-        m = np.zeros((n, n), dtype=int)
-        m[np.arange(n), perm] = signs
-        assert _abs_det(m.tolist()) == 1 == abs(bareiss_det(m.tolist()))
-    assert _abs_det([]) == 1
-    assert _abs_det([[0, 0], [0, 0]]) == 0
-    assert _abs_det([[2, 4], [1, 2]]) == 0
-    assert _abs_det([[2, 1], [1, 1]]) == 1
-    assert _abs_det([[0, 1], [1, 0]]) == 1
-    assert _abs_det([[6, 4], [4, 6]]) == 20
-
-
-@st.composite
-def small_matrices(draw):
-    """Rectangular, up to 7 x 7, entries in [-3, 3], some rows and columns zero.
-
-    Entries stay small on purpose: the shared pivot rule lets them grow
-    without bound on general integer matrices (see `_eliminate`).
-    """
-    n, width = draw(st.integers(0, 7)), draw(st.integers(0, 7))
-    row = st.lists(st.integers(-3, 3), min_size=width, max_size=width)
-    matrix = draw(st.lists(row, min_size=n, max_size=n))
-    zero_rows = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))
-    zero_cols = draw(st.sets(st.integers(0, max(width - 1, 0)), max_size=width))
-    return [
-        [0 if i in zero_rows or j in zero_cols else v for j, v in enumerate(row)]
-        for i, row in enumerate(matrix)
-    ]
-
-
-@settings(max_examples=300)
-@given(small_matrices())
-def test_property_eliminator_matches_dense_smith_form(matrix):
-    width = len(matrix[0]) if matrix else 0
-    diagonal, transform = _eliminate(_sparse(matrix), width)
-    assert (diagonal, _dense(transform(0), width)) == _smith_right_transform(matrix, width)
-
-
 def _schreier_data_against_oracle(cover):
-    """_schreier_data with every elimination checked against the dense oracle."""
-    real = covers_quivers._eliminate
+    """_schreier_data with every contraction checked against the dense oracle.
+
+    The rank is the number of nonzero diagonal entries, each +-1, and each
+    column's class is its row of V at the free positions.
+    """
+    real = covers_quivers._contract
     widths = []
 
     def checked(rows, width):
-        diagonal, transform = result = real(rows, width)
-        dense_v = _dense(transform(0), width)
-        assert (diagonal, dense_v) == _smith_right_transform(_dense(rows, width), width)
+        rank, classes = result = real(rows, width)
+        diagonal, V = _smith_right_transform(_dense(rows, width), width)
+        assert all(d in (-1, 0, 1) for d in diagonal)
+        assert rank == sum(1 for d in diagonal if d != 0)
+        assert classes == [{c: v for c, v in enumerate(row[rank:]) if v} for row in V]
         widths.append(width)
         return result
 
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(covers_quivers, "_eliminate", checked)
+        monkeypatch.setattr(covers_quivers, "_contract", checked)
         return _schreier_data(cover), widths
 
 

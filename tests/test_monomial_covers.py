@@ -355,7 +355,7 @@ def test_property_schreier_data_matches_word_based_build(cover):
 
 
 def test_schreier_data_stays_near_linear():
-    # about 0.1 s at N = 2048 on a 2-core x86 host (0.05 s at N = 1024); the
+    # about 0.02 s at N = 2048 on a 2-core x86 host (0.01 s at N = 1024); the
     # quadratic builds it replaced took 2 s (V carried as extra rows) and
     # 9 s (dense classes, copied transversal words)
     cover = cyclic(2, 2048, 0)
