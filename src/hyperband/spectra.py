@@ -1,33 +1,37 @@
 """Spectra over momentum grids, degeneracy detection, and Bloch varieties.
 
 Eigenvalues are always reported sorted lexicographically by (Re, Im).  A
-momentum grid is the product of its 2g axes.  Sweeps and Bloch varieties
-sample their grids through one sampler, `_sampled_spectra`: it grows each
-cache-sized sub-box's Hamiltonians from the axes by broadcast adds
-(`tight_binding._assemble`), so each hop term chi_i J_i + chi_i^{-1}
-J_i^dagger is formed once per axis value, with the bits of assembling each
-point alone, and solves each box as one stack.  The output is independent of
-the box size, and identical inputs produce identical outputs (no threading
-nondeterminism is introduced here).  `write_bands_csv` writes the bands in
-the same sub-boxes; a sweep is sized once, by the 16 d bytes of bands a point
-it holds.  Band crossings are single-linkage clusters per grid point, from
-`_clustering.single_linkage`, which the branch points of `spectral_curve` share.
+momentum grid is the product of its 2g axes.  Sweeps sample their grids
+through `_sampled_spectra`: it grows each cache-sized sub-box's Hamiltonians
+from the axes by broadcast adds (`tight_binding._assemble`), so each hop term
+chi_i J_i + chi_i^{-1} J_i^dagger is formed once per axis value, with the
+bits of assembling each point alone, and solves each box as one stack.  The
+output is independent of the box size, and identical inputs produce
+identical outputs (no threading nondeterminism is introduced here).
+`write_bands_csv` writes the bands in the same sub-boxes; a sweep is sized
+once, by the 16 d bytes of bands a point it holds.  Band crossings are
+single-linkage clusters per grid point, from `_clustering.single_linkage`,
+which the branch points of `spectral_curve` share.
 
 The Bloch variety of a model is the polynomial det(H(chi) - E) viewed as a
 Laurent polynomial in the momentum entries chi_1..chi_2g and an ordinary
 polynomial in E.  Variable chi_i appears with exponents in [-r_i, r_i], r_i the
 rank of its hop J_i (at most d): write chi_i J_i + chi_i^{-1} J_i^dagger as
 [U V] diag(chi_i I_r, chi_i^{-1} I_r) [V U]^dagger with J_i = U V^dagger, and
-by Cauchy-Binet the determinant is a sum over index sets S of minors of the
+by Cauchy-Binet the determinant is a sum over index sets I of minors of the
 diagonal factor, chi_i^(a - b) with a, b <= r_i, times terms free of chi_i.
-So coefficients are recovered exactly from samples on a (2r_i+1)-point
-roots-of-unity grid per variable via the FFT, sampled like a sweep's grid.
-There H(chi) is Hermitian, and the E-coefficients are elementary symmetric
-functions of its `eigvalsh` eigenvalues.  A held-out
-check off the torus, its determinants taken in one batch and the expansion
-evaluated at all its points in stacked passes with `evaluate`'s bits, guards
-the reconstruction; non-finite coefficients or residuals fail it.
-`BlochVariety.json_text` writes the terms one column at a time.
+Each Leibniz term takes at most one chi^{+-1} per row, so the exponents k
+also satisfy sum_i |k_i| <= d: they lie in the support S = {k : |k_i| <= r_i,
+sum |k_i| <= d}, far smaller than the (2r_i+1)-point box at g >= 2.  The
+coefficients are recovered exactly from N ~ |S| samples on a rank-1 lattice
+of the unitary torus, chi_i(j) = w_N^(z_i j) with k -> k.z mod N injective on
+S (`_rank1_lattice`), and one FFT of length N.  There H(chi) is Hermitian,
+and the E-coefficients are elementary symmetric functions of its `eigvalsh`
+eigenvalues.  The N - |S| bins no exponent maps to check for aliasing, and a
+held-out check off the torus, its determinants taken in one batch and the
+expansion evaluated at all its points in stacked passes with `evaluate`'s
+bits, guards the reconstruction; non-finite coefficients or residuals fail
+it.  `BlochVariety.json_text` writes the terms one column at a time.
 """
 
 from __future__ import annotations
@@ -196,8 +200,9 @@ def _slices(count: int, item_bytes: int) -> list:
     complex product with a one-entry array operand without the fused
     multiply-add of its vector loops, so a lone item could get other bits
     than in a longer slice.  Cover checks slice their trials by this rule;
-    `_sub_boxes` cuts one axis of a grid by it too, though there a one-index
-    range enters `_assemble` as a 0-d value, which rounds as the vector loops do.
+    `bloch_variety` its lattice points and `_sub_boxes` one axis of a grid
+    too, though there a one-point range enters `_assemble` as 0-d values,
+    which round as the vector loops do.
     """
     step = max(1, _CHUNK_BYTES // max(item_bytes, 1))
     starts = list(range(0, count, step))
@@ -257,7 +262,7 @@ def _solve_stack(stack: np.ndarray, hermitian, name) -> np.ndarray:
     return out
 
 
-def _sampled_spectra(model: TightBindingModel, grid: MomentumGrid, label: str):
+def _sampled_spectra(model: TightBindingModel, grid: MomentumGrid):
     """Sorted spectra of `model` over `grid`, yielded per sub-box in row-major
     order as (slice of the flattened grid, its (n, d) spectra).
 
@@ -267,7 +272,7 @@ def _sampled_spectra(model: TightBindingModel, grid: MomentumGrid, label: str):
     along its grid axis, so a hop term is formed once per axis value; an axis
     range of one index enters as its 0-d value (see `_assemble`).  Each box
     is solved through `_solve_stack` with `grid.unitary`, and a failing point
-    is named as `label` and its grid index.
+    is named by its grid index.
     """
     d, n = model.dim, len(grid.shape)
     axes = [a.reshape((-1,) + (1,) * (n + 1 - i)) for i, a in enumerate(grid.axes)]
@@ -282,7 +287,7 @@ def _sampled_spectra(model: TightBindingModel, grid: MomentumGrid, label: str):
         chi = [cut(a, s) for a, s in zip(axes, box)]
         chi_inv = [cut(a, s) for a, s in zip(inverses, box)]
         H = _assemble(model, chi, chi_inv).reshape(-1, d, d)
-        name = lambda k: f"{label} {tuple(map(int, np.unravel_index(offset + k, grid.shape)))}"
+        name = lambda k: f"grid index {tuple(map(int, np.unravel_index(offset + k, grid.shape)))}"
         yield slice(offset, offset + len(H)), _solve_stack(H, grid.unitary, name)
         offset += len(H)
 
@@ -299,7 +304,7 @@ def sweep(model: TightBindingModel, grid: MomentumGrid) -> BandStructure:
     n_points = grid.n_points
     refuse_oversized(16 * model.dim * n_points, "bands grid", "bands for {} points", n_points)
     bands = np.empty((n_points, model.dim), dtype=complex)
-    for part, values in _sampled_spectra(model, grid, "grid index"):
+    for part, values in _sampled_spectra(model, grid):
         bands[part] = values
     return BandStructure(grid, bands, model.content_hash)
 
@@ -473,19 +478,121 @@ def _char_coeffs_from_eigenvalues(lams: np.ndarray) -> np.ndarray:
 _HOLDOUT_POINTS = 20
 
 
+def _exponent_support(ranks: list, d: int) -> np.ndarray:
+    """S = {k : |k_i| <= r_i, sum_i |k_i| <= d} as an (|S|, 2g) integer array.
+
+    Built one axis at a time, each prefix extended only by the values its
+    remaining l1 budget allows, so the (2r_i+1)-point box is never formed.
+    """
+    support = np.zeros((1, 0), dtype=np.int64)
+    for r in ranks:
+        values = np.arange(-r, r + 1)
+        budget = d - np.abs(support).sum(axis=1)
+        keep = np.abs(values) <= budget[:, None]
+        rows, cols = np.nonzero(keep)
+        support = np.concatenate([support[rows], values[cols, None]], axis=1)
+    return support
+
+
+#: Korobov multipliers a the lattice search tries, z = (1, a, a^2, ...) mod N
+_KOROBOV = np.arange(2, 18)
+
+
+def _rank1_lattice(support: np.ndarray, shape: tuple) -> tuple:
+    """(N, z) with k -> k.z mod N injective on `support`, N at most the box.
+
+    N grows from |S| by steps of 1/20 (rounded up); at each N every Korobov
+    generator z = (1, a, a^2, ...) mod N, a in `_KOROBOV`, is tried at once,
+    and the first injective one (smallest N, then smallest a) is taken.  The
+    last candidate is the box itself, N = prod(shape) with the mixed-radix z
+    of its row-major layout, which is injective on every support in it.
+    """
+    box = math.prod(shape)
+    points = support.T.astype(float)  # k.z is exact: |k.z| <= d N < 2^53
+    n = len(support)
+    while n < box:
+        z = np.ones((_KOROBOV.size, len(points)), dtype=np.int64)
+        for i in range(1, len(points)):
+            z[:, i] = z[:, i - 1] * _KOROBOV % n
+        bins = (z.astype(float) @ points).astype(np.int64) % n
+        bins.sort(axis=1)
+        injective = np.flatnonzero((bins[:, 1:] != bins[:, :-1]).all(axis=1))
+        if injective.size:
+            return n, z[injective[0]]
+        n += -(-n // 20)
+    return box, np.array([math.prod(shape[i + 1:]) for i in range(len(shape))], dtype=np.int64)
+
+
+def _lattice_coefficients(model: TightBindingModel, ranks: list) -> tuple:
+    """The pruned coefficients of det(H(chi) - E) in the box layout of
+    `BlochVariety`, and the largest |eigenvalue| sampled.
+
+    The rank-1 lattice of `_rank1_lattice` on the support S of the ranks is
+    sampled at chi_i(j) = w_N^(z_i j): its Hamiltonians are assembled from
+    (P, 1, 1) columns (a one-point slice from 0-d values) in `_slices` of at
+    most `_CHUNK_BYTES`, and, on the unitary torus and so Hermitian, solved by
+    `eigvalsh` through `_solve_stack`; a failed solve names its lattice point.
+    Their characteristic-polynomial coefficients go through one FFT of length
+    N, which puts c_k in bin k.z mod N.  A non-finite bin, or a bin no
+    exponent maps to above the pruning threshold, 1e-13 of the largest bin
+    (an undercounted rank aliases there), raises NumericalCheckFailure; bins
+    at or below it are zeroed.  The samples and bins are freed on return.
+    """
+    d = model.dim
+    shape = tuple(2 * r + 1 for r in ranks)
+    support = _exponent_support(ranks, d)
+    n, z = _rank1_lattice(support, shape)
+    chis = _roots_of_unity(n)[np.outer(np.arange(n), z) % n]
+    inverses = 1.0 / chis
+
+    def columns(a):  # a one-point slice as 0-d values (see `_assemble`)
+        return a[0] if len(a) == 1 else a.T[..., None, None]
+
+    F = np.empty((n, d + 1), dtype=complex)
+    lam_scale = 0.0
+    # an overflowing characteristic polynomial is refused below, by its peak
+    with np.errstate(over="ignore", invalid="ignore"):
+        for part in _slices(n, 32 * d * d):
+            H = _assemble(model, columns(chis[part]), columns(inverses[part])).reshape(-1, d, d)
+            lams = _solve_stack(H, True, lambda k: f"lattice point {part.start + k}")
+            F[part] = _char_coeffs_from_eigenvalues(lams)
+            lam_scale = max(lam_scale, float(np.max(np.abs(lams))))
+        bins = np.fft.fftn(F, axes=(0,))
+        bins /= n
+    mags = np.abs(bins)
+    peak = float(np.max(mags))
+    if not math.isfinite(peak):
+        raise NumericalCheckFailure(
+            f"Bloch-variety coefficients are not finite (largest magnitude {peak}): "
+            "the characteristic polynomial overflows"
+        )
+    used = support @ z % n
+    off = np.ones(n, dtype=bool)
+    off[used] = False
+    alias = float(np.max(mags[off], initial=0.0))
+    if alias > 1e-13 * peak:
+        raise NumericalCheckFailure(
+            f"Bloch-variety samples alias: a bin off the exponent support holds "
+            f"{alias / peak:.3e} of the peak (> 1e-13), so a hop rank is undercounted"
+        )
+    bins[mags <= 1e-13 * peak] = 0.0
+    coeffs = np.zeros(shape + (d + 1,), dtype=complex)
+    coeffs[tuple(support.T)] = bins[used]
+    return coeffs, lam_scale
+
+
 def bloch_variety(model: TightBindingModel, tol: float = 1e-8, seed: int = 0) -> BlochVariety:
     """Recover det(H(chi) - E) as an exact finite Laurent/polynomial expansion.
 
-    Samples chi_i at the 2r_i+1 roots of unity, r_i the numeric rank of hop
-    J_i (numpy's default tolerance), converts eigenvalues to
-    characteristic-polynomial coefficients, and inverts the momentum dependence
-    with an FFT.  The grid is sampled by `_sampled_spectra`, as a sweep's
-    is; on that unitary grid H(chi) is Hermitian, so it is solved by
-    `eigvalsh`, and a failed solve names its sampling grid index.  A grid
-    whose coefficient arrays would exceed the size rule's limit is refused
-    with ValueError before any sampling.  Coefficients at or below 1e-13 of
-    the largest are zeroed.  `_HOLDOUT_POINTS` random points off the torus
-    (reproducible via `seed`) must match their direct determinants, one
+    Each Leibniz term of the determinant takes at most one chi_i^{+-1} per
+    row, so every exponent k lies in S = {k : |k_i| <= r_i, sum |k_i| <= d},
+    r_i the numeric rank of hop J_i (numpy's default tolerance).  The
+    coefficients are recovered on a rank-1 lattice of N ~ |S| points and one
+    FFT (`_lattice_coefficients`), with its aliasing check, and returned in
+    the (2r_i+1)-per-axis box layout of `BlochVariety`.  A box whose
+    coefficient arrays would exceed the size rule's limit is refused with
+    ValueError before any sampling.  `_HOLDOUT_POINTS` random points off the
+    torus (reproducible via `seed`) must match their direct determinants, one
     batched `det`, to `tol` relative, else NumericalCheckFailure is raised;
     the expansion is evaluated at all of them in stacked passes, in point
     slices held to `_CHUNK_BYTES`, each point with the bits `evaluate` gives;
@@ -499,30 +606,13 @@ def bloch_variety(model: TightBindingModel, tol: float = 1e-8, seed: int = 0) ->
     ranks = np.linalg.matrix_rank(np.stack(model.hops)).tolist()
     shape = tuple(2 * r + 1 for r in ranks)
     n_points = math.prod(shape)
-    # the char-poly samples, their FFT and the pruning temporaries
+    # the samples, their FFT and the coefficient box, none larger than the box
     refuse_oversized(
         3 * n_points * (d + 1) * 16, "Bloch variety",
-        f"coefficient arrays for a {'x'.join(map(str, shape))} sampling grid "
+        f"coefficient arrays for a {'x'.join(map(str, shape))} exponent box "
         f"(hop ranks {ranks}, dim {d})",
     )
-    grid = MomentumGrid([_roots_of_unity(m) for m in shape])
-    F = np.empty((n_points, d + 1), dtype=complex)
-    lam_scale = 0.0
-    for part, lams in _sampled_spectra(model, grid, "sampling grid index"):
-        F[part] = _char_coeffs_from_eigenvalues(lams)
-        lam_scale = max(lam_scale, float(np.max(np.abs(lams))))
-    coeffs = np.fft.fftn(F.reshape(shape + (d + 1,)), axes=tuple(range(2 * g)))
-    del F  # freed before the pruning temporaries, as the size estimate assumes
-    coeffs /= n_points
-    mags = np.abs(coeffs)
-    peak = float(np.max(mags))
-    if not math.isfinite(peak):
-        raise NumericalCheckFailure(
-            f"Bloch-variety coefficients are not finite (largest magnitude {peak}): "
-            "the characteristic polynomial overflows"
-        )
-    if peak > 0:
-        coeffs[mags <= 1e-13 * peak] = 0.0
+    coeffs, lam_scale = _lattice_coefficients(model, ranks)
     variety = BlochVariety(coeffs, holdout_residual=0.0)
 
     # drawn point by point, in the order `seed` fixes, then solved as one

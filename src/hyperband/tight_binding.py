@@ -36,6 +36,7 @@ equals H(chi)^dagger entry-for-entry in floating point, not merely up to roundin
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,9 +75,18 @@ class TightBindingModel:
                 raise ValueError("hop matrices must be finite")
         if not np.all(np.isfinite(onsite)):
             raise ValueError("onsite matrix must be finite")
-        residual = float(np.linalg.norm(onsite - onsite.conj().T))
-        scale = max(1.0, float(np.linalg.norm(onsite)))
-        if residual > TOL_HERMITIAN * scale:
+        # ||M - M^dagger|| > TOL max(1, ||M||) is decided on M 2^-e, e >= 0 the
+        # least that brings every real and imaginary part below 1, so no norm
+        # overflows; scaling by a power of two is exact, so the test and the
+        # residual are unchanged wherever the unscaled norms are finite
+        e = max(int(np.frexp(np.max(np.abs(onsite.view(float))))[1]), 0)
+        scaled = np.ldexp(onsite.view(float), -e).view(complex)
+        scaled_residual = float(np.linalg.norm(scaled - scaled.conj().T))
+        try:
+            residual = math.ldexp(scaled_residual, e)
+        except OverflowError:  # a residual past the float range
+            residual = math.inf
+        if scaled_residual > TOL_HERMITIAN * max(math.ldexp(1.0, -e), float(np.linalg.norm(scaled))):
             raise ValueError(
                 f"onsite matrix is not Hermitian (residual {residual:.3e}); "
                 "symmetrization only absorbs residuals below "

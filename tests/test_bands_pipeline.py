@@ -216,7 +216,7 @@ def test_property_sampler_equals_pointwise_assembly(chunk_budget, grid, dim, see
     expected = pointwise_oracle(model, grid).tobytes()
     for chunk in (1 << 20, 4096, 600, 1):
         with chunk_budget(chunk):
-            parts = list(spectra._sampled_spectra(model, grid, "grid index"))
+            parts = list(spectra._sampled_spectra(model, grid))
         assert [part.start for part, _ in parts] == [0] + [part.stop for part, _ in parts[:-1]]
         assert np.concatenate([values for _, values in parts]).tobytes() == expected, chunk
 

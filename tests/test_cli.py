@@ -258,6 +258,48 @@ def test_bands_region_with_an_unrepresentable_modulus_is_refused_quietly(single_
     assert err.startswith("error: region moduli exp(") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("scale, shown", [(1e160, "1.414e+160"), (1e200, "1.414e+200")])
+@pytest.mark.parametrize("command", ["bands", "bloch-variety", "cover-check"])
+def test_huge_non_hermitian_onsite_is_refused_quietly(tmp_path, capsys, command, scale, shown):
+    # ||M||^2 overflows: the Hermitian test read inf > 1e-8 inf, False, and
+    # every command symmetrized M with a numpy overflow warning
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    model = {"hyperband_model": 1, "genus": 1, "dim": 2, "onsite": [[scale, scale], [0.0, scale]], "hops": [zero, zero]}
+    (tmp_path / "model.json").write_text(json.dumps(model), encoding="utf-8")
+    cover = cover_to_json(UnbranchedCover(sheets=2, perms=((2, 1), (1, 2))))
+    (tmp_path / "cover.json").write_text(json.dumps(cover), encoding="utf-8")
+    argv = [command, "--model", str(tmp_path / "model.json")] + {
+        "bands": ["--grid", "2"], "bloch-variety": [], "cover-check": ["--cover", str(tmp_path / "cover.json")],
+    }[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    assert code == 2 and caught == []
+    assert capsys.readouterr().err == (
+        f"error: onsite matrix is not Hermitian (residual {shown}); "
+        "symmetrization only absorbs residuals below 1e-08 relative\n"
+    )
+
+
+def test_huge_hermitian_model_fails_the_variety_quietly(tmp_path, capsys):
+    # entries of 1e160 overflow the characteristic polynomial: one numerical
+    # failure line, without the multiply and FFT warnings it once printed first
+    s = 1e160
+    model = {
+        "hyperband_model": 1, "genus": 1, "dim": 2, "onsite": [[s, s], [s, s]],
+        "hops": [[[s, 0.0], [0.0, s]], [[0.0, s], [s, 0.0]]],
+    }
+    (tmp_path / "model.json").write_text(json.dumps(model), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["bloch-variety", "--model", str(tmp_path / "model.json")])
+    assert code == 3 and caught == []
+    assert capsys.readouterr().err == (
+        "numerical failure: Bloch-variety coefficients are not finite (largest magnitude nan): "
+        "the characteristic polynomial overflows\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # bloch-variety
 # ---------------------------------------------------------------------------

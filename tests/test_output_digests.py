@@ -90,12 +90,12 @@ DIGESTS = {
     "bloch-variety": [
         0,
         EMPTY,
-        "4b12b110ae8663939dc4aeb419df4fa84cce3165072248b997c802154371b0dd",
+        "32385473012361fb1aa9caf5706bf61a6900b54e54d41d1df324f57feb3a4342",
     ],
     "bloch-variety-genus-2": [
         0,
         EMPTY,
-        "95244dc901467198dcb91cedb08fc1a2d42aa8d4935ace4046db5952f49085a9",
+        "81c9c5d7d3f0fdcdab460f504f9821711281dad1d42e284832b853329fdea3cc",
     ],
     "cover-check": [
         0,

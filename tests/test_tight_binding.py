@@ -1,5 +1,7 @@
 """Cell data and momentum-space Hamiltonians."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,32 @@ def test_model_rejects_blatantly_nonhermitian_onsite():
     g = make_surface_group(1)
     with pytest.raises(ValueError):
         TightBindingModel(g, [[0.0, 1.0], [0.0, 0.0]], [np.eye(2)] * 2)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+def test_model_rejects_a_huge_nonhermitian_onsite_without_overflow(scale):
+    # ||M|| overflowed: the test read inf > 1e-8 inf, False, and accepted M
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"not Hermitian \(residual 1\.414e\+{int(np.log10(scale))}\)"):
+            TightBindingModel(1, scale * np.array([[1.0, 1.0], [0.0, 1.0]]), [np.zeros((2, 2))] * 2)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e150, 1e200, 1e300])
+def test_onsite_residual_is_the_norm_wherever_that_is_finite(scale):
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    onsite = (a + a.conj().T + 1e-12 * a) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = TightBindingModel(1, onsite, [np.zeros((3, 3))] * 2)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(onsite - onsite.conj().T)
+    if np.isfinite(norm):
+        assert model.onsite_residual == norm
+    else:  # 1e200 and 1e300: the difference's norm, taken scaled down
+        difference = onsite - onsite.conj().T
+        assert model.onsite_residual == pytest.approx(np.linalg.norm(difference / scale) * scale, rel=1e-14)
 
 
 def test_model_accepts_genus_as_int():

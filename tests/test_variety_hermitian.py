@@ -1,11 +1,12 @@
 """Why the Bloch variety may sample with `eigvalsh`, and how it calls numpy.
 
-Every sample lies on the unitary torus, where H(chi)^dagger = H(1/conj chi)
-= H(chi): the sampling Hamiltonians are Hermitian to rounding, and the
-recovered coefficients show the same symmetry as c_{-alpha,p} =
-conj(c_{alpha,p}).  A default run solves one `eigvalsh` stack per slice,
-never calls `eigvals`, takes the held-out determinants in one `det` and
-evaluates the variety once per slice of held-out points.
+Every lattice point lies on the unitary torus, where H(chi)^dagger =
+H(1/conj chi) = H(chi): the sampling Hamiltonians are Hermitian to rounding,
+and the recovered coefficients show the same symmetry as c_{-alpha,p} =
+conj(c_{alpha,p}).  A default run solves one `eigvalsh` stack per slice of
+lattice points, never calls `eigvals`, takes one FFT, takes the held-out
+determinants in one `det` and evaluates the variety once per slice of
+held-out points.
 """
 
 from unittest import mock
@@ -16,9 +17,10 @@ from hypothesis import strategies as st
 
 from hyperband import cli, spectra
 from hyperband.spectra import BlochVariety, bloch_variety
-from hyperband.tight_binding import _assemble, write_model
+from hyperband.tight_binding import write_model
 
 from test_variety_rank_grid import deficit_lists, model_with_ranks, shapes
+from test_variety_sampling import lattice_points, pointwise_stack
 
 
 def model_for(shape, seed, deficits):
@@ -39,7 +41,8 @@ def test_property_sampling_hamiltonians_are_hermitian(shape, seed, deficits):
     model = model_for(shape, seed, deficits)
     with mock.patch.object(spectra, "_solve_stack", spy):
         variety = bloch_variety(model)
-    assert sum(len(stack) for stack, _ in stacks) == np.prod(variety.coeffs.shape[:-1])
+    assert sum(len(stack) for stack, _ in stacks) == len(lattice_points(model))
+    assert len(lattice_points(model)) <= np.prod(variety.coeffs.shape[:-1])
     # relative to the norm bound on the torus, ||M|| + 2 sum ||J_i||: one
     # H(chi) can nearly cancel, and its rounding is that of its terms
     bound = np.linalg.norm(model.onsite) + 2 * sum(np.linalg.norm(h) for h in model.hops)
@@ -65,23 +68,28 @@ def test_property_coefficients_are_conjugate_symmetric(shape, seed, deficits):
     assert np.max(np.abs(negated_exponents(coeffs) - coeffs.conj())) <= 1e-12 * peak
 
 
-def test_default_run_calls_one_eigvalsh_per_slice_and_one_det(tmp_path, monkeypatch):
-    # g = 2, d = 4 at full rank: a 9^4 sampling grid in four sub-boxes; a
-    # held-out point's first two contractions hold 24 (9^3 + 9^2) 5 bytes,
-    # so the 20 points are evaluated in two slices of 10
+def test_default_run_calls_one_eigvalsh_per_slice_and_one_det(tmp_path, monkeypatch, chunk_budget):
+    # g = 2, d = 4 at full rank: 613 lattice points, in three slices at a
+    # 128 KiB budget; a held-out point's first two contractions hold
+    # 24 (9^3 + 9^2) 5 bytes, so the 20 points are evaluated in two slices
+    # at the default budget
     path = tmp_path / "model.json"
-    write_model(model_with_ranks(8, 2, 4, [4] * 4), path)
-    counts = {"eigvalsh": 0, "eigvals": 0, "det": 0}
+    model = model_with_ranks(8, 2, 4, [4] * 4)
+    write_model(model, path)
+    counts = {"eigvalsh": 0, "eigvals": 0, "det": 0, "fftn": 0}
     sizes = []
 
-    def counting(name, fn):
+    def counting(module, name):
+        fn = getattr(module, name)
+
         def call(*args, **kwargs):
             counts[name] += 1
             return fn(*args, **kwargs)
-        return call
+        monkeypatch.setattr(module, name, call)
 
     for name in ("eigvalsh", "eigvals", "det"):
-        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        counting(np.linalg, name)
+    counting(np.fft, "fftn")
     kernel = BlochVariety._evaluate_points
 
     def sizing(self, chis, energies):
@@ -89,22 +97,27 @@ def test_default_run_calls_one_eigvalsh_per_slice_and_one_det(tmp_path, monkeypa
         return kernel(self, chis, energies)
 
     monkeypatch.setattr(BlochVariety, "_evaluate_points", sizing)
-    assert cli.main(["bloch-variety", "--model", str(path), "--out", str(tmp_path / "variety.json")]) == 0
-    n_slices = len(spectra._sub_boxes((9,) * 4, 32 * 4**2))
-    assert n_slices == 4
-    assert counts == {"eigvalsh": n_slices, "eigvals": 0, "det": 1}
+    argv = ["bloch-variety", "--model", str(path), "--out", str(tmp_path / "variety.json")]
+    assert cli.main(argv) == 0
+    n_points = len(lattice_points(model))
+    assert n_points == 613
+    assert len(spectra._slices(n_points, 32 * 4**2)) == 1
+    assert counts == {"eigvalsh": 1, "eigvals": 0, "det": 1, "fftn": 1}
     assert sizes == [10, 10]  # one kernel call per slice of held-out points
+    for name in counts:
+        counts[name] = 0
+    with chunk_budget(1 << 17):
+        assert cli.main(argv) == 0
+    assert counts == {"eigvalsh": 3, "eigvals": 0, "det": 1, "fftn": 1}
 
 
 def test_failing_eigvalsh_names_the_sample(tmp_path, capsys, monkeypatch):
-    # g = 1, d = 3 at full rank: a 7 x 7 sampling grid; the solve fails at one sample
+    # g = 1, d = 3 at full rank: 25 lattice points, solved as one stack; the
+    # solve fails at one of them, found again by solving the stack point by point
     model = model_with_ranks(9, 1, 3, [3, 3])
     path = tmp_path / "model.json"
     write_model(model, path)
-    axis = np.exp(2j * np.pi * np.arange(7) / 7)
-    # row-major like the sampling grid, and assembled in one 49-point stack as its slice is
-    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    target = _assemble(model, grid.T[..., None, None], (1.0 / grid).T[..., None, None])[30]
+    target = pointwise_stack(model, lattice_points(model))[11]
     solve = np.linalg.eigvalsh
 
     def flaky(a):
@@ -115,6 +128,6 @@ def test_failing_eigvalsh_names_the_sample(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
     assert cli.main(["bloch-variety", "--model", str(path)]) == 3
     assert capsys.readouterr().err == (
-        "numerical failure: eigensolver failed at sampling grid index (4, 2): "
+        "numerical failure: eigensolver failed at lattice point 11: "
         "eigensolver did not converge: forced\n"
     )

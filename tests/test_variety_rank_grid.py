@@ -1,23 +1,26 @@
-"""The Bloch variety sampled on the hop-rank grid, in bounded slices.
+"""The Bloch variety's exponent bounds, sampled in bounded slices.
 
-Two oracles.  The full (2d+1)^{2g} grid route, serialization included, on
-the same Hermitian solve and batched held-out determinants: with every hop at
-full rank the rank grid must give the same coefficients, residual and CLI
-bytes, and with rank-deficient hops the same term support with values within
-1e-12 of the peak.  The rank grid solved with the general `eigvals` and a
-per-point held-out loop, the route before the Hermitian solve: a tolerance
-oracle for the same support, values within 1e-12 of the peak and a passing
-held-out check.
+Three oracles, each a route `bloch_variety` once took.  The product grid on
+the hop ranks, every (2r_i+1)^{2g} point solved by `eigvalsh` and inverted
+by an FFT over the 2g axes, the route before the rank-1 lattice: the lattice
+must give the same term support with every coefficient within 1e-13 of the
+peak and a passing held-out check, over genus 1-3, d 1-5 and rank deficits.
+The full (2d+1)^{2g} grid route, serialization included: with every hop at
+full rank the same support within 1e-13 of the peak, and with rank-deficient
+hops within 1e-12.  The rank grid solved with the general `eigvals` and a
+per-point held-out loop, the route before the Hermitian solve: the same
+support within 1e-12 of the peak.
 """
 
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyperband import cli, spectra
@@ -98,6 +101,19 @@ def full_grid_oracle(model, holdout_points=20, seed=0):
     return coeffs, worst, doc
 
 
+def product_grid_oracle(model):
+    """The coefficients of the product-grid route on the hop ranks: every
+    grid point solved by `eigvalsh`, one FFT over the 2g axes, pruned."""
+    d, g = model.dim, model.genus
+    ranks = [int(np.linalg.matrix_rank(h)) for h in model.hops]
+    grid = MomentumGrid([np.exp(2j * np.pi * np.arange(2 * r + 1) / (2 * r + 1)) for r in ranks])
+    chis = grid_momenta(grid)
+    H = _assemble(model, chis.T[..., None, None], (1.0 / chis).T[..., None, None])
+    lams = np.sort(np.linalg.eigvalsh(H).astype(complex), axis=-1)
+    F = _char_coeffs_from_eigenvalues(lams).reshape(grid.shape + (d + 1,))
+    return prune(np.fft.fftn(F, axes=tuple(range(2 * g))) / chis.shape[0])
+
+
 def eigvals_route_oracle(model, holdout_points=20, seed=0):
     """The rank-grid `bloch_variety` on the general solver: each sample by
     unsorted `eigvals`, each held-out point by its own `det`; returns the
@@ -167,25 +183,49 @@ deficit_lists = st.lists(st.integers(0, 5), min_size=4, max_size=4)
 @settings(max_examples=30)
 @given(shape=shapes(5), seed=st.integers(0, 2**32 - 1), chunk=st.sampled_from([1 << 20, 512]))
 def test_property_full_rank_equals_full_grid(chunk_budget, tmp_path_factory, shape, seed, chunk):
-    # full-rank hops: the grid, layout and arithmetic are the full-grid route's,
-    # for any slice size.  At d = 1 numpy rounds a one-element complex product
-    # differently from a vectorized one, so the sampler never cuts that grid;
-    # 512 B cuts larger cells into sub-boxes of a few points or of one
+    # full-rank hops: the full-grid route's exponent bound, term support and
+    # coefficients to 1e-13 of the peak, and the same bits for any slice size
+    # (512 B cuts the lattice into slices of a few points or of one)
     genus, dim = shape
     model = model_with_ranks(seed, genus, dim, [dim] * 2 * genus)
     path = tmp_path_factory.mktemp("variety") / "model.json"
     write_model(model, path)
     model = read_model(path)
-    coeffs, residual, doc = full_grid_oracle(model, seed=seed % 1000)
+    coeffs, _, doc = full_grid_oracle(model, seed=seed % 1000)
+    variety = bloch_variety(model, seed=seed % 1000)
     with chunk_budget(chunk):
-        variety = bloch_variety(model, seed=seed % 1000)
+        sliced = bloch_variety(model, seed=seed % 1000)
     assert variety.bound == dim
-    assert variety.coeffs.tobytes() == coeffs.tobytes()
-    assert variety.holdout_residual == residual
+    assert variety.coeffs.shape == coeffs.shape
+    assert sliced.coeffs.tobytes() == variety.coeffs.tobytes()
+    assert sliced.holdout_residual == variety.holdout_residual <= 1e-8
+    assert_same_support(variety, doc, rel=1e-13)
     out = path.with_name("variety.json")
     argv = ["bloch-variety", "--model", str(path), "--seed", str(seed % 1000), "--out", str(out)]
     assert cli.main(argv) == 0
-    assert out.read_text() == cli._dump_json(doc)
+    assert out.read_text() == variety.json_text()
+
+
+@settings(max_examples=150)
+@given(
+    genus=st.integers(1, 3), dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+    deficits=st.lists(st.integers(0, 5), min_size=6, max_size=6),
+)
+@example(genus=3, dim=2, seed=1, deficits=[0] * 6)
+@example(genus=2, dim=4, seed=2, deficits=[0] * 4 + [0, 0])
+@example(genus=3, dim=5, seed=3, deficits=[3, 4, 3, 5, 3, 4])
+def test_property_lattice_matches_product_grid_route(genus, dim, seed, deficits):
+    # the product grid on the same ranks, kept to at most 5^6 points
+    ranks = [max(0, dim - k) for k in deficits[: 2 * genus]]
+    assume(math.prod(2 * r + 1 for r in ranks) <= 5**6)
+    model = model_with_ranks(seed, genus, dim, ranks)
+    variety = bloch_variety(model, seed=seed % 1000)
+    oracle = product_grid_oracle(model)
+    assert variety.coeffs.shape == oracle.shape
+    assert np.array_equal(variety.coeffs != 0, oracle != 0)
+    peak = np.max(np.abs(oracle))
+    assert np.max(np.abs(variety.coeffs - oracle)) <= 1e-13 * peak
+    assert variety.holdout_residual <= 1e-8
 
 
 @settings(max_examples=40)
@@ -238,10 +278,10 @@ def test_near_singular_hop_keeps_full_degree():
     hops.append(hop_of_rank(rng, dim, dim))
     model = TightBindingModel(1, onsite, hops)
     variety = bloch_variety(model)
-    coeffs, residual, doc = full_grid_oracle(model)
-    assert variety.coeffs.shape == (7, 7, 4)
-    assert variety.coeffs.tobytes() == coeffs.tobytes()
-    assert variety.holdout_residual == residual
+    coeffs, _, doc = full_grid_oracle(model)
+    assert variety.coeffs.shape == coeffs.shape == (7, 7, 4)
+    assert_same_support(variety, doc, rel=1e-13)
+    assert variety.holdout_residual <= 1e-8
     assert any(abs(alpha[0]) == dim for alpha, _, _ in variety_terms(variety))
 
 

@@ -1,12 +1,12 @@
-"""The Bloch variety's sampling grid, JSON text and held-out check.
+"""The Bloch variety's sampling lattice, JSON text and held-out check.
 
-The grid is a product of 2g roots-of-unity axes, so `bloch_variety` forms
-each hop term once per axis value and grows the grid by broadcast adds, in
-sub-boxes that hold the slice budget.  The per-point stack it replaced, every
-momentum of the grid assembled from its own (2g,) row, is kept here as the
-oracle, and the sampled Hamiltonians must equal it bit for bit.  The JSON
-text is written column by column and must be what the indented writer makes
-of the same document.  Non-finite coefficients and residuals fail the check.
+`bloch_variety` samples a rank-1 lattice of the unitary torus, assembling
+its points from (P, 1, 1) columns in slices that hold the slice budget.  Each
+point assembled alone by `_assemble`, from its own (2g,) row, is the oracle,
+and the sampled Hamiltonians must equal it bit for bit.  A sweep's grid is
+still cut into `_sub_boxes`.  The JSON text is written column by column and
+must be what the indented writer makes of the same document.  Non-finite
+coefficients and residuals fail the check.
 """
 
 import json
@@ -22,16 +22,15 @@ from hypothesis import strategies as st
 from hyperband import cli, spectra
 from hyperband._serialize import indented_dumps
 from hyperband.errors import NumericalCheckFailure
-from hyperband.spectra import BlochVariety, MomentumGrid, bloch_variety
-from hyperband.tight_binding import TightBindingModel, write_model
+from hyperband.spectra import BlochVariety, bloch_variety, sweep, unitary_grid
+from hyperband.tight_binding import TightBindingModel, _assemble, write_model
 
-from test_bloch_kernel import grid_momenta, stack_oracle
 from test_variety_kernels import rank_models, varieties
 from test_variety_rank_grid import model_with_ranks
 
 
-def sampled_stacks(model):
-    """The Hamiltonian stacks `bloch_variety(model)` solves, in order."""
+def solved_stacks(run):
+    """The Hamilton stacks `run()` hands `_solve_stack`, in order."""
     stacks = []
 
     def spy(stack, hermitian, name):
@@ -40,44 +39,57 @@ def sampled_stacks(model):
 
     solve = spectra._solve_stack
     with mock.patch.object(spectra, "_solve_stack", spy):
-        bloch_variety(model)
+        run()
     return stacks
+
+
+def lattice_points(model):
+    """The (N, 2g) momenta `bloch_variety(model)` samples, in order."""
+    ranks = [int(np.linalg.matrix_rank(h)) for h in model.hops]
+    support = spectra._exponent_support(ranks, model.dim)
+    n, z = spectra._rank1_lattice(support, tuple(2 * r + 1 for r in ranks))
+    return spectra._roots_of_unity(n)[np.outer(np.arange(n), z) % n]
+
+
+def pointwise_stack(model, chis):
+    """Each momentum's Hamiltonian assembled alone from its (2g,) row."""
+    return np.array([_assemble(model, chi, 1.0 / chi) for chi in chis])
 
 
 @settings(max_examples=60)
 @given(model=rank_models(), chunk=st.sampled_from([1 << 20, 4096, 600, 1]))
 @example(model=model_with_ranks(1, 1, 1, [1, 1]), chunk=1)
+@example(model=model_with_ranks(1, 1, 1, [1, 1]), chunk=64)
 @example(model=model_with_ranks(2, 3, 1, [1, 0, 1, 1, 0, 1]), chunk=600)
 @example(model=model_with_ranks(3, 2, 4, [4, 4, 2, 1]), chunk=4096)
 @example(model=model_with_ranks(5, 2, 3, [0, 3, 3, 1]), chunk=4096)
 def test_property_product_grid_equals_per_point_stack(chunk_budget, model, chunk):
-    # small budgets cut the grid into sub-boxes of at most the budget (one
-    # point at least, half as much again where a trailing one-index range
-    # joins the one before), at d = 1 too
-    ranks = [int(np.linalg.matrix_rank(h)) for h in model.hops]
-    axes = [np.exp(2j * np.pi * np.arange(2 * r + 1) / (2 * r + 1)) for r in ranks]
-    chis = grid_momenta(MomentumGrid(axes))
+    # the lattice points in slices of at most the budget (one point at least,
+    # half as much again where a trailing lone point joins the slice before);
+    # a one-point slice enters `_assemble` as 0-d values, so at d = 1 too the
+    # bits do not depend on the budget
     with chunk_budget(chunk):
-        stacks = sampled_stacks(model)
+        stacks = solved_stacks(lambda: bloch_variety(model))
     point_bytes = 32 * model.dim**2
     assert all(len(s) * point_bytes <= max(chunk * 3 // 2, point_bytes) for s in stacks)
-    assert np.concatenate(stacks).tobytes() == stack_oracle(model, chis).tobytes()
+    expected = pointwise_stack(model, lattice_points(model))
+    assert np.concatenate(stacks).tobytes() == expected.tobytes()
 
 
 def test_small_budget_cuts_the_first_axis_whose_trailing_box_fits(chunk_budget):
-    # g = 2, d = 2 at full rank: a 5^4 grid at 128 B a point; 25 points after
+    # a sweep over a 5^4 grid at g = 2, d = 2, 128 B a point; 25 points after
     # axis 1 fit in 6400 B twice, so axis 1 is cut in ranges of two (a last
     # lone index joins the range before) under each index of axis 0
     model = model_with_ranks(4, 2, 2, [2, 2, 2, 2])
     with chunk_budget(6400):
-        stacks = sampled_stacks(model)
+        stacks = solved_stacks(lambda: sweep(model, unitary_grid(2, 5)))
     assert [len(s) for s in stacks] == [50, 75] * 5
 
 
 def test_rank_zero_leading_hop_keeps_the_sampling_peak(chunk_budget):
-    # g = 2, d = 8, hop ranks [0, 8, 8, 8]: a 1 x 17^3 grid whose Hamiltonians
-    # take 5 MB; sampled as one box behind its one-entry leading axis, they
-    # would dwarf the 2.1 MB of coefficient arrays the size rule counts
+    # g = 2, d = 8, hop ranks [0, 8, 8, 8]: a 1 x 17^3 exponent box whose
+    # Hamiltonians would take 5 MB; sampled on the lattice in slices of the
+    # budget, they stay below the 2.1 MB of coefficient arrays the size rule counts
     model = model_with_ranks(6, 2, 8, [0, 8, 8, 8])
     budget = 1 << 16
     coefficient_bytes = 3 * 17**3 * 9 * 16
@@ -93,13 +105,14 @@ def test_rank_zero_leading_hop_keeps_the_sampling_peak(chunk_budget):
 
 
 def test_failing_sample_in_a_later_slice_is_named(chunk_budget, tmp_path, capsys, monkeypatch):
-    # g = 1, d = 3 at full rank: 7 rows of 7 points, in slices of two rows
-    # and a last one of three; the solve fails at row 4, column 2
+    # g = 1, d = 3 at full rank: 25 lattice points in slices of seven and a
+    # last one of four; the solve fails at lattice point 17, in the third
     model = model_with_ranks(9, 1, 3, [3, 3])
     path = tmp_path / "model.json"
     write_model(model, path)
-    axis = np.exp(2j * np.pi * np.arange(7) / 7)
-    target = stack_oracle(model, grid_momenta(MomentumGrid([axis, axis])))[30]
+    chis = lattice_points(model)
+    assert len(chis) == 25
+    target = pointwise_stack(model, chis)[17]
     solve = np.linalg.eigvalsh
     batches = []
 
@@ -110,11 +123,11 @@ def test_failing_sample_in_a_later_slice_is_named(chunk_budget, tmp_path, capsys
         return solve(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
-    with chunk_budget(32 * 9 * 7 * 2):
+    with chunk_budget(32 * 9 * 7):
         assert cli.main(["bloch-variety", "--model", str(path)]) == 3
-    assert batches[:3] == [14, 14, 21]
+    assert batches[:3] == [7, 7, 7]
     assert capsys.readouterr().err == (
-        "numerical failure: eigensolver failed at sampling grid index (4, 2): "
+        "numerical failure: eigensolver failed at lattice point 17: "
         "eigensolver did not converge: forced\n"
     )
 
