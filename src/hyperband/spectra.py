@@ -25,7 +25,8 @@ also satisfy sum_i |k_i| <= d: they lie in the support S = {k : |k_i| <= r_i,
 sum |k_i| <= d}, far smaller than the (2r_i+1)-point box at g >= 2.  The
 coefficients are recovered exactly from N ~ |S| samples on a rank-1 lattice
 of the unitary torus, chi_i(j) = w_N^(z_i j) with k -> k.z mod N injective on
-S (`_rank1_lattice`), and one FFT of length N.  There H(chi) is Hermitian,
+S (`_rank1_lattice`; N is the box where a search would cost more than it
+saves), and one FFT of length N.  There H(chi) is Hermitian,
 and the E-coefficients are elementary symmetric functions of its `eigvalsh`
 eigenvalues.  The N - |S| bins no exponent maps to check for aliasing, and a
 held-out check off the torus, its determinants taken in one batch and the
@@ -497,30 +498,43 @@ def _exponent_support(ranks: list, d: int) -> np.ndarray:
 #: Korobov multipliers a the lattice search tries, z = (1, a, a^2, ...) mod N
 _KOROBOV = np.arange(2, 18)
 
+#: points times dim a lattice search must be able to save before it runs: a
+#: stacked `eigvalsh` costs about 0.65 dim microseconds a point on an x86
+#: core, a search some 10 to 15 microseconds for each size it tries
+_SEARCH_MIN_WORK = 128
 
-def _rank1_lattice(support: np.ndarray, shape: tuple) -> tuple:
+
+def _rank1_lattice(support: np.ndarray, shape: tuple, dim: int) -> tuple:
     """(N, z) with k -> k.z mod N injective on `support`, N at most the box.
 
     N grows from |S| by steps of 1/20 (rounded up); at each N every Korobov
-    generator z = (1, a, a^2, ...) mod N, a in `_KOROBOV`, is tried at once,
-    and the first injective one (smallest N, then smallest a) is taken.  The
-    last candidate is the box itself, N = prod(shape) with the mixed-radix z
-    of its row-major layout, which is injective on every support in it.
+    generator z = (1, a, a^2, ...) mod N, a in `_KOROBOV`, on the axes that
+    vary in S (0 on the others), is tried at once, and the first injective
+    one (smallest N, then smallest a) is taken.  The last candidate is the
+    box itself, N = prod(shape) with the mixed-radix z of its row-major
+    layout, which is injective on every support in it.  It is taken at once
+    when the points a search could save, box - |S|, times `dim` fall short
+    of `_SEARCH_MIN_WORK` (S filling the box among them).
     """
     box = math.prod(shape)
-    points = support.T.astype(float)  # k.z is exact: |k.z| <= d N < 2^53
+    radix = np.array([math.prod(shape[i + 1:]) for i in range(len(shape))], dtype=np.int64)
     n = len(support)
+    if (box - n) * dim < _SEARCH_MIN_WORK:
+        return box, radix
+    varying = np.flatnonzero(support.any(axis=0))
+    powers = np.zeros((_KOROBOV.size, support.shape[1]), dtype=np.int64)
+    powers[:, varying] = _KOROBOV[:, None] ** np.arange(varying.size)
+    # k.(1, a, a^2, ...) once, exact while d 17^(m - 1) < 2^63 for m varying
+    # axes (the size rule of `bloch_variety` allows m <= 14): mod N it is k.z
+    values = powers @ support.T
     while n < box:
-        z = np.ones((_KOROBOV.size, len(points)), dtype=np.int64)
-        for i in range(1, len(points)):
-            z[:, i] = z[:, i - 1] * _KOROBOV % n
-        bins = (z.astype(float) @ points).astype(np.int64) % n
+        bins = values % n
         bins.sort(axis=1)
         injective = np.flatnonzero((bins[:, 1:] != bins[:, :-1]).all(axis=1))
         if injective.size:
-            return n, z[injective[0]]
+            return n, powers[injective[0]] % n
         n += -(-n // 20)
-    return box, np.array([math.prod(shape[i + 1:]) for i in range(len(shape))], dtype=np.int64)
+    return box, radix
 
 
 def _lattice_coefficients(model: TightBindingModel, ranks: list) -> tuple:
@@ -541,7 +555,7 @@ def _lattice_coefficients(model: TightBindingModel, ranks: list) -> tuple:
     d = model.dim
     shape = tuple(2 * r + 1 for r in ranks)
     support = _exponent_support(ranks, d)
-    n, z = _rank1_lattice(support, shape)
+    n, z = _rank1_lattice(support, shape, d)
     chis = _roots_of_unity(n)[np.outer(np.arange(n), z) % n]
     inverses = 1.0 / chis
 
@@ -587,8 +601,9 @@ def bloch_variety(model: TightBindingModel, tol: float = 1e-8, seed: int = 0) ->
     Each Leibniz term of the determinant takes at most one chi_i^{+-1} per
     row, so every exponent k lies in S = {k : |k_i| <= r_i, sum |k_i| <= d},
     r_i the numeric rank of hop J_i (numpy's default tolerance).  The
-    coefficients are recovered on a rank-1 lattice of N ~ |S| points and one
-    FFT (`_lattice_coefficients`), with its aliasing check, and returned in
+    coefficients are recovered on a rank-1 lattice of N ~ |S| points (the
+    box's where that saves too little) and one FFT (`_lattice_coefficients`),
+    with its aliasing check, and returned in
     the (2r_i+1)-per-axis box layout of `BlochVariety`.  A box whose
     coefficient arrays would exceed the size rule's limit is refused with
     ValueError before any sampling.  `_HOLDOUT_POINTS` random points off the

@@ -90,7 +90,7 @@ DIGESTS = {
     "bloch-variety": [
         0,
         EMPTY,
-        "32385473012361fb1aa9caf5706bf61a6900b54e54d41d1df324f57feb3a4342",
+        "b9fd7b4f7896ca2669e7e49b80b811439527a8948428924bca50d91525cc8e0e",
     ],
     "bloch-variety-genus-2": [
         0,

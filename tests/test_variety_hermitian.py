@@ -112,9 +112,9 @@ def test_default_run_calls_one_eigvalsh_per_slice_and_one_det(tmp_path, monkeypa
 
 
 def test_failing_eigvalsh_names_the_sample(tmp_path, capsys, monkeypatch):
-    # g = 1, d = 3 at full rank: 25 lattice points, solved as one stack; the
+    # g = 1, d = 4 at full rank: 41 lattice points, solved as one stack; the
     # solve fails at one of them, found again by solving the stack point by point
-    model = model_with_ranks(9, 1, 3, [3, 3])
+    model = model_with_ranks(9, 1, 4, [4, 4])
     path = tmp_path / "model.json"
     write_model(model, path)
     target = pointwise_stack(model, lattice_points(model))[11]

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from hyperband import cli
 from hyperband.errors import NumericalCheckFailure
-from hyperband.spectra import _exponent_support, _rank1_lattice, bloch_variety
+from hyperband.spectra import _SEARCH_MIN_WORK, _exponent_support, _rank1_lattice, bloch_variety
 from hyperband.tight_binding import write_model
 
 from test_variety_rank_grid import model_with_ranks
@@ -43,20 +43,21 @@ def test_property_lattice_is_injective_on_the_support(genus, dim, data):
     if math.prod(shape) <= 50_000:
         box = itertools.product(*(range(-r, r + 1) for r in ranks))
         assert len(support) == sum(sum(map(abs, k)) <= dim for k in box)
-    n, z = _rank1_lattice(support, shape)
+    n, z = _rank1_lattice(support, shape, dim)
     assert len(support) <= n <= math.prod(shape)
     assert len(np.unique(support @ z % n)) == len(support)
-    again = _rank1_lattice(support, shape)
+    again = _rank1_lattice(support, shape, dim)
     assert again[0] == n and np.array_equal(again[1], z)
 
 
 # the variety workload's (genus, dim, hop rank) shapes, every hop at the
-# rank, and the lattice size N each is sampled on (the box when S fills it)
+# rank, and the lattice size N each is sampled on (the box where S fills it
+# or a search could save too little)
 WORKLOAD_SHAPES = {
-    (1, 2, 2): 13, (1, 2, 1): 9, (1, 3, 3): 25, (1, 3, 2): 23,
+    (1, 2, 2): 25, (1, 2, 1): 9, (1, 3, 3): 49, (1, 3, 2): 25,
     (1, 4, 4): 41, (1, 4, 1): 9, (1, 4, 2): 25, (1, 5, 5): 61, (1, 5, 2): 25,
     (1, 6, 6): 85, (1, 6, 1): 9, (1, 7, 7): 113, (1, 7, 2): 25, (1, 8, 8): 145, (1, 8, 1): 9,
-    (2, 2, 2): 59, (2, 2, 1): 41, (2, 3, 3): 205, (2, 3, 2): 263, (2, 4, 4): 613, (2, 4, 1): 81,
+    (2, 2, 2): 59, (2, 2, 1): 81, (2, 3, 3): 205, (2, 3, 2): 263, (2, 4, 4): 613, (2, 4, 1): 81,
     (3, 2, 2): 117, (3, 2, 1): 139,
 }
 
@@ -67,13 +68,14 @@ def test_workload_shapes_pin_the_lattice_size(shape, n):
     ranks = [rank] * (2 * genus)
     support = _exponent_support(ranks, dim)
     box = (2 * rank + 1) ** (2 * genus)
-    assert _rank1_lattice(support, (2 * rank + 1,) * (2 * genus))[0] == n
-    assert (n == box) == (len(support) == box)
+    assert _rank1_lattice(support, (2 * rank + 1,) * (2 * genus), dim)[0] == n
+    # the box, unsearched, exactly where a search could save too little
+    assert (n == box) == ((box - len(support)) * dim < _SEARCH_MIN_WORK)
 
 
 def test_workload_samples_thirteen_times_fewer_points():
     boxes = sum((2 * r + 1) ** (2 * g) for g, _, r in WORKLOAD_SHAPES)
-    assert (boxes, sum(WORKLOAD_SHAPES.values())) == (27_823, 2_135)
+    assert (boxes, sum(WORKLOAD_SHAPES.values())) == (27_823, 2_213)
 
 
 @pytest.mark.parametrize("genus, dim", [(1, 3), (2, 2), (2, 3)])

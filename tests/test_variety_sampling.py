@@ -47,7 +47,7 @@ def lattice_points(model):
     """The (N, 2g) momenta `bloch_variety(model)` samples, in order."""
     ranks = [int(np.linalg.matrix_rank(h)) for h in model.hops]
     support = spectra._exponent_support(ranks, model.dim)
-    n, z = spectra._rank1_lattice(support, tuple(2 * r + 1 for r in ranks))
+    n, z = spectra._rank1_lattice(support, tuple(2 * r + 1 for r in ranks), model.dim)
     return spectra._roots_of_unity(n)[np.outer(np.arange(n), z) % n]
 
 
@@ -105,13 +105,13 @@ def test_rank_zero_leading_hop_keeps_the_sampling_peak(chunk_budget):
 
 
 def test_failing_sample_in_a_later_slice_is_named(chunk_budget, tmp_path, capsys, monkeypatch):
-    # g = 1, d = 3 at full rank: 25 lattice points in slices of seven and a
-    # last one of four; the solve fails at lattice point 17, in the third
-    model = model_with_ranks(9, 1, 3, [3, 3])
+    # g = 1, d = 4 at full rank: 41 lattice points in slices of seven and a
+    # last one of six; the solve fails at lattice point 17, in the third
+    model = model_with_ranks(9, 1, 4, [4, 4])
     path = tmp_path / "model.json"
     write_model(model, path)
     chis = lattice_points(model)
-    assert len(chis) == 25
+    assert len(chis) == 41
     target = pointwise_stack(model, chis)[17]
     solve = np.linalg.eigvalsh
     batches = []
@@ -123,7 +123,7 @@ def test_failing_sample_in_a_later_slice_is_named(chunk_budget, tmp_path, capsys
         return solve(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
-    with chunk_budget(32 * 9 * 7):
+    with chunk_budget(32 * 16 * 7):
         assert cli.main(["bloch-variety", "--model", str(path)]) == 3
     assert batches[:3] == [7, 7, 7]
     assert capsys.readouterr().err == (
