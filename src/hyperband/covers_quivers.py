@@ -76,7 +76,7 @@ from .momenta import (
 )
 from .spectra import _slices, _solve_stack
 from .surface_group import _walk, make_surface_group
-from .tight_binding import TightBindingModel, _assemble, _assemble_monomial, _place_blocks
+from .tight_binding import TightBindingModel, _assemble, _assemble_monomial, _place_blocks, _symmetrized
 
 
 @dataclass(frozen=True)
@@ -378,7 +378,7 @@ class CoverPushforward:
         # symmetrized exactly as TightBindingModel does it; the pairs come
         # in transposed pairs, so each block meets its mirror's dagger
         mirrors = blocks[np.searchsorted(pairs, cols * n + rows)].conj().transpose(0, 2, 1)
-        self.onsite = ((seeds[1] + seeds[1].conj().T) / 2.0, rows, cols, (blocks + mirrors) / 2.0)
+        self.onsite = (_symmetrized(seeds[1], seeds[1].conj().T), rows, cols, _symmetrized(blocks, mirrors))
 
         # class +d_i adds J at (s, t) to cover generator i + 1, class -d_i
         # adds J^dagger at (t, s); keys (generator, row, col) sort as stored

@@ -8,8 +8,10 @@ chi_i J_i + chi_i^{-1} J_i^dagger is formed once per axis value, with the
 bits of assembling each point alone, and solves each box as one stack.  The
 output is independent of the box size, and identical inputs produce
 identical outputs (no threading nondeterminism is introduced here).
-`write_bands_csv` writes the bands in the same sub-boxes; a sweep is sized
-once, by the 16 d bytes of bands a point it holds.  Band crossings are
+`write_bands_csv` writes the bands in the same sub-boxes, each float as repr
+writes it, from repr's shortest digits formed exactly in numpy
+(`_shortest_digits`); a sweep is sized once, by the 16 d bytes of bands a
+point it holds.  Band crossings are
 single-linkage clusters per grid point, from `_clustering.single_linkage`,
 which the branch points of `spectral_curve` share.
 
@@ -664,8 +666,190 @@ def bloch_variety(model: TightBindingModel, tol: float = 1e-8, seed: int = 0) ->
     return replace(variety, holdout_residual=worst)
 
 
-#: a CSV row's bytes while its box is written: its head and value strings,
-#: their list slots and its share of the joined text
+def _text_tables() -> tuple:
+    """The CSV writer's ASCII words: entry n is text as one uint32, its four
+    bytes in text order, with a NUL wherever no text shows.
+
+    `_FRACTION[n]`, n < 10^4: the four digits of n, and at n + 10^4 the same
+    with their trailing zeros NUL.  `_SMALL_INTEGER[n]`, n < 100: [sign
+    slot, n with a leading zero NUL, '.'].  `_ZEROS_FIRST[10 z + d]`, z < 4:
+    z zeros, NUL padding, digit d.
+    """
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T  # row n: n's digits
+    place, text = np.arange(4, dtype=np.int8), digits + np.uint8(48)
+    last = np.where(digits != 0, place, -1).max(axis=1, keepdims=True)  # of a nonzero digit
+    fraction = np.concatenate([text, np.where(place <= last, text, np.uint8(0))])
+    small = np.zeros((100, 4), np.uint8)
+    small[10:, 1] = text[10:100, 2]
+    small[:, 2] = text[:100, 3]
+    small[:, 3] = 46
+    zeros_first = np.zeros((4, 10, 4), np.uint8)
+    zeros_first[..., :3] = np.where(place[:3] < np.arange(4)[:, None, None], np.uint8(48), np.uint8(0))
+    zeros_first[..., 3] = text[:10, 3]
+    return tuple(table.view(np.uint32).ravel() for table in (fraction, small, zeros_first))
+
+
+_FRACTION, _SMALL_INTEGER, _ZEROS_FIRST = _text_tables()
+#: 10^j as int64; as float64, exact to 10^22, with its Dekker split
+_POW10 = 10 ** np.arange(19)
+_POW10F = 10.0 ** np.arange(23)
+_POW10F_HI = _POW10F * 134217729.0 - (_POW10F * 134217729.0 - _POW10F)
+_POW10F_LO = _POW10F - _POW10F_HI
+
+
+def _words(text: bytes) -> np.ndarray:
+    """The words of a constant text, NUL-padded, as (n, 1, 1) uint32."""
+    return np.frombuffer(text.ljust(-(-len(text) // 4) * 4, b"\0"), np.uint32)[:, None, None]
+
+
+_COMMA, _NEWLINE, _REAL_TAIL = (_words(t) for t in (b",", b"\n", b",0.0\n"))
+#: '-' in a word's first byte, the sign slot
+_MINUS = _words(b"-")[0, 0, 0]
+
+
+def _integer_text(n: np.ndarray, width: int) -> np.ndarray:
+    """n.shape + (width,) uint8: each integer 0 <= n < 10^width in decimal,
+    right-aligned, its leading zeros NUL."""
+    text = np.empty(n.shape + (width,), np.uint8)
+    for j, place in enumerate(_POW10[width - 1::-1]):
+        digit = n // place
+        digit -= digit // 10 * 10
+        text[..., j] = np.where((n >= place) | (place == 1), digit + 48, 0)
+    return text
+
+
+def _shortest_digits(x: np.ndarray) -> tuple:
+    """(c, k, exact): repr's digits of each |x|, x 1-d, as the integer c of
+    17 digits, zero-padded, with |x| = c 10^(k - 17), on the lanes where
+    `exact`; on the others, those of 1.0.
+
+    With p = 16 - floor(log10 |x|), M = |x| 10^p lies in [10^16, 10^17) and
+    is formed exactly as N + f, N an integer and 0 <= f < 1, by Dekker's
+    product (10^p is exact).  Writing |x| = m 2^q (m of 53 bits), the values
+    that read back as x lie within h = 10^p 2^(q-1) > 1/2 of M (within h / 2
+    below it if m is a power of two, but for none of the 65 powers of two
+    in range does that cut off a candidate; the kernel's tests check each).
+    repr writes the fewest digits that land there, nearest to M: the
+    multiple of 10^j nearest M (17 - j digits), for the largest j at which
+    it lies inside.  Inside holds at j = 0, and once it fails it fails for
+    every larger j, so levels 1 and 2 are tested on every lane and each
+    larger one only on the lanes still inside.  All of it is exact: f, h
+    and the distances below 100 are multiples of 2^(q+p-1) that doubles
+    hold.
+
+    A lane is left to repr (`exact` false) outside 1e-4 <= |x| < 2^52,
+    repr's fixed notation without [2^52, 1e16): below 2^52, q + p <= 0,
+    so M +- h is an odd multiple of 2^(q+p-1), never an integer, and no
+    candidate lies on a bound, whose inclusion repr decides by the parity
+    of m.  So are the lanes where log10 misses the decade (N outside
+    [10^16, 10^17 - 16), the top also keeping 10^17 out of reach) and the
+    ties between two candidates inside, f = 1/2 at 17 digits and
+    N mod 10 + f = 5 at 16 (any other tie lies farther than h).
+    """
+    a = np.abs(x)
+    exact = (a >= 1e-4) & (a < 2.0**52)
+    a[~exact] = 1.0  # c and k of 1.0 on those lanes
+    p = 16 - np.floor(np.log10(a)).astype(np.int64)
+    ten_p = _POW10F[p]
+    hi = a * ten_p
+    a_hi = a * 134217729.0
+    a_hi -= a_hi - a
+    a_lo = a - a_hi
+    p_hi, p_lo = _POW10F_HI[p], _POW10F_LO[p]
+    lo = a_hi * p_hi - hi
+    lo += a_hi * p_lo
+    lo += a_lo * p_hi
+    lo += a_lo * p_lo
+    # each temporary goes once used: `_CSV_ROW_BYTES` counts those held
+    del a_hi, a_lo, p_hi, p_lo
+    whole = np.floor(lo)
+    N = hi.astype(np.int64) + whole.astype(np.int64)
+    f = lo - whole
+    del hi, lo, whole
+    # half an ulp of a, 2^(q-1), from its exponent bits, times 10^p (exact)
+    h = ((a.view(np.int64) >> 52) - 53 << 52).view(np.float64) * ten_p
+    del a, ten_p
+    # remainders as n - (n // t) t: numpy divides by a scalar far faster
+    # than it takes a remainder
+    r100 = N - N // 100 * 100
+    r10 = r100 - r100 // 10 * 10
+    low1 = r10 + f
+    high1 = 10.0 - low1
+    exact &= ((N - 10**16).view(np.uint64) < 9 * 10**16 - 16) & (f != 0.5) & (low1 != 5.0)
+    # the nearest candidate of 16 digits if it is inside, else of 17
+    c = np.where(np.minimum(low1, high1) < h, N - r10 + 10 * (high1 < low1), N + (f > 0.5))
+    low2 = r100 + f
+    deep = np.flatnonzero(exact & (np.minimum(low2, 100.0 - low2) < h))
+    del r10, low1, high1, r100, low2
+    for t in _POW10[2:17]:
+        n, g, u = N[deep], f[deep], h[deep]
+        r = n - n // t * t
+        low, high = r + g, (t - r) - g
+        inside = np.flatnonzero(np.minimum(low, high) < u)
+        if not inside.size:
+            break
+        deep = deep[inside]
+        c[deep] = (n - r + t * (high < low))[inside]
+    return c, 17 - p, exact
+
+
+def _float_words(x: np.ndarray) -> np.ndarray:
+    """(width, x.size) uint32: repr(v) of each float v of the 1-d x as
+    `width` words, NUL-padded, one column a float.
+
+    The digits of `_shortest_digits` are laid out in fixed notation: words
+    of sign, integer part and '.' (one word below 100), the zeros after
+    '.' (up to three) with the first fraction digit, and the 16 fraction
+    digits after it with their trailing zeros NUL.  The other lanes but
+    zeros are written by repr, whose text never passes the 24 bytes these
+    hold.
+    """
+    fraction, k, exact = _shortest_digits(x)
+    missed = np.flatnonzero(~exact)
+    # below 2^52 the integer part is floor(|x|): repr's digits round to x,
+    # never across an integer, which is a double there
+    integer = np.floor(np.abs(x), where=exact, out=np.zeros(x.shape)).astype(np.int64)
+    whole = np.maximum(k, 0)
+    fraction -= integer * _POW10[17 - whole]
+    fraction *= _POW10[whole]  # the fraction's digits from the first on
+    fraction[missed] = 0
+    # a zero's words, those of 0 with 1.0's k, read "0.0" after its sign
+    missed = missed[x[missed] != 0]
+    top = int(integer.max(initial=0))
+    n_head = 1 if top < 100 else (len(str(top)) + 5) // 4
+    words = np.empty((n_head + 5, x.size), np.uint32)
+    if n_head == 1:
+        words[0] = _SMALL_INTEGER[integer]
+    else:
+        text = np.zeros((x.size, 4 * n_head), np.uint8)
+        text[:, 1:-1] = _integer_text(integer, 4 * n_head - 2)
+        text[:, -1] = 46
+        words[:n_head] = text.view(np.uint32).T
+    words[0] += np.signbit(x) * _MINUS
+    first = fraction // 10**16
+    words[n_head] = _ZEROS_FIRST[(whole - k) * 10 + first]  # below 1, -k zeros
+    fraction -= first * 10**16
+    upper = fraction // 10**8
+    lower = fraction - upper * 10**8
+    # a word with only zeros after it takes its trailing-zero-free form
+    last = lower - lower // 10000 * 10000
+    words[-1] = _FRACTION[last + 10000]
+    words[-2] = _FRACTION[lower // 10000 + 10000 * (last == 0)]
+    last = upper - upper // 10000 * 10000
+    words[-3] = _FRACTION[last + 10000 * (lower == 0)]
+    words[-4] = _FRACTION[upper // 10000 + 10000 * ((lower == 0) & (last == 0))]
+    if missed.size:
+        del integer, whole, fraction, first, upper, lower, last
+        text = np.fromiter(map(repr, x[missed].tolist()), f"S{4 * len(words)}", missed.size)
+        words[:, missed] = text.view(np.uint32).reshape(missed.size, -1).T
+    return words
+
+
+#: a CSV row's bytes while its box is written, as traced: its block of words
+#: (12 to 18 for sweep rows, up to 25 with 16-digit integer parts) held
+#: twice while it is transposed into a byte buffer, or the float kernel's
+#: eight-byte temporaries, about 14 a float, next to the real part's words;
+#: the traced peaks run from 130 to 230 bytes a row over those cases
 _CSV_ROW_BYTES = 256
 
 
@@ -675,7 +859,9 @@ def write_bands_csv(bands: BandStructure, fh) -> None:
     Columns: one integer grid index per momentum axis, the band index, then
     Re and Im of the eigenvalue.  Rows iterate grid points in row-major order
     and bands in ascending (Re, Im) order; decimal separator '.', field
-    separator ','.  The rows are written one `_sub_boxes` box at a time, at
+    separator ','.  Every float is written as repr writes it, by the kernel
+    `_float_words`, exact, with repr itself on the values it does not
+    certify.  The rows are written one `_sub_boxes` box at a time, at
     `_CSV_ROW_BYTES` a row, so the text held at once stays within the box
     budget whatever the grid's shape.
     """
@@ -687,31 +873,56 @@ def write_bands_csv(bands: BandStructure, fh) -> None:
         "# rows: grid points in row-major order, bands sorted by (Re, Im); "
         f"columns: grid indices, band, eigenvalue\n{','.join(cols)}\n"
     )
+    if not d:
+        return
     # every box holds the axes after its cut axis whole: their row tails
-    # "j,...,b," are built once, and a box's rows are its lead and cut-axis
-    # heads times them; its values are repr'd in C (repr of the builtin float
-    # is the shortest round-tripping form), and it is joined and written once
+    # "j,...,b," are built once, and a box's rows are its heads (lead and
+    # cut-axis indices) times them, then its values.  The box's text is one
+    # block of NUL-padded words, a row a column while it is built; it is
+    # transposed, stripped of its NULs and written once
     boxes = _sub_boxes(grid.shape, _CSV_ROW_BYTES * d)
     n_cut = len(grid.shape) - boxes[0].count(slice(None))
     tails = [""]
     for n in (*grid.shape[n_cut:], d):
         tails = [f"{tail}{i}," for tail in tails for i in range(n)]
+    width = -(-max(map(len, tails)) // 4) * 4
+    tails = np.array(tails, dtype=f"S{width}").view(np.uint32).reshape(len(tails), -1).T[:, None, :]
     values = bands.bands.reshape(grid.shape + (d,))
     for box in boxes:
         *lead, cut = box[:n_cut]
-        prefix = "".join(f"{s.start}," for s in lead)
-        heads = [f"{prefix}{j}," for j in range(cut.start, cut.stop)]
-        rows = [head + tail for head in heads for tail in tails]
-        part = values[box].reshape(-1)
-        # every eigvalsh sweep has only +0.0 imaginary parts; a box of those
-        # writes them as a constant, any other bit pattern (-0.0 too) by repr
-        if part.imag.view(np.int64).any():
-            text = [None, None, ",", None, "\n"] * len(rows)
-            text[0::5] = rows
-            text[1::5] = map(repr, part.real.tolist())
-            text[3::5] = map(repr, part.imag.tolist())
-        else:
-            text = [None, None, ",0.0\n"] * len(rows)
-            text[0::3] = rows
-            text[1::3] = map(repr, part.real.tolist())
-        fh.write("".join(text))
+        prefix = np.frombuffer("".join(f"{s.start}," for s in lead).encode(), np.uint8)
+        index = np.arange(cut.start, cut.stop)
+        digits = len(str(cut.stop - 1))
+        heads = np.zeros((index.size, -(-(prefix.size + digits + 1) // 4) * 4), np.uint8)
+        heads[:, :prefix.size] = prefix
+        heads[:, prefix.size:prefix.size + digits] = _integer_text(index, digits)
+        heads[:, prefix.size + digits] = 44
+        heads = heads.view(np.uint32).T[:, :, None]
+        fh.write(_rows_text(heads, tails, values[box].reshape(index.size, -1)))
+
+
+def _rows_text(heads: np.ndarray, tails: np.ndarray, part: np.ndarray) -> str:
+    """The CSV rows of one box: `heads` (words, H, 1) times `tails` (words,
+    1, T), then the complex values `part` (H, T).
+
+    The rows are one block of NUL-padded words, a row a column while it is
+    built, then transposed into a byte buffer, which drops its NULs.
+    """
+    # every eigvalsh sweep has only +0.0 imaginary parts; a box of those
+    # writes them as a constant, any other bit pattern (-0.0 too) by kernel
+    pieces = [heads, tails, _float_words(part.real.ravel()).reshape(-1, *part.shape)]
+    if part.imag.view(np.int64).any():
+        pieces += [_COMMA, _float_words(part.imag.ravel()).reshape(-1, *part.shape), _NEWLINE]
+    else:
+        pieces.append(_REAL_TAIL)
+    block = np.empty((sum(map(len, pieces)),) + part.shape, np.uint32)
+    start = 0
+    for piece in pieces:
+        block[start:start + len(piece)] = piece
+        start += len(piece)
+    del pieces
+    text = bytearray(block.nbytes)
+    np.frombuffer(text, np.uint32).reshape(part.size, -1)[...] = block.reshape(len(block), -1).T
+    del block
+    text = text.translate(None, b"\0")
+    return text.decode("ascii")

@@ -92,7 +92,9 @@ class TightBindingModel:
                 "symmetrization only absorbs residuals below "
                 f"{TOL_HERMITIAN:.0e} relative"
             )
-        symmetrized = (onsite + onsite.conj().T) / 2.0
+        # (M + M^dagger) / 2 can overflow only where a part reaches 2^1023
+        dagger = onsite.conj().T
+        symmetrized = _symmetrized(onsite, dagger) if e > 1023 else (onsite + dagger) / 2.0
         symmetrized.setflags(write=False)
         self.group = group
         self.dim = d
@@ -118,6 +120,23 @@ class TightBindingModel:
             f"TightBindingModel(genus={self.genus}, dim={self.dim}, "
             f"hash={self.content_hash})"
         )
+
+
+def _symmetrized(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a + b) / 2, the on-site symmetrization with b = a^dagger, finite.
+
+    Only where a part reaches 2^1023 can a + b overflow; those entries are
+    a / 2 + b / 2 instead.  Halving first everywhere would move subnormal
+    bits (5e-324 / 2 is 0), so every entry whose (a + b) / 2 is finite keeps
+    those bits, and callers may skip this for the plain formula where no
+    part reaches 2^1023.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = (a + b) / 2.0
+    lost = ~np.isfinite(half)
+    if lost.any():
+        half[lost] = a[lost] / 2.0 + b[lost] / 2.0
+    return half
 
 
 @dataclass(frozen=True)

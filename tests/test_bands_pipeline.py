@@ -769,3 +769,18 @@ def test_box_writer_memory_is_bounded_by_the_box_budget(counts):
         tracemalloc.stop()
     assert sink.lines == 4 + 200000
     assert peak < 4_000_000, peak
+
+
+def test_box_writer_memory_is_bounded_on_a_genus_2_d8_sweep():
+    # the float kernel's temporaries and the block of words a box's rows
+    # are built in stay within the box budget, as the strings did
+    bands = sweep(random_model(np.random.default_rng(17), 2, 8), unitary_grid(2, 12))
+    sink = _LineCounter()
+    tracemalloc.start()
+    try:
+        write_bands_csv(bands, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.lines == 4 + 12**4 * 8
+    assert peak < 4_000_000, peak

@@ -281,6 +281,22 @@ def test_supercell_equals_kron_build_bit_for_bit():
                     assert _same_bits(h_new, h_old)
 
 
+def test_cover_check_of_a_huge_onsite_entry_is_exact():
+    # both symmetrizations of the on-site blocks overflowed with M's: the
+    # supercell held inf+nanj where the induced route held 1.7e308
+    rng = np.random.default_rng(22)
+    for cover in COVERS:
+        hops = [0.1 * rng.normal(size=(2, 2)) for _ in range(2 * cover.genus)]
+        model = TightBindingModel(cover.genus, np.diag([1.7e308, 1.0]), hops)
+        assert _same_bits(supercell(model, cover).onsite, kron_supercell(model, cover).onsite)
+    # on a cyclic and a swap cover the two routes build the same matrix
+    for cover in (COVERS[0], COVERS[5]):
+        hops = [0.1 * rng.normal(size=(2, 2)) for _ in range(2 * cover.genus)]
+        model = TightBindingModel(cover.genus, np.diag([1.7e308, 1.0]), hops)
+        chi = AbelianMomentum(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2 * cover_genus(cover))))
+        assert pushforward_check(model, cover, chi).matrix_distance == 0.0
+
+
 def test_table_assembly_equals_dense_bloch_bit_for_bit():
     rng = np.random.default_rng(21)
     for cover in COVERS:

@@ -37,6 +37,7 @@ CASES = {
     "bands-stdout": ["bands", "--model", "{pair}", "--grid", "2"],
     "bands-region": ["bands", "--model", "{pair}", "--grid", "2,3", "--region=-0.3:0.2:2", "--out", "{out}"],
     "bands-degenerate": ["bands", "--model", "{doubled}", "--grid", "3", "--out", "{out}"],
+    "bands-edge-floats": ["bands", "--model", "{edge}", "--grid", "2,1", "--region=-0.3:0.2:2", "--out", "{out}"],
     "bloch-variety": ["bloch-variety", "--model", "{pair}", "--seed", "3", "--out", "{out}"],
     "bloch-variety-genus-2": ["bloch-variety", "--model", "{genus2}", "--out", "{out}"],
     "euclidean": ["euclidean", "--tau", "0.3,1.1", "--k", "0.1,-0.2", "--bands", "6", "--out", "{out}"],
@@ -64,6 +65,12 @@ for name, argv in json.loads(sys.argv[1]).items():
 print(json.dumps(digests, sort_keys=True))
 """
 
+#: the edge model's on-site diagonal
+EDGE_FLOATS = [
+    0.0, 5e-324, 2.0**-20, 9.999999999999999e-05, 1e-4, 0.125, 0.1 + 0.2, 1.0, 2.5, 2.0**40,
+    9999999999999998.0, 1e16, 2.0**60, -3e16, -6.103515625e-05, -0.5,
+]
+
 #: case -> [exit code, sha256 of stdout, sha256 of the --out file]
 EMPTY = hashlib.sha256(b"").hexdigest()
 DIGESTS = {
@@ -76,6 +83,11 @@ DIGESTS = {
         0,
         EMPTY,
         "17acf06ece041bb5cca2dd064518395818e6f738876bd0ea04a3005efe039817",
+    ],
+    "bands-edge-floats": [
+        0,
+        EMPTY,
+        "68473dce83ef9f1e0d31c434c1723772d7cec5b6f77f8c8f1556266c1beadd1f",
     ],
     "bands-region": [
         0,
@@ -133,12 +145,19 @@ DIGESTS = {
 def write_cases(root: Path) -> dict:
     """Write the fixed inputs under `root`; return each case's argv."""
     pair = random_model(np.random.default_rng(11), 1, 2)
-    paths = {name: root / f"{name}.json" for name in ("pair", "doubled", "genus2", "swap", "cycle", "higgs")}
+    paths = {name: root / f"{name}.json" for name in ("pair", "doubled", "genus2", "swap", "cycle", "higgs", "edge")}
     write_model(pair, paths["pair"])
     base = random_model(np.random.default_rng(12), 1, 1)  # M (+) M: degenerate everywhere
     doubled = TightBindingModel(1, np.kron(np.eye(2), base.onsite), [np.kron(np.eye(2), h) for h in base.hops])
     write_model(doubled, paths["doubled"])
     write_model(random_model(np.random.default_rng(13), 2, 2), paths["genus2"])
+    # a diagonal model whose spectrum holds the floats repr writes in exponent
+    # form or at its fixed-notation bounds: zeros, a subnormal, powers of two,
+    # values below 1e-4 and at or above 1e16; two hop entries make imaginary
+    # parts off the torus, one below 1e-4
+    hop = np.zeros(16, dtype=complex)
+    hop[7], hop[8] = 1e17, 1e-6 + 1e-6j
+    write_model(TightBindingModel(1, np.diag(EDGE_FLOATS), [np.diag(hop), np.zeros((16, 16))]), paths["edge"])
     swap = UnbranchedCover(sheets=2, perms=((2, 1), (1, 2)))
     cycle = UnbranchedCover(sheets=4, perms=((2, 3, 4, 1), (1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4)))
     for name, cover in (("swap", swap), ("cycle", cycle)):

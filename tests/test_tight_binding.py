@@ -4,11 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperband.momenta import AbelianMomentum, NonabelianMomentum, abelian_to_nonabelian
 from hyperband.surface_group import make_surface_group
 from hyperband.tight_binding import (
     TightBindingModel,
+    _symmetrized,
     adjoint_momentum,
     bloch_abelian,
     bloch_nonabelian,
@@ -92,6 +95,29 @@ def test_onsite_residual_is_the_norm_wherever_that_is_finite(scale):
     else:  # 1e200 and 1e300: the difference's norm, taken scaled down
         difference = onsite - onsite.conj().T
         assert model.onsite_residual == pytest.approx(np.linalg.norm(difference / scale) * scale, rel=1e-14)
+
+
+def test_huge_onsite_entry_is_symmetrized_without_overflow():
+    # (M + M^dagger) / 2 overflowed: the entry became inf+nanj, with an
+    # overflow and an invalid-value RuntimeWarning
+    onsite = np.array([[1.7e308, 0.0], [0.0, 1.0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = TightBindingModel(1, onsite, [np.zeros((2, 2))] * 2)
+    assert np.all(np.isfinite(model.onsite))
+    assert model.onsite.tobytes() == onsite.tobytes()
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1.0, 1e300, 1e-300, 2.0**-1060, 5e-324]))
+def test_property_symmetrization_keeps_the_bits_of_half_the_sum(seed, scale):
+    # halving before adding would move subnormal bits (5e-324 / 2 is 0)
+    rng = np.random.default_rng(seed)
+    a = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))) * scale
+    onsite = a + a.conj().T + 1e-12 * a
+    model = TightBindingModel(1, onsite, [np.zeros((3, 3))] * 2)
+    expected = ((onsite + onsite.conj().T) / 2.0).tobytes()
+    assert model.onsite.tobytes() == _symmetrized(onsite, onsite.conj().T).tobytes() == expected
 
 
 def test_model_accepts_genus_as_int():
