@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 #: each re-exported module, in dependency order, and its public names
 _EXPORTS = {
-    "errors": ("NumericalCheckFailure", "UnsupportedCoverError", "EverywhereSingularError"),
+    "errors": ("NumericalCheckFailure", "UnsupportedCoverError"),
     "surface_group": (
         "SurfaceGroup", "Word", "make_surface_group", "free_reduce", "evaluate_word",
     ),
@@ -56,7 +56,7 @@ _EXPORTS = {
     ),
     "spectral_curve": (
         "Rank2TwistedHiggs", "feasibility", "char_poly", "discriminant",
-        "BranchPoint", "SpectralCurveInfo", "branch_points", "curve_genus", "curve_info",
+        "BranchPoint", "SpectralCurveInfo", "curve_info",
         "toy_to_twisted", "curve_report", "higgs_to_json", "higgs_from_json",
         "higgs_from_json_file",
     ),

@@ -98,12 +98,10 @@ def matrix_to_json(m) -> list:
 
 
 def matrix_from_json(rows, name: str) -> np.ndarray:
+    if not (isinstance(rows, list) and rows and all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows)):
+        raise ValueError(f"{name} must be a matrix (nested lists, rows of one length)")
     entry = f"an entry in {name}"
-    data = [[complex_from_json(z, entry) for z in row] for row in rows]
-    m = np.array(data, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be a matrix (nested lists)")
-    return m
+    return np.array([[complex_from_json(z, entry) for z in row] for row in rows], dtype=complex)
 
 
 def canonical_dumps(obj) -> str:

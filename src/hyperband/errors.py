@@ -2,8 +2,9 @@
 
 Input-shaped problems (bad arguments, malformed files, violated preconditions)
 raise ValueError/KeyError/OSError as usual; these classes mark failures of a
-numerical or structural check performed on otherwise well-formed input.  The
-CLI maps them to a distinct exit code.
+numerical or structural check performed on otherwise well-formed input (a
+residual past its tolerance, a result past the float range), which the CLI
+maps to exit 3.  A degenerate spectral curve is data, not a failure.
 """
 
 from __future__ import annotations
@@ -15,7 +16,3 @@ class NumericalCheckFailure(RuntimeError):
 
 class UnsupportedCoverError(NumericalCheckFailure):
     """The cover is valid but not representable with single-generator hops."""
-
-
-class EverywhereSingularError(NumericalCheckFailure):
-    """The discriminant vanishes identically; there is no reduced branch divisor."""

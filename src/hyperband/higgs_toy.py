@@ -28,6 +28,7 @@ test suite re-derives this symbolically rather than trusting the constant).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -68,9 +69,9 @@ class RationalMatrixOneForm:
     """A matrix-valued form sum_p R_p dz/(z - p) with poles on the sphere.
 
     `poles` is a tuple of (point, residue) pairs where the point at infinity
-    is represented by math.inf; residues must sum to zero exactly (the
-    constructors build the infinity residue as minus the finite sum, which
-    makes the cancellation exact in floating point).
+    is represented by math.inf; residues must be finite and sum to zero
+    exactly (the constructors build the infinity residue as minus the finite
+    sum, which makes the cancellation exact in floating point).
     """
 
     poles: tuple
@@ -78,15 +79,19 @@ class RationalMatrixOneForm:
     def __post_init__(self):
         cleaned = []
         total = np.zeros((2, 2), dtype=complex)
-        for point, residue in self.poles:
-            residue = np.array(residue, dtype=complex)
-            if residue.shape != (2, 2):
-                raise ValueError("residues must be 2x2 matrices")
-            residue.setflags(write=False)
-            point = INFINITY if point == INFINITY else complex(point)
-            cleaned.append((point, residue))
-            total = total + residue
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite total is refused below
+            for point, residue in self.poles:
+                residue = np.array(residue, dtype=complex)
+                if residue.shape != (2, 2):
+                    raise ValueError("residues must be 2x2 matrices")
+                residue.setflags(write=False)
+                point = INFINITY if point == INFINITY else complex(point)
+                cleaned.append((point, residue))
+                total = total + residue
         if not np.all(total == 0.0):
+            for point, residue in cleaned:
+                if not np.isfinite(residue).all():
+                    raise ValueError(f"the residue at {point} is not finite: it overflows the float range")
             raise ValueError(
                 f"residues must sum to zero exactly; got total {total.tolist()}"
             )
@@ -134,8 +139,8 @@ def connection_form(point: ToyModelPoint) -> RationalMatrixOneForm:
 def higgs_form(point: ToyModelPoint) -> RationalMatrixOneForm:
     """The Higgs field B * Phi as residue data over {0, 1, m, infinity}."""
     B = point.B
-    residues = tuple(B * P for P in higgs_matrices(point.u))
-    return _with_infinity(point.m, residues)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residue is refused
+        return _with_infinity(point.m, tuple(B * P for P in higgs_matrices(point.u)))
 
 
 def evaluate_form(form: RationalMatrixOneForm, z) -> np.ndarray:
@@ -152,17 +157,24 @@ def evaluate_form(form: RationalMatrixOneForm, z) -> np.ndarray:
     return value
 
 
+def _finite(c: complex, what: str) -> complex:
+    if not cmath.isfinite(c):
+        raise NumericalCheckFailure(f"the {what} is not finite ({c}): it overflows the float range")
+    return c
+
+
 def hitchin_closed_form(point: ToyModelPoint) -> complex:
-    """-B^2 u (u-1) (u-m); see the module docstring for provenance."""
+    """-B^2 u (u-1) (u-m) (see the module docstring); NumericalCheckFailure past the float range."""
     u, m, B = point.u, point.m, point.B
-    return -(B * B) * u * (u - 1.0) * (u - m)
+    return _finite(-(B * B) * u * (u - 1.0) * (u - m), "closed form of the invariant")
 
 
 def hitchin_coordinate(point: ToyModelPoint, *, seed: int = 0, tol: float = 1e-9) -> complex:
     """c = z (z-1) (z-m) det(B Phi(z)), checked to be z-independent.
 
     Evaluates at 5 random z bounded away from the poles and requires the
-    relative spread of the samples to stay below `tol`.
+    relative spread of the samples to stay below `tol`, and their mean to be
+    finite (NumericalCheckFailure).
     """
     check_tolerance(tol)
     form = higgs_form(point)
@@ -170,19 +182,20 @@ def hitchin_coordinate(point: ToyModelPoint, *, seed: int = 0, tol: float = 1e-9
     poles = [0.0 + 0.0j, 1.0 + 0.0j, point.m]
     values = []
     attempts = 0
-    while len(values) < 5:
-        attempts += 1
-        if attempts > 5000:
-            raise NumericalCheckFailure("could not sample z away from the poles")
-        z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-        if min(abs(z - p) for p in poles) < 0.3:
-            continue
-        phi = evaluate_form(form, z)
-        values.append(z * (z - 1.0) * (z - point.m) * np.linalg.det(phi))
-    values = np.asarray(values)
-    mean = complex(values.mean())
-    spread = float(np.max(np.abs(values - mean)))
-    if spread > tol * max(1.0, abs(mean)):
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a non-finite mean
+        while len(values) < 5:
+            attempts += 1
+            if attempts > 5000:
+                raise NumericalCheckFailure("could not sample z away from the poles")
+            z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+            if min(abs(z - p) for p in poles) < 0.3:
+                continue
+            phi = evaluate_form(form, z)
+            values.append(z * (z - 1.0) * (z - point.m) * np.linalg.det(phi))
+        values = np.asarray(values)
+        mean = _finite(complex(values.mean()), "invariant")
+        spread = float(np.max(np.abs(values - mean)))
+    if not spread <= tol * max(1.0, abs(mean)):
         raise NumericalCheckFailure(
             f"the invariant drifted across sample points "
             f"(spread {spread:.3e} relative to {abs(mean):.3e})"

@@ -199,19 +199,11 @@ _CHUNK_BYTES = 1 << 20
 def _slices(count: int, item_bytes: int) -> list:
     """range(count) in slices of at most `_CHUNK_BYTES`, one item at least.
 
-    A trailing one-item slice joins a longer one before it: numpy rounds a
-    complex product with a one-entry array operand without the fused
-    multiply-add of its vector loops, so a lone item could get other bits
-    than in a longer slice.  Cover checks slice their trials by this rule;
-    `bloch_variety` its lattice points and `_sub_boxes` one axis of a grid
-    too, though there a one-point range enters `_assemble` as 0-d values,
-    which round as the vector loops do.
+    The last slice may hold one item.  Where that matters to the bits, the
+    caller passes a one-item range as 0-d values (see `_assemble`).
     """
     step = max(1, _CHUNK_BYTES // max(item_bytes, 1))
-    starts = list(range(0, count, step))
-    if step > 1 and len(starts) > 1 and count - starts[-1] == 1:
-        del starts[-1]
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [count])]
+    return [slice(a, min(a + step, count)) for a in range(0, count, step)]
 
 
 def _sub_boxes(shape: tuple, point_bytes: int) -> list:

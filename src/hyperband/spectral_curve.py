@@ -11,8 +11,11 @@ The characteristic polynomial lambda^2 - a1(z) lambda + a2(z) defines a double
 cover branched where the discriminant a1^2 - 4 a2 (degree <= 2g+2) vanishes,
 plus a branch point at infinity for each missing degree.  Branch points are
 companion-matrix roots, Newton-polished once and merged by single-linkage
-clustering; a reduced (simple) branch divisor gives a smooth hyperelliptic
-curve of genus (#branch points)/2 - 1.
+clustering.  `curve_info` returns one record, `SpectralCurveInfo`, which
+stores the characteristic data and the divisor and derives the rest: counted
+with infinity the divisor has degree 2g + 2, or is empty when the discriminant
+vanishes identically (degenerate), and a reduced one gives a smooth curve of
+genus g.  A characteristic polynomial past the float range is refused.
 
 Polynomials are 1-d complex coefficient arrays in ascending powers of z.
 """
@@ -20,6 +23,7 @@ Polynomials are 1-d complex coefficient arrays in ascending powers of z.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +31,7 @@ from numpy.polynomial import polynomial as npoly
 
 from ._clustering import single_linkage
 from ._serialize import complex_from_json, complex_to_json, document, integer, read_json
-from .errors import EverywhereSingularError, NumericalCheckFailure
+from .errors import NumericalCheckFailure
 from .higgs_toy import INFINITY, ToyModelPoint, higgs_matrices
 
 #: relative threshold for discarding numerically-zero leading coefficients
@@ -152,8 +156,12 @@ class SpectralCurveInfo:
     a1: np.ndarray
     a2: np.ndarray
     discriminant: np.ndarray
-    branch_points: tuple  # of BranchPoint; empty when degenerate
-    degenerate: bool  # discriminant vanishes identically
+    branch_points: tuple  # of BranchPoint, degree 2 base_genus + 2; empty when degenerate
+
+    @property
+    def degenerate(self) -> bool:
+        """The discriminant vanishes identically: no branch divisor."""
+        return not self.branch_points
 
     @property
     def smooth(self) -> bool:
@@ -162,8 +170,8 @@ class SpectralCurveInfo:
 
     @property
     def curve_genus(self):
-        """The genus of a smooth curve, else None."""
-        return _genus(self.branch_points) if self.smooth else None
+        """The genus of a smooth curve, `base_genus` (2g + 2 simple branch points), else None."""
+        return self.base_genus if self.smooth else None
 
 
 def _disc_scale(a1: np.ndarray, a2: np.ndarray, disc: np.ndarray) -> float:
@@ -172,12 +180,12 @@ def _disc_scale(a1: np.ndarray, a2: np.ndarray, disc: np.ndarray) -> float:
     The discriminant is assembled from a1^2 and 4 a2, so exact algebraic
     cancellations leave rounding noise on the order of eps times the peak of
     those ingredients -- comparing against the discriminant's own peak would
-    mistake that noise for structure.
+    mistake that noise for structure.  Inf where |a1|^2 or 4 |a2| overflows.
     """
     def peak(p):
         return float(np.max(np.abs(p))) if p.size else 0.0
 
-    return max(peak(a1) ** 2, 4.0 * peak(a2), peak(disc), 1e-300)
+    return max(peak(a1) * peak(a1), 4.0 * peak(a2), peak(disc), 1e-300)
 
 
 def _roots_with_multiplicity(poly: np.ndarray, base_genus: int, zero_tol: float):
@@ -216,36 +224,6 @@ def _roots_with_multiplicity(poly: np.ndarray, base_genus: int, zero_tol: float)
     return merged, inf_mult
 
 
-def branch_points(info: SpectralCurveInfo) -> tuple:
-    """The branch divisor `curve_info` found, with multiplicities; raises when Delta == 0."""
-    if info.degenerate:
-        raise EverywhereSingularError(
-            "discriminant vanishes identically; no reduced branch divisor exists"
-        )
-    return info.branch_points
-
-
-def curve_genus(info: SpectralCurveInfo) -> int:
-    """(#branch points)/2 - 1 for a smooth (reduced) branch divisor."""
-    if info.degenerate or not info.branch_points:
-        raise EverywhereSingularError("degenerate curve has no genus")
-    return _genus(info.branch_points)
-
-
-def _genus(bps: tuple) -> int:
-    """Genus of the double cover branched at the nonempty divisor `bps`."""
-    if any(bp.multiplicity > 1 for bp in bps):
-        raise NumericalCheckFailure(
-            "branch divisor is non-reduced; the double cover is singular"
-        )
-    count = sum(bp.multiplicity for bp in bps)
-    if count % 2 != 0:
-        raise NumericalCheckFailure(
-            f"branch point count {count} is odd, which a double cover cannot have"
-        )
-    return count // 2 - 1
-
-
 @functools.cache
 def _cayley_points() -> np.ndarray:
     """The Cayley-Hamilton check points: five (Re, Im) draws of default_rng(0).
@@ -258,17 +236,25 @@ def _cayley_points() -> np.ndarray:
 
 
 def _cayley_hamilton_check(phi: Rank2TwistedHiggs, a1, a2) -> None:
-    """M^2 - a1 M + a2 = 0 for M = phi(z) at each of `_cayley_points()`."""
+    """M^2 - a1 M + a2 = 0 for M = phi(z) at each of `_cayley_points()`,
+    relative to max(1, |M|^2), both formed from s M, s t1 and s^2 t2 (s <= 1
+    the power of two just below 1 / max |M_ij|: the same bits times s^2, with
+    no square overflowing where a1 and a2 are finite).  A non-finite residual
+    fails.
+    """
     z = _cayley_points()
-    M = np.array([[npoly.polyval(z, p) for p in row] for row in phi.entries]).transpose(2, 0, 1)
-    t1, t2 = (npoly.polyval(z, _as_poly(a))[:, None, None] for a in (a1, a2))
-    residual = np.linalg.norm(M @ M - t1 * M + t2 * np.eye(2), axis=(1, 2))
-    scale = np.maximum(1.0, np.linalg.norm(M, axis=(1, 2)) ** 2)
-    failed = np.flatnonzero(residual > CAYLEY_TOL * scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = np.array([[npoly.polyval(z, p) for p in row] for row in phi.entries]).transpose(2, 0, 1)
+        t1, t2 = (npoly.polyval(z, _as_poly(a))[:, None, None] for a in (a1, a2))
+        s = 0.5 ** max(math.frexp(float(np.max(np.abs(M))))[1], 0)
+        M, t1, t2 = s * M, s * t1, (s * s) * t2
+        residual = np.linalg.norm(M @ M - t1 * M + t2 * np.eye(2), axis=(1, 2))
+        scale = np.maximum(s * s, np.linalg.norm(M, axis=(1, 2)) ** 2)
+        failed = np.flatnonzero(~(np.isfinite(residual) & (residual <= CAYLEY_TOL * scale)))
     if failed.size:
         k = failed[0]
         raise NumericalCheckFailure(
-            f"Cayley-Hamilton residual {residual[k]:.3e} at z={complex(z[k])}"
+            f"Cayley-Hamilton residual {float(residual[k]) / s / s:.3e} at z={complex(z[k])}"
         )
 
 
@@ -278,11 +264,19 @@ def curve_info(phi: Rank2TwistedHiggs) -> SpectralCurveInfo:
     An identically-zero discriminant (nilpotent-cone input) is reported as a
     degenerate info object rather than an error: one whose peak is within
     TRIM_REL of the entries' product scale, or that the root finder's trim
-    would clear entirely.
+    would clear entirely.  A discriminant (so a1 or a2) or its scale past
+    the float range raises NumericalCheckFailure.
     """
-    a1, a2 = char_poly(phi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a1, a2 = char_poly(phi)
+        disc = discriminant(a1, a2)
+    zero_tol = TRIM_REL * _disc_scale(a1, a2, disc)
+    if not (np.isfinite(disc).all() and math.isfinite(zero_tol)):
+        raise NumericalCheckFailure(
+            "the characteristic polynomial overflows: a1, a2 or the discriminant "
+            "a1^2 - 4 a2 has a coefficient past the float range"
+        )
     _cayley_hamilton_check(phi, a1, a2)
-    disc = discriminant(a1, a2)
     # judge "identically zero" against the pre-cancellation product scale of
     # the entries, so exact algebraic collapses detected through rounding noise
     # still count as degenerate
@@ -292,7 +286,6 @@ def curve_info(phi: Rank2TwistedHiggs) -> SpectralCurveInfo:
     )
     product_scale = entry_peak * entry_peak
     disc_peak = float(np.max(np.abs(disc))) if disc.size else 0.0
-    zero_tol = TRIM_REL * _disc_scale(a1, a2, disc)
     degenerate = disc_peak <= max(TRIM_REL * product_scale, zero_tol)
     bps = ()
     if not degenerate:
@@ -302,7 +295,6 @@ def curve_info(phi: Rank2TwistedHiggs) -> SpectralCurveInfo:
             bps += (BranchPoint(point=INFINITY, multiplicity=inf_mult),)
     return SpectralCurveInfo(
         base_genus=phi.genus, k=phi.k, a1=a1, a2=a2, discriminant=disc, branch_points=bps,
-        degenerate=degenerate,
     )
 
 
@@ -314,14 +306,15 @@ def toy_to_twisted(point: ToyModelPoint) -> Rank2TwistedHiggs:
     non-degenerate.
     """
     m = point.m
-    P0, P1, Pm = (point.B * P for P in higgs_matrices(point.u))
     q0 = np.array([m, -(1.0 + m), 1.0], dtype=complex)  # (z-1)(z-m)
     q1 = np.array([0.0, -m, 1.0], dtype=complex)  # z(z-m)
     qm = np.array([0.0, -1.0, 1.0], dtype=complex)  # z(z-1)
-    entries = tuple(
-        tuple(P0[i, j] * q0 + P1[i, j] * q1 + Pm[i, j] * qm for j in range(2))
-        for i in range(2)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry is refused below
+        P0, P1, Pm = (point.B * P for P in higgs_matrices(point.u))
+        entries = tuple(
+            tuple(P0[i, j] * q0 + P1[i, j] * q1 + Pm[i, j] * qm for j in range(2))
+            for i in range(2)
+        )
     return Rank2TwistedHiggs(genus=1, k=1, entries=entries)
 
 

@@ -111,7 +111,7 @@ def evaluate_word(word: Word, assignment) -> np.ndarray:
     mats = [np.asarray(m, dtype=complex) for m in assignment]
     if not mats:
         raise ValueError("assignment must contain at least one matrix")
-    n = mats[0].shape[0]
+    n = mats[0].shape[0] if mats[0].ndim else -1
     for m in mats:
         if m.ndim != 2 or m.shape != (n, n):
             raise ValueError("assignment matrices must all be square of one size")

@@ -39,12 +39,7 @@ from hyperband.higgs_toy import (
 )
 from hyperband.momenta import AbelianMomentum
 from hyperband.spectra import bloch_variety, eigenvalues
-from hyperband.spectral_curve import (
-    branch_points,
-    curve_genus,
-    curve_info,
-    toy_to_twisted,
-)
+from hyperband.spectral_curve import curve_info, toy_to_twisted
 from hyperband.tight_binding import adjoint_momentum, bloch_abelian
 
 from test_tight_binding import random_model
@@ -116,8 +111,8 @@ def test_acceptance_2_toy_spectral_pipeline():
         info = curve_info(toy_to_twisted(ToyModelPoint(m=m, u=u, B=B)))
         assert not info.degenerate
         assert info.smooth
-        assert curve_genus(info) == 1
-        points = branch_points(info)
+        assert info.curve_genus == 1
+        points = info.branch_points
         assert len(points) == 4
         finite = [bp.point for bp in points if bp.point != INFINITY]
         assert any(bp.point == INFINITY for bp in points)

@@ -221,20 +221,19 @@ def test_property_sampler_equals_pointwise_assembly(chunk_budget, grid, dim, see
         assert np.concatenate([values for _, values in parts]).tobytes() == expected, chunk
 
 
-def test_slices_join_a_trailing_single_item(chunk_budget):
+def test_slices_cut_at_the_budget_and_keep_a_trailing_single_item(chunk_budget):
     with chunk_budget(4 * 16):
-        assert spectra._slices(9, 16) == [slice(0, 4), slice(4, 9)]
+        assert spectra._slices(9, 16) == [slice(0, 4), slice(4, 8), slice(8, 9)]
         assert spectra._slices(8, 16) == [slice(0, 4), slice(4, 8)]
         assert spectra._slices(1, 16) == [slice(0, 1)]
         assert spectra._slices(0, 16) == []
-    with chunk_budget(16):  # one item per slice: nothing to join
+    with chunk_budget(16):  # one item per slice
         assert spectra._slices(3, 16) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
 
 def test_sweep_last_point_solves_as_in_the_one_shot_stack():
-    # d = 1: 65,537 points of 32 B are two full 1 MiB boxes and one point
-    # more, which joins the box before it; its one-entry last axis enters
-    # `_assemble` as a 0-d value
+    # d = 1: 65,537 points of 32 B are two full 1 MiB boxes and a box of
+    # one point, whose one-entry axes enter `_assemble` as 0-d values
     grid = complex_region_grid(1, [65537, 1], (0.2, 0.2), 1)
     for seed in range(10):
         model = random_model(np.random.default_rng(seed), 1, 1)

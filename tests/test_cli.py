@@ -424,6 +424,35 @@ def test_higgs_toy_colliding_puncture_rejected(capsys):
     assert "m must stay away" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        # exited 0 after 3 warnings, writing "hitchin": [NaN, NaN]
+        (["--u", "0.3", "--m", "2", "--B", "1e200"], 3,
+         "numerical failure: the invariant is not finite ((nan+nanj)): it overflows the float range\n"),
+        # the invariant is finite here, but -B^2 overflows in the closed form
+        (["--u", "1e-200", "--m", "2", "--B", "1e200"], 3,
+         "numerical failure: the closed form of the invariant is not finite ((nan+nanj)): "
+         "it overflows the float range\n"),
+        # exited 2 with "residues must sum to zero exactly; got total [[0j, (nan+nanj)], ...]"
+        (["--u", "1e200", "--m", "2"], 2,
+         "error: the residue at (2+0j) is not finite: it overflows the float range\n"),
+    ],
+)
+def test_higgs_toy_overflow_is_refused_quietly(capsys, argv, code, err):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = cli.main(["higgs-toy", *argv])
+    assert (got, caught, capsys.readouterr()) == (code, [], ("", err))
+
+
+def test_higgs_toy_large_finite_invariant_is_written(capsys):
+    code = cli.main(["higgs-toy", "--u", "0.3", "--m", "2", "--B", "1e150"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["hitchin_closed_form"] == [-3.569999999999999e+299, 0.0]
+    assert abs(complex(*doc["hitchin"]) - complex(*doc["hitchin_closed_form"])) <= 1e-9 * 3.57e299
+
+
 def test_higgs_toy_requires_u_and_m(capsys):
     code = cli.main(["higgs-toy", "--u", "2"])
     assert code == 2
@@ -470,6 +499,45 @@ def test_spectral_curve_near_degenerate_field_succeeds(tmp_path, capsys):
     assert (code, capsys.readouterr().err) == (0, "")
     doc = json.loads(out.read_text())
     assert (doc["degenerate"], doc["smooth"], doc["genus"], doc["branch_points"]) == (True, False, None, [])
+
+
+#: the four overflowing toy and field inputs: each exits with one stderr line
+OVERFLOW_CURVE = "numerical failure: the characteristic polynomial overflows: a1, a2 or the discriminant a1^2 - 4 a2 has a coefficient past the float range\n"
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200])
+def test_spectral_curve_overflowing_field_is_refused_quietly(tmp_path, capsys, scale):
+    # a2 = p11 p22 - p12 p21 overflows: 9 (or 5) numpy warnings and an
+    # OverflowError traceback from the discriminant's scale, exit 1, before
+    higgs = {"hyperband_higgs": 1, "genus": 1, "k": 1, "entries": [[[scale, 2, 3], [1, 1, 1]], [[2, 1, 1], [3, 1, scale]]]}
+    (tmp_path / "higgs.json").write_text(json.dumps(higgs), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["spectral-curve", "--higgs", str(tmp_path / "higgs.json")])
+    assert (code, caught, capsys.readouterr()) == (3, [], ("", OVERFLOW_CURVE))
+
+
+def test_spectral_curve_overflowing_toy_point_is_refused_quietly(capsys):
+    # 7 numpy warnings, then numpy's "Array must not contain infs or NaNs", before
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["spectral-curve", "--u", "0.3", "--m", "2", "--B", "1e200"])
+    assert (code, caught, capsys.readouterr()) == (3, [], ("", OVERFLOW_CURVE))
+
+
+@pytest.mark.parametrize("B", ["1e90", "1e140", "1e152"])
+def test_spectral_curve_large_toy_point_keeps_its_branch_points(capsys, B):
+    # from about B = 1e86 the squares in the Cayley-Hamilton norms passed the
+    # float range, which failed the check with a residual of inf though a1
+    # and a2 are finite
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["spectral-curve", "--u", "0.3", "--m", "2", "--B", B])
+    out, err = capsys.readouterr()
+    assert (code, caught, err) == (0, [], "")
+    doc = json.loads(out)
+    finite = sorted(complex(*b["point"]).real for b in doc["branch_points"] if b["point"] != "infinity")
+    assert doc["genus"] == 1 and np.allclose(finite, [0.0, 1.0, 2.0], atol=1e-12)
 
 
 def test_spectral_curve_input_exclusivity(tmp_path, capsys):

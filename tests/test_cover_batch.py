@@ -257,8 +257,8 @@ def test_slices_of_one_two_and_three_trials(chunk_budget, monkeypatch, per_slice
     solve = np.linalg.eigvalsh
     calls = []
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape[0]) or solve(a))
-    # seven trials: a trailing slice of one joins the slice before it
-    sizes = {1: [1] * 7, 2: [2, 2, 3], 3: [3, 4]}[per_slice]
+    # seven trials: the last slice holds what is left, one trial at 2 and 3
+    sizes = {1: [1] * 7, 2: [2, 2, 2, 1], 3: [3, 3, 1]}[per_slice]
     for cover in (BATCH_COVERS["cyclic-g2"], BATCH_COVERS["z2xz3"], BATCH_COVERS["one-sheet-g1"]):
         for dim in (1, 3):
             model = random_model(rng, cover.genus, dim)
@@ -275,7 +275,7 @@ def test_slices_of_one_two_and_three_trials(chunk_budget, monkeypatch, per_slice
 
 
 def test_batch_yields_each_slice_before_building_the_next(chunk_budget, monkeypatch):
-    # seven trials in slices of 2, 2 and 3: making the generator builds
+    # seven trials in slices of 2, 2, 2 and 1: making the generator builds
     # nothing, and the first report needs the first slice's stacks only
     rng = np.random.default_rng(49)
     cover = BATCH_COVERS["z2xz3"]
@@ -293,7 +293,7 @@ def test_batch_yields_each_slice_before_building_the_next(chunk_budget, monkeypa
         got = [fields(next(reports))]
         assert built == [2]
         got += [fields(r) for r in reports]
-    assert built == [2, 2, 3]
+    assert built == [2, 2, 2, 1]
     assert got == want
 
 

@@ -1,5 +1,7 @@
 """Finite covers, the two pushforward routes, and quiver presentations."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -547,3 +549,37 @@ def test_quiver_refuses_fractional_and_boolean_states(nodes):
         Quiver(genus=1, dim=2, nodes=nodes)
     with pytest.raises(ValueError, match="a state in nodes must be an integer"):
         quiver_from_model(TightBindingModel(1, np.zeros((2, 2)), [np.eye(2)] * 2), nodes)
+
+
+# ---------------------------------------------------------------------------
+# input refusals: each row a call, its exception type and its whole message
+# ---------------------------------------------------------------------------
+
+SWAP = UnbranchedCover(sheets=2, perms=((2, 1), (1, 2)))
+ONE_STATE = TightBindingModel(1, [[0.0]], [[[1.0]], [[1.0]]])
+GENUS_2_CHARACTER = AbelianMomentum([1.0, 1.0, 1.0, 1.0])
+
+REFUSALS = [
+    pytest.param(
+        lambda: UnbranchedCover(sheets=0, perms=((), ())), ValueError,
+        "a cover needs at least one sheet", id="no-sheets",
+    ),
+    pytest.param(
+        lambda: induce(GENUS_2_CHARACTER, SWAP), ValueError,
+        "character has genus 2, cover group has genus 1", id="induce-genus",
+    ),
+    pytest.param(
+        lambda: Quiver(genus=1, dim=2, nodes=((0, 1), ())), ValueError,
+        "empty atoms are not allowed", id="empty-atom",
+    ),
+    pytest.param(
+        lambda: torus_action(quiver_from_model(ONE_STATE), GENUS_2_CHARACTER), ValueError,
+        "genus mismatch: quiver 1, momentum 2", id="torus-action-genus",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_covers_quivers_refuses_bad_input(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

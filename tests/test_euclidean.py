@@ -1,6 +1,7 @@
 """Flat genus-1 reference computations."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -475,3 +476,30 @@ def test_lambda_inversion_identity():
 def test_lambda_rejects_lower_half_plane():
     with pytest.raises(ValueError):
         modular_lambda(-1j)
+
+
+# ---------------------------------------------------------------------------
+# input refusals: each row a call, its exception type and its whole message
+# ---------------------------------------------------------------------------
+
+REFUSALS = [
+    pytest.param(
+        lambda: empty_lattice_bands(EuclideanLattice(1j), (0.0, 0.0, 0.0), 1), ValueError,
+        "k must be a real 2-vector (or a complex scalar read as one)", id="k-length",
+    ),
+    pytest.param(
+        lambda: empty_lattice_bands(EuclideanLattice(1j), 0.0, 0), ValueError,
+        "n_bands must be >= 1", id="no-bands",
+    ),
+    # q = exp(-pi 1e-7): the 10,000th theta2 term is still about 2e-14
+    pytest.param(
+        lambda: modular_lambda(1e-7j), NumericalCheckFailure,
+        "theta2 series did not converge", id="lambda-near-real-axis",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_euclidean_refuses_bad_input(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

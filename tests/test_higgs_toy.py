@@ -1,6 +1,7 @@
 """The explicit rank-2 family on the 4-punctured sphere."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from hyperband.errors import NumericalCheckFailure
 from hyperband.higgs_toy import (
     INFINITY,
+    RationalMatrixOneForm,
     ToyModelPoint,
     connection_form,
     connection_matrices,
@@ -171,3 +173,64 @@ def test_local_monodromy_scalar_residue_allowed():
 
 def test_infinity_marker_is_math_inf():
     assert INFINITY is math.inf
+
+
+# ---------------------------------------------------------------------------
+# input refusals: each row a call, its exception type and its whole message
+# ---------------------------------------------------------------------------
+
+EYE = np.eye(2)
+
+REFUSALS = [
+    pytest.param(lambda: ToyModelPoint(m=math.nan, u=0.3), ValueError, "m must be finite, got (nan+0j)", id="m-nan"),
+    pytest.param(lambda: ToyModelPoint(m=2.0, u=math.inf), ValueError, "u must be finite, got (inf+0j)", id="u-inf"),
+    pytest.param(
+        lambda: ToyModelPoint(m=2.0, u=0.3, B=complex(0.0, -math.inf)), ValueError,
+        "B must be finite, got -infj", id="B-inf",
+    ),
+    pytest.param(
+        lambda: RationalMatrixOneForm(((0.0, [[1.0, 2.0]]), (INFINITY, [[-1.0, -2.0]]))), ValueError,
+        "residues must be 2x2 matrices", id="residue-shape",
+    ),
+    pytest.param(
+        lambda: RationalMatrixOneForm(((0.0, EYE), (1.0, EYE))), ValueError,
+        "residues must sum to zero exactly; got total [[(2+0j), 0j], [0j, (2+0j)]]", id="residue-sum",
+    ),
+    pytest.param(
+        lambda: RationalMatrixOneForm(((0.0, [[math.inf, 0.0], [0.0, 0.0]]), (INFINITY, -EYE))), ValueError,
+        "the residue at 0j is not finite: it overflows the float range", id="residue-inf",
+    ),
+    # u^2 overflows in P_m, and P_m + P_1 + P_0 in the residue at infinity
+    pytest.param(
+        lambda: higgs_form(ToyModelPoint(m=2.0, u=1e200)), ValueError,
+        "the residue at (2+0j) is not finite: it overflows the float range", id="residue-overflow",
+    ),
+    pytest.param(
+        lambda: evaluate_form(higgs_form(ToyModelPoint(m=2.0, u=0.3)), complex(math.nan, 0.0)), ValueError,
+        "z must be finite", id="z-nan",
+    ),
+    pytest.param(
+        lambda: local_monodromy_eigenvalues(np.eye(3)), ValueError, "residue must be 2x2", id="monodromy-shape",
+    ),
+    # det(B Phi(z)) overflows at B = 1e200: the samples were NaN and passed
+    pytest.param(
+        lambda: hitchin_coordinate(ToyModelPoint(m=2.0, u=0.3, B=1e200)), NumericalCheckFailure,
+        "the invariant is not finite ((nan+nanj)): it overflows the float range", id="invariant-overflow",
+    ),
+    # here B Phi(z) itself overflows, in evaluate_form
+    pytest.param(
+        lambda: hitchin_coordinate(ToyModelPoint(m=2.0, u=0.3, B=complex(1e308, 1e308))), NumericalCheckFailure,
+        "the invariant is not finite ((nan+nanj)): it overflows the float range", id="form-overflow",
+    ),
+    pytest.param(
+        lambda: hitchin_closed_form(ToyModelPoint(m=2.0, u=1e-200, B=1e200)), NumericalCheckFailure,
+        "the closed form of the invariant is not finite ((nan+nanj)): it overflows the float range",
+        id="closed-form-overflow",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_higgs_toy_refuses_bad_input(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

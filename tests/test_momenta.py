@@ -1,5 +1,8 @@
 """Abelian characters and finite-dimensional momenta."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -174,3 +177,58 @@ def test_relator_residual_reads_stored_inverses(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", no_inverse)
     rho = induce(chi, cover)  # the constructor checks the relator too
     assert relator_residual(rho) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# input refusals: each row a call, its exception type and its whole message
+# ---------------------------------------------------------------------------
+
+EYE2, EYE3 = np.eye(2), np.eye(3)
+
+REFUSALS = [
+    pytest.param(
+        lambda: AbelianMomentum([1.0, 1.0], chi_inv=[1.0]), ValueError,
+        "chi_inv must match chi in length", id="chi-inv-length",
+    ),
+    pytest.param(
+        lambda: NonabelianMomentum(rho=[EYE2, EYE3]), ValueError,
+        "all generator matrices must be square of one size", id="rho-sizes",
+    ),
+    pytest.param(
+        lambda: NonabelianMomentum(rho=[1.0, 1.0]), ValueError,
+        "all generator matrices must be square of one size", id="rho-scalars",
+    ),
+    pytest.param(
+        lambda: NonabelianMomentum(rho=[[[math.nan]], [[1.0]]]), ValueError,
+        "generator matrices must be finite", id="rho-nan",
+    ),
+    pytest.param(
+        lambda: NonabelianMomentum(rho=[EYE2, EYE2], rho_inv=[EYE2]), ValueError,
+        "rho_inv must match rho in length", id="rho-inv-length",
+    ),
+    pytest.param(
+        lambda: NonabelianMomentum(rho=[EYE2, EYE2], rho_inv=[EYE3, EYE3]), ValueError,
+        "inverse matrices must match the generator shape", id="rho-inv-shape",
+    ),
+    pytest.param(
+        lambda: euclidean_character((0.0, 0.0), 1.0), ValueError,
+        "tau must have nonzero imaginary part", id="real-tau",
+    ),
+    pytest.param(
+        lambda: euclidean_character((0.0, 0.0, 0.0), 1j), ValueError,
+        "k must be a complex number or a pair (k_x, k_y)", id="k-length",
+    ),
+    pytest.param(
+        lambda: direct_sum(1.0, AbelianMomentum([1.0, 1.0])), TypeError, "direct_sum expects momenta", id="sum-type",
+    ),
+    pytest.param(
+        lambda: direct_sum(AbelianMomentum([1.0, 1.0]), AbelianMomentum([1.0] * 4)), ValueError,
+        "genus mismatch: 1 vs 2", id="sum-genus",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_momenta_refuses_bad_input(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -3,6 +3,7 @@ also of lists of objects held as columns (`Rows`); the size rule for the
 arrays a caller's counts ask for."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperband import _serialize
-from hyperband._serialize import indented_dumps
+from hyperband._serialize import indented_dumps, matrix_from_json, matrix_to_json
 from hyperband.tight_binding import model_to_json, write_model
 
 from test_tight_binding import random_model
@@ -192,3 +193,29 @@ def test_size_rule_compares_exactly_and_shows_any_size(estimate, count, shown):
         _serialize.refuse_oversized(estimate, "grid", "arrays for {} points", count)
     assert str(info.value) == f"grid too large: {shown}; the limit is 1.1 GB"
 
+
+# ---------------------------------------------------------------------------
+# input refusals: each row a call, its exception type and its whole message
+# ---------------------------------------------------------------------------
+
+REFUSALS = [
+    pytest.param(lambda: matrix_to_json([1.0, 2.0]), ValueError, "expected a 2-d array", id="to-json-vector"),
+    pytest.param(
+        lambda: matrix_from_json([], "onsite"), ValueError,
+        "onsite must be a matrix (nested lists, rows of one length)", id="from-json-empty",
+    ),
+    pytest.param(
+        lambda: matrix_from_json([[1.0], [1.0, 2.0]], "hops"), ValueError,
+        "hops must be a matrix (nested lists, rows of one length)", id="from-json-ragged",
+    ),
+    pytest.param(
+        lambda: matrix_from_json([1.0, 2.0], "onsite"), ValueError,
+        "onsite must be a matrix (nested lists, rows of one length)", id="from-json-flat",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_serialize_refuses_bad_input(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import tracemalloc
 from unittest import mock
 
@@ -396,3 +397,34 @@ def test_csv_deterministic():
     write_bands_csv(bands, a)
     write_bands_csv(bands, b)
     assert a.getvalue() == b.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# input refusals: each row a call, its exception type and its whole message
+# ---------------------------------------------------------------------------
+
+ONE_STATE = TightBindingModel(1, [[0.0]], [[[1.0]], [[1.0]]])
+
+REFUSALS = [
+    pytest.param(
+        lambda: unitary_grid(1, [2, 2, 2]), ValueError,
+        "need 2 axis counts (or one to broadcast), got 3", id="axis-count",
+    ),
+    pytest.param(
+        lambda: complex_region_grid(1, 2, (-0.1, 0.1), 0), ValueError,
+        "grid is empty: n_moduli must be >= 1", id="no-moduli",
+    ),
+    pytest.param(
+        lambda: sweep(ONE_STATE, unitary_grid(2, 2)), ValueError, "genus mismatch: model 1, grid 2", id="sweep-genus",
+    ),
+    pytest.param(
+        lambda: bloch_variety(ONE_STATE).evaluate([1.0, 1.0, 1.0], 0.0), ValueError,
+        "need 2 momentum entries, got 3", id="variety-entries",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_spectra_refuses_bad_input(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

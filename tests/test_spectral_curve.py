@@ -1,18 +1,20 @@
 """Rank-2 twisted fields, discriminants, branch divisors, genus."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from hyperband.errors import EverywhereSingularError, NumericalCheckFailure
+from hyperband.errors import NumericalCheckFailure
 from hyperband.higgs_toy import INFINITY, ToyModelPoint
 from hyperband.spectral_curve import (
     BranchPoint,
     Rank2TwistedHiggs,
     SpectralCurveInfo,
-    branch_points,
     char_poly,
-    curve_genus,
     curve_info,
     curve_report,
     discriminant,
@@ -84,8 +86,8 @@ def test_branch_points_double_root_multiplicity():
     assert finite[0].multiplicity == 2
     inf_bp = [bp for bp in info.branch_points if bp.point == INFINITY]
     assert inf_bp[0].multiplicity == 2
-    with pytest.raises(NumericalCheckFailure):
-        curve_genus(info)
+    # a non-reduced divisor: a singular curve, which has no genus here
+    assert not info.degenerate and info.curve_genus is None
 
 
 def test_simple_branch_divisor_gives_genus():
@@ -126,23 +128,16 @@ def test_identically_zero_discriminant_reports_degenerate():
     assert info.branch_points == ()
     assert info.smooth is False
     assert info.curve_genus is None
-    with pytest.raises(EverywhereSingularError):
-        branch_points(info)
-    with pytest.raises(EverywhereSingularError):
-        curve_genus(info)
 
 
 def test_branch_points_agree_with_curve_info_on_rounding_level_discriminant():
     # the discriminant (about 0.4) is rounding noise next to the entries'
-    # product scale of 1e12, so curve_info calls the curve degenerate;
-    # branch_points must say so too, not find a divisor at infinity
+    # product scale of 1e12, so curve_info calls the curve degenerate and
+    # finds no divisor, not one at infinity
     phi = Rank2TwistedHiggs(1, 1, (([1e6], [1e6]), ([-1e6 + 1e-7], [-1e6])))
     info = curve_info(phi)
     assert info.degenerate and info.branch_points == ()
-    with pytest.raises(EverywhereSingularError):
-        branch_points(info)
-    with pytest.raises(EverywhereSingularError):
-        curve_genus(info)
+    assert (info.smooth, info.curve_genus) == (False, None)
 
 
 def near_diagonal_field(e_squared):
@@ -204,8 +199,8 @@ def test_toy_field_scale_invariance_of_branch_points():
 def test_tiny_coefficient_noise_is_not_structure():
     # a discriminant that is "almost" degree 4 but whose top coefficient is
     # pure rounding junk must be treated as degree 3
-    # (branch_points now returns what curve_info found, so the divisor is
-    # taken here from the root finder curve_info runs, at its zero tolerance)
+    # (the divisor is taken here from the root finder curve_info runs, at
+    # its zero tolerance)
     from hyperband.spectral_curve import TRIM_REL, _disc_scale, _roots_with_multiplicity
 
     a1 = np.zeros(1, dtype=complex)
@@ -306,11 +301,10 @@ def test_curve_info_builds_one_info(monkeypatch, phi):
     monkeypatch.setattr(spectral_curve, "SpectralCurveInfo", counted)
     info = curve_info(phi)
     assert len(built) == 1
-    # the public readers agree with what curve_info stored
-    if not info.degenerate:
-        assert branch_points(info) == info.branch_points
-    if info.smooth:
-        assert curve_genus(info) == info.curve_genus
+    # the record stores the divisor and derives the rest from it
+    assert set(built[0]) == {"base_genus", "k", "a1", "a2", "discriminant", "branch_points"}
+    assert info.degenerate == (info.branch_points == ())
+    assert info.curve_genus == (info.base_genus if info.smooth else None)
 
 
 def per_point_cayley_oracle(phi, a1, a2):
@@ -386,3 +380,82 @@ def test_cayley_hamilton_check_with_zero_trace():
     spectral_curve._cayley_hamilton_check(phi, a1, a2)
     with pytest.raises(NumericalCheckFailure, match="Cayley-Hamilton residual"):
         spectral_curve._cayley_hamilton_check(phi, np.array([1e-3]), a2)
+
+
+def shaped_field(rng, genus, k, kind):
+    """A field of the given kind: random to its caps, random below them,
+    diag(p, -p) (every branch point double) or nilpotent (degenerate)."""
+    caps = ((genus + 1, 2 * (genus + 1 - k)), (2 * k, genus + 1))
+    if kind == "below-caps":
+        caps = tuple(tuple(int(rng.integers(0, cap + 1)) for cap in row) for row in caps)
+    entries = [[rng.normal(size=cap + 1) + 1j * rng.normal(size=cap + 1) for cap in row] for row in caps]
+    if kind == "square":
+        entries = [[entries[0][0], [0.0]], [[0.0], -entries[0][0]]]
+    elif kind == "nilpotent":
+        entries = [[[0.0], entries[0][1]], [[0.0], [0.0]]]
+    return Rank2TwistedHiggs(genus, k, entries)
+
+
+@settings(max_examples=200)
+@given(
+    genus=st.integers(0, 3),
+    data=st.data(),
+    kind=st.sampled_from(["random", "below-caps", "square", "nilpotent"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_record_derives_degeneracy_and_genus_from_its_divisor(genus, data, kind, seed):
+    k = data.draw(st.integers(0, genus + 1), label="k")
+    info = curve_info(shaped_field(np.random.default_rng(seed), genus, k, kind))
+    assert info.degenerate == (info.branch_points == ())
+    if not info.degenerate:
+        assert sum(bp.multiplicity for bp in info.branch_points) == 2 * genus + 2
+    assert (info.curve_genus == genus) == info.smooth
+    assert info.curve_genus is None or info.smooth
+    if kind == "nilpotent":
+        assert info.degenerate
+    if kind == "square":
+        assert not info.smooth
+
+
+# ---------------------------------------------------------------------------
+# input refusals: each row a call, its exception type and its whole message
+# ---------------------------------------------------------------------------
+
+REFUSALS = [
+    pytest.param(
+        lambda: Rank2TwistedHiggs(1, 1, (([[1.0]], [1.0]), ([1.0], [1.0]))), ValueError,
+        "polynomials are 1-d ascending coefficient arrays", id="entry-ndim",
+    ),
+    pytest.param(
+        lambda: Rank2TwistedHiggs(1, 3, (([1.0], [1.0]), ([1.0], [1.0]))), ValueError,
+        "(genus=1, k=3) is infeasible: need 0 <= k <= genus+1", id="infeasible",
+    ),
+    pytest.param(
+        lambda: Rank2TwistedHiggs(1, 1, (([1.0],), ([1.0], [1.0]))), ValueError,
+        "entries must be a 2x2 grid of polynomials", id="grid-shape",
+    ),
+    # B P_p q_p overflows in the cleared toy field
+    pytest.param(
+        lambda: toy_to_twisted(ToyModelPoint(m=2.0, u=0.3, B=1e308)), ValueError,
+        "entry coefficients must be finite", id="toy-field-overflow",
+    ),
+    # a2 = p11 p22 - p12 p21 overflows
+    pytest.param(
+        lambda: curve_info(Rank2TwistedHiggs(1, 1, (([1e155], [1.0]), ([1.0], [1e155])))), NumericalCheckFailure,
+        "the characteristic polynomial overflows: a1, a2 or the discriminant a1^2 - 4 a2 "
+        "has a coefficient past the float range", id="char-poly-overflow",
+    ),
+    # |a1|^2 passes the float range while the complex a1^2 does not
+    pytest.param(
+        lambda: curve_info(Rank2TwistedHiggs(1, 1, (([1.5e154 * (1 + 1j)], [0.0]), ([0.0], [0.0])))),
+        NumericalCheckFailure,
+        "the characteristic polynomial overflows: a1, a2 or the discriminant a1^2 - 4 a2 "
+        "has a coefficient past the float range", id="disc-scale-overflow",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_spectral_curve_refuses_bad_input(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

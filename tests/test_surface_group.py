@@ -118,3 +118,36 @@ def test_group_is_frozen():
     g = make_surface_group(2)
     with pytest.raises(AttributeError):
         g.genus = 3
+
+
+# ---------------------------------------------------------------------------
+# input refusals: each row a call, its exception type and its whole message
+# ---------------------------------------------------------------------------
+
+EYE2 = np.eye(2)
+
+REFUSALS = [
+    pytest.param(
+        lambda: evaluate_word(Word(((1, 1),)), []), ValueError,
+        "assignment must contain at least one matrix", id="no-matrices",
+    ),
+    pytest.param(
+        lambda: evaluate_word(Word(((1, 1),)), [EYE2, np.eye(3)]), ValueError,
+        "assignment matrices must all be square of one size", id="sizes",
+    ),
+    # a scalar first matrix once raised IndexError from its missing shape
+    pytest.param(
+        lambda: evaluate_word(Word(((1, 1),)), [2.0]), ValueError,
+        "assignment matrices must all be square of one size", id="scalar",
+    ),
+    pytest.param(
+        lambda: evaluate_word(Word(((3, 1),)), [EYE2, EYE2]), ValueError,
+        "word uses generator 3 but only 2 matrices given", id="generator-range",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_surface_group_refuses_bad_input(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

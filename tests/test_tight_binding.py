@@ -1,5 +1,6 @@
 """Cell data and momentum-space Hamiltonians."""
 
+import re
 import warnings
 
 import numpy as np
@@ -273,3 +274,47 @@ def test_model_json_refuses_non_documents_and_non_number_entries(data, error):
 def test_model_refuses_fractional_and_boolean_genus(genus):
     with pytest.raises(ValueError, match="genus must be an integer"):
         TightBindingModel(genus, [[0.0]], [[[1.0]], [[1.0]]])
+
+
+# ---------------------------------------------------------------------------
+# input refusals: each row a call, its exception type and its whole message
+# ---------------------------------------------------------------------------
+
+ONE_STATE = TightBindingModel(1, [[0.0]], [[[1.0]], [[1.0]]])
+
+REFUSALS = [
+    pytest.param(
+        lambda: TightBindingModel(1, [[0.0]], [[[np.nan]], [[1.0]]]), ValueError,
+        "hop matrices must be finite", id="hop-nan",
+    ),
+    pytest.param(
+        lambda: TightBindingModel(1, [[np.inf]], [[[1.0]], [[1.0]]]), ValueError,
+        "onsite matrix must be finite", id="onsite-inf",
+    ),
+    pytest.param(
+        lambda: bloch_abelian(ONE_STATE, NonabelianMomentum(rho=[[[1.0]], [[1.0]]])), TypeError,
+        "bloch_abelian expects an AbelianMomentum", id="abelian-type",
+    ),
+    pytest.param(
+        lambda: bloch_abelian(ONE_STATE, AbelianMomentum([1.0] * 4)), ValueError,
+        "genus mismatch: model 1, momentum 2", id="abelian-genus",
+    ),
+    pytest.param(
+        lambda: bloch_nonabelian(ONE_STATE, AbelianMomentum([1.0, 1.0])), TypeError,
+        "bloch_nonabelian expects a NonabelianMomentum; use bloch_abelian", id="nonabelian-type",
+    ),
+    pytest.param(
+        lambda: bloch_nonabelian(ONE_STATE, NonabelianMomentum(rho=[[[1.0]]] * 4)), ValueError,
+        "genus mismatch: model 1, momentum 2", id="nonabelian-genus",
+    ),
+    pytest.param(
+        lambda: model_from_json({**model_to_json(ONE_STATE), "dim": 2}), ValueError,
+        "onsite shape (1, 1) does not match dim=2", id="json-onsite-shape",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_tight_binding_refuses_bad_input(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
