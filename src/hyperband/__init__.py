@@ -42,7 +42,7 @@ _EXPORTS = {
     "spectra": (
         "MomentumGrid", "unitary_grid", "complex_region_grid", "BandStructure", "eigenvalues",
         "sweep", "spectral_radius", "DegeneracyGroup", "detect_crossings", "BlochVariety",
-        "bloch_variety", "write_bands_csv",
+        "bloch_variety", "write_bands_csv", "write_sweep_csv",
     ),
     "euclidean": (
         "EuclideanLattice", "ReciprocalLattice", "reciprocal", "EmptyLatticeBands",

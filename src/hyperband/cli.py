@@ -12,13 +12,25 @@ same inputs, config, and seed produce byte-identical files for a fixed BLAS
 thread count.  Threaded eigensolvers round differently, and cover-check
 reports the trial with the largest spectral distance, a rounding-level
 figure, so its chosen trial can change with the thread count.
+
+`bands` solves and writes on two threads (`spectra.write_sweep_csv`): the
+main thread solves the grid box by box while a worker writes the CSV of the
+boxes done, the same bytes as solving first and writing after.  A failed
+run stops both and leaves no partial CSV at a --out file: the CSV goes to a
+new file beside it that replaces the path only when whole (`_replacing`),
+so a failed run creates no file and leaves an existing one untouched.  A
+--out device or pipe (/dev/null) is written in place and never removed,
+and it, like stdout, keeps the rows written before the failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
+import os
+import stat
 import sys
 
 import numpy as np
@@ -136,6 +148,47 @@ def _output(out_path):
             yield fh
 
 
+@contextlib.contextmanager
+def _replacing(out_path):
+    """The handle `bands` streams its CSV to, kept whole or not at all.
+
+    stdout for no path or "-", and a path that exists as something other
+    than a regular file (a device, a pipe), are written in place: a failed
+    run leaves there the rows it wrote.  Any other path's text goes to a new
+    file beside its target (symlinks followed), which replaces the target,
+    keeping its permission bits, once the CSV is whole, and is removed
+    otherwise: a failed run leaves no new file and an existing file
+    untouched.  A path that cannot be written is refused before the run,
+    with the error `open` gives for it.
+    """
+    if out_path is None or out_path == "-":
+        yield sys.stdout
+        return
+    target = os.path.realpath(out_path)
+    mode = os.stat(target).st_mode if os.path.exists(target) else None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(out_path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    directory, name = os.path.split(target)
+    temp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    try:
+        if mode is not None and not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, out_path) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            yield fh
+        if mode is not None:
+            os.chmod(temp, stat.S_IMODE(mode))
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def _write_text(text: str, out_path) -> None:
     with _output(out_path) as fh:
         fh.write(text)
@@ -154,9 +207,8 @@ def cmd_bands(opts: _Options) -> int:
         grid = spectra.unitary_grid(model.genus, counts)
     else:
         grid = spectra.complex_region_grid(model.genus, counts, region[:2], region[2])
-    bands = spectra.sweep(model, grid)
-    with _output(opts["out"]) as fh:
-        spectra.write_bands_csv(bands, fh)
+    with _replacing(opts["out"]) as fh:
+        spectra.write_sweep_csv(model, grid, fh)
     return 0
 
 

@@ -214,7 +214,9 @@ def local_monodromy_eigenvalues(residue) -> tuple:
     if residue.shape != (2, 2):
         raise ValueError("residue must be 2x2")
     lam = np.linalg.eigvals(residue)
-    scale = max(1.0, float(np.max(np.abs(residue))))
+    # the eigenvalues set the scale, not the entries: the toy's residue at m,
+    # [[-1, 2u], [0, 1]] / 4, has eigenvalues +-1/4 at every u
+    scale = max(1.0, float(np.max(np.abs(lam))))
     if abs(lam[0] - lam[1]) <= 1e-10 * scale:
         mean = (lam[0] + lam[1]) / 2.0
         if np.max(np.abs(residue - mean * np.eye(2))) > 1e-10 * scale:

@@ -164,7 +164,11 @@ def _dense_generators(rho, rho_inv) -> tuple:
         if inv.shape != (n, n):
             raise ValueError("inverse matrices must match the generator shape")
         if not np.all(np.isfinite(inv)) or np.linalg.norm(inv @ m - np.eye(n)) > 1e-6:
-            raise ValueError(f"generator matrix {idx + 1} is numerically singular")
+            if rho_inv is None:  # the inverse computed here is not one
+                raise ValueError(f"generator matrix {idx + 1} is numerically singular")
+            if not np.all(np.isfinite(inv)):
+                raise ValueError("inverse matrices must be finite")
+            raise ValueError(f"the inverse given for generator matrix {idx + 1} does not invert it")
     for m in mats + invs:
         m.setflags(write=False)
     return mats, invs
@@ -173,11 +177,11 @@ def _dense_generators(rho, rho_inv) -> tuple:
 def _monomial_checks(targets, forward, backward, first: int = 0) -> None:
     """The checks dense matrices get, on phases lead + (2g, n), lead () or (T,).
 
-    `targets` (2g, n) is shared.  Phases must be finite; rho_inv rho = I to
-    1e-6 per generator, for monomial matrices a permutation row of targets
-    and forward * backward = 1; and the relator's image must be I within
-    TOL_RELATOR.  A failure raises ValueError; with a trial axis it names
-    the first failing trial, counted from `first`.
+    `targets` (2g, n) is shared.  Phases must be finite; each row of
+    targets a permutation; rho_inv rho = I to 1e-6 per generator, for
+    monomial matrices forward * backward = 1; and the relator's image must
+    be I within TOL_RELATOR.  A failure raises ValueError; with a trial axis
+    it names the first failing trial, counted from `first`.
     """
 
     def refuse(trial, message):
@@ -186,11 +190,14 @@ def _monomial_checks(targets, forward, backward, first: int = 0) -> None:
     finite = np.isfinite(forward).all(axis=(-2, -1)) & np.isfinite(backward).all(axis=(-2, -1))
     if not finite.all():
         refuse(np.argmin(finite), "generator matrices must be finite")
-    singular = np.any(np.sort(targets, axis=-1) != np.arange(targets.shape[-1]), axis=-1)
-    singular = singular | (np.linalg.norm(forward * backward - 1.0, axis=-1) > 1e-6)
-    if singular.any():
-        trial, gen = divmod(int(np.argmax(singular)), len(targets))
-        refuse(trial, f"generator matrix {gen + 1} is numerically singular")
+    scattered = np.any(np.sort(targets, axis=-1) != np.arange(targets.shape[-1]), axis=-1)
+    if scattered.any():  # shared by every trial
+        gen = int(np.argmax(scattered))
+        refuse(0, f"the sheet targets of generator matrix {gen + 1} are not a permutation")
+    uninverted = np.linalg.norm(forward * backward - 1.0, axis=-1) > 1e-6
+    if uninverted.any():
+        trial, gen = divmod(int(np.argmax(uninverted)), len(targets))
+        refuse(trial, f"the inverse given for generator matrix {gen + 1} does not invert it")
     residual = np.reshape(_monomial_relator(targets, forward, backward), -1)
     if (residual > TOL_RELATOR).any():
         trial = int(np.argmax(residual > TOL_RELATOR))

@@ -7,11 +7,17 @@ from the axes by broadcast adds (`tight_binding._assemble`), so each hop term
 chi_i J_i + chi_i^{-1} J_i^dagger is formed once per axis value, with the
 bits of assembling each point alone, and solves each box as one stack.  The
 output is independent of the box size, and identical inputs produce
-identical outputs (no threading nondeterminism is introduced here).
-`write_bands_csv` writes the bands in the same sub-boxes, each float as repr
-writes it, from repr's shortest digits formed exactly in numpy
-(`_shortest_digits`); a sweep is sized once, by the 16 d bytes of bands a
-point it holds.  Band crossings are
+identical outputs.  `write_bands_csv` writes the bands in the same
+sub-boxes, each float as repr writes it, from repr's shortest digits formed
+exactly in numpy (`_shortest_digits`); a sweep is sized once, by the 16 d
+bytes of bands a point it holds.  `write_sweep_csv`, which the `bands`
+command runs, solves and writes on two threads: the calling thread solves
+the grid box by box while a worker writes each CSV box once its rows are
+done, in order, so its bytes are those of `write_bands_csv(sweep(...))`.
+A failure on either thread stops both, and the rows written before it stay
+in the handle: the command writes a --out file through a new file that
+replaces it only when whole, so a failed run leaves no partial CSV there,
+while stdout (or a --out device or pipe) keeps those rows.  Band crossings are
 single-linkage clusters per grid point, from `_clustering.single_linkage`,
 which the branch points of `spectral_curve` share.
 
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -162,10 +169,6 @@ class BandStructure:
         object.__setattr__(self, "bands", bands)
 
     @property
-    def n_bands(self) -> int:
-        return self.bands.shape[1]
-
-    @property
     def hermitian(self) -> bool:
         return self.grid.unitary
 
@@ -257,17 +260,19 @@ def _solve_stack(stack: np.ndarray, hermitian, name) -> np.ndarray:
     return out
 
 
-def _sampled_spectra(model: TightBindingModel, grid: MomentumGrid):
+def _sampled_spectra(model: TightBindingModel, grid: MomentumGrid, point_bytes: int = 0):
     """Sorted spectra of `model` over `grid`, yielded per sub-box in row-major
     order as (slice of the flattened grid, its (n, d) spectra).
 
-    The boxes are `_sub_boxes` at 32 d^2 bytes a point: a box's Hamiltonians
-    and the partial sum its last add reads.  Each is assembled by `_assemble`
-    from the grid's axes and their reciprocals, each shaped to broadcast
-    along its grid axis, so a hop term is formed once per axis value; an axis
-    range of one index enters as its 0-d value (see `_assemble`).  Each box
-    is solved through `_solve_stack` with `grid.unitary`, and a failing point
-    is named by its grid index.
+    The boxes are `_sub_boxes` at 32 d^2 bytes a point, a box's Hamiltonians
+    and the partial sum its last add reads, or at `point_bytes` where that
+    is more (`write_sweep_csv` cuts them no larger than its CSV boxes, so
+    that a CSV box can be written once it is solved).  Each is assembled by
+    `_assemble` from the grid's axes and their reciprocals, each shaped to
+    broadcast along its grid axis, so a hop term is formed once per axis
+    value; an axis range of one index enters as its 0-d value (see
+    `_assemble`).  Each box is solved through `_solve_stack` with
+    `grid.unitary`, and a failing point is named by its grid index.
     """
     d, n = model.dim, len(grid.shape)
     axes = [a.reshape((-1,) + (1,) * (n + 1 - i)) for i, a in enumerate(grid.axes)]
@@ -278,13 +283,24 @@ def _sampled_spectra(model: TightBindingModel, grid: MomentumGrid):
         return part.reshape(()) if len(part) == 1 else part
 
     offset = 0
-    for box in _sub_boxes(grid.shape, 32 * d * d):
+    for box in _sub_boxes(grid.shape, max(point_bytes, 32 * d * d)):
         chi = [cut(a, s) for a, s in zip(axes, box)]
         chi_inv = [cut(a, s) for a, s in zip(inverses, box)]
         H = _assemble(model, chi, chi_inv).reshape(-1, d, d)
         name = lambda k: f"grid index {tuple(map(int, np.unravel_index(offset + k, grid.shape)))}"
         yield slice(offset, offset + len(H)), _solve_stack(H, grid.unitary, name)
         offset += len(H)
+
+
+def _sweep_bands(model: TightBindingModel, grid: MomentumGrid) -> np.ndarray:
+    """The unfilled (P, d) bands of a sweep of `model` over `grid`, after its
+    checks: a genus mismatch, or bands (16 d bytes a point) that pass the
+    size rule, raise ValueError before any assembly."""
+    if grid.genus != model.genus:
+        raise ValueError(f"genus mismatch: model {model.genus}, grid {grid.genus}")
+    n_points = grid.n_points
+    refuse_oversized(16 * model.dim * n_points, "bands grid", "bands for {} points", n_points)
+    return np.empty((n_points, model.dim), dtype=complex)
 
 
 def sweep(model: TightBindingModel, grid: MomentumGrid) -> BandStructure:
@@ -294,14 +310,61 @@ def sweep(model: TightBindingModel, grid: MomentumGrid) -> BandStructure:
     bands do not depend on the box size.  The run is refused (ValueError)
     before any assembly if its bands, 16 d bytes a point, pass the size rule.
     """
-    if grid.genus != model.genus:
-        raise ValueError(f"genus mismatch: model {model.genus}, grid {grid.genus}")
-    n_points = grid.n_points
-    refuse_oversized(16 * model.dim * n_points, "bands grid", "bands for {} points", n_points)
-    bands = np.empty((n_points, model.dim), dtype=complex)
+    bands = _sweep_bands(model, grid)
     for part, values in _sampled_spectra(model, grid):
         bands[part] = values
     return BandStructure(grid, bands, model.content_hash)
+
+
+def write_sweep_csv(model: TightBindingModel, grid: MomentumGrid, fh) -> None:
+    """Write `write_bands_csv(sweep(model, grid), fh)`, the same bytes, on two
+    threads, refused as `sweep` refuses a run.
+
+    This thread assembles and solves the boxes of `_sampled_spectra`, cut
+    no larger than the CSV boxes, and counts the points done.  A worker
+    thread runs the CSV writer `_write_csv` on the bands so far, writing
+    each CSV box once its points are done, so the text is formatted and
+    written while later boxes are solved: the CSV kernel's numpy passes
+    release the GIL.  (The solves stay on this thread: OpenBLAS runs two
+    threads' eigensolves one at a time.)  A failure on either thread stops
+    both.  The worker is joined before this returns or raises,
+    KeyboardInterrupt included, and its error is raised here.  Whatever
+    reached `fh` before a failure stays there.
+    """
+    bands = _sweep_bands(model, grid)
+    turn = threading.Condition()
+    done, final, failed = 0, False, []
+
+    def ready(stop: int) -> bool:  # wait for the first `stop` points; False: never
+        with turn:
+            while done < stop and not final:
+                turn.wait()
+            return done >= stop
+
+    def write() -> None:
+        try:
+            _write_csv(grid, bands, model.content_hash, fh, ready)
+        except BaseException as exc:
+            with turn:
+                failed.append(exc)
+
+    worker = threading.Thread(target=write, name="hyperband-bands-csv")
+    worker.start()
+    try:
+        for part, values in _sampled_spectra(model, grid, _CSV_ROW_BYTES * model.dim):
+            bands[part] = values
+            with turn:
+                if failed:
+                    break
+                done = part.stop
+                turn.notify()
+    finally:
+        with turn:
+            final = True
+            turn.notify()
+        worker.join()
+    if failed:
+        raise failed[0]
 
 
 def spectral_radius(bands: BandStructure) -> float:
@@ -857,11 +920,21 @@ def write_bands_csv(bands: BandStructure, fh) -> None:
     `_CSV_ROW_BYTES` a row, so the text held at once stays within the box
     budget whatever the grid's shape.
     """
-    grid, d = bands.grid, bands.n_bands
+    _write_csv(bands.grid, bands.bands, bands.model_hash, fh)
+
+
+def _write_csv(grid: MomentumGrid, bands: np.ndarray, model_hash: str, fh, ready=None) -> None:
+    """The CSV writer of `write_bands_csv`, on the (P, d) `bands` over `grid`.
+
+    `ready(stop)`, if given, is called before each box's rows are read: it
+    returns True once the first `stop` grid points' bands are in place, or
+    False when they never will be, which ends the CSV there.
+    """
+    d = bands.shape[1]
     cols = [f"i{k}" for k in range(len(grid.shape))] + ["band", "re", "im"]
     fh.write(
-        f"# hyperband bands v1\n# model_hash={bands.model_hash} "
-        f"grid_shape={'x'.join(map(str, grid.shape))} hermitian={bands.hermitian}\n"
+        f"# hyperband bands v1\n# model_hash={model_hash} "
+        f"grid_shape={'x'.join(map(str, grid.shape))} hermitian={grid.unitary}\n"
         "# rows: grid points in row-major order, bands sorted by (Re, Im); "
         f"columns: grid indices, band, eigenvalue\n{','.join(cols)}\n"
     )
@@ -878,8 +951,10 @@ def write_bands_csv(bands: BandStructure, fh) -> None:
     for n in (*grid.shape[n_cut:], d):
         tails = [f"{tail}{i}," for tail in tails for i in range(n)]
     width = -(-max(map(len, tails)) // 4) * 4
+    points = len(tails) // d  # grid points a cut-axis index holds
     tails = np.array(tails, dtype=f"S{width}").view(np.uint32).reshape(len(tails), -1).T[:, None, :]
-    values = bands.bands.reshape(grid.shape + (d,))
+    values = bands.reshape(grid.shape + (d,))
+    stop = 0  # the boxes are contiguous in the flattened grid, in its order
     for box in boxes:
         *lead, cut = box[:n_cut]
         prefix = np.frombuffer("".join(f"{s.start}," for s in lead).encode(), np.uint8)
@@ -890,6 +965,9 @@ def write_bands_csv(bands: BandStructure, fh) -> None:
         heads[:, prefix.size:prefix.size + digits] = _integer_text(index, digits)
         heads[:, prefix.size + digits] = 44
         heads = heads.view(np.uint32).T[:, :, None]
+        stop += index.size * points
+        if ready is not None and not ready(stop):
+            return
         fh.write(_rows_text(heads, tails, values[box].reshape(index.size, -1)))
 
 

@@ -263,8 +263,9 @@ def curve_info(phi: Rank2TwistedHiggs) -> SpectralCurveInfo:
 
     An identically-zero discriminant (nilpotent-cone input) is reported as a
     degenerate info object rather than an error: one whose peak is within
-    TRIM_REL of the entries' product scale, or that the root finder's trim
-    would clear entirely.  A discriminant (so a1 or a2) or its scale past
+    TRIM_REL of the scale of a1^2 and 4 a2 before cancellation, which a
+    constant gauge leaves unchanged, or that the root finder's trim would
+    clear entirely.  A discriminant (so a1 or a2) or its scale past
     the float range raises NumericalCheckFailure.
     """
     with np.errstate(over="ignore", invalid="ignore"):
@@ -277,14 +278,17 @@ def curve_info(phi: Rank2TwistedHiggs) -> SpectralCurveInfo:
             "a1^2 - 4 a2 has a coefficient past the float range"
         )
     _cayley_hamilton_check(phi, a1, a2)
-    # judge "identically zero" against the pre-cancellation product scale of
-    # the entries, so exact algebraic collapses detected through rounding noise
-    # still count as degenerate
-    entry_peak = max(
-        (float(np.max(np.abs(p))) for row in phi.entries for p in row if p.size),
-        default=0.0,
-    )
-    product_scale = entry_peak * entry_peak
+    # judge "identically zero" against the scale of a1^2 and 4 a2 before they
+    # cancel, so exact algebraic collapses detected through rounding noise
+    # still count as degenerate: |p11| + |p22| and |p11| |p22| + |p12| |p21|
+    # bound the coefficients of a1 and a2 before cancellation, and a constant
+    # gauge diag(t, 1), which scales p12 by t and p21 by 1/t, leaves them be
+    (p11, p12), (p21, p22) = ([np.abs(p) for p in row] for row in phi.entries)
+    with np.errstate(over="ignore"):
+        a1_terms = npoly.polyadd(p11, p22)
+        a2_terms = npoly.polyadd(npoly.polymul(p11, p22), npoly.polymul(p12, p21))
+        a1_peak = float(np.max(a1_terms))
+        product_scale = max(a1_peak * a1_peak, 4.0 * float(np.max(a2_terms)))  # inf past the range
     disc_peak = float(np.max(np.abs(disc))) if disc.size else 0.0
     degenerate = disc_peak <= max(TRIM_REL * product_scale, zero_tol)
     bps = ()

@@ -8,7 +8,11 @@ of one block per last-axis run.
 """
 
 import io
+import sys
+import tempfile
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from hyperband.spectra import (
     sweep,
     unitary_grid,
     write_bands_csv,
+    write_sweep_csv,
 )
 from hyperband.tight_binding import (
     BlochHamiltonian,
@@ -86,7 +91,7 @@ def per_float_writer_oracle(bands, fh):
     fh.write(",".join(cols) + "\n")
     for p in range(grid.n_points):
         prefix = ",".join(str(int(v)) for v in np.unravel_index(p, grid.shape))
-        for b in range(bands.n_bands):
+        for b in range(bands.bands.shape[1]):
             lam = bands.bands[p, b]
             fh.write(f"{prefix},{b},{float(lam.real)!r},{float(lam.imag)!r}\n")
 
@@ -111,7 +116,7 @@ def block_writer_oracle(bands, fh):
     heads = [""]
     for n in outer_shape:
         heads = [f"{head}{i}," for head in heads for i in range(n)]
-    tails = [f"{i},{b}," for i in range(n_last) for b in range(bands.n_bands)]
+    tails = [f"{i},{b}," for i in range(n_last) for b in range(bands.bands.shape[1])]
     blocks = bands.bands.reshape(len(heads), len(tails))
     real = ~blocks.imag.view(np.int64).any(axis=1)
     real_parts = [None, None, ",0.0\n"] * len(tails)
@@ -651,6 +656,62 @@ def test_cli_bands_writes_the_per_float_bytes(tmp_path, genus, dim, counts, regi
     assert cli.main(argv) == 0
     bands = sweep(read_model(path), grid)
     assert out.read_bytes() == csv_text(per_float_writer_oracle, bands).encode()
+
+
+@settings(max_examples=40)
+@given(
+    data=st.data(),
+    genus=st.integers(1, 2),
+    dim=st.integers(1, 4),
+    n_moduli=st.sampled_from([None, 1, 2]),
+    budget=st.sampled_from([1, 600, 4096, 1 << 20]),
+    seed=seeds,
+)
+def test_property_cli_bands_writes_the_bytes_of_sweep_then_write(
+    chunk_budget, data, genus, dim, n_moduli, budget, seed
+):
+    # at 1 B every sweep and CSV box is one grid point, so the worker writes
+    # while most of the grid is still to be solved; at 1 MiB one box each
+    counts = data.draw(st.lists(st.integers(1, 9 if genus == 1 else 3), min_size=2 * genus, max_size=2 * genus))
+    with tempfile.TemporaryDirectory() as root:
+        path, out = Path(root) / "model.json", Path(root) / "bands.csv"
+        write_model(random_model(np.random.default_rng(seed), genus, dim), path)
+        argv = ["bands", "--model", str(path), "--grid", ",".join(map(str, counts)), "--out", str(out)]
+        if n_moduli is None:
+            grid = unitary_grid(genus, counts)
+        else:
+            argv.append(f"--region=-0.4:0.3:{n_moduli}")
+            grid = complex_region_grid(genus, counts, (-0.4, 0.3), n_moduli)
+        with chunk_budget(budget):
+            assert cli.main(argv) == 0
+            expected = csv_text(write_bands_csv, sweep(read_model(path), grid))
+        assert out.read_bytes() == expected.encode()
+
+
+def test_concurrent_sweep_csv_writers_keep_their_bytes(chunk_budget):
+    # four callers at once, eight threads on two cores, switching every
+    # microsecond: a row read before it is solved, or a box written twice
+    # or out of order, would change some caller's bytes
+    models = [random_model(np.random.default_rng(seed), 1 + seed % 2, 1 + seed % 3) for seed in range(4)]
+    grids = [
+        unitary_grid(1, 9), complex_region_grid(2, 2, (-0.2, 0.3), 2),
+        complex_region_grid(1, 5, (-0.2, 0.3), 2), unitary_grid(2, 3),
+    ]
+    outs = [io.StringIO() for _ in models]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with chunk_budget(600):
+            callers = [threading.Thread(target=write_sweep_csv, args=job) for job in zip(models, grids, outs)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for model, grid, out in zip(models, grids, outs):
+        assert out.getvalue() == csv_text(write_bands_csv, sweep(model, grid))
 
 
 @settings(max_examples=40)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -18,10 +19,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperband
-from hyperband import cli
+from hyperband import cli, spectra
 from hyperband.covers_quivers import CoverPushforward, PushforwardReport, UnbranchedCover, cover_to_json
 from hyperband.euclidean import EuclideanLattice, empty_lattice_bands
-from hyperband.tight_binding import TightBindingModel, model_to_json, write_model
+from hyperband.tight_binding import TightBindingModel, _assemble, model_to_json, read_model, write_model
 
 
 @pytest.fixture
@@ -301,6 +302,145 @@ def test_huge_hermitian_model_fails_the_variety_quietly(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# bands: the grid is solved on the calling thread while a worker writes the CSV
+# ---------------------------------------------------------------------------
+
+#: the worker thread `bands` writes its CSV on
+CSV_THREAD = "hyperband-bands-csv"
+
+
+def _patched_solver(monkeypatch, solver, before):
+    """Patch np.linalg.`solver` to run `before(calls, a)` first, which may
+    raise, on each stack or matrix `a`; return the list of calls."""
+    solve = getattr(np.linalg, solver)
+    calls = []
+
+    def patched(a):
+        calls.append(a.shape)
+        before(calls, a)
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, solver, patched)
+    return calls
+
+
+def _late_failure_run(tmp_path, monkeypatch, out):
+    """A d = 16 sweep of a 20 x 40 grid, 120 points a box, whose point 700,
+    in the sixth box, fails to solve; the sixth box waits for the worker to
+    start its second 240-point CSV box, the last one the first five boxes
+    complete."""
+    from test_tight_binding import random_model
+    write_model(random_model(np.random.default_rng(9), 1, 16), tmp_path / "model.json")
+    model, axes = read_model(tmp_path / "model.json"), spectra.unitary_grid(1, [20, 40]).axes
+    chi = np.array([axes[0][17], axes[1][20]])
+    target = _assemble(model, chi[:, None, None], (1.0 / chi)[:, None, None])
+    written = []
+
+    def fail_at_point_700(calls, a):
+        if len(calls) == 6:
+            deadline = time.monotonic() + 10.0
+            while len(written) < 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+        if np.any(np.all(a == target, axis=(-2, -1))):
+            raise np.linalg.LinAlgError("forced")
+
+    writer = spectra._rows_text
+    monkeypatch.setattr(spectra, "_rows_text", lambda *a: written.append(1) or writer(*a))
+    calls = _patched_solver(monkeypatch, "eigvalsh", fail_at_point_700)
+    argv = ["bands", "--model", str(tmp_path / "model.json"), "--grid", "20,40"]
+    return calls, written, cli.main(argv + ([] if out is None else ["--out", str(out)]))
+
+
+#: the line the sweep's sixth box prints, as it did with the CSV written after the sweep
+LATE_FAILURE = "numerical failure: eigensolver failed at grid index (17, 20): eigensolver did not converge: forced\n"
+
+
+@pytest.mark.parametrize("out", ["new", "existing", "symlink", "/dev/null", "stdout"])
+def test_bands_failing_at_a_late_box_leaves_no_partial_csv(tmp_path, monkeypatch, capsys, out):
+    # the failing point of the sequential run: sixth box, (17, 20), exit 3
+    path = {"new": tmp_path / "bands.csv", "existing": tmp_path / "bands.csv", "symlink": tmp_path / "link.csv",
+            "/dev/null": Path("/dev/null"), "stdout": None}[out]
+    if out in ("existing", "symlink"):
+        (tmp_path / "bands.csv").write_text("old bands\n", encoding="utf-8")
+    if out == "symlink":
+        path.symlink_to(tmp_path / "bands.csv")
+    before = sorted(os.listdir(tmp_path))
+    calls, written, code = _late_failure_run(tmp_path, monkeypatch, path)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (3, LATE_FAILURE)
+    assert len(written) == 2 and len(calls) > 6  # two CSV boxes went out; the failing box was solved alone
+    assert sorted(os.listdir(tmp_path)) == sorted(before + ["model.json"])
+    if out in ("existing", "symlink"):
+        assert (tmp_path / "bands.csv").read_text(encoding="utf-8") == "old bands\n"
+    if out == "symlink":
+        assert path.is_symlink()
+    if out == "/dev/null":
+        assert path.is_char_device()
+    if out == "stdout":  # the rows of the two CSV boxes written before the failure
+        rows = csv_rows(captured.out)
+        assert len(rows) == 2 * 240 * 16 and rows[-1].startswith("11,39,15,")
+    else:
+        assert captured.out == ""
+    assert not [t for t in threading.enumerate() if t.name == CSV_THREAD]
+
+
+def test_bands_interrupted_during_the_sweep_stops_its_worker(tmp_path, monkeypatch):
+    from test_tight_binding import random_model
+    model = tmp_path / "model.json"
+    write_model(random_model(np.random.default_rng(9), 1, 4), model)
+    out = tmp_path / "bands.csv"
+
+    def interrupt(calls, a):
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+
+    _patched_solver(monkeypatch, "eigvalsh", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["bands", "--model", str(model), "--grid", "64,64", "--out", str(out)])
+    assert not [t for t in threading.enumerate() if t.name == CSV_THREAD]
+    assert os.listdir(tmp_path) == ["model.json"]
+
+
+def test_bands_worker_failing_to_write_stops_the_sweep(tmp_path, monkeypatch, capsys):
+    # the first CSV box passes the text buffer, so /dev/full refuses it at
+    # once; the sweep stops at its next box, with the line the sequential
+    # run printed when it wrote after the sweep
+    model = tmp_path / "model.json"
+    write_model(TightBindingModel(1, [[0.0]], [[[1.0]], [[1.0]]]), model)
+
+    def wait_for_the_worker(calls, a):  # hold the second box until the worker is gone
+        if len(calls) == 2:
+            deadline = time.monotonic() + 10.0
+            while any(t.name == CSV_THREAD for t in threading.enumerate()) and time.monotonic() < deadline:
+                time.sleep(0.001)
+
+    calls = _patched_solver(monkeypatch, "eigvalsh", wait_for_the_worker)
+    code = cli.main(["bands", "--model", str(model), "--grid", "256,256", "--out", "/dev/full"])
+    assert (code, capsys.readouterr().err) == (2, "error: [Errno 28] No space left on device\n")
+    assert len(calls) == 2  # of 16 boxes
+    assert Path("/dev/full").is_char_device()
+
+
+def test_bands_replaces_an_existing_file_keeping_its_mode_and_links(single_site_model, tmp_path):
+    target, link = tmp_path / "bands.csv", tmp_path / "link.csv"
+    target.write_text("old bands\n", encoding="utf-8")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    assert cli.main(["bands", "--model", str(single_site_model), "--grid", "3", "--out", str(link)]) == 0
+    assert link.is_symlink() and len(csv_rows(target.read_text(encoding="utf-8"))) == 9
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["bands.csv", "link.csv", "single.json"]
+
+
+def test_bands_refuses_an_unwritable_out_path_before_the_sweep(single_site_model, tmp_path, monkeypatch, capsys):
+    calls = _patched_solver(monkeypatch, "eigvalsh", lambda calls, a: None)
+    out = tmp_path / "missing" / "bands.csv"
+    assert cli.main(["bands", "--model", str(single_site_model), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
 # bloch-variety
 # ---------------------------------------------------------------------------
 
@@ -451,6 +591,16 @@ def test_higgs_toy_large_finite_invariant_is_written(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and doc["hitchin_closed_form"] == [-3.569999999999999e+299, 0.0]
     assert abs(complex(*doc["hitchin"]) - complex(*doc["hitchin_closed_form"])) <= 1e-9 * 3.57e299
+
+
+@pytest.mark.parametrize("u", ["1e9", "1e10", "1e11"])
+def test_higgs_toy_large_u_writes_quarter_monodromy(capsys, u):
+    # exited 2 from 1e10 on: "residue has a repeated eigenvalue but is not scalar"
+    code = cli.main(["higgs-toy", "--u", u, "--m", "2"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    for pole in ("0", "1", "m"):
+        assert np.allclose([complex(*v) for v in doc["connection_monodromy"][pole]], [-1j, 1j], atol=1e-12)
 
 
 def test_higgs_toy_requires_u_and_m(capsys):

@@ -148,15 +148,27 @@ def test_hitchin_rejects_scattered_samples():
         hitchin_coordinate(point, tol=1e-18)
 
 
-def test_local_monodromy_connection_eigenvalues():
-    point = ToyModelPoint(m=3.0, u=2.0, B=1.0)
-    form = connection_form(point)
-    for pole, residue in form.poles:
+def assert_quarter_monodromy(point):
+    for pole, residue in connection_form(point).poles:
         values = local_monodromy_eigenvalues(residue)
         if pole == INFINITY:
             assert np.allclose(np.sort_complex(np.array(values)), [-1.0, -1.0], atol=1e-12)
         else:
             assert np.allclose(np.sort_complex(np.array(values)), [-1j, 1j], atol=1e-12)
+
+
+def test_local_monodromy_connection_eigenvalues():
+    assert_quarter_monodromy(ToyModelPoint(m=3.0, u=2.0, B=1.0))
+
+
+# the residue at m, [[-1, 2u], [0, 1]] / 4, has eigenvalues +-1/4 at every u;
+# a gap test scaled by its entries called them repeated from u = 1e10 on
+LARGE_U = [(2.0, 1e9), (2.0, 1e10), (2.0, 1e11)]
+
+
+@pytest.mark.parametrize("m, u", LARGE_U)
+def test_local_monodromy_connection_eigenvalues_at_large_u(m, u):
+    assert_quarter_monodromy(ToyModelPoint(m=m, u=u, B=1.0))
 
 
 def test_local_monodromy_rejects_nilpotent_nonscalar():
@@ -211,6 +223,16 @@ REFUSALS = [
     ),
     pytest.param(
         lambda: local_monodromy_eigenvalues(np.eye(3)), ValueError, "residue must be 2x2", id="monodromy-shape",
+    ),
+    # a repeated eigenvalue with an off-diagonal entry of any size, 1e-9 to 1e10
+    *(
+        pytest.param(
+            lambda b=b: local_monodromy_eigenvalues([[0.25, b], [0.0, 0.25]]), ValueError,
+            "residue has a repeated eigenvalue but is not scalar: it is not diagonalizable, "
+            "so the local monodromy is not determined by eigenvalues alone",
+            id=f"monodromy-jordan-{b:g}",
+        )
+        for b in (1e-9, 1.0, 1e10)
     ),
     # det(B Phi(z)) overflows at B = 1e200: the samples were NaN and passed
     pytest.param(

@@ -211,6 +211,26 @@ REFUSALS = [
         "inverse matrices must match the generator shape", id="rho-inv-shape",
     ),
     pytest.param(
+        lambda: NonabelianMomentum(rho=[1.0 / (np.arange(10)[:, None] + np.arange(10) + 1), np.eye(10)]),
+        ValueError, "generator matrix 1 is numerically singular", id="rho-hilbert",
+    ),
+    pytest.param(
+        lambda: NonabelianMomentum(rho=[EYE2, EYE2], rho_inv=[EYE2, 2.0 * EYE2]), ValueError,
+        "the inverse given for generator matrix 2 does not invert it", id="rho-inv-wrong",
+    ),
+    pytest.param(
+        lambda: NonabelianMomentum(rho=[EYE2, EYE2], rho_inv=[EYE2, [[math.nan, 0.0], [0.0, 1.0]]]), ValueError,
+        "inverse matrices must be finite", id="rho-inv-nan",
+    ),
+    pytest.param(
+        lambda: NonabelianMomentum(monomial=([[0, 0], [0, 1]], np.ones((2, 2)), np.ones((2, 2)))), ValueError,
+        "the sheet targets of generator matrix 1 are not a permutation", id="monomial-targets",
+    ),
+    pytest.param(
+        lambda: NonabelianMomentum(monomial=([[0, 1], [1, 0]], np.ones((2, 2)), [[1.0, 1.0], [1.0, 2.0]])),
+        ValueError, "the inverse given for generator matrix 2 does not invert it", id="monomial-inverse",
+    ),
+    pytest.param(
         lambda: euclidean_character((0.0, 0.0), 1.0), ValueError,
         "tau must have nonzero imaginary part", id="real-tau",
     ),

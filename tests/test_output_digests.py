@@ -1,7 +1,9 @@
 """The six subcommands' output bytes, pinned by sha256 digests.
 
-Each subcommand runs on tiny fixed inputs, every matrix at most 16 x 16 so
-that no eigensolve depends on the BLAS thread count, in a fresh interpreter
+Each subcommand runs on small fixed inputs, every matrix at most 16 x 16 so
+that no eigensolve depends on the BLAS thread count (the two multi-box
+`bands` cases span several sweep and CSV boxes, so the CSV is written while
+later boxes are solved), in a fresh interpreter
 with OPENBLAS_NUM_THREADS=1 and in one with the variable unset.  The digests
 of stdout and of the --out file, and the exit code, must match the recorded
 ones.  A changed digest means changed output bytes: re-record `DIGESTS` only
@@ -37,6 +39,8 @@ CASES = {
     "bands-stdout": ["bands", "--model", "{pair}", "--grid", "2"],
     "bands-region": ["bands", "--model", "{pair}", "--grid", "2,3", "--region=-0.3:0.2:2", "--out", "{out}"],
     "bands-degenerate": ["bands", "--model", "{doubled}", "--grid", "3", "--out", "{out}"],
+    "bands-multi-box": ["bands", "--model", "{pair}", "--grid", "96,96", "--out", "{out}"],
+    "bands-region-multi-box": ["bands", "--model", "{pair}", "--grid", "48,48", "--region=-0.3:0.2:2", "--out", "{out}"],
     "bands-edge-floats": ["bands", "--model", "{edge}", "--grid", "2,1", "--region=-0.3:0.2:2", "--out", "{out}"],
     "bloch-variety": ["bloch-variety", "--model", "{pair}", "--seed", "3", "--out", "{out}"],
     "bloch-variety-genus-2": ["bloch-variety", "--model", "{genus2}", "--out", "{out}"],
@@ -89,10 +93,20 @@ DIGESTS = {
         EMPTY,
         "68473dce83ef9f1e0d31c434c1723772d7cec5b6f77f8c8f1556266c1beadd1f",
     ],
+    "bands-multi-box": [
+        0,
+        EMPTY,
+        "8690d7e864e3405d23cf2d8e3729b7927d9b6c797ef79d27dedff261d5dd6203",
+    ],
     "bands-region": [
         0,
         EMPTY,
         "b118381f9229d886205dff02401b70be71c00c8c841707433d4dc254397a6c23",
+    ],
+    "bands-region-multi-box": [
+        0,
+        EMPTY,
+        "01f144b649bdb3e812fb941a377e63e44c3677265b6c524246353c68f13f3601",
     ],
     "bands-stdout": [
         0,

@@ -24,6 +24,7 @@ from hyperband.spectra import (
     sweep,
     unitary_grid,
     write_bands_csv,
+    write_sweep_csv,
 )
 from hyperband.tight_binding import TightBindingModel, bloch_abelian
 
@@ -203,9 +204,14 @@ def test_sweep_refuses_a_grid_whose_bands_pass_the_size_rule():
     with mock.patch.object(_serialize, "_MAX_ARRAY_BYTES", 16 * 3 * 16 - 1):
         with pytest.raises(ValueError) as info:
             sweep(model, grid)
-    assert str(info.value) == (
+        # the bands command's writer shares the refusal, before it writes
+        out = io.StringIO()
+        with pytest.raises(ValueError) as written:
+            write_sweep_csv(model, grid, out)
+    assert str(info.value) == str(written.value) == (
         "bands grid too large: about 0.0 GB of bands for 16 points; the limit is 0.0 GB"
     )
+    assert out.getvalue() == ""
 
 
 def test_grid_builders_accept_integral_numbers_only():
@@ -416,6 +422,10 @@ REFUSALS = [
     ),
     pytest.param(
         lambda: sweep(ONE_STATE, unitary_grid(2, 2)), ValueError, "genus mismatch: model 1, grid 2", id="sweep-genus",
+    ),
+    pytest.param(
+        lambda: write_sweep_csv(ONE_STATE, unitary_grid(2, 2), io.StringIO()), ValueError,
+        "genus mismatch: model 1, grid 2", id="sweep-csv-genus",
     ),
     pytest.param(
         lambda: bloch_variety(ONE_STATE).evaluate([1.0, 1.0, 1.0], 0.0), ValueError,

@@ -131,9 +131,9 @@ def test_identically_zero_discriminant_reports_degenerate():
 
 
 def test_branch_points_agree_with_curve_info_on_rounding_level_discriminant():
-    # the discriminant (about 0.4) is rounding noise next to the entries'
-    # product scale of 1e12, so curve_info calls the curve degenerate and
-    # finds no divisor, not one at infinity
+    # the discriminant (about 0.4) is rounding noise next to the 8e12 of
+    # 4 a2's terms before they cancel, so curve_info calls the curve
+    # degenerate and finds no divisor, not one at infinity
     phi = Rank2TwistedHiggs(1, 1, (([1e6], [1e6]), ([-1e6 + 1e-7], [-1e6])))
     info = curve_info(phi)
     assert info.degenerate and info.branch_points == ()
@@ -150,9 +150,9 @@ def near_diagonal_field(e_squared):
     "e_squared, degenerate", [(1e-13, True), (3e-13, True), (5e-13, True), (9e-13, True), (2e-12, False)]
 )
 def test_discriminant_the_root_finder_would_trim_away_is_degenerate(e_squared, degenerate):
-    # 4 e^2 at or below the trim tolerance 1e-12 * 4 (the scale of a1^2) is
-    # degenerate, also above the product-scale threshold 1e-12 * 1; above
-    # it, the discriminant is a nonzero constant and infinity carries all 4
+    # 4 e^2 at or below the trim tolerance 1e-12 * 4 (the scale of a1^2,
+    # and about that of 4 a2's terms) is degenerate; above it, the
+    # discriminant is a nonzero constant and infinity carries all 4
     info = curve_info(near_diagonal_field(e_squared))
     points = () if degenerate else (BranchPoint(point=INFINITY, multiplicity=4),)
     assert (info.degenerate, info.branch_points, info.smooth, info.curve_genus) == (degenerate, points, False, None)
@@ -415,6 +415,41 @@ def test_property_record_derives_degeneracy_and_genus_from_its_divisor(genus, da
         assert info.degenerate
     if kind == "square":
         assert not info.smooth
+
+
+def gauged(phi, t):
+    """phi conjugated by diag(t, 1): p12 times t, p21 over t."""
+    (p11, p12), (p21, p22) = phi.entries
+    return Rank2TwistedHiggs(phi.genus, phi.k, ((p11, t * p12), (p21 / t, p22)))
+
+
+@pytest.mark.parametrize("t", [10.0**e for e in range(-8, 9)])
+def test_constant_gauge_keeps_a_nonzero_discriminant(t):
+    # the discriminant is exactly 4 at every t; the entries' peak once set
+    # the zero scale, and the field read degenerate from t = 1e7 on
+    info = curve_info(Rank2TwistedHiggs(1, 1, (([0], [t]), ([1 / t], [0]))))
+    assert not info.degenerate and info.branch_points == (BranchPoint(point=INFINITY, multiplicity=4),)
+
+
+def test_nilpotent_field_whose_terms_square_past_the_float_range_is_degenerate():
+    # a1 = a2 = 0 exactly, but |p11| + |p22| squared passes the float range
+    a = 1.3e154
+    info = curve_info(Rank2TwistedHiggs(1, 1, (([a], [a]), ([-a], [-a]))))
+    assert info.degenerate and info.branch_points == ()
+
+
+@settings(max_examples=100)
+@given(
+    genus=st.integers(0, 3),
+    data=st.data(),
+    kind=st.sampled_from(["random", "below-caps", "square", "nilpotent"]),
+    exponent=st.floats(-8.0, 8.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_constant_gauge_leaves_degeneracy_unchanged(genus, data, kind, exponent, seed):
+    k = data.draw(st.integers(0, genus + 1), label="k")
+    phi = shaped_field(np.random.default_rng(seed), genus, k, kind)
+    assert curve_info(gauged(phi, 10.0**exponent)).degenerate == curve_info(phi).degenerate
 
 
 # ---------------------------------------------------------------------------
