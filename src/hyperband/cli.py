@@ -14,13 +14,13 @@ reports the trial with the largest spectral distance, a rounding-level
 figure, so its chosen trial can change with the thread count.
 
 `bands` solves and writes on two threads (`spectra.write_sweep_csv`): the
-main thread solves the grid box by box while a worker writes the CSV of the
-boxes done, the same bytes as solving first and writing after.  A failed
-run stops both and leaves no partial CSV at a --out file: the CSV goes to a
-new file beside it that replaces the path only when whole (`_replacing`),
-so a failed run creates no file and leaves an existing one untouched.  A
---out device or pipe (/dev/null) is written in place and never removed,
-and it, like stdout, keeps the rows written before the failure.
+main thread solves the grid box by box and hands each box to a worker that
+writes it, the same bytes as solving first and writing after.  A failed run
+stops both and leaves no partial CSV at a --out file: the CSV goes to a new
+file beside it that replaces the path only when whole (`_replacing`), so a
+failed run creates no file and leaves an existing one untouched.  A --out
+device or pipe (/dev/null, /dev/stdout on a pipe) is written in place and
+never removed, and it, like stdout, keeps the rows written before a failure.
 """
 
 from __future__ import annotations
@@ -152,24 +152,24 @@ def _output(out_path):
 def _replacing(out_path):
     """The handle `bands` streams its CSV to, kept whole or not at all.
 
-    stdout for no path or "-", and a path that exists as something other
-    than a regular file (a device, a pipe), are written in place: a failed
-    run leaves there the rows it wrote.  Any other path's text goes to a new
-    file beside its target (symlinks followed), which replaces the target,
-    keeping its permission bits, once the CSV is whole, and is removed
-    otherwise: a failed run leaves no new file and an existing file
-    untouched.  A path that cannot be written is refused before the run,
-    with the error `open` gives for it.
+    stdout for no path or "-", and a path that names something other than
+    a regular file (a device, a pipe, /dev/stdout on a pipe), are written in
+    place: a failed run leaves there the rows it wrote.  A regular file's
+    text, or a new path's, goes to a new file beside its target (symlinks
+    followed), which replaces the target, keeping its permission bits, once
+    the CSV is whole, and is removed otherwise: a failed run leaves no new
+    file and an existing file untouched.  A path that cannot be written is
+    refused before the run, with the error `open` gives for it.
     """
     if out_path is None or out_path == "-":
         yield sys.stdout
         return
-    target = os.path.realpath(out_path)
-    mode = os.stat(target).st_mode if os.path.exists(target) else None
+    mode = os.stat(out_path).st_mode if os.path.exists(out_path) else None
     if mode is not None and not stat.S_ISREG(mode):
         with open(out_path, "w", encoding="utf-8") as fh:
             yield fh
         return
+    target = os.path.realpath(out_path)  # not before: /dev/stdout on a pipe resolves to no path
     directory, name = os.path.split(target)
     temp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     try:

@@ -1,25 +1,24 @@
 """Spectra over momentum grids, degeneracy detection, and Bloch varieties.
 
 Eigenvalues are always reported sorted lexicographically by (Re, Im).  A
-momentum grid is the product of its 2g axes.  Sweeps sample their grids
-through `_sampled_spectra`: it grows each cache-sized sub-box's Hamiltonians
-from the axes by broadcast adds (`tight_binding._assemble`), so each hop term
-chi_i J_i + chi_i^{-1} J_i^dagger is formed once per axis value, with the
-bits of assembling each point alone, and solves each box as one stack.  The
-output is independent of the box size, and identical inputs produce
-identical outputs.  `write_bands_csv` writes the bands in the same
-sub-boxes, each float as repr writes it, from repr's shortest digits formed
-exactly in numpy (`_shortest_digits`); a sweep is sized once, by the 16 d
-bytes of bands a point it holds.  `write_sweep_csv`, which the `bands`
-command runs, solves and writes on two threads: the calling thread solves
-the grid box by box while a worker writes each CSV box once its rows are
-done, in order, so its bytes are those of `write_bands_csv(sweep(...))`.
-A failure on either thread stops both, and the rows written before it stay
-in the handle: the command writes a --out file through a new file that
-replaces it only when whole, so a failed run leaves no partial CSV there,
-while stdout (or a --out device or pipe) keeps those rows.  Band crossings are
-single-linkage clusters per grid point, from `_clustering.single_linkage`,
-which the branch points of `spectral_curve` share.
+momentum grid is the product of its 2g axes.  A bands run cuts its grid by
+one rule, `_sub_boxes`: row-major sub-boxes of about 1 MiB, a point counted at
+the larger of its Hamiltonian's and its CSV rows' bytes.  `_sampled_spectra`
+grows each box's Hamiltonians from the axes by broadcast adds
+(`tight_binding._assemble`), so each hop term chi_i J_i + chi_i^{-1}
+J_i^dagger is formed once per axis value, with the bits of assembling each
+point alone, and solves each box as one stack.  The output is independent
+of the box size, and identical inputs produce identical outputs.
+`write_bands_csv` writes the same boxes, each float as repr writes it, from
+repr's shortest digits formed exactly in numpy (`_shortest_digits`); a
+sweep is sized once, by the 16 d bytes of bands a point it holds.
+`write_sweep_csv`, which the `bands` command runs, solves the boxes on the
+calling thread and hands each, in order, to a worker that writes it, so its
+bytes are those of `write_bands_csv(sweep(...))`; a failure on either
+thread stops both, and the rows written before it stay in the handle.  Band
+crossings are single-linkage clusters per grid point, from
+`_clustering.single_linkage`, which the branch points of `spectral_curve`
+share.
 
 The Bloch variety of a model is the polynomial det(H(chi) - E) viewed as a
 Laurent polynomial in the momentum entries chi_1..chi_2g and an ordinary
@@ -165,6 +164,8 @@ class BandStructure:
 
     def __post_init__(self):
         bands = np.asarray(self.bands, dtype=complex)
+        if bands.ndim != 2 or len(bands) != self.grid.n_points:
+            raise ValueError(f"bands shape {bands.shape} is not ({self.grid.n_points}, d): one row per grid point")
         bands.setflags(write=False)
         object.__setattr__(self, "bands", bands)
 
@@ -209,24 +210,32 @@ def _slices(count: int, item_bytes: int) -> list:
     return [slice(a, min(a + step, count)) for a in range(0, count, step)]
 
 
-def _sub_boxes(shape: tuple, point_bytes: int) -> list:
-    """The grid `shape` as row-major sub-boxes (a slice per axis) of at most
-    `_CHUNK_BYTES` at `point_bytes` a point, or of one point: the first axis
-    whose trailing box fits is cut by `_slices`, every axis before it one
-    index at a time, every axis after it kept whole.  Each box is contiguous
-    in the flattened grid, and the boxes come in its order; `_sampled_spectra`
-    assembles and solves, and `write_bands_csv` writes, one box at a time."""
+def _sub_boxes(shape: tuple, d: int):
+    """The grid `shape` of a bands run at d bands as row-major sub-boxes (a
+    slice per axis), each yielded with its slice of the flattened grid.
+
+    A box holds at most `_CHUNK_BYTES`, or one point, a point counted at the
+    larger of 32 d^2 bytes, its Hamiltonian and the partial sum its last add
+    reads, and its d CSV rows at `_CSV_ROW_BYTES`: at most 4,096 rows
+    (32,768 / d above d = 8).  The first axis whose trailing box fits is cut
+    by `_slices`, every axis before it one index at a time, every axis after
+    it kept whole.  Each box is contiguous in the flattened grid, and the
+    boxes come in its order: `_sampled_spectra` assembles and solves them,
+    and `write_bands_csv` and `write_sweep_csv` write them, one at a time.
+    """
+    point_size = max(32 * d * d, _CSV_ROW_BYTES * d)
     trailing = math.prod(shape)
     for k, m in enumerate(shape):
         trailing //= m
-        if trailing * point_bytes <= _CHUNK_BYTES:
+        if trailing * point_size <= _CHUNK_BYTES:
             break
     whole = (slice(None),) * (len(shape) - k - 1)
-    return [
-        (*(slice(j, j + 1) for j in lead), part, *whole)
-        for lead in np.ndindex(shape[:k])
-        for part in _slices(shape[k], trailing * point_bytes)
-    ]
+    start = 0
+    for lead in np.ndindex(shape[:k]):
+        for part in _slices(shape[k], trailing * point_size):
+            stop = start + (part.stop - part.start) * trailing
+            yield (*(slice(j, j + 1) for j in lead), part, *whole), slice(start, stop)
+            start = stop
 
 
 def _solve_stack(stack: np.ndarray, hermitian, name) -> np.ndarray:
@@ -260,19 +269,15 @@ def _solve_stack(stack: np.ndarray, hermitian, name) -> np.ndarray:
     return out
 
 
-def _sampled_spectra(model: TightBindingModel, grid: MomentumGrid, point_bytes: int = 0):
-    """Sorted spectra of `model` over `grid`, yielded per sub-box in row-major
-    order as (slice of the flattened grid, its (n, d) spectra).
+def _sampled_spectra(model: TightBindingModel, grid: MomentumGrid):
+    """Sorted spectra of `model` over `grid`, yielded per `_sub_boxes` box in
+    row-major order as (its slice of the flattened grid, its (n, d) spectra).
 
-    The boxes are `_sub_boxes` at 32 d^2 bytes a point, a box's Hamiltonians
-    and the partial sum its last add reads, or at `point_bytes` where that
-    is more (`write_sweep_csv` cuts them no larger than its CSV boxes, so
-    that a CSV box can be written once it is solved).  Each is assembled by
-    `_assemble` from the grid's axes and their reciprocals, each shaped to
-    broadcast along its grid axis, so a hop term is formed once per axis
-    value; an axis range of one index enters as its 0-d value (see
-    `_assemble`).  Each box is solved through `_solve_stack` with
-    `grid.unitary`, and a failing point is named by its grid index.
+    Each box is assembled by `_assemble` from the grid's axes and their
+    reciprocals, each shaped to broadcast along its grid axis, so a hop term
+    is formed once per axis value; an axis range of one index enters as its
+    0-d value (see `_assemble`).  Each box is solved through `_solve_stack`
+    with `grid.unitary`, and a failing point is named by its grid index.
     """
     d, n = model.dim, len(grid.shape)
     axes = [a.reshape((-1,) + (1,) * (n + 1 - i)) for i, a in enumerate(grid.axes)]
@@ -282,25 +287,22 @@ def _sampled_spectra(model: TightBindingModel, grid: MomentumGrid, point_bytes: 
         part = axis[s]
         return part.reshape(()) if len(part) == 1 else part
 
-    offset = 0
-    for box in _sub_boxes(grid.shape, max(point_bytes, 32 * d * d)):
+    for box, part in _sub_boxes(grid.shape, d):
         chi = [cut(a, s) for a, s in zip(axes, box)]
         chi_inv = [cut(a, s) for a, s in zip(inverses, box)]
         H = _assemble(model, chi, chi_inv).reshape(-1, d, d)
-        name = lambda k: f"grid index {tuple(map(int, np.unravel_index(offset + k, grid.shape)))}"
-        yield slice(offset, offset + len(H)), _solve_stack(H, grid.unitary, name)
-        offset += len(H)
+        name = lambda k: f"grid index {tuple(map(int, np.unravel_index(part.start + k, grid.shape)))}"
+        yield part, _solve_stack(H, grid.unitary, name)
 
 
-def _sweep_bands(model: TightBindingModel, grid: MomentumGrid) -> np.ndarray:
-    """The unfilled (P, d) bands of a sweep of `model` over `grid`, after its
-    checks: a genus mismatch, or bands (16 d bytes a point) that pass the
-    size rule, raise ValueError before any assembly."""
+def _check_sweep(model: TightBindingModel, grid: MomentumGrid) -> None:
+    """Refuse a sweep of `model` over `grid` before any assembly: a genus
+    mismatch, or bands (16 d bytes a point) that pass the size rule, raise
+    ValueError."""
     if grid.genus != model.genus:
         raise ValueError(f"genus mismatch: model {model.genus}, grid {grid.genus}")
     n_points = grid.n_points
     refuse_oversized(16 * model.dim * n_points, "bands grid", "bands for {} points", n_points)
-    return np.empty((n_points, model.dim), dtype=complex)
 
 
 def sweep(model: TightBindingModel, grid: MomentumGrid) -> BandStructure:
@@ -310,7 +312,8 @@ def sweep(model: TightBindingModel, grid: MomentumGrid) -> BandStructure:
     bands do not depend on the box size.  The run is refused (ValueError)
     before any assembly if its bands, 16 d bytes a point, pass the size rule.
     """
-    bands = _sweep_bands(model, grid)
+    _check_sweep(model, grid)
+    bands = np.empty((grid.n_points, model.dim), dtype=complex)
     for part, values in _sampled_spectra(model, grid):
         bands[part] = values
     return BandStructure(grid, bands, model.content_hash)
@@ -320,48 +323,39 @@ def write_sweep_csv(model: TightBindingModel, grid: MomentumGrid, fh) -> None:
     """Write `write_bands_csv(sweep(model, grid), fh)`, the same bytes, on two
     threads, refused as `sweep` refuses a run.
 
-    This thread assembles and solves the boxes of `_sampled_spectra`, cut
-    no larger than the CSV boxes, and counts the points done.  A worker
-    thread runs the CSV writer `_write_csv` on the bands so far, writing
-    each CSV box once its points are done, so the text is formatted and
-    written while later boxes are solved: the CSV kernel's numpy passes
-    release the GIL.  (The solves stay on this thread: OpenBLAS runs two
-    threads' eigensolves one at a time.)  A failure on either thread stops
-    both.  The worker is joined before this returns or raises,
+    This thread writes the header, solves the boxes of `_sampled_spectra`
+    and queues each, in order, for a worker thread that writes it, so the
+    text is formatted while later boxes are solved: the CSV kernel's numpy
+    passes release the GIL.  (The solves stay on this thread: OpenBLAS runs
+    two threads' eigensolves one at a time.)  A write error stops the solves
+    at the next box; after a solve error the worker writes the boxes solved
+    before it.  The worker is joined before this returns or raises,
     KeyboardInterrupt included, and its error is raised here.  Whatever
     reached `fh` before a failure stays there.
     """
-    bands = _sweep_bands(model, grid)
-    turn = threading.Condition()
-    done, final, failed = 0, False, []
+    import queue  # here: `covers_quivers.read_cover` loads this module and needs no queue
 
-    def ready(stop: int) -> bool:  # wait for the first `stop` points; False: never
-        with turn:
-            while done < stop and not final:
-                turn.wait()
-            return done >= stop
+    _check_sweep(model, grid)
+    text = _csv_rows(grid.shape, model.dim)
+    fh.write(_csv_header(grid, model.content_hash))
+    boxes, failed = queue.SimpleQueue(), []
 
     def write() -> None:
         try:
-            _write_csv(grid, bands, model.content_hash, fh, ready)
+            for part, values in iter(boxes.get, None):
+                fh.write(text(part, values))
         except BaseException as exc:
-            with turn:
-                failed.append(exc)
+            failed.append(exc)
 
     worker = threading.Thread(target=write, name="hyperband-bands-csv")
     worker.start()
     try:
-        for part, values in _sampled_spectra(model, grid, _CSV_ROW_BYTES * model.dim):
-            bands[part] = values
-            with turn:
-                if failed:
-                    break
-                done = part.stop
-                turn.notify()
+        for box in _sampled_spectra(model, grid):
+            if failed:
+                break
+            boxes.put(box)
     finally:
-        with turn:
-            final = True
-            turn.notify()
+        boxes.put(None)
         worker.join()
     if failed:
         raise failed[0]
@@ -916,59 +910,59 @@ def write_bands_csv(bands: BandStructure, fh) -> None:
     and bands in ascending (Re, Im) order; decimal separator '.', field
     separator ','.  Every float is written as repr writes it, by the kernel
     `_float_words`, exact, with repr itself on the values it does not
-    certify.  The rows are written one `_sub_boxes` box at a time, at
-    `_CSV_ROW_BYTES` a row, so the text held at once stays within the box
-    budget whatever the grid's shape.
+    certify.  The rows are written one `_sub_boxes` box at a time, so the text
+    held at once stays within the box budget whatever the grid's shape.
     """
-    _write_csv(bands.grid, bands.bands, bands.model_hash, fh)
+    grid, d = bands.grid, bands.bands.shape[1]
+    fh.write(_csv_header(grid, bands.model_hash))
+    if d:
+        text = _csv_rows(grid.shape, d)
+        for _, part in _sub_boxes(grid.shape, d):
+            fh.write(text(part, bands.bands[part]))
 
 
-def _write_csv(grid: MomentumGrid, bands: np.ndarray, model_hash: str, fh, ready=None) -> None:
-    """The CSV writer of `write_bands_csv`, on the (P, d) `bands` over `grid`.
-
-    `ready(stop)`, if given, is called before each box's rows are read: it
-    returns True once the first `stop` grid points' bands are in place, or
-    False when they never will be, which ends the CSV there.
-    """
-    d = bands.shape[1]
+def _csv_header(grid: MomentumGrid, model_hash: str) -> str:
+    """The CSV's '#' comment lines and its column names."""
     cols = [f"i{k}" for k in range(len(grid.shape))] + ["band", "re", "im"]
-    fh.write(
+    return (
         f"# hyperband bands v1\n# model_hash={model_hash} "
         f"grid_shape={'x'.join(map(str, grid.shape))} hermitian={grid.unitary}\n"
         "# rows: grid points in row-major order, bands sorted by (Re, Im); "
         f"columns: grid indices, band, eigenvalue\n{','.join(cols)}\n"
     )
-    if not d:
-        return
-    # every box holds the axes after its cut axis whole: their row tails
-    # "j,...,b," are built once, and a box's rows are its heads (lead and
-    # cut-axis indices) times them, then its values.  The box's text is one
-    # block of NUL-padded words, a row a column while it is built; it is
-    # transposed, stripped of its NULs and written once
-    boxes = _sub_boxes(grid.shape, _CSV_ROW_BYTES * d)
-    n_cut = len(grid.shape) - boxes[0].count(slice(None))
+
+
+def _csv_rows(shape: tuple, d: int):
+    """text(part, values): the CSV rows of the box of `_sub_boxes(shape, d)`,
+    d >= 1, that is the slice `part` of the flattened grid, from its (n, d)
+    bands `values`.
+
+    Every box holds the axes after its cut axis whole: their row tails
+    "j,...,b," are built here, once, and a box's rows are its heads (lead
+    and cut-axis indices, read off `part`) times them, then its values.
+    """
+    box, _ = next(_sub_boxes(shape, d))
+    n_cut = len(shape) - box.count(slice(None))
     tails = [""]
-    for n in (*grid.shape[n_cut:], d):
+    for n in (*shape[n_cut:], d):
         tails = [f"{tail}{i}," for tail in tails for i in range(n)]
     width = -(-max(map(len, tails)) // 4) * 4
     points = len(tails) // d  # grid points a cut-axis index holds
     tails = np.array(tails, dtype=f"S{width}").view(np.uint32).reshape(len(tails), -1).T[:, None, :]
-    values = bands.reshape(grid.shape + (d,))
-    stop = 0  # the boxes are contiguous in the flattened grid, in its order
-    for box in boxes:
-        *lead, cut = box[:n_cut]
-        prefix = np.frombuffer("".join(f"{s.start}," for s in lead).encode(), np.uint8)
-        index = np.arange(cut.start, cut.stop)
-        digits = len(str(cut.stop - 1))
+
+    def text(part: slice, values: np.ndarray) -> str:
+        *lead, first = np.unravel_index(part.start // points, shape[:n_cut])
+        index = np.arange(first, first + (part.stop - part.start) // points)
+        prefix = np.frombuffer("".join(f"{i}," for i in lead).encode(), np.uint8)
+        digits = len(str(index[-1]))
         heads = np.zeros((index.size, -(-(prefix.size + digits + 1) // 4) * 4), np.uint8)
         heads[:, :prefix.size] = prefix
         heads[:, prefix.size:prefix.size + digits] = _integer_text(index, digits)
         heads[:, prefix.size + digits] = 44
         heads = heads.view(np.uint32).T[:, :, None]
-        stop += index.size * points
-        if ready is not None and not ready(stop):
-            return
-        fh.write(_rows_text(heads, tails, values[box].reshape(index.size, -1)))
+        return _rows_text(heads, tails, values.reshape(index.size, -1))
+
+    return text
 
 
 def _rows_text(heads: np.ndarray, tails: np.ndarray, part: np.ndarray) -> str:

@@ -188,7 +188,7 @@ def test_sweep_slices_match_one_shot_solve(region, counts):
 def test_property_sweep_is_independent_of_batch_size(chunk_budget, data, genus, dim, rows, seed):
     model = random_model(np.random.default_rng(seed), genus, dim)
     grid = data.draw(grids(genus))
-    with chunk_budget(rows * 32 * dim**2):
+    with chunk_budget(rows * max(32 * dim**2, 256 * dim)):
         bands = sweep(model, grid)
     assert bands.bands.tobytes() == one_shot_oracle(model, grid).tobytes()
 
@@ -237,7 +237,7 @@ def test_slices_cut_at_the_budget_and_keep_a_trailing_single_item(chunk_budget):
 
 
 def test_sweep_last_point_solves_as_in_the_one_shot_stack():
-    # d = 1: 65,537 points of 32 B are two full 1 MiB boxes and a box of
+    # d = 1: 65,537 points of 256 B are 16 full 1 MiB boxes and a box of
     # one point, whose one-entry axes enter `_assemble` as 0-d values
     grid = complex_region_grid(1, [65537, 1], (0.2, 0.2), 1)
     for seed in range(10):
@@ -247,13 +247,13 @@ def test_sweep_last_point_solves_as_in_the_one_shot_stack():
 
 @pytest.mark.parametrize("budget", [16, 2 * 16, 3 * 16])
 def test_sweep_at_small_budgets_solves_as_in_the_one_shot_stack(chunk_budget, budget):
-    # `budget` / 16 points per box (32 B a point): at one point per box every
+    # `budget` / 16 points per box (256 B a point): at one point per box every
     # range of the box enters `_assemble` as a 0-d value, which rounds as the
     # one-shot stack's vector loops do, so a lone point gets no other bits
     grid = complex_region_grid(1, [7, 1], (0.2, 0.2), 1)
     for seed in range(10):
         model = random_model(np.random.default_rng(seed), 1, 1)
-        with chunk_budget(2 * budget):
+        with chunk_budget(16 * budget):
             bands = sweep(model, grid).bands
         assert bands.tobytes() == one_shot_oracle(model, grid).tobytes()
 
@@ -712,6 +712,27 @@ def test_concurrent_sweep_csv_writers_keep_their_bytes(chunk_budget):
     assert not any(caller.is_alive() for caller in callers)
     for model, grid, out in zip(models, grids, outs):
         assert out.getvalue() == csv_text(write_bands_csv, sweep(model, grid))
+
+
+@pytest.mark.parametrize("budget", [1, 600, 4096, 1 << 20])
+@pytest.mark.parametrize("dim", [1, 4, 9, 16])
+def test_sweep_csv_writes_the_boxes_it_solves(chunk_budget, monkeypatch, budget, dim):
+    # one box rule: a point is its d CSV rows up to d = 8 and its
+    # Hamiltonian above, so each solved stack is written as one box, in
+    # order; at 1 MiB and d = 16 the 800 points are 120-point boxes
+    model = random_model(np.random.default_rng(dim), 1, dim)
+    grid = unitary_grid(1, [20, 40])
+    solved, written = [], []
+    solve, rows_text = np.linalg.eigvalsh, spectra._rows_text
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or solve(a))
+    monkeypatch.setattr(spectra, "_rows_text", lambda *a: written.append(a[2].size // dim) or rows_text(*a))
+    out = io.StringIO()
+    with chunk_budget(budget):
+        write_sweep_csv(model, grid, out)
+    assert solved == written and sum(solved) == grid.n_points
+    if budget == 1:
+        assert solved == [1] * grid.n_points
+    assert out.getvalue() == csv_text(write_bands_csv, sweep(model, grid))
 
 
 @settings(max_examples=40)

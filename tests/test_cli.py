@@ -327,8 +327,7 @@ def _patched_solver(monkeypatch, solver, before):
 def _late_failure_run(tmp_path, monkeypatch, out):
     """A d = 16 sweep of a 20 x 40 grid, 120 points a box, whose point 700,
     in the sixth box, fails to solve; the sixth box waits for the worker to
-    start its second 240-point CSV box, the last one the first five boxes
-    complete."""
+    start writing the fifth, the last one solved before it."""
     from test_tight_binding import random_model
     write_model(random_model(np.random.default_rng(9), 1, 16), tmp_path / "model.json")
     model, axes = read_model(tmp_path / "model.json"), spectra.unitary_grid(1, [20, 40]).axes
@@ -339,7 +338,7 @@ def _late_failure_run(tmp_path, monkeypatch, out):
     def fail_at_point_700(calls, a):
         if len(calls) == 6:
             deadline = time.monotonic() + 10.0
-            while len(written) < 2 and time.monotonic() < deadline:
+            while len(written) < 5 and time.monotonic() < deadline:
                 time.sleep(0.001)
         if np.any(np.all(a == target, axis=(-2, -1))):
             raise np.linalg.LinAlgError("forced")
@@ -368,7 +367,7 @@ def test_bands_failing_at_a_late_box_leaves_no_partial_csv(tmp_path, monkeypatch
     calls, written, code = _late_failure_run(tmp_path, monkeypatch, path)
     captured = capsys.readouterr()
     assert (code, captured.err) == (3, LATE_FAILURE)
-    assert len(written) == 2 and len(calls) > 6  # two CSV boxes went out; the failing box was solved alone
+    assert len(written) == 5 and len(calls) > 6  # five boxes went out; the failing box was solved alone
     assert sorted(os.listdir(tmp_path)) == sorted(before + ["model.json"])
     if out in ("existing", "symlink"):
         assert (tmp_path / "bands.csv").read_text(encoding="utf-8") == "old bands\n"
@@ -376,9 +375,9 @@ def test_bands_failing_at_a_late_box_leaves_no_partial_csv(tmp_path, monkeypatch
         assert path.is_symlink()
     if out == "/dev/null":
         assert path.is_char_device()
-    if out == "stdout":  # the rows of the two CSV boxes written before the failure
+    if out == "stdout":  # the rows of the five boxes solved before the failure
         rows = csv_rows(captured.out)
-        assert len(rows) == 2 * 240 * 16 and rows[-1].startswith("11,39,15,")
+        assert len(rows) == 5 * 120 * 16 and rows[-1].startswith("14,39,15,")
     else:
         assert captured.out == ""
     assert not [t for t in threading.enumerate() if t.name == CSV_THREAD]
@@ -430,6 +429,21 @@ def test_bands_replaces_an_existing_file_keeping_its_mode_and_links(single_site_
     assert link.is_symlink() and len(csv_rows(target.read_text(encoding="utf-8"))) == 9
     assert target.stat().st_mode & 0o777 == 0o640
     assert sorted(os.listdir(tmp_path)) == ["bands.csv", "link.csv", "single.json"]
+
+
+@pytest.mark.parametrize("out", ["/dev/stdout", "/dev/fd/1"])
+def test_bands_out_naming_a_piped_stdout_writes_to_the_pipe(single_site_model, out):
+    # the link resolves to a "pipe:[...]" entry that is no file: the path is
+    # written in place, as with no --out, and no file is made to replace it
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(hyperband.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "hyperband", "bands", "--model", str(single_site_model), "--grid", "5"]
+    plain = subprocess.run(argv, capture_output=True, env=env)
+    piped = subprocess.run(argv + ["--out", out], capture_output=True, env=env)
+    assert (plain.returncode, plain.stderr) == (0, b"")
+    assert (piped.returncode, piped.stderr, piped.stdout) == (0, b"", plain.stdout)
+    assert len(csv_rows(plain.stdout.decode())) == 25
 
 
 def test_bands_refuses_an_unwritable_out_path_before_the_sweep(single_site_model, tmp_path, monkeypatch, capsys):

@@ -428,6 +428,18 @@ REFUSALS = [
         "genus mismatch: model 1, grid 2", id="sweep-csv-genus",
     ),
     pytest.param(
+        lambda: BandStructure(unitary_grid(1, 3), np.zeros((9, 2, 1))), ValueError,
+        "bands shape (9, 2, 1) is not (9, d): one row per grid point", id="bands-shape",
+    ),
+    pytest.param(
+        lambda: BandStructure(unitary_grid(1, 3), np.zeros(9)), ValueError,
+        "bands shape (9,) is not (9, d): one row per grid point", id="bands-1d",
+    ),
+    pytest.param(
+        lambda: BandStructure(unitary_grid(1, 3), np.zeros((5, 2))), ValueError,
+        "bands shape (5, 2) is not (9, d): one row per grid point", id="bands-points",
+    ),
+    pytest.param(
         lambda: bloch_variety(ONE_STATE).evaluate([1.0, 1.0, 1.0], 0.0), ValueError,
         "need 2 momentum entries, got 3", id="variety-entries",
     ),

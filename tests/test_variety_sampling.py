@@ -77,11 +77,11 @@ def test_property_product_grid_equals_per_point_stack(chunk_budget, model, chunk
 
 
 def test_small_budget_cuts_the_first_axis_whose_trailing_box_fits(chunk_budget):
-    # a sweep over a 5^4 grid at g = 2, d = 2, 128 B a point; 25 points after
-    # axis 1 fit in 6400 B twice, so axis 1 is cut in ranges of two (and a
-    # last lone index) under each index of axis 0
+    # a sweep over a 5^4 grid at g = 2, d = 2, 512 B a point (its two CSV
+    # rows); 25 points after axis 1 fit in 4 x 6400 B twice, so axis 1 is cut
+    # in ranges of two (and a last lone index) under each index of axis 0
     model = model_with_ranks(4, 2, 2, [2, 2, 2, 2])
-    with chunk_budget(6400):
+    with chunk_budget(4 * 6400):
         stacks = solved_stacks(lambda: sweep(model, unitary_grid(2, 5)))
     assert [len(s) for s in stacks] == [50, 50, 25] * 5
 
