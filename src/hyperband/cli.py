@@ -13,14 +13,19 @@ thread count.  Threaded eigensolvers round differently, and cover-check
 reports the trial with the largest spectral distance, a rounding-level
 figure, so its chosen trial can change with the thread count.
 
+Every subcommand writes --out by one rule (`_replacing`).  A regular file or
+a new path is written to a new file beside it, which replaces it, keeping its
+permission bits and any final symlink, only when whole: a failed run leaves
+no new file and an existing one untouched.  The file stdout is open on
+(/dev/stdout, also under `>> log`) is written through stdout, and another
+device or pipe (/dev/null) in place; both keep what a failed run wrote.  An
+empty path is refused as `open` refuses it.  The JSON subcommands compute
+before they open --out; `bands` streams, so it opens --out first.
+
 `bands` solves and writes on two threads (`spectra.write_sweep_csv`): the
 main thread solves the grid box by box and hands each box to a worker that
-writes it, the same bytes as solving first and writing after.  A failed run
-stops both and leaves no partial CSV at a --out file: the CSV goes to a new
-file beside it that replaces the path only when whole (`_replacing`), so a
-failed run creates no file and leaves an existing one untouched.  A --out
-device or pipe (/dev/null, /dev/stdout on a pipe) is written in place and
-never removed, and it, like stdout, keeps the rows written before a failure.
+writes it, the same bytes as solving first and writing after; a failure
+stops both.
 """
 
 from __future__ import annotations
@@ -139,41 +144,34 @@ class _Options:
 
 
 @contextlib.contextmanager
-def _output(out_path):
-    """The handle data goes to: stdout for no path or "-", else the file."""
-    if out_path is None or out_path == "-":
-        yield sys.stdout
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            yield fh
-
-
-@contextlib.contextmanager
 def _replacing(out_path):
-    """The handle `bands` streams its CSV to, kept whole or not at all.
-
-    stdout for no path or "-", and a path that names something other than
-    a regular file (a device, a pipe, /dev/stdout on a pipe), are written in
-    place: a failed run leaves there the rows it wrote.  A regular file's
-    text, or a new path's, goes to a new file beside its target (symlinks
-    followed), which replaces the target, keeping its permission bits, once
-    the CSV is whole, and is removed otherwise: a failed run leaves no new
-    file and an existing file untouched.  A path that cannot be written is
-    refused before the run, with the error `open` gives for it.
-    """
+    """The handle --out goes to, by the module docstring's rule; a path that
+    cannot be written is refused before any write, as `open` refuses it."""
     if out_path is None or out_path == "-":
         yield sys.stdout
         return
-    mode = os.stat(out_path).st_mode if os.path.exists(out_path) else None
-    if mode is not None and not stat.S_ISREG(mode):
+    try:
+        status = os.stat(out_path)
+    except FileNotFoundError:
+        if not out_path:  # "" names no file, and would fail only at the rename
+            raise
+        status = None
+    try:
+        in_stdout = status is not None and os.path.samestat(status, os.fstat(1))
+    except OSError:  # fd 1 closed: no path names its file
+        in_stdout = False
+    if in_stdout:
+        yield sys.stdout
+        return
+    if status is not None and not stat.S_ISREG(status.st_mode):
         with open(out_path, "w", encoding="utf-8") as fh:
             yield fh
         return
-    target = os.path.realpath(out_path)  # not before: /dev/stdout on a pipe resolves to no path
+    target = os.path.realpath(out_path) if os.path.islink(out_path) else out_path
     directory, name = os.path.split(target)
     temp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     try:
-        if mode is not None and not os.access(target, os.W_OK):
+        if status is not None and not os.access(target, os.W_OK):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
         fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
@@ -181,8 +179,8 @@ def _replacing(out_path):
     try:
         with open(fd, "w", encoding="utf-8") as fh:
             yield fh
-        if mode is not None:
-            os.chmod(temp, stat.S_IMODE(mode))
+        if status is not None:
+            os.chmod(temp, stat.S_IMODE(status.st_mode))
         os.replace(temp, target)
     except BaseException:
         os.unlink(temp)
@@ -190,7 +188,7 @@ def _replacing(out_path):
 
 
 def _write_text(text: str, out_path) -> None:
-    with _output(out_path) as fh:
+    with _replacing(out_path) as fh:
         fh.write(text)
 
 

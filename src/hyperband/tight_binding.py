@@ -92,9 +92,7 @@ class TightBindingModel:
                 "symmetrization only absorbs residuals below "
                 f"{TOL_HERMITIAN:.0e} relative"
             )
-        # (M + M^dagger) / 2 can overflow only where a part reaches 2^1023
-        dagger = onsite.conj().T
-        symmetrized = _symmetrized(onsite, dagger) if e > 1023 else (onsite + dagger) / 2.0
+        symmetrized = _symmetrized(onsite, onsite.conj().T)
         symmetrized.setflags(write=False)
         self.group = group
         self.dim = d
@@ -128,8 +126,7 @@ def _symmetrized(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Only where a part reaches 2^1023 can a + b overflow; those entries are
     a / 2 + b / 2 instead.  Halving first everywhere would move subnormal
     bits (5e-324 / 2 is 0), so every entry whose (a + b) / 2 is finite keeps
-    those bits, and callers may skip this for the plain formula where no
-    part reaches 2^1023.
+    those bits.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         half = (a + b) / 2.0

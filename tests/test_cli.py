@@ -2,10 +2,12 @@
 
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -420,27 +422,26 @@ def test_bands_worker_failing_to_write_stops_the_sweep(tmp_path, monkeypatch, ca
     assert Path("/dev/full").is_char_device()
 
 
-def test_bands_replaces_an_existing_file_keeping_its_mode_and_links(single_site_model, tmp_path):
-    target, link = tmp_path / "bands.csv", tmp_path / "link.csv"
-    target.write_text("old bands\n", encoding="utf-8")
-    target.chmod(0o640)
-    link.symlink_to(target)
-    assert cli.main(["bands", "--model", str(single_site_model), "--grid", "3", "--out", str(link)]) == 0
-    assert link.is_symlink() and len(csv_rows(target.read_text(encoding="utf-8"))) == 9
-    assert target.stat().st_mode & 0o777 == 0o640
-    assert sorted(os.listdir(tmp_path)) == ["bands.csv", "link.csv", "single.json"]
+def _hyperband(argv, redirect="", **kwargs):
+    """`python -m hyperband argv` in a new process, this package importable,
+    its stdout redirected by the shell's `redirect` (e.g. ">> log") if given."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(hyperband.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "hyperband", *argv]
+    if redirect:
+        command = ["sh", "-c", f'exec "$@" {redirect}', "sh", *command]
+    return subprocess.run(command, env=env, **kwargs)
 
 
 @pytest.mark.parametrize("out", ["/dev/stdout", "/dev/fd/1"])
 def test_bands_out_naming_a_piped_stdout_writes_to_the_pipe(single_site_model, out):
-    # the link resolves to a "pipe:[...]" entry that is no file: the path is
-    # written in place, as with no --out, and no file is made to replace it
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(hyperband.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "hyperband", "bands", "--model", str(single_site_model), "--grid", "5"]
-    plain = subprocess.run(argv, capture_output=True, env=env)
-    piped = subprocess.run(argv + ["--out", out], capture_output=True, env=env)
+    # the link resolves to a "pipe:[...]" entry that is no file, the pipe
+    # stdout is open on: it is written through stdout, as with no --out, and
+    # no file is made to replace it
+    argv = ["bands", "--model", str(single_site_model), "--grid", "5"]
+    plain = _hyperband(argv, capture_output=True)
+    piped = _hyperband(argv + ["--out", out], capture_output=True)
     assert (plain.returncode, plain.stderr) == (0, b"")
     assert (piped.returncode, piped.stderr, piped.stdout) == (0, b"", plain.stdout)
     assert len(csv_rows(plain.stdout.decode())) == 25
@@ -452,6 +453,94 @@ def test_bands_refuses_an_unwritable_out_path_before_the_sweep(single_site_model
     assert cli.main(["bands", "--model", str(single_site_model), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
     assert calls == []
+
+
+def test_bands_refuses_an_empty_out_path_before_the_sweep(single_site_model, tmp_path, monkeypatch, capsys):
+    # "" named the working directory, and the CSV went to a new file in its
+    # parent that failed to replace it only after the whole sweep
+    def sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(spectra, "_sampled_spectra", sweep)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    before = sorted(os.listdir(tmp_path)), sorted(os.listdir(tmp_path.parent))
+    assert cli.main(["bands", "--model", str(single_site_model), "--out", ""]) == 2
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+    assert (sorted(os.listdir(tmp_path)), sorted(os.listdir(tmp_path.parent))) == before
+    assert os.listdir(work) == []
+
+
+def test_bands_with_stdout_closed_writes_its_out_file(single_site_model, tmp_path):
+    # fd 1 closed is no file --out can name; the CSV's new file may take fd 1
+    out = tmp_path / "bands.csv"
+    out.write_text("old bands\n", encoding="utf-8")
+    argv = ["bands", "--model", str(single_site_model), "--grid", "5"]
+    plain = _hyperband(argv, capture_output=True)
+    closed = _hyperband(argv + ["--out", str(out)], ">&-", stderr=subprocess.PIPE)
+    assert (closed.returncode, closed.stderr) == (0, b"")
+    assert out.read_bytes() == plain.stdout and len(csv_rows(plain.stdout.decode())) == 25
+
+
+# ---------------------------------------------------------------------------
+# --out: one writer for every subcommand
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_out_replaces_an_existing_file_keeping_its_mode_and_links(
+    command, single_site_model, two_state_model, swap_cover, tmp_path, capsys
+):
+    argv = [command, *_required_inputs(command, single_site_model, two_state_model, swap_cover), "--out"]
+    outputs = tmp_path / "outputs"
+    outputs.mkdir()
+    target, link, fresh = outputs / "out.txt", outputs / "link.txt", outputs / "fresh.txt"
+    target.write_text("old output\n", encoding="utf-8")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    assert cli.main(argv + [str(fresh)]) == 0
+    assert cli.main(argv + [str(link)]) == 0
+    assert link.is_symlink() and target.read_bytes() == fresh.read_bytes() != b""
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(outputs)) == ["fresh.txt", "link.txt", "out.txt"]
+
+
+@pytest.mark.parametrize("command", [command for command in cli._COMMANDS if command != "bands"])
+def test_out_failing_to_replace_leaves_the_target_untouched(
+    command, single_site_model, two_state_model, swap_cover, tmp_path, monkeypatch, capsys
+):
+    def full(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    outputs = tmp_path / "outputs"
+    outputs.mkdir()
+    target = outputs / "out.json"
+    target.write_text("old output\n", encoding="utf-8")
+    monkeypatch.setattr(os, "replace", full)
+    argv = [command, *_required_inputs(command, single_site_model, two_state_model, swap_cover)]
+    assert cli.main(argv + ["--out", str(target)]) == 2
+    assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+    assert target.read_text(encoding="utf-8") == "old output\n"
+    assert os.listdir(outputs) == ["out.json"]
+
+
+@pytest.mark.parametrize("command, redirect", [("bands", ">>"), ("euclidean", ">>"), ("cover-check", ">")])
+def test_out_naming_a_redirected_stdout_writes_through_it(
+    command, redirect, single_site_model, two_state_model, swap_cover, tmp_path
+):
+    # `--out /dev/stdout >> log` kept none of the log (bands renamed a new
+    # file over it, the JSON commands truncated it), and `> f` took the
+    # JSON at offset 0 and cover-check's PASS line over its start
+    argv = [command, *_required_inputs(command, single_site_model, two_state_model, swap_cover)]
+    argv += ["--out", "/dev/stdout"]
+    piped = _hyperband(argv, capture_output=True)
+    assert (piped.returncode, piped.stderr) == (0, b"") and piped.stdout
+    log = tmp_path / "log"
+    log.write_bytes(b"earlier line\n")
+    run = _hyperband(argv, f"{redirect} {shlex.quote(str(log))}", stderr=subprocess.PIPE)
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert log.read_bytes() == (b"earlier line\n" if redirect == ">>" else b"") + piped.stdout
 
 
 # ---------------------------------------------------------------------------
