@@ -25,7 +25,11 @@ before they open --out; `bands` streams, so it opens --out first.
 `bands` solves and writes on two threads (`spectra.write_sweep_csv`): the
 main thread solves the grid box by box and hands each box to a worker that
 writes it, the same bytes as solving first and writing after; a failure
-stops both.
+stops both.  An off-torus (`--region`) box of 64 KiB of Hamiltonians or more
+is solved in two halves, one on a helper thread, as `eigvals` runs on both
+cores with the bits of one call; a Hermitian box stays one `eigvalsh` call,
+whose level-2 calls OpenBLAS serializes.  With fd 1 closed, output to
+stdout is refused with exit 2.
 """
 
 from __future__ import annotations
@@ -143,12 +147,20 @@ class _Options:
         return value
 
 
+def _stdout():
+    """sys.stdout, which is None when fd 1 was closed at start-up: that is
+    refused as writing to a closed descriptor is."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
+    return sys.stdout
+
+
 @contextlib.contextmanager
 def _replacing(out_path):
     """The handle --out goes to, by the module docstring's rule; a path that
     cannot be written is refused before any write, as `open` refuses it."""
     if out_path is None or out_path == "-":
-        yield sys.stdout
+        yield _stdout()
         return
     try:
         status = os.stat(out_path)
@@ -161,7 +173,7 @@ def _replacing(out_path):
     except OSError:  # fd 1 closed: no path names its file
         in_stdout = False
     if in_stdout:
-        yield sys.stdout
+        yield _stdout()
         return
     if status is not None and not stat.S_ISREG(status.st_mode):
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -330,7 +342,7 @@ def cmd_cover_check(opts: _Options) -> int:
     }
     if opts["out"] is not None:
         _write_text(_dump_json(summary), opts["out"])
-    sys.stdout.write(line)
+    _stdout().write(line)
     if not passed:
         k, report = failure
         distance, radius = report.spectral_distance, report.spectral_radius

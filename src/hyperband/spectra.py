@@ -7,8 +7,9 @@ the larger of its Hamiltonian's and its CSV rows' bytes.  `_sampled_spectra`
 grows each box's Hamiltonians from the axes by broadcast adds
 (`tight_binding._assemble`), so each hop term chi_i J_i + chi_i^{-1}
 J_i^dagger is formed once per axis value, with the bits of assembling each
-point alone, and solves each box as one stack.  The output is independent
-of the box size, and identical inputs produce identical outputs.
+point alone, and solves each box as one stack, a large off-torus one as
+two halves on two threads (`_solve_stack`).  The output is independent of
+the box size, and identical inputs produce identical outputs.
 `write_bands_csv` writes the same boxes, each float as repr writes it, from
 repr's shortest digits formed exactly in numpy (`_shortest_digits`); a
 sweep is sized once, by the 16 d bytes of bands a point it holds.
@@ -45,9 +46,11 @@ it.  `BlochVariety.json_text` writes the terms one column at a time.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -238,12 +241,56 @@ def _sub_boxes(shape: tuple, d: int):
             start = stop
 
 
-def _solve_stack(stack: np.ndarray, hermitian, name) -> np.ndarray:
-    """Sorted spectra of a stack by one solver call per flag in `hermitian`.
+#: bytes of matrices from which a non-Hermitian group is solved in two
+#: halves: below about 64 KiB the second thread's start and join cost more
+#: than the half of `eigvals` it takes over, on a 2-core x86 host with one
+#: BLAS thread
+_SPLIT_BYTES = 1 << 16
 
-    `hermitian` is one flag or one per matrix.  If a solver fails, its
-    matrices are solved one at a time and the first failing one is named by
-    `name(k)`, k its position in the stack.
+
+def _eigvals_in_halves(stack: np.ndarray) -> np.ndarray:
+    """`_sorted_eigenvalues(stack, False)`, its first half solved by a helper
+    thread while this thread solves the second.
+
+    LAPACK solves each matrix on its own, so the halves, concatenated in
+    order, hold the bits of one call on the whole stack.  The helper is
+    joined before this returns or raises, also when this thread's half
+    raises or is interrupted; an error of this thread's half is raised, else
+    the helper's.
+    """
+    half = len(stack) // 2
+    first = []
+
+    def solve() -> None:
+        try:
+            first.append(_sorted_eigenvalues(stack[:half], False))
+        except BaseException as exc:  # raised on the calling thread
+            first.append(exc)
+
+    helper = threading.Thread(target=solve, name="hyperband-eigvals", daemon=False)
+    helper.start()
+    try:
+        second = _sorted_eigenvalues(stack[half:], False)
+    finally:
+        helper.join()
+    if isinstance(first[0], BaseException):
+        raise first[0]
+    return np.concatenate([first[0], second])
+
+
+def _solve_stack(stack: np.ndarray, hermitian, name) -> np.ndarray:
+    """Sorted spectra of a stack by one solver call per flag in `hermitian`,
+    or two for a large non-Hermitian group.
+
+    `hermitian` is one flag or one per matrix.  The Hermitian group is one
+    `eigvalsh` call on this thread: OpenBLAS serializes the level-2 calls of
+    its `zheevd`, and two threads gained nothing (0.95x to 1.00x on stacks
+    of 512 to 20,000 8 x 8 matrices, 2-core x86, one BLAS thread).  A
+    non-Hermitian group of at least `_SPLIT_BYTES` is solved by
+    `_eigvals_in_halves` on two threads, with the bits of one call (`zgeev`
+    ran 1.4x to 1.8x as fast on those stacks).  If a solver fails, the
+    group's matrices are solved one at a time and the first failing one is
+    named by `name(k)`, k its position in the stack.
     """
     flags = np.broadcast_to(hermitian, stack.shape[:1])
     out = None
@@ -254,7 +301,10 @@ def _solve_stack(stack: np.ndarray, hermitian, name) -> np.ndarray:
         whole = picked.size == len(stack)
         part = stack if whole else stack[picked]
         try:
-            values = _sorted_eigenvalues(part, flag)
+            if flag or part.nbytes < _SPLIT_BYTES:
+                values = _sorted_eigenvalues(part, flag)
+            else:
+                values = _eigvals_in_halves(part)
         except NumericalCheckFailure:
             for k, matrix in zip(picked, part):
                 try:
@@ -326,8 +376,10 @@ def write_sweep_csv(model: TightBindingModel, grid: MomentumGrid, fh) -> None:
     This thread writes the header, solves the boxes of `_sampled_spectra`
     and queues each, in order, for a worker thread that writes it, so the
     text is formatted while later boxes are solved: the CSV kernel's numpy
-    passes release the GIL.  (The solves stay on this thread: OpenBLAS runs
-    two threads' eigensolves one at a time.)  A write error stops the solves
+    passes release the GIL.  An off-torus box of `_SPLIT_BYTES` or more is
+    solved in two halves, one on a helper thread, as `zgeev` runs on both
+    cores; a Hermitian one on this thread alone, as OpenBLAS serializes
+    `zheevd`'s level-2 calls (`_solve_stack`).  A write error stops the solves
     at the next box; after a solve error the worker writes the boxes solved
     before it.  The worker is joined before this returns or raises,
     KeyboardInterrupt included, and its error is raised here.  Whatever
@@ -365,9 +417,13 @@ def spectral_radius(bands: BandStructure) -> float:
     return float(np.max(np.abs(bands.bands)))
 
 
-@dataclass(frozen=True)
-class DegeneracyGroup:
-    """A cluster of >= 2 eigenvalues at one grid point, closer than the gap tolerance."""
+class DegeneracyGroup(NamedTuple):
+    """A cluster of >= 2 eigenvalues at one grid point, closer than the gap tolerance.
+
+    An immutable tuple of its five fields, in this order: it compares and
+    hashes as that tuple, so it equals a plain tuple of the same values, and
+    groups order as their fields do.
+    """
 
     grid_index: tuple
     flat_index: int
@@ -408,9 +464,9 @@ def detect_crossings(bands: BandStructure, gap_tol: float = None) -> tuple:
     new[1:] = p[1:] != p[:-1]
     points = list(zip(*(i.tolist() for i in np.unravel_index(p[new], bands.grid.shape))))
     points = [points[k] for k in (np.cumsum(new) - 1).tolist()]
-    # fields in order (grid_index, flat_index, eigenvalue, multiplicity,
-    # band_indices): positional arguments build each group faster than keywords
-    return tuple(map(DegeneracyGroup, points, p.tolist(), means.tolist(), size.tolist(), spans.tolist()))
+    # each group straight from a row of the columns, in field order
+    columns = zip(points, p.tolist(), means.tolist(), size.tolist(), spans.tolist())
+    return tuple(map(tuple.__new__, itertools.repeat(DegeneracyGroup), columns))
 
 
 @dataclass(frozen=True)

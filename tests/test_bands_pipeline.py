@@ -11,6 +11,7 @@ import io
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -283,9 +284,95 @@ def test_sweep_names_the_failing_point_in_a_later_slice(monkeypatch, solver):
     # row 700 of the (20, 40) grid, printed as plain integers
     assert str(err.value) == "eigensolver failed at grid index (17, 20): eigensolver did not converge: forced"
     # five whole boxes and the failing one, then single matrices of the
-    # failing box up to the bad point
-    assert batches[:6] == [(120, 16, 16)] * 6
-    assert batches[6:] == [(16, 16)] * (bad - 600 + 1)
+    # failing box up to the bad point; off the torus each box is two halves
+    # of 60, one solved on a helper thread
+    boxes = [(120, 16, 16)] * 6 if solver == "eigvalsh" else [(60, 16, 16)] * 12
+    assert batches[:len(boxes)] == boxes
+    assert batches[len(boxes):] == [(16, 16)] * (bad - 600 + 1)
+
+
+# -- off-torus boxes in two halves ---------------------------------------------
+
+def off_torus_box(n, dim=4, seed=18):
+    """A model and an off-torus grid of n points, one box, at d = `dim`."""
+    model = random_model(np.random.default_rng(seed), 1, dim)
+    grid = complex_region_grid(1, [n, 1], (-0.3, 0.2), 1)
+    assert not grid.unitary and len(list(spectra._sub_boxes(grid.shape, dim))) == 1
+    return model, grid
+
+
+def recorded_eigvals(monkeypatch, fail=()):
+    """Patch `np.linalg.eigvals` to record (thread name, stack length) per
+    call and to fail on any stack that holds one of the matrices `fail`."""
+    calls, solve = [], np.linalg.eigvals
+
+    def recording(a):
+        calls.append((threading.current_thread().name, len(a) if a.ndim == 3 else None))
+        if any(np.any(np.all(a == m, axis=(-2, -1))) for m in fail):
+            raise np.linalg.LinAlgError("forced")
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    return calls
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+def test_off_torus_box_at_the_split_size_solves_as_one_stack(monkeypatch, offset):
+    # d = 4: 256 Hamiltonians of 256 B are `_SPLIT_BYTES`; from there a box
+    # is solved as two halves on two threads, with the one-shot solve's bits
+    split = spectra._SPLIT_BYTES // (16 * 4**2)
+    assert split == 256
+    model, grid = off_torus_box(split + offset)
+    expected = one_shot_oracle(model, grid).tobytes()
+    calls = recorded_eigvals(monkeypatch)
+    assert sweep(model, grid).bands.tobytes() == expected
+    n = split + offset
+    if offset < 0:
+        assert calls == [("MainThread", n)]
+    else:
+        assert sorted(calls) == [("MainThread", n - n // 2), ("hyperband-eigvals", n // 2)]
+
+
+@pytest.mark.parametrize(
+    "bad", [(10,), (250,), (10, 250)], ids=["helper-half", "caller-half", "both-halves"]
+)
+def test_off_torus_split_names_the_first_failing_point(monkeypatch, bad):
+    # 300 points: the helper solves points 0-149, this thread 150-299; a
+    # failure in either half names the first failing point, as one call did
+    model, grid = off_torus_box(300)
+    chis = grid_momenta(grid)
+    fail = [_assemble(model, chis[k][:, None, None], (1.0 / chis[k])[:, None, None]) for k in bad]
+    calls = recorded_eigvals(monkeypatch, fail)
+    with pytest.raises(NumericalCheckFailure) as err:
+        sweep(model, grid)
+    assert str(err.value) == (
+        f"eigensolver failed at grid index ({bad[0]}, 0): eigensolver did not converge: forced"
+    )
+    assert sorted(calls[:2]) == [("MainThread", 150), ("hyperband-eigvals", 150)]
+    assert calls[2:] == [("MainThread", None)] * (bad[0] + 1)
+
+
+def test_off_torus_split_joins_its_helper_when_this_thread_raises(monkeypatch):
+    # this thread's half is interrupted while the helper still solves: the
+    # helper is joined before the interrupt leaves the sweep
+    model, grid = off_torus_box(300)
+    caller, solve = threading.current_thread(), np.linalg.eigvals
+    raised, helpers = threading.Event(), []
+
+    def eigvals(a):
+        if threading.current_thread() is caller:
+            raised.set()
+            raise KeyboardInterrupt
+        helpers.append(threading.current_thread())
+        assert raised.wait(timeout=10.0)
+        time.sleep(0.05)
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    with pytest.raises(KeyboardInterrupt):
+        sweep(model, grid)
+    [helper] = helpers
+    assert helper.name == "hyperband-eigvals" and not helper.daemon and not helper.is_alive()
 
 
 def test_near_unit_region_grid_solves_like_its_momenta():
@@ -691,27 +778,38 @@ def test_property_cli_bands_writes_the_bytes_of_sweep_then_write(
 def test_concurrent_sweep_csv_writers_keep_their_bytes(chunk_budget):
     # four callers at once, eight threads on two cores, switching every
     # microsecond: a row read before it is solved, or a box written twice
-    # or out of order, would change some caller's bytes
-    models = [random_model(np.random.default_rng(seed), 1 + seed % 2, 1 + seed % 3) for seed in range(4)]
-    grids = [
-        unitary_grid(1, 9), complex_region_grid(2, 2, (-0.2, 0.3), 2),
-        complex_region_grid(1, 5, (-0.2, 0.3), 2), unitary_grid(2, 3),
+    # or out of order, would change some caller's bytes.  First in boxes of
+    # a point or a few, then off the torus in boxes of 64 KiB or more of
+    # Hamiltonians, so each caller also starts an eigvals helper a box
+    region = lambda genus, counts: complex_region_grid(genus, counts, (-0.2, 0.3), 2)
+    rounds = [
+        (600, [(1, 1, unitary_grid(1, 9)), (2, 2, region(2, 2)), (1, 3, region(1, 5)), (2, 1, unitary_grid(2, 3))]),
+        (1 << 17, [(1, 8, region(1, 8)), (2, 8, region(2, 2)), (1, 16, region(1, [4, 8])), (2, 16, region(2, [2, 1, 1, 2]))]),
     ]
-    outs = [io.StringIO() for _ in models]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with chunk_budget(600):
-            callers = [threading.Thread(target=write_sweep_csv, args=job) for job in zip(models, grids, outs)]
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(timeout=60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(caller.is_alive() for caller in callers)
-    for model, grid, out in zip(models, grids, outs):
-        assert out.getvalue() == csv_text(write_bands_csv, sweep(model, grid))
+    for budget, jobs in rounds:
+        models = [random_model(np.random.default_rng(seed), genus, dim) for seed, (genus, dim, _) in enumerate(jobs)]
+        grids = [grid for _, _, grid in jobs]
+        outs = [io.StringIO() for _ in jobs]
+        with chunk_budget(budget):
+            if budget > 600:
+                sizes = [
+                    16 * m.dim**2 * (part.stop - part.start)
+                    for m, g in zip(models, grids) for _, part in spectra._sub_boxes(g.shape, m.dim)
+                ]
+                assert len(sizes) == 20 and min(sizes) >= spectra._SPLIT_BYTES
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                callers = [threading.Thread(target=write_sweep_csv, args=job) for job in zip(models, grids, outs)]
+                for caller in callers:
+                    caller.start()
+                for caller in callers:
+                    caller.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for model, grid, out in zip(models, grids, outs):
+            assert out.getvalue() == csv_text(write_bands_csv, sweep(model, grid)), budget
 
 
 @pytest.mark.parametrize("budget", [1, 600, 4096, 1 << 20])

@@ -483,6 +483,16 @@ def test_bands_with_stdout_closed_writes_its_out_file(single_site_model, tmp_pat
     assert out.read_bytes() == plain.stdout and len(csv_rows(plain.stdout.decode())) == 25
 
 
+@pytest.mark.parametrize("out", [[], ["--out", "-"]], ids=["no-out", "out-dash"])
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_stdout_closed_at_start_up_is_refused(command, out, single_site_model, two_state_model, swap_cover):
+    # with fd 1 closed Python sets sys.stdout to None, and writing to it
+    # died with an AttributeError traceback, exit 1
+    argv = [command, *_required_inputs(command, single_site_model, two_state_model, swap_cover), *out]
+    closed = _hyperband(argv, ">&-", stderr=subprocess.PIPE)
+    assert (closed.returncode, closed.stderr) == (2, b"error: [Errno 9] Bad file descriptor: '<stdout>'\n")
+
+
 # ---------------------------------------------------------------------------
 # --out: one writer for every subcommand
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Each subcommand runs on small fixed inputs, every matrix at most 16 x 16 so
 that no eigensolve depends on the BLAS thread count (the two multi-box
 `bands` cases span several sweep and CSV boxes, so the CSV is written while
-later boxes are solved), in a fresh interpreter
+later boxes are solved, and the off-torus one solves each box in two halves
+on two threads), in a fresh interpreter
 with OPENBLAS_NUM_THREADS=1 and in one with the variable unset.  The digests
 of stdout and of the --out file, and the exit code, must match the recorded
 ones.  A changed digest means changed output bytes: re-record `DIGESTS` only
@@ -18,6 +19,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 if __name__ == "__main__":  # run as a script, outside pytest's pythonpath
     sys.path.insert(0, SRC)
 
+from hyperband import cli
 from hyperband.covers_quivers import UnbranchedCover, cover_to_json
 from hyperband.spectral_curve import Rank2TwistedHiggs, higgs_to_json
 from hyperband.tight_binding import TightBindingModel, write_model
@@ -208,6 +211,21 @@ def case_argv(tmp_path_factory):
 @pytest.mark.parametrize("threads", ["1", None], ids=["one-blas-thread", "blas-threads-unset"])
 def test_cli_output_digests(case_argv, threads):
     assert measure(case_argv, threads) == DIGESTS
+
+
+def test_region_multi_box_case_solves_each_box_on_two_threads(case_argv, tmp_path, monkeypatch):
+    # the case's off-torus boxes (2,016 and 1,152 Hamiltonians of 64 B) pass
+    # `spectra._SPLIT_BYTES`, so its digest pins the bytes of the halves
+    # that a helper thread solves next to the calling thread's
+    argv = list(case_argv["bands-region-multi-box"])
+    argv[argv.index("--out") + 1] = str(tmp_path / "bands.csv")
+    solve, calls = np.linalg.eigvals, []
+    monkeypatch.setattr(
+        np.linalg, "eigvals", lambda a: calls.append((threading.current_thread().name, len(a))) or solve(a)
+    )
+    assert cli.main(argv) == 0
+    halves = [("MainThread", 1008), ("hyperband-eigvals", 1008)] * 4 + [("MainThread", 576), ("hyperband-eigvals", 576)]
+    assert sorted(calls) == sorted(halves)
 
 
 def test_script_fails_when_the_blas_settings_disagree(monkeypatch, capsys):
